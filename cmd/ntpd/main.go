@@ -12,12 +12,12 @@
 //
 //	ntpd -backend tage                       # serve with the TAGE-style backend
 //	ntpd -shadow tage                        # serve hybrid, shadow-evaluate TAGE
-//	ntpd -shadow tage,basic                  # several shadows, fan-out per Update
+//	ntpd -shadow tage,basic                  # several shadows, fan-out per batch
 //
 // -backend picks the serving predictor backend from the registry
 // (basic, hybrid, costreduced, tage, unbounded), overriding the -basic
 // shorthand. -shadow names backends to evaluate on live traffic:
-// every session Update is fanned out to one fresh shadow predictor per
+// every applied batch is fanned out to one fresh shadow predictor per
 // name, the primary alone answers Predict (responses, -verify and
 // snapshots are untouched), and /metrics reports each backend's
 // accuracy as ntpd_backend_{rounds,correct,miss}_total with role
@@ -78,9 +78,9 @@
 // -loadgen replays a recorded .ntps trace stream (from -stream, or
 // captured in process from -workload/-len) through the server: every
 // session replays the full stream, batched -batch traces per request
-// over the batched wire op (per-trace sequences, suffix-replay dedup;
-// -scalarops falls back to legacy per-frame OpUpdate), and the run
-// reports sustained throughput plus p50/p90/p99 round-trip latency. -verify additionally replays the stream in process with the
+// over the batched wire op (per-trace sequences, suffix-replay dedup),
+// and the run reports sustained throughput plus p50/p90/p99 round-trip
+// latency. -verify additionally replays the stream in process with the
 // same predictor flags and requires each session's server-side stats
 // to be bit-identical — the end-to-end correctness anchor for the
 // whole serving path. The predictor flags must match the server's, and
@@ -148,7 +148,6 @@ func run() int {
 		conns      = flag.Int("conns", 1, "loadgen: TCP connections")
 		sessions   = flag.Int("sessions", 0, "loadgen: sessions (default = conns)")
 		batch      = flag.Int("batch", 256, "loadgen: traces per update request")
-		scalarOps  = flag.Bool("scalarops", false, "loadgen: use legacy per-frame OpUpdate instead of the batched op")
 		writeBuf   = flag.Int("writebuf", 0, "serve: per-connection response write buffer bytes (default 64KiB)")
 		verify     = flag.Bool("verify", false, "loadgen: require server stats bit-identical to an in-process replay")
 		sessBase   = flag.Uint64("sessionbase", 1, "loadgen: first session id (pick fresh ids when reusing a server)")
@@ -182,7 +181,7 @@ func run() int {
 		return runLoadgen(loadgenArgs{
 			addr: *addr, streamPath: *streamPath, workload: *wl, length: *length,
 			conns: *conns, sessions: *sessions, batch: *batch, verify: *verify,
-			sessBase: *sessBase, pcfg: pcfg, fcfg: fcfg, scalarOps: *scalarOps,
+			sessBase: *sessBase, pcfg: pcfg, fcfg: fcfg,
 			failover: *failover || *failAddrs != "", failAddrs: *failAddrs,
 			clientTag: *clientTag,
 		})
@@ -307,7 +306,6 @@ type loadgenArgs struct {
 	conns, sessions, batch     int
 	sessBase                   uint64
 	verify                     bool
-	scalarOps                  bool
 	failover                   bool
 	failAddrs                  string
 	clientTag                  string
@@ -351,8 +349,7 @@ func runLoadgen(a loadgenArgs) int {
 		Addr: a.addr, Stream: s,
 		Conns: a.conns, Sessions: a.sessions, Batch: a.batch,
 		Verify: a.verify, Predictor: a.pcfg, Faults: a.fcfg,
-		SessionBase: a.sessBase, ScalarOps: a.scalarOps,
-		ClientTag: a.clientTag,
+		SessionBase: a.sessBase, ClientTag: a.clientTag,
 	}
 	if a.failover {
 		// Snapshot after every acked batch: recovery from a server kill

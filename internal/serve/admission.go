@@ -235,7 +235,7 @@ func admissionCost(req *request) float64 {
 	switch req.op {
 	case OpPredict:
 		return 1
-	case OpUpdate, OpUpdateBatch, OpPredictBatch:
+	case OpUpdateBatch, OpPredictBatch:
 		if n := len(req.traces); n > 1 {
 			return float64(n)
 		}

@@ -101,7 +101,7 @@ func TestAdmissionCostModel(t *testing.T) {
 		want float64
 	}{
 		{request{op: OpPredict}, 1},
-		{request{op: OpUpdate, traces: traces[:1]}, 1},
+		{request{op: OpUpdateBatch, traces: traces[:1]}, 1},
 		{request{op: OpUpdateBatch, traces: traces}, 7},
 		{request{op: OpPredictBatch, traces: traces}, 7},
 		{request{op: OpOpen}, 0},
@@ -138,13 +138,13 @@ func TestThrottleCountersExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := takeTraces(t, 1)
-	if _, _, err := cl.Update(session, traces); err != nil {
+	if _, _, _, err := cl.UpdateBatch(session, traces); err != nil {
 		t.Fatalf("first update (full bucket): %v", err)
 	}
 
 	const rejected = 5
 	for i := 0; i < rejected; i++ {
-		_, _, err := cl.Update(session, traces)
+		_, _, _, err := cl.UpdateBatch(session, traces)
 		if !errors.Is(err, ErrThrottled) {
 			t.Fatalf("update %d: err = %v, want ErrThrottled", i, err)
 		}
@@ -219,7 +219,7 @@ func TestOverloadCountersExactlyOnce(t *testing.T) {
 				batch = append(batch, tr)
 			}
 			for i := 0; i < 50; i++ {
-				_, _, err := cl.Update(session, batch)
+				_, _, _, err := cl.UpdateBatch(session, batch)
 				switch {
 				case err == nil:
 					oks.add(1)
@@ -286,7 +286,7 @@ func TestClientTagPropagation(t *testing.T) {
 	if _, err := openRetry(untagged, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := untagged.Update(2, traces[:1]); err != nil {
+	if _, _, _, err := untagged.UpdateBatch(2, traces[:1]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,7 +343,7 @@ func TestRetryClientHonorsRetryAfter(t *testing.T) {
 	}
 	traces := takeTraces(t, 1)
 	for i := 0; i < 30; i++ {
-		if _, _, err := rc.Update(session, traces); err != nil {
+		if _, _, _, err := rc.UpdateBatch(session, traces); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
@@ -417,7 +417,7 @@ func TestFairnessSmoke(t *testing.T) {
 			return
 		}
 		for time.Now().Before(deadline) {
-			if _, _, err := cl.Update(200, traces[:1]); err != nil {
+			if _, _, _, err := cl.UpdateBatch(200, traces[:1]); err != nil {
 				victimErr = err
 				return
 			}
@@ -488,7 +488,7 @@ func TestLimitzHotReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := takeTraces(t, 1)
-	if _, _, err := cl.Update(5, traces); err != nil {
+	if _, _, _, err := cl.UpdateBatch(5, traces); err != nil {
 		t.Fatalf("update before limits: %v", err)
 	}
 
@@ -500,10 +500,10 @@ func TestLimitzHotReload(t *testing.T) {
 	if l = get(); l.PerClientRate != 0.001 || l.PerClientBurst != 1 {
 		t.Fatalf("limits after POST = %+v", l)
 	}
-	if _, _, err := cl.Update(5, traces); err != nil {
+	if _, _, _, err := cl.UpdateBatch(5, traces); err != nil {
 		t.Fatalf("update draining the fresh bucket: %v", err)
 	}
-	if _, _, err := cl.Update(5, traces); !errors.Is(err, ErrThrottled) {
+	if _, _, _, err := cl.UpdateBatch(5, traces); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("update past quota: err = %v, want ErrThrottled", err)
 	}
 
@@ -511,7 +511,7 @@ func TestLimitzHotReload(t *testing.T) {
 	if resp := post(`{}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST zero limits: %s", resp.Status)
 	}
-	if _, _, err := cl.Update(5, traces); err != nil {
+	if _, _, _, err := cl.UpdateBatch(5, traces); err != nil {
 		t.Fatalf("update after limits removed: %v", err)
 	}
 

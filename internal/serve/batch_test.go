@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -76,7 +77,8 @@ func TestBatchOpsBitIdentical(t *testing.T) {
 // TestBatchSuffixDedup exercises the per-trace sequence dedup directly:
 // overlapping, fully duplicate, and extending ranges must replay only
 // the unseen suffix, leaving the predictor exactly where a
-// single-application run would.
+// single-application run would. Every overlapping frame counts once in
+// DupUpdates.
 func TestBatchSuffixDedup(t *testing.T) {
 	traces := streamTraces(t)
 	if len(traces) < 300 {
@@ -92,21 +94,31 @@ func TestBatchSuffixDedup(t *testing.T) {
 	if _, _, err := cl.Open(session); err != nil {
 		t.Fatal(err)
 	}
+	dups := func() uint64 { return srv.shardFor(session).counters.DupUpdates.Load() }
 
 	// [1,200] fresh.
 	skipped, applied, _, err := cl.UpdateBatchSeq(session, 1, traces[:200])
 	if err != nil || skipped != 0 || applied != 200 {
 		t.Fatalf("fresh batch: skipped %d applied %d err %v", skipped, applied, err)
 	}
+	if got := dups(); got != 0 {
+		t.Errorf("dup frames after a fresh batch = %d, want 0", got)
+	}
 	// [101,300]: first half duplicate, second half fresh.
 	skipped, applied, _, err = cl.UpdateBatchSeq(session, 101, traces[100:300])
 	if err != nil || skipped != 100 || applied != 100 {
 		t.Fatalf("overlap batch: skipped %d applied %d err %v", skipped, applied, err)
 	}
+	if got := dups(); got != 1 {
+		t.Errorf("dup frames after the overlapping batch = %d, want 1", got)
+	}
 	// [1,300]: wholly duplicate; nothing may train.
 	skipped, applied, _, err = cl.UpdateBatchSeq(session, 1, traces[:300])
 	if err != nil || skipped != 300 || applied != 0 {
 		t.Fatalf("dup batch: skipped %d applied %d err %v", skipped, applied, err)
+	}
+	if got := dups(); got != 2 {
+		t.Errorf("dup frames after the duplicate batch = %d, want 2", got)
 	}
 
 	ref := predictor.MustNew(headlineConfig())
@@ -120,6 +132,62 @@ func TestBatchSuffixDedup(t *testing.T) {
 	}
 	if !st.Session.Equal(ref.Stats()) {
 		t.Errorf("after dedup replays: server stats %+v, want single-application %+v", st.Session, ref.Stats())
+	}
+}
+
+// TestDuplicateUpdateAnsweredFromCache: resending a batch whose whole
+// range the session has already acked (a retry after a "lost ack") is
+// answered from the session's sequence watermark without touching the
+// predictor — the exactly-once guarantee a retrying client leans on.
+// Dedup matches sequences, not content: a fresh range carrying the
+// same payload trains.
+func TestDuplicateUpdateAnsweredFromCache(t *testing.T) {
+	traces := streamTraces(t)
+	srv := newTestServer(t, Config{Shards: 1})
+	cl := dialT(t, srv)
+
+	const session = 3
+	if _, _, err := cl.Open(session); err != nil {
+		t.Fatal(err)
+	}
+	batch := traces[:64]
+	stats := func() predictor.Stats {
+		t.Helper()
+		st, err := cl.Stats(session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Session
+	}
+
+	skipped, applied, _, err := cl.UpdateBatchSeq(session, 1, batch)
+	if err != nil || skipped != 0 || int(applied) != len(batch) {
+		t.Fatalf("first send: skipped %d applied %d err %v", skipped, applied, err)
+	}
+	st1 := stats()
+
+	skipped, applied, correct, err := cl.UpdateBatchSeq(session, 1, batch) // retry after a "lost ack"
+	if err != nil || int(skipped) != len(batch) || applied != 0 || correct != 0 {
+		t.Fatalf("duplicate: skipped %d applied %d correct %d err %v", skipped, applied, correct, err)
+	}
+	st2 := stats()
+	if !st2.Equal(st1) {
+		t.Errorf("duplicate update changed predictor stats: %+v -> %+v", st1, st2)
+	}
+	if got := srv.shardFor(session).counters.DupUpdates.Load(); got != 1 {
+		t.Errorf("dup updates = %d, want 1", got)
+	}
+
+	// A *new* range with the same payload must apply in full.
+	skipped, applied, _, err = cl.UpdateBatchSeq(session, uint64(len(batch))+1, batch)
+	if err != nil || skipped != 0 || int(applied) != len(batch) {
+		t.Fatalf("fresh range, same payload: skipped %d applied %d err %v", skipped, applied, err)
+	}
+	if st3 := stats(); st3.Equal(st2) {
+		t.Error("next range did not advance the predictor")
+	}
+	if got := srv.shardFor(session).counters.DupUpdates.Load(); got != 1 {
+		t.Errorf("dup updates after a fresh range = %d, want 1", got)
 	}
 }
 
@@ -183,35 +251,33 @@ func TestBatchDedupAcrossReconnect(t *testing.T) {
 	}
 }
 
-// TestLoadgenBatchOps runs the load generator over the batched op
-// (the default) and the scalar fallback, with -verify semantics on.
+// TestLoadgenBatchOps runs the load generator over the batched op with
+// -verify semantics on.
 func TestLoadgenBatchOps(t *testing.T) {
 	s := captureTestStream(t)
-	for _, scalar := range []bool{false, true} {
-		srv := newTestServer(t, Config{Shards: 2})
-		rep, err := RunLoadgen(context.Background(), LoadgenConfig{
-			Addr: srv.Addr().String(), Stream: s,
-			Conns: 2, Sessions: 3, Batch: 64,
-			ScalarOps: scalar,
-			Verify:    true, Predictor: headlineConfig(),
-			SessionBase: 1,
-		})
-		if err != nil {
-			t.Fatalf("scalar=%v: %v", scalar, err)
-		}
-		if !rep.Verified {
-			t.Fatalf("scalar=%v: not verified", scalar)
-		}
-		if want := uint64(s.Len()) * 3; rep.Traces != want {
-			t.Fatalf("scalar=%v: %d traces delivered, want %d", scalar, rep.Traces, want)
-		}
-		srv.Close()
+	srv := newTestServer(t, Config{Shards: 2})
+	rep, err := RunLoadgen(context.Background(), LoadgenConfig{
+		Addr: srv.Addr().String(), Stream: s,
+		Conns: 2, Sessions: 3, Batch: 64,
+		Verify: true, Predictor: headlineConfig(),
+		SessionBase: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Verified {
+		t.Fatal("not verified")
+	}
+	if want := uint64(s.Len()) * 3; rep.Traces != want {
+		t.Fatalf("%d traces delivered, want %d", rep.Traces, want)
 	}
 }
 
-// TestRetryClientBatchSurvivesServerKill is the batched analogue of
-// TestRetryClientSurvivesServerKill: UpdateBatch streams ride the
-// per-trace suffix dedup through a hard server kill and end
+// TestRetryClientBatchSurvivesServerKill is the client half of
+// zero-loss: with snapshot-per-ack recovery and a failover list, an
+// abrupt server death mid-stream (no drain, no checkpoint dir — the
+// sessions really are gone) is invisible to the caller. UpdateBatch
+// streams ride the per-trace suffix dedup through the kill and end
 // bit-identical to an uninterrupted replay.
 func TestRetryClientBatchSurvivesServerKill(t *testing.T) {
 	s := captureTestStream(t)
@@ -277,44 +343,40 @@ func TestRetryClientBatchSurvivesServerKill(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatchFrame fuzzes parseRequest with attacker-controlled
-// payloads: it must never panic and never hand back more traces than
-// the frame's byte count can honestly carry.
-func FuzzDecodeBatchFrame(f *testing.F) {
-	// Seed with a well-formed OpPredictBatch frame...
-	valid := make([]byte, reqHeaderBytes+updateHeaderBytes+2*wireTraceBytes)
-	valid[0] = OpPredictBatch
-	le.PutUint32(valid[1:], 77)
-	le.PutUint64(valid[5:], 1234)
-	le.PutUint64(valid[reqHeaderBytes:], 1)
-	le.PutUint32(valid[reqHeaderBytes+8:], 2)
-	f.Add(valid)
-	// ...and hostile shapes: oversized count, wrapping sequence range,
-	// truncated body, unknown op.
-	huge := append([]byte(nil), valid[:reqHeaderBytes+updateHeaderBytes]...)
-	le.PutUint32(huge[reqHeaderBytes+8:], 1<<31)
-	f.Add(huge)
-	wrap := append([]byte(nil), valid...)
-	le.PutUint64(wrap[reqHeaderBytes:], ^uint64(0))
-	f.Add(wrap)
-	f.Add(valid[:reqHeaderBytes+3])
-	f.Add([]byte{0x7F, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		req, err := parseRequest(payload)
-		if err != nil {
-			return
-		}
-		if len(req.traces) > MaxBatch {
-			t.Fatalf("decoded %d traces, above MaxBatch %d", len(req.traces), MaxBatch)
-		}
-		if len(req.traces)*wireTraceBytes > len(payload) {
-			t.Fatalf("decoded %d traces from a %d-byte payload", len(req.traces), len(payload))
-		}
-		if (req.op == OpPredictBatch || req.op == OpUpdateBatch) && req.seq != 0 && len(req.traces) > 0 {
-			if end := req.seq + uint64(len(req.traces)) - 1; end < req.seq {
-				t.Fatalf("accepted wrapping seq range %d+%d", req.seq, len(req.traces))
-			}
-		}
+// TestRetryClientOversizedBatchFailsFast: a batch above MaxBatch (or a
+// PredictBatch with too few prediction slots) can never become valid,
+// so it must fail with ErrBadRequest at once; a transport-class error
+// would make RetryClient redial until MaxElapsed.
+func TestRetryClientOversizedBatchFailsFast(t *testing.T) {
+	srv := newTestServer(t, Config{Shards: 1})
+	rc, err := NewRetryClient(RetryConfig{
+		Addrs:      []string{srv.Addr().String()},
+		MaxElapsed: 2 * time.Second,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	const session = 1
+	if _, _, err := rc.Open(session); err != nil {
+		t.Fatal(err)
+	}
+	dials := srv.counters.Accepted.Load()
+
+	start := time.Now()
+	_, _, _, err = rc.UpdateBatch(session, make([]trace.Trace, MaxBatch+1))
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("oversized batch: err = %v, want ErrBadRequest", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("oversized batch took %v to fail: retried instead of failing fast", d)
+	}
+	if got := srv.counters.Accepted.Load(); got != dials {
+		t.Errorf("connections accepted %d -> %d: the client redialed", dials, got)
+	}
+
+	cl := dialT(t, srv)
+	if _, _, _, err := cl.PredictBatch(session, make([]trace.Trace, 2), make([]predictor.Prediction, 1)); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("short preds: err = %v, want ErrBadRequest", err)
+	}
 }

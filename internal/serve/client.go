@@ -26,7 +26,7 @@ type Client struct {
 	helloSent bool              // OpHello delivered on this connection
 	seqs      map[uint64]uint64 // per-session last acked update sequence
 	buf       []byte            // request frame scratch, reused
-	ubuf      []byte            // update body scratch, reused
+	ubuf      []byte            // batch body scratch, reused
 	rbuf      []byte            // response scratch, reused
 }
 
@@ -166,71 +166,20 @@ func (c *Client) Predict(session uint64) (predictor.Prediction, error) {
 	return getPrediction(body), nil
 }
 
-// Update reveals a batch of actual traces to the session's predictor,
-// in order; the server runs the strict Predict/Update alternation for
-// each. It returns how many traces were applied and how many of the
-// server's predictions for them were correct.
+// UpdateBatch reveals a batch of actual traces to the session's
+// predictor, in order, through OpUpdateBatch — one frame, one shard
+// hop, one native predictor batch sweep running the strict
+// Predict/Update alternation per trace. It returns how many leading
+// traces the server had already applied (skipped), how many it applied
+// now, and how many of its predictions for those were correct.
 //
-// When the session was opened through this client, each Update carries
-// the next sequence number in the session's stream, advanced only on a
-// successful ack: a resend after a lost ack reuses the sequence and the
-// server answers it from cache instead of re-training. Sessions not
-// opened here send sequence 0 (no duplicate detection).
-func (c *Client) Update(session uint64, traces []trace.Trace) (applied, correct uint32, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var seq uint64
-	if last, ok := c.seqs[session]; ok {
-		seq = last + 1
-	}
-	applied, correct, err = c.updateSeq(session, seq, traces)
-	if err == nil && seq != 0 {
-		c.seqs[session] = seq
-	}
-	return applied, correct, err
-}
-
-// UpdateSeq is Update with an explicit sequence number, for callers
-// that manage their own sequence streams (the retrying client, tests).
-// Sequence 0 disables duplicate detection for this batch.
-func (c *Client) UpdateSeq(session, seq uint64, traces []trace.Trace) (applied, correct uint32, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.updateSeq(session, seq, traces)
-}
-
-func (c *Client) updateSeq(session, seq uint64, traces []trace.Trace) (applied, correct uint32, err error) {
-	if len(traces) > MaxBatch {
-		return 0, 0, fmt.Errorf("serve: batch %d exceeds MaxBatch %d", len(traces), MaxBatch)
-	}
-	need := updateHeaderBytes + len(traces)*wireTraceBytes
-	if cap(c.ubuf) < need {
-		c.ubuf = make([]byte, need)
-	}
-	body := c.ubuf[:need]
-	le.PutUint64(body, seq)
-	le.PutUint32(body[8:], uint32(len(traces)))
-	for i := range traces {
-		putTrace(body[updateHeaderBytes+i*wireTraceBytes:], &traces[i])
-	}
-	resp, err := c.roundTrip(OpUpdate, session, body)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(resp) != 8 {
-		return 0, 0, fmt.Errorf("%w: update response %d bytes", ErrFrame, len(resp))
-	}
-	return le.Uint32(resp), le.Uint32(resp[4:]), nil
-}
-
-// UpdateBatch reveals a batch of traces through OpUpdateBatch — one
-// frame, one shard hop, one native predictor batch sweep. Unlike
-// Update's per-frame sequences, batch sequences are per trace: the
-// frame covers [start, start+len), and a replay after a lost ack makes
-// the server skip the already-applied prefix (returned as skipped) and
-// train only the unseen suffix. The client's sequence counter advances
-// to the end of the range on a successful ack. A session must not mix
-// Update and the batch ops — the two numbering styles do not compose.
+// When the session was opened through this client, the frame covers
+// the next sequence range [start, start+len) of the session's stream,
+// and the client's counter advances to the end of the range only on a
+// successful ack: a resend after a lost ack reuses the range, and the
+// server skips the already-applied prefix and trains only the unseen
+// suffix. Sessions not opened here send sequence 0 (no duplicate
+// detection).
 func (c *Client) UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	return c.batchAuto(OpUpdateBatch, session, traces, nil)
 }
@@ -241,7 +190,7 @@ func (c *Client) UpdateBatch(session uint64, traces []trace.Trace) (skipped, app
 // i'th applied trace (entries for the skipped prefix are untouched).
 func (c *Client) PredictBatch(session uint64, traces []trace.Trace, preds []predictor.Prediction) (skipped, applied, correct uint32, err error) {
 	if preds != nil && len(preds) < len(traces) {
-		return 0, 0, 0, fmt.Errorf("serve: preds %d shorter than batch %d", len(preds), len(traces))
+		return 0, 0, 0, fmt.Errorf("%w: preds %d shorter than batch %d", ErrBadRequest, len(preds), len(traces))
 	}
 	return c.batchAuto(OpPredictBatch, session, traces, preds)
 }
@@ -275,10 +224,11 @@ func (c *Client) batchAuto(op uint8, session uint64, traces []trace.Trace, preds
 }
 
 // batchSeq encodes and runs one batch op. Must be called with c.mu
-// held.
+// held. An oversized batch is ErrBadRequest before anything is sent:
+// no retry or reconnect can make it valid.
 func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace, preds []predictor.Prediction) (skipped, applied, correct uint32, err error) {
 	if len(traces) > MaxBatch {
-		return 0, 0, 0, fmt.Errorf("serve: batch %d exceeds MaxBatch %d", len(traces), MaxBatch)
+		return 0, 0, 0, fmt.Errorf("%w: batch %d exceeds MaxBatch %d", ErrBadRequest, len(traces), MaxBatch)
 	}
 	need := updateHeaderBytes + len(traces)*wireTraceBytes
 	if cap(c.ubuf) < need {
@@ -360,7 +310,7 @@ type SessionStats struct {
 
 // Stats fetches the session's predictor counters. The snapshot is
 // taken on the shard goroutine, strictly ordered with the session's
-// updates, so after the last Update of a stream it is the stream's
+// updates, so after the last batch of a stream it is the stream's
 // final, exact state.
 func (c *Client) Stats(session uint64) (SessionStats, error) {
 	c.mu.Lock()

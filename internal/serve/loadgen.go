@@ -21,13 +21,7 @@ type LoadgenConfig struct {
 	Stream   *stream.Stream // the recorded trace stream to replay
 	Conns    int            // TCP connections (default 1)
 	Sessions int            // sessions, spread round-robin over conns (default = Conns)
-	Batch    int            // traces per Update request (default 256, max MaxBatch)
-
-	// ScalarOps replays through the legacy per-frame-sequenced OpUpdate
-	// instead of OpUpdateBatch. The default (false) rides the batched
-	// hot path; the scalar path stays exercised for compatibility runs
-	// and as the -verify cross-check's second leg.
-	ScalarOps bool
+	Batch    int            // traces per UpdateBatch request (default 256, max MaxBatch)
 
 	// Verify replays the stream once in process with the same predictor
 	// configuration and requires every session's server-side stats to
@@ -101,31 +95,26 @@ type LoadgenReport struct {
 	Sessions           int
 	Conns              int
 	Batch              int
-	ScalarOps          bool          // replayed via OpUpdate instead of OpUpdateBatch
 	Skipped            uint64        // traces deduped server-side (failover replays)
 	Traces             uint64        // traces delivered (all sessions)
-	Requests           uint64        // Update round trips
+	Requests           uint64        // UpdateBatch round trips
 	Retries            uint64        // overload retries
 	Throttled          uint64        // admission-control rejections ridden out
 	Correct            uint64        // server-reported correct predictions
 	Duration           time.Duration // wall clock for the replay phase
 	TracesPerSec       float64
-	P50, P90, P99, Max time.Duration      // Update round-trip latency
+	P50, P90, P99, Max time.Duration      // UpdateBatch round-trip latency
 	Latency            *metrics.Histogram // full RTT distribution (ns)
 	Verified           bool               // stats checked bit-identical (when Verify)
 }
 
 func (r *LoadgenReport) String() string {
-	op := "update_batch"
-	if r.ScalarOps {
-		op = "update"
-	}
 	s := fmt.Sprintf(
-		"loadgen: %d traces in %.2fs over %d sessions / %d conns (%s)\n"+
+		"loadgen: %d traces in %.2fs over %d sessions / %d conns (update_batch)\n"+
 			"  throughput: %.0f traces/sec at batch %d (%.0f req/sec, %d overload retries)\n"+
 			"  latency:    p50 %s  p90 %s  p99 %s  max %s\n"+
 			"  accuracy:   %.2f%% of server predictions correct",
-		r.Traces, r.Duration.Seconds(), r.Sessions, r.Conns, op,
+		r.Traces, r.Duration.Seconds(), r.Sessions, r.Conns,
 		r.TracesPerSec, r.Batch, float64(r.Requests)/r.Duration.Seconds(), r.Retries,
 		r.P50, r.P90, r.P99, r.Max,
 		100*float64(r.Correct)/float64(max64(r.Traces, 1)))
@@ -152,7 +141,6 @@ func max64(a, b uint64) uint64 {
 // by both Client and RetryClient.
 type lgConn interface {
 	Open(session uint64) (shard uint32, lastSeq uint64, err error)
-	Update(session uint64, traces []trace.Trace) (applied, correct uint32, err error)
 	UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error)
 	Stats(session uint64) (SessionStats, error)
 	Close() error
@@ -229,7 +217,7 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 	rtt := &metrics.Histogram{}
 	if cfg.Metrics != nil {
 		rtt = cfg.Metrics.Histogram("loadgen_rtt_seconds",
-			"Update round-trip latency as seen by the load generator.", 1e-9, nil)
+			"UpdateBatch round-trip latency as seen by the load generator.", 1e-9, nil)
 	}
 	var (
 		mu        sync.Mutex
@@ -280,7 +268,7 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 						continue // session done
 					}
 					t0 := time.Now()
-					skip, applied, corr, err := sendBatch(cl, s.id, s.batch, cfg.ScalarOps)
+					skip, applied, corr, err := cl.UpdateBatch(s.id, s.batch)
 					for errors.Is(err, ErrOverloaded) || errors.Is(err, ErrThrottled) {
 						// Both rejections happen before the predictor is
 						// touched, so resending the same batch preserves
@@ -294,7 +282,7 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 						} else {
 							time.Sleep(200 * time.Microsecond)
 						}
-						skip, applied, corr, err = sendBatch(cl, s.id, s.batch, cfg.ScalarOps)
+						skip, applied, corr, err = cl.UpdateBatch(s.id, s.batch)
 					}
 					rtt.ObserveDuration(time.Since(t0))
 					nReq++
@@ -335,7 +323,6 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 		Sessions:  cfg.Sessions,
 		Conns:     cfg.Conns,
 		Batch:     cfg.Batch,
-		ScalarOps: cfg.ScalarOps,
 		Traces:    traces,
 		Requests:  requests,
 		Retries:   retries,
@@ -395,17 +382,6 @@ func referenceStats(cfg LoadgenConfig) (predictor.Stats, error) {
 		return predictor.Stats{}, err
 	}
 	return p.Stats(), nil
-}
-
-// sendBatch delivers one batch via the configured op family. The
-// scalar path reports skipped 0: OpUpdate's dedup replays the cached
-// whole-frame answer, indistinguishable from a fresh apply.
-func sendBatch(cl lgConn, id uint64, batch []trace.Trace, scalar bool) (skipped, applied, correct uint32, err error) {
-	if scalar {
-		applied, correct, err = cl.Update(id, batch)
-		return 0, applied, correct, err
-	}
-	return cl.UpdateBatch(id, batch)
 }
 
 func closeAll(clients []lgConn) {

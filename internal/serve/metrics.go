@@ -100,7 +100,6 @@ type shardMetrics struct {
 var opNames = [OpUpdateBatch + 1]string{
 	OpOpen:         "open",
 	OpPredict:      "predict",
-	OpUpdate:       "update",
 	OpStats:        "stats",
 	OpSnapshot:     "snapshot",
 	OpRestore:      "restore",
@@ -249,7 +248,7 @@ func (s *Server) registerMetrics() {
 			func() uint64 { return sh.counters.Restores.Load() })
 		reg.CounterFunc("ntpd_snapshot_restore_rejects_total", "OpRestore frames rejected per shard.", l,
 			func() uint64 { return sh.counters.RestoreRejects.Load() })
-		reg.CounterFunc("ntpd_update_dups_total", "Duplicate update sequences answered from cache per shard.", l,
+		reg.CounterFunc("ntpd_update_dups_total", "Batch frames that replayed already-applied sequences per shard.", l,
 			func() uint64 { return sh.counters.DupUpdates.Load() })
 		reg.GaugeFunc("ntpd_shard_queue_depth", "Tasks waiting in the shard queue.", l,
 			func() float64 { return float64(len(sh.queue)) })

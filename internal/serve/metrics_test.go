@@ -77,11 +77,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	for len(batch) < cap(batch) && cur.Next(&tr) {
 		batch = append(batch, tr)
 	}
-	if _, _, err := cl.Update(1, batch); err != nil {
+	if _, _, _, err := cl.UpdateBatch(1, batch); err != nil {
 		t.Fatal(err)
 	}
 	// The shard publishes its snapshot after completing each task, and
-	// Update's response is sent from the task callback, so by the time
+	// UpdateBatch's response is sent from the task callback, so by the time
 	// the client returns the counters below are already final.
 	body := scrape(t, srv)
 
@@ -120,13 +120,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Per-shard, per-op latency histograms. Re-scrape so the stats op
 	// issued just above is included.
 	body = scrape(t, srv)
-	for _, op := range []string{"open", "update", "stats"} {
+	for _, op := range []string{"open", "update_batch", "stats"} {
 		series := `ntpd_shard_op_seconds_count{op="` + op + `",shard="` + shard + `"}`
 		if v := metricValue(t, body, series); v < 1 {
 			t.Errorf("%s = %v, want >= 1", series, v)
 		}
 	}
-	if sum := metricValue(t, body, `ntpd_shard_op_seconds_sum{op="update",shard="`+shard+`"}`); sum <= 0 {
+	if sum := metricValue(t, body, `ntpd_shard_op_seconds_sum{op="update_batch",shard="`+shard+`"}`); sum <= 0 {
 		t.Errorf("update op latency sum = %v, want > 0", sum)
 	}
 
@@ -174,7 +174,7 @@ func TestShadowEvalMetrics(t *testing.T) {
 		if len(batch) == 0 {
 			break
 		}
-		if _, _, err := cl.Update(1, batch); err != nil {
+		if _, _, _, err := cl.UpdateBatch(1, batch); err != nil {
 			t.Fatal(err)
 		}
 		for j := range batch {

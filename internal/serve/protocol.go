@@ -26,8 +26,6 @@
 //	           resp: u32 shard | u64 lastSeq
 //	OpPredict  req:  (empty)
 //	           resp: u8 flags | u64 id | u64 alt | u16 hashed
-//	OpUpdate   req:  u64 seq | u32 count | count * trace (24 bytes each)
-//	           resp: u32 applied | u32 correct
 //	OpStats    req:  (empty)
 //	           resp: u32 shard | u32 sessions | session Stats | shard Stats
 //	                 (each Stats is 6 * u64: predictions, correct, cold,
@@ -39,10 +37,11 @@
 //	OpHello    req:  client tag (1..64 printable ASCII bytes)
 //	           resp: (empty)
 //
-// The batched ops run one full Predict/Update round per trace in a
-// single frame and a single shard-queue hop — the serving hot path:
+// The batch ops are the only way to train a session. Each runs one
+// full Predict/Update round per trace — the paper's immediate-update
+// regime — in a single frame and a single shard-queue hop:
 //
-//	OpUpdateBatch  req:  u64 startSeq | u32 count | count * trace
+//	OpUpdateBatch  req:  u64 startSeq | u32 count | count * trace (24 bytes each)
 //	               resp: u32 skipped | u32 applied | u32 correct
 //	OpPredictBatch req:  u64 startSeq | u32 count | count * trace
 //	               resp: u32 skipped | u32 applied | u32 correct |
@@ -51,22 +50,16 @@
 //
 // # Exactly-once updates
 //
-// An Update carries a per-session sequence number. The server remembers
-// the last applied sequence and its response; re-sending the same
-// sequence (a client retry after a lost ack) returns the cached
-// response without re-applying the batch, so crash/retry cycles leave
-// the predictor exactly where an uninterrupted run would. Sequence 0
-// opts out (no duplicate detection). OpOpen returns the session's last
-// applied sequence so a reconnecting client can seed its counter.
-//
-// The batched ops number every trace: a frame with startSeq s and
-// count n covers sequences [s, s+n). On replay after a lost ack the
-// shard skips the prefix it has already applied (skipped in the
-// response) and trains only the unseen suffix, so a re-sent
-// half-applied batch trains nothing twice. correct counts the applied
-// suffix only. startSeq 0 opts out, exactly as for OpUpdate. A session
-// must stick to one numbering style — OpUpdate's per-frame sequences
-// and the batch ops' per-trace sequences do not mix.
+// Sequence numbers are per trace: a frame with startSeq s and count n
+// covers sequences [s, s+n), and a session remembers the last sequence
+// it applied. A frame that overlaps that point (a client resend after
+// a lost ack, or a restore from a snapshot older than the last ack)
+// skips the already-applied prefix, reported as skipped, and trains
+// only the unseen suffix, so crash/retry cycles leave the predictor
+// exactly where an uninterrupted run would. correct counts the applied
+// suffix only. startSeq 0 opts out of duplicate detection. OpOpen
+// returns the session's last applied sequence so a reconnecting client
+// can seed its counter.
 //
 // # Session snapshots
 //
@@ -99,7 +92,7 @@
 // the connection is then accounted under that tag (per-client
 // request/round/byte/rejection counters on /metrics and /statsz).
 // When the server runs with admission limits, work-carrying ops
-// (OpPredict, OpUpdate, and the batch ops) are charged against the
+// (OpPredict and the batch ops) are charged against the
 // tag's token bucket and the global bucket before they may enter a
 // shard queue; a refusal is StatusThrottled and the response body
 // carries a u32 retry-after hint in milliseconds — unlike overload,
@@ -120,11 +113,11 @@ import (
 	"pathtrace/internal/trace"
 )
 
-// Ops. The response op is the request op with the high bit set.
+// Ops. The response op is the request op with the high bit set. 0x03
+// is unassigned: it parses as an unknown op.
 const (
 	OpOpen     = 0x01
 	OpPredict  = 0x02
-	OpUpdate   = 0x03
 	OpStats    = 0x04
 	OpSnapshot = 0x05
 	OpRestore  = 0x06
@@ -230,9 +223,9 @@ func statusOf(err error) uint8 {
 // Frame and batch bounds. A decoder rejects anything larger before
 // allocating: streams cross machines now, so frames are untrusted.
 const (
-	// MaxBatch bounds the traces in one Update request.
+	// MaxBatch bounds the traces in one batch request.
 	MaxBatch = 8192
-	// MaxFrame bounds a frame payload: the larger of an Update of
+	// MaxFrame bounds a frame payload: the larger of a batch of
 	// MaxBatch traces and an OpRestore carrying a full session snapshot
 	// (snapshot responses fit under the same bound: the response header
 	// is smaller than the request header).
@@ -392,8 +385,8 @@ type request struct {
 	op        uint8
 	reqID     uint32
 	session   uint64
-	seq       uint64        // update ops: exactly-once sequence (per-frame for OpUpdate, per-trace start for batch ops), 0 = none
-	traces    []trace.Trace // update and batch ops
+	seq       uint64        // batch ops: exactly-once sequence of traces[0], 0 = none
+	traces    []trace.Trace // batch ops
 	blob      []byte        // OpRestore only: the snapshot frame
 	client    string        // OpHello only: the client tag (copied)
 	wireBytes int           // payload size on the wire, for per-client byte accounting
@@ -417,9 +410,9 @@ func parseRequest(payload []byte) (request, error) {
 		if len(body) != 0 {
 			return request{}, fmt.Errorf("%w: op 0x%02x with %d-byte body", ErrFrame, req.op, len(body))
 		}
-	case OpUpdate, OpUpdateBatch, OpPredictBatch:
+	case OpUpdateBatch, OpPredictBatch:
 		if len(body) < updateHeaderBytes {
-			return request{}, fmt.Errorf("%w: update body %d bytes", ErrFrame, len(body))
+			return request{}, fmt.Errorf("%w: batch body %d bytes", ErrFrame, len(body))
 		}
 		req.seq = le.Uint64(body)
 		count := le.Uint32(body[8:])
@@ -429,12 +422,9 @@ func parseRequest(payload []byte) (request, error) {
 		if len(body) != updateHeaderBytes+int(count)*wireTraceBytes {
 			return request{}, fmt.Errorf("%w: batch %d in %d-byte body", ErrFrame, count, len(body))
 		}
-		if req.op != OpUpdate && req.seq != 0 && count != 0 {
-			// Per-trace numbering: the range [startSeq, startSeq+count)
-			// must not wrap uint64.
-			if end := req.seq + uint64(count) - 1; end < req.seq {
-				return request{}, fmt.Errorf("%w: seq range %d+%d wraps", ErrFrame, req.seq, count)
-			}
+		// The range [startSeq, startSeq+count) must not wrap uint64.
+		if req.seq != 0 && count != 0 && req.seq+uint64(count)-1 < req.seq {
+			return request{}, fmt.Errorf("%w: seq range %d+%d wraps", ErrFrame, req.seq, count)
 		}
 		req.traces = make([]trace.Trace, count)
 		for i := range req.traces {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pathtrace/internal/predictor"
+	"pathtrace/internal/snapshot"
 	"pathtrace/internal/trace"
 )
 
@@ -94,13 +95,19 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// batchFrame builds a request payload for op carrying a batch body of
+// count zeroed traces starting at sequence seq, plus extra bytes (or
+// minus, when negative).
+func batchFrame(op uint8, seq uint64, count uint32, extra int) []byte {
+	b := make([]byte, reqHeaderBytes+updateHeaderBytes+int(count)*wireTraceBytes+extra)
+	b[0] = op
+	le.PutUint64(b[reqHeaderBytes:], seq)
+	le.PutUint32(b[reqHeaderBytes+8:], count) // count follows the u64 sequence
+	return b
+}
+
 func TestParseRequestRejectsMalformed(t *testing.T) {
-	okUpdate := func(count uint32, extra int) []byte {
-		body := make([]byte, reqHeaderBytes+updateHeaderBytes+int(count)*wireTraceBytes+extra)
-		body[0] = OpUpdate
-		le.PutUint32(body[reqHeaderBytes+8:], count) // count follows the u64 sequence
-		return body
-	}
+	okUpdate := func(count uint32, extra int) []byte { return batchFrame(OpUpdateBatch, 0, count, extra) }
 	cases := map[string][]byte{
 		"empty":        {},
 		"short header": {OpOpen, 0, 0},
@@ -112,8 +119,9 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 		}(),
 		"update short body":    okUpdate(2, -wireTraceBytes),
 		"update long body":     okUpdate(2, 3),
-		"update no count":      func() []byte { b := make([]byte, reqHeaderBytes); b[0] = OpUpdate; return b }(),
+		"update no count":      func() []byte { b := make([]byte, reqHeaderBytes); b[0] = OpUpdateBatch; return b }(),
 		"update batch too big": okUpdate(MaxBatch+1, 0),
+		"retired op 0x03":      batchFrame(0x03, 1, 2, 0),
 	}
 	for name, payload := range cases {
 		if _, err := parseRequest(payload); !errors.Is(err, ErrFrame) {
@@ -127,9 +135,88 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("good update: %v", err)
 	}
-	if req.op != OpUpdate || len(req.traces) != 2 {
+	if req.op != OpUpdateBatch || len(req.traces) != 2 {
 		t.Errorf("good update: parsed %+v", req)
 	}
+}
+
+// FuzzParseRequest fuzzes parseRequest with attacker-controlled
+// payloads. It must never panic, and whatever it accepts must satisfy
+// the invariants of its op: control ops carry no traces, blob or tag;
+// a Restore blob and a Hello tag stay within their bounds; a batch
+// carries no more traces than its bytes can honestly hold, and its
+// sequence range never wraps. Seeds cover one well-formed frame per op
+// plus hostile shapes.
+func FuzzParseRequest(f *testing.F) {
+	// A well-formed OpPredictBatch frame...
+	valid := batchFrame(OpPredictBatch, 1, 2, 0)
+	le.PutUint32(valid[1:], 77)
+	le.PutUint64(valid[5:], 1234)
+	f.Add(valid)
+	// ...and hostile shapes: oversized count, wrapping sequence range,
+	// truncated body, unknown op.
+	huge := append([]byte(nil), valid[:reqHeaderBytes+updateHeaderBytes]...)
+	le.PutUint32(huge[reqHeaderBytes+8:], 1<<31)
+	f.Add(huge)
+	wrap := append([]byte(nil), valid...)
+	le.PutUint64(wrap[reqHeaderBytes:], ^uint64(0))
+	f.Add(wrap)
+	f.Add(valid[:reqHeaderBytes+3])
+	f.Add([]byte{0x7F, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// One well-formed frame for every other op, and the unassigned 0x03
+	// shaped like a batch.
+	withBody := func(op uint8, body string) []byte {
+		b := make([]byte, reqHeaderBytes, reqHeaderBytes+len(body))
+		b[0] = op
+		return append(b, body...)
+	}
+	for _, op := range []uint8{OpOpen, OpPredict, OpStats, OpSnapshot} {
+		f.Add(withBody(op, ""))
+	}
+	f.Add(withBody(OpRestore, "NTSS\x02 not a real snapshot"))
+	f.Add(withBody(OpHello, "fuzz-client"))
+	f.Add(batchFrame(OpUpdateBatch, 1, 3, 0))
+	f.Add(batchFrame(0x03, 1, 2, 0))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		req, err := parseRequest(payload)
+		if err != nil {
+			return
+		}
+		if req.wireBytes != len(payload) {
+			t.Fatalf("wireBytes %d for a %d-byte payload", req.wireBytes, len(payload))
+		}
+		switch req.op {
+		case OpOpen, OpPredict, OpStats, OpSnapshot:
+			if len(req.traces) != 0 || req.blob != nil || req.client != "" || req.seq != 0 {
+				t.Fatalf("control op 0x%02x decoded with a body: %+v", req.op, req)
+			}
+		case OpRestore:
+			if len(req.blob) == 0 || len(req.blob) > snapshot.MaxEncoded || len(req.traces) != 0 {
+				t.Fatalf("restore decoded with a %d-byte blob and %d traces", len(req.blob), len(req.traces))
+			}
+		case OpHello:
+			if len(req.client) == 0 || len(req.client) > maxClientTagLen || len(req.traces) != 0 || req.blob != nil {
+				t.Fatalf("hello decoded with a %d-byte tag", len(req.client))
+			}
+		case OpUpdateBatch, OpPredictBatch:
+			n := len(req.traces)
+			if n > MaxBatch {
+				t.Fatalf("decoded %d traces, above MaxBatch %d", n, MaxBatch)
+			}
+			if reqHeaderBytes+updateHeaderBytes+n*wireTraceBytes != len(payload) {
+				t.Fatalf("decoded %d traces from a %d-byte payload", n, len(payload))
+			}
+			if req.seq != 0 && n > 0 && req.seq+uint64(n)-1 < req.seq {
+				t.Fatalf("accepted wrapping seq range %d+%d", req.seq, n)
+			}
+			if req.blob != nil || req.client != "" {
+				t.Fatalf("batch decoded with a blob or tag: %+v", req)
+			}
+		default:
+			t.Fatalf("accepted unknown op 0x%02x", req.op)
+		}
+	})
 }
 
 func TestStatusErrRoundTrip(t *testing.T) {

@@ -91,10 +91,9 @@ func (c RetryConfig) withDefaults() (RetryConfig, error) {
 // rcSession is the client-side recovery state for one session: the
 // sequence stream position and the last acked snapshot.
 type rcSession struct {
-	seq       uint64 // last acked update sequence
+	seq       uint64 // last acked trace sequence
 	snap      []byte // last acked snapshot frame (nil: none yet)
-	snapSeq   uint64 // sequence the snapshot was taken at
-	sinceSnap int    // acked updates since the last snapshot
+	sinceSnap int    // acked batches since the last snapshot
 }
 
 // RetryClient wraps the wire client with the crash-safety behaviours a
@@ -289,7 +288,7 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 				}
 				if rc.cfg.SnapshotEvery > 0 && s.snap == nil {
 					if frame, serr := c.Snapshot(session); serr == nil {
-						s.snap, s.snapSeq, s.sinceSnap = frame, s.seq, 0
+						s.snap, s.sinceSnap = frame, 0
 					}
 				}
 				rc.earnToken()
@@ -323,110 +322,16 @@ func (rc *RetryClient) session(id uint64) *rcSession {
 	return s
 }
 
-// Update delivers one batch with exactly-once semantics across
-// crashes: the batch carries the session's next sequence number, a
-// lost ack is resolved by the server's duplicate detection, and a
-// server that lost the session entirely is re-fed the last acked
-// snapshot before the batch is resent. With SnapshotEvery == 1 the
-// acked snapshot always includes every previously acked batch, so the
-// recovered stream is bit-identical to an uninterrupted one.
-func (rc *RetryClient) Update(session uint64, traces []trace.Trace) (applied, correct uint32, err error) {
-	deadline := time.Now().Add(rc.cfg.MaxElapsed)
-	s := rc.session(session)
-	seq := s.seq + 1
-	sent := false // batch acked; still snapshotting
-	for attempt := 0; ; attempt++ {
-		c, cerr := rc.conn()
-		if cerr != nil {
-			err = cerr
-			if !rc.sleepBackoff(attempt, deadline) {
-				return 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-			}
-			continue
-		}
-		if !sent {
-			applied, correct, err = c.UpdateSeq(session, seq, traces)
-			switch {
-			case err == nil:
-				s.seq = seq
-				s.sinceSnap++
-				rc.earnToken()
-				sent = true
-			case errors.Is(err, ErrThrottled):
-				// Admission control: sleep the server's retry-after hint
-				// and resend on the same connection.
-				if !rc.sleepThrottle(err, deadline) {
-					return 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-				}
-				continue
-			case errors.Is(err, ErrOverloaded):
-				if !rc.spendToken() {
-					return 0, 0, fmt.Errorf("serve: update session %d: retry budget exhausted: %w", session, err)
-				}
-				// Overload is backpressure, not failure: short fixed
-				// pause, same connection.
-				time.Sleep(rc.cfg.BaseBackoff)
-				if time.Now().After(deadline) {
-					return 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-				}
-				continue
-			case errors.Is(err, ErrUnknownSession):
-				if eerr := rc.establish(c, session, s); eerr != nil && !rc.sleepBackoff(attempt, deadline) {
-					return 0, 0, fmt.Errorf("serve: update session %d: re-establish: %w", session, eerr)
-				}
-				continue // resend the batch (or re-dial if establish dropped)
-			default:
-				if !retryable(err) {
-					return 0, 0, err
-				}
-				rc.dropConn()
-				if !rc.sleepBackoff(attempt, deadline) {
-					return 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-				}
-				continue
-			}
-		}
-		if rc.cfg.SnapshotEvery <= 0 || s.sinceSnap < rc.cfg.SnapshotEvery {
-			return applied, correct, nil
-		}
-		frame, serr := c.Snapshot(session)
-		if serr == nil {
-			s.snap, s.snapSeq, s.sinceSnap = frame, s.seq, 0
-			return applied, correct, nil
-		}
-		if errors.Is(serr, ErrUnknownSession) {
-			// The server lost the session between the ack and the
-			// snapshot. The old snapshot (if any) predates this batch,
-			// so re-establish and RESEND the batch — the dedup layer
-			// makes that safe if some replica did apply it.
-			rc.establish(c, session, s)
-			sent = false
-			seq = s.seq
-			if seq < s.snapSeq+1 {
-				seq = s.snapSeq + 1
-			}
-			// The restored state is at snapSeq; replay this batch as
-			// the next sequence after it.
-			s.seq = seq - 1
-			continue
-		}
-		if !retryable(serr) {
-			return applied, correct, nil // batch is acked; stale snapshot is survivable
-		}
-		rc.dropConn()
-		if !rc.sleepBackoff(attempt, deadline) {
-			return applied, correct, nil
-		}
-	}
-}
-
-// UpdateBatch is Update over the batched wire op: the batch covers the
-// per-trace sequence range [s.seq+1, s.seq+1+len(traces)), and
-// recovery relies on the server's suffix-replay dedup instead of a
-// cached whole-frame answer — a resend after a lost ack (or against a
-// restored replica that had applied only part of the batch) trains
-// exactly the unseen suffix. With SnapshotEvery == 1 the recovered
-// stream is bit-identical to an uninterrupted one, same as Update.
+// UpdateBatch delivers one batch with exactly-once semantics across
+// crashes. The batch covers the session's next per-trace sequence
+// range [s.seq+1, s.seq+1+len(traces)); a lost ack is resolved by the
+// server's suffix-replay dedup (a resend, or a resend against a
+// restored replica that had applied only part of the batch, trains
+// exactly the unseen suffix), and a server that lost the session
+// entirely is re-fed the last acked snapshot before the batch is
+// resent. With SnapshotEvery == 1 the acked snapshot always includes
+// every previously acked batch, so the recovered stream is
+// bit-identical to an uninterrupted one.
 func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	if len(traces) == 0 {
 		return 0, 0, 0, nil
@@ -456,6 +361,8 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 				rc.earnToken()
 				sent = true
 			case errors.Is(err, ErrThrottled):
+				// Admission control: sleep the server's retry-after hint
+				// and resend on the same connection.
 				if !rc.sleepThrottle(err, deadline) {
 					return 0, 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
 				}
@@ -464,6 +371,8 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 				if !rc.spendToken() {
 					return 0, 0, 0, fmt.Errorf("serve: update session %d: retry budget exhausted: %w", session, err)
 				}
+				// Overload is backpressure, not failure: short fixed
+				// pause, same connection.
 				time.Sleep(rc.cfg.BaseBackoff)
 				if time.Now().After(deadline) {
 					return 0, 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
@@ -492,7 +401,7 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 		}
 		frame, serr := c.Snapshot(session)
 		if serr == nil {
-			s.snap, s.snapSeq, s.sinceSnap = frame, s.seq, 0
+			s.snap, s.sinceSnap = frame, 0
 			return skipped, applied, correct, nil
 		}
 		if errors.Is(serr, ErrUnknownSession) {

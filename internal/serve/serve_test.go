@@ -112,12 +112,12 @@ func TestServeBitIdenticalStats(t *testing.T) {
 		if len(batch) == 0 {
 			break
 		}
-		applied, _, err := cl.Update(session, batch)
+		skipped, applied, _, err := cl.UpdateBatch(session, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(applied) != len(batch) {
-			t.Fatalf("applied %d of %d", applied, len(batch))
+		if skipped != 0 || int(applied) != len(batch) {
+			t.Fatalf("skipped %d, applied %d of %d", skipped, applied, len(batch))
 		}
 	}
 
@@ -174,8 +174,8 @@ func TestServeUnknownSession(t *testing.T) {
 	if _, err := cl.Predict(7); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("Predict on unopened session: %v, want ErrUnknownSession", err)
 	}
-	if _, _, err := cl.Update(7, make([]trace.Trace, 1)); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("Update on unopened session: %v, want ErrUnknownSession", err)
+	if _, _, _, err := cl.UpdateBatch(7, make([]trace.Trace, 1)); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("UpdateBatch on unopened session: %v, want ErrUnknownSession", err)
 	}
 	if _, err := cl.Stats(7); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("Stats on unopened session: %v, want ErrUnknownSession", err)
@@ -217,7 +217,7 @@ func TestServePredictOp(t *testing.T) {
 		ref.Predict()
 		ref.Update(&batch[i])
 	}
-	if _, _, err := cl.Update(session, batch); err != nil {
+	if _, _, _, err := cl.UpdateBatch(session, batch); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Predict()
@@ -263,7 +263,7 @@ func TestServeOverload(t *testing.T) {
 				batch = append(batch, tr)
 			}
 			for i := 0; i < 50; i++ {
-				_, _, err := cl.Update(session, batch)
+				_, _, _, err := cl.UpdateBatch(session, batch)
 				switch {
 				case err == nil:
 					oks.add(1)
@@ -415,7 +415,7 @@ func TestServeSessionSurvivesReconnect(t *testing.T) {
 			if len(batch) == 0 {
 				return
 			}
-			if _, _, err := cl.Update(session, batch); err != nil {
+			if _, _, _, err := cl.UpdateBatch(session, batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -522,17 +522,24 @@ func TestAdminEndpoints(t *testing.T) {
 	for len(batch) < cap(batch) && cur.Next(&tr) {
 		batch = append(batch, tr)
 	}
-	if _, _, err := cl.Update(1, batch); err != nil {
+	if _, _, _, err := cl.UpdateBatch(1, batch); err != nil {
 		t.Fatal(err)
 	}
 
-	code, body := get("/statsz")
-	if code != 200 {
-		t.Fatalf("/statsz = %d", code)
-	}
+	// The shard publishes its predictor aggregate just after answering
+	// the update, so wait for it to show before asserting.
 	var st ServerStats
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("/statsz JSON: %v\n%s", err, body)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		code, body := get("/statsz")
+		if code != 200 {
+			t.Fatalf("/statsz = %d", code)
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("/statsz JSON: %v\n%s", err, body)
+		}
+		if st.Predictor.Predictions == uint64(len(batch)) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if st.Shards != 2 || st.Sessions != 1 || st.Traces != uint64(len(batch)) {
 		t.Errorf("/statsz = shards %d, sessions %d, traces %d; want 2, 1, %d",
@@ -542,7 +549,7 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Errorf("/statsz predictor predictions = %d, want %d", st.Predictor.Predictions, len(batch))
 	}
 
-	code, body = get("/varz")
+	code, body := get("/varz")
 	if code != 200 {
 		t.Fatalf("/varz = %d", code)
 	}

@@ -464,11 +464,6 @@ func encodeResponse(req request, resp shardResp) []byte {
 		var b [predictionBytes]byte
 		putPrediction(b[:], resp.pred)
 		buf = append(buf, b[:]...)
-	case OpUpdate:
-		var b [8]byte
-		le.PutUint32(b[:], resp.applied)
-		le.PutUint32(b[4:], resp.correct)
-		buf = append(buf, b[:]...)
 	case OpUpdateBatch, OpPredictBatch:
 		var b [batchRespBytes]byte
 		le.PutUint32(b[:], resp.skipped)

@@ -29,13 +29,11 @@ type session struct {
 	// correctness.
 	shadows []shadowPred
 
-	// Exactly-once bookkeeping: the last applied update sequence and its
-	// cached response. A retried sequence (client resend after a lost
-	// ack) replays the cached answer instead of re-training the
-	// predictor. Zero means no sequenced update has been applied.
-	lastSeq     uint64
-	lastApplied uint32
-	lastCorrect uint32
+	// lastSeq is the exactly-once cursor: the sequence of the last
+	// applied trace. A batch replaying sequences at or below it trains
+	// only its unseen suffix. Zero means no sequenced trace has been
+	// applied.
+	lastSeq uint64
 
 	// dirty marks state changed since the last checkpoint encode.
 	dirty bool
@@ -73,8 +71,8 @@ type shardResp struct {
 	pred     predictor.Prediction
 	skipped  uint32                 // batch ops: already-applied prefix length
 	preds    []predictor.Prediction // OpPredictBatch: one per applied trace
-	applied  uint32                 // OpUpdate, batch ops
-	correct  uint32                 // OpUpdate, batch ops
+	applied  uint32                 // batch ops
+	correct  uint32                 // batch ops
 	sess     predictor.Stats        // OpStats: this session's counters
 	agg      predictor.Stats        // OpStats: shard-wide aggregate
 	blob     []byte                 // OpSnapshot: the encoded frame
@@ -99,7 +97,7 @@ type shardCounters struct {
 	Snapshots      atomic.Uint64 // OpSnapshot frames served
 	Restores       atomic.Uint64 // sessions installed via OpRestore
 	RestoreRejects atomic.Uint64 // OpRestore frames rejected
-	DupUpdates     atomic.Uint64 // duplicate sequences answered from cache
+	DupUpdates     atomic.Uint64 // batch frames that replayed already-applied sequences
 }
 
 // shard owns a set of sessions and processes their requests strictly
@@ -211,12 +209,6 @@ func (sh *shard) process(req request) shardResp {
 			return shardResp{err: ErrUnknownSession}
 		}
 		return shardResp{pred: s.p.Predict()}
-	case OpUpdate:
-		s, ok := sh.sessions[req.session]
-		if !ok {
-			return shardResp{err: ErrUnknownSession}
-		}
-		return sh.update(s, req)
 	case OpUpdateBatch, OpPredictBatch:
 		s, ok := sh.sessions[req.session]
 		if !ok {
@@ -309,63 +301,15 @@ func (sh *shard) newShadows() []shadowPred {
 	return out
 }
 
-// update runs the strict Predict/Update alternation for each trace in
-// the batch — the immediate-update regime of the paper (§4.1), exactly
-// as Stream.Replay drives it in process. The batch's correct count is
-// read off the predictor's own counters, so it is authoritative for
-// every variant (including cost-reduced, where the full ID is not
-// stored and an ID comparison would always miss).
-//
-// A sequenced request matching the last applied sequence is a client
-// retry after a lost ack: the cached response is replayed and the
-// predictor untouched, which is what keeps retried streams
-// bit-identical to uninterrupted ones.
-func (sh *shard) update(s *session, req request) shardResp {
-	if req.seq != 0 && req.seq == s.lastSeq {
-		sh.counters.DupUpdates.Add(1)
-		return shardResp{applied: s.lastApplied, correct: s.lastCorrect}
-	}
-	before := s.p.Stats().Correct
-	for i := range req.traces {
-		s.p.Predict()
-		s.p.Update(&req.traces[i])
-	}
-	// Shadow fan-out: every shadow backend sees the same trace stream,
-	// in the same strict Predict/Update alternation, after the primary
-	// has answered. Shadows never touch the response — their accuracy
-	// is visible only through the per-backend metric families — and a
-	// duplicate-sequence replay (handled above) skips them exactly as it
-	// skips the primary, so shadow counters move once per applied trace.
-	for _, sp := range s.shadows {
-		for i := range req.traces {
-			sp.p.Predict()
-			sp.p.Update(&req.traces[i])
-		}
-	}
-	sh.counters.Batches.Add(1)
-	sh.counters.Traces.Add(uint64(len(req.traces)))
-	resp := shardResp{
-		applied: uint32(len(req.traces)),
-		correct: uint32(s.p.Stats().Correct - before),
-	}
-	if req.seq != 0 {
-		s.lastSeq = req.seq
-		s.lastApplied = resp.applied
-		s.lastCorrect = resp.correct
-	}
-	s.dirty = true
-	return resp
-}
-
 // batch runs one full Predict/Update round per trace through the
-// predictor's native batch loop — the serving hot path. Sequences are
-// per trace here: the frame covers [startSeq, startSeq+n), and the
-// shard has already applied every sequence <= s.lastSeq, so a replayed
-// frame (client resend after a lost ack, or a restore from a snapshot
-// older than the last ack) skips its already-applied prefix and trains
-// only the unseen suffix. That is the batch-granular form of the
-// exactly-once guarantee: nothing trains twice, whatever boundary the
-// retry lands on. correct covers the applied suffix only.
+// predictor's native batch loop — the immediate-update regime of the
+// paper (§4.1), exactly as Stream.Replay drives it in process.
+// Sequences are per trace: the frame covers [startSeq, startSeq+n),
+// and the shard has already applied every sequence <= s.lastSeq, so a
+// replayed frame (client resend after a lost ack, or a restore from a
+// snapshot older than the last ack) skips its already-applied prefix
+// and trains only the unseen suffix. Nothing trains twice, whatever
+// boundary the retry lands on. correct covers the applied suffix only.
 func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
 	n := uint64(len(req.traces))
 	var skip uint64
@@ -383,7 +327,10 @@ func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
 	}
 	correct := predictor.PredictBatch(s.p, fresh, preds)
 	// Shadow fan-out, batched like the primary: each shadow sees the
-	// same fresh suffix in the same strict alternation.
+	// same fresh suffix in the same strict alternation. Shadows never
+	// touch the response (their accuracy shows only in the per-backend
+	// metric families), and a replayed prefix skips them exactly as it
+	// skips the primary, so shadow counters move once per applied trace.
 	for _, sp := range s.shadows {
 		predictor.UpdateBatch(sp.p, fresh)
 	}
@@ -420,12 +367,10 @@ func (sh *shard) exportSession(s *session) (*snapshot.Session, error) {
 		return nil, err
 	}
 	return &snapshot.Session{
-		ID:          s.id,
-		LastSeq:     s.lastSeq,
-		LastApplied: s.lastApplied,
-		LastCorrect: s.lastCorrect,
-		Backend:     sh.backend.Name,
-		State:       state,
+		ID:      s.id,
+		LastSeq: s.lastSeq,
+		Backend: sh.backend.Name,
+		State:   state,
 	}, nil
 }
 
@@ -491,13 +436,11 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 		return err
 	}
 	sh.sessions[sess.ID] = &session{
-		id:          sess.ID,
-		p:           p,
-		shadows:     sh.newShadows(),
-		lastSeq:     sess.LastSeq,
-		lastApplied: sess.LastApplied,
-		lastCorrect: sess.LastCorrect,
-		dirty:       true,
+		id:      sess.ID,
+		p:       p,
+		shadows: sh.newShadows(),
+		lastSeq: sess.LastSeq,
+		dirty:   true,
 	}
 	return nil
 }

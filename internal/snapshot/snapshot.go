@@ -2,8 +2,7 @@
 // for serving-session snapshots: everything needed to resume a client's
 // predictor session bit-identically on another process — the predictor
 // backend's serialized state section plus the session's exactly-once
-// bookkeeping (last applied update sequence number and its cached
-// response).
+// cursor (the sequence number of its last applied trace).
 //
 // Frame layout (all integers little-endian):
 //
@@ -26,10 +25,6 @@
 // version, because frames are consumed across process generations
 // (checkpoints on disk, drain handoffs between releases) where silent
 // misinterpretation would corrupt a session rather than just crash it.
-// Version-1 frames (pre-backend-registry, paper-family state inline)
-// are still decoded: their state section is byte-identical to the
-// paper codec's, so Decode validates it and infers the backend name
-// from the saved kind byte.
 //
 // Decode is strict: a frame must carry the exact payload its counts
 // imply — no trailing garbage, no truncated sections — and every
@@ -72,9 +67,6 @@ const (
 	// Version is the current frame layout version.
 	Version = 2
 
-	// legacyVersion is the pre-backend-tag layout, still decoded.
-	legacyVersion = 1
-
 	// MaxEncoded bounds an encoded frame. It comfortably holds a fully
 	// populated serving predictor (64K correlated entries at 24 bytes
 	// each is 1.5 MiB) and callers use it to size wire-protocol frame
@@ -85,8 +77,9 @@ const (
 	checksumBytes = 4
 	minFrame      = headerBytes + checksumBytes
 
-	// sessionHeaderBytes: ID + LastSeq + LastApplied + LastCorrect.
-	sessionHeaderBytes = 8 + 8 + 4 + 4
+	// sessionHeaderBytes: ID + LastSeq + 8 reserved bytes. Encode
+	// writes the reserved bytes as zero and Decode ignores them.
+	sessionHeaderBytes = 8 + 8 + 8
 )
 
 var magic = [4]byte{'N', 'T', 'S', 'S'}
@@ -95,12 +88,10 @@ var magic = [4]byte{'N', 'T', 'S', 'S'}
 type Session struct {
 	// ID is the wire session identifier.
 	ID uint64
-	// LastSeq is the sequence number of the last applied update, with
-	// its cached response below — the exactly-once duplicate-detection
-	// state that makes a retried update after a crash idempotent.
-	LastSeq     uint64
-	LastApplied uint32
-	LastCorrect uint32
+	// LastSeq is the sequence number of the last applied trace — the
+	// exactly-once cursor that makes a batch retried after a crash
+	// train only its unseen suffix.
+	LastSeq uint64
 	// Backend is the registered predictor backend that produced State —
 	// the frame's backend tag. Restore routes State through this
 	// backend's codec, and serving refuses frames whose backend family
@@ -134,8 +125,7 @@ func Encode(s *Session) ([]byte, error) {
 	le := binary.LittleEndian
 	b = le.AppendUint64(b, s.ID)
 	b = le.AppendUint64(b, s.LastSeq)
-	b = le.AppendUint32(b, s.LastApplied)
-	b = le.AppendUint32(b, s.LastCorrect)
+	b = le.AppendUint64(b, 0) // reserved
 	b = append(b, uint8(len(s.Backend)))
 	b = append(b, s.Backend...)
 	b = le.AppendUint32(b, uint32(len(s.State)))
@@ -148,8 +138,8 @@ func Encode(s *Session) ([]byte, error) {
 	return b, nil
 }
 
-// Decode parses and validates a snapshot frame (current or legacy
-// version). The returned Session shares no memory with b.
+// Decode parses and validates a snapshot frame. The returned Session
+// shares no memory with b.
 func Decode(b []byte) (*Session, error) {
 	if len(b) < minFrame {
 		return nil, fmt.Errorf("%w: %d bytes < minimum %d", ErrTruncated, len(b), minFrame)
@@ -157,9 +147,8 @@ func Decode(b []byte) (*Session, error) {
 	if [4]byte(b[:4]) != magic {
 		return nil, fmt.Errorf("%w: %q", ErrMagic, b[:4])
 	}
-	version := b[4]
-	if version != Version && version != legacyVersion {
-		return nil, fmt.Errorf("%w: %d (supported: %d, %d)", ErrVersion, version, legacyVersion, Version)
+	if version := b[4]; version != Version {
+		return nil, fmt.Errorf("%w: %d (supported: %d)", ErrVersion, version, Version)
 	}
 	body, sum := b[:len(b)-checksumBytes], binary.LittleEndian.Uint32(b[len(b)-checksumBytes:])
 	if got := crc32.ChecksumIEEE(body); got != sum {
@@ -172,18 +161,12 @@ func Decode(b []byte) (*Session, error) {
 	}
 	le := binary.LittleEndian
 	s := &Session{
-		ID:          le.Uint64(payload),
-		LastSeq:     le.Uint64(payload[8:]),
-		LastApplied: le.Uint32(payload[16:]),
-		LastCorrect: le.Uint32(payload[20:]),
+		ID:      le.Uint64(payload),
+		LastSeq: le.Uint64(payload[8:]),
 	}
 	rest := payload[sessionHeaderBytes:]
 
-	if version == legacyVersion {
-		return decodeLegacyState(s, rest)
-	}
-
-	// v2: backend tag + opaque state section.
+	// Backend tag + opaque state section.
 	if len(rest) < 1 {
 		return nil, fmt.Errorf("%w: missing backend tag", ErrCorrupt)
 	}
@@ -212,28 +195,5 @@ func Decode(b []byte) (*Session, error) {
 		return nil, fmt.Errorf("%w: state length %d but %d bytes follow", ErrCorrupt, stateLen, len(rest))
 	}
 	s.State = append([]byte(nil), rest...)
-	return s, nil
-}
-
-// decodeLegacyState finishes decoding a version-1 frame: the remainder
-// of the payload is a paper-family state section (the layouts are
-// byte-identical — the codec moved, the bytes did not). It is validated
-// through the paper codec, and the backend name is inferred from the
-// saved kind byte, so a checkpoint written before backend tags restores
-// exactly as it always did.
-func decodeLegacyState(s *Session, state []byte) (*Session, error) {
-	st, err := predictor.DecodeSavedState(state)
-	if err != nil {
-		return nil, fmt.Errorf("%w: legacy state: %v", ErrCorrupt, err)
-	}
-	switch st.Kind {
-	case predictor.SavedBasic:
-		s.Backend = "basic"
-	case predictor.SavedHybrid:
-		s.Backend = "hybrid"
-	default:
-		return nil, fmt.Errorf("%w: legacy state kind %d", ErrCorrupt, st.Kind)
-	}
-	s.State = append([]byte(nil), state...)
 	return s, nil
 }

@@ -65,12 +65,10 @@ func warmSession(t *testing.T, cfg predictor.Config, rounds int) (*Session, pred
 		t.Fatalf("Save: %v", err)
 	}
 	return &Session{
-		ID:          0xDEADBEEFCAFE,
-		LastSeq:     12345,
-		LastApplied: 777,
-		LastCorrect: 555,
-		Backend:     b.Name,
-		State:       state,
+		ID:      0xDEADBEEFCAFE,
+		LastSeq: 12345,
+		Backend: b.Name,
+		State:   state,
 	}, b
 }
 
@@ -160,75 +158,56 @@ func TestDecodedSessionResumesBitIdentical(t *testing.T) {
 	}
 }
 
-// legacyFrame hand-builds a version-1 frame, exactly as the
-// pre-backend-tag encoder laid it out: session header followed by the
-// paper state section inline, no backend tag.
-func legacyFrame(t *testing.T, st *predictor.SavedState, id, lastSeq uint64, applied, correct uint32) []byte {
-	t.Helper()
-	b := append([]byte(nil), 'N', 'T', 'S', 'S', 1)
-	le := binary.LittleEndian
-	b = le.AppendUint64(b, id)
-	b = le.AppendUint64(b, lastSeq)
-	b = le.AppendUint32(b, applied)
-	b = le.AppendUint32(b, correct)
-	b = predictor.AppendSavedState(b, st)
-	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
+// TestDecodeIgnoresReservedHeaderBytes: the 8 bytes after LastSeq are
+// reserved. Encode writes them as zero, but frames already on disk may
+// carry anything there (earlier encoders stored a cached update answer
+// in them), so Decode must ignore them and the session must still
+// restore and resume bit-identically.
+func TestDecodeIgnoresReservedHeaderBytes(t *testing.T) {
+	cfg := predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}
+	b, _ := predictor.BackendByName("hybrid")
+	orig, err := b.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range stream(11, 1500) {
+		orig.Predict()
+		orig.Update(tc)
+	}
+	state, err := b.Save(orig)
+	if err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	want := &Session{ID: 0xABCD, LastSeq: 99, Backend: "hybrid", State: state}
+	frame, err := Encode(want)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	const reservedOff = 5 + 16 // magic(4) ver(1) ID(8) LastSeq(8)
+	if !bytes.Equal(frame[reservedOff:reservedOff+8], make([]byte, 8)) {
+		t.Fatalf("Encode wrote non-zero reserved bytes % x", frame[reservedOff:reservedOff+8])
+	}
+	binary.LittleEndian.PutUint32(frame[reservedOff:], 12)
+	binary.LittleEndian.PutUint32(frame[reservedOff+4:], 7)
+	fixCRC(frame)
 
-// TestDecodeLegacyV1Frame proves the compatibility promise: a frame
-// written before backend tags existed still decodes — the backend is
-// inferred from the saved kind — and the session restores
-// bit-identically.
-func TestDecodeLegacyV1Frame(t *testing.T) {
-	for name, cfg := range map[string]predictor.Config{
-		"basic":  {Depth: 3, IndexBits: 10},
-		"hybrid": {Depth: 7, IndexBits: 12, Hybrid: true, UseRHS: true},
-	} {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			p := predictor.MustNew(cfg)
-			for _, tc := range stream(11, 1500) {
-				p.Predict()
-				p.Update(tc)
-			}
-			st, err := predictor.Save(p)
-			if err != nil {
-				t.Fatalf("Save: %v", err)
-			}
-			frame := legacyFrame(t, st, 0xABCD, 99, 12, 7)
-
-			s, err := Decode(frame)
-			if err != nil {
-				t.Fatalf("Decode(v1): %v", err)
-			}
-			if s.Backend != name {
-				t.Fatalf("inferred backend %q, want %q", s.Backend, name)
-			}
-			if s.ID != 0xABCD || s.LastSeq != 99 || s.LastApplied != 12 || s.LastCorrect != 7 {
-				t.Fatalf("session header mismatch: %+v", s)
-			}
-			b, _ := predictor.BackendByName(s.Backend)
-			resumed, err := b.Restore(s.State, cfg)
-			if err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			for i, tc := range stream(13, 500) {
-				if a, b := p.Predict(), resumed.Predict(); a != b {
-					t.Fatalf("round %d: original %+v, resumed %+v", i, a, b)
-				}
-				p.Update(tc)
-				resumed.Update(tc)
-			}
-
-			// A corrupted legacy state section (valid checksum, broken
-			// structure) is ErrCorrupt, not a crash or a bad install.
-			bad := append([]byte(nil), frame...)
-			bad[30] |= 0x80 // reserved flag bit in the paper state section
-			fixCRC(bad)
-			if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("corrupt legacy state: Decode = %v, want ErrCorrupt", err)
-			}
-		})
+	got, err := Decode(frame)
+	if err != nil {
+		t.Fatalf("Decode with non-zero reserved bytes: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	resumed, err := b.Restore(got.State, cfg)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	for i, tc := range stream(13, 500) {
+		if a, b := orig.Predict(), resumed.Predict(); a != b {
+			t.Fatalf("round %d: original %+v, resumed %+v", i, a, b)
+		}
+		orig.Update(tc)
+		resumed.Update(tc)
 	}
 }
 
@@ -263,6 +242,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 		"tiny":      {func(b []byte) []byte { return b[:5] }, ErrTruncated},
 		"magic":     {func(b []byte) []byte { b[0] ^= 0xFF; fixCRC(b); return b }, ErrMagic},
 		"version":   {func(b []byte) []byte { b[4] = 99; fixCRC(b); return b }, ErrVersion},
+		"v1":        {func(b []byte) []byte { b[4] = 1; fixCRC(b); return b }, ErrVersion}, // no backend tag; not decoded
 		"bitflip":   {func(b []byte) []byte { b[20] ^= 0x10; return b }, ErrChecksum},
 		"short-crc": {func(b []byte) []byte { return b[:len(b)-1] }, ErrChecksum},
 		"trailing": {func(b []byte) []byte {
