@@ -12,7 +12,7 @@ import (
 )
 
 // streamTraces materialises the shared test stream into a flat slice.
-func streamTraces(t *testing.T) []trace.Trace {
+func streamTraces(t testing.TB) []trace.Trace {
 	t.Helper()
 	s := captureTestStream(t)
 	out := make([]trace.Trace, s.Len())

@@ -255,6 +255,11 @@ func TestDrainSpillAndWarmRestart(t *testing.T) {
 	if got := srvB.counters.RestoredSessions.Load(); got != 1 {
 		t.Fatalf("warm restart restored %d sessions, want 1", got)
 	}
+	// The admin view shows the restored session before any request.
+	if st := srvB.Stats(); st.Sessions != 1 || st.Predictor.Predictions != uint64(sent*batch) {
+		t.Errorf("warm-restarted stats: %d sessions, %d predictions; want 1, %d",
+			st.Sessions, st.Predictor.Predictions, sent*batch)
+	}
 	clB := dialT(t, srvB)
 	_, lastSeq, err := clB.Open(session)
 	if err != nil {

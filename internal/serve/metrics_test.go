@@ -80,9 +80,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, _, _, err := cl.UpdateBatch(1, batch); err != nil {
 		t.Fatal(err)
 	}
-	// The shard publishes its snapshot after completing each task, and
-	// UpdateBatch's response is sent from the task callback, so by the time
-	// the client returns the counters below are already final.
+	// The shard updates its counters and publishes its snapshot before
+	// the task callback sends UpdateBatch's response, so by the time the
+	// client returns the counters below are already final.
 	body := scrape(t, srv)
 
 	// Structure: every sample line matches the exposition grammar.

@@ -414,6 +414,11 @@ func (s *Server) dispatch(req request, cl *clientState, out chan []byte, pending
 	pending.Add(1)
 	s.inflight.Add(1)
 	t := task{req: req, done: func(resp shardResp) {
+		// Counted before the reply, so a client holding its answer
+		// already sees its rounds in the admin stats.
+		if cost > 0 {
+			cl.rounds.Add(uint64(cost))
+		}
 		out <- encodeResponse(req, resp)
 		pending.Done()
 		s.inflight.Done()
@@ -424,9 +429,6 @@ func (s *Server) dispatch(req request, cl *clientState, out chan []byte, pending
 		cl.overloads.Inc()
 		out <- encodeResponse(req, shardResp{err: ErrOverloaded})
 		return
-	}
-	if cost > 0 {
-		cl.rounds.Add(uint64(cost))
 	}
 }
 

@@ -124,9 +124,16 @@ type shard struct {
 	qmu    sync.RWMutex
 	closed bool
 
-	// snap mirrors the shard's aggregate predictor stats and session
-	// count for the admin listener, which must not wait on the queue.
-	// Written only by the shard goroutine, after each task.
+	// agg is the sum of every resident session's primary predictor
+	// stats (shadows are excluded). The ops that change a session's
+	// stats — batch and installSnapshot — apply their delta, so no
+	// request walks the session map. Shard goroutine only (or before
+	// start).
+	agg predictor.Stats
+
+	// snap mirrors agg and the session count for the admin listener,
+	// which must not wait on the queue. Written only by the shard
+	// goroutine, before each task's reply.
 	snapMu   sync.Mutex
 	snapAgg  predictor.Stats
 	snapSess int
@@ -149,18 +156,28 @@ func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *fau
 
 // start launches the shard goroutine. The shard runs until its queue is
 // closed, then finishes whatever was enqueued — the drain guarantee.
+// Sessions installed before start (warm restart) are published at
+// once, so the admin view shows them before the first request.
 func (sh *shard) start() {
+	sh.publishSnapshot()
 	sh.wg.Add(1)
 	go func() {
 		defer sh.wg.Done()
 		for t := range sh.queue {
-			t0 := time.Now()
-			resp := sh.process(t.req)
-			sh.metrics.observe(t.req.op, time.Since(t0))
-			t.done(resp)
-			sh.publishSnapshot()
+			sh.run(t)
 		}
 	}()
+}
+
+// run executes one task on the shard goroutine. The admin snapshot is
+// published before the reply, so a client holding its answer already
+// sees its own traces in /statsz.
+func (sh *shard) run(t task) {
+	t0 := time.Now()
+	resp := sh.process(t.req)
+	sh.metrics.observe(t.req.op, time.Since(t0))
+	sh.publishSnapshot()
+	t.done(resp)
 }
 
 // stop closes the queue and waits for the shard goroutine to finish the
@@ -234,7 +251,7 @@ func (sh *shard) process(req request) shardResp {
 			shard:    uint32(sh.id),
 			sessions: uint32(len(sh.sessions)),
 			sess:     s.p.Stats(),
-			agg:      sh.aggregate(),
+			agg:      sh.agg,
 		}
 	default:
 		return shardResp{err: ErrBadRequest}
@@ -325,7 +342,9 @@ func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
 	if wantPreds && len(fresh) > 0 {
 		preds = make([]predictor.Prediction, len(fresh))
 	}
+	before := s.p.Stats()
 	correct := predictor.PredictBatch(s.p, fresh, preds)
+	sh.agg = sh.agg.Add(s.p.Stats().Sub(before))
 	// Shadow fan-out, batched like the primary: each shadow sees the
 	// same fresh suffix in the same strict alternation. Shadows never
 	// touch the response (their accuracy shows only in the per-backend
@@ -435,6 +454,10 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 	if err != nil {
 		return err
 	}
+	if old, ok := sh.sessions[sess.ID]; ok {
+		sh.agg = sh.agg.Sub(old.p.Stats())
+	}
+	sh.agg = sh.agg.Add(p.Stats())
 	sh.sessions[sess.ID] = &session{
 		id:      sess.ID,
 		p:       p,
@@ -468,23 +491,12 @@ func (sh *shard) checkpoint() shardResp {
 	return shardResp{ckpt: out}
 }
 
-// aggregate sums predictor stats across the shard's sessions.
-func (sh *shard) aggregate() predictor.Stats {
-	var agg predictor.Stats
-	for _, s := range sh.sessions {
-		agg = agg.Add(s.p.Stats())
-	}
-	return agg
-}
-
 // publishSnapshot refreshes the admin-visible copy of the shard's
-// predictor aggregate. Runs on the shard goroutine.
+// predictor aggregate. Runs on the shard goroutine (or before start).
 func (sh *shard) publishSnapshot() {
-	agg := sh.aggregate()
-	n := len(sh.sessions)
 	sh.snapMu.Lock()
-	sh.snapAgg = agg
-	sh.snapSess = n
+	sh.snapAgg = sh.agg
+	sh.snapSess = len(sh.sessions)
 	sh.snapMu.Unlock()
 }
 
