@@ -233,8 +233,6 @@ func (r *clientRegistry) stats() []ClientStats {
 // throttled client can still open, observe, snapshot and recover.
 func admissionCost(req *request) float64 {
 	switch req.op {
-	case OpPredict:
-		return 1
 	case OpUpdateBatch, OpPredictBatch:
 		if n := len(req.traces); n > 1 {
 			return float64(n)

@@ -100,7 +100,6 @@ func TestAdmissionCostModel(t *testing.T) {
 		req  request
 		want float64
 	}{
-		{request{op: OpPredict}, 1},
 		{request{op: OpUpdateBatch, traces: traces[:1]}, 1},
 		{request{op: OpUpdateBatch, traces: traces}, 7},
 		{request{op: OpPredictBatch, traces: traces}, 7},

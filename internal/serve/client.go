@@ -151,21 +151,6 @@ func (c *Client) Open(session uint64) (shard uint32, lastSeq uint64, err error) 
 	return le.Uint32(body), lastSeq, nil
 }
 
-// Predict returns the session predictor's prediction for the next
-// trace on its current path, without advancing any state.
-func (c *Client) Predict(session uint64) (predictor.Prediction, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := c.roundTrip(OpPredict, session, nil)
-	if err != nil {
-		return predictor.Prediction{}, err
-	}
-	if len(body) != predictionBytes {
-		return predictor.Prediction{}, fmt.Errorf("%w: predict response %d bytes", ErrFrame, len(body))
-	}
-	return getPrediction(body), nil
-}
-
 // UpdateBatch reveals a batch of actual traces to the session's
 // predictor, in order, through OpUpdateBatch — one frame, one shard
 // hop, one native predictor batch sweep running the strict

@@ -99,7 +99,6 @@ type shardMetrics struct {
 // shard goroutine, not a request.)
 var opNames = [OpUpdateBatch + 1]string{
 	OpOpen:         "open",
-	OpPredict:      "predict",
 	OpStats:        "stats",
 	OpSnapshot:     "snapshot",
 	OpRestore:      "restore",

@@ -24,8 +24,6 @@
 //
 //	OpOpen     req:  (empty)
 //	           resp: u32 shard | u64 lastSeq
-//	OpPredict  req:  (empty)
-//	           resp: u8 flags | u64 id | u64 alt | u16 hashed
 //	OpStats    req:  (empty)
 //	           resp: u32 shard | u32 sessions | session Stats | shard Stats
 //	                 (each Stats is 6 * u64: predictions, correct, cold,
@@ -91,10 +89,9 @@
 // OpHello tags a connection with a client identity; every request on
 // the connection is then accounted under that tag (per-client
 // request/round/byte/rejection counters on /metrics and /statsz).
-// When the server runs with admission limits, work-carrying ops
-// (OpPredict and the batch ops) are charged against the
-// tag's token bucket and the global bucket before they may enter a
-// shard queue; a refusal is StatusThrottled and the response body
+// When the server runs with admission limits, the batch ops are
+// charged against the tag's token bucket and the global bucket before
+// they may enter a shard queue; a refusal is StatusThrottled and the response body
 // carries a u32 retry-after hint in milliseconds — unlike overload,
 // throttling tells the client exactly when its bucket will cover the
 // request. Control-plane ops (Open, Stats, Snapshot, Restore, Hello)
@@ -113,11 +110,10 @@ import (
 	"pathtrace/internal/trace"
 )
 
-// Ops. The response op is the request op with the high bit set. 0x03
-// is unassigned: it parses as an unknown op.
+// Ops. The response op is the request op with the high bit set. 0x02
+// and 0x03 are retired: they parse as unknown ops.
 const (
 	OpOpen     = 0x01
-	OpPredict  = 0x02
 	OpStats    = 0x04
 	OpSnapshot = 0x05
 	OpRestore  = 0x06
@@ -406,7 +402,7 @@ func parseRequest(payload []byte) (request, error) {
 	}
 	body := payload[reqHeaderBytes:]
 	switch req.op {
-	case OpOpen, OpPredict, OpStats, OpSnapshot:
+	case OpOpen, OpStats, OpSnapshot:
 		if len(body) != 0 {
 			return request{}, fmt.Errorf("%w: op 0x%02x with %d-byte body", ErrFrame, req.op, len(body))
 		}

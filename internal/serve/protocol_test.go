@@ -121,6 +121,7 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 		"update long body":     okUpdate(2, 3),
 		"update no count":      func() []byte { b := make([]byte, reqHeaderBytes); b[0] = OpUpdateBatch; return b }(),
 		"update batch too big": okUpdate(MaxBatch+1, 0),
+		"retired op 0x02":      func() []byte { b := make([]byte, reqHeaderBytes); b[0] = 0x02; return b }(),
 		"retired op 0x03":      batchFrame(0x03, 1, 2, 0),
 	}
 	for name, payload := range cases {
@@ -163,14 +164,15 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add(wrap)
 	f.Add(valid[:reqHeaderBytes+3])
 	f.Add([]byte{0x7F, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// One well-formed frame for every other op, and the unassigned 0x03
-	// shaped like a batch.
+	// One well-formed frame for every other op, the retired 0x02 shaped
+	// like the scalar peek it once was, and the retired 0x03 shaped like
+	// a batch.
 	withBody := func(op uint8, body string) []byte {
 		b := make([]byte, reqHeaderBytes, reqHeaderBytes+len(body))
 		b[0] = op
 		return append(b, body...)
 	}
-	for _, op := range []uint8{OpOpen, OpPredict, OpStats, OpSnapshot} {
+	for _, op := range []uint8{OpOpen, 0x02, OpStats, OpSnapshot} {
 		f.Add(withBody(op, ""))
 	}
 	f.Add(withBody(OpRestore, "NTSS\x02 not a real snapshot"))
@@ -187,7 +189,7 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("wireBytes %d for a %d-byte payload", req.wireBytes, len(payload))
 		}
 		switch req.op {
-		case OpOpen, OpPredict, OpStats, OpSnapshot:
+		case OpOpen, OpStats, OpSnapshot:
 			if len(req.traces) != 0 || req.blob != nil || req.client != "" || req.seq != 0 {
 				t.Fatalf("control op 0x%02x decoded with a body: %+v", req.op, req)
 			}

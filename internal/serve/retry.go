@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pathtrace/internal/predictor"
 	"pathtrace/internal/trace"
 )
 
@@ -103,6 +102,22 @@ type rcSession struct {
 // re-establishment from the last acked snapshot when a server comes
 // back empty-handed. Safe for one goroutine at a time per instance
 // (like Client, run one per worker).
+//
+// Every operation runs through one retry loop with one policy, bounded
+// by MaxElapsed per call:
+//
+//	error                     action                                  fails when
+//	ErrThrottled              sleep the retry-after hint, same conn   the hint crosses MaxElapsed
+//	ErrOverloaded             spend a budget token, pause             no token left, or past MaxElapsed
+//	                          BaseBackoff, same conn
+//	ErrUnknownSession         re-establish (Restore the last acked    past MaxElapsed, or the re-establish
+//	                          snapshot, else Open), then rerun        error, classified by this table
+//	ErrDraining, ErrFrame,    drop the conn, rotate the address,      the backoff crosses MaxElapsed
+//	transport errors          back off, redial
+//	ErrBadRequest,            fail fast                               at once
+//	ErrBadSnapshot
+//
+// Each successful call earns back RetryBudget of a token.
 type RetryClient struct {
 	cfg      RetryConfig
 	c        *Client // live connection, nil when down
@@ -237,11 +252,11 @@ func (rc *RetryClient) spendToken() bool {
 	return true
 }
 
-// retryable reports whether err warrants dropping the connection and
-// retrying (transport errors, server draining). Typed application
-// rejections — including throttling, which must sleep the hint on the
-// same connection — are handled by the callers.
-func retryable(err error) bool {
+// redial reports whether err calls for dropping the connection and
+// retrying on a fresh one: transport errors, deadlines, a draining
+// peer, a bad frame. The typed application rejections are handled
+// without a redial, or fail fast.
+func redial(err error) bool {
 	switch {
 	case errors.Is(err, ErrOverloaded),
 		errors.Is(err, ErrThrottled),
@@ -250,7 +265,59 @@ func retryable(err error) bool {
 		errors.Is(err, ErrBadRequest):
 		return false
 	}
-	return true // transport error, deadline, draining peer, bad frame
+	return true
+}
+
+// do is the retry loop every RetryClient operation runs through: it
+// runs op on the live connection until op succeeds, the policy in the
+// RetryClient comment fails it, or MaxElapsed passes. what names the
+// operation in errors.
+func (rc *RetryClient) do(session uint64, what string, op func(*Client) error) error {
+	deadline := time.Now().Add(rc.cfg.MaxElapsed)
+	s := rc.session(session)
+	for attempt := 0; ; attempt++ {
+		c, err := rc.conn()
+		if err == nil {
+			if err = op(c); err == nil {
+				rc.earnToken()
+				return nil
+			}
+			if errors.Is(err, ErrUnknownSession) && time.Now().Before(deadline) {
+				// The server lost the session (it restarted empty, or
+				// never had it): re-establish, then rerun op, whose
+				// resend the server dedups against the restored state.
+				if err = rc.establish(c, session, s); err == nil {
+					continue
+				}
+			}
+		}
+		switch {
+		case errors.Is(err, ErrThrottled):
+			if rc.sleepThrottle(err, deadline) {
+				continue
+			}
+		case errors.Is(err, ErrOverloaded):
+			if !rc.spendToken() {
+				return fmt.Errorf("serve: %s session %d: retry budget exhausted: %w", what, session, err)
+			}
+			// Overload is backpressure, not failure: short fixed pause,
+			// same connection.
+			time.Sleep(rc.cfg.BaseBackoff)
+			if time.Now().Before(deadline) {
+				continue
+			}
+		case !redial(err):
+			// Fail fast: no retry can make the request valid.
+		default:
+			if c != nil {
+				rc.dropConn()
+			}
+			if rc.sleepBackoff(attempt, deadline) {
+				continue
+			}
+		}
+		return fmt.Errorf("serve: %s session %d: %w", what, session, err)
+	}
 }
 
 // establish makes the server know the session: restore from the last
@@ -271,48 +338,6 @@ func (rc *RetryClient) establish(c *Client, session uint64, s *rcSession) error 
 	return err
 }
 
-// Open creates (or re-attaches to) a session, retrying across
-// reconnects, and seeds the session's recovery state. With snapshots
-// enabled, the freshly opened session is snapshotted immediately so
-// even a crash before the first update recovers exactly.
-func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err error) {
-	deadline := time.Now().Add(rc.cfg.MaxElapsed)
-	s := rc.session(session)
-	for attempt := 0; ; attempt++ {
-		c, cerr := rc.conn()
-		if cerr == nil {
-			shard, lastSeq, err = c.Open(session)
-			if err == nil {
-				if lastSeq > s.seq {
-					s.seq = lastSeq
-				}
-				if rc.cfg.SnapshotEvery > 0 && s.snap == nil {
-					if frame, serr := c.Snapshot(session); serr == nil {
-						s.snap, s.sinceSnap = frame, 0
-					}
-				}
-				rc.earnToken()
-				return shard, s.seq, nil
-			}
-			if errors.Is(err, ErrThrottled) {
-				if !rc.sleepThrottle(err, deadline) {
-					return 0, 0, fmt.Errorf("serve: open session %d: %w", session, err)
-				}
-				continue
-			}
-			if !retryable(err) {
-				return 0, 0, err
-			}
-			rc.dropConn()
-		} else {
-			err = cerr
-		}
-		if !rc.sleepBackoff(attempt, deadline) {
-			return 0, 0, fmt.Errorf("serve: open session %d: %w", session, err)
-		}
-	}
-}
-
 func (rc *RetryClient) session(id uint64) *rcSession {
 	s, ok := rc.sessions[id]
 	if !ok {
@@ -320,6 +345,31 @@ func (rc *RetryClient) session(id uint64) *rcSession {
 		rc.sessions[id] = s
 	}
 	return s
+}
+
+// Open creates (or re-attaches to) a session, retrying across
+// reconnects, and seeds the session's recovery state. With snapshots
+// enabled, the freshly opened session is snapshotted immediately so
+// even a crash before the first update recovers exactly.
+func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err error) {
+	s := rc.session(session)
+	err = rc.do(session, "open", func(c *Client) (err error) {
+		shard, lastSeq, err = c.Open(session)
+		if err != nil {
+			return err
+		}
+		s.seq = max(s.seq, lastSeq)
+		if rc.cfg.SnapshotEvery > 0 && s.snap == nil {
+			if frame, serr := c.Snapshot(session); serr == nil {
+				s.snap, s.sinceSnap = frame, 0
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return shard, s.seq, nil
 }
 
 // UpdateBatch delivers one batch with exactly-once semantics across
@@ -336,166 +386,55 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 	if len(traces) == 0 {
 		return 0, 0, 0, nil
 	}
-	deadline := time.Now().Add(rc.cfg.MaxElapsed)
 	s := rc.session(session)
 	start := s.seq + 1
 	end := start + uint64(len(traces)) - 1
 	sent := false // batch acked; still snapshotting
-	for attempt := 0; ; attempt++ {
-		c, cerr := rc.conn()
-		if cerr != nil {
-			err = cerr
-			if !rc.sleepBackoff(attempt, deadline) {
-				return 0, 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-			}
-			continue
-		}
+	err = rc.do(session, "update", func(c *Client) (err error) {
 		if !sent {
-			skipped, applied, correct, err = c.UpdateBatchSeq(session, start, traces)
-			switch {
-			case err == nil:
-				if end > s.seq {
-					s.seq = end
-				}
-				s.sinceSnap++
-				rc.earnToken()
-				sent = true
-			case errors.Is(err, ErrThrottled):
-				// Admission control: sleep the server's retry-after hint
-				// and resend on the same connection.
-				if !rc.sleepThrottle(err, deadline) {
-					return 0, 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-				}
-				continue
-			case errors.Is(err, ErrOverloaded):
-				if !rc.spendToken() {
-					return 0, 0, 0, fmt.Errorf("serve: update session %d: retry budget exhausted: %w", session, err)
-				}
-				// Overload is backpressure, not failure: short fixed
-				// pause, same connection.
-				time.Sleep(rc.cfg.BaseBackoff)
-				if time.Now().After(deadline) {
-					return 0, 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-				}
-				continue
-			case errors.Is(err, ErrUnknownSession):
-				if eerr := rc.establish(c, session, s); eerr != nil && !rc.sleepBackoff(attempt, deadline) {
-					return 0, 0, 0, fmt.Errorf("serve: update session %d: re-establish: %w", session, eerr)
-				}
-				// Resend the same range: the restored server skips
-				// whatever prefix it already holds.
-				continue
-			default:
-				if !retryable(err) {
-					return 0, 0, 0, err
-				}
-				rc.dropConn()
-				if !rc.sleepBackoff(attempt, deadline) {
-					return 0, 0, 0, fmt.Errorf("serve: update session %d: %w", session, err)
-				}
-				continue
+			if skipped, applied, correct, err = c.UpdateBatchSeq(session, start, traces); err != nil {
+				return err
 			}
+			s.seq = max(s.seq, end)
+			s.sinceSnap++
+			sent = true
 		}
 		if rc.cfg.SnapshotEvery <= 0 || s.sinceSnap < rc.cfg.SnapshotEvery {
-			return skipped, applied, correct, nil
+			return nil
 		}
-		frame, serr := c.Snapshot(session)
-		if serr == nil {
+		var frame []byte
+		frame, err = c.Snapshot(session)
+		switch {
+		case err == nil:
 			s.snap, s.sinceSnap = frame, 0
-			return skipped, applied, correct, nil
-		}
-		if errors.Is(serr, ErrUnknownSession) {
-			// Lost between ack and snapshot: re-establish and resend the
-			// same range — suffix dedup absorbs whatever the restored
-			// state already covers.
-			rc.establish(c, session, s)
+		case errors.Is(err, ErrUnknownSession):
+			// Lost between ack and snapshot: the loop re-establishes
+			// and this resends the same range — suffix dedup absorbs
+			// whatever the restored state already covers.
 			sent = false
-			continue
+			return err
+		case redial(err):
+			return err // snapshot again on a fresh connection
 		}
-		if !retryable(serr) {
-			return skipped, applied, correct, nil // acked; stale snapshot is survivable
+		return nil // acked; a stale snapshot is survivable
+	})
+	if err != nil {
+		if !sent {
+			return 0, 0, 0, err
 		}
-		rc.dropConn()
-		if !rc.sleepBackoff(attempt, deadline) {
-			return skipped, applied, correct, nil
-		}
+		// Acked, but the snapshot never landed: the call still
+		// succeeded, and earns its budget token.
+		rc.earnToken()
 	}
+	return skipped, applied, correct, nil
 }
 
 // Stats fetches the session's predictor counters, retrying across
 // reconnects and re-establishing the session if the server lost it.
-func (rc *RetryClient) Stats(session uint64) (SessionStats, error) {
-	deadline := time.Now().Add(rc.cfg.MaxElapsed)
-	s := rc.session(session)
-	var err error
-	for attempt := 0; ; attempt++ {
-		c, cerr := rc.conn()
-		if cerr == nil {
-			var st SessionStats
-			st, err = c.Stats(session)
-			if err == nil {
-				rc.earnToken()
-				return st, nil
-			}
-			if errors.Is(err, ErrThrottled) {
-				if !rc.sleepThrottle(err, deadline) {
-					return SessionStats{}, fmt.Errorf("serve: stats session %d: %w", session, err)
-				}
-				continue
-			}
-			if errors.Is(err, ErrUnknownSession) {
-				if eerr := rc.establish(c, session, s); eerr == nil {
-					continue
-				}
-			}
-			if !retryable(err) {
-				return SessionStats{}, err
-			}
-			rc.dropConn()
-		} else {
-			err = cerr
-		}
-		if !rc.sleepBackoff(attempt, deadline) {
-			return SessionStats{}, fmt.Errorf("serve: stats session %d: %w", session, err)
-		}
-	}
-}
-
-// Predict returns the session predictor's current prediction,
-// retrying across reconnects.
-func (rc *RetryClient) Predict(session uint64) (predictor.Prediction, error) {
-	deadline := time.Now().Add(rc.cfg.MaxElapsed)
-	s := rc.session(session)
-	var err error
-	for attempt := 0; ; attempt++ {
-		c, cerr := rc.conn()
-		if cerr == nil {
-			var p predictor.Prediction
-			p, err = c.Predict(session)
-			if err == nil {
-				rc.earnToken()
-				return p, nil
-			}
-			if errors.Is(err, ErrThrottled) {
-				if !rc.sleepThrottle(err, deadline) {
-					return predictor.Prediction{}, fmt.Errorf("serve: predict session %d: %w", session, err)
-				}
-				continue
-			}
-			if errors.Is(err, ErrUnknownSession) {
-				if eerr := rc.establish(c, session, s); eerr == nil {
-					continue
-				}
-			}
-			if !retryable(err) {
-				return predictor.Prediction{}, err
-			}
-			rc.dropConn()
-		} else {
-			err = cerr
-		}
-		if !rc.sleepBackoff(attempt, deadline) {
-			return predictor.Prediction{}, fmt.Errorf("serve: predict session %d: %w", session, err)
-		}
-	}
+func (rc *RetryClient) Stats(session uint64) (st SessionStats, err error) {
+	err = rc.do(session, "stats", func(c *Client) (err error) {
+		st, err = c.Stats(session)
+		return err
+	})
+	return st, err
 }

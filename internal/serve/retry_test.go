@@ -1,0 +1,263 @@
+package serve
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"pathtrace/internal/trace"
+)
+
+// seenReq is one request a scriptServer answered.
+type seenReq struct {
+	op   uint8
+	conn int    // 1-based accept order of the connection it arrived on
+	blob []byte // OpRestore: the snapshot frame
+	fail bool   // answered with the scripted status
+}
+
+// scriptServer is a fake ntpd that answers every op with StatusOK and
+// well-formed bodies, except that the first request carrying failOp is
+// answered with failStatus. Snapshots are "snap-1", "snap-2", ... in
+// the order they are served.
+type scriptServer struct {
+	ln         net.Listener
+	failOp     uint8
+	failStatus uint8
+
+	mu    sync.Mutex
+	fired bool
+	conns int
+	snaps int
+	seen  []seenReq
+}
+
+func newScriptServer(t *testing.T, failOp, failStatus uint8) *scriptServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &scriptServer{ln: ln, failOp: failOp, failStatus: failStatus}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			ss.mu.Lock()
+			ss.conns++
+			id := ss.conns
+			ss.mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				ss.serve(conn, id)
+			}()
+		}
+	}()
+	return ss
+}
+
+// serve answers one connection's requests until it closes.
+func (ss *scriptServer) serve(conn net.Conn, id int) {
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	var buf []byte
+	for {
+		payload, err := readFrame(br, buf)
+		if err != nil {
+			return
+		}
+		buf = payload
+		req, err := parseRequest(payload)
+		if err != nil {
+			return
+		}
+		ss.mu.Lock()
+		fail := req.op == ss.failOp && !ss.fired
+		ss.fired = ss.fired || fail
+		status := uint8(StatusOK)
+		if fail {
+			status = ss.failStatus
+		}
+		resp := appendResponseHeader(nil, req.op, req.reqID, status)
+		switch {
+		case status == StatusThrottled:
+			resp = le.AppendUint32(resp, 1) // retry after 1 ms
+		case status != StatusOK:
+		case req.op == OpOpen:
+			resp = append(resp, make([]byte, openRespBytes)...)
+		case req.op == OpRestore:
+			resp = append(resp, make([]byte, 4)...)
+		case req.op == OpSnapshot:
+			ss.snaps++
+			resp = fmt.Appendf(resp, "snap-%d", ss.snaps)
+		case req.op == OpUpdateBatch:
+			resp = le.AppendUint32(resp, 0)
+			resp = le.AppendUint32(resp, uint32(len(req.traces)))
+			resp = le.AppendUint32(resp, 0)
+		case req.op == OpStats:
+			resp = append(resp, make([]byte, 8+2*statsBytes)...)
+		}
+		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: req.blob, fail: fail})
+		ss.mu.Unlock()
+		if writeFrame(bw, resp) != nil || bw.Flush() != nil {
+			return
+		}
+	}
+}
+
+// log returns the requests answered so far and the connections
+// accepted.
+func (ss *scriptServer) log() ([]seenReq, int) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return append([]seenReq(nil), ss.seen...), ss.conns
+}
+
+// TestRetryClientPolicy pins the one retry policy every RetryClient
+// operation shares, against a fake server that rejects the op under
+// test once with a scripted status: Overloaded and Throttled resend
+// once on the same connection, Draining resends once on a redialed
+// connection, UnknownSession re-establishes (Restore of the last acked
+// snapshot, or Open when there is none) before the resend, and
+// BadRequest fails at once without a resend or a redial.
+func TestRetryClientPolicy(t *testing.T) {
+	const session = 5
+	ops := []struct {
+		name string
+		op   uint8
+		// prep runs before the op under test; call runs it.
+		prep func(*RetryClient) error
+		call func(*RetryClient) error
+		// restore: the session has an acked snapshot when call runs.
+		restore bool
+	}{
+		{"Open", OpOpen,
+			func(*RetryClient) error { return nil },
+			func(rc *RetryClient) error { _, _, err := rc.Open(session); return err },
+			false},
+		{"UpdateBatch", OpUpdateBatch,
+			func(rc *RetryClient) error { _, _, err := rc.Open(session); return err },
+			func(rc *RetryClient) error {
+				_, _, _, err := rc.UpdateBatch(session, make([]trace.Trace, 3))
+				return err
+			},
+			true},
+		{"Stats", OpStats,
+			func(rc *RetryClient) error { _, _, err := rc.Open(session); return err },
+			func(rc *RetryClient) error { _, err := rc.Stats(session); return err },
+			true},
+	}
+	statuses := []struct {
+		name   string
+		status uint8
+	}{
+		{"Overloaded", StatusOverloaded},
+		{"Throttled", StatusThrottled},
+		{"Draining", StatusDraining},
+		{"UnknownSession", StatusUnknownSession},
+		{"BadRequest", StatusBadRequest},
+	}
+	for _, o := range ops {
+		for _, st := range statuses {
+			t.Run(o.name+"/"+st.name, func(t *testing.T) {
+				ss := newScriptServer(t, o.op, st.status)
+				snapEvery := 0
+				if o.restore {
+					snapEvery = 1
+				}
+				rc, err := NewRetryClient(RetryConfig{
+					Addrs:         []string{ss.ln.Addr().String()},
+					BaseBackoff:   time.Millisecond,
+					MaxBackoff:    2 * time.Millisecond,
+					MaxElapsed:    5 * time.Second,
+					SnapshotEvery: snapEvery,
+					Seed:          1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rc.Close()
+				if err := o.prep(rc); err != nil {
+					t.Fatalf("prep: %v", err)
+				}
+				prepped, _ := ss.log()
+				lastSnap, snaps := "", 0
+				for _, r := range prepped {
+					if r.op == OpSnapshot {
+						snaps++
+						lastSnap = fmt.Sprintf("snap-%d", snaps)
+					}
+				}
+				err = o.call(rc)
+				seen, conns := ss.log()
+
+				failed := -1
+				for i, r := range seen {
+					if r.fail {
+						failed = i
+					}
+				}
+				if failed < 0 {
+					t.Fatalf("scripted status never sent; requests %+v", seen)
+				}
+				after := seen[failed+1:]
+
+				if st.status == StatusBadRequest {
+					if !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("err = %v, want ErrBadRequest", err)
+					}
+					if len(after) != 0 {
+						t.Errorf("%d requests after the rejection, want none: %+v", len(after), after)
+					}
+					if conns != 1 {
+						t.Errorf("%d connections, want 1 (no redial)", conns)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("err = %v, want success after one resend", err)
+				}
+				if st.status == StatusUnknownSession {
+					want, blob := uint8(OpOpen), ""
+					if o.restore {
+						want, blob = OpRestore, lastSnap
+					}
+					if len(after) == 0 || after[0].op != want || string(after[0].blob) != blob {
+						t.Fatalf("after UnknownSession: requests %+v, want op 0x%02x with snapshot %q first", after, want, blob)
+					}
+					after = after[1:]
+				}
+				if len(after) == 0 || after[0].op != o.op {
+					t.Fatalf("requests after the rejection %+v, want the resend first", after)
+				}
+				resends := 0
+				for _, r := range after {
+					if r.op == o.op {
+						resends++
+					}
+				}
+				if resends != 1 {
+					t.Errorf("%d resends of op 0x%02x, want 1", resends, o.op)
+				}
+				wantConns := 1
+				if st.status == StatusDraining {
+					wantConns = 2
+				}
+				if conns != wantConns || after[0].conn != wantConns {
+					t.Errorf("%d connections, resend on connection %d; want both %d", conns, after[0].conn, wantConns)
+				}
+			})
+		}
+	}
+}

@@ -171,62 +171,11 @@ func TestServeUnknownSession(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if _, err := cl.Predict(7); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("Predict on unopened session: %v, want ErrUnknownSession", err)
-	}
 	if _, _, _, err := cl.UpdateBatch(7, make([]trace.Trace, 1)); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("UpdateBatch on unopened session: %v, want ErrUnknownSession", err)
 	}
 	if _, err := cl.Stats(7); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("Stats on unopened session: %v, want ErrUnknownSession", err)
-	}
-}
-
-func TestServePredictOp(t *testing.T) {
-	s := captureTestStream(t)
-	srv := newTestServer(t, Config{})
-	cl, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const session = 9
-	if _, _, err := cl.Open(session); err != nil {
-		t.Fatal(err)
-	}
-	// Cold predictor: no path history, prediction invalid.
-	p, err := cl.Predict(session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Valid {
-		t.Errorf("cold Predict = %+v, want invalid", p)
-	}
-
-	// Train on a prefix, then Predict must produce what the in-process
-	// predictor produces at the same point.
-	ref := predictor.MustNew(headlineConfig())
-	batch := make([]trace.Trace, 0, 1000)
-	cur := s.Cursor()
-	var tr trace.Trace
-	for len(batch) < cap(batch) && cur.Next(&tr) {
-		batch = append(batch, tr)
-	}
-	for i := range batch {
-		ref.Predict()
-		ref.Update(&batch[i])
-	}
-	if _, _, _, err := cl.UpdateBatch(session, batch); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Predict()
-	got, err := cl.Predict(session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("Predict after %d traces = %+v, want %+v", len(batch), got, want)
 	}
 }
 

@@ -462,10 +462,6 @@ func encodeResponse(req request, resp shardResp) []byte {
 		buf = append(buf, b[:]...)
 	case OpSnapshot:
 		buf = append(buf, resp.blob...)
-	case OpPredict:
-		var b [predictionBytes]byte
-		putPrediction(b[:], resp.pred)
-		buf = append(buf, b[:]...)
 	case OpUpdateBatch, OpPredictBatch:
 		var b [batchRespBytes]byte
 		le.PutUint32(b[:], resp.skipped)

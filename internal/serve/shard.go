@@ -64,11 +64,10 @@ type task struct {
 
 // shardResp is a shard's answer to one request.
 type shardResp struct {
-	err      error  // nil, or a typed protocol error
-	shard    uint32 // OpOpen, OpStats, OpRestore
-	sessions uint32 // OpStats
-	lastSeq  uint64 // OpOpen
-	pred     predictor.Prediction
+	err      error                  // nil, or a typed protocol error
+	shard    uint32                 // OpOpen, OpStats, OpRestore
+	sessions uint32                 // OpStats
+	lastSeq  uint64                 // OpOpen
 	skipped  uint32                 // batch ops: already-applied prefix length
 	preds    []predictor.Prediction // OpPredictBatch: one per applied trace
 	applied  uint32                 // batch ops
@@ -220,12 +219,6 @@ func (sh *shard) process(req request) shardResp {
 	switch req.op {
 	case OpOpen:
 		return sh.open(req.session)
-	case OpPredict:
-		s, ok := sh.sessions[req.session]
-		if !ok {
-			return shardResp{err: ErrUnknownSession}
-		}
-		return shardResp{pred: s.p.Predict()}
 	case OpUpdateBatch, OpPredictBatch:
 		s, ok := sh.sessions[req.session]
 		if !ok {

@@ -25,7 +25,7 @@ import (
 //
 //	magic     "NTPSTRM2"
 //	workload  u16 length + bytes
-//	params    u16 length + bytes (v2 only; the workload's generator
+//	params    u16 length + bytes (the workload's generator
 //	          parameterization, "" for the fixed benchmarks)
 //	limit     u64
 //	sel       u32 MaxLen, u32 MaxBranches, u8 flags (bit0 = BreakOnLoopClosure)
@@ -35,13 +35,7 @@ import (
 //	branches  10 bytes each
 //	mems      5 bytes each
 //	crc32     u32 (IEEE, over everything after the magic)
-//
-// v1 files ("NTPSTRM1", no params field) still decode — they predate
-// parameterized workloads, so their params are implicitly empty.
-const (
-	diskMagic   = "NTPSTRM2"
-	diskMagicV1 = "NTPSTRM1"
-)
+const diskMagic = "NTPSTRM2"
 
 const (
 	diskHeaderBytes = 37 // limit + sel + instrs + counts (after the workload name)
@@ -169,8 +163,7 @@ func Decode(r io.Reader) (*Stream, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: short magic", ErrCorrupt)
 	}
-	hasParams := string(magic[:]) == diskMagic
-	if !hasParams && string(magic[:]) != diskMagicV1 {
+	if string(magic[:]) != diskMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic[:])
 	}
 	// The checksum is computed over exactly the bytes parsed (the
@@ -195,15 +188,12 @@ func Decode(r io.Reader) (*Stream, error) {
 	if err := readFull(name, "workload name"); err != nil {
 		return nil, err
 	}
-	var params []byte
-	if hasParams {
-		if err := readFull(buf[:2], "params length"); err != nil {
-			return nil, err
-		}
-		params = make([]byte, int(le.Uint16(buf[:])))
-		if err := readFull(params, "params"); err != nil {
-			return nil, err
-		}
+	if err := readFull(buf[:2], "params length"); err != nil {
+		return nil, err
+	}
+	params := make([]byte, int(le.Uint16(buf[:])))
+	if err := readFull(params, "params"); err != nil {
+		return nil, err
 	}
 	if err := readFull(buf[:diskHeaderBytes], "header"); err != nil {
 		return nil, err

@@ -94,6 +94,7 @@ func TestDiskCorruptionRejected(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bad magic":      flip(good, 0),
+		"v1 magic":       append([]byte("NTPSTRM1"), good[len(diskMagic):]...),
 		"flipped header": flip(good, 12),
 		"flipped body":   flip(good, len(good)/2),
 		"flipped crc":    flip(good, len(good)-1),

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -107,52 +106,4 @@ func TestParamsKeyedCaptureDeterministic(t *testing.T) {
 	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
 		t.Fatal("same-seed captures are not bit-identical")
 	}
-}
-
-// A v1 stream file (no params field) still decodes, with empty params.
-func TestDecodeV1Compat(t *testing.T) {
-	w, ok := workload.ByName("compress")
-	if !ok {
-		t.Fatal("no compress")
-	}
-	s, err := Capture(nil, w, 20_000, trace.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := s.Encode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v2 bytes as v1: swap the magic and splice out the
-	// (empty) params length field. The CRC covers everything after the
-	// magic, so it needs recomputing — do that by hand-building the v1
-	// byte stream.
-	v1 := buildV1(t, v2.Bytes())
-	got, err := Decode(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if got.Key() != s.Key() || got.Len() != s.Len() {
-		t.Fatalf("v1 decode key %v len %d, want %v len %d", got.Key(), got.Len(), s.Key(), s.Len())
-	}
-}
-
-// buildV1 converts an encoded v2 stream with empty params into its v1
-// encoding: v1 magic, no params length field, recomputed CRC.
-func buildV1(t *testing.T, v2 []byte) []byte {
-	t.Helper()
-	if string(v2[:8]) != diskMagic {
-		t.Fatalf("not a v2 stream: %q", v2[:8])
-	}
-	nameLen := int(uint16(v2[8]) | uint16(v2[9])<<8)
-	// Layout after magic: nameLen(2) name(nameLen) paramsLen(2) ...
-	pOff := 8 + 2 + nameLen
-	if int(uint16(v2[pOff])|uint16(v2[pOff+1])<<8) != 0 {
-		t.Fatal("buildV1 requires empty params")
-	}
-	body := append([]byte{}, v2[8:pOff]...)
-	body = append(body, v2[pOff+2:len(v2)-4]...) // drop params field and old CRC
-	out := append([]byte(diskMagicV1), body...)
-	sum := crc32.ChecksumIEEE(body)
-	return append(out, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
 }
