@@ -15,17 +15,17 @@
 //	ntpd -shadow tage,basic                  # several shadows, fan-out per batch
 //
 // -backend picks the serving predictor backend from the registry
-// (basic, hybrid, costreduced, tage, unbounded), overriding the -basic
-// shorthand. -shadow names backends to evaluate on live traffic:
-// every applied batch is fanned out to one fresh shadow predictor per
-// name, the primary alone answers Predict (responses, -verify and
+// (basic, hybrid, costreduced, tage, unbounded; default hybrid).
+// -shadow names backends to evaluate on live traffic: every applied
+// batch is fanned out to one fresh shadow predictor per name, the
+// primary alone answers Predict (responses, -verify and
 // snapshots are untouched), and /metrics reports each backend's
 // accuracy as ntpd_backend_{rounds,correct,miss}_total with role
 // "primary"/"shadow" — a live A/B readout before switching -backend.
 //
 // The server hosts -shards predictor shards; sessions are hashed to
 // shards and every session owns a predictor built from the -depth /
-// -indexbits / -basic / -norhs / -backend flags. SIGINT/SIGTERM trigger a
+// -indexbits / -norhs / -backend flags. SIGINT/SIGTERM trigger a
 // graceful drain: in-flight requests finish, new ones are refused with
 // the draining status, then the process exits 0. The admin listener
 // (when -admin is set) serves /healthz, /statsz (JSON), /varz and
@@ -134,9 +134,8 @@ func run() int {
 
 		depth     = flag.Int("depth", 7, "predictor path-history depth")
 		indexBits = flag.Int("indexbits", 16, "correlated table index bits")
-		basic     = flag.Bool("basic", false, "basic correlated predictor instead of the hybrid")
 		noRHS     = flag.Bool("norhs", false, "disable the Return History Stack")
-		backendF  = flag.String("backend", "", "serving predictor backend (overrides -basic; an unknown name lists the registry)")
+		backendF  = flag.String("backend", "", "serving predictor backend (default hybrid; an unknown name lists the registry)")
 		shadow    = flag.String("shadow", "", "comma-separated shadow backends to evaluate on live traffic (serve mode)")
 		inject    = flag.String("inject", "", "fault-injection spec for per-session injectors, e.g. table:1e-4")
 		seed      = flag.Uint64("seed", 0, "fault-injection PRNG seed")
@@ -161,7 +160,7 @@ func run() int {
 		return 2
 	}
 
-	pcfg := predictor.Config{Depth: *depth, IndexBits: *indexBits, Hybrid: !*basic, UseRHS: !*basic && !*noRHS, Backend: *backendF}
+	pcfg := predictor.Config{Depth: *depth, IndexBits: *indexBits, Hybrid: true, UseRHS: !*noRHS, Backend: *backendF}
 	var fcfg *faults.Config
 	if *inject != "" || *seed != 0 {
 		c, err := faults.ParseSpec(*inject)

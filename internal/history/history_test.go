@@ -360,28 +360,6 @@ func TestRHSOverflowDropsDeepest(t *testing.T) {
 	}
 }
 
-func TestRHSCloneRestore(t *testing.T) {
-	rhs := MustNewReturnStack(8)
-	h := MustNewReg(4)
-	h.Push(1)
-	rhs.Observe(mkTrace(1, 2, false), &h)
-	snap := rhs.Clone()
-	h.Push(2)
-	rhs.Observe(mkTrace(2, 1, false), &h)
-	if rhs.Depth() != 3 {
-		t.Fatalf("depth = %d", rhs.Depth())
-	}
-	rhs.Restore(snap)
-	if rhs.Depth() != 2 {
-		t.Errorf("restored depth = %d, want 2", rhs.Depth())
-	}
-	// Clone must be independent of later mutation.
-	rhs.Observe(mkTrace(3, 1, false), &h)
-	if snap.Depth() != 2 {
-		t.Errorf("clone mutated: depth %d", snap.Depth())
-	}
-}
-
 func TestNewReturnStackValidation(t *testing.T) {
 	if _, err := NewReturnStack(0); err == nil {
 		t.Error("depth 0 accepted")

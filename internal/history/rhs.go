@@ -82,20 +82,6 @@ func (s *ReturnStack) Observe(tr *trace.Trace, h *Reg) {
 // Depth returns the number of histories currently saved.
 func (s *ReturnStack) Depth() int { return len(s.stack) }
 
-// Clone returns an independent copy, used for speculation checkpoints.
-func (s *ReturnStack) Clone() *ReturnStack {
-	c := &ReturnStack{stack: make([]Reg, len(s.stack), s.max), max: s.max}
-	copy(c.stack, s.stack)
-	return c
-}
-
-// Restore overwrites the stack contents from a checkpoint clone.
-func (s *ReturnStack) Restore(from *ReturnStack) {
-	s.stack = s.stack[:0]
-	s.stack = append(s.stack, from.stack...)
-	s.max = from.max
-}
-
 // StackState is the exported, serializable state of a Return History
 // Stack: its capacity and the saved registers, deepest first.
 type StackState struct {

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -45,6 +46,20 @@ type Backend struct {
 	Save    func(p NextTracePredictor) ([]byte, error)
 	Restore func(state []byte, cfg Config) (NextTracePredictor, error)
 }
+
+// Typed errors of the Save/Restore hooks.
+var (
+	// ErrNotSnapshottable reports a predictor variant without full-state
+	// save support (the unbounded study variants).
+	ErrNotSnapshottable = errors.New("predictor: variant not snapshottable")
+	// ErrStateMismatch reports a saved state whose geometry differs from
+	// the restoring configuration — restoring it would silently change
+	// what the session predicts, so it is refused.
+	ErrStateMismatch = errors.New("predictor: saved state incompatible with config")
+	// ErrBadState reports a structurally invalid saved state (index out
+	// of range, counter overflow, malformed history).
+	ErrBadState = errors.New("predictor: invalid saved state")
+)
 
 // Snapshottable reports whether the backend carries save/restore codec
 // hooks.
@@ -132,13 +147,14 @@ func init() {
 		Family: FamilyPaper,
 		Desc:   "single-table correlated path predictor (§3.2)",
 		New: func(cfg Config) (NextTracePredictor, error) {
+			// basic has no secondary table and no RHS: it ignores both
+			// flags, as tage ignores UseRHS, so one flag set builds
+			// every backend.
 			cfg.Hybrid = false
+			cfg.UseRHS = false
 			full, err := cfg.withDefaults()
 			if err != nil {
 				return nil, err
-			}
-			if full.UseRHS {
-				return nil, fmt.Errorf("predictor: RHS requires the hybrid predictor in this implementation")
 			}
 			return newBasic(full)
 		},
@@ -213,23 +229,4 @@ func init() {
 		Save:    tageSave,
 		Restore: tageRestore,
 	})
-}
-
-// paperSave and paperRestore are the shared codec hooks of the paper
-// family: the SavedState structural layer plus the byte codec in
-// papercodec.go.
-func paperSave(p NextTracePredictor) ([]byte, error) {
-	st, err := Save(p)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeSavedState(st)
-}
-
-func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
-	st, err := DecodeSavedState(state)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(st, cfg)
 }

@@ -39,12 +39,19 @@ func TestBackendLegacyResolution(t *testing.T) {
 	if _, ok := MustNew(Config{Depth: 1, IndexBits: 10, Hybrid: true}).(*Hybrid); !ok {
 		t.Fatal("legacy Hybrid flag no longer builds a hybrid")
 	}
-	// The basic predictor still refuses RHS.
-	if _, err := New(Config{UseRHS: true}); err == nil {
-		t.Fatal("basic + RHS accepted")
+	// basic ignores UseRHS, as tage does: the legacy selection with RHS
+	// predicts exactly what an explicit basic without it predicts.
+	plain := MustNew(Config{Backend: "basic", Depth: 3, IndexBits: 10})
+	withRHS := MustNew(Config{Depth: 3, IndexBits: 10, UseRHS: true})
+	for i, tc := range randStream(17, 3000) {
+		if a, b := plain.Predict(), withRHS.Predict(); a != b {
+			t.Fatalf("round %d: basic predicted %+v, basic+RHS %+v", i, a, b)
+		}
+		plain.Update(tc)
+		withRHS.Update(tc)
 	}
-	if _, err := New(Config{Backend: "basic", UseRHS: true}); err == nil {
-		t.Fatal("explicit basic + RHS accepted")
+	if plain.Stats() != withRHS.Stats() {
+		t.Fatalf("basic stats %+v != basic+RHS %+v", plain.Stats(), withRHS.Stats())
 	}
 	// Unknown names are a construction-time error naming the registry.
 	if _, err := New(Config{Backend: "nope"}); err == nil {
@@ -64,88 +71,87 @@ func TestBackendLegacyResolution(t *testing.T) {
 // predictor is bit-identical — the per-backend contract the serving
 // layer's snapshots rely on.
 func TestBackendSaveRestoreRoundTrip(t *testing.T) {
-	configs := map[string]Config{
-		"basic":       {Backend: "basic", Depth: 5, IndexBits: 12},
-		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true},
-		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 12},
-		"tage":        {Backend: "tage", Depth: 7, IndexBits: 12},
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"basic", Config{Backend: "basic", Depth: 5, IndexBits: 12}},
+		{"hybrid", Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}},
+		{"costreduced", Config{Backend: "costreduced", Depth: 7, IndexBits: 12}},
+		{"tage", Config{Backend: "tage", Depth: 7, IndexBits: 12}},
 	}
+	covered := map[string]bool{}
+	for _, c := range configs {
+		covered[c.cfg.Backend] = true
+		t.Run(c.name, func(t *testing.T) { checkSaveRestore(t, c.cfg, c.cfg) })
+	}
+	for _, b := range Backends() {
+		if b.Snapshottable() && !covered[b.Name] {
+			t.Errorf("no round-trip config for newly registered backend %q — add one", b.Name)
+		}
+	}
+}
+
+// FuzzStateRestore feeds hostile state bytes to the Restore hook of
+// every snapshottable backend; the leading input byte picks the
+// backend. Restore must not panic, must allocate no more than the
+// input and the fixed config warrant, and an accepted state must
+// re-save to a byte-identical fixed point.
+func FuzzStateRestore(f *testing.F) {
+	configs := map[string]Config{ // small geometries keep each restore cheap
+		"basic":       {Backend: "basic", Depth: 3, IndexBits: 10},
+		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 10, UseRHS: true},
+		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true},
+		"tage":        {Backend: "tage", Depth: 7, IndexBits: 10},
+	}
+	var backends []Backend
 	for _, b := range Backends() {
 		if !b.Snapshottable() {
 			continue
 		}
 		cfg, ok := configs[b.Name]
 		if !ok {
-			t.Errorf("no round-trip config for newly registered backend %q — add one", b.Name)
-			continue
+			f.Fatalf("no fuzz config for snapshottable backend %q — add one", b.Name)
 		}
-		t.Run(b.Name, func(t *testing.T) {
-			p, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tageWorkload(p, 99, 10_000)
-			state, err := b.Save(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := b.Restore(state, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !q.Stats().Equal(p.Stats()) {
-				t.Fatalf("restored stats %+v != %+v", q.Stats(), p.Stats())
-			}
-			for i := 0; i < 2_000; i++ {
-				pp, pq := p.Predict(), q.Predict()
-				if pp != pq {
-					t.Fatalf("round %d: predictions diverge: %+v vs %+v", i, pp, pq)
-				}
-				next := tr(uint32(0x1000+(i%64)*0x40), uint8(i%64))
-				p.Update(next)
-				q.Update(next)
-			}
-			s1, _ := b.Save(p)
-			s2, _ := b.Save(q)
-			if !bytes.Equal(s1, s2) {
-				t.Fatal("states diverged after resumed rounds")
-			}
-		})
+		p := MustNew(cfg)
+		for _, tc := range randStream(11, 500) {
+			p.Predict()
+			p.Update(tc)
+		}
+		state, err := b.Save(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{byte(len(backends))}, state...))
+		backends = append(backends, b)
 	}
-}
+	f.Add([]byte{})
+	f.Add([]byte{0})
 
-// TestPaperCodecRoundTrip round-trips a SavedState through the byte
-// codec and checks structural equality at the bytes level.
-func TestPaperCodecRoundTrip(t *testing.T) {
-	p := MustNew(Config{Hybrid: true, UseRHS: true, Depth: 7, IndexBits: 12})
-	tageWorkload(p, 5, 10_000)
-	st, err := Save(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := EncodeSavedState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != SavedStateSize(st) {
-		t.Errorf("encoded %d bytes, SavedStateSize said %d", len(enc), SavedStateSize(st))
-	}
-	dec, err := DecodeSavedState(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := EncodeSavedState(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Fatal("paper codec round trip not byte-identical")
-	}
-	// Strictness: truncation and trailing bytes are refused.
-	if _, err := DecodeSavedState(enc[:len(enc)-1]); err == nil {
-		t.Error("truncated state accepted")
-	}
-	if _, err := DecodeSavedState(append(append([]byte(nil), enc...), 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		b := backends[int(data[0])%len(backends)]
+		cfg := configs[b.Name]
+		p, err := b.Restore(data[1:], cfg)
+		if err != nil {
+			return
+		}
+		enc1, err := b.Save(p)
+		if err != nil {
+			t.Fatalf("%s: re-save of decoded state failed: %v", b.Name, err)
+		}
+		p2, err := b.Restore(enc1, cfg)
+		if err != nil {
+			t.Fatalf("%s: re-decode failed: %v", b.Name, err)
+		}
+		enc2, err := b.Save(p2)
+		if err != nil {
+			t.Fatalf("%s: second re-save failed: %v", b.Name, err)
+		}
+		if !bytes.Equal(enc1, enc2) {
+			t.Fatalf("%s: encode/decode did not reach a fixed point", b.Name)
+		}
+	})
 }

@@ -1,7 +1,7 @@
 package predictor
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"pathtrace/internal/faults"
@@ -68,15 +68,15 @@ func checkIdentical(t *testing.T, label string, sp, bp NextTracePredictor, sPred
 	if sp.Stats() != bp.Stats() {
 		t.Fatalf("%s: stats diverged:\nscalar %+v\nbatch  %+v", label, sp.Stats(), bp.Stats())
 	}
-	sSt, sErr := Save(sp)
-	bSt, bErr := Save(bp)
+	sSt, sErr := paperSave(sp)
+	bSt, bErr := paperSave(bp)
 	if (sErr == nil) != (bErr == nil) {
 		t.Fatalf("%s: Save support diverged: scalar err %v, batch err %v", label, sErr, bErr)
 	}
 	if sErr != nil {
 		return // backend without checkpointing: stats + preds is the contract
 	}
-	if !reflect.DeepEqual(sSt, bSt) {
+	if !bytes.Equal(sSt, bSt) {
 		t.Fatalf("%s: saved table state diverged after identical rounds", label)
 	}
 }

@@ -101,15 +101,6 @@ func NewConfident(cfg ConfidentConfig) (*Confident, error) {
 	}, nil
 }
 
-// MustNewConfident is NewConfident for static configurations.
-func MustNewConfident(cfg ConfidentConfig) *Confident {
-	c, err := NewConfident(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Predict returns the underlying prediction and whether it is flagged
 // high-confidence.
 func (c *Confident) Predict() (Prediction, bool) {

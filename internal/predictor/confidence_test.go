@@ -16,16 +16,19 @@ func TestConfidentValidation(t *testing.T) {
 	if _, err := NewConfident(ConfidentConfig{Predictor: Config{Depth: -1}}); err == nil {
 		t.Error("bad predictor config accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNewConfident did not panic")
-		}
-	}()
-	MustNewConfident(ConfidentConfig{Predictor: Config{Depth: -1}})
+}
+
+func newConfident(t *testing.T, cfg ConfidentConfig) *Confident {
+	t.Helper()
+	c, err := NewConfident(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestConfidenceSeparatesStableFromChurn(t *testing.T) {
-	c := MustNewConfident(ConfidentConfig{
+	c := newConfident(t, ConfidentConfig{
 		Predictor: Config{Depth: 1, IndexBits: 12},
 		Threshold: 8,
 	})
@@ -64,7 +67,7 @@ func TestConfidenceSeparatesStableFromChurn(t *testing.T) {
 }
 
 func TestConfidenceResetsOnMiss(t *testing.T) {
-	c := MustNewConfident(ConfidentConfig{
+	c := newConfident(t, ConfidentConfig{
 		Predictor: Config{Depth: 0, IndexBits: 10},
 		Threshold: 3,
 	})

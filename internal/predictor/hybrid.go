@@ -16,9 +16,9 @@ import (
 // prediction is used when its tag matches the hashed identifier of the
 // immediately preceding trace, and the secondary's otherwise.
 //
-// Hybrid exposes a lower-level API (Lookup / CommitUpdate / Advance /
-// Checkpoint / Restore) so package engine can model speculative history
-// with delayed table updates (§5.4).
+// Hybrid exposes a lower-level API (Lookup / CommitUpdate / Advance)
+// so package engine can model speculative history with delayed table
+// updates (§5.4).
 //
 // # Table layout
 //
@@ -307,31 +307,6 @@ func (p *Hybrid) Advance(tr *trace.Trace) {
 	}
 }
 
-// State is a speculation checkpoint of the history register and RHS.
-type State struct {
-	hist history.Reg
-	rhs  *history.ReturnStack
-}
-
-// Checkpoint captures the speculative front-end state.
-func (p *Hybrid) Checkpoint() State {
-	st := State{hist: p.hist}
-	if p.rhs != nil {
-		st.rhs = p.rhs.Clone()
-	}
-	return st
-}
-
-// Restore rewinds the front-end state to a checkpoint (misprediction
-// recovery: "in the case of an incorrect prediction the history is
-// backed up to the state before the bad prediction").
-func (p *Hybrid) Restore(st State) {
-	p.hist = st.hist
-	if p.rhs != nil && st.rhs != nil {
-		p.rhs.Restore(st.rhs)
-	}
-}
-
 // Predict implements NextTracePredictor (immediate-update protocol).
 // It is a thin wrapper over the same lookup the batch path runs.
 func (p *Hybrid) Predict() Prediction {
@@ -372,14 +347,3 @@ func (p *Hybrid) UpdateBatch(actuals []trace.Trace) uint64 {
 
 // Stats implements NextTracePredictor.
 func (p *Hybrid) Stats() Stats { return p.stats }
-
-// AddStats merges externally computed counters (used by the delayed-
-// update engine, which performs its own accounting).
-func (p *Hybrid) AddStats(s Stats) {
-	p.stats.Predictions += s.Predictions
-	p.stats.Correct += s.Correct
-	p.stats.Cold += s.Cold
-	p.stats.FromSecondary += s.FromSecondary
-	p.stats.AltCorrect += s.AltCorrect
-	p.stats.AltPresent += s.AltPresent
-}

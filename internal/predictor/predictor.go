@@ -262,6 +262,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SecCounterDec == 0 {
 		c.SecCounterDec = 15
 	}
+	// Counters live in 8 bits and the RHS depth is saved as a u16, so
+	// out-of-range values are refused here rather than wrapping later.
+	for _, f := range [...]struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"CounterBits", c.CounterBits, 1, 8}, {"SecCounterBits", c.SecCounterBits, 1, 8},
+		{"CounterInc", c.CounterInc, 1, 255}, {"CounterDec", c.CounterDec, 1, 255},
+		{"SecCounterDec", c.SecCounterDec, 1, 255}, {"RHSDepth", c.RHSDepth, 1, 0xFFFF},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return c, fmt.Errorf("predictor: %s %d outside [%d, %d]", f.name, f.v, f.lo, f.hi)
+		}
+	}
 	if c.SecondaryFilter == nil {
 		t := true
 		c.SecondaryFilter = &t

@@ -295,10 +295,19 @@ func TestAlternatePredictionCatchesSecondLikely(t *testing.T) {
 	}
 }
 
+func newUnbounded(t *testing.T, cfg UnboundedConfig) *Unbounded {
+	t.Helper()
+	u, err := NewUnbounded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestUnboundedNoAliasing(t *testing.T) {
 	// Feed many distinct deterministic contexts; an unbounded hybrid
 	// must reach perfection regardless of how many paths exist.
-	u := MustNewUnbounded(UnboundedConfig{Depth: 1, Hybrid: true})
+	u := newUnbounded(t, UnboundedConfig{Depth: 1, Hybrid: true})
 	var seq []*trace.Trace
 	for i := 0; i < 64; i++ {
 		seq = append(seq, tr(0x1000+uint32(i)*0x10, 0), tr(0x20000+uint32(i)*0x10, 0))
@@ -317,7 +326,7 @@ func TestUnboundedMatchesHybridSemantics(t *testing.T) {
 	// bounded hybrid and unbounded hybrid must agree in steady state.
 	seq := []*trace.Trace{tr(0x1000, 0), tr(0x2000, 1), tr(0x1000, 0), tr(0x3000, 2), tr(0x4000, 3)}
 	b := MustNew(Config{Depth: 2, IndexBits: 16, Hybrid: true})
-	u := MustNewUnbounded(UnboundedConfig{Depth: 2, Hybrid: true})
+	u := newUnbounded(t, UnboundedConfig{Depth: 2, Hybrid: true})
 	sb := drive(b, seq, 40, 10)
 	su := drive(u, seq, 40, 10)
 	if sb.Correct != sb.Predictions || su.Correct != su.Predictions {
@@ -338,8 +347,8 @@ func TestUnboundedRHS(t *testing.T) {
 		seq = append(seq, sub...)
 		seq = append(seq, subRet, tr(s.post, 0))
 	}
-	with := drive(MustNewUnbounded(UnboundedConfig{Depth: 7, Hybrid: true, UseRHS: true}), seq, 60, 10)
-	without := drive(MustNewUnbounded(UnboundedConfig{Depth: 7, Hybrid: true}), seq, 60, 10)
+	with := drive(newUnbounded(t, UnboundedConfig{Depth: 7, Hybrid: true, UseRHS: true}), seq, 60, 10)
+	without := drive(newUnbounded(t, UnboundedConfig{Depth: 7, Hybrid: true}), seq, 60, 10)
 	if with.Correct != with.Predictions {
 		t.Errorf("unbounded with RHS: %d/%d", with.Correct, with.Predictions)
 	}
@@ -374,31 +383,6 @@ func TestCostReducedTracksFullAccuracy(t *testing.T) {
 	}
 }
 
-func TestHybridCheckpointRestore(t *testing.T) {
-	p, err := NewHybrid(Config{Depth: 3, IndexBits: 14, Hybrid: true, UseRHS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		p.Predict()
-		p.Update(tr(0x1000+uint32(i)*4, 0))
-	}
-	_, tokBefore := p.Lookup()
-	cp := p.Checkpoint()
-	// Speculatively advance down a wrong path.
-	p.Advance(callTr(0x7777, 1))
-	p.Advance(tr(0x8888, 0))
-	_, tokMid := p.Lookup()
-	if tokMid.CorrIdx == tokBefore.CorrIdx && tokMid.Tag == tokBefore.Tag {
-		t.Log("warning: speculative path coincidentally indexed the same entry")
-	}
-	p.Restore(cp)
-	_, tokAfter := p.Lookup()
-	if tokAfter != tokBefore {
-		t.Errorf("restore mismatch: %+v vs %+v", tokAfter, tokBefore)
-	}
-}
-
 func TestStatsArithmetic(t *testing.T) {
 	s := Stats{Predictions: 200, Correct: 150, AltCorrect: 25}
 	if s.Mispredictions() != 50 {
@@ -423,7 +407,6 @@ func TestConfigValidation(t *testing.T) {
 		{Depth: 0, IndexBits: 30},
 		{Depth: 0, TagBits: 20},
 		{Depth: 0, SecondaryBits: 25},
-		{Depth: 0, UseRHS: true}, // RHS without hybrid
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -444,6 +427,48 @@ func TestConfigValidation(t *testing.T) {
 	MustNew(Config{Depth: -1})
 }
 
+// TestConfigRejectsUnstorableWidths: counters live in 8 bits and the
+// RHS depth is saved as a u16, so construction refuses values those
+// cannot hold — for every backend that normalises through Config —
+// instead of panicking on a negative shift or wrapping at save time.
+func TestConfigRejectsUnstorableWidths(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"CounterBits -1", Config{CounterBits: -1}},
+		{"CounterBits 9", Config{CounterBits: 9}},
+		{"SecCounterBits -1", Config{SecCounterBits: -1}},
+		{"SecCounterBits 9", Config{SecCounterBits: 9}},
+		{"CounterInc -1", Config{CounterInc: -1}},
+		{"CounterInc 256", Config{CounterInc: 256}},
+		{"CounterDec -1", Config{CounterDec: -1}},
+		{"CounterDec 256", Config{CounterDec: 256}},
+		{"SecCounterDec -1", Config{SecCounterDec: -1}},
+		{"SecCounterDec 256", Config{SecCounterDec: 256}},
+		{"RHSDepth -1", Config{RHSDepth: -1}},
+		{"RHSDepth 65536", Config{RHSDepth: 0x10000}},
+	}
+	for _, c := range cases {
+		for _, backend := range BackendNames() {
+			cfg := c.cfg
+			cfg.Backend, cfg.Depth, cfg.IndexBits, cfg.Hybrid, cfg.UseRHS = backend, 3, 10, true, true
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s: %s accepted", backend, c.name)
+			}
+		}
+	}
+	// The bounds themselves are storable.
+	for _, backend := range BackendNames() {
+		cfg := Config{Backend: backend, Depth: 3, IndexBits: 10, Hybrid: true, UseRHS: true,
+			CounterBits: 8, SecCounterBits: 8, CounterInc: 255, CounterDec: 255,
+			SecCounterDec: 255, RHSDepth: 0xFFFF}
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s: widest storable config refused: %v", backend, err)
+		}
+	}
+}
+
 // Property-style check: random streams keep invariants.
 func TestStatsInvariantsRandomStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -451,7 +476,7 @@ func TestStatsInvariantsRandomStream(t *testing.T) {
 		MustNew(Config{Depth: 2, IndexBits: 12}),
 		MustNew(Config{Depth: 4, IndexBits: 12, Hybrid: true}),
 		MustNew(Config{Depth: 7, IndexBits: 12, Hybrid: true, UseRHS: true}),
-		MustNewUnbounded(UnboundedConfig{Depth: 5, Hybrid: true, UseRHS: true}),
+		newUnbounded(t, UnboundedConfig{Depth: 5, Hybrid: true, UseRHS: true}),
 	}
 	for i := 0; i < 3000; i++ {
 		t0 := tr(0x1000+uint32(rng.Intn(512))*4, uint8(rng.Intn(64)))

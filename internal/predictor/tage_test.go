@@ -160,39 +160,3 @@ func TestTageHotPathDoesNotAllocate(t *testing.T) {
 		t.Errorf("predict/update allocates %v per round, want 0", allocs)
 	}
 }
-
-func FuzzTageStateDecode(f *testing.F) {
-	cfg := Config{Backend: "tage", Depth: 7, IndexBits: 10}
-	b, _ := BackendByName("tage")
-
-	seedP := MustNew(cfg)
-	tageWorkload(seedP, 11, 3_000)
-	if state, err := b.Save(seedP); err == nil {
-		f.Add(state)
-	}
-	f.Add([]byte{tageStateVersion})
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := b.Restore(data, cfg) // must not panic or overallocate
-		if err != nil {
-			return
-		}
-		// Valid states round-trip to a byte-identical fixed point.
-		enc1, err := b.Save(p)
-		if err != nil {
-			t.Fatalf("re-save of decoded state failed: %v", err)
-		}
-		p2, err := b.Restore(enc1, cfg)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		enc2, err := b.Save(p2)
-		if err != nil {
-			t.Fatalf("second re-save failed: %v", err)
-		}
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatal("encode/decode did not reach a fixed point")
-		}
-	})
-}

@@ -49,12 +49,7 @@ func tageSave(p NextTracePredictor) ([]byte, error) {
 	for i := 0; i < t.nTables; i++ {
 		b = append(b, uint8(t.lens[i]))
 	}
-	for _, v := range [...]uint64{
-		t.stats.Predictions, t.stats.Correct, t.stats.Cold,
-		t.stats.FromSecondary, t.stats.AltCorrect, t.stats.AltPresent,
-	} {
-		b = le.AppendUint64(b, v)
-	}
+	b = appendStats(b, t.stats)
 	b = appendStateReg(b, t.hist.State())
 
 	nValid := 0
@@ -142,12 +137,7 @@ func tageRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 		}
 	}
 
-	t.stats.Predictions = r.u64()
-	t.stats.Correct = r.u64()
-	t.stats.Cold = r.u64()
-	t.stats.FromSecondary = r.u64()
-	t.stats.AltCorrect = r.u64()
-	t.stats.AltPresent = r.u64()
+	t.stats = r.stats()
 
 	histState := r.reg()
 	if r.err == nil {

@@ -125,15 +125,6 @@ func NewUnbounded(cfg UnboundedConfig) (*Unbounded, error) {
 	return u, nil
 }
 
-// MustNewUnbounded is NewUnbounded for static configurations.
-func MustNewUnbounded(cfg UnboundedConfig) *Unbounded {
-	u, err := NewUnbounded(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 func (u *Unbounded) key() pathKey {
 	var k uint64
 	for i := 0; i < u.size; i++ {

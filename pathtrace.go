@@ -214,7 +214,7 @@ func NewUnboundedPredictor(cfg UnboundedConfig) (Predictor, error) {
 }
 
 // NewHybridPredictor builds a hybrid with the speculative lower-level
-// API (Lookup/CommitUpdate/Advance/Checkpoint/Restore).
+// API (Lookup/CommitUpdate/Advance).
 func NewHybridPredictor(cfg PredictorConfig) (*HybridPredictor, error) {
 	return predictor.NewHybrid(cfg)
 }
