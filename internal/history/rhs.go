@@ -89,14 +89,13 @@ type StackState struct {
 	Regs []RegState
 }
 
-// State captures the stack for serialization (session snapshots).
-func (s *ReturnStack) State() StackState {
-	st := StackState{Max: s.max, Regs: make([]RegState, len(s.stack))}
-	for i := range s.stack {
-		st.Regs[i] = s.stack[i].State()
-	}
-	return st
-}
+// Max returns the stack's capacity.
+func (s *ReturnStack) Max() int { return s.max }
+
+// Saved returns the i'th saved register, deepest first (0 <= i <
+// Depth()). Serialization walks the stack with it, so encoding a
+// session snapshot copies no register slice.
+func (s *ReturnStack) Saved(i int) RegState { return s.stack[i].State() }
 
 // StackFromState rebuilds a Return History Stack from a serialized
 // state, validating capacity and every saved register.

@@ -39,15 +39,20 @@ type Backend struct {
 	// and reject configurations they cannot honour.
 	New func(cfg Config) (NextTracePredictor, error)
 
-	// Save serializes a predictor's complete state as this backend's
-	// state section, and Restore rebuilds a predictor from one. Both nil
-	// marks the backend not snapshottable (the unbounded idealisation);
-	// serving rejects snapshot ops for it but serves it fine otherwise.
-	Save    func(p NextTracePredictor) ([]byte, error)
+	// Append serializes a predictor's complete state as this backend's
+	// state section, appended to dst, and Restore rebuilds a predictor
+	// from one. Append returns the extended slice; on error, dst is
+	// returned as passed. Both nil marks the backend not snapshottable
+	// (the unbounded idealisation); serving rejects snapshot ops for it
+	// but serves it fine otherwise.
+	Append  func(dst []byte, p NextTracePredictor) ([]byte, error)
 	Restore func(state []byte, cfg Config) (NextTracePredictor, error)
 }
 
-// Typed errors of the Save/Restore hooks.
+// Save returns a predictor's state section in a new slice.
+func (b Backend) Save(p NextTracePredictor) ([]byte, error) { return b.Append(nil, p) }
+
+// Typed errors of the Append/Restore hooks.
 var (
 	// ErrNotSnapshottable reports a predictor variant without full-state
 	// save support (the unbounded study variants).
@@ -63,7 +68,7 @@ var (
 
 // Snapshottable reports whether the backend carries save/restore codec
 // hooks.
-func (b Backend) Snapshottable() bool { return b.Save != nil && b.Restore != nil }
+func (b Backend) Snapshottable() bool { return b.Append != nil && b.Restore != nil }
 
 var (
 	backendMu  sync.RWMutex
@@ -77,8 +82,8 @@ func RegisterBackend(b Backend) {
 	if b.Name == "" || b.Family == "" || b.New == nil {
 		panic(fmt.Sprintf("predictor: malformed backend descriptor %+v", b))
 	}
-	if (b.Save == nil) != (b.Restore == nil) {
-		panic(fmt.Sprintf("predictor: backend %q has only one of Save/Restore", b.Name))
+	if (b.Append == nil) != (b.Restore == nil) {
+		panic(fmt.Sprintf("predictor: backend %q has only one of Append/Restore", b.Name))
 	}
 	backendMu.Lock()
 	defer backendMu.Unlock()
@@ -158,7 +163,7 @@ func init() {
 			}
 			return newBasic(full)
 		},
-		Save:    paperSave,
+		Append:  paperAppend,
 		Restore: paperRestore,
 	})
 	RegisterBackend(Backend{
@@ -173,7 +178,7 @@ func init() {
 			}
 			return newHybrid(full)
 		},
-		Save:    paperSave,
+		Append:  paperAppend,
 		Restore: paperRestore,
 	})
 	RegisterBackend(Backend{
@@ -189,7 +194,7 @@ func init() {
 			}
 			return newHybrid(full)
 		},
-		Save: paperSave,
+		Append: paperAppend,
 		Restore: func(state []byte, cfg Config) (NextTracePredictor, error) {
 			// Normalise exactly like New, so a config that builds this
 			// backend also restores it.
@@ -226,7 +231,7 @@ func init() {
 			}
 			return newTage(full)
 		},
-		Save:    tageSave,
+		Append:  tageAppend,
 		Restore: tageRestore,
 	})
 }

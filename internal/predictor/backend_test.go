@@ -155,3 +155,57 @@ func FuzzStateRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendIntoSizedBufferAllocatesNothing: every snapshottable
+// backend writes its state section straight into a dst with room to
+// spare — RHS registers included — so a snapshot refreshed in a reused
+// buffer costs no allocation. The appended bytes equal Save's, and the
+// dst prefix is left alone.
+func TestAppendIntoSizedBufferAllocatesNothing(t *testing.T) {
+	configs := map[string]Config{
+		"basic":       {Backend: "basic", Depth: 3, IndexBits: 10},
+		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true},
+		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 10, UseRHS: true},
+		"tage":        {Backend: "tage", Depth: 7, IndexBits: 10},
+	}
+	for _, b := range Backends() {
+		if !b.Snapshottable() {
+			continue
+		}
+		cfg, ok := configs[b.Name]
+		if !ok {
+			t.Errorf("no config for snapshottable backend %q — add one", b.Name)
+			continue
+		}
+		t.Run(b.Name, func(t *testing.T) {
+			p := MustNew(cfg)
+			for _, tc := range randStream(11, 2000) {
+				p.Predict()
+				p.Update(tc)
+			}
+			if h, ok := p.(*Hybrid); ok && h.rhs != nil && h.rhs.Depth() == 0 {
+				t.Fatal("warm-up left the RHS empty; the RHS encode would go untested")
+			}
+			want, err := b.Save(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := []byte("prefix")
+			// cap(want) is the size the hook reserves for itself.
+			dst := append(make([]byte, 0, len(prefix)+cap(want)), prefix...)
+			var got []byte
+			allocs := testing.AllocsPerRun(20, func() {
+				got, err = b.Append(dst, p)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("Append into a sized buffer: %v allocs, want 0", allocs)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Error("Append bytes differ from prefix + Save")
+			}
+		})
+	}
+}

@@ -14,7 +14,7 @@ import (
 // costreduced): the per-backend state section carried inside snapshot
 // frames. The paper's predictor is pure state — tables, the path
 // history register, the Return History Stack and (here) the fault
-// injector's PRNG positions — so paperSave writes those straight into
+// injector's PRNG positions — so paperAppend writes those straight into
 // the section and paperRestore installs them straight into freshly
 // built tables. A restored session resumes bit-identically: every
 // later Predict/Update round produces exactly what the original would
@@ -114,8 +114,10 @@ func countValid[M uint16 | uint32](meta []M) int {
 	return n
 }
 
-// paperSave is the paper backends' Save hook.
-func paperSave(p NextTracePredictor) ([]byte, error) {
+// paperAppend is the paper backends' Append hook. It sizes the
+// section before writing, so dst grows at most once and a dst with
+// room to spare is written without allocating.
+func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 	var t paperTables
 	switch v := p.(type) {
 	case *Hybrid:
@@ -123,7 +125,7 @@ func paperSave(p NextTracePredictor) ([]byte, error) {
 	case *basic:
 		t = v.tables()
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
+		return b, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
 	}
 	cfg := t.cfg
 	le := binary.LittleEndian
@@ -132,18 +134,16 @@ func paperSave(p NextTracePredictor) ([]byte, error) {
 	// injector's plan is the one input it does not bound.
 	flags := uint8(0)
 	n := paperFixedBytes
-	var rhs history.StackState
 	if t.rhs != nil {
 		flags |= paperFlagUseRHS
-		rhs = t.rhs.State()
-		n += 4 + len(rhs.Regs)*stateRegBytes
+		n += 4 + t.rhs.Depth()*stateRegBytes
 	}
 	var fs faults.InjectorState
 	if cfg.Faults != nil {
 		flags |= paperFlagHasFaults
 		fs = cfg.Faults.State()
 		if bits := fs.Config.Bits; bits < 0 || bits > 0xFF {
-			return nil, fmt.Errorf("%w: fault bits %d does not fit u8", ErrBadState, bits)
+			return b, fmt.Errorf("%w: fault bits %d does not fit u8", ErrBadState, bits)
 		}
 		n += paperFaultsBytes
 	}
@@ -156,7 +156,7 @@ func paperSave(p NextTracePredictor) ([]byte, error) {
 	nCorr, nSec := countValid(t.corrMeta), countValid(t.secMeta)
 	n += 4 + nCorr*paperCorrEntryBytes + 4 + nSec*paperSecEntryBytes
 
-	b := make([]byte, 0, n)
+	b = grow(b, n)
 	b = append(b, t.kind, flags)
 	b = append(b, uint8(cfg.Depth), uint8(cfg.IndexBits), uint8(cfg.SecondaryBits),
 		uint8(cfg.TagBits), uint8(cfg.CounterBits), uint8(cfg.CounterInc),
@@ -168,10 +168,10 @@ func paperSave(p NextTracePredictor) ([]byte, error) {
 	b = appendStateReg(b, t.hist.State())
 
 	if t.rhs != nil {
-		b = le.AppendUint16(b, uint16(rhs.Max))
-		b = le.AppendUint16(b, uint16(len(rhs.Regs)))
-		for _, r := range rhs.Regs {
-			b = appendStateReg(b, r)
+		b = le.AppendUint16(b, uint16(t.rhs.Max()))
+		b = le.AppendUint16(b, uint16(t.rhs.Depth()))
+		for i := range t.rhs.Depth() {
+			b = appendStateReg(b, t.rhs.Saved(i))
 		}
 	}
 
@@ -459,6 +459,19 @@ func (c *entryCheck) check(idx uint32, ctr uint8, vals ...uint64) error {
 		}
 	}
 	return nil
+}
+
+// grow returns b with room for n more bytes, reallocating at most
+// once. A new buffer gets the n bytes plus 1/64 headroom rather than
+// append's amortized growth: serving keeps one snapshot buffer per
+// connection between requests, so growth slack is memory held, and
+// the headroom still absorbs the frame's checksum and a little table
+// growth before the next snapshot must regrow it.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	return append(make([]byte, 0, len(b)+n+n/64), b...)
 }
 
 func appendStats(b []byte, s Stats) []byte {

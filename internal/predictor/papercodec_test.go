@@ -162,8 +162,8 @@ func TestSaveUnboundedNotSnapshottable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := paperSave(p); !errors.Is(err, ErrNotSnapshottable) {
-		t.Fatalf("paperSave(unbounded) = %v, want ErrNotSnapshottable", err)
+	if _, err := paperAppend(nil, p); !errors.Is(err, ErrNotSnapshottable) {
+		t.Fatalf("paperAppend(unbounded) = %v, want ErrNotSnapshottable", err)
 	}
 }
 

@@ -32,15 +32,16 @@ const (
 	tageEntryBytes     = 17 // u32 idx | u16 tag | u64 val | u8 ctr | u8 u | u8 spare
 )
 
-// tageSave is the backend Save hook.
-func tageSave(p NextTracePredictor) ([]byte, error) {
+// tageAppend is the backend Append hook. encodedSize bounds the
+// section, so dst grows at most once.
+func tageAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 	t, ok := p.(*tage)
 	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
+		return b, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
 	}
 	le := binary.LittleEndian
 	cfg := t.cfg
-	b := make([]byte, 0, t.encodedSize())
+	b = grow(b, t.encodedSize())
 	b = append(b, tageStateVersion)
 	b = append(b, uint8(cfg.Depth), uint8(cfg.IndexBits), uint8(cfg.SecondaryBits),
 		uint8(cfg.TagBits), uint8(cfg.CounterBits), uint8(cfg.CounterInc),

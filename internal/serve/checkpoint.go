@@ -212,12 +212,7 @@ func (s *Server) offload() error {
 	var frames []ckptFrame
 	for _, sh := range s.shards {
 		for _, sess := range sh.sessions {
-			snap, err := sh.exportSession(sess)
-			if err != nil {
-				s.counters.LostSessions.Add(1)
-				continue
-			}
-			b, err := snapshot.Encode(snap)
+			b, err := sh.appendFrame(nil, sess)
 			if err != nil {
 				s.counters.LostSessions.Add(1)
 				continue

@@ -255,17 +255,30 @@ func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace,
 
 // Snapshot fetches the session's complete state as a checksummed
 // internal/snapshot frame, suitable for Restore on this or another
-// server.
+// server. It is AppendSnapshot into a new slice.
 func (c *Client) Snapshot(session uint64) ([]byte, error) {
+	return c.AppendSnapshot(nil, session)
+}
+
+// AppendSnapshot is Snapshot appending the frame to dst, so a caller
+// that keeps one frame per session can refresh it in place with
+// AppendSnapshot(frame[:0], session) and allocate nothing once the
+// buffer fits. The frame is copied into dst only after the whole
+// response has arrived with an OK status; on any error dst is returned
+// unchanged and no byte of its backing array past len(dst) is written,
+// so the previous frame stored there stays intact.
+func (c *Client) AppendSnapshot(dst []byte, session uint64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	body, err := c.roundTrip(OpSnapshot, session, nil)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	// The body aliases the reused response buffer; the frame outlives
-	// the next call, so copy.
-	return append([]byte(nil), body...), nil
+	if cap(dst)-len(dst) < len(body) {
+		// Exact size: the caller keeps this buffer between snapshots.
+		dst = append(make([]byte, 0, len(dst)+len(body)), dst...)
+	}
+	return append(dst, body...), nil
 }
 
 // Restore installs a snapshot frame as the session's state, replacing

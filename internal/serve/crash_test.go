@@ -127,17 +127,11 @@ func TestSnapshotMovesSessionBetweenServers(t *testing.T) {
 // test until it gets a config entry here.
 func TestSnapshotRoundTripAllBackends(t *testing.T) {
 	s := captureTestStream(t)
-	configs := map[string]predictor.Config{
-		"basic":       {Backend: "basic", Depth: 5, IndexBits: 12},
-		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true},
-		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 12},
-		"tage":        {Backend: "tage", Depth: 7, IndexBits: 12},
-	}
 	for _, b := range predictor.Backends() {
 		if !b.Snapshottable() {
 			continue
 		}
-		cfg, ok := configs[b.Name]
+		cfg, ok := snapshotConfigs[b.Name]
 		if !ok {
 			t.Errorf("no round-trip config for newly registered backend %q — add one", b.Name)
 			continue

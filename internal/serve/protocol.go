@@ -384,6 +384,7 @@ type request struct {
 	seq       uint64        // batch ops: exactly-once sequence of traces[0], 0 = none
 	traces    []trace.Trace // batch ops
 	blob      []byte        // OpRestore only: the snapshot frame
+	resp      []byte        // OpSnapshot only: the connection's reusable response buffer (set by the reader, not parsed)
 	client    string        // OpHello only: the client tag (copied)
 	wireBytes int           // payload size on the wire, for per-client byte accounting
 }

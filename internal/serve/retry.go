@@ -402,8 +402,11 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 		if rc.cfg.SnapshotEvery <= 0 || s.sinceSnap < rc.cfg.SnapshotEvery {
 			return nil
 		}
+		// Refresh the frame in place: AppendSnapshot writes into s.snap
+		// only on success, so a failed snapshot leaves the last acked
+		// frame intact for establish.
 		var frame []byte
-		frame, err = c.Snapshot(session)
+		frame, err = c.AppendSnapshot(s.snap[:0], session)
 		switch {
 		case err == nil:
 			s.snap, s.sinceSnap = frame, 0

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -17,23 +19,43 @@ type seenReq struct {
 	op   uint8
 	conn int    // 1-based accept order of the connection it arrived on
 	blob []byte // OpRestore: the snapshot frame
+	seq  uint64 // OpUpdateBatch: the start sequence
 	fail bool   // answered with the scripted status
+}
+
+// snapFault is a scripted failure of one OpSnapshot answer.
+type snapFault uint8
+
+const (
+	snapOK      snapFault = iota
+	snapTear              // send half the response, then stall until the client hangs up
+	snapDrop              // send half the response, then close the connection
+	snapUnknown           // answer StatusUnknownSession
+)
+
+// scriptSnap is the n'th snapshot body a scriptServer serves. The
+// lengths cycle, so a client refreshing one buffer in place sees its
+// frame both grow and shrink.
+func scriptSnap(n int) []byte {
+	return append(fmt.Appendf(nil, "snap-%d|", n), bytes.Repeat([]byte{byte(n)}, 4096*(n%3))...)
 }
 
 // scriptServer is a fake ntpd that answers every op with StatusOK and
 // well-formed bodies, except that the first request carrying failOp is
-// answered with failStatus. Snapshots are "snap-1", "snap-2", ... in
-// the order they are served.
+// answered with failStatus, and the n'th OpSnapshot (counting from 1)
+// fails as snapFaults[n] says. The n'th snapshot served is
+// scriptSnap(n).
 type scriptServer struct {
 	ln         net.Listener
 	failOp     uint8
 	failStatus uint8
 
-	mu    sync.Mutex
-	fired bool
-	conns int
-	snaps int
-	seen  []seenReq
+	mu         sync.Mutex
+	snapFaults map[int]snapFault
+	fired      bool
+	conns      int
+	snaps      int
+	seen       []seenReq
 }
 
 func newScriptServer(t *testing.T, failOp, failStatus uint8) *scriptServer {
@@ -89,6 +111,13 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		if fail {
 			status = ss.failStatus
 		}
+		fault := snapOK
+		if req.op == OpSnapshot {
+			ss.snaps++
+			if fault = ss.snapFaults[ss.snaps]; fault == snapUnknown {
+				status = StatusUnknownSession
+			}
+		}
 		resp := appendResponseHeader(nil, req.op, req.reqID, status)
 		switch {
 		case status == StatusThrottled:
@@ -99,8 +128,7 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		case req.op == OpRestore:
 			resp = append(resp, make([]byte, 4)...)
 		case req.op == OpSnapshot:
-			ss.snaps++
-			resp = fmt.Appendf(resp, "snap-%d", ss.snaps)
+			resp = append(resp, scriptSnap(ss.snaps)...)
 		case req.op == OpUpdateBatch:
 			resp = le.AppendUint32(resp, 0)
 			resp = le.AppendUint32(resp, uint32(len(req.traces)))
@@ -108,8 +136,17 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		case req.op == OpStats:
 			resp = append(resp, make([]byte, 8+2*statsBytes)...)
 		}
-		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: req.blob, fail: fail})
+		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: req.blob, seq: req.seq, fail: fail})
 		ss.mu.Unlock()
+		if fault == snapTear || fault == snapDrop {
+			bw.Write(le.AppendUint32(nil, uint32(len(resp))))
+			bw.Write(resp[:len(resp)/2])
+			bw.Flush()
+			if fault == snapTear {
+				io.Copy(io.Discard, conn)
+			}
+			return
+		}
 		if writeFrame(bw, resp) != nil || bw.Flush() != nil {
 			return
 		}
@@ -192,11 +229,12 @@ func TestRetryClientPolicy(t *testing.T) {
 					t.Fatalf("prep: %v", err)
 				}
 				prepped, _ := ss.log()
-				lastSnap, snaps := "", 0
+				var lastSnap []byte
+				snaps := 0
 				for _, r := range prepped {
 					if r.op == OpSnapshot {
 						snaps++
-						lastSnap = fmt.Sprintf("snap-%d", snaps)
+						lastSnap = scriptSnap(snaps)
 					}
 				}
 				err = o.call(rc)
@@ -229,11 +267,11 @@ func TestRetryClientPolicy(t *testing.T) {
 					t.Fatalf("err = %v, want success after one resend", err)
 				}
 				if st.status == StatusUnknownSession {
-					want, blob := uint8(OpOpen), ""
+					want, blob := uint8(OpOpen), []byte(nil)
 					if o.restore {
 						want, blob = OpRestore, lastSnap
 					}
-					if len(after) == 0 || after[0].op != want || string(after[0].blob) != blob {
+					if len(after) == 0 || after[0].op != want || !bytes.Equal(after[0].blob, blob) {
 						t.Fatalf("after UnknownSession: requests %+v, want op 0x%02x with snapshot %q first", after, want, blob)
 					}
 					after = after[1:]
@@ -259,5 +297,93 @@ func TestRetryClientPolicy(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRetryClientSnapshotFailureKeepsAckedFrame: RetryClient refreshes
+// a session's frame in place, yet a snapshot that fails once requested
+// — its response torn mid-body and stalled, the connection dropped
+// mid-body, or ErrUnknownSession — leaves the last acked frame
+// byte-identical. The first two redial and snapshot again; answering
+// that retry ErrUnknownSession makes the client restore from the frame
+// it holds, so the server sees exactly the last acked frame, then the
+// batch resent over its original sequence range, and the stream
+// carries on from there.
+func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
+	const session = 5
+	for _, tc := range []struct {
+		name   string
+		faults []snapFault
+	}{
+		{"tear", []snapFault{snapTear, snapUnknown}},
+		{"drop", []snapFault{snapDrop, snapUnknown}},
+		{"unknown", []snapFault{snapUnknown}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ss := newScriptServer(t, 0, StatusOK)
+			// Snapshots 1-3 (Open, then two batches) are acked; the
+			// faults hit the third batch's snapshot and its retries.
+			ss.mu.Lock()
+			ss.snapFaults = map[int]snapFault{}
+			for i, f := range tc.faults {
+				ss.snapFaults[4+i] = f
+			}
+			ss.mu.Unlock()
+			rc, err := NewRetryClient(RetryConfig{
+				Addrs:         []string{ss.ln.Addr().String()},
+				OpTimeout:     200 * time.Millisecond,
+				BaseBackoff:   time.Millisecond,
+				MaxBackoff:    2 * time.Millisecond,
+				MaxElapsed:    5 * time.Second,
+				SnapshotEvery: 1,
+				Seed:          1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			if _, _, err := rc.Open(session); err != nil {
+				t.Fatal(err)
+			}
+			batch := make([]trace.Trace, 3)
+			update := func() {
+				t.Helper()
+				if _, _, _, err := rc.UpdateBatch(session, batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			update()
+			update()
+			acked := append([]byte(nil), rc.sessions[session].snap...)
+			if !bytes.Equal(acked, scriptSnap(3)) {
+				t.Fatalf("acked frame %.8q, want snapshot 3", acked)
+			}
+			update() // traces 7-9: its snapshot fails
+			update() // traces 10-12
+
+			seen, _ := ss.log()
+			var restores [][]byte
+			var seqs []uint64
+			for _, r := range seen {
+				switch r.op {
+				case OpRestore:
+					restores = append(restores, r.blob)
+				case OpUpdateBatch:
+					seqs = append(seqs, r.seq)
+				}
+			}
+			if len(restores) != 1 || !bytes.Equal(restores[0], acked) {
+				t.Fatalf("restored %d frames, want exactly the last acked frame once", len(restores))
+			}
+			if want := []uint64{1, 4, 7, 7, 10}; fmt.Sprint(seqs) != fmt.Sprint(want) {
+				t.Errorf("batch start sequences %v, want %v (the failed batch resent over its range)", seqs, want)
+			}
+			ss.mu.Lock()
+			last := ss.snaps
+			ss.mu.Unlock()
+			if got := rc.sessions[session].snap; !bytes.Equal(got, scriptSnap(last)) {
+				t.Errorf("held frame %.8q, want the newest one served (snapshot %d)", got, last)
+			}
+		})
 	}
 }

@@ -320,6 +320,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	out := make(chan []byte, 64)
 	var pending sync.WaitGroup // shard callbacks not yet delivered to out
 
+	// snapBuf parks the connection's one reusable OpSnapshot response
+	// buffer while no snapshot is in flight. The reader hands it to an
+	// OpSnapshot request, the shard writes the header and frame into
+	// it, and the writer parks it again once the frame is written. A
+	// snapshot pipelined behind one in flight gets a fresh buffer, and
+	// the writer drops whichever buffer finds the slot full, so a
+	// connection holds at most one frame-sized buffer between requests
+	// and never overwrites a frame before it is sent.
+	snapBuf := make(chan []byte, 1)
+
 	// Writer: drains out until closed. Write errors are ignored — the
 	// reader will observe the dead connection and stop; pending shard
 	// callbacks must still be consumed so shards never block on a dead
@@ -334,7 +344,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			if wt := s.cfg.WriteTimeout; wt > 0 {
 				conn.SetWriteDeadline(time.Now().Add(wt))
 			}
-			if writeFrame(bw, payload) != nil {
+			err := writeFrame(bw, payload)
+			if payload[0] == OpSnapshot|respBit {
+				// bw keeps no reference to a written payload.
+				select {
+				case snapBuf <- payload[:0]:
+				default:
+				}
+			}
+			if err != nil {
 				continue
 			}
 			// Flush when the channel momentarily empties, so pipelined
@@ -381,6 +399,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if cl == nil {
 			cl = s.clients.get(defaultClientTag)
+		}
+		if req.op == OpSnapshot {
+			select {
+			case req.resp = <-snapBuf:
+			default: // in flight: this response gets a fresh buffer
+			}
 		}
 		s.dispatch(req, cl, out, &pending)
 	}
@@ -432,9 +456,14 @@ func (s *Server) dispatch(req request, cl *clientState, out chan []byte, pending
 	}
 }
 
-// encodeResponse renders a shard response as a wire frame payload.
+// encodeResponse renders a shard response as a wire frame payload. An
+// OpSnapshot response is built in req.resp; a successful one the shard
+// already wrote there in full.
 func encodeResponse(req request, resp shardResp) []byte {
-	buf := appendResponseHeader(nil, req.op, req.reqID, statusOf(resp.err))
+	if req.op == OpSnapshot && resp.err == nil {
+		return resp.blob
+	}
+	buf := appendResponseHeader(req.resp[:0], req.op, req.reqID, statusOf(resp.err))
 	if resp.err != nil {
 		var te *ThrottledError
 		if errors.As(resp.err, &te) {
@@ -460,8 +489,6 @@ func encodeResponse(req request, resp shardResp) []byte {
 		var b [4]byte
 		le.PutUint32(b[:], resp.shard)
 		buf = append(buf, b[:]...)
-	case OpSnapshot:
-		buf = append(buf, resp.blob...)
 	case OpUpdateBatch, OpPredictBatch:
 		var b [batchRespBytes]byte
 		le.PutUint32(b[:], resp.skipped)

@@ -74,7 +74,7 @@ type shardResp struct {
 	correct  uint32                 // batch ops
 	sess     predictor.Stats        // OpStats: this session's counters
 	agg      predictor.Stats        // OpStats: shard-wide aggregate
-	blob     []byte                 // OpSnapshot: the encoded frame
+	blob     []byte                 // OpSnapshot: the whole response, header and frame
 	ckpt     []ckptFrame            // opCheckpoint: dirty sessions, encoded
 }
 
@@ -230,7 +230,7 @@ func (sh *shard) process(req request) shardResp {
 		if !ok {
 			return shardResp{err: ErrUnknownSession}
 		}
-		return sh.snapshotSession(s)
+		return sh.snapshotSession(s, req)
 	case OpRestore:
 		return sh.restore(req)
 	case opCheckpoint:
@@ -365,36 +365,27 @@ func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
 	}
 }
 
-// exportSession captures a session as a codec-ready snapshot: the
-// primary backend's state section stamped with the backend name.
-// Shadows are deliberately not captured — they are measurements, not
-// state the client can lose. Runs on the shard goroutine (or after the
-// shard is stopped, during drain).
-func (sh *shard) exportSession(s *session) (*snapshot.Session, error) {
-	if !sh.backend.Snapshottable() {
-		return nil, predictor.ErrNotSnapshottable
-	}
-	state, err := sh.backend.Save(s.p)
-	if err != nil {
-		return nil, err
-	}
-	return &snapshot.Session{
-		ID:      s.id,
-		LastSeq: s.lastSeq,
-		Backend: sh.backend.Name,
-		State:   state,
-	}, nil
+// appendFrame appends one session's snapshot frame to dst: the primary
+// backend's state section stamped with the backend name, written once,
+// straight into dst. Shadows are deliberately not captured — they are
+// measurements, not state the client can lose. A backend without codec
+// hooks fails in snapshot.AppendFrame before any state is written. Runs
+// on the shard goroutine (or after the shard is stopped, during drain).
+func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
+	return snapshot.AppendFrame(dst, s.id, s.lastSeq, sh.backend.Name, func(b []byte) ([]byte, error) {
+		return sh.backend.Append(b, s.p)
+	})
 }
 
-// snapshotSession serializes one session into a checksummed frame.
-// Save captures state at a round boundary, which holds by construction
-// here: the shard runs complete Predict/Update rounds per request.
-func (sh *shard) snapshotSession(s *session) shardResp {
-	sess, err := sh.exportSession(s)
-	if err != nil {
-		return shardResp{err: ErrBadRequest}
-	}
-	b, err := snapshot.Encode(sess)
+// snapshotSession writes the whole OpSnapshot response — the OK header,
+// then the session's frame — into the connection's response buffer
+// (req.resp), so the state is encoded once, into the bytes that go on
+// the wire. The backend captures state at a round boundary, which holds
+// by construction here: the shard runs complete Predict/Update rounds
+// per request.
+func (sh *shard) snapshotSession(s *session, req request) shardResp {
+	b := appendResponseHeader(req.resp[:0], OpSnapshot, req.reqID, StatusOK)
+	b, err := sh.appendFrame(b, s)
 	if err != nil {
 		return shardResp{err: ErrBadRequest}
 	}
@@ -470,11 +461,7 @@ func (sh *shard) checkpoint() shardResp {
 		if !s.dirty {
 			continue
 		}
-		sess, err := sh.exportSession(s)
-		if err != nil {
-			continue
-		}
-		b, err := snapshot.Encode(sess)
+		b, err := sh.appendFrame(nil, s)
 		if err != nil {
 			continue
 		}

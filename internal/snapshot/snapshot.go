@@ -14,7 +14,7 @@
 // The version-2 payload is backend-tagged: the session header is
 // followed by the predictor backend's registered name and an opaque
 // per-backend state section whose layout the backend's own codec
-// (predictor.Backend.Save/Restore) defines. The snapshot package owns
+// (predictor.Backend.Append/Restore) defines. The snapshot package owns
 // the envelope — framing, checksum, session bookkeeping, backend tag —
 // and backends own their state bytes, so a new predictor backend needs
 // no snapshot-layer change to become crash-safe.
@@ -109,33 +109,54 @@ func Encode(s *Session) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("snapshot: encode nil session")
 	}
-	if len(s.Backend) == 0 || len(s.Backend) > 0xFF {
-		return nil, fmt.Errorf("snapshot: session %#x: backend tag %q length outside [1, 255]", s.ID, s.Backend)
+	dst := make([]byte, 0, minFrame+sessionHeaderBytes+1+len(s.Backend)+4+len(s.State))
+	dst, err := AppendFrame(dst, s.ID, s.LastSeq, s.Backend, func(b []byte) ([]byte, error) {
+		return append(b, s.State...), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if b, ok := predictor.BackendByName(s.Backend); !ok || !b.Snapshottable() {
-		return nil, fmt.Errorf("snapshot: session %#x: backend %q is not a registered snapshottable backend", s.ID, s.Backend)
+	return dst, nil
+}
+
+// AppendFrame appends one checksummed frame to dst: the session header
+// and backend tag, then the state section that state appends in place,
+// then the checksum. The state is written once, straight into dst, so a
+// caller that reuses dst encodes a snapshot without allocating. It
+// applies Encode's checks, and on any error returns dst with nothing
+// appended.
+func AppendFrame(dst []byte, id, lastSeq uint64, backend string, state func([]byte) ([]byte, error)) ([]byte, error) {
+	start := len(dst)
+	if len(backend) == 0 || len(backend) > 0xFF {
+		return dst, fmt.Errorf("snapshot: session %#x: backend tag %q length outside [1, 255]", id, backend)
 	}
-	if len(s.State) == 0 {
-		return nil, fmt.Errorf("snapshot: session %#x: empty state section", s.ID)
+	if b, ok := predictor.BackendByName(backend); !ok || !b.Snapshottable() {
+		return dst, fmt.Errorf("snapshot: session %#x: backend %q is not a registered snapshottable backend", id, backend)
 	}
 
-	b := make([]byte, 0, minFrame+sessionHeaderBytes+1+len(s.Backend)+4+len(s.State))
-	b = append(b, magic[:]...)
-	b = append(b, Version)
 	le := binary.LittleEndian
-	b = le.AppendUint64(b, s.ID)
-	b = le.AppendUint64(b, s.LastSeq)
+	b := append(dst, magic[:]...)
+	b = append(b, Version)
+	b = le.AppendUint64(b, id)
+	b = le.AppendUint64(b, lastSeq)
 	b = le.AppendUint64(b, 0) // reserved
-	b = append(b, uint8(len(s.Backend)))
-	b = append(b, s.Backend...)
-	b = le.AppendUint32(b, uint32(len(s.State)))
-	b = append(b, s.State...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	if len(b) > MaxEncoded {
-		return nil, fmt.Errorf("snapshot: session %#x encodes to %d bytes > max %d",
-			s.ID, len(b), MaxEncoded)
+	b = append(b, uint8(len(backend)))
+	b = append(b, backend...)
+	lenAt := len(b)
+	b = le.AppendUint32(b, 0) // state length, patched below
+	b, err := state(b)
+	if err != nil {
+		return dst[:start], fmt.Errorf("snapshot: session %#x: %w", id, err)
 	}
-	return b, nil
+	stateLen := len(b) - lenAt - 4
+	if stateLen == 0 {
+		return dst[:start], fmt.Errorf("snapshot: session %#x: empty state section", id)
+	}
+	if n := len(b) - start + checksumBytes; n > MaxEncoded {
+		return dst[:start], fmt.Errorf("snapshot: session %#x encodes to %d bytes > max %d", id, n, MaxEncoded)
+	}
+	le.PutUint32(b[lenAt:], uint32(stateLen))
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b[start:])), nil
 }
 
 // Decode parses and validates a snapshot frame. The returned Session

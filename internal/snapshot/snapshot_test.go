@@ -327,3 +327,75 @@ func TestEncodeRejectsInvalidSessions(t *testing.T) {
 		t.Error("Encode with oversized backend tag succeeded")
 	}
 }
+
+// TestAppendFrameMatchesEncodeAfterPrefix: AppendFrame writes the same
+// bytes as Encode, after a caller's prefix it leaves untouched, for
+// every snapshottable backend — the serving layer appends frames after
+// a response header.
+func TestAppendFrameMatchesEncodeAfterPrefix(t *testing.T) {
+	for name, cfg := range codecConfigs() {
+		sess, b := warmSession(t, cfg, 1500)
+		want, err := Encode(sess)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		prefix := []byte("response header")
+		for _, dst := range [][]byte{
+			append([]byte(nil), prefix...),                            // must grow
+			append(make([]byte, 0, len(prefix)+len(want)), prefix...), // fits exactly
+		} {
+			p, err := b.Restore(sess.State, cfg)
+			if err != nil {
+				t.Fatalf("%s: Restore: %v", name, err)
+			}
+			got, err := AppendFrame(dst, sess.ID, sess.LastSeq, sess.Backend, func(s []byte) ([]byte, error) {
+				return b.Append(s, p)
+			})
+			if err != nil {
+				t.Fatalf("%s: AppendFrame: %v", name, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) {
+				t.Errorf("%s: prefix overwritten: %q", name, got[:len(prefix)])
+			}
+			if !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%s: appended frame differs from Encode", name)
+			}
+		}
+	}
+}
+
+// TestAppendFrameErrorsLeaveDst: on every error class AppendFrame
+// returns dst exactly as passed — same length, same bytes — so a
+// caller's buffer never carries a partial frame.
+func TestAppendFrameErrorsLeaveDst(t *testing.T) {
+	state := func(n int) func([]byte) ([]byte, error) {
+		return func(b []byte) ([]byte, error) { return append(b, make([]byte, n)...), nil }
+	}
+	cases := []struct {
+		name    string
+		backend string
+		state   func([]byte) ([]byte, error)
+	}{
+		{"empty tag", "", state(1)},
+		{"long tag", string(bytes.Repeat([]byte{'x'}, 256)), state(1)},
+		{"unregistered backend", "nope", state(1)},
+		{"not snapshottable", "unbounded", state(1)},
+		{"empty state", "hybrid", state(0)},
+		{"state error", "hybrid", func(b []byte) ([]byte, error) {
+			return append(b, 1, 2, 3), predictor.ErrBadState
+		}},
+		{"oversize", "hybrid", state(MaxEncoded)},
+	}
+	prefix := []byte("keep me")
+	for _, tc := range cases {
+		dst := append(make([]byte, 0, 64), prefix...)
+		got, err := AppendFrame(dst, 1, 2, tc.backend, tc.state)
+		if err == nil {
+			t.Errorf("%s: AppendFrame succeeded", tc.name)
+			continue
+		}
+		if len(got) != len(prefix) || &got[0] != &dst[0] || !bytes.Equal(got, prefix) {
+			t.Errorf("%s: returned %d bytes %q, want dst %q unchanged", tc.name, len(got), got, prefix)
+		}
+	}
+}
