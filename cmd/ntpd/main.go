@@ -29,9 +29,9 @@
 // graceful drain: in-flight requests finish, new ones are refused with
 // the draining status, then the process exits 0. The admin listener
 // (when -admin is set) serves /healthz, /statsz (JSON), /varz and
-// /metrics (Prometheus text: server counters, per-shard queue depth
-// and op-latency histograms, and live predictor hit/miss/replacement
-// counters). -portfile writes the bound data-plane port to a file, for
+// /metrics (Prometheus text: server counters, per-shard counts of
+// waiting requests and op-latency histograms, and live predictor
+// hit/miss/replacement counters). -portfile writes the bound data-plane port to a file, for
 // scripts that start ntpd on port 0; -adminportfile does the same for
 // the admin port, so a scrape of http://127.0.0.1:$(cat f)/metrics
 // needs no address parsing.
@@ -42,12 +42,12 @@
 //	ntpd -global-rate 200000                         # server-wide cap
 //	ntpd -limits-file limits.json                    # hot-reloadable limits
 //
-// Work requests pass through token buckets before the shard queues:
+// Work requests pass through token buckets before they reach a shard:
 // one bucket per client tag (announced by the client's hello frame)
 // plus one global bucket. A refused request is answered immediately
 // with the throttled status and a retry-after hint instead of
-// competing for queue slots, so one greedy client cannot starve the
-// rest. Limits change live — without dropping sessions — via SIGHUP
+// competing for the shard's waiting places, so one greedy client
+// cannot starve the rest. Limits change live — without dropping sessions — via SIGHUP
 // (re-reads -limits-file) or POST /limitz on the admin plane; the
 // JSON shape is {"per_client_rate": ..., "per_client_burst": ...,
 // "global_rate": ..., "global_burst": ...}.
@@ -118,7 +118,7 @@ func run() int {
 		addr     = flag.String("addr", "127.0.0.1:9191", "serve: listen address; loadgen: server address")
 		admin    = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
 		shards   = flag.Int("shards", 0, "predictor shards (default GOMAXPROCS)")
-		queue    = flag.Int("queue", 1024, "per-shard request queue bound")
+		queue    = flag.Int("queue", 1024, "per-shard bound on requests waiting for the shard; one more is answered overloaded")
 		portfile = flag.String("portfile", "", "write the bound data-plane port to this file once listening")
 		adminPF  = flag.String("adminportfile", "", "write the bound admin port to this file once listening")
 		drainT   = flag.Duration("drain", 10*time.Second, "graceful drain deadline on SIGTERM")

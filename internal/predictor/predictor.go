@@ -136,10 +136,14 @@ const (
 // instrumentation of served predictors (hit/miss/cold/replacement
 // counters). The hot path guards the single interface call with a nil
 // check, so an unset Recorder costs one predicted branch and the
-// attached case must not allocate: implementations should do nothing
-// heavier than atomic counter updates. Stats() remains the
-// authoritative accuracy record; a Recorder only mirrors it into an
-// external metrics sink without snapshotting.
+// attached case must not allocate. Record runs on the goroutine driving
+// the predictor. A Recorder shared only by predictors that are never
+// driven at the same time (a serving shard's sessions, under the shard
+// lock) may tally in plain integers and publish the tallies in bulk;
+// one shared by predictors driven concurrently must synchronise, e.g.
+// with atomic counters. Stats() remains the authoritative accuracy record; a
+// Recorder only mirrors it into an external metrics sink without
+// snapshotting.
 type Recorder interface {
 	Record(Event)
 }

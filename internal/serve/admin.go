@@ -133,8 +133,8 @@ type ShardStats struct {
 	Requests    uint64          `json:"requests"`
 	Batches     uint64          `json:"batches"`
 	Traces      uint64          `json:"traces"`
-	QueueDepth  int             `json:"queue_depth"`
-	QueueCap    int             `json:"queue_cap"`
+	QueueDepth  int             `json:"queue_depth"` // requests waiting on the shard
+	QueueCap    int             `json:"queue_cap"`   // the bound on them (Config.QueueLen)
 	Overloads   uint64          `json:"overloads"`
 	Predictor   predictor.Stats `json:"predictor"`
 	MissRatePct float64         `json:"miss_rate_pct"`
@@ -176,8 +176,7 @@ type ServerStats struct {
 
 // Stats snapshots the server: connection and frame counters, per-shard
 // load, and aggregated predictor accuracy. Predictor numbers come from
-// each shard's published snapshot, so this never blocks on a shard
-// queue.
+// each shard's published snapshot, so this never waits on a shard.
 func (s *Server) Stats() ServerStats {
 	var st ServerStats
 	st.Addr = s.ln.Addr().String()
@@ -203,8 +202,8 @@ func (s *Server) Stats() ServerStats {
 			Requests:    sh.counters.Requests.Load(),
 			Batches:     sh.counters.Batches.Load(),
 			Traces:      sh.counters.Traces.Load(),
-			QueueDepth:  len(sh.queue),
-			QueueCap:    cap(sh.queue),
+			QueueDepth:  int(sh.waiting.Load()),
+			QueueCap:    int(sh.queueLen),
 			Overloads:   sh.counters.Overloads.Load(),
 			Predictor:   agg,
 			MissRatePct: agg.MissRate(),

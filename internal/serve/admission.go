@@ -10,14 +10,14 @@ import (
 	"pathtrace/internal/metrics"
 )
 
-// This file is the fairness half of overload handling. The shard queue
-// bound (ErrOverloaded) protects the server from unbounded memory, but
-// it is FIFO-blind: one hot client can keep every shard queue full and
-// starve well-behaved sessions. Admission control sits ahead of the
-// shard queues: every work-carrying request is charged against a
-// per-client token bucket (and optionally a global one) before it may
-// touch a queue, so overload degrades per client — the aggressor is
-// throttled, everyone else proceeds.
+// This file is the fairness half of overload handling. The bound on
+// requests waiting per shard (ErrOverloaded) protects the server from
+// unbounded waiting, but it is FIFO-blind: one hot client can keep
+// every shard at its bound and starve well-behaved sessions. Admission
+// control sits ahead of the shards: every work-carrying request is
+// charged against a per-client token bucket (and optionally a global
+// one) before it may wait on a shard, so overload degrades per client —
+// the aggressor is throttled, everyone else proceeds.
 //
 // Throttle rejections are typed (ErrThrottled, wire status 0x06) and
 // carry a retry-after hint, so a cooperating client backs off exactly
@@ -147,7 +147,7 @@ type clientState struct {
 	bucket tokenBucket
 
 	requests  *metrics.Counter // frames dispatched
-	rounds    *metrics.Counter // traces enqueued to shards
+	rounds    *metrics.Counter // traces run on shards
 	bytes     *metrics.Counter // request payload bytes
 	overloads *metrics.Counter // ErrOverloaded rejections
 	throttles *metrics.Counter // ErrThrottled rejections
@@ -244,7 +244,7 @@ func admissionCost(req *request) float64 {
 
 // admit charges cost against the client's bucket and then the global
 // bucket. A global refusal refunds the client charge, so clients are
-// only ever billed for work that reached a shard queue. Returns the
+// only ever billed for work that was let through to a shard. Returns the
 // retry-after hint on refusal.
 func (s *Server) admit(cl *clientState, cost float64) (time.Duration, bool) {
 	if cost == 0 {

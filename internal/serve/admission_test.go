@@ -546,10 +546,10 @@ func TestAdminServerTimeouts(t *testing.T) {
 	}
 }
 
-// TestShardEnqueueStopRace hammers enqueue from many goroutines while
-// stop closes the queue. Before the queue-liveness lock this was a
-// send-on-closed-channel panic under exactly this interleaving; run
-// with -race.
+// TestShardEnqueueStopRace hammers shard.run from many goroutines while
+// stop shuts the shard. No interleaving may panic or race (run with
+// -race), and no request may do work once stop has returned: after
+// the hammer, a request is refused and the session count is frozen.
 func TestShardEnqueueStopRace(t *testing.T) {
 	backend, err := predictor.ResolveBackend(headlineConfig())
 	if err != nil {
@@ -558,7 +558,6 @@ func TestShardEnqueueStopRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		sh := newShard(0, backend, headlineConfig(), nil, nil, 4,
 			newShardMetrics(metrics.NewRegistry(), 0, "hybrid", nil))
-		sh.start()
 
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -568,22 +567,28 @@ func TestShardEnqueueStopRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 200; i++ {
-					// A false return is either queue-full backpressure or
-					// the shard shutting down mid-hammer; both are legal —
-					// the test is that no interleaving panics.
-					sh.enqueue(task{
-						req:  request{op: OpOpen, session: uint64(g*1000 + i)},
-						done: func(shardResp) {},
-					})
+					// A false return is either wait-bound backpressure or
+					// the shard shutting down mid-hammer; both are legal.
+					req := request{op: OpOpen, session: uint64(g*1000 + i)}
+					var resp shardResp
+					sh.run(&req, &resp)
 				}
 			}(g)
 		}
 		close(start)
-		sh.stop() // races with the enqueues by design
+		sh.stop() // races with the requests by design
+		sh.mu.Lock()
+		stopped := len(sh.sessions)
+		sh.mu.Unlock()
 		wg.Wait()
 
-		if sh.enqueue(task{req: request{op: OpOpen}, done: func(shardResp) {}}) {
-			t.Fatal("enqueue succeeded after stop")
+		req := request{op: OpOpen, session: 1 << 40}
+		var resp shardResp
+		if sh.run(&req, &resp) {
+			t.Fatal("run succeeded after stop")
+		}
+		if n := len(sh.sessions); n != stopped {
+			t.Fatalf("%d sessions at stop, %d after: requests ran after stop", stopped, n)
 		}
 	}
 }

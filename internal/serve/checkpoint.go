@@ -18,10 +18,10 @@ import (
 // checkpoints, and the drain-time offload that streams every live
 // session to a peer (or spills it to disk) so a SIGTERM loses nothing.
 //
-// Checkpointing is asynchronous and best-effort: the shard goroutine
-// only encodes (an in-memory walk of its dirty sessions); file IO
-// happens on a dedicated writer goroutine behind a bounded queue, so a
-// slow disk never blocks prediction. The authoritative zero-loss path
+// Checkpointing is asynchronous and best-effort: the sweep holds a shard
+// lock only to encode (an in-memory walk of its dirty sessions); file
+// IO happens on a dedicated writer goroutine behind a bounded queue, so
+// a slow disk never blocks prediction. The authoritative zero-loss path
 // is the drain offload, which runs after the shards have quiesced and
 // snapshots final state synchronously.
 
@@ -71,25 +71,21 @@ func (ck *checkpointer) tickLoop(every time.Duration) {
 	}
 }
 
-// sweep enqueues one checkpoint task per shard. The task runs on the
-// shard goroutine (so session state is read race-free) and hands the
-// encoded frames to the writer. A full shard queue skips the shard
-// this tick — its sessions stay dirty and the next tick retries.
+// sweep encodes each shard's dirty sessions under that shard's lock (so
+// session state is read race-free) and hands the frames to the writer.
 func (ck *checkpointer) sweep() {
 	for _, sh := range ck.s.shards {
-		sh.enqueue(task{req: request{op: opCheckpoint}, done: func(resp shardResp) {
-			for _, f := range resp.ckpt {
-				ck.submit(f)
-			}
-		}})
+		for _, f := range sh.checkpoint() {
+			ck.submit(f)
+		}
 	}
 }
 
-// submit offers a frame to the writer without blocking: the submitting
-// goroutine is a shard goroutine, and a stalled disk must not stall
-// prediction. A dropped frame is only a stale checkpoint — the session
-// re-dirties on its next update, and the drain offload never goes
-// through this queue.
+// submit offers a frame to the writer without blocking, so a stalled
+// disk never stalls the sweep. A dropped frame is only a stale
+// checkpoint — its session was marked clean, so it is written again
+// after its next update, and the drain offload never goes through this
+// queue.
 func (ck *checkpointer) submit(f ckptFrame) {
 	select {
 	case ck.frames <- f:
@@ -109,17 +105,17 @@ func (ck *checkpointer) writeLoop() {
 	}
 }
 
-// stopTicker stops the periodic sweeps. Called from quiesce, before the
-// shards stop (sweep tasks still in shard queues will run and feed the
-// writer, which stays up until close).
+// stopTicker stops the periodic sweeps and waits out a running one.
+// Called from quiesce, before the shards stop; the writer stays up
+// until close.
 func (ck *checkpointer) stopTicker() {
 	close(ck.tickStop)
 	ck.tickWG.Wait()
 }
 
 // close flushes and stops the writer. Callers must have stopped the
-// shards first: after close, a submit would panic on the closed
-// channel, and the shard goroutines are the only submitters.
+// ticker first: after close, a submit would panic on the closed
+// channel, and the sweep is the only submitter.
 func (ck *checkpointer) close() {
 	ck.stopOnce.Do(func() {
 		close(ck.frames)
@@ -164,7 +160,7 @@ func writeSnapshotFile(dir string, id uint64, frame []byte) error {
 }
 
 // loadCheckpoints restores every decodable session snapshot in dir into
-// its shard. Runs during NewServer, before the shards start. Corrupt or
+// its shard. Runs during NewServer, before the server serves. Corrupt or
 // incompatible files are counted and skipped, never installed: a torn
 // checkpoint costs a warm start, not correctness.
 func (s *Server) loadCheckpoints(dir string) error {

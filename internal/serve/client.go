@@ -307,7 +307,7 @@ type SessionStats struct {
 }
 
 // Stats fetches the session's predictor counters. The snapshot is
-// taken on the shard goroutine, strictly ordered with the session's
+// taken under the shard lock, strictly ordered with the session's
 // updates, so after the last batch of a stream it is the stream's
 // final, exact state.
 func (c *Client) Stats(session uint64) (SessionStats, error) {

@@ -272,7 +272,7 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 					for errors.Is(err, ErrOverloaded) || errors.Is(err, ErrThrottled) {
 						// Both rejections happen before the predictor is
 						// touched, so resending the same batch preserves
-						// exact stream order. Overload (shard queue full)
+						// exact stream order. Overload (shard at its bound)
 						// backs off a fixed beat; throttled (admission
 						// control) sleeps the server's retry-after hint.
 						nRetry++

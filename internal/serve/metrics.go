@@ -9,61 +9,87 @@ import (
 )
 
 // predRecorder adapts a shard's predictor event stream onto registry
-// counters. One recorder is shared by every session on the shard — the
-// shard goroutine is the only writer, and the counters are atomics, so
-// the admin listener reads them without coordination. Record is a
-// handful of atomic adds: nothing allocates, keeping the per-trace cost
-// of instrumentation below the noise floor of the predict loop.
+// counters. One recorder is shared by every session on the shard, and
+// Record runs under the shard lock, so it tallies events in plain
+// integers; flush adds the tallies to the atomic registry counters once
+// per request, before the reply. The per-trace cost is a few plain
+// increments, and nothing allocates.
 type predRecorder struct {
+	// backend tallies rounds and correct predictions. Its flush feeds
+	// the per-backend accuracy families (role="primary"), and this
+	// recorder's flush feeds rounds/correct/misses from the same
+	// tallies, so the primary and its shadows are directly comparable
+	// on one dashboard axis.
+	backend backendRec
+
+	n struct{ cold, secondary, replaced uint64 } // tallies since the last flush
+
 	rounds    *metrics.Counter
 	correct   *metrics.Counter
 	misses    *metrics.Counter
 	cold      *metrics.Counter
 	secondary *metrics.Counter
 	replaced  *metrics.Counter
-
-	// backend mirrors rounds/correct/misses under the per-backend
-	// accuracy families (role="primary"), so the primary and its shadows
-	// are directly comparable on one dashboard axis.
-	backend backendRec
 }
 
 func (r *predRecorder) Record(ev predictor.Event) {
 	r.backend.Record(ev)
-	r.rounds.Inc()
-	if ev&predictor.EvCorrect != 0 {
-		r.correct.Inc()
-	} else {
-		r.misses.Inc()
-	}
 	if ev&predictor.EvCold != 0 {
-		r.cold.Inc()
+		r.n.cold++
 	}
 	if ev&predictor.EvFromSecondary != 0 {
-		r.secondary.Inc()
+		r.n.secondary++
 	}
 	if ev&predictor.EvReplaced != 0 {
-		r.replaced.Inc()
+		r.n.replaced++
 	}
+}
+
+// flush publishes the tallies and resets them.
+func (r *predRecorder) flush() {
+	rounds, correct := r.backend.n.rounds, r.backend.n.correct
+	if rounds == 0 {
+		return
+	}
+	r.backend.flush()
+	r.rounds.Add(rounds)
+	r.correct.Add(correct)
+	r.misses.Add(rounds - correct)
+	r.cold.Add(r.n.cold)
+	r.secondary.Add(r.n.secondary)
+	r.replaced.Add(r.n.replaced)
+	r.n.cold, r.n.secondary, r.n.replaced = 0, 0, 0
 }
 
 // backendRec is the per-backend accuracy recorder behind the
 // ntpd_backend_* families. The primary embeds one (role="primary");
 // every shadow backend gets its own (role="shadow") and its sessions'
-// evaluation predictors report into it via Config.Recorder.
+// evaluation predictors report into it via Config.Recorder. Like
+// predRecorder it tallies under the shard lock and publishes on flush.
 type backendRec struct {
+	n struct{ rounds, correct uint64 } // tallies since the last flush
+
 	rounds  *metrics.Counter
 	correct *metrics.Counter
 	misses  *metrics.Counter
 }
 
 func (r *backendRec) Record(ev predictor.Event) {
-	r.rounds.Inc()
+	r.n.rounds++
 	if ev&predictor.EvCorrect != 0 {
-		r.correct.Inc()
-	} else {
-		r.misses.Inc()
+		r.n.correct++
 	}
+}
+
+// flush publishes the tallies and resets them.
+func (r *backendRec) flush() {
+	if r.n.rounds == 0 {
+		return
+	}
+	r.rounds.Add(r.n.rounds)
+	r.correct.Add(r.n.correct)
+	r.misses.Add(r.n.rounds - r.n.correct)
+	r.n.rounds, r.n.correct = 0, 0
 }
 
 func newBackendRec(reg *metrics.Registry, backend, role, shard string) *backendRec {
@@ -76,8 +102,9 @@ func newBackendRec(reg *metrics.Registry, backend, role, shard string) *backendR
 }
 
 // shardMetrics is the per-shard instrumentation bundle: one latency
-// histogram per request op plus the predictor event recorder. Built at
-// server startup; the shard loop only touches pre-registered atomics.
+// histogram per request op plus the predictor event recorders. Built at
+// server startup; a request only touches pre-registered atomics and the
+// recorders' tallies.
 type shardMetrics struct {
 	opSeconds [OpUpdateBatch + 1]*metrics.Histogram // indexed by op byte
 	rec       predRecorder
@@ -89,14 +116,13 @@ type shardMetrics struct {
 	batchSize   *metrics.Histogram
 	batchFrames *metrics.Counter
 
-	// shadowRec holds one accuracy recorder per shadow backend; the
-	// shard wires it into each session's shadow predictors.
-	shadowRec map[string]*backendRec
+	// shadowRec holds one accuracy recorder per shadow backend, in
+	// Config.Shadows order; the shard wires each into its backend's
+	// session shadow predictors.
+	shadowRec []*backendRec
 }
 
 // opNames maps request op bytes to their metric label values.
-// (opCheckpoint is internal and unmeasured: it is bulk work on the
-// shard goroutine, not a request.)
 var opNames = [OpUpdateBatch + 1]string{
 	OpOpen:         "open",
 	OpStats:        "stats",
@@ -133,13 +159,22 @@ func newShardMetrics(reg *metrics.Registry, shardID int, primary string, shadows
 		replaced:  reg.Counter("ntpd_predictor_replacements_total", "Trained table entries displaced during training.", l),
 		backend:   *newBackendRec(reg, primary, "primary", shard),
 	}
-	if len(shadows) > 0 {
-		m.shadowRec = make(map[string]*backendRec, len(shadows))
-		for _, name := range shadows {
-			m.shadowRec[name] = newBackendRec(reg, name, "shadow", shard)
-		}
+	for _, name := range shadows {
+		m.shadowRec = append(m.shadowRec, newBackendRec(reg, name, "shadow", shard))
 	}
 	return m
+}
+
+// flush publishes every recorder's tallies to the registry. Nil-safe
+// like observe.
+func (m *shardMetrics) flush() {
+	if m == nil {
+		return
+	}
+	m.rec.flush()
+	for _, r := range m.shadowRec {
+		r.flush()
+	}
 }
 
 // observe records one request's shard-side processing time.
@@ -249,8 +284,8 @@ func (s *Server) registerMetrics() {
 			func() uint64 { return sh.counters.RestoreRejects.Load() })
 		reg.CounterFunc("ntpd_update_dups_total", "Batch frames that replayed already-applied sequences per shard.", l,
 			func() uint64 { return sh.counters.DupUpdates.Load() })
-		reg.GaugeFunc("ntpd_shard_queue_depth", "Tasks waiting in the shard queue.", l,
-			func() float64 { return float64(len(sh.queue)) })
+		reg.GaugeFunc("ntpd_shard_queue_depth", "Requests waiting on the shard.", l,
+			func() float64 { return float64(sh.waiting.Load()) })
 		reg.GaugeFunc("ntpd_shard_sessions", "Sessions owned by the shard.", l,
 			func() float64 {
 				_, n := sh.snapshot()

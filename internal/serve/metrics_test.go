@@ -81,8 +81,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The shard updates its counters and publishes its snapshot before
-	// the task callback sends UpdateBatch's response, so by the time the
-	// client returns the counters below are already final.
+	// it releases its lock, and the response is written after that, so
+	// by the time the client returns the counters below are already
+	// final.
 	body := scrape(t, srv)
 
 	// Structure: every sample line matches the exposition grammar.
@@ -281,5 +282,75 @@ func TestLoadgenHistogramReport(t *testing.T) {
 	}
 	if v := metricValue(t, b.String(), "loadgen_rtt_seconds_count"); v != float64(rep.Requests) {
 		t.Errorf("exported loadgen_rtt_seconds_count = %v, want %d", v, rep.Requests)
+	}
+}
+
+// TestMetricsExactAtEveryReply: the shard tallies predictor events in
+// plain counters and publishes them once per request, before the
+// reply. So right after every response — not only at the end — the
+// ntpd_predictor_* families and the primary's ntpd_backend_* families
+// must equal the summed session Stats, and the shadow's must equal an
+// in-process replay of the same traces through the shadow backend.
+func TestMetricsExactAtEveryReply(t *testing.T) {
+	traces := streamTraces(t)
+	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1, Shadows: []string{"tage"}})
+	cl := dialT(t, srv)
+	ids := []uint64{1, 2}
+	shadowCfg := headlineConfig()
+	shadowCfg.Backend = "tage"
+	shadows := map[uint64]predictor.NextTracePredictor{}
+	for _, id := range ids {
+		if _, _, err := cl.Open(id); err != nil {
+			t.Fatal(err)
+		}
+		shadows[id] = predictor.MustNew(shadowCfg)
+	}
+	preds := make([]predictor.Prediction, 256)
+	off := 0
+	for step, n := range []int{100, 7, 256, 1, 64, 180, 33, 90} {
+		id := ids[step%2]
+		batch := traces[off : off+n]
+		off += n
+		var err error
+		if step%3 == 0 {
+			_, _, _, err = cl.UpdateBatch(id, batch)
+		} else {
+			_, _, _, err = cl.PredictBatch(id, batch, preds)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		predictor.UpdateBatch(shadows[id], batch)
+
+		body := scrape(t, srv) // before anything else reaches the server
+		var sum, shadow predictor.Stats
+		for _, id := range ids {
+			st, err := cl.Stats(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum = sum.Add(st.Session)
+			shadow = shadow.Add(shadows[id].Stats())
+		}
+		for _, c := range []struct {
+			series string
+			want   uint64
+		}{
+			{`ntpd_predictor_rounds_total{shard="0"}`, sum.Predictions},
+			{`ntpd_predictor_correct_total{shard="0"}`, sum.Correct},
+			{`ntpd_predictor_miss_total{shard="0"}`, sum.Mispredictions()},
+			{`ntpd_predictor_cold_total{shard="0"}`, sum.Cold},
+			{`ntpd_predictor_secondary_total{shard="0"}`, sum.FromSecondary},
+			{`ntpd_backend_rounds_total{backend="hybrid",role="primary",shard="0"}`, sum.Predictions},
+			{`ntpd_backend_correct_total{backend="hybrid",role="primary",shard="0"}`, sum.Correct},
+			{`ntpd_backend_miss_total{backend="hybrid",role="primary",shard="0"}`, sum.Mispredictions()},
+			{`ntpd_backend_rounds_total{backend="tage",role="shadow",shard="0"}`, shadow.Predictions},
+			{`ntpd_backend_correct_total{backend="tage",role="shadow",shard="0"}`, shadow.Correct},
+			{`ntpd_backend_miss_total{backend="tage",role="shadow",shard="0"}`, shadow.Mispredictions()},
+		} {
+			if got := metricValue(t, body, c.series); got != float64(c.want) {
+				t.Errorf("step %d: %s = %v, want %d", step, c.series, got, c.want)
+			}
+		}
 	}
 }

@@ -5,7 +5,8 @@
 //
 // The design goal is that serving must not change prediction: a session
 // is pinned to one shard, every session owns its own predictor, and a
-// shard processes its queue on a single goroutine, so the trace order a
+// shard runs one request at a time under its lock, each to completion on
+// the goroutine of the connection that read it, so the trace order a
 // session's predictor observes over the network is exactly the order of
 // the replayed stream. Server-side predictor stats for a session are
 // therefore bit-identical to an in-process Stream.Replay of the same
@@ -37,7 +38,7 @@
 //
 // The batch ops are the only way to train a session. Each runs one
 // full Predict/Update round per trace — the paper's immediate-update
-// regime — in a single frame and a single shard-queue hop:
+// regime — in a single frame and a single pass through the shard:
 //
 //	OpUpdateBatch  req:  u64 startSeq | u32 count | count * trace (24 bytes each)
 //	               resp: u32 skipped | u32 applied | u32 correct
@@ -81,8 +82,9 @@
 //
 // Responses carry a status byte; non-OK statuses map to the typed
 // errors ErrOverloaded, ErrDraining, ErrUnknownSession, ErrBadRequest.
-// Overload is the backpressure signal: the session's shard queue was
-// full, and the client is expected to back off and retry.
+// Overload is the backpressure signal: the session's shard already had
+// its bound of requests waiting, and the client is expected to back off
+// and retry.
 //
 // # Client identity and admission control
 //
@@ -91,7 +93,7 @@
 // request/round/byte/rejection counters on /metrics and /statsz).
 // When the server runs with admission limits, the batch ops are
 // charged against the tag's token bucket and the global bucket before
-// they may enter a shard queue; a refusal is StatusThrottled and the response body
+// they may wait on a shard; a refusal is StatusThrottled and the response body
 // carries a u32 retry-after hint in milliseconds — unlike overload,
 // throttling tells the client exactly when its bucket will cover the
 // request. Control-plane ops (Open, Stats, Snapshot, Restore, Hello)
@@ -100,6 +102,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -122,18 +125,13 @@ const (
 	OpPredictBatch = 0x07
 	OpUpdateBatch  = 0x08
 	// OpHello tags the connection with a client identity (body: the tag,
-	// 1..64 printable ASCII bytes). Connection-scoped, handled before the
-	// shard queues: every subsequent request on the connection is
+	// 1..64 printable ASCII bytes). Connection-scoped, handled before any
+	// shard: every subsequent request on the connection is
 	// accounted (and admission-controlled) under the tag. Optional —
 	// untagged connections account under the "default" tag.
 	OpHello = 0x09
 
 	respBit = 0x80
-
-	// opCheckpoint is an internal pseudo-op enqueued by the server's
-	// checkpoint ticker, never parsed off the wire: it asks a shard to
-	// encode its dirty sessions on the shard goroutine.
-	opCheckpoint = 0xF0
 )
 
 // Status codes.
@@ -152,8 +150,9 @@ const (
 
 // Typed protocol errors, one per non-OK status.
 var (
-	// ErrOverloaded reports that the session's shard queue was full —
-	// the server's backpressure signal. Retryable after backoff.
+	// ErrOverloaded reports that the session's shard already had its
+	// bound of requests waiting — the server's backpressure signal.
+	// Retryable after backoff.
 	ErrOverloaded = errors.New("serve: shard overloaded")
 	// ErrDraining reports that the server is shutting down and no
 	// longer accepts work. Not retryable on this connection.
@@ -248,29 +247,36 @@ var ErrFrame = errors.New("serve: malformed frame")
 
 var le = binary.LittleEndian
 
-// writeFrame writes one length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	le.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// writeFrame writes one length-prefixed payload into w's buffer. The
+// header is staged in w itself, so writing a frame allocates nothing.
+func writeFrame(w *bufio.Writer, payload []byte) error {
+	if w.Available() < 4 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
 	}
+	// The header fits the available buffer, so this Write cannot fail
+	// unless w already holds an error, which the payload Write returns.
+	w.Write(le.AppendUint32(w.AvailableBuffer(), uint32(len(payload))))
 	_, err := w.Write(payload)
 	return err
 }
 
 // readFrame reads one length-prefixed payload into buf (grown as
 // needed) and returns the payload slice. io.EOF is returned unwrapped
-// when the stream ends cleanly between frames.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+// when the stream ends cleanly between frames. The header is read
+// through r's own buffer, so reading a frame allocates nothing once buf
+// fits.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: short header: %v", ErrFrame, err)
 	}
-	n := le.Uint32(hdr[:])
+	n := le.Uint32(hdr)
+	r.Discard(4) // cannot fail: Peek buffered the 4 bytes
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrFrame, n, MaxFrame)
 	}
@@ -304,20 +310,19 @@ func putTrace(buf []byte, tr *trace.Trace) {
 	buf[23] = flags
 }
 
-// getTrace decodes one wire trace into dst. Branches and Mems are nil:
-// the predictor does not consume them, and the wire format omits them.
+// getTrace decodes one wire trace into dst, setting the wire fields in
+// place. Every other field (Branches, Mems) is left as it was: the
+// predictor does not consume them, and the wire format omits them.
 func getTrace(buf []byte, dst *trace.Trace) {
-	*dst = trace.Trace{
-		ID:        trace.ID(le.Uint64(buf[0:])),
-		Hash:      trace.HashedID(le.Uint16(buf[8:])),
-		StartPC:   le.Uint32(buf[10:]),
-		NextPC:    le.Uint32(buf[14:]),
-		Len:       int(le.Uint16(buf[18:])),
-		Calls:     int(le.Uint16(buf[20:])),
-		NumBr:     int(buf[22]),
-		EndsInRet: buf[23]&1 != 0,
-		EndsHalt:  buf[23]&2 != 0,
-	}
+	dst.ID = trace.ID(le.Uint64(buf[0:]))
+	dst.Hash = trace.HashedID(le.Uint16(buf[8:]))
+	dst.StartPC = le.Uint32(buf[10:])
+	dst.NextPC = le.Uint32(buf[14:])
+	dst.Len = int(le.Uint16(buf[18:]))
+	dst.Calls = int(le.Uint16(buf[20:]))
+	dst.NumBr = int(buf[22])
+	dst.EndsInRet = buf[23]&1 != 0
+	dst.EndsHalt = buf[23]&2 != 0
 }
 
 // putStats encodes predictor stats (6 u64 counters) into buf.
@@ -374,76 +379,98 @@ func getPrediction(buf []byte) predictor.Prediction {
 	}
 }
 
-// request is a decoded request frame. Traces and blob are freshly
-// allocated copies — the connection's read buffer is reused per frame,
-// and the shard consumes requests asynchronously.
+// frameBuffered reports whether r already holds a whole frame, so the
+// next readFrame returns without waiting on the connection.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return r.Buffered()-4 >= int(le.Uint32(hdr))
+}
+
+// request is one connection's request: the decoded frame plus the
+// connection's reused buffers. A connection has one request in flight
+// at a time, so it owns a single request value, and every frame is
+// decoded into it. The buffers grow lazily to the largest frame seen
+// and are never shrunk.
 type request struct {
 	op        uint8
 	reqID     uint32
 	session   uint64
 	seq       uint64        // batch ops: exactly-once sequence of traces[0], 0 = none
-	traces    []trace.Trace // batch ops
-	blob      []byte        // OpRestore only: the snapshot frame
-	resp      []byte        // OpSnapshot only: the connection's reusable response buffer (set by the reader, not parsed)
+	traces    []trace.Trace // batch ops: decoded into the reused buffer
+	blob      []byte        // OpRestore only: the snapshot frame, aliasing the payload
 	client    string        // OpHello only: the client tag (copied)
 	wireBytes int           // payload size on the wire, for per-client byte accounting
+
+	preds []predictor.Prediction // reused: PredictBatch's predictions, written by the shard
+	resp  []byte                 // reused: the encoded response
 }
 
-// parseRequest decodes a request payload. The returned request shares
-// no memory with payload.
-func parseRequest(payload []byte) (request, error) {
+// parseRequest decodes a request payload into req, keeping req's
+// buffers. req.blob aliases payload, so it is valid only until the next
+// frame is read into payload's buffer. On error req is left partly
+// decoded.
+func parseRequest(req *request, payload []byte) error {
 	if len(payload) < reqHeaderBytes {
-		return request{}, fmt.Errorf("%w: request %d bytes", ErrFrame, len(payload))
+		return fmt.Errorf("%w: request %d bytes", ErrFrame, len(payload))
 	}
-	req := request{
+	*req = request{
 		op:        payload[0],
 		reqID:     le.Uint32(payload[1:]),
 		session:   le.Uint64(payload[5:]),
 		wireBytes: len(payload),
+		traces:    req.traces[:0],
+		preds:     req.preds,
+		resp:      req.resp,
 	}
 	body := payload[reqHeaderBytes:]
 	switch req.op {
 	case OpOpen, OpStats, OpSnapshot:
 		if len(body) != 0 {
-			return request{}, fmt.Errorf("%w: op 0x%02x with %d-byte body", ErrFrame, req.op, len(body))
+			return fmt.Errorf("%w: op 0x%02x with %d-byte body", ErrFrame, req.op, len(body))
 		}
 	case OpUpdateBatch, OpPredictBatch:
 		if len(body) < updateHeaderBytes {
-			return request{}, fmt.Errorf("%w: batch body %d bytes", ErrFrame, len(body))
+			return fmt.Errorf("%w: batch body %d bytes", ErrFrame, len(body))
 		}
 		req.seq = le.Uint64(body)
 		count := le.Uint32(body[8:])
 		if count > MaxBatch {
-			return request{}, fmt.Errorf("%w: batch %d exceeds %d", ErrFrame, count, MaxBatch)
+			return fmt.Errorf("%w: batch %d exceeds %d", ErrFrame, count, MaxBatch)
 		}
 		if len(body) != updateHeaderBytes+int(count)*wireTraceBytes {
-			return request{}, fmt.Errorf("%w: batch %d in %d-byte body", ErrFrame, count, len(body))
+			return fmt.Errorf("%w: batch %d in %d-byte body", ErrFrame, count, len(body))
 		}
 		// The range [startSeq, startSeq+count) must not wrap uint64.
 		if req.seq != 0 && count != 0 && req.seq+uint64(count)-1 < req.seq {
-			return request{}, fmt.Errorf("%w: seq range %d+%d wraps", ErrFrame, req.seq, count)
+			return fmt.Errorf("%w: seq range %d+%d wraps", ErrFrame, req.seq, count)
 		}
-		req.traces = make([]trace.Trace, count)
+		if cap(req.traces) < int(count) {
+			req.traces = make([]trace.Trace, count)
+		}
+		req.traces = req.traces[:count]
 		for i := range req.traces {
 			getTrace(body[updateHeaderBytes+i*wireTraceBytes:], &req.traces[i])
 		}
 	case OpRestore:
 		if len(body) == 0 || len(body) > snapshot.MaxEncoded {
-			return request{}, fmt.Errorf("%w: restore body %d bytes", ErrFrame, len(body))
+			return fmt.Errorf("%w: restore body %d bytes", ErrFrame, len(body))
 		}
-		req.blob = append([]byte(nil), body...)
+		req.blob = body
 	case OpHello:
 		// Structural bound only; tag content is validated where the
 		// connection handles the op, which answers StatusBadRequest
 		// without killing the (frame-aligned) connection.
 		if len(body) == 0 || len(body) > maxClientTagLen {
-			return request{}, fmt.Errorf("%w: hello tag %d bytes", ErrFrame, len(body))
+			return fmt.Errorf("%w: hello tag %d bytes", ErrFrame, len(body))
 		}
 		req.client = string(body)
 	default:
-		return request{}, fmt.Errorf("%w: unknown op 0x%02x", ErrFrame, req.op)
+		return fmt.Errorf("%w: unknown op 0x%02x", ErrFrame, req.op)
 	}
-	return req, nil
+	return nil
 }
 
 // appendResponseHeader appends a response header for req with status.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -63,15 +64,21 @@ func TestPredictionWireRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{0xab}, 1000)}
+	// A small writer buffer makes frames straddle flushes.
+	bw := bufio.NewWriterSize(&buf, 16)
+	payloads := [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{0xab}, 1000), {4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}}
 	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+		if err := writeFrame(bw, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReaderSize(&buf, 16)
 	var scratch []byte
 	for i, want := range payloads {
-		got, err := readFrame(&buf, scratch)
+		got, err := readFrame(br, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -80,8 +87,12 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: got %x, want %x", i, got, want)
 		}
 	}
-	if _, err := readFrame(&buf, scratch); err != io.EOF {
+	if _, err := readFrame(br, scratch); err != io.EOF {
 		t.Errorf("after last frame: err = %v, want io.EOF", err)
+	}
+	// A stream cut inside a header is a malformed frame, not a clean end.
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{1, 0})), nil); !errors.Is(err, ErrFrame) {
+		t.Errorf("torn header: err = %v, want ErrFrame", err)
 	}
 }
 
@@ -90,7 +101,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 	var hdr [4]byte
 	le.PutUint32(hdr[:], MaxFrame+1)
 	buf.Write(hdr[:])
-	if _, err := readFrame(&buf, nil); !errors.Is(err, ErrFrame) {
+	if _, err := readFrame(bufio.NewReader(&buf), nil); !errors.Is(err, ErrFrame) {
 		t.Errorf("oversize frame: err = %v, want ErrFrame", err)
 	}
 }
@@ -125,15 +136,16 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 		"retired op 0x03":      batchFrame(0x03, 1, 2, 0),
 	}
 	for name, payload := range cases {
-		if _, err := parseRequest(payload); !errors.Is(err, ErrFrame) {
+		var req request
+		if err := parseRequest(&req, payload); !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: err = %v, want ErrFrame", name, err)
 		}
 	}
 
 	// And a well-formed update parses.
 	good := okUpdate(2, 0)
-	req, err := parseRequest(good)
-	if err != nil {
+	var req request
+	if err := parseRequest(&req, good); err != nil {
 		t.Fatalf("good update: %v", err)
 	}
 	if req.op != OpUpdateBatch || len(req.traces) != 2 {
@@ -146,8 +158,10 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 // the invariants of its op: control ops carry no traces, blob or tag;
 // a Restore blob and a Hello tag stay within their bounds; a batch
 // carries no more traces than its bytes can honestly hold, and its
-// sequence range never wraps. Seeds cover one well-formed frame per op
-// plus hostile shapes.
+// sequence range never wraps. A connection decodes every frame into
+// the same request, so each input is also decoded into a request left
+// dirty by earlier frames, and that decode must equal the fresh one.
+// Seeds cover one well-formed frame per op plus hostile shapes.
 func FuzzParseRequest(f *testing.F) {
 	// A well-formed OpPredictBatch frame...
 	valid := batchFrame(OpPredictBatch, 1, 2, 0)
@@ -180,10 +194,34 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add(batchFrame(OpUpdateBatch, 1, 3, 0))
 	f.Add(batchFrame(0x03, 1, 2, 0))
 
+	// The frames that dirty the reused request: a batch whose traces
+	// have every wire bit set, then a Restore whose blob is left behind.
+	dirtyBatch := batchFrame(OpUpdateBatch, 9, 16, 0)
+	for i := reqHeaderBytes + updateHeaderBytes; i < len(dirtyBatch); i++ {
+		dirtyBatch[i] = 0xff
+	}
+	dirtyRestore := withBody(OpRestore, "stale snapshot bytes")
+
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		req, err := parseRequest(payload)
+		var req request
+		err := parseRequest(&req, payload)
+
+		var dirty request
+		for _, p := range [][]byte{dirtyBatch, dirtyRestore} {
+			if e := parseRequest(&dirty, p); e != nil {
+				t.Fatalf("dirtying frame rejected: %v", e)
+			}
+		}
+		dirty.preds = make([]predictor.Prediction, 3)
+		dirty.resp = []byte("stale response")
+		if derr := parseRequest(&dirty, payload); (derr == nil) != (err == nil) {
+			t.Fatalf("fresh decode err %v, reused decode err %v", err, derr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameRequest(&req, &dirty) {
+			t.Fatalf("reused decode %+v differs from fresh decode %+v", dirty, req)
 		}
 		if req.wireBytes != len(payload) {
 			t.Fatalf("wireBytes %d for a %d-byte payload", req.wireBytes, len(payload))
@@ -219,6 +257,16 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("accepted unknown op 0x%02x", req.op)
 		}
 	})
+}
+
+// sameRequest compares the decoded fields of two requests, ignoring the
+// connection's buffers and how much capacity the traces slice has.
+func sameRequest(a, b *request) bool {
+	return a.op == b.op && a.reqID == b.reqID && a.session == b.session &&
+		a.seq == b.seq && a.client == b.client && a.wireBytes == b.wireBytes &&
+		(a.blob == nil) == (b.blob == nil) && bytes.Equal(a.blob, b.blob) &&
+		len(a.traces) == len(b.traces) &&
+		(len(a.traces) == 0 || reflect.DeepEqual(a.traces, b.traces))
 }
 
 func TestStatusErrRoundTrip(t *testing.T) {

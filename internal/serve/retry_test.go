@@ -100,8 +100,8 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 			return
 		}
 		buf = payload
-		req, err := parseRequest(payload)
-		if err != nil {
+		var req request
+		if err := parseRequest(&req, payload); err != nil {
 			return
 		}
 		ss.mu.Lock()
@@ -136,7 +136,7 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		case req.op == OpStats:
 			resp = append(resp, make([]byte, 8+2*statsBytes)...)
 		}
-		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: req.blob, seq: req.seq, fail: fail})
+		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: bytes.Clone(req.blob), seq: req.seq, fail: fail})
 		ss.mu.Unlock()
 		if fault == snapTear || fault == snapDrop {
 			bw.Write(le.AppendUint32(nil, uint32(len(resp))))

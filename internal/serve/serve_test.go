@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -179,11 +180,10 @@ func TestServeUnknownSession(t *testing.T) {
 	}
 }
 
-// TestServeOverload fills a tiny shard queue from a connection that
-// never reads responses... that would stall the writer; instead it
-// uses many concurrent clients against a 1-queue server and requires
-// that overloads either happened (typed, recoverable) or everything
-// succeeded — and that the server survives either way.
+// TestServeOverload runs many concurrent clients against a one-shard
+// server that lets one request wait, and requires that overloads
+// either happened (typed, recoverable) or everything succeeded — and
+// that the server survives either way.
 func TestServeOverload(t *testing.T) {
 	s := captureTestStream(t)
 	srv := newTestServer(t, Config{Shards: 1, QueueLen: 1})
@@ -244,7 +244,7 @@ func TestServeOverload(t *testing.T) {
 }
 
 // openRetry retries Open over transient overloads (Open goes through
-// the same bounded queue as everything else).
+// the same bounded wait on the shard as everything else).
 func openRetry(cl *Client, session uint64) (uint32, error) {
 	for i := 0; ; i++ {
 		shard, _, err := cl.Open(session)
@@ -413,11 +413,12 @@ func TestServeMalformedFrameClosesConn(t *testing.T) {
 	// Legal length prefix, garbage op.
 	payload := make([]byte, reqHeaderBytes)
 	payload[0] = 0x7f
-	if err := writeFrame(raw, payload); err != nil {
+	bw := bufio.NewWriter(raw)
+	if err := writeFrame(bw, payload); err != nil || bw.Flush() != nil {
 		t.Fatal(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readFrame(raw, nil); err == nil {
+	if _, err := readFrame(bufio.NewReader(raw), nil); err == nil {
 		t.Error("expected connection close after malformed request")
 	}
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,13 +28,13 @@ type Config struct {
 	AdminAddr string
 
 	// Shards is the number of predictor shards (default: GOMAXPROCS).
-	// Sessions are hashed to shards; each shard processes its queue on
-	// one goroutine.
+	// Sessions are hashed to shards; a shard runs one request at a time,
+	// under its lock, on the goroutine of the connection that read it.
 	Shards int
 
-	// QueueLen bounds each shard's request queue (default 1024). A full
-	// queue overloads: the request is rejected immediately with
-	// ErrOverloaded rather than queued unboundedly.
+	// QueueLen bounds the requests waiting on each shard (default 1024).
+	// One more overloads: the request is rejected immediately with
+	// ErrOverloaded rather than left to wait unboundedly.
 	QueueLen int
 
 	// Predictor configures the per-session predictors. The zero value
@@ -72,8 +73,8 @@ type Config struct {
 
 	// WriteTimeout bounds each response frame write (default 30s,
 	// negative disables). A peer that stops reading would otherwise
-	// block the connection writer, back its channel up, and stall the
-	// shard goroutine behind it.
+	// block its connection's goroutine forever. Responses are written
+	// outside the shard lock, so such a peer never stalls its shard.
 	WriteTimeout time.Duration
 
 	// IdleTimeout, when positive, closes connections that send no
@@ -82,15 +83,15 @@ type Config struct {
 	IdleTimeout time.Duration
 
 	// WriteBufferSize sizes each connection's response write buffer
-	// (default 64 KiB). Responses coalesce in this buffer and flush
-	// once the response channel momentarily empties — one syscall per
-	// burst of pipelined responses rather than one per frame. Size it
-	// to at least a full batch response when raising MaxBatch-scale
-	// batch sizes.
+	// (default 64 KiB). Responses coalesce in this buffer, which is
+	// flushed whenever no further whole request is already buffered on
+	// the connection — one syscall per burst of pipelined responses
+	// rather than one per frame. A response larger than the buffer is
+	// written through in pieces.
 	WriteBufferSize int
 
 	// Limits configures token-bucket admission control ahead of the
-	// shard queues: per-client quotas keyed by the connection's OpHello
+	// shards: per-client quotas keyed by the connection's OpHello
 	// tag plus an optional global cap. The zero value disables it.
 	// Hot-reloadable at runtime via Server.SetLimits (exposed as the
 	// admin plane's /limitz endpoint) without disturbing sessions.
@@ -135,7 +136,7 @@ type Server struct {
 	start   time.Time
 
 	draining atomic.Bool
-	inflight sync.WaitGroup // unfinished shard tasks
+	inflight sync.WaitGroup // requests read before the drain and not yet answered
 
 	// Admission control: the active limits (swapped atomically on hot
 	// reload), the global token bucket, and per-client-tag accounting.
@@ -175,7 +176,7 @@ type serverCounters struct {
 	LostSessions    atomic.Uint64 // sessions with nowhere to go (no peer, no dir)
 }
 
-// NewServer binds the listener(s) and starts the shard goroutines and
+// NewServer binds the listener(s), builds the shards and starts the
 // accept loop. It returns once the server is serving.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -230,14 +231,14 @@ func NewServer(cfg Config) (*Server, error) {
 		shadows := make([]shadowBackend, len(shadowCfgs))
 		copy(shadows, shadowCfgs)
 		for j := range shadows {
-			shadows[j].cfg.Recorder = m.shadowRec[shadows[j].b.Name]
+			shadows[j].cfg.Recorder = m.shadowRec[j]
 		}
 		sh := newShard(i, backend, cfg.Predictor, cfg.Faults, shadows, cfg.QueueLen, m)
 		s.shards = append(s.shards, sh)
 	}
-	// Warm restart: restore checkpointed sessions before the shards
-	// start, while their session maps are still private to this
-	// goroutine.
+	// Warm restart: restore checkpointed sessions before serving, while
+	// the session maps are still private to this goroutine, and publish
+	// them so the admin view shows them before the first request.
 	if cfg.CheckpointDir != "" {
 		if err := s.loadCheckpoints(cfg.CheckpointDir); err != nil {
 			ln.Close()
@@ -245,7 +246,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	for _, sh := range s.shards {
-		sh.start()
+		sh.publishSnapshot()
 	}
 	if cfg.CheckpointDir != "" {
 		s.ckpt = newCheckpointer(s, cfg.CheckpointDir, cfg.CheckpointEvery)
@@ -302,71 +303,32 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn runs one connection: a reader loop that parses frames and
-// dispatches them to shards, plus a writer goroutine that serialises
-// response frames. Responses may interleave across sessions; the
-// request ID ties them back. Per-session order is preserved end to
-// end: the reader dispatches in arrival order and each shard's queue
-// is FIFO on a single goroutine.
+// serveConn runs one connection on one goroutine: read a request, run
+// it to completion (on its shard, under the shard lock), write the
+// response into the connection's buffer, and flush when no further
+// whole request is already buffered. Responses therefore leave in
+// request order, and per-session order is preserved end to end. The
+// response is written after the shard lock is released, so a peer that
+// stops reading blocks only its own connection. The connection owns a
+// single request value whose buffers every request reuses.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWG.Done()
 	defer func() {
+		conn.Close()
 		s.connMu.Lock()
 		delete(s.conns, conn)
 		s.connMu.Unlock()
 		s.counters.Active.Add(-1)
 	}()
 
-	out := make(chan []byte, 64)
-	var pending sync.WaitGroup // shard callbacks not yet delivered to out
-
-	// snapBuf parks the connection's one reusable OpSnapshot response
-	// buffer while no snapshot is in flight. The reader hands it to an
-	// OpSnapshot request, the shard writes the header and frame into
-	// it, and the writer parks it again once the frame is written. A
-	// snapshot pipelined behind one in flight gets a fresh buffer, and
-	// the writer drops whichever buffer finds the slot full, so a
-	// connection holds at most one frame-sized buffer between requests
-	// and never overwrites a frame before it is sent.
-	snapBuf := make(chan []byte, 1)
-
-	// Writer: drains out until closed. Write errors are ignored — the
-	// reader will observe the dead connection and stop; pending shard
-	// callbacks must still be consumed so shards never block on a dead
-	// connection. Each frame rearms the write deadline: a peer that
-	// stops reading fails the write instead of blocking this goroutine
-	// (and, through the full channel behind it, a shard) forever.
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriterSize(conn, s.cfg.WriteBufferSize)
-		for payload := range out {
-			if wt := s.cfg.WriteTimeout; wt > 0 {
-				conn.SetWriteDeadline(time.Now().Add(wt))
-			}
-			err := writeFrame(bw, payload)
-			if payload[0] == OpSnapshot|respBit {
-				// bw keeps no reference to a written payload.
-				select {
-				case snapBuf <- payload[:0]:
-				default:
-				}
-			}
-			if err != nil {
-				continue
-			}
-			// Flush when the channel momentarily empties, so pipelined
-			// responses batch into few syscalls without extra latency.
-			if len(out) == 0 {
-				bw.Flush()
-			}
-		}
-		bw.Flush()
-	}()
-
 	br := bufio.NewReaderSize(conn, 1<<16)
-	var buf []byte
-	var cl *clientState // resolved on first dispatch or OpHello
+	bw := bufio.NewWriterSize(conn, s.cfg.WriteBufferSize)
+	defer bw.Flush()
+	var (
+		buf []byte
+		req request
+		cl  *clientState // resolved on first dispatch or OpHello
+	)
 	for {
 		if it := s.cfg.IdleTimeout; it > 0 {
 			conn.SetReadDeadline(time.Now().Add(it))
@@ -376,92 +338,90 @@ func (s *Server) serveConn(conn net.Conn) {
 			if errors.Is(err, ErrFrame) {
 				s.counters.BadFrames.Add(1)
 			}
-			break
+			return
 		}
 		buf = payload // keep the grown buffer
-		req, err := parseRequest(payload)
-		if err != nil {
+		if err := parseRequest(&req, payload); err != nil {
 			s.counters.BadFrames.Add(1)
-			break // framing no longer trustworthy
+			return // framing no longer trustworthy
 		}
 		s.counters.Requests.Add(1)
-		if req.op == OpHello {
-			// Connection-scoped identity: handled here, never enqueued.
-			// An invalid tag is a per-request rejection, not a framing
-			// error — the stream is still aligned.
-			if !validClientTag(req.client) {
-				out <- encodeResponse(req, shardResp{err: ErrBadRequest})
-				continue
+		// Shutdown waits for the requests read before the drain began,
+		// until their answers are written. Later ones are answered
+		// ErrDraining and not waited for, so no Add races its Wait.
+		tracked := !s.draining.Load()
+		if tracked {
+			s.inflight.Add(1)
+		}
+		var out []byte
+		switch {
+		case req.op != OpHello:
+			if cl == nil {
+				cl = s.clients.get(defaultClientTag)
 			}
+			out = s.dispatch(&req, cl)
+		case !validClientTag(req.client):
+			// Connection-scoped identity, handled here. An invalid tag is
+			// a per-request rejection, not a framing error — the stream
+			// is still aligned.
+			out = encodeResponse(&req, &shardResp{err: ErrBadRequest})
+		default:
 			cl = s.clients.get(req.client)
-			out <- encodeResponse(req, shardResp{})
-			continue
+			out = encodeResponse(&req, &shardResp{})
 		}
-		if cl == nil {
-			cl = s.clients.get(defaultClientTag)
+		if wt := s.cfg.WriteTimeout; wt > 0 {
+			conn.SetWriteDeadline(time.Now().Add(wt))
 		}
-		if req.op == OpSnapshot {
-			select {
-			case req.resp = <-snapBuf:
-			default: // in flight: this response gets a fresh buffer
-			}
+		err = writeFrame(bw, out)
+		if err == nil && (s.draining.Load() || !frameBuffered(br)) {
+			err = bw.Flush()
 		}
-		s.dispatch(req, cl, out, &pending)
+		if tracked {
+			s.inflight.Done()
+		}
+		if err != nil {
+			return
+		}
 	}
-
-	conn.Close() // unblocks any in-flight write
-	pending.Wait()
-	close(out)
-	<-writerDone
 }
 
-// dispatch routes one request to its shard, or answers it immediately
-// with a typed failure (draining, throttled, overload). Every request
-// is accounted under the connection's client tag; work-carrying ops
-// must additionally clear admission control before touching a queue.
-func (s *Server) dispatch(req request, cl *clientState, out chan []byte, pending *sync.WaitGroup) {
+// dispatch runs one request on its shard, or answers it with a typed
+// failure (draining, throttled, overload), and returns the encoded
+// response. Every request is accounted under the connection's client
+// tag; work-carrying ops must additionally clear admission control
+// before they may wait on a shard.
+func (s *Server) dispatch(req *request, cl *clientState) []byte {
 	cl.requests.Inc()
 	cl.bytes.Add(uint64(req.wireBytes))
 	if s.draining.Load() {
 		s.counters.DrainRejects.Add(1)
-		out <- encodeResponse(req, shardResp{err: ErrDraining})
-		return
+		return encodeResponse(req, &shardResp{err: ErrDraining})
 	}
-	cost := admissionCost(&req)
+	cost := admissionCost(req)
 	if retryAfter, ok := s.admit(cl, cost); !ok {
 		s.counters.Throttled.Add(1)
 		cl.throttles.Inc()
-		out <- encodeResponse(req, shardResp{err: &ThrottledError{RetryAfter: retryAfter}})
-		return
+		return encodeResponse(req, &shardResp{err: &ThrottledError{RetryAfter: retryAfter}})
 	}
-	sh := s.shardFor(req.session)
-	pending.Add(1)
-	s.inflight.Add(1)
-	t := task{req: req, done: func(resp shardResp) {
-		// Counted before the reply, so a client holding its answer
-		// already sees its rounds in the admin stats.
-		if cost > 0 {
-			cl.rounds.Add(uint64(cost))
-		}
-		out <- encodeResponse(req, resp)
-		pending.Done()
-		s.inflight.Done()
-	}}
-	if !sh.enqueue(t) {
-		pending.Done()
-		s.inflight.Done()
+	var resp shardResp
+	if !s.shardFor(req.session).run(req, &resp) {
 		cl.overloads.Inc()
-		out <- encodeResponse(req, shardResp{err: ErrOverloaded})
-		return
+		return encodeResponse(req, &shardResp{err: ErrOverloaded})
 	}
+	// Counted before the reply, so a client holding its answer already
+	// sees its rounds in the admin stats.
+	if cost > 0 {
+		cl.rounds.Add(uint64(cost))
+	}
+	return encodeResponse(req, &resp)
 }
 
-// encodeResponse renders a shard response as a wire frame payload. An
-// OpSnapshot response is built in req.resp; a successful one the shard
-// already wrote there in full.
-func encodeResponse(req request, resp shardResp) []byte {
+// encodeResponse renders a shard response as a wire frame payload in
+// req.resp, growing it as needed, and returns it. A successful
+// OpSnapshot response the shard already wrote there in full.
+func encodeResponse(req *request, resp *shardResp) []byte {
 	if req.op == OpSnapshot && resp.err == nil {
-		return resp.blob
+		return req.resp
 	}
 	buf := appendResponseHeader(req.resp[:0], req.op, req.reqID, statusOf(resp.err))
 	if resp.err != nil {
@@ -473,49 +433,44 @@ func encodeResponse(req request, resp shardResp) []byte {
 			if ms < 1 {
 				ms = 1
 			}
-			var b [4]byte
-			le.PutUint32(b[:], uint32(min(ms, 1<<31)))
-			buf = append(buf, b[:]...)
+			buf = le.AppendUint32(buf, uint32(min(ms, 1<<31)))
 		}
+		req.resp = buf
 		return buf
 	}
 	switch req.op {
 	case OpOpen:
-		var b [openRespBytes]byte
-		le.PutUint32(b[:], resp.shard)
-		le.PutUint64(b[4:], resp.lastSeq)
-		buf = append(buf, b[:]...)
+		buf = le.AppendUint32(buf, resp.shard)
+		buf = le.AppendUint64(buf, resp.lastSeq)
 	case OpRestore:
-		var b [4]byte
-		le.PutUint32(b[:], resp.shard)
-		buf = append(buf, b[:]...)
+		buf = le.AppendUint32(buf, resp.shard)
 	case OpUpdateBatch, OpPredictBatch:
-		var b [batchRespBytes]byte
-		le.PutUint32(b[:], resp.skipped)
-		le.PutUint32(b[4:], resp.applied)
-		le.PutUint32(b[8:], resp.correct)
-		buf = append(buf, b[:]...)
+		buf = le.AppendUint32(buf, resp.skipped)
+		buf = le.AppendUint32(buf, resp.applied)
+		buf = le.AppendUint32(buf, resp.correct)
 		if req.op == OpPredictBatch {
 			off := len(buf)
-			buf = append(buf, make([]byte, len(resp.preds)*predictionBytes)...)
+			buf = slices.Grow(buf, len(resp.preds)*predictionBytes)[:off+len(resp.preds)*predictionBytes]
 			for i := range resp.preds {
 				putPrediction(buf[off+i*predictionBytes:], resp.preds[i])
 			}
 		}
 	case OpStats:
-		var b [8 + 2*statsBytes]byte
-		le.PutUint32(b[:], resp.shard)
-		le.PutUint32(b[4:], resp.sessions)
-		putStats(b[8:], resp.sess)
-		putStats(b[8+statsBytes:], resp.agg)
-		buf = append(buf, b[:]...)
+		buf = le.AppendUint32(buf, resp.shard)
+		buf = le.AppendUint32(buf, resp.sessions)
+		off := len(buf)
+		buf = slices.Grow(buf, 2*statsBytes)[:off+2*statsBytes]
+		putStats(buf[off:], resp.sess)
+		putStats(buf[off+statsBytes:], resp.agg)
 	}
+	req.resp = buf
 	return buf
 }
 
 // Shutdown drains the server gracefully and offloads its sessions:
 // stop accepting connections, reject new requests with ErrDraining,
-// let every already-enqueued request finish, quiesce the shards, then
+// let every request already read finish and its answer be written,
+// quiesce the shards, then
 // snapshot every live session and stream it to the handoff peer (or
 // spill it to the checkpoint directory). ctx bounds the in-flight
 // drain; on expiry the remaining work is abandoned, but the offload
@@ -543,10 +498,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // quiesce stops all request processing: listener, checkpoint ticker,
-// connections, then the shard goroutines. After quiesce the shard
-// session maps are safe to read from the caller's goroutine. The
-// checkpoint writer is still running (shard backlogs may hand it
-// frames until the last shard stops); Close flushes and stops it.
+// connections, then the shards. After quiesce the shard session maps
+// are safe to read from the caller's goroutine. The checkpoint writer
+// is still running; Close flushes and stops it.
 func (s *Server) quiesce() {
 	s.quiesceOnce.Do(func() {
 		s.draining.Store(true)
@@ -559,7 +513,7 @@ func (s *Server) quiesce() {
 			conn.Close()
 		}
 		s.connMu.Unlock()
-		s.connWG.Wait() // all dispatchers gone: shards see no new tasks
+		s.connWG.Wait() // every connection goroutine gone: no request runs
 		for _, sh := range s.shards {
 			sh.stop()
 		}
@@ -567,7 +521,7 @@ func (s *Server) quiesce() {
 }
 
 // Close tears the server down immediately: listener, connections,
-// shard goroutines, checkpoint writer, admin listener. Safe to call
+// shards, checkpoint writer, admin listener. Safe to call
 // more than once and after Shutdown. Unlike Shutdown it does not
 // offload sessions (checkpointed state, if any, survives on disk).
 func (s *Server) Close() error {

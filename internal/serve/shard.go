@@ -12,8 +12,8 @@ import (
 )
 
 // session is one client prediction stream: a predictor of the server's
-// configuration, owned by exactly one shard and touched only on that
-// shard's goroutine. Per-session predictors are what make serving
+// configuration, owned by exactly one shard and touched only under that
+// shard's lock. Per-session predictors are what make serving
 // transparent to prediction: a session's predictor sees exactly the
 // trace sequence the client sent, in order, with no cross-session
 // interleaving, so its stats are bit-identical to an in-process replay.
@@ -54,14 +54,6 @@ type shadowBackend struct {
 	cfg predictor.Config
 }
 
-// task is one unit of shard work: a parsed request plus the completion
-// callback that delivers the shard's answer back to the connection.
-// done is invoked exactly once, on the shard goroutine.
-type task struct {
-	req  request
-	done func(resp shardResp)
-}
-
 // shardResp is a shard's answer to one request.
 type shardResp struct {
 	err      error                  // nil, or a typed protocol error
@@ -69,13 +61,11 @@ type shardResp struct {
 	sessions uint32                 // OpStats
 	lastSeq  uint64                 // OpOpen
 	skipped  uint32                 // batch ops: already-applied prefix length
-	preds    []predictor.Prediction // OpPredictBatch: one per applied trace
+	preds    []predictor.Prediction // OpPredictBatch: one per applied trace, in the request's buffer
 	applied  uint32                 // batch ops
 	correct  uint32                 // batch ops
 	sess     predictor.Stats        // OpStats: this session's counters
 	agg      predictor.Stats        // OpStats: shard-wide aggregate
-	blob     []byte                 // OpSnapshot: the whole response, header and frame
-	ckpt     []ckptFrame            // opCheckpoint: dirty sessions, encoded
 }
 
 // ckptFrame is one session's encoded snapshot bound for the checkpoint
@@ -99,45 +89,40 @@ type shardCounters struct {
 	DupUpdates     atomic.Uint64 // batch frames that replayed already-applied sequences
 }
 
-// shard owns a set of sessions and processes their requests strictly
-// in arrival order on a single goroutine. The queue is the unit of
-// backpressure: enqueue never blocks — a full queue is an immediate
-// typed overload, pushed back to the client.
+// shard owns a set of sessions and runs their requests one at a time
+// under its lock, each to completion on the goroutine of the connection
+// that read it. The wait for the lock is the unit of backpressure: at
+// most queueLen requests wait, and one past that is an immediate typed
+// overload, pushed back to the client.
 type shard struct {
 	id       int
 	backend  predictor.Backend // resolved primary backend
 	cfg      predictor.Config
 	fcfg     *faults.Config  // per-session injector template, optional
 	shadows  []shadowBackend // shadow-evaluation templates, may be empty
-	queue    chan task
-	sessions map[uint64]*session
+	queueLen int64           // bound on waiting requests
+	waiting  atomic.Int64    // requests waiting for mu
 	counters shardCounters
 	metrics  *shardMetrics // nil only in tests that build shards directly
 
-	// qmu guards queue liveness: enqueue holds the read side across its
-	// send attempt and stop takes the write side before closing, so an
-	// enqueue racing a drain is rejected instead of panicking on a send
-	// to a closed channel. (The server's shutdown ordering — connections
-	// before shards — makes the race unreachable in normal operation;
-	// the lock makes it safe even when that ordering is violated.)
-	qmu    sync.RWMutex
-	closed bool
+	// mu serialises the shard. Everything below it, and the sessions'
+	// predictors, are touched only under mu (or before the server serves
+	// and after stop).
+	mu       sync.Mutex
+	closed   bool // set by stop: no request runs after it
+	sessions map[uint64]*session
 
 	// agg is the sum of every resident session's primary predictor
 	// stats (shadows are excluded). The ops that change a session's
 	// stats — batch and installSnapshot — apply their delta, so no
-	// request walks the session map. Shard goroutine only (or before
-	// start).
+	// request walks the session map.
 	agg predictor.Stats
 
 	// snap mirrors agg and the session count for the admin listener,
-	// which must not wait on the queue. Written only by the shard
-	// goroutine, before each task's reply.
+	// which must not wait on mu. Written under mu, before each reply.
 	snapMu   sync.Mutex
 	snapAgg  predictor.Stats
 	snapSess int
-
-	wg sync.WaitGroup
 }
 
 func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *faults.Config, shadows []shadowBackend, queueLen int, m *shardMetrics) *shard {
@@ -147,74 +132,51 @@ func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *fau
 		cfg:      cfg,
 		fcfg:     fcfg,
 		shadows:  shadows,
-		queue:    make(chan task, queueLen),
+		queueLen: int64(queueLen),
 		sessions: make(map[uint64]*session),
 		metrics:  m,
 	}
 }
 
-// start launches the shard goroutine. The shard runs until its queue is
-// closed, then finishes whatever was enqueued — the drain guarantee.
-// Sessions installed before start (warm restart) are published at
-// once, so the admin view shows them before the first request.
-func (sh *shard) start() {
-	sh.publishSnapshot()
-	sh.wg.Add(1)
-	go func() {
-		defer sh.wg.Done()
-		for t := range sh.queue {
-			sh.run(t)
-		}
-	}()
-}
-
-// run executes one task on the shard goroutine. The admin snapshot is
-// published before the reply, so a client holding its answer already
-// sees its own traces in /statsz.
-func (sh *shard) run(t task) {
-	t0 := time.Now()
-	resp := sh.process(t.req)
-	sh.metrics.observe(t.req.op, time.Since(t0))
-	sh.publishSnapshot()
-	t.done(resp)
-}
-
-// stop closes the queue and waits for the shard goroutine to finish the
-// backlog. Safe to call more than once, and safe against concurrent
-// enqueue: the write lock waits out in-flight send attempts, and
-// enqueues arriving after it are rejected.
-func (sh *shard) stop() {
-	sh.qmu.Lock()
-	if !sh.closed {
-		sh.closed = true
-		close(sh.queue)
-	}
-	sh.qmu.Unlock()
-	sh.wg.Wait()
-}
-
-// enqueue offers a task to the shard without blocking. A full queue is
-// the overload condition; the caller replies ErrOverloaded. A stopped
-// shard rejects without counting an overload — that is shutdown, not
-// backpressure — and the caller's reply (ErrOverloaded) is retryable,
-// which is what a racing client should see during a drain.
-func (sh *shard) enqueue(t task) bool {
-	sh.qmu.RLock()
-	defer sh.qmu.RUnlock()
-	if sh.closed {
-		return false
-	}
-	select {
-	case sh.queue <- t:
-		return true
-	default:
+// run executes one request to completion on the calling goroutine and
+// writes the shard's answer to resp. It reports false, leaving resp
+// untouched, when the request was refused: queueLen requests already
+// wait for the shard (an overload, counted), or the shard is stopped
+// (shutdown, not backpressure: not counted). Either way the caller
+// replies ErrOverloaded, which is retryable — what a client racing a
+// drain should see. Event counts and the admin snapshot are published
+// before the lock is released, so a client holding its answer already
+// sees its own traces in /metrics and /statsz.
+func (sh *shard) run(req *request, resp *shardResp) bool {
+	if sh.waiting.Add(1) > sh.queueLen {
+		sh.waiting.Add(-1)
 		sh.counters.Overloads.Add(1)
 		return false
 	}
+	sh.mu.Lock()
+	sh.waiting.Add(-1)
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return false
+	}
+	t0 := time.Now()
+	*resp = sh.process(req)
+	sh.metrics.observe(req.op, time.Since(t0))
+	sh.metrics.flush()
+	sh.publishSnapshot()
+	return true
 }
 
-// process executes one request on the shard goroutine.
-func (sh *shard) process(req request) shardResp {
+// stop refuses every later request; one running now finishes first.
+// Safe to call more than once.
+func (sh *shard) stop() {
+	sh.mu.Lock()
+	sh.closed = true
+	sh.mu.Unlock()
+}
+
+// process executes one request under the shard lock.
+func (sh *shard) process(req *request) shardResp {
 	sh.counters.Requests.Add(1)
 	switch req.op {
 	case OpOpen:
@@ -233,8 +195,6 @@ func (sh *shard) process(req request) shardResp {
 		return sh.snapshotSession(s, req)
 	case OpRestore:
 		return sh.restore(req)
-	case opCheckpoint:
-		return sh.checkpoint()
 	case OpStats:
 		s, ok := sh.sessions[req.session]
 		if !ok {
@@ -320,7 +280,7 @@ func (sh *shard) newShadows() []shadowPred {
 // snapshot older than the last ack) skips its already-applied prefix
 // and trains only the unseen suffix. Nothing trains twice, whatever
 // boundary the retry lands on. correct covers the applied suffix only.
-func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
+func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
 	n := uint64(len(req.traces))
 	var skip uint64
 	if req.seq != 0 && s.lastSeq >= req.seq {
@@ -333,7 +293,10 @@ func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
 	fresh := req.traces[skip:]
 	var preds []predictor.Prediction
 	if wantPreds && len(fresh) > 0 {
-		preds = make([]predictor.Prediction, len(fresh))
+		if cap(req.preds) < len(fresh) {
+			req.preds = make([]predictor.Prediction, len(fresh))
+		}
+		preds = req.preds[:len(fresh)]
 	}
 	before := s.p.Stats()
 	correct := predictor.PredictBatch(s.p, fresh, preds)
@@ -370,7 +333,7 @@ func (sh *shard) batch(s *session, req request, wantPreds bool) shardResp {
 // straight into dst. Shadows are deliberately not captured — they are
 // measurements, not state the client can lose. A backend without codec
 // hooks fails in snapshot.AppendFrame before any state is written. Runs
-// on the shard goroutine (or after the shard is stopped, during drain).
+// under the shard lock (or after the shard is stopped, during drain).
 func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
 	return snapshot.AppendFrame(dst, s.id, s.lastSeq, sh.backend.Name, func(b []byte) ([]byte, error) {
 		return sh.backend.Append(b, s.p)
@@ -383,14 +346,15 @@ func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
 // the wire. The backend captures state at a round boundary, which holds
 // by construction here: the shard runs complete Predict/Update rounds
 // per request.
-func (sh *shard) snapshotSession(s *session, req request) shardResp {
+func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 	b := appendResponseHeader(req.resp[:0], OpSnapshot, req.reqID, StatusOK)
 	b, err := sh.appendFrame(b, s)
 	if err != nil {
 		return shardResp{err: ErrBadRequest}
 	}
+	req.resp = b
 	sh.counters.Snapshots.Add(1)
-	return shardResp{blob: b}
+	return shardResp{}
 }
 
 // restore decodes and installs a session snapshot, replacing any
@@ -399,7 +363,7 @@ func (sh *shard) snapshotSession(s *session, req request) shardResp {
 // frame's saved geometry must match this server's predictor
 // configuration; installSnapshot enforces that, so a hostile frame
 // cannot size tables beyond what the server already runs.
-func (sh *shard) restore(req request) shardResp {
+func (sh *shard) restore(req *request) shardResp {
 	sess, err := snapshot.Decode(req.blob)
 	if err != nil {
 		sh.counters.RestoreRejects.Add(1)
@@ -423,7 +387,7 @@ func (sh *shard) restore(req request) shardResp {
 // server, whatever its bytes claim — and the state then restores
 // through that backend's own codec, which enforces the geometry match.
 // Shadows restart cold: they are evaluation state, not session state.
-// Runs on the shard goroutine, or before the shard starts (warm
+// Runs under the shard lock, or before the server serves (warm
 // restart).
 func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 	b, ok := predictor.BackendByName(sess.Backend)
@@ -455,7 +419,9 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 // checkpoint encodes every dirty session for the checkpoint writer and
 // clears the dirty marks. Sessions that fail to encode stay dirty and
 // are skipped (nothing consumes a partial frame).
-func (sh *shard) checkpoint() shardResp {
+func (sh *shard) checkpoint() []ckptFrame {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	var out []ckptFrame
 	for _, s := range sh.sessions {
 		if !s.dirty {
@@ -468,11 +434,12 @@ func (sh *shard) checkpoint() shardResp {
 		s.dirty = false
 		out = append(out, ckptFrame{id: s.id, frame: b})
 	}
-	return shardResp{ckpt: out}
+	return out
 }
 
 // publishSnapshot refreshes the admin-visible copy of the shard's
-// predictor aggregate. Runs on the shard goroutine (or before start).
+// predictor aggregate. Runs under the shard lock (or before the server
+// serves).
 func (sh *shard) publishSnapshot() {
 	sh.snapMu.Lock()
 	sh.snapAgg = sh.agg

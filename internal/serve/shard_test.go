@@ -110,8 +110,8 @@ func TestShardAggregateMatchesSessions(t *testing.T) {
 	}
 }
 
-// BenchmarkShardSessions times one UpdateBatch task at batch 16 through
-// shard.run, the shard goroutine's loop body, with 1, 1000 and 10000
+// BenchmarkShardSessions times one UpdateBatch request at batch 16
+// through shard.run, the shard's entry point, with 1, 1000 and 10000
 // sessions resident. All traffic goes to one session, so only the
 // resident count varies: any per-request cost that walks the sessions
 // shows as ns/op growing with it. The small geometry keeps 10k
@@ -133,15 +133,19 @@ func BenchmarkShardSessions(b *testing.B) {
 					b.Fatal(resp.err)
 				}
 			}
-			done := func(shardResp) {}
 			seq, off := uint64(1), 0
+			var req request
+			var resp shardResp
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if off+batch > len(traces) {
 					off = 0
 				}
-				sh.run(task{req: request{op: OpUpdateBatch, seq: seq, traces: traces[off : off+batch]}, done: done})
+				req = request{op: OpUpdateBatch, seq: seq, traces: traces[off : off+batch]}
+				if !sh.run(&req, &resp) {
+					b.Fatal("shard refused the request")
+				}
 				seq += batch
 				off += batch
 			}

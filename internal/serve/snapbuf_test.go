@@ -100,8 +100,8 @@ func TestServedSnapshotEqualsEncode(t *testing.T) {
 // OpSnapshot requests for two sessions on different shards, back to
 // back and interleaved with UpdateBatch, without waiting for a single
 // answer. Every frame must equal its in-process reference, which
-// proves a reused response buffer is never rewritten before the writer
-// has sent the frame in it.
+// proves a reused response buffer is never rewritten before the frame
+// in it has been written.
 func TestPipelinedSnapshotsNeverOverwritten(t *testing.T) {
 	s := captureTestStream(t)
 	cfg := snapshotConfigs["hybrid"]
@@ -154,7 +154,7 @@ func TestPipelinedSnapshotsNeverOverwritten(t *testing.T) {
 			seqs[id] += uint64(len(batch))
 			add(OpUpdateBatch, id, body)
 			frame := refFrame(t, b, id, seqs[id], refs[id])
-			// Back to back: the second finds the first's buffer in flight.
+			// Back to back: the second is encoded into the buffer the first was sent from.
 			want[add(OpSnapshot, id, nil)] = frame
 			want[add(OpSnapshot, id, nil)] = frame
 		}
@@ -249,7 +249,7 @@ func newFaultProxy(t *testing.T, target string, faults map[int]snapFault) *fault
 // forward relays response frames from sc to cc, applying the scripted
 // fault to snapshot responses.
 func (px *faultProxy) forward(cc, sc net.Conn) {
-	br := bufio.NewReader(sc)
+	br, bw := bufio.NewReader(sc), bufio.NewWriter(cc)
 	var buf []byte
 	for {
 		payload, err := readFrame(br, buf)
@@ -266,15 +266,18 @@ func (px *faultProxy) forward(cc, sc net.Conn) {
 		}
 		switch fault {
 		case snapOK:
-			err = writeFrame(cc, payload)
+			err = writeFrame(bw, payload)
 		case snapUnknown:
-			err = writeFrame(cc, appendResponseHeader(nil, OpSnapshot, le.Uint32(payload[1:]), StatusUnknownSession))
+			err = writeFrame(bw, appendResponseHeader(nil, OpSnapshot, le.Uint32(payload[1:]), StatusUnknownSession))
 		case snapTear, snapDrop:
 			cc.Write(append(le.AppendUint32(nil, uint32(len(payload))), payload[:len(payload)/2]...))
 			if fault == snapTear {
 				io.Copy(io.Discard, br) // stall until the client hangs up
 			}
 			return
+		}
+		if err == nil {
+			err = bw.Flush()
 		}
 		if err != nil {
 			return
