@@ -116,6 +116,9 @@ func BenchmarkAblationDOLC(b *testing.B) {
 func BenchmarkAblationSelect(b *testing.B) {
 	benchExperiment(b, "ablation-select", pathtrace.ExperimentOptions{Workloads: []string{"compress"}})
 }
+func BenchmarkAblationHash(b *testing.B) {
+	benchExperiment(b, "ablation-hash", pathtrace.ExperimentOptions{Workloads: []string{"compress"}})
+}
 
 // Component microbenchmarks.
 
@@ -354,8 +357,4 @@ func BenchmarkRealistic(b *testing.B) {
 
 func BenchmarkTraceCacheSweep(b *testing.B) {
 	benchExperiment(b, "ablation-tracecache", pathtrace.ExperimentOptions{Workloads: []string{"gcc"}})
-}
-
-func BenchmarkHashAblation(b *testing.B) {
-	benchExperiment(b, "ablation-hash", pathtrace.ExperimentOptions{Workloads: []string{"compress"}})
 }

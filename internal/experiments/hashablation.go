@@ -55,13 +55,16 @@ func ablationHash(opt Options) (*Result, error) {
 			}
 			preds[i] = p
 			fn := h.fn
+			// Re-hash before the predictor sees the trace, in a scratch
+			// copy that keeps consumers independent. The scratch lives
+			// outside the closure: a per-call copy would escape through
+			// the Update interface call and allocate once per trace.
+			cp := new(trace.Trace)
 			consumers = append(consumers, func(tr *trace.Trace) {
-				// Re-hash before the predictor sees the trace. The copy
-				// keeps consumers independent.
-				cp := *tr
+				*cp = *tr
 				cp.Hash = fn(tr.ID)
 				p.Predict()
-				p.Update(&cp)
+				p.Update(cp)
 			})
 		}
 		if _, _, err := opt.Stream(w, consumers...); err != nil {

@@ -76,47 +76,32 @@ func (d DOLC) String() string {
 // IndexOf computes the prediction-table index for the given history
 // register. Bits are collected most-recent-first (current in the least
 // significant positions), then XOR-folded down to the index width.
+//
+// Folding sends collected bit p to index bit p mod Index, so the
+// collection is never materialised: each field is XORed into one
+// accumulator at its collection offset reduced mod Index (a shift
+// below 30 for a field of at most 10 bits), and the accumulator's bits
+// at or above Index are folded down at the end — at most once for
+// Index >= 10.
 func (d DOLC) IndexOf(r *Reg) uint32 {
-	// Bit accumulator: collections never exceed 8*10 = 80 bits.
-	var lo, hi uint64
-	pos := 0
-	push := func(v uint32, nbits int) {
-		if nbits == 0 {
-			return
+	acc := uint64(r.At(0)) & (1<<d.Current - 1)
+	s := d.Current
+	for i := 1; i <= d.Depth; i++ {
+		w := d.Older
+		if i == 1 {
+			w = d.Last
 		}
-		masked := uint64(v) & (1<<nbits - 1)
-		if pos < 64 {
-			lo |= masked << pos
-			if pos+nbits > 64 {
-				hi |= masked >> (64 - pos)
-			}
-		} else {
-			hi |= masked << (pos - 64)
+		for s >= d.Index {
+			s -= d.Index
 		}
-		pos += nbits
+		acc ^= (uint64(r.At(i)) & (1<<w - 1)) << s
+		s += w
 	}
-	push(uint32(r.At(0)), d.Current)
-	if d.Depth >= 1 {
-		push(uint32(r.At(1)), d.Last)
+	m := uint64(1)<<d.Index - 1
+	for acc > m {
+		acc = acc&m ^ acc>>d.Index
 	}
-	for i := 2; i <= d.Depth; i++ {
-		push(uint32(r.At(i)), d.Older)
-	}
-	// Fold the collection into index-width windows.
-	var idx uint32
-	for off := 0; off < pos; off += d.Index {
-		var w uint64
-		if off < 64 {
-			w = lo >> off
-			if off+d.Index > 64 && off < 64 {
-				w |= hi << (64 - off)
-			}
-		} else {
-			w = hi >> (off - 64)
-		}
-		idx ^= uint32(w) & (1<<d.Index - 1)
-	}
-	return idx
+	return uint32(acc)
 }
 
 // StandardDOLC returns the index-generation configuration used for the

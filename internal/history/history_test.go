@@ -189,6 +189,85 @@ func TestDOLCIndexFolding(t *testing.T) {
 	}
 }
 
+// refIndexOf is IndexOf written straight from §3.2: take the low bits
+// of each identifier, most recent first, into one bit string (first bit
+// = least significant), then XOR the string's Index-bit windows.
+func refIndexOf(d DOLC, r *Reg, bits []bool) uint32 {
+	bits = bits[:0]
+	for i := 0; i <= d.Depth; i++ {
+		n := d.Older
+		switch i {
+		case 0:
+			n = d.Current
+		case 1:
+			n = d.Last
+		}
+		for b := 0; b < n; b++ {
+			bits = append(bits, r.At(i)>>b&1 == 1)
+		}
+	}
+	var idx uint32
+	for p, set := range bits {
+		if set {
+			idx ^= 1 << (p % d.Index)
+		}
+	}
+	return idx
+}
+
+// TestDOLCIndexMatchesDefinition checks IndexOf against refIndexOf for
+// every DOLC that Validate accepts, on several registers each: cold
+// ones (fewer pushes than the register tracks), random full ones, and
+// an all-ones one that sets every collected bit.
+func TestDOLCIndexMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bits := make([]bool, 0, MaxSize*trace.HashBits)
+	regs := make([]Reg, 5)
+	checked := 0
+	for depth := 0; depth < MaxSize; depth++ {
+		for older := 0; older <= trace.HashBits; older++ {
+			for last := 0; last <= trace.HashBits; last++ {
+				for cur := 0; cur <= trace.HashBits; cur++ {
+					for index := 1; index <= 30; index++ {
+						d := DOLC{Depth: depth, Older: older, Last: last, Current: cur, Index: index}
+						if d.Validate() != nil {
+							continue
+						}
+						for k := range regs {
+							regs[k] = MustNewReg(depth + 1)
+							pushes := depth + 1
+							if k < 2 {
+								pushes = rng.Intn(depth + 1)
+							}
+							for p := 0; p < pushes; p++ {
+								v := trace.HashedID(rng.Intn(1 << trace.HashBits))
+								if k == len(regs)-1 {
+									v = 1<<trace.HashBits - 1
+								}
+								regs[k].Push(v)
+							}
+						}
+						for k := range regs {
+							got, want := d.IndexOf(&regs[k]), refIndexOf(d, &regs[k], bits)
+							if got != want {
+								t.Fatalf("DOLC %+v, register %d (%d pushed): IndexOf = %#x, want %#x",
+									d, k, regs[k].Len(), got, want)
+							}
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	// Valid per index width: all 8*11^3 width combinations except those
+	// collecting no bits — 11*11 at depth 0 (Current 0), 11 at depth 1
+	// (Last and Current 0) and one at each depth 2..7.
+	if want := 30 * (MaxSize*11*11*11 - 11*11 - 11 - 6); checked != want {
+		t.Errorf("checked %d configurations, want %d", checked, want)
+	}
+}
+
 // Property: DOLC index is always within table bounds and deterministic.
 func TestDOLCIndexRangeQuick(t *testing.T) {
 	f := func(seed int64) bool {

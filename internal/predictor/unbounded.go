@@ -9,16 +9,19 @@ import (
 
 // Unbounded is the idealised predictor of §5.2: "each unique sequence
 // of trace identifiers maps to its own table entry, i.e. there is no
-// aliasing". Tables are maps keyed by the exact path of full trace
-// identifiers; counter policies match the bounded predictors.
+// aliasing". Both tables are ubTables keyed by full 64-bit keys: the
+// correlated table by the pathKey of the exact path of full trace
+// identifiers, the secondary table by mix64 of the most recent full
+// identifier (a bijection, so distinct IDs never share an entry).
+// Counter policies match the bounded predictors.
 type Unbounded struct {
 	cfg    UnboundedConfig
 	size   int // identifiers tracked = depth+1
 	ids    [history.MaxSize]trace.ID
 	n      int
 	rhs    []ubSnap
-	corr   map[pathKey]ubEntry
-	sec    map[trace.ID]ubEntry
+	corr   ubTable
+	sec    ubTable
 	stats  Stats
 	tok    ubToken
 	filter bool
@@ -46,7 +49,7 @@ type UnboundedConfig struct {
 // splitmix-style finaliser; with well under 2^32 distinct paths per run
 // the collision probability is negligible, so the table behaves as the
 // paper's "each unique sequence maps to its own entry" ideal while
-// keeping the map key compact.
+// keeping the table key one word.
 type pathKey uint64
 
 func mix64(x uint64) uint64 {
@@ -70,18 +73,77 @@ type ubSnap struct {
 	n   int
 }
 
+// ubToken carries one round from Predict to Update: the keys and the
+// slots Predict found for them, so Update writes without probing again.
 type ubToken struct {
 	key          pathKey
-	secKey       trace.ID
+	secKey       uint64
+	corrSlot     int
+	secSlot      int
 	pred         Prediction
 	predVal      trace.ID
 	altVal       trace.ID
-	corrEntry    ubEntry // entry read by Predict, reused by Update
-	secEntry     ubEntry
-	corrExists   bool
-	secExists    bool
 	secPredVal   trace.ID
 	secSaturated bool
+}
+
+// ubTable is an open-addressed, linear-probing hash table from 64-bit
+// keys to entries. Keys are compared in full, so it holds exactly what
+// a map[uint64]ubEntry would; they must arrive well mixed, because
+// their low bits pick the home slot. A lookup is split into find and
+// set so that one round probes each table once: the slot find returns
+// stays valid until set writes it, since the table grows only after
+// that write.
+type ubTable struct {
+	slots []ubSlot // length is a power of two
+	n     int      // used slots
+}
+
+type ubSlot struct {
+	key   uint64
+	entry ubEntry
+	used  bool
+}
+
+// ubInitSlots is a new table's size; it doubles whenever an insert
+// leaves it more than half full.
+const ubInitSlots = 64
+
+func newUBTable() ubTable { return ubTable{slots: make([]ubSlot, ubInitSlots)} }
+
+// find returns the index of key's slot: the slot holding key or, when
+// key is absent, the empty slot where set would insert it.
+func (t *ubTable) find(key uint64) int {
+	mask := uint64(len(t.slots) - 1)
+	for i := key & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; !s.used || s.key == key {
+			return int(i)
+		}
+	}
+}
+
+// set stores e under key in slot i, which must be find(key) with no
+// set since.
+func (t *ubTable) set(i int, key uint64, e ubEntry) {
+	s := &t.slots[i]
+	s.entry = e
+	if s.used {
+		return
+	}
+	s.key, s.used = key, true
+	if t.n++; 2*t.n > len(t.slots) {
+		t.grow()
+	}
+}
+
+func (t *ubTable) grow() {
+	old := t.slots
+	t.slots = make([]ubSlot, 2*len(old))
+	for _, s := range old {
+		if s.used {
+			t.slots[t.find(s.key)] = s
+		}
+	}
 }
 
 // NewUnbounded builds an unbounded-table predictor.
@@ -116,11 +178,11 @@ func NewUnbounded(cfg UnboundedConfig) (*Unbounded, error) {
 	u := &Unbounded{
 		cfg:    cfg,
 		size:   cfg.Depth + 1,
-		corr:   make(map[pathKey]ubEntry),
+		corr:   newUBTable(),
 		filter: *cfg.SecondaryFilter,
 	}
 	if cfg.Hybrid {
-		u.sec = make(map[trace.ID]ubEntry)
+		u.sec = newUBTable()
 	}
 	return u, nil
 }
@@ -133,24 +195,24 @@ func (u *Unbounded) key() pathKey {
 	return pathKey(k)
 }
 
-// Predict implements NextTracePredictor. The token (including the map
-// entries just read) is built in place through the receiver so Update
-// can reuse the lookups — under the Predict/Update protocol the tables
-// cannot change in between, and the redundant map reads were the
-// hottest part of the unbounded experiments.
+// Predict implements NextTracePredictor. It probes each table once and
+// records the slots in the token; under the Predict/Update protocol the
+// tables cannot change in between, so Update reads and writes those
+// slots directly.
 func (u *Unbounded) Predict() Prediction {
 	tok := &u.tok
-	*tok = ubToken{key: u.key(), secKey: u.ids[0]}
-	ce, corrOK := u.corr[tok.key]
-	tok.corrEntry = ce
-	tok.corrExists = corrOK
+	*tok = ubToken{key: u.key()}
+	tok.corrSlot = u.corr.find(uint64(tok.key))
+	cs := &u.corr.slots[tok.corrSlot]
+	ce, corrOK := cs.entry, cs.used
 
 	var se ubEntry
 	var secOK bool
 	if u.cfg.Hybrid {
-		se, secOK = u.sec[tok.secKey]
-		tok.secEntry = se
-		tok.secExists = secOK
+		tok.secKey = mix64(uint64(u.ids[0]))
+		tok.secSlot = u.sec.find(tok.secKey)
+		ss := &u.sec.slots[tok.secSlot]
+		se, secOK = ss.entry, ss.used
 		tok.secPredVal = se.val
 		tok.secSaturated = secOK && int(se.ctr) == ctrMax(u.cfg.SecCounterBits)
 	}
@@ -198,9 +260,10 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 		u.stats.FromSecondary++
 	}
 
-	// Secondary update, from the entry Predict already read.
+	// Secondary update, through the slot Predict found.
 	if u.cfg.Hybrid {
-		se, ok := tok.secEntry, tok.secExists
+		ss := &u.sec.slots[tok.secSlot]
+		se, ok := ss.entry, ss.used
 		secMax := ctrMax(u.cfg.SecCounterBits)
 		switch {
 		case !ok:
@@ -212,12 +275,13 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 		default:
 			se.ctr = satDec(se.ctr, u.cfg.SecCounterDec)
 		}
-		u.sec[tok.secKey] = se
+		u.sec.set(tok.secSlot, tok.secKey, se)
 	}
 
 	// Correlated update, with the saturated-secondary filter.
 	if !(u.cfg.Hybrid && u.filter && tok.secSaturated && tok.secPredVal == actualVal) {
-		ce, ok := tok.corrEntry, tok.corrExists
+		cs := &u.corr.slots[tok.corrSlot]
+		ce, ok := cs.entry, cs.used
 		max := ctrMax(u.cfg.CounterBits)
 		switch {
 		case !ok:
@@ -233,7 +297,7 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 			ce.alt = actualVal
 			ce.altValid = true
 		}
-		u.corr[tok.key] = ce
+		u.corr.set(tok.corrSlot, uint64(tok.key), ce)
 	}
 
 	u.advance(actual)
@@ -286,4 +350,4 @@ func (u *Unbounded) Stats() Stats { return u.stats }
 
 // TableEntries reports the number of distinct paths learned, a measure
 // of each benchmark's working set (used to explain aliasing pressure).
-func (u *Unbounded) TableEntries() int { return len(u.corr) }
+func (u *Unbounded) TableEntries() int { return u.corr.n }

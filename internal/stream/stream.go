@@ -182,19 +182,20 @@ func (s *Stream) At(i int, dst *trace.Trace) {
 	r := &s.recs[i]
 	brEnd := r.brOff + uint32(r.numCtrl)
 	memEnd := r.memOff + uint32(r.numMem)
-	*dst = trace.Trace{
-		ID:        r.id,
-		Hash:      r.hash,
-		StartPC:   r.startPC,
-		NextPC:    r.nextPC,
-		Len:       int(r.length),
-		NumBr:     int(r.numBr),
-		Calls:     int(r.calls),
-		EndsInRet: r.flags&flagEndsInRet != 0,
-		EndsHalt:  r.flags&flagEndsHalt != 0,
-		Branches:  s.branches[r.brOff:brEnd:brEnd],
-		Mems:      s.mems[r.memOff:memEnd:memEnd],
-	}
+	// Field by field: *dst = trace.Trace{...} builds the literal in a
+	// temporary and block-copies it. dst is reused, so every field of
+	// trace.Trace must be set here.
+	dst.ID = r.id
+	dst.Hash = r.hash
+	dst.StartPC = r.startPC
+	dst.NextPC = r.nextPC
+	dst.Len = int(r.length)
+	dst.NumBr = int(r.numBr)
+	dst.Calls = int(r.calls)
+	dst.EndsInRet = r.flags&flagEndsInRet != 0
+	dst.EndsHalt = r.flags&flagEndsHalt != 0
+	dst.Branches = s.branches[r.brOff:brEnd:brEnd]
+	dst.Mems = s.mems[r.memOff:memEnd:memEnd]
 }
 
 // replayStride is how many traces are replayed between context checks —

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,59 @@ func TestReplayAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Replay allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestAtReusesDirtyTrace checks that At overwrites every field of a
+// reused trace: materialising into a dst left over from other use, with
+// every field set and roomier Branches/Mems, gives exactly what a zero
+// dst gets, aliasing the same shared arrays. It also checks the
+// capacity clamp: appending to the returned slices must copy, never
+// write into the stream's arrays.
+func TestAtReusesDirtyTrace(t *testing.T) {
+	w, ok := workload.ByName("go")
+	if !ok {
+		t.Fatal("workload go missing")
+	}
+	s, err := Capture(nil, w, 50_000, trace.DefaultConfig())
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	branches := append([]trace.Branch(nil), s.branches...)
+	mems := append([]trace.MemRef(nil), s.mems...)
+	dirty := trace.Trace{
+		ID: 1<<36 - 1, Hash: 0x3ff, StartPC: 0xdead, NextPC: 0xbeef,
+		Len: -1, NumBr: -1, Calls: -1, EndsInRet: true, EndsHalt: true,
+		Branches: make([]trace.Branch, 3, 64),
+		Mems:     make([]trace.MemRef, 3, 64),
+	}
+	v := reflect.ValueOf(dirty)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("dirty trace leaves %s zero; set it so At must overwrite it", v.Type().Field(i).Name)
+		}
+	}
+	for i := 0; i < s.Len(); i++ {
+		var clean trace.Trace
+		s.At(i, &clean)
+		got := dirty
+		s.At(i, &got)
+		if !reflect.DeepEqual(got, clean) {
+			t.Fatalf("trace %d: At into a dirty dst = %+v, into a zero dst = %+v", i, got, clean)
+		}
+		if cap(got.Branches) != len(got.Branches) || cap(got.Mems) != len(got.Mems) {
+			t.Fatalf("trace %d: capacities %d/%d exceed lengths %d/%d",
+				i, cap(got.Branches), cap(got.Mems), len(got.Branches), len(got.Mems))
+		}
+		if len(got.Branches) > 0 && &got.Branches[0] != &clean.Branches[0] ||
+			len(got.Mems) > 0 && &got.Mems[0] != &clean.Mems[0] {
+			t.Fatalf("trace %d: dirty and zero dst do not alias the same shared arrays", i)
+		}
+		_ = append(got.Branches, trace.Branch{PC: 0xffffffff, Taken: true})
+		_ = append(got.Mems, trace.MemRef{Addr: 0xffffffff, Store: true})
+	}
+	if !reflect.DeepEqual(s.branches, branches) || !reflect.DeepEqual(s.mems, mems) {
+		t.Fatal("appending to At's slices wrote into the stream's shared arrays")
 	}
 }
 
