@@ -82,38 +82,6 @@ func TestRegRestoreInverseQuick(t *testing.T) {
 	}
 }
 
-func TestPathKeyDistinguishesPaths(t *testing.T) {
-	a := MustNewReg(8)
-	b := MustNewReg(8)
-	for i := 0; i < 8; i++ {
-		a.Push(trace.HashedID(i + 1))
-		b.Push(trace.HashedID(i + 1))
-	}
-	if a.Key() != b.Key() {
-		t.Error("identical paths produced different keys")
-	}
-	b.Push(42)
-	if a.Key() == b.Key() {
-		t.Error("different paths produced identical keys")
-	}
-}
-
-func TestPathKeyUsesAllPositions(t *testing.T) {
-	// Changing only the oldest tracked ID must change the key (8 IDs at
-	// 10 bits spans both words of the key).
-	a := MustNewReg(8)
-	b := MustNewReg(8)
-	a.Push(0x3ff)
-	b.Push(0x3fe)
-	for i := 0; i < 7; i++ {
-		a.Push(trace.HashedID(i))
-		b.Push(trace.HashedID(i))
-	}
-	if a.Key() == b.Key() {
-		t.Error("oldest position not part of key")
-	}
-}
-
 func TestDOLCValidate(t *testing.T) {
 	good := DOLC{Depth: 3, Older: 4, Last: 6, Current: 6, Index: 16}
 	if err := good.Validate(); err != nil {

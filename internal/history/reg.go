@@ -132,28 +132,3 @@ func RegFromState(st RegState) (Reg, error) {
 	}
 	return Reg{ids: st.IDs, size: st.Size, n: st.N}, nil
 }
-
-// PathKey is a comparable value identifying the exact contents of a
-// history register. It is used by the unbounded-table predictor, where
-// each unique path must map to its own entry.
-type PathKey struct {
-	hi, lo uint64
-}
-
-// Key packs the register's identifiers into a PathKey. Only the tracked
-// identifiers participate.
-func (r *Reg) Key() PathKey {
-	var k PathKey
-	for i := 0; i < r.size; i++ {
-		v := uint64(r.ids[i])
-		if pos := i * trace.HashBits; pos < 64 {
-			k.lo |= v << pos
-			if pos+trace.HashBits > 64 {
-				k.hi |= v >> (64 - pos)
-			}
-		} else {
-			k.hi |= v << (pos - 64)
-		}
-	}
-	return k
-}

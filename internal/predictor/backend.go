@@ -47,6 +47,25 @@ type Backend struct {
 	// but serves it fine otherwise.
 	Append  func(dst []byte, p NextTracePredictor) ([]byte, error)
 	Restore func(state []byte, cfg Config) (NextTracePredictor, error)
+
+	// The delta hooks let a holder of a state section keep it current
+	// from the entries written since it was taken, instead of the whole
+	// state again. All three or none, and only beside Append/Restore;
+	// nil marks a backend whose holders always refetch the full state.
+	//
+	// Mark records that p's complete state was just shipped: from now
+	// on p records the slots it writes. AppendDelta appends the delta
+	// from the last mark to now, then marks p again; it fails with
+	// ErrNoMark when p was never marked, and on any error returns dst as
+	// passed and keeps the record. MergeDelta validates a delta against
+	// the state section it is relative to and appends to plan the
+	// splices that turn that section into the current state; their
+	// literals alias delta or lits, scratch the caller keeps until it has
+	// applied the plan. It writes nothing else, so a rejected delta
+	// leaves the section untouched.
+	Mark        func(p NextTracePredictor) error
+	AppendDelta func(dst []byte, p NextTracePredictor) ([]byte, error)
+	MergeDelta  func(plan []Splice, lits *[MergeLits]byte, state, delta []byte) ([]Splice, error)
 }
 
 // Save returns a predictor's state section in a new slice.
@@ -70,6 +89,9 @@ var (
 // hooks.
 func (b Backend) Snapshottable() bool { return b.Append != nil && b.Restore != nil }
 
+// Incremental reports whether the backend carries the delta hooks.
+func (b Backend) Incremental() bool { return b.AppendDelta != nil }
+
 var (
 	backendMu  sync.RWMutex
 	backendMap = map[string]Backend{}
@@ -84,6 +106,9 @@ func RegisterBackend(b Backend) {
 	}
 	if (b.Append == nil) != (b.Restore == nil) {
 		panic(fmt.Sprintf("predictor: backend %q has only one of Append/Restore", b.Name))
+	}
+	if d := (b.Mark != nil); d != (b.AppendDelta != nil) || d != (b.MergeDelta != nil) || d && !b.Snapshottable() {
+		panic(fmt.Sprintf("predictor: backend %q needs all three delta hooks and Append/Restore, or no delta hooks", b.Name))
 	}
 	backendMu.Lock()
 	defer backendMu.Unlock()
@@ -163,8 +188,11 @@ func init() {
 			}
 			return newBasic(full)
 		},
-		Append:  paperAppend,
-		Restore: paperRestore,
+		Append:      paperAppend,
+		Restore:     paperRestore,
+		Mark:        paperMark,
+		AppendDelta: paperAppendDelta,
+		MergeDelta:  paperMergeDelta,
 	})
 	RegisterBackend(Backend{
 		Name:   "hybrid",
@@ -178,8 +206,11 @@ func init() {
 			}
 			return newHybrid(full)
 		},
-		Append:  paperAppend,
-		Restore: paperRestore,
+		Append:      paperAppend,
+		Restore:     paperRestore,
+		Mark:        paperMark,
+		AppendDelta: paperAppendDelta,
+		MergeDelta:  paperMergeDelta,
 	})
 	RegisterBackend(Backend{
 		Name:   "costreduced",
@@ -201,6 +232,9 @@ func init() {
 			cfg.CostReduced = true
 			return paperRestore(state, cfg)
 		},
+		Mark:        paperMark,
+		AppendDelta: paperAppendDelta,
+		MergeDelta:  paperMergeDelta,
 	})
 	RegisterBackend(Backend{
 		Name:   "unbounded",

@@ -26,6 +26,8 @@ type basic struct {
 	stats   Stats
 	tok     basicToken
 	ctrMaxT int // ctrMax(CounterBits), hoisted off the round path
+
+	chg *changeSet // slots written since the last delta mark, nil until marked; last, like Hybrid's
 }
 
 type basicToken struct {
@@ -79,6 +81,9 @@ func (b *basic) injectFaults() {
 		b.tabAlt[f.Index] ^= f.Mask
 	case faults.SlotCounter:
 		b.tabMeta[f.Index] ^= uint32(uint8(f.Mask)) << 8
+	}
+	if b.chg != nil {
+		b.chg.corr.add(uint32(f.Index))
 	}
 }
 
@@ -183,13 +188,18 @@ func (b *basic) Predict() Prediction {
 
 func (b *basic) Update(actual *trace.Trace) {
 	b.commit(&b.tok, actual)
+	if c := b.chg; c != nil {
+		c.corr.add(b.tok.idx)
+	}
 }
 
 // PredictBatch implements BatchPredictor: one full Predict/Update round
 // per trace with a local token and direct calls into the shared
-// lookup/commit primitives (no interface dispatch per round).
+// lookup/commit primitives (no interface dispatch per round). Like the
+// hybrid's, it reads the change set once per batch.
 func (b *basic) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 {
 	before := b.stats.Correct
+	c := b.chg
 	var tok basicToken
 	for i := range actuals {
 		b.lookupInto(&tok)
@@ -197,6 +207,9 @@ func (b *basic) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 {
 			preds[i] = tok.pred
 		}
 		b.commit(&tok, &actuals[i])
+		if c != nil {
+			c.corr.add(tok.idx)
+		}
 	}
 	return b.stats.Correct - before
 }

@@ -1,0 +1,193 @@
+package predictor
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"pathtrace/internal/faults"
+	"pathtrace/internal/trace"
+)
+
+// deltaConfigs are the paper configurations the delta tests walk: every
+// paper backend, with and without an RHS, and with a fault injector
+// whose faults land on both tables. Small tables make entries get
+// replaced as well as added. Fresh per call: injectors are stateful.
+func deltaConfigs() map[string]Config {
+	return map[string]Config{
+		"basic":         {Backend: "basic", Depth: 3, IndexBits: 8},
+		"hybrid":        {Backend: "hybrid", Depth: 5, IndexBits: 8},
+		"hybrid+rhs":    {Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true},
+		"costreduced":   {Backend: "costreduced", Depth: 7, IndexBits: 8, UseRHS: true},
+		"basic+faults":  {Backend: "basic", Depth: 3, IndexBits: 8, Faults: faults.New(faults.Config{Seed: 3, Table: 0.05, Bits: 2})},
+		"hybrid+faults": {Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true, Faults: faults.New(faults.Config{Seed: 7, Table: 0.05, Secondary: 0.05, History: 0.02, Bits: 2})},
+		"hybrid+stuck":  {Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true, Faults: faults.New(faults.Config{Seed: 9, StuckZero: true, Table: 0.01})},
+	}
+}
+
+// applyPlan is the reference splice applier: it builds the spliced
+// section in a new slice.
+func applyPlan(state []byte, plan []Splice) []byte {
+	var out []byte
+	prev := 0
+	for _, s := range plan {
+		out = append(out, state[prev:s.Off]...)
+		out = append(out, s.Lit...)
+		prev = s.Off + s.Del
+	}
+	return append(out, state[prev:]...)
+}
+
+// driveStep runs rounds on p through one of the three training paths by
+// step: the scalar Predict/Update, the batch loop, and (on a hybrid)
+// Lookup/CommitUpdate/Advance. Each records the slots it writes.
+func driveStep(p NextTracePredictor, traces []*trace.Trace, step int) {
+	h, isHybrid := p.(*Hybrid)
+	switch {
+	case step%3 == 1:
+		batch := make([]trace.Trace, len(traces))
+		for i, tc := range traces {
+			batch[i] = *tc
+		}
+		UpdateBatch(p, batch)
+	case step%3 == 2 && isHybrid:
+		for _, tc := range traces {
+			_, tok := h.Lookup()
+			h.CommitUpdate(tok, tc)
+			h.Advance(tc)
+		}
+	default:
+		for _, tc := range traces {
+			p.Predict()
+			p.Update(tc)
+		}
+	}
+}
+
+// TestDeltaMergeEqualsSave: a held section kept current by merging each
+// delta equals the full state saved at the same point, after every
+// step, from a cold table (deltas add entries) to a full one (deltas
+// replace them), including steps with no rounds at all, whichever
+// training path (driveStep) the rounds take.
+func TestDeltaMergeEqualsSave(t *testing.T) {
+	for name, cfg := range deltaConfigs() {
+		t.Run(name, func(t *testing.T) {
+			b := mustBackend(t, cfg)
+			if !b.Incremental() {
+				t.Fatalf("backend %q has no delta hooks", b.Name)
+			}
+			p := MustNew(cfg)
+			if _, err := b.AppendDelta(nil, p); !errors.Is(err, ErrNoMark) {
+				t.Fatalf("AppendDelta before Mark = %v, want ErrNoMark", err)
+			}
+			held, err := b.Save(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Mark(p); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			stream := randStream(13, 6000)
+			var plan []Splice
+			var lits [MergeLits]byte
+			for step := 0; len(stream) > 0; step++ {
+				n := min(rng.Intn(300), len(stream))
+				driveStep(p, stream[:n], step)
+				stream = stream[n:]
+				delta, err := b.AppendDelta(nil, p)
+				if err != nil {
+					t.Fatalf("step %d: AppendDelta: %v", step, err)
+				}
+				if plan, err = b.MergeDelta(plan[:0], &lits, held, delta); err != nil {
+					t.Fatalf("step %d: MergeDelta: %v", step, err)
+				}
+				held = applyPlan(held, plan)
+				want, err := b.Save(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(held, want) {
+					t.Fatalf("step %d (%d rounds, %d-byte delta): merged section (%d bytes) differs from Save (%d bytes)",
+						step, n, len(delta), len(held), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestUnmarkedPredictorTracksNothing: a predictor that is saved but
+// never marked keeps change tracking off, so its rounds pay only the
+// nil check.
+func TestUnmarkedPredictorTracksNothing(t *testing.T) {
+	for name, cfg := range deltaConfigs() {
+		p := MustNew(cfg)
+		b := mustBackend(t, cfg)
+		for _, tc := range randStream(3, 500) {
+			p.Predict()
+			p.Update(tc)
+		}
+		if _, err := b.Save(p); err != nil {
+			t.Fatal(err)
+		}
+		tb, _ := paperTablesOf(p)
+		if *tb.chg != nil {
+			t.Errorf("%s: change tracking on without a mark", name)
+		}
+	}
+}
+
+// TestMergeDeltaRejects: MergeDelta refuses deltas that do not fit the
+// held section — another variant, malformed entries, wrong lengths —
+// with ErrBadState.
+func TestMergeDeltaRejects(t *testing.T) {
+	cfg := Config{Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true}
+	b := mustBackend(t, cfg)
+	p := MustNew(cfg)
+	for _, tc := range randStream(5, 300) {
+		p.Predict()
+		p.Update(tc)
+	}
+	held, _ := b.Save(p)
+	b.Mark(p)
+	for _, tc := range randStream(6, 100) {
+		p.Predict()
+		p.Update(tc)
+	}
+	delta, err := b.AppendDelta(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Locate the delta's first correlated entry.
+	r := &stateReader{b: delta, off: 2}
+	r.mutable(delta[1], cfg.Depth, 16, false)
+	corr := r.off + 4
+	if binary.LittleEndian.Uint32(delta[r.off:]) < 2 {
+		t.Fatal("delta has fewer than two correlated entries")
+	}
+	le := binary.LittleEndian
+	mutations := map[string]func(d []byte) []byte{
+		"kind":           func(d []byte) []byte { d[0] = paperKindBasic; return d },
+		"flags":          func(d []byte) []byte { d[1] ^= paperFlagCostReduced; return d },
+		"index range":    func(d []byte) []byte { le.PutUint32(d[corr:], 1<<20); return d },
+		"not ascending":  func(d []byte) []byte { copy(d[corr+paperCorrEntryBytes:], d[corr:corr+4]); return d },
+		"counter":        func(d []byte) []byte { d[corr+22] = 0xFF; return d },
+		"entry flag":     func(d []byte) []byte { d[corr+23] = 2; return d },
+		"history fill":   func(d []byte) []byte { d[2+paperStatsBytes+1] = 99; return d },
+		"truncated":      func(d []byte) []byte { return d[:len(d)-1] },
+		"trailing byte":  func(d []byte) []byte { return append(d, 0) },
+		"empty":          func(d []byte) []byte { return nil },
+		"count overflow": func(d []byte) []byte { le.PutUint32(d[corr-4:], 1<<30); return d },
+	}
+	for name, mut := range mutations {
+		d := mut(bytes.Clone(delta))
+		if _, err := b.MergeDelta(nil, new([MergeLits]byte), held, d); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: MergeDelta = %v, want ErrBadState", name, err)
+		}
+	}
+	if _, err := b.MergeDelta(nil, new([MergeLits]byte), held[:len(held)-1], delta); !errors.Is(err, ErrBadState) {
+		t.Errorf("truncated held section: MergeDelta = %v, want ErrBadState", err)
+	}
+}

@@ -52,6 +52,11 @@ type Hybrid struct {
 	secMask   uint32
 	ctrMaxC   int // ctrMax(CounterBits), hoisted off the round path
 	ctrMaxS   int // ctrMax(SecCounterBits)
+
+	// chg records the slots written since the last delta mark; nil
+	// until the predictor is first marked (see delta.go). It sits last
+	// so the round path's fields keep their offsets.
+	chg *changeSet
 }
 
 // Packed-entry flag bits, shared by both tables (and by basic's table).
@@ -127,6 +132,9 @@ func (p *Hybrid) injectFaults() {
 		case faults.SlotCounter:
 			p.corrMeta[f.Index] ^= uint32(uint8(f.Mask)) << 8
 		}
+		if p.chg != nil {
+			p.chg.corr.add(uint32(f.Index))
+		}
 	}
 	if f := inj.SecFault(len(p.secMeta), p.cfg.valBits(), p.cfg.SecCounterBits); f.Fire {
 		switch f.Slot {
@@ -134,6 +142,9 @@ func (p *Hybrid) injectFaults() {
 			p.secVal[f.Index] ^= f.Mask
 		case faults.SlotCounter:
 			p.secMeta[f.Index] ^= uint16(uint8(f.Mask)) << 8
+		}
+		if p.chg != nil {
+			p.chg.sec.add(uint32(f.Index))
 		}
 	}
 }
@@ -202,8 +213,11 @@ func (p *Hybrid) Lookup() (Prediction, Token) {
 // commit trains the tables for a prediction described by tok, given the
 // trace that actually followed. Like lookupInto it is the single
 // training implementation behind Update, CommitUpdate and the batch
-// loops. It does not touch the path history; pair it with Advance.
-func (p *Hybrid) commit(tok *Token, actual *trace.Trace) {
+// loops. It does not touch the path history; pair it with Advance. It
+// reports whether it wrote the correlated entry, which the secondary
+// filter may skip; a marked predictor's callers record the round's
+// slots from it (changeSet.round).
+func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 	if p.cfg.Faults != nil {
 		p.injectFaults()
 	}
@@ -257,7 +271,7 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) {
 		if p.cfg.Recorder != nil {
 			p.cfg.Recorder.Record(ev)
 		}
-		return
+		return false
 	}
 	ci := tok.CorrIdx
 	cm := p.corrMeta[ci]
@@ -288,13 +302,17 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) {
 	if p.cfg.Recorder != nil {
 		p.cfg.Recorder.Record(ev)
 	}
+	return true
 }
 
 // CommitUpdate trains the tables for a prediction described by tok,
 // given the trace that actually followed. It does not touch the path
 // history; pair it with Advance.
 func (p *Hybrid) CommitUpdate(tok Token, actual *trace.Trace) {
-	p.commit(&tok, actual)
+	wrote := p.commit(&tok, actual)
+	if c := p.chg; c != nil {
+		c.round(&tok, wrote)
+	}
 }
 
 // Advance pushes a trace onto the path history and applies the Return
@@ -316,7 +334,10 @@ func (p *Hybrid) Predict() Prediction {
 
 // Update implements NextTracePredictor.
 func (p *Hybrid) Update(actual *trace.Trace) {
-	p.commit(&p.tok, actual)
+	wrote := p.commit(&p.tok, actual)
+	if c := p.chg; c != nil {
+		c.round(&p.tok, wrote)
+	}
 	p.Advance(actual)
 }
 
@@ -324,16 +345,22 @@ func (p *Hybrid) Update(actual *trace.Trace) {
 // per trace, with the prediction made before actuals[i] is revealed
 // written to preds[i] (preds may be nil). The loop keeps the round
 // token local and calls the shared lookup/commit primitives directly —
-// no interface dispatch, no Prediction or Token copies per round.
+// no interface dispatch, no Prediction or Token copies per round. The
+// change set is read once per batch, so an unmarked predictor pays one
+// register test per round.
 func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 {
 	before := p.stats.Correct
+	c := p.chg
 	var tok Token
 	for i := range actuals {
 		p.lookupInto(&tok)
 		if preds != nil {
 			preds[i] = tok.Pred
 		}
-		p.commit(&tok, &actuals[i])
+		wrote := p.commit(&tok, &actuals[i])
+		if c != nil {
+			c.round(&tok, wrote)
+		}
 		p.Advance(&actuals[i])
 	}
 	return p.stats.Correct - before

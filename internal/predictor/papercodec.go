@@ -50,8 +50,8 @@ const (
 	paperSecEntryBytes  = 13 // u32 index | u64 val | u8 ctr
 	stateRegBytes       = 2 + 2*history.MaxSize
 
-	// kind + flags + geometry + stats + hist
-	paperFixedBytes    = 1 + 1 + paperGeometryBytes + paperStatsBytes + stateRegBytes
+	// kind + flags + geometry: the part of a state that never changes
+	paperHeadBytes     = 1 + 1 + paperGeometryBytes
 	paperGeometryBytes = 9 + 2 + 5 // nine u8 params, u16 RHS depth, five DOLC u8s
 	paperStatsBytes    = 6 * 8
 	paperFaultsBytes   = 8 + 1 + 8 + 4*8 + 1 + 8 + 8 + 4*8 + 5*8
@@ -82,6 +82,7 @@ type paperTables struct {
 	stats    *Stats
 	hist     *history.Reg
 	rhs      *history.ReturnStack
+	chg      **changeSet
 	corrMeta []uint32 // tag<<16 | ctr<<8 | flags
 	corrVal  []uint64
 	corrAlt  []uint64
@@ -91,7 +92,7 @@ type paperTables struct {
 
 func (p *Hybrid) tables() paperTables {
 	return paperTables{
-		kind: paperKindHybrid, cfg: &p.cfg, stats: &p.stats, hist: &p.hist, rhs: p.rhs,
+		kind: paperKindHybrid, cfg: &p.cfg, stats: &p.stats, hist: &p.hist, rhs: p.rhs, chg: &p.chg,
 		corrMeta: p.corrMeta, corrVal: p.corrVal, corrAlt: p.corrAlt,
 		secMeta: p.secMeta, secVal: p.secVal,
 	}
@@ -99,9 +100,21 @@ func (p *Hybrid) tables() paperTables {
 
 func (b *basic) tables() paperTables {
 	return paperTables{
-		kind: paperKindBasic, cfg: &b.cfg, stats: &b.stats, hist: &b.hist,
+		kind: paperKindBasic, cfg: &b.cfg, stats: &b.stats, hist: &b.hist, chg: &b.chg,
 		corrMeta: b.tabMeta, corrVal: b.tabVal, corrAlt: b.tabAlt,
 	}
+}
+
+// paperTablesOf returns the codec's view of p, which must be a paper
+// predictor.
+func paperTablesOf(p NextTracePredictor) (paperTables, error) {
+	switch v := p.(type) {
+	case *Hybrid:
+		return v.tables(), nil
+	case *basic:
+		return v.tables(), nil
+	}
+	return paperTables{}, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
 }
 
 func countValid[M uint16 | uint32](meta []M) int {
@@ -114,36 +127,23 @@ func countValid[M uint16 | uint32](meta []M) int {
 	return n
 }
 
-// paperAppend is the paper backends' Append hook. It sizes the
-// section before writing, so dst grows at most once and a dst with
-// room to spare is written without allocating.
-func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
-	var t paperTables
-	switch v := p.(type) {
-	case *Hybrid:
-		t = v.tables()
-	case *basic:
-		t = v.tables()
-	default:
-		return b, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
-	}
+// mutable returns the state's flag byte, the fault injector's state
+// (when one is attached) and the size of the mutable part: everything
+// between the geometry and the tables. Construction bounds every
+// geometry field to its wire width; the injector's plan is the one
+// input it does not bound.
+func (t *paperTables) mutable() (flags uint8, fs faults.InjectorState, n int, err error) {
 	cfg := t.cfg
-	le := binary.LittleEndian
-
-	// Construction bounds every geometry field to its wire width; the
-	// injector's plan is the one input it does not bound.
-	flags := uint8(0)
-	n := paperFixedBytes
+	n = paperStatsBytes + stateRegBytes
 	if t.rhs != nil {
 		flags |= paperFlagUseRHS
 		n += 4 + t.rhs.Depth()*stateRegBytes
 	}
-	var fs faults.InjectorState
 	if cfg.Faults != nil {
 		flags |= paperFlagHasFaults
 		fs = cfg.Faults.State()
 		if bits := fs.Config.Bits; bits < 0 || bits > 0xFF {
-			return b, fmt.Errorf("%w: fault bits %d does not fit u8", ErrBadState, bits)
+			return 0, fs, 0, fmt.Errorf("%w: fault bits %d does not fit u8", ErrBadState, bits)
 		}
 		n += paperFaultsBytes
 	}
@@ -153,17 +153,13 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 	if *cfg.SecondaryFilter {
 		flags |= paperFlagSecondaryFilter
 	}
-	nCorr, nSec := countValid(t.corrMeta), countValid(t.secMeta)
-	n += 4 + nCorr*paperCorrEntryBytes + 4 + nSec*paperSecEntryBytes
+	return flags, fs, n, nil
+}
 
-	b = grow(b, n)
-	b = append(b, t.kind, flags)
-	b = append(b, uint8(cfg.Depth), uint8(cfg.IndexBits), uint8(cfg.SecondaryBits),
-		uint8(cfg.TagBits), uint8(cfg.CounterBits), uint8(cfg.CounterInc),
-		uint8(cfg.CounterDec), uint8(cfg.SecCounterBits), uint8(cfg.SecCounterDec))
-	b = le.AppendUint16(b, uint16(cfg.RHSDepth))
-	b = append(b, uint8(cfg.DOLC.Depth), uint8(cfg.DOLC.Older), uint8(cfg.DOLC.Last),
-		uint8(cfg.DOLC.Current), uint8(cfg.DOLC.Index))
+// appendMutable appends the mutable part: stats, history register,
+// and the RHS and injector state when present.
+func (t *paperTables) appendMutable(b []byte, fs *faults.InjectorState) []byte {
+	le := binary.LittleEndian
 	b = appendStats(b, *t.stats)
 	b = appendStateReg(b, t.hist.State())
 
@@ -175,7 +171,7 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 		}
 	}
 
-	if cfg.Faults != nil {
+	if t.cfg.Faults != nil {
 		b = le.AppendUint64(b, fs.Config.Seed)
 		b = append(b, uint8(fs.Config.Bits))
 		b = le.AppendUint64(b, fs.Config.Interval)
@@ -201,30 +197,63 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 			b = le.AppendUint64(b, v)
 		}
 	}
+	return b
+}
+
+// appendCorr appends correlated entry i, which must be valid.
+func (t *paperTables) appendCorr(b []byte, i int) []byte {
+	m := t.corrMeta[i]
+	b = binary.LittleEndian.AppendUint32(b, uint32(i))
+	b = binary.LittleEndian.AppendUint16(b, uint16(m>>16))
+	b = binary.LittleEndian.AppendUint64(b, t.corrVal[i])
+	b = binary.LittleEndian.AppendUint64(b, t.corrAlt[i])
+	return append(b, uint8(m>>8), uint8(m&entAltValid)>>1)
+}
+
+// appendSec appends secondary entry i, which must be valid.
+func (t *paperTables) appendSec(b []byte, i int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(i))
+	b = binary.LittleEndian.AppendUint64(b, t.secVal[i])
+	return append(b, uint8(t.secMeta[i]>>8))
+}
+
+// paperAppend is the paper backends' Append hook. It sizes the
+// section before writing, so dst grows at most once and a dst with
+// room to spare is written without allocating.
+func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
+	t, err := paperTablesOf(p)
+	if err != nil {
+		return b, err
+	}
+	flags, fs, nMut, err := t.mutable()
+	if err != nil {
+		return b, err
+	}
+	nCorr, nSec := countValid(t.corrMeta), countValid(t.secMeta)
+	b = grow(b, paperHeadBytes+nMut+4+nCorr*paperCorrEntryBytes+4+nSec*paperSecEntryBytes)
+
+	cfg := t.cfg
+	le := binary.LittleEndian
+	b = append(b, t.kind, flags)
+	b = append(b, uint8(cfg.Depth), uint8(cfg.IndexBits), uint8(cfg.SecondaryBits),
+		uint8(cfg.TagBits), uint8(cfg.CounterBits), uint8(cfg.CounterInc),
+		uint8(cfg.CounterDec), uint8(cfg.SecCounterBits), uint8(cfg.SecCounterDec))
+	b = le.AppendUint16(b, uint16(cfg.RHSDepth))
+	b = append(b, uint8(cfg.DOLC.Depth), uint8(cfg.DOLC.Older), uint8(cfg.DOLC.Last),
+		uint8(cfg.DOLC.Current), uint8(cfg.DOLC.Index))
+	b = t.appendMutable(b, &fs)
 
 	b = le.AppendUint32(b, uint32(nCorr))
 	for i, m := range t.corrMeta {
-		if m&entValid == 0 {
-			continue
+		if m&entValid != 0 {
+			b = t.appendCorr(b, i)
 		}
-		var alt uint8
-		if m&entAltValid != 0 {
-			alt = 1
-		}
-		b = le.AppendUint32(b, uint32(i))
-		b = le.AppendUint16(b, uint16(m>>16))
-		b = le.AppendUint64(b, t.corrVal[i])
-		b = le.AppendUint64(b, t.corrAlt[i])
-		b = append(b, uint8(m>>8), alt)
 	}
 	b = le.AppendUint32(b, uint32(nSec))
 	for i, m := range t.secMeta {
-		if m&entValid == 0 {
-			continue
+		if m&entValid != 0 {
+			b = t.appendSec(b, i)
 		}
-		b = le.AppendUint32(b, uint32(i))
-		b = le.AppendUint64(b, t.secVal[i])
-		b = append(b, uint8(m>>8))
 	}
 	return b, nil
 }
@@ -239,27 +268,7 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 // uninterrupted.
 func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 	r := &stateReader{b: state}
-	kind := r.u8()
-	flags := r.u8()
-	if r.err == nil && flags&^uint8(paperFlagsKnown) != 0 {
-		r.fail("unknown flag bits %#x", flags)
-	}
-	var saved Config
-	saved.Depth = int(r.u8())
-	saved.IndexBits = int(r.u8())
-	saved.SecondaryBits = int(r.u8())
-	saved.TagBits = int(r.u8())
-	saved.CounterBits = int(r.u8())
-	saved.CounterInc = int(r.u8())
-	saved.CounterDec = int(r.u8())
-	saved.SecCounterBits = int(r.u8())
-	saved.SecCounterDec = int(r.u8())
-	saved.RHSDepth = int(r.u16())
-	saved.DOLC.Depth = int(r.u8())
-	saved.DOLC.Older = int(r.u8())
-	saved.DOLC.Last = int(r.u8())
-	saved.DOLC.Current = int(r.u8())
-	saved.DOLC.Index = int(r.u8())
+	kind, flags, saved := r.paperHead()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -273,41 +282,12 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 		return nil, err
 	}
 
-	stats := r.stats()
-	histState := r.reg()
-	var rhs history.StackState
-	if flags&paperFlagUseRHS != 0 {
-		rhs.Max = int(r.u16())
-		n := int(r.u16())
-		if r.err == nil {
-			if rem := len(r.b) - r.off; n*stateRegBytes > rem {
-				r.fail("RHS count %d needs %d bytes, %d remain", n, n*stateRegBytes, rem)
-			} else if rhs.Max != full.RHSDepth {
-				r.fail("RHS capacity %d for depth %d", rhs.Max, full.RHSDepth)
-			}
-		}
-		if r.err == nil {
-			rhs.Regs = make([]history.RegState, n)
-			for i := range rhs.Regs {
-				rhs.Regs[i] = r.reg()
-			}
-		}
-	}
-	if flags&paperFlagHasFaults != 0 {
-		if fs, ok := r.injector(); ok {
-			full.Faults = faults.FromState(fs)
-		}
-	}
+	m := r.mutable(flags, full.Depth, full.RHSDepth, true)
 	if r.err != nil {
 		return nil, r.err
 	}
-
-	hist, err := history.RegFromState(histState)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadState, err)
-	}
-	if hist.Size() != full.Depth+1 {
-		return nil, fmt.Errorf("%w: history size %d for depth %d", ErrBadState, hist.Size(), full.Depth)
+	if m.hasFaults {
+		full.Faults = faults.FromState(m.faults)
 	}
 
 	var p NextTracePredictor
@@ -317,11 +297,7 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 		if err != nil {
 			return nil, err
 		}
-		if h.rhs != nil {
-			if h.rhs, err = history.StackFromState(rhs); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadState, err)
-			}
-		}
+		h.rhs = m.rhs
 		p, t = h, h.tables()
 	} else {
 		b, err := newBasic(full)
@@ -330,51 +306,27 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 		}
 		p, t = b, b.tables()
 	}
-	*t.stats = stats
-	*t.hist = hist
+	*t.stats = m.stats
+	*t.hist = m.hist
 	if full.Faults != nil {
 		t.hist.SetFaultHook(full.Faults)
 	}
 
-	valBits := full.valBits()
-	what := "correlated"
-	if !full.Hybrid {
-		what = "table"
-	}
-	corr := entryCheck{what: what, size: len(t.corrMeta), ctrBits: full.CounterBits, valBits: valBits, prev: -1}
+	corr, sec := paperChecks(kind, flags, &full)
 	n := r.count("correlated entries", paperCorrEntryBytes)
-	for i := 0; i < n; i++ {
-		idx, tag, val, alt, ctr, ef := r.u32(), r.u16(), r.u64(), r.u64(), r.u8(), r.u8()
-		if r.err == nil && ef > 1 {
-			r.fail("correlated entry %d flag byte %d", i, ef)
+	for i := 0; i < n && r.err == nil; i++ {
+		if idx, m, val, alt := r.corrEntry(&corr, full.Hybrid); r.err == nil {
+			t.corrMeta[idx], t.corrVal[idx], t.corrAlt[idx] = m, val, alt
 		}
-		if r.err == nil {
-			r.err = corr.check(idx, ctr, val, alt)
-		}
-		if r.err != nil {
-			break
-		}
-		m := uint32(ctr)<<8 | entValid | uint32(ef)*entAltValid
-		if full.Hybrid {
-			m |= uint32(tag) << 16
-		}
-		t.corrMeta[idx], t.corrVal[idx], t.corrAlt[idx] = m, val, alt
 	}
-
-	sec := entryCheck{what: "secondary", size: len(t.secMeta), ctrBits: full.SecCounterBits, valBits: valBits, prev: -1}
 	n = r.count("secondary entries", paperSecEntryBytes)
 	if r.err == nil && n > 0 && !full.Hybrid {
 		r.fail("basic predictor with secondary entries")
 	}
-	for i := 0; i < n; i++ {
-		idx, val, ctr := r.u32(), r.u64(), r.u8()
-		if r.err == nil {
-			r.err = sec.check(idx, ctr, val)
+	for i := 0; i < n && r.err == nil; i++ {
+		if idx, m, val := r.secEntry(&sec); r.err == nil {
+			t.secMeta[idx], t.secVal[idx] = m, val
 		}
-		if r.err != nil {
-			break
-		}
-		t.secMeta[idx], t.secVal[idx] = uint16(ctr)<<8|entValid, val
 	}
 
 	if r.err == nil && r.off != len(r.b) {
@@ -384,6 +336,22 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 		return nil, r.err
 	}
 	return p, nil
+}
+
+// paperChecks returns the entry checks for a state of geometry g: table
+// sizes, counter widths and the stored-identifier width.
+func paperChecks(kind, flags uint8, g *Config) (corr, sec entryCheck) {
+	valBits := trace.IDBits
+	if flags&paperFlagCostReduced != 0 {
+		valBits = trace.HashBits
+	}
+	corr = entryCheck{what: "table", size: 1 << g.IndexBits, ctrBits: g.CounterBits, valBits: valBits, prev: -1}
+	sec = entryCheck{what: "secondary", ctrBits: g.SecCounterBits, valBits: valBits, prev: -1}
+	if kind == paperKindHybrid {
+		corr.what = "correlated"
+		sec.size = 1 << g.SecondaryBits
+	}
+	return corr, sec
 }
 
 // checkPaperGeometry verifies the saved geometry matches a normalised
@@ -584,6 +552,117 @@ func (r *stateReader) reg() history.RegState {
 		st.IDs[i] = trace.HashedID(r.u16())
 	}
 	return st
+}
+
+// paperHead reads a paper state's kind, flags and saved geometry.
+func (r *stateReader) paperHead() (kind, flags uint8, g Config) {
+	kind = r.u8()
+	flags = r.u8()
+	if r.err == nil && flags&^uint8(paperFlagsKnown) != 0 {
+		r.fail("unknown flag bits %#x", flags)
+	}
+	g.Depth = int(r.u8())
+	g.IndexBits = int(r.u8())
+	g.SecondaryBits = int(r.u8())
+	g.TagBits = int(r.u8())
+	g.CounterBits = int(r.u8())
+	g.CounterInc = int(r.u8())
+	g.CounterDec = int(r.u8())
+	g.SecCounterBits = int(r.u8())
+	g.SecCounterDec = int(r.u8())
+	g.RHSDepth = int(r.u16())
+	g.DOLC.Depth = int(r.u8())
+	g.DOLC.Older = int(r.u8())
+	g.DOLC.Last = int(r.u8())
+	g.DOLC.Current = int(r.u8())
+	g.DOLC.Index = int(r.u8())
+	return kind, flags, g
+}
+
+// paperMutable is a decoded mutable part.
+type paperMutable struct {
+	stats     Stats
+	hist      history.Reg
+	rhs       *history.ReturnStack // nil unless flagged
+	faults    faults.InjectorState // valid when hasFaults
+	hasFaults bool
+}
+
+// mutable reads and validates a mutable part for a predictor of the
+// given history depth and RHS capacity. It builds the RHS (m.rhs) only
+// when build is set, so a delta merge validates one without allocating.
+func (r *stateReader) mutable(flags uint8, depth, rhsDepth int, build bool) (m paperMutable) {
+	m.stats = r.stats()
+	histState := r.reg()
+	if r.err == nil {
+		var err error
+		if m.hist, err = history.RegFromState(histState); err != nil {
+			r.fail("%v", err)
+		} else if m.hist.Size() != depth+1 {
+			r.fail("history size %d for depth %d", m.hist.Size(), depth)
+		}
+	}
+	if flags&paperFlagUseRHS != 0 {
+		st := history.StackState{Max: int(r.u16())}
+		n := int(r.u16())
+		if r.err == nil {
+			if rem := len(r.b) - r.off; n*stateRegBytes > rem {
+				r.fail("RHS count %d needs %d bytes, %d remain", n, n*stateRegBytes, rem)
+			} else if st.Max != rhsDepth || st.Max < 1 {
+				r.fail("RHS capacity %d for depth %d", st.Max, rhsDepth)
+			} else if n > st.Max {
+				r.fail("RHS holds %d > capacity %d", n, st.Max)
+			}
+		}
+		if build && r.err == nil {
+			st.Regs = make([]history.RegState, 0, n)
+		}
+		for i := 0; i < n && r.err == nil; i++ {
+			rs := r.reg()
+			if _, err := history.RegFromState(rs); r.err == nil && err != nil {
+				r.fail("%v", err)
+			}
+			if build {
+				st.Regs = append(st.Regs, rs)
+			}
+		}
+		if build && r.err == nil {
+			var err error
+			if m.rhs, err = history.StackFromState(st); err != nil {
+				r.fail("%v", err)
+			}
+		}
+	}
+	if flags&paperFlagHasFaults != 0 {
+		m.faults, m.hasFaults = r.injector()
+	}
+	return m
+}
+
+// corrEntry reads one correlated entry, validated by c, and returns its
+// index and its fields in table form. Only hybrid tables keep the tag.
+func (r *stateReader) corrEntry(c *entryCheck, hybrid bool) (idx, m uint32, val, alt uint64) {
+	idx, tag, val, alt, ctr, ef := r.u32(), r.u16(), r.u64(), r.u64(), r.u8(), r.u8()
+	if r.err == nil && ef > 1 {
+		r.fail("%s entry %d flag byte %d", c.what, idx, ef)
+	}
+	if r.err == nil {
+		r.err = c.check(idx, ctr, val, alt)
+	}
+	m = uint32(ctr)<<8 | entValid | uint32(ef)*entAltValid
+	if hybrid {
+		m |= uint32(tag) << 16
+	}
+	return idx, m, val, alt
+}
+
+// secEntry reads one secondary entry, validated by c.
+func (r *stateReader) secEntry(c *entryCheck) (idx uint32, m uint16, val uint64) {
+	idx, val, ctr := r.u32(), r.u64(), r.u8()
+	if r.err == nil {
+		r.err = c.check(idx, ctr, val)
+	}
+	return idx, uint16(ctr)<<8 | entValid, val
 }
 
 // injector reads a fault injector's plan and stream position.

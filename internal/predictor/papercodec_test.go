@@ -192,8 +192,9 @@ type paperLayout struct {
 func layoutOf(t *testing.T, st []byte) paperLayout {
 	t.Helper()
 	le := binary.LittleEndian
-	l := paperLayout{hist: 2 + paperGeometryBytes + paperStatsBytes, rhs: paperFixedBytes}
-	off := paperFixedBytes
+	l := paperLayout{hist: paperHeadBytes + paperStatsBytes}
+	l.rhs = l.hist + stateRegBytes
+	off := l.rhs
 	if st[1]&paperFlagUseRHS != 0 {
 		off += 4 + int(le.Uint16(st[off+2:]))*stateRegBytes
 	}

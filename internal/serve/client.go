@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pathtrace/internal/predictor"
+	"pathtrace/internal/snapshot"
 	"pathtrace/internal/trace"
 )
 
@@ -255,30 +256,45 @@ func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace,
 
 // Snapshot fetches the session's complete state as a checksummed
 // internal/snapshot frame, suitable for Restore on this or another
-// server. It is AppendSnapshot into a new slice.
+// server.
 func (c *Client) Snapshot(session uint64) ([]byte, error) {
-	return c.AppendSnapshot(nil, session)
-}
-
-// AppendSnapshot is Snapshot appending the frame to dst, so a caller
-// that keeps one frame per session can refresh it in place with
-// AppendSnapshot(frame[:0], session) and allocate nothing once the
-// buffer fits. The frame is copied into dst only after the whole
-// response has arrived with an OK status; on any error dst is returned
-// unchanged and no byte of its backing array past len(dst) is written,
-// so the previous frame stored there stays intact.
-func (c *Client) AppendSnapshot(dst []byte, session uint64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	body, err := c.roundTrip(OpSnapshot, session, nil)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
-	if cap(dst)-len(dst) < len(body) {
-		// Exact size: the caller keeps this buffer between snapshots.
-		dst = append(make([]byte, 0, len(dst)+len(body)), dst...)
+	return append([]byte(nil), body...), nil
+}
+
+// RefreshSnapshot brings h, the session's frame as of snapshot
+// generation gen, up to date in one tracked OpSnapshot round trip, and
+// returns the generation h now holds. Pass gen 0 when h holds no frame
+// this server issued. The server answers with a delta when gen is the
+// last generation it issued for the session, and h merges it in place
+// at a cost of O(the delta); otherwise it answers with a full frame,
+// which replaces h. On any error h is left as it was.
+func (c *Client) RefreshSnapshot(session, gen uint64, h *snapshot.Held) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var tok [snapGenBytes]byte
+	le.PutUint64(tok[:], gen)
+	body, err := c.roundTrip(OpSnapshot, session, tok[:])
+	if err != nil {
+		return gen, err
 	}
-	return append(dst, body...), nil
+	if len(body) < snapGenBytes {
+		return gen, fmt.Errorf("%w: snapshot response %d bytes", ErrFrame, len(body))
+	}
+	next, env := le.Uint64(body), body[snapGenBytes:]
+	if !snapshot.IsDelta(env) {
+		h.Set(env)
+		return next, nil
+	}
+	if err := h.Apply(env); err != nil {
+		return gen, fmt.Errorf("%w: snapshot delta: %v", ErrFrame, err)
+	}
+	return next, nil
 }
 
 // Restore installs a snapshot frame as the session's state, replacing

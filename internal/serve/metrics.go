@@ -278,6 +278,13 @@ func (s *Server) registerMetrics() {
 			func() uint64 { return sh.counters.Overloads.Load() })
 		reg.CounterFunc("ntpd_snapshot_ops_total", "Session snapshot frames served per shard.", l,
 			func() uint64 { return sh.counters.Snapshots.Load() })
+		reg.CounterFunc("ntpd_snapshot_delta_ops_total", "Session snapshots served as deltas per shard.", l,
+			func() uint64 { return sh.counters.DeltaSnaps.Load() })
+		const snapBytesHelp = "Snapshot bytes served per shard, by kind (full frame or delta)."
+		reg.CounterFunc("ntpd_snapshot_bytes_total", snapBytesHelp, metrics.Labels{"shard": l["shard"], "kind": "full"},
+			sh.counters.FullSnapBytes.Load)
+		reg.CounterFunc("ntpd_snapshot_bytes_total", snapBytesHelp, metrics.Labels{"shard": l["shard"], "kind": "delta"},
+			sh.counters.DeltaSnapBytes.Load)
 		reg.CounterFunc("ntpd_snapshot_restores_total", "Sessions installed via OpRestore per shard.", l,
 			func() uint64 { return sh.counters.Restores.Load() })
 		reg.CounterFunc("ntpd_snapshot_restore_rejects_total", "OpRestore frames rejected per shard.", l,

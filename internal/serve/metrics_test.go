@@ -11,6 +11,7 @@ import (
 
 	"pathtrace/internal/metrics"
 	"pathtrace/internal/predictor"
+	"pathtrace/internal/snapshot"
 	"pathtrace/internal/trace"
 )
 
@@ -351,6 +352,67 @@ func TestMetricsExactAtEveryReply(t *testing.T) {
 			if got := metricValue(t, body, c.series); got != float64(c.want) {
 				t.Errorf("step %d: %s = %v, want %d", step, c.series, got, c.want)
 			}
+		}
+	}
+}
+
+// TestSnapshotMetrics: the snapshot families count every OpSnapshot
+// answer, split full frames from deltas, and sum their bytes by kind:
+// one tracked full frame, one untracked full frame of the same state,
+// then one delta, which must be exactly the size of the delta an
+// in-process predictor fed the same traces produces.
+func TestSnapshotMetrics(t *testing.T) {
+	traces := streamTraces(t)
+	cfg := headlineConfig()
+	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1, Predictor: cfg})
+	cl := dialT(t, srv)
+	const session = 1
+	if _, _, err := cl.Open(session); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := predictor.ResolveBackend(cfg)
+	ref := predictor.MustNew(cfg)
+	first, second := traces[:300], traces[300:400]
+
+	if _, _, _, err := cl.UpdateBatch(session, first); err != nil {
+		t.Fatal(err)
+	}
+	predictor.UpdateBatch(ref, first)
+	var h snapshot.Held
+	gen, err := cl.RefreshSnapshot(session, 0, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := cl.Snapshot(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Mark(ref)
+	if _, _, _, err := cl.UpdateBatch(session, second); err != nil {
+		t.Fatal(err)
+	}
+	predictor.UpdateBatch(ref, second)
+	if _, err := cl.RefreshSnapshot(session, gen, &h); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := snapshot.AppendDelta(nil, session, uint64(len(first)+len(second)), b.Name,
+		func(dst []byte) ([]byte, error) { return b.AppendDelta(dst, ref) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body := scrape(t, srv)
+	for _, c := range []struct {
+		series string
+		want   int
+	}{
+		{`ntpd_snapshot_ops_total{shard="0"}`, 3},
+		{`ntpd_snapshot_delta_ops_total{shard="0"}`, 1},
+		{`ntpd_snapshot_bytes_total{kind="full",shard="0"}`, 2 * len(full)},
+		{`ntpd_snapshot_bytes_total{kind="delta",shard="0"}`, len(delta)},
+	} {
+		if got := metricValue(t, body, c.series); got != float64(c.want) {
+			t.Errorf("%s = %v, want %d", c.series, got, c.want)
 		}
 	}
 }

@@ -29,8 +29,9 @@
 //	           resp: u32 shard | u32 sessions | session Stats | shard Stats
 //	                 (each Stats is 6 * u64: predictions, correct, cold,
 //	                 fromSecondary, altCorrect, altPresent)
-//	OpSnapshot req:  (empty)
-//	           resp: one internal/snapshot frame
+//	OpSnapshot req:  (empty) | u64 gen
+//	           resp: one internal/snapshot frame     (empty request)
+//	                 u64 gen | frame or delta        (gen request)
 //	OpRestore  req:  one internal/snapshot frame
 //	           resp: u32 shard
 //	OpHello    req:  client tag (1..64 printable ASCII bytes)
@@ -72,6 +73,21 @@
 // and rejects anything else with StatusBadSnapshot, so a corrupt or
 // adversarial frame can neither install garbage state nor force large
 // allocations.
+//
+// A client that keeps a session's frame current after every ack asks
+// for snapshots incrementally: its OpSnapshot body is the generation
+// token of the frame it holds (0 when it holds none). Every such answer
+// starts with a new token for the client to hold next. When the token
+// names the session's last answered generation and the backend takes
+// deltas, the rest is an internal/snapshot delta envelope: the state's
+// small mutable part plus only the table entries written since, O(the
+// batches between) rather than O(table), which the client merges into
+// its frame (snapshot.Held). Otherwise — the first snapshot, a lost or
+// torn answer, a restore, a second client snapshotting the same
+// session, a backend without delta hooks such as TAGE — the rest is a
+// full frame, and the session starts tracking its writes from it. An
+// empty body always gets a bare full frame and leaves that tracking
+// alone; so do checkpoints and drain handoffs.
 //
 // A trace on the wire carries exactly the fields the predictor consumes
 // (identifier, hashed identifier, and the call/return metadata the
@@ -220,13 +236,14 @@ func statusOf(err error) uint8 {
 const (
 	// MaxBatch bounds the traces in one batch request.
 	MaxBatch = 8192
-	// MaxFrame bounds a frame payload: the larger of a batch of
-	// MaxBatch traces and an OpRestore carrying a full session snapshot
-	// (snapshot responses fit under the same bound: the response header
-	// is smaller than the request header).
+	// MaxFrame bounds a frame payload: the largest of a batch of
+	// MaxBatch traces, an OpRestore carrying a full session snapshot,
+	// and a tracked OpSnapshot answer carrying one (a delta is never
+	// larger than the full frame of the same state).
 	MaxFrame = max(
 		reqHeaderBytes+updateHeaderBytes+MaxBatch*wireTraceBytes,
 		reqHeaderBytes+snapshot.MaxEncoded,
+		respHeaderBytes+snapGenBytes+snapshot.MaxEncoded,
 	)
 )
 
@@ -236,6 +253,7 @@ const (
 	updateHeaderBytes = 8 + 4     // seq, count
 	batchRespBytes    = 4 + 4 + 4 // skipped, applied, correct
 	openRespBytes     = 4 + 8     // shard, lastSeq
+	snapGenBytes      = 8         // OpSnapshot generation token
 	wireTraceBytes    = 24
 	statsBytes        = 6 * 8
 )
@@ -401,6 +419,8 @@ type request struct {
 	seq       uint64        // batch ops: exactly-once sequence of traces[0], 0 = none
 	traces    []trace.Trace // batch ops: decoded into the reused buffer
 	blob      []byte        // OpRestore only: the snapshot frame, aliasing the payload
+	tracked   bool          // OpSnapshot only: the client named the generation it holds
+	gen       uint64        // OpSnapshot only: that generation, 0 = none
 	client    string        // OpHello only: the client tag (copied)
 	wireBytes int           // payload size on the wire, for per-client byte accounting
 
@@ -427,9 +447,17 @@ func parseRequest(req *request, payload []byte) error {
 	}
 	body := payload[reqHeaderBytes:]
 	switch req.op {
-	case OpOpen, OpStats, OpSnapshot:
+	case OpOpen, OpStats:
 		if len(body) != 0 {
 			return fmt.Errorf("%w: op 0x%02x with %d-byte body", ErrFrame, req.op, len(body))
+		}
+	case OpSnapshot:
+		switch len(body) {
+		case 0:
+		case snapGenBytes:
+			req.tracked, req.gen = true, le.Uint64(body)
+		default:
+			return fmt.Errorf("%w: snapshot body %d bytes", ErrFrame, len(body))
 		}
 	case OpUpdateBatch, OpPredictBatch:
 		if len(body) < updateHeaderBytes {

@@ -189,6 +189,7 @@ func FuzzParseRequest(f *testing.F) {
 	for _, op := range []uint8{OpOpen, 0x02, OpStats, OpSnapshot} {
 		f.Add(withBody(op, ""))
 	}
+	f.Add(withBody(OpSnapshot, "\x01\x02\x03\x04\x05\x06\x07\x08"))
 	f.Add(withBody(OpRestore, "NTSS\x02 not a real snapshot"))
 	f.Add(withBody(OpHello, "fuzz-client"))
 	f.Add(batchFrame(OpUpdateBatch, 1, 3, 0))
@@ -231,6 +232,10 @@ func FuzzParseRequest(f *testing.F) {
 			if len(req.traces) != 0 || req.blob != nil || req.client != "" || req.seq != 0 {
 				t.Fatalf("control op 0x%02x decoded with a body: %+v", req.op, req)
 			}
+			// Of these ops only OpSnapshot takes a body: its generation.
+			if tracked := len(payload) == reqHeaderBytes+snapGenBytes; req.tracked != tracked || !tracked && req.gen != 0 {
+				t.Fatalf("op 0x%02x from a %d-byte payload decoded tracked=%v gen=%d", req.op, len(payload), req.tracked, req.gen)
+			}
 		case OpRestore:
 			if len(req.blob) == 0 || len(req.blob) > snapshot.MaxEncoded || len(req.traces) != 0 {
 				t.Fatalf("restore decoded with a %d-byte blob and %d traces", len(req.blob), len(req.traces))
@@ -264,6 +269,7 @@ func FuzzParseRequest(f *testing.F) {
 func sameRequest(a, b *request) bool {
 	return a.op == b.op && a.reqID == b.reqID && a.session == b.session &&
 		a.seq == b.seq && a.client == b.client && a.wireBytes == b.wireBytes &&
+		a.tracked == b.tracked && a.gen == b.gen &&
 		(a.blob == nil) == (b.blob == nil) && bytes.Equal(a.blob, b.blob) &&
 		len(a.traces) == len(b.traces) &&
 		(len(a.traces) == 0 || reflect.DeepEqual(a.traces, b.traces))

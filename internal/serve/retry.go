@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"pathtrace/internal/snapshot"
 	"pathtrace/internal/trace"
 )
 
@@ -49,7 +50,10 @@ type RetryConfig struct {
 	// updates (0 disables). With 1, recovery is exact: a session lost
 	// to a crash is re-established from a snapshot that includes every
 	// acked batch, and the stream continues bit-identically. Larger
-	// values trade recovery fidelity for round trips.
+	// values trade recovery fidelity for round trips. Snapshots after
+	// the first are deltas merged into the held frame, so on the paper
+	// backends a snapshot costs O(the batches since the last one) on
+	// both sides, not O(table): N=1 costs O(batch) per ack.
 	SnapshotEvery int
 
 	// ClientTag names this client to the server for per-client
@@ -90,9 +94,10 @@ func (c RetryConfig) withDefaults() (RetryConfig, error) {
 // rcSession is the client-side recovery state for one session: the
 // sequence stream position and the last acked snapshot.
 type rcSession struct {
-	seq       uint64 // last acked trace sequence
-	snap      []byte // last acked snapshot frame (nil: none yet)
-	sinceSnap int    // acked batches since the last snapshot
+	seq       uint64        // last acked trace sequence
+	snap      snapshot.Held // last acked snapshot frame (empty: none yet)
+	gen       uint64        // the server's generation token for snap, 0 = none
+	sinceSnap int           // acked batches since the last snapshot
 }
 
 // RetryClient wraps the wire client with the crash-safety behaviours a
@@ -324,8 +329,11 @@ func (rc *RetryClient) do(session uint64, what string, op func(*Client) error) e
 // acked snapshot when one exists, else a plain (idempotent) open. On
 // success the server's duplicate detector is aligned with rc's state.
 func (rc *RetryClient) establish(c *Client, session uint64, s *rcSession) error {
-	if s.snap != nil {
-		_, err := c.Restore(session, s.snap)
+	if s.snap.Len() > 0 {
+		// The restored session has no tracked snapshot: the next one is
+		// a full frame.
+		s.gen = 0
+		_, err := c.Restore(session, s.snap.Frame())
 		return err
 	}
 	_, lastSeq, err := c.Open(session)
@@ -359,9 +367,9 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 			return err
 		}
 		s.seq = max(s.seq, lastSeq)
-		if rc.cfg.SnapshotEvery > 0 && s.snap == nil {
-			if frame, serr := c.Snapshot(session); serr == nil {
-				s.snap, s.sinceSnap = frame, 0
+		if rc.cfg.SnapshotEvery > 0 && s.snap.Len() == 0 {
+			if gen, serr := c.RefreshSnapshot(session, 0, &s.snap); serr == nil {
+				s.gen, s.sinceSnap = gen, 0
 			}
 		}
 		return nil
@@ -402,14 +410,14 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 		if rc.cfg.SnapshotEvery <= 0 || s.sinceSnap < rc.cfg.SnapshotEvery {
 			return nil
 		}
-		// Refresh the frame in place: AppendSnapshot writes into s.snap
-		// only on success, so a failed snapshot leaves the last acked
-		// frame intact for establish.
-		var frame []byte
-		frame, err = c.AppendSnapshot(s.snap[:0], session)
+		// Refresh the frame in place, by a delta when the server still
+		// knows the held generation: a failed snapshot leaves the last
+		// acked frame intact for establish.
+		var gen uint64
+		gen, err = c.RefreshSnapshot(session, s.gen, &s.snap)
 		switch {
 		case err == nil:
-			s.snap, s.sinceSnap = frame, 0
+			s.gen, s.sinceSnap = gen, 0
 		case errors.Is(err, ErrUnknownSession):
 			// Lost between ack and snapshot: the loop re-establishes
 			// and this resends the same range — suffix dedup absorbs

@@ -128,6 +128,9 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		case req.op == OpRestore:
 			resp = append(resp, make([]byte, 4)...)
 		case req.op == OpSnapshot:
+			if req.tracked {
+				resp = le.AppendUint64(resp, uint64(ss.snaps))
+			}
 			resp = append(resp, scriptSnap(ss.snaps)...)
 		case req.op == OpUpdateBatch:
 			resp = le.AppendUint32(resp, 0)
@@ -354,7 +357,7 @@ func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 			}
 			update()
 			update()
-			acked := append([]byte(nil), rc.sessions[session].snap...)
+			acked := append([]byte(nil), rc.sessions[session].snap.Frame()...)
 			if !bytes.Equal(acked, scriptSnap(3)) {
 				t.Fatalf("acked frame %.8q, want snapshot 3", acked)
 			}
@@ -381,7 +384,7 @@ func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 			ss.mu.Lock()
 			last := ss.snaps
 			ss.mu.Unlock()
-			if got := rc.sessions[session].snap; !bytes.Equal(got, scriptSnap(last)) {
+			if got := rc.sessions[session].snap.Frame(); !bytes.Equal(got, scriptSnap(last)) {
 				t.Errorf("held frame %.8q, want the newest one served (snapshot %d)", got, last)
 			}
 		})

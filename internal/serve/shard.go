@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +38,12 @@ type session struct {
 
 	// dirty marks state changed since the last checkpoint encode.
 	dirty bool
+
+	// snapGen is the generation token of the last tracked snapshot
+	// answered for the session, 0 when none is current. Only then does
+	// the primary record the slots it writes, and only a request naming
+	// this token gets a delta.
+	snapGen uint64
 }
 
 // shadowPred is one shadow backend's predictor within a session.
@@ -83,7 +90,10 @@ type shardCounters struct {
 	Batches        atomic.Uint64
 	Traces         atomic.Uint64
 	Overloads      atomic.Uint64
-	Snapshots      atomic.Uint64 // OpSnapshot frames served
+	Snapshots      atomic.Uint64 // OpSnapshot answers served, full or delta
+	DeltaSnaps     atomic.Uint64 // OpSnapshot answers served as deltas
+	FullSnapBytes  atomic.Uint64 // bytes of full frames served
+	DeltaSnapBytes atomic.Uint64 // bytes of delta envelopes served
 	Restores       atomic.Uint64 // sessions installed via OpRestore
 	RestoreRejects atomic.Uint64 // OpRestore frames rejected
 	DupUpdates     atomic.Uint64 // batch frames that replayed already-applied sequences
@@ -112,6 +122,11 @@ type shard struct {
 	closed   bool // set by stop: no request runs after it
 	sessions map[uint64]*session
 
+	// gens issues snapshot generation tokens. It starts at a random
+	// point, so a token a client holds from another server, or from an
+	// earlier run of this one, does not match.
+	gens uint64
+
 	// agg is the sum of every resident session's primary predictor
 	// stats (shadows are excluded). The ops that change a session's
 	// stats — batch and installSnapshot — apply their delta, so no
@@ -135,6 +150,7 @@ func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *fau
 		queueLen: int64(queueLen),
 		sessions: make(map[uint64]*session),
 		metrics:  m,
+		gens:     rand.Uint64(),
 	}
 }
 
@@ -340,20 +356,54 @@ func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
 	})
 }
 
-// snapshotSession writes the whole OpSnapshot response — the OK header,
-// then the session's frame — into the connection's response buffer
-// (req.resp), so the state is encoded once, into the bytes that go on
-// the wire. The backend captures state at a round boundary, which holds
-// by construction here: the shard runs complete Predict/Update rounds
-// per request.
+// snapshotSession writes the whole OpSnapshot response — the OK
+// header, then the session's frame or delta — into the connection's
+// response buffer (req.resp), so the state is encoded once, into the
+// bytes that go on the wire. A tracked request (one naming the
+// generation its client holds) gets a fresh generation token first,
+// then a delta when that generation is the session's last answered one,
+// else a full frame that restarts the primary's change record. The
+// backend captures state at a round boundary, which holds by
+// construction here: the shard runs complete Predict/Update rounds per
+// request.
 func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 	b := appendResponseHeader(req.resp[:0], OpSnapshot, req.reqID, StatusOK)
-	b, err := sh.appendFrame(b, s)
-	if err != nil {
-		return shardResp{err: ErrBadRequest}
+	var gen uint64
+	if req.tracked {
+		if sh.gens++; sh.gens == 0 {
+			sh.gens++
+		}
+		gen = sh.gens
+		b = le.AppendUint64(b, gen)
+	}
+	at := len(b)
+	delta := req.tracked && req.gen != 0 && req.gen == s.snapGen
+	var err error
+	if delta {
+		b, err = snapshot.AppendDelta(b, s.id, s.lastSeq, sh.backend.Name, func(b []byte) ([]byte, error) {
+			return sh.backend.AppendDelta(b, s.p)
+		})
+		delta = err == nil
+	}
+	if !delta {
+		if b, err = sh.appendFrame(b, s); err != nil {
+			return shardResp{err: ErrBadRequest}
+		}
+	}
+	if req.tracked {
+		s.snapGen = 0
+		if delta || sh.backend.Incremental() && sh.backend.Mark(s.p) == nil {
+			s.snapGen = gen
+		}
 	}
 	req.resp = b
 	sh.counters.Snapshots.Add(1)
+	if delta {
+		sh.counters.DeltaSnaps.Add(1)
+		sh.counters.DeltaSnapBytes.Add(uint64(len(b) - at))
+	} else {
+		sh.counters.FullSnapBytes.Add(uint64(len(b) - at))
+	}
 	return shardResp{}
 }
 

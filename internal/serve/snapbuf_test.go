@@ -48,9 +48,8 @@ func refFrame(t testing.TB, b predictor.Backend, id, lastSeq uint64, p predictor
 
 // TestServedSnapshotEqualsEncode: for every snapshottable backend, the
 // frame a live server returns for OpSnapshot — fresh, then after each
-// batch, refreshed in place through AppendSnapshot — is byte for byte
-// the frame snapshot.Encode makes of an in-process predictor fed the
-// same traces.
+// batch — is byte for byte the frame snapshot.Encode makes of an
+// in-process predictor fed the same traces.
 func TestServedSnapshotEqualsEncode(t *testing.T) {
 	s := captureTestStream(t)
 	for _, b := range predictor.Backends() {
@@ -72,12 +71,11 @@ func TestServedSnapshotEqualsEncode(t *testing.T) {
 			ref := predictor.MustNew(cfg)
 			cur := s.Cursor()
 			batch := make([]trace.Trace, 128)
-			var frame []byte
 			var seq uint64
 			for round := 0; round < 8; round++ {
-				var err error
-				if frame, err = cl.AppendSnapshot(frame[:0], session); err != nil {
-					t.Fatalf("round %d: AppendSnapshot: %v", round, err)
+				frame, err := cl.Snapshot(session)
+				if err != nil {
+					t.Fatalf("round %d: Snapshot: %v", round, err)
 				}
 				if want := refFrame(t, b, session, seq, ref); !bytes.Equal(frame, want) {
 					t.Fatalf("round %d: served frame (%d bytes) differs from snapshot.Encode (%d bytes)", round, len(frame), len(want))
@@ -352,7 +350,7 @@ func TestRetryClientSnapshotFaultsResumeBitIdentical(t *testing.T) {
 			if !st.Session.Equal(ref.Stats()) {
 				t.Errorf("session stats %+v, want %+v", st.Session, ref.Stats())
 			}
-			if !bytes.Equal(rc.sessions[session].snap, refFrame(t, b, session, seq, ref)) {
+			if !bytes.Equal(rc.sessions[session].snap.Frame(), refFrame(t, b, session, seq, ref)) {
 				t.Error("held frame is not the final state's frame")
 			}
 		})
@@ -362,11 +360,14 @@ func TestRetryClientSnapshotFaultsResumeBitIdentical(t *testing.T) {
 // BenchmarkRetrySnapshotEvery1 is the durable workload in miniature:
 // a RetryClient with SnapshotEvery 1 drives one warmed IndexBits-16
 // hybrid+RHS session on a loopback server at batch 256, so each op is
-// one UpdateBatch round trip plus one OpSnapshot round trip. B/op
-// counts client and server together. With the frame written once into
-// the connection's reused buffer and refreshed in place on the client,
-// it stays far under frame-bytes; CI fails the run at half, so a
-// returning per-snapshot copy names itself.
+// one UpdateBatch round trip plus one OpSnapshot round trip. B/op and
+// allocs/op count client and server together. With each answer written
+// once into the connection's reused buffer and merged in place on the
+// client, an ack allocates nothing; CI fails the run at any allocs/op
+// or at half a frame of B/op, so a returning per-snapshot copy names
+// itself. After the first snapshot every answer is a delta of the
+// batch's entries: CI fails the run when wire-bytes/op reaches 1/16 of
+// frame-bytes, so a full frame per ack names itself too.
 func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 	// Random traces fill the 64K-entry tables in a few passes, so the
 	// frame is full size, about what a long real stream reaches.
@@ -421,11 +422,25 @@ func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 		}
 	}
 	send() // one full-size frame on each side before timing
+	wire0 := snapshotWireBytes(srv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		send()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(rc.sessions[session].snap)), "frame-bytes")
+	b.ReportMetric(float64(rc.sessions[session].snap.Len()), "frame-bytes")
+	b.ReportMetric(float64(snapshotWireBytes(srv)-wire0)/float64(b.N), "wire-bytes/op")
+}
+
+// snapshotWireBytes is every OpSnapshot response byte srv has written:
+// the frames and deltas, each with its length prefix, response header
+// and, on tracked requests, generation token.
+func snapshotWireBytes(srv *Server) uint64 {
+	var n uint64
+	for _, sh := range srv.shards {
+		c := &sh.counters
+		n += c.FullSnapBytes.Load() + c.DeltaSnapBytes.Load() + c.Snapshots.Load()*(4+respHeaderBytes+snapGenBytes)
+	}
+	return n
 }

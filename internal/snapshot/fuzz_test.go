@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"pathtrace/internal/faults"
@@ -74,6 +75,59 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re, re2) {
 			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
+}
+
+// FuzzSnapshotDelta applies hostile delta envelopes to a valid held
+// frame. Apply must never panic and must allocate no more than
+// O(frame + delta); a rejected delta must leave the held frame
+// unchanged byte for byte, and an accepted one must leave a frame that
+// decodes and restores. When the first input byte is odd the envelope
+// checksum is fixed up first, so mutations reach the envelope fields
+// and the backend's merge instead of stopping at the checksum.
+func FuzzSnapshotDelta(f *testing.F) {
+	cfg := predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true}
+	fx, frame := newDeltaFixture(f, cfg, 400)
+	fx.run(stream(8, 150))
+	delta := fx.delta(f)
+	for _, seed := range [][]byte{delta, faults.FlipBits(delta, 2, 3), faults.Truncate(delta, 2), fx.delta(f), nil} {
+		f.Add(append([]byte{0}, seed...))
+		f.Add(append([]byte{1}, seed...))
+	}
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		d := in[1:]
+		if in[0]&1 != 0 && len(d) >= checksumBytes {
+			d = bytes.Clone(d)
+			fixCRC(d)
+		}
+		var h Held
+		h.Set(frame)
+		before := bytes.Clone(h.buf[h.off:])
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := h.Apply(d)
+		runtime.ReadMemStats(&m1)
+		if n, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(4*(len(frame)+len(d))+64<<10); n > limit {
+			t.Fatalf("Apply allocated %d bytes for a %d-byte frame and a %d-byte delta", n, len(frame), len(d))
+		}
+		if err != nil {
+			if !bytes.Equal(h.buf[h.off:], before) || !h.sealed {
+				t.Fatalf("rejected delta (%v) changed the held frame", err)
+			}
+			return
+		}
+		s, err := Decode(h.Frame())
+		if err != nil {
+			t.Fatalf("accepted delta left an undecodable frame: %v", err)
+		}
+		b, _ := predictor.BackendByName(s.Backend)
+		if _, err := b.Restore(s.State, cfg); err != nil {
+			t.Fatalf("accepted delta left an unrestorable state: %v", err)
 		}
 	})
 }

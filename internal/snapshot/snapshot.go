@@ -19,6 +19,10 @@
 // and backends own their state bytes, so a new predictor backend needs
 // no snapshot-layer change to become crash-safe.
 //
+// A holder that refreshes a session's frame often need not fetch it
+// whole each time: a delta envelope (delta.go) carries what changed
+// since a frame it holds, and Held merges it into that frame in place.
+//
 // Version policy: the version byte identifies the payload layout.
 // Decoders reject versions they do not know (ErrVersion) rather than
 // guessing; any layout change — even an additive one — bumps the
@@ -126,95 +130,114 @@ func Encode(s *Session) ([]byte, error) {
 // applies Encode's checks, and on any error returns dst with nothing
 // appended.
 func AppendFrame(dst []byte, id, lastSeq uint64, backend string, state func([]byte) ([]byte, error)) ([]byte, error) {
+	if b, ok := predictor.BackendByName(backend); !ok || !b.Snapshottable() {
+		return dst, fmt.Errorf("snapshot: session %#x: backend %q is not a registered snapshottable backend", id, backend)
+	}
+	return appendEnvelope(dst, magic, Version, id, lastSeq, backend, state)
+}
+
+// appendEnvelope appends one checksummed envelope — a full frame or a
+// delta, told apart by mg and version — to dst: the header, the session
+// header and backend tag, then the section that section appends in
+// place behind its length word, then the checksum. It refuses a bad
+// tag, an empty section and an envelope over MaxEncoded, and on any
+// error returns dst with nothing appended.
+func appendEnvelope(dst []byte, mg [4]byte, version uint8, id, lastSeq uint64, backend string, section func([]byte) ([]byte, error)) ([]byte, error) {
 	start := len(dst)
 	if len(backend) == 0 || len(backend) > 0xFF {
 		return dst, fmt.Errorf("snapshot: session %#x: backend tag %q length outside [1, 255]", id, backend)
 	}
-	if b, ok := predictor.BackendByName(backend); !ok || !b.Snapshottable() {
-		return dst, fmt.Errorf("snapshot: session %#x: backend %q is not a registered snapshottable backend", id, backend)
-	}
-
 	le := binary.LittleEndian
-	b := append(dst, magic[:]...)
-	b = append(b, Version)
+	b := append(dst, mg[:]...)
+	b = append(b, version)
 	b = le.AppendUint64(b, id)
 	b = le.AppendUint64(b, lastSeq)
 	b = le.AppendUint64(b, 0) // reserved
 	b = append(b, uint8(len(backend)))
 	b = append(b, backend...)
 	lenAt := len(b)
-	b = le.AppendUint32(b, 0) // state length, patched below
-	b, err := state(b)
+	b = le.AppendUint32(b, 0) // section length, patched below
+	b, err := section(b)
 	if err != nil {
 		return dst[:start], fmt.Errorf("snapshot: session %#x: %w", id, err)
 	}
-	stateLen := len(b) - lenAt - 4
-	if stateLen == 0 {
-		return dst[:start], fmt.Errorf("snapshot: session %#x: empty state section", id)
+	n := len(b) - lenAt - 4
+	if n == 0 {
+		return dst[:start], fmt.Errorf("snapshot: session %#x: empty section", id)
 	}
-	if n := len(b) - start + checksumBytes; n > MaxEncoded {
-		return dst[:start], fmt.Errorf("snapshot: session %#x encodes to %d bytes > max %d", id, n, MaxEncoded)
+	if size := len(b) - start + checksumBytes; size > MaxEncoded {
+		return dst[:start], fmt.Errorf("snapshot: session %#x encodes to %d bytes > max %d", id, size, MaxEncoded)
 	}
-	le.PutUint32(b[lenAt:], uint32(stateLen))
+	le.PutUint32(b[lenAt:], uint32(n))
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b[start:])), nil
 }
 
 // Decode parses and validates a snapshot frame. The returned Session
 // shares no memory with b.
 func Decode(b []byte) (*Session, error) {
+	env, err := openEnvelope(b, magic, Version, true)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{ID: env.id, LastSeq: env.lastSeq, Backend: string(env.tag)}
+	if b, ok := predictor.BackendByName(s.Backend); !ok || !b.Snapshottable() {
+		return nil, fmt.Errorf("%w: backend tag %q is not a registered snapshottable backend", ErrCorrupt, s.Backend)
+	}
+	s.State = append([]byte(nil), env.section...)
+	return s, nil
+}
+
+// envelope is a parsed frame or delta envelope. tag and section alias
+// the parsed bytes.
+type envelope struct {
+	id, lastSeq  uint64
+	tag, section []byte
+}
+
+// openEnvelope parses b as an envelope with magic mg and the given
+// version. It verifies the checksum only when verify is set: a held
+// frame's is stale between merges. The envelope must carry exactly the
+// bytes its lengths imply, with a non-empty tag and section.
+func openEnvelope(b []byte, mg [4]byte, version uint8, verify bool) (envelope, error) {
+	var env envelope
 	if len(b) < minFrame {
-		return nil, fmt.Errorf("%w: %d bytes < minimum %d", ErrTruncated, len(b), minFrame)
+		return env, fmt.Errorf("%w: %d bytes < minimum %d", ErrTruncated, len(b), minFrame)
 	}
-	if [4]byte(b[:4]) != magic {
-		return nil, fmt.Errorf("%w: %q", ErrMagic, b[:4])
+	if [4]byte(b[:4]) != mg {
+		return env, fmt.Errorf("%w: %q", ErrMagic, b[:4])
 	}
-	if version := b[4]; version != Version {
-		return nil, fmt.Errorf("%w: %d (supported: %d)", ErrVersion, version, Version)
+	if v := b[4]; v != version {
+		return env, fmt.Errorf("%w: %q version %d (supported: %d)", ErrVersion, b[:4], v, version)
 	}
-	body, sum := b[:len(b)-checksumBytes], binary.LittleEndian.Uint32(b[len(b)-checksumBytes:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("%w: computed %#x, frame says %#x", ErrChecksum, got, sum)
+	le := binary.LittleEndian
+	body := b[:len(b)-checksumBytes]
+	if verify {
+		if got, sum := crc32.ChecksumIEEE(body), le.Uint32(b[len(body):]); got != sum {
+			return env, fmt.Errorf("%w: computed %#x, envelope says %#x", ErrChecksum, got, sum)
+		}
 	}
 
 	payload := body[headerBytes:]
 	if len(payload) < sessionHeaderBytes {
-		return nil, fmt.Errorf("%w: payload %d bytes < session header %d", ErrCorrupt, len(payload), sessionHeaderBytes)
+		return env, fmt.Errorf("%w: payload %d bytes < session header %d", ErrCorrupt, len(payload), sessionHeaderBytes)
 	}
-	le := binary.LittleEndian
-	s := &Session{
-		ID:      le.Uint64(payload),
-		LastSeq: le.Uint64(payload[8:]),
-	}
+	env.id, env.lastSeq = le.Uint64(payload), le.Uint64(payload[8:])
 	rest := payload[sessionHeaderBytes:]
-
-	// Backend tag + opaque state section.
-	if len(rest) < 1 {
-		return nil, fmt.Errorf("%w: missing backend tag", ErrCorrupt)
+	if len(rest) < 1 || rest[0] == 0 {
+		return env, fmt.Errorf("%w: missing or empty backend tag", ErrCorrupt)
 	}
-	nameLen := int(rest[0])
-	rest = rest[1:]
-	if nameLen == 0 {
-		return nil, fmt.Errorf("%w: empty backend tag", ErrCorrupt)
+	tagLen := int(rest[0])
+	if len(rest)-1 < tagLen+4 {
+		return env, fmt.Errorf("%w: backend tag %d bytes and a length word, %d bytes remain", ErrCorrupt, tagLen, len(rest)-1)
 	}
-	if len(rest) < nameLen {
-		return nil, fmt.Errorf("%w: backend tag %d bytes, %d remain", ErrCorrupt, nameLen, len(rest))
+	env.tag, rest = rest[1:1+tagLen], rest[1+tagLen:]
+	n, rest := int(le.Uint32(rest)), rest[4:]
+	if n == 0 {
+		return env, fmt.Errorf("%w: empty section", ErrCorrupt)
 	}
-	s.Backend = string(rest[:nameLen])
-	rest = rest[nameLen:]
-	if b, ok := predictor.BackendByName(s.Backend); !ok || !b.Snapshottable() {
-		return nil, fmt.Errorf("%w: backend tag %q is not a registered snapshottable backend", ErrCorrupt, s.Backend)
+	if n != len(rest) {
+		return env, fmt.Errorf("%w: section length %d but %d bytes follow", ErrCorrupt, n, len(rest))
 	}
-	if len(rest) < 4 {
-		return nil, fmt.Errorf("%w: missing state length", ErrCorrupt)
-	}
-	stateLen := int(le.Uint32(rest))
-	rest = rest[4:]
-	if stateLen == 0 {
-		return nil, fmt.Errorf("%w: empty state section", ErrCorrupt)
-	}
-	if stateLen != len(rest) {
-		return nil, fmt.Errorf("%w: state length %d but %d bytes follow", ErrCorrupt, stateLen, len(rest))
-	}
-	s.State = append([]byte(nil), rest...)
-	return s, nil
+	env.section = rest
+	return env, nil
 }
