@@ -103,12 +103,12 @@ func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int
 // runBenchDiff is the CI regression gate: re-measure the headline
 // hot-path benchmark and compare against a committed BENCH_*.json
 // baseline. The gate rides on the predict-batch record — the batched
-// loop the serving layer actually runs — falling back to predict-loop
-// for baselines written before the batch path existed. Both are stable
-// enough (0 allocs, pure CPU) to gate on across machines. The loop runs
-// three times and the best ns/op counts, so one scheduling hiccup
-// cannot fail the gate; any allocation fails it regardless of timing.
-// Exit 1 = regression, exit 2 = unusable baseline.
+// loop the serving layer actually runs — which is stable enough (0
+// allocs, pure CPU) to gate on across machines. The loop runs three
+// times and the best ns/op counts, so one scheduling hiccup cannot fail
+// the gate; any allocation fails it regardless of timing. Exit 1 =
+// regression, exit 2 = unusable baseline (including one without a
+// predict-batch record).
 func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -120,7 +120,7 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 		fmt.Fprintf(os.Stderr, "ntp: benchdiff: %s: %v\n", path, err)
 		return 2
 	}
-	name, bench := "predict-batch", benchPredictBatch
+	const name = "predict-batch"
 	var old *benchRecord
 	for i := range base.Results {
 		if base.Results[i].Name == name {
@@ -129,16 +129,7 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 		}
 	}
 	if old == nil {
-		name, bench = "predict-loop", benchPredictLoop
-		for i := range base.Results {
-			if base.Results[i].Name == name {
-				old = &base.Results[i]
-				break
-			}
-		}
-	}
-	if old == nil {
-		fmt.Fprintf(os.Stderr, "ntp: benchdiff: %s has no predict-batch or predict-loop record\n", path)
+		fmt.Fprintf(os.Stderr, "ntp: benchdiff: %s has no %s record\n", path, name)
 		return 2
 	}
 	if limit == 0 {
@@ -149,7 +140,7 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 
 	best := benchRecord{NsPerOp: -1}
 	for round := 0; round < 3; round++ {
-		rec, err := bench(limit)
+		rec, err := benchPredictBatch(limit)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ntp: benchdiff: %v\n", err)
 			return 2

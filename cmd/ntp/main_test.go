@@ -153,22 +153,20 @@ func benchDiffBaseline(t *testing.T, name string, nsPerOp float64) string {
 	return path
 }
 
-// -benchdiff gates on the predict-batch record when the baseline has
-// one, and falls back to predict-loop for pre-batch baselines. Either
-// way a generous baseline passes and the report names the benchmark.
+// -benchdiff gates on the baseline's predict-batch record: a generous
+// baseline passes and the report names the benchmark.
 func TestBenchDiffPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmark rounds")
 	}
-	for _, name := range []string{"predict-batch", "predict-loop"} {
-		stdout, stderr, code := runNTP(t, "-benchdiff", benchDiffBaseline(t, name, 1e12), "-len", "5000")
-		if code != 0 {
-			t.Fatalf("%s: exit code = %d, want 0\nstdout: %s\nstderr: %s", name, code, stdout, stderr)
-		}
-		for _, want := range []string{name, "OK"} {
-			if !strings.Contains(stdout, want) {
-				t.Errorf("%s: stdout missing %q:\n%s", name, want, stdout)
-			}
+	const name = "predict-batch"
+	stdout, stderr, code := runNTP(t, "-benchdiff", benchDiffBaseline(t, name, 1e12), "-len", "5000")
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	for _, want := range []string{name, "OK"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
 	}
 }
@@ -188,7 +186,8 @@ func TestBenchDiffFailsOnRegression(t *testing.T) {
 }
 
 // Baseline problems are config errors (exit 2), distinct from a real
-// regression: a missing file and a file without a predict-loop record.
+// regression: a missing file, a file with no records, and a file whose
+// only record is predict-loop (the gate reads predict-batch alone).
 func TestBenchDiffBadBaselineExits2(t *testing.T) {
 	_, stderr, code := runNTP(t, "-benchdiff", t.TempDir()+"/absent.json")
 	if code != 2 {
@@ -198,12 +197,14 @@ func TestBenchDiffBadBaselineExits2(t *testing.T) {
 	if err := os.WriteFile(empty, []byte(`{"results":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = runNTP(t, "-benchdiff", empty)
-	if code != 2 {
-		t.Fatalf("no record: exit code = %d, want 2\nstderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "no predict-batch or predict-loop record") {
-		t.Errorf("stderr missing record error:\n%s", stderr)
+	for _, path := range []string{empty, benchDiffBaseline(t, "predict-loop", 1e12)} {
+		_, stderr, code = runNTP(t, "-benchdiff", path)
+		if code != 2 {
+			t.Fatalf("%s: exit code = %d, want 2\nstderr: %s", path, code, stderr)
+		}
+		if !strings.Contains(stderr, "no predict-batch record") {
+			t.Errorf("%s: stderr missing record error:\n%s", path, stderr)
+		}
 	}
 }
 

@@ -28,9 +28,10 @@
 // -indexbits / -norhs / -backend flags. SIGINT/SIGTERM trigger a
 // graceful drain: in-flight requests finish, new ones are refused with
 // the draining status, then the process exits 0. The admin listener
-// (when -admin is set) serves /healthz, /statsz (JSON), /varz and
-// /metrics (Prometheus text: server counters, per-shard counts of
-// waiting requests and op-latency histograms, and live predictor
+// (when -admin is set) serves /healthz, /limitz and /metrics
+// (Prometheus text, the one place server state is read from: server
+// and per-client counters, per-shard sessions, counts of waiting
+// requests and op-latency histograms, and live predictor
 // hit/miss/replacement counters). -portfile writes the bound data-plane port to a file, for
 // scripts that start ntpd on port 0; -adminportfile does the same for
 // the admin port, so a scrape of http://127.0.0.1:$(cat f)/metrics
@@ -91,9 +92,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -147,7 +146,6 @@ func run() int {
 		conns      = flag.Int("conns", 1, "loadgen: TCP connections")
 		sessions   = flag.Int("sessions", 0, "loadgen: sessions (default = conns)")
 		batch      = flag.Int("batch", 256, "loadgen: traces per update request")
-		writeBuf   = flag.Int("writebuf", 0, "serve: per-connection response write buffer bytes (default 64KiB)")
 		verify     = flag.Bool("verify", false, "loadgen: require server stats bit-identical to an in-process replay")
 		sessBase   = flag.Uint64("sessionbase", 1, "loadgen: first session id (pick fresh ids when reusing a server)")
 		failover   = flag.Bool("failover", false, "loadgen: retrying client that rides out server restarts (snapshot-per-ack recovery)")
@@ -213,26 +211,21 @@ func run() int {
 		Addr: *addr, AdminAddr: *admin, Shards: *shards, QueueLen: *queue,
 		Predictor: pcfg, Faults: fcfg, Shadows: shadows,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEach, HandoffAddr: *handoff,
-		WriteBufferSize: *writeBuf, Limits: limits,
+		Limits: limits,
 	}, *portfile, *adminPF, *drainT, *limitsFile)
 }
 
-// loadLimits reads admission limits from a JSON file. Unknown keys
-// are rejected so a typo in a fleet config fails loudly instead of
-// silently leaving a quota unlimited.
+// loadLimits reads admission limits from a JSON file, decoded and
+// checked exactly as a POST /limitz body is.
 func loadLimits(path string) (serve.Limits, error) {
-	var l serve.Limits
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return l, err
+		return serve.Limits{}, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&l); err != nil {
-		return l, fmt.Errorf("limits %s: %w", path, err)
-	}
-	if l.PerClientRate < 0 || l.PerClientBurst < 0 || l.GlobalRate < 0 || l.GlobalBurst < 0 {
-		return l, fmt.Errorf("limits %s: rates and bursts must be >= 0", path)
+	defer f.Close()
+	l, err := serve.DecodeLimits(f)
+	if err != nil {
+		return serve.Limits{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return l, nil
 }

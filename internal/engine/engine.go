@@ -296,17 +296,6 @@ func (e *Engine) Feed(actual *trace.Trace) {
 	e.next = e.nextTok.Pred
 }
 
-// FeedBatch feeds a contiguous batch of completed traces, in order.
-// The pipeline model is inherently sequential — each trace's fetch
-// cycle depends on the previous one's — so this is Feed in a loop; it
-// exists so batch-oriented drivers (stream.ReplayBatch, the serving
-// layer) can hand the engine the same slices they hand predictors.
-func (e *Engine) FeedBatch(actuals []trace.Trace) {
-	for i := range actuals {
-		e.Feed(&actuals[i])
-	}
-}
-
 // Finish retires everything still in flight and returns the result.
 func (e *Engine) Finish() Result {
 	e.drainRetirements(^uint64(0))

@@ -67,31 +67,6 @@ type Stats struct {
 // Mispredictions returns Predictions - Correct.
 func (s Stats) Mispredictions() uint64 { return s.Predictions - s.Correct }
 
-// Add returns the counter-wise sum of two snapshots, for aggregating
-// stats across predictors (e.g. the serving layer's per-shard and
-// whole-server rollups).
-func (s Stats) Add(o Stats) Stats {
-	s.Predictions += o.Predictions
-	s.Correct += o.Correct
-	s.Cold += o.Cold
-	s.FromSecondary += o.FromSecondary
-	s.AltCorrect += o.AltCorrect
-	s.AltPresent += o.AltPresent
-	return s
-}
-
-// Sub returns the counter-wise difference s - o, for deriving the
-// stats of a window between two snapshots of the same predictor.
-func (s Stats) Sub(o Stats) Stats {
-	s.Predictions -= o.Predictions
-	s.Correct -= o.Correct
-	s.Cold -= o.Cold
-	s.FromSecondary -= o.FromSecondary
-	s.AltCorrect -= o.AltCorrect
-	s.AltPresent -= o.AltPresent
-	return s
-}
-
 // Equal reports whether two snapshots hold identical counters. Stats
 // is comparable, so this is ==; the method exists to make the serving
 // layer's bit-identical-stats assertion read as what it is.

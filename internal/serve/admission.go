@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"io"
 	"sync"
 	"time"
 
@@ -46,6 +47,23 @@ type Limits struct {
 	// GlobalBurst is the global bucket depth (default: one second's
 	// worth of GlobalRate).
 	GlobalBurst float64 `json:"global_burst"`
+}
+
+// DecodeLimits reads admission limits in the JSON shape /limitz serves,
+// which is also the ntpd -limits-file format. Unknown keys are rejected,
+// so a typo in a fleet config fails loudly instead of silently leaving a
+// quota unlimited, and so is any negative rate or burst.
+func DecodeLimits(r io.Reader) (Limits, error) {
+	var l Limits
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&l); err != nil {
+		return Limits{}, fmt.Errorf("bad limits: %w", err)
+	}
+	if l.PerClientRate < 0 || l.PerClientBurst < 0 || l.GlobalRate < 0 || l.GlobalBurst < 0 {
+		return Limits{}, errors.New("bad limits: rates and bursts must be >= 0")
+	}
+	return l, nil
 }
 
 func (l Limits) enabled() bool { return l.PerClientRate > 0 || l.GlobalRate > 0 }
@@ -197,35 +215,6 @@ func (r *clientRegistry) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.m)
-}
-
-// ClientStats is one client tag's accounting snapshot (rendered into
-// /statsz and the ntpstat reporter).
-type ClientStats struct {
-	Client    string `json:"client"`
-	Requests  uint64 `json:"requests"`
-	Rounds    uint64 `json:"rounds"`
-	Bytes     uint64 `json:"bytes"`
-	Overloads uint64 `json:"overloads"`
-	Throttled uint64 `json:"throttled"`
-}
-
-func (r *clientRegistry) stats() []ClientStats {
-	r.mu.Lock()
-	out := make([]ClientStats, 0, len(r.m))
-	for _, cs := range r.m {
-		out = append(out, ClientStats{
-			Client:    cs.tag,
-			Requests:  cs.requests.Load(),
-			Rounds:    cs.rounds.Load(),
-			Bytes:     cs.bytes.Load(),
-			Overloads: cs.overloads.Load(),
-			Throttled: cs.throttles.Load(),
-		})
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
-	return out
 }
 
 // admissionCost is the token charge for one request: work-carrying ops

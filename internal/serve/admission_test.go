@@ -120,7 +120,7 @@ func TestAdmissionCostModel(t *testing.T) {
 // say exactly that number — the "exactly once per rejection" contract
 // the fleet reporter's rates depend on.
 func TestThrottleCountersExactlyOnce(t *testing.T) {
-	srv := newTestServer(t, Config{Shards: 1, Limits: Limits{
+	srv := newTestServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0", Limits: Limits{
 		// One token, refilling at a rate that cannot matter within the
 		// test's lifetime: exactly one work op is ever admitted.
 		PerClientRate: 0.001, PerClientBurst: 1,
@@ -162,27 +162,20 @@ func TestThrottleCountersExactlyOnce(t *testing.T) {
 		t.Fatalf("snapshot while throttled: %v", err)
 	}
 
-	st := srv.Stats()
-	if st.Throttled != rejected {
-		t.Errorf("server Throttled = %d, want %d", st.Throttled, rejected)
+	body := scrape(t, srv)
+	if v := metricValue(t, body, "ntpd_throttled_total"); v != rejected {
+		t.Errorf("server throttled = %v, want %d", v, rejected)
 	}
-	found := false
-	for _, cs := range st.Clients {
-		if cs.Client == "metered" {
-			found = true
-			if cs.Throttled != rejected {
-				t.Errorf("client throttled = %d, want %d", cs.Throttled, rejected)
-			}
-			if cs.Rounds != 1 {
-				t.Errorf("client rounds = %d, want 1 (only the admitted trace)", cs.Rounds)
-			}
-			if cs.Requests == 0 || cs.Bytes == 0 {
-				t.Errorf("client accounting empty: %+v", cs)
-			}
+	if v := metricValue(t, body, `ntpd_client_throttled_total{client="metered"}`); v != rejected {
+		t.Errorf("client throttled = %v, want %d", v, rejected)
+	}
+	if v := metricValue(t, body, `ntpd_client_rounds_total{client="metered"}`); v != 1 {
+		t.Errorf("client rounds = %v, want 1 (only the admitted trace)", v)
+	}
+	for _, series := range []string{`ntpd_client_requests_total{client="metered"}`, `ntpd_client_bytes_total{client="metered"}`} {
+		if metricValue(t, body, series) == 0 {
+			t.Errorf("%s = 0: client accounting empty", series)
 		}
-	}
-	if !found {
-		t.Fatalf("no client stats for tag %q: %+v", "metered", st.Clients)
 	}
 }
 
@@ -191,7 +184,7 @@ func TestThrottleCountersExactlyOnce(t *testing.T) {
 // both per shard and per client tag.
 func TestOverloadCountersExactlyOnce(t *testing.T) {
 	s := captureTestStream(t)
-	srv := newTestServer(t, Config{Shards: 1, QueueLen: 1})
+	srv := newTestServer(t, Config{Shards: 1, QueueLen: 1, AdminAddr: "127.0.0.1:0"})
 
 	var overloads, oks atomic64
 	var wg sync.WaitGroup
@@ -233,27 +226,19 @@ func TestOverloadCountersExactlyOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := srv.Stats()
 	// openRetry retries also surface ErrOverloaded to clients without
 	// the test counting them, so compare >=; the per-client counter and
 	// the wire observations must never drift the other way (double
 	// counting).
-	var client ClientStats
-	for _, cs := range st.Clients {
-		if cs.Client == "storm" {
-			client = cs
-		}
+	body := scrape(t, srv)
+	client := uint64(metricValue(t, body, `ntpd_client_overload_rejects_total{client="storm"}`))
+	if client < overloads.load() {
+		t.Errorf("client overloads = %d < %d observed on the wire", client, overloads.load())
 	}
-	if client.Client == "" {
-		t.Fatalf("no client stats for storm: %+v", st.Clients)
+	if shard := uint64(metricValue(t, body, `ntpd_shard_overload_rejects_total{shard="0"}`)); shard < overloads.load() {
+		t.Errorf("shard overloads = %d < %d observed on the wire", shard, overloads.load())
 	}
-	if client.Overloads < overloads.load() {
-		t.Errorf("client overloads = %d < %d observed on the wire", client.Overloads, overloads.load())
-	}
-	if st.Overloads < overloads.load() {
-		t.Errorf("shard overloads = %d < %d observed on the wire", st.Overloads, overloads.load())
-	}
-	t.Logf("oks=%d overloads(wire)=%d overloads(client)=%d", oks.load(), overloads.load(), client.Overloads)
+	t.Logf("oks=%d overloads(wire)=%d overloads(client)=%d", oks.load(), overloads.load(), client)
 }
 
 // TestClientTagPropagation covers the identity plumbing: a tagged
@@ -261,7 +246,7 @@ func TestOverloadCountersExactlyOnce(t *testing.T) {
 // and an invalid hello is a per-request rejection that leaves the
 // connection fully usable.
 func TestClientTagPropagation(t *testing.T) {
-	srv := newTestServer(t, Config{Shards: 2})
+	srv := newTestServer(t, Config{Shards: 2, AdminAddr: "127.0.0.1:0"})
 
 	tagged, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -289,15 +274,12 @@ func TestClientTagPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := map[string]ClientStats{}
-	for _, cs := range srv.Stats().Clients {
-		got[cs.Client] = cs
+	body := scrape(t, srv)
+	if v := metricValue(t, body, `ntpd_client_rounds_total{client="alice"}`); v != 8 {
+		t.Errorf("alice rounds = %v, want 8", v)
 	}
-	if cs := got["alice"]; cs.Rounds != 8 {
-		t.Errorf("alice rounds = %d, want 8", cs.Rounds)
-	}
-	if cs := got[defaultClientTag]; cs.Rounds != 1 {
-		t.Errorf("default rounds = %d, want 1", cs.Rounds)
+	if v := metricValue(t, body, `ntpd_client_rounds_total{client="`+defaultClientTag+`"}`); v != 1 {
+		t.Errorf("default rounds = %v, want 1", v)
 	}
 
 	// An invalid tag (in-range length, forbidden character) is rejected
@@ -313,8 +295,8 @@ func TestClientTagPropagation(t *testing.T) {
 	if _, err := openRetry(raw, 3); err != nil {
 		t.Fatalf("open after rejected hello: %v", err)
 	}
-	if _, ok := got[`bad"tag`]; ok {
-		t.Error("invalid tag minted a client entry")
+	if v := metricValue(t, scrape(t, srv), "ntpd_client_tags"); v != 2 {
+		t.Errorf("client tags = %v, want 2: the invalid tag minted a client entry", v)
 	}
 }
 
@@ -323,7 +305,7 @@ func TestClientTagPropagation(t *testing.T) {
 // succeed (the client sleeps the server's hint and retries), and the
 // server must confirm throttling actually happened.
 func TestRetryClientHonorsRetryAfter(t *testing.T) {
-	srv := newTestServer(t, Config{Shards: 2, Limits: Limits{
+	srv := newTestServer(t, Config{Shards: 2, AdminAddr: "127.0.0.1:0", Limits: Limits{
 		PerClientRate: 500, PerClientBurst: 2,
 	}})
 	rc, err := NewRetryClient(RetryConfig{
@@ -346,14 +328,12 @@ func TestRetryClientHonorsRetryAfter(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	st := srv.Stats()
-	if st.Throttled == 0 {
+	body := scrape(t, srv)
+	if metricValue(t, body, "ntpd_throttled_total") == 0 {
 		t.Error("quota never throttled: test proved nothing")
 	}
-	for _, cs := range st.Clients {
-		if cs.Client == "patient" && cs.Rounds != 30 {
-			t.Errorf("rounds = %d, want 30 (every update eventually admitted)", cs.Rounds)
-		}
+	if v := metricValue(t, body, `ntpd_client_rounds_total{client="patient"}`); v != 30 {
+		t.Errorf("rounds = %v, want 30 (every update eventually admitted)", v)
 	}
 }
 
@@ -361,7 +341,7 @@ func TestRetryClientHonorsRetryAfter(t *testing.T) {
 // demanding far more than its quota is throttled, while a well-behaved
 // client paced under its own quota sees zero errors of any kind.
 func TestFairnessSmoke(t *testing.T) {
-	srv := newTestServer(t, Config{Limits: Limits{
+	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Limits: Limits{
 		PerClientRate: 1000, PerClientBurst: 100,
 	}})
 	traces := takeTraces(t, 50)
@@ -431,14 +411,11 @@ func TestFairnessSmoke(t *testing.T) {
 	if aggressorThrottled.load() == 0 {
 		t.Error("aggressor was never throttled: quota not enforced")
 	}
-	var victim ClientStats
-	for _, cs := range srv.Stats().Clients {
-		if cs.Client == "victim" {
-			victim = cs
+	body := scrape(t, srv)
+	for _, series := range []string{`ntpd_client_throttled_total{client="victim"}`, `ntpd_client_overload_rejects_total{client="victim"}`} {
+		if v := metricValue(t, body, series); v != 0 {
+			t.Errorf("victim rejected server-side: %s = %v", series, v)
 		}
-	}
-	if victim.Throttled != 0 || victim.Overloads != 0 {
-		t.Errorf("victim rejected server-side: %+v", victim)
 	}
 	t.Logf("aggressor throttled %d times; victim clean", aggressorThrottled.load())
 }

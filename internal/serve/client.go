@@ -313,13 +313,11 @@ func (c *Client) Restore(session uint64, frame []byte) (shard uint32, err error)
 	return le.Uint32(body), nil
 }
 
-// SessionStats is the OpStats answer: where the session lives and the
-// predictor counters for the session and its whole shard.
+// SessionStats is the OpStats answer: where the session lives and its
+// predictor counters. Shard-wide figures are on /metrics.
 type SessionStats struct {
-	Shard    uint32
-	Sessions uint32 // sessions resident on that shard
-	Session  predictor.Stats
-	ShardAgg predictor.Stats
+	Shard   uint32
+	Session predictor.Stats
 }
 
 // Stats fetches the session's predictor counters. The snapshot is
@@ -333,13 +331,8 @@ func (c *Client) Stats(session uint64) (SessionStats, error) {
 	if err != nil {
 		return SessionStats{}, err
 	}
-	if len(body) != 8+2*statsBytes {
+	if len(body) != 4+statsBytes {
 		return SessionStats{}, fmt.Errorf("%w: stats response %d bytes", ErrFrame, len(body))
 	}
-	return SessionStats{
-		Shard:    le.Uint32(body),
-		Sessions: le.Uint32(body[4:]),
-		Session:  getStats(body[8:]),
-		ShardAgg: getStats(body[8+statsBytes:]),
-	}, nil
+	return SessionStats{Shard: le.Uint32(body), Session: getStats(body[4:])}, nil
 }

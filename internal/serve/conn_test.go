@@ -45,7 +45,7 @@ func batchBody(seq uint64, traces []trace.Trace) []byte {
 // lock, so a peer that stops reading blocks only its own connection.
 func TestSlowReaderDoesNotStallShard(t *testing.T) {
 	traces := streamTraces(t)
-	srv := newTestServer(t, Config{Shards: 1})
+	srv := newTestServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0"})
 
 	a, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -79,7 +79,7 @@ func TestSlowReaderDoesNotStallShard(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for last := uint64(0); ; {
 		time.Sleep(50 * time.Millisecond)
-		n := srv.Stats().Traces
+		n := uint64(metricValue(t, scrape(t, srv), `ntpd_shard_traces_total{shard="0"}`))
 		if n >= 8*MaxBatch && n == last {
 			break
 		}

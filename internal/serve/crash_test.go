@@ -245,14 +245,13 @@ func TestDrainSpillAndWarmRestart(t *testing.T) {
 		t.Fatalf("drain lost %d sessions", got)
 	}
 
-	srvB := newTestServer(t, Config{Shards: 2, CheckpointDir: dir})
+	srvB := newTestServer(t, Config{Shards: 2, CheckpointDir: dir, AdminAddr: "127.0.0.1:0"})
 	if got := srvB.counters.RestoredSessions.Load(); got != 1 {
 		t.Fatalf("warm restart restored %d sessions, want 1", got)
 	}
-	// The admin view shows the restored session before any request.
-	if st := srvB.Stats(); st.Sessions != 1 || st.Predictor.Predictions != uint64(sent*batch) {
-		t.Errorf("warm-restarted stats: %d sessions, %d predictions; want 1, %d",
-			st.Sessions, st.Predictor.Predictions, sent*batch)
+	// /metrics counts the restored session before any request.
+	if n := metricSum(t, scrape(t, srvB), "ntpd_shard_sessions"); n != 1 {
+		t.Errorf("warm-restarted ntpd_shard_sessions sum to %v, want 1", n)
 	}
 	clB := dialT(t, srvB)
 	_, lastSeq, err := clB.Open(session)
@@ -261,6 +260,9 @@ func TestDrainSpillAndWarmRestart(t *testing.T) {
 	}
 	if want := uint64(sent * batch); lastSeq != want {
 		t.Errorf("restored session lastSeq = %d, want %d", lastSeq, want)
+	}
+	if st, err := clB.Stats(session); err != nil || st.Session.Predictions != uint64(sent*batch) {
+		t.Errorf("restored session: %d predictions (err %v), want %d", st.Session.Predictions, err, sent*batch)
 	}
 	feedBatches(t, clB, session, cur, batch, -1)
 

@@ -198,8 +198,7 @@ func (m *shardMetrics) observeBatch(n int) {
 }
 
 // registerMetrics wires the server's pre-existing atomic counters into
-// the registry as render-time reads, so /metrics and /varz always agree
-// and the data plane is untouched.
+// the registry as render-time reads, so the data plane is untouched.
 func (s *Server) registerMetrics() {
 	reg := s.reg
 	reg.GaugeFunc("ntpd_uptime_seconds", "Seconds since the server started.", nil,
@@ -294,9 +293,6 @@ func (s *Server) registerMetrics() {
 		reg.GaugeFunc("ntpd_shard_queue_depth", "Requests waiting on the shard.", l,
 			func() float64 { return float64(sh.waiting.Load()) })
 		reg.GaugeFunc("ntpd_shard_sessions", "Sessions owned by the shard.", l,
-			func() float64 {
-				_, n := sh.snapshot()
-				return float64(n)
-			})
+			func() float64 { return float64(sh.nsessions.Load()) })
 	}
 }

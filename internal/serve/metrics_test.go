@@ -56,6 +56,39 @@ func metricValue(t *testing.T, body, series string) float64 {
 	return 0
 }
 
+// metricSum adds up the samples of a labelled metric across all its
+// series, e.g. ntpd_shard_sessions over every shard.
+func metricSum(t *testing.T, body, name string) float64 {
+	t.Helper()
+	var sum float64
+	found := false
+	for _, l := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(l, name+"{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(l[strings.LastIndexByte(l, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", l, err)
+		}
+		sum += v
+		found = true
+	}
+	if !found {
+		t.Fatalf("metric %s not found in /metrics output:\n%s", name, body)
+	}
+	return sum
+}
+
+// addStats adds s into dst counter by counter.
+func addStats(dst *predictor.Stats, s predictor.Stats) {
+	dst.Predictions += s.Predictions
+	dst.Correct += s.Correct
+	dst.Cold += s.Cold
+	dst.FromSecondary += s.FromSecondary
+	dst.AltCorrect += s.AltCorrect
+	dst.AltPresent += s.AltPresent
+}
+
 // TestMetricsEndpoint drives real traffic through a served session and
 // asserts that /metrics exposes a well-formed Prometheus document whose
 // counters and per-shard op histograms reflect the traffic.
@@ -330,8 +363,8 @@ func TestMetricsExactAtEveryReply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum = sum.Add(st.Session)
-			shadow = shadow.Add(shadows[id].Stats())
+			addStats(&sum, st.Session)
+			addStats(&shadow, shadows[id].Stats())
 		}
 		for _, c := range []struct {
 			series string

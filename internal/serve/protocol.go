@@ -26,8 +26,8 @@
 //	OpOpen     req:  (empty)
 //	           resp: u32 shard | u64 lastSeq
 //	OpStats    req:  (empty)
-//	           resp: u32 shard | u32 sessions | session Stats | shard Stats
-//	                 (each Stats is 6 * u64: predictions, correct, cold,
+//	           resp: u32 shard | session Stats
+//	                 (Stats is 6 * u64: predictions, correct, cold,
 //	                 fromSecondary, altCorrect, altPresent)
 //	OpSnapshot req:  (empty) | u64 gen
 //	           resp: one internal/snapshot frame     (empty request)
@@ -106,7 +106,7 @@
 //
 // OpHello tags a connection with a client identity; every request on
 // the connection is then accounted under that tag (per-client
-// request/round/byte/rejection counters on /metrics and /statsz).
+// request/round/byte/rejection counters on /metrics).
 // When the server runs with admission limits, the batch ops are
 // charged against the tag's token bucket and the global bucket before
 // they may wait on a shard; a refusal is StatusThrottled and the response body

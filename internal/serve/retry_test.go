@@ -137,7 +137,7 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 			resp = le.AppendUint32(resp, uint32(len(req.traces)))
 			resp = le.AppendUint32(resp, 0)
 		case req.op == OpStats:
-			resp = append(resp, make([]byte, 8+2*statsBytes)...)
+			resp = append(resp, make([]byte, 4+statsBytes)...)
 		}
 		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: bytes.Clone(req.blob), seq: req.seq, fail: fail})
 		ss.mu.Unlock()

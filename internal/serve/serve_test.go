@@ -3,12 +3,11 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +73,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // hits, same cold misses, bit for bit.
 func TestServeBitIdenticalStats(t *testing.T) {
 	s := captureTestStream(t)
-	srv := newTestServer(t, Config{Shards: 3})
+	srv := newTestServer(t, Config{Shards: 3, AdminAddr: "127.0.0.1:0"})
 
 	// In-process reference.
 	ref := predictor.MustNew(headlineConfig())
@@ -129,8 +128,22 @@ func TestServeBitIdenticalStats(t *testing.T) {
 	if !st.Session.Equal(want) {
 		t.Errorf("server stats %+v\nin-process  %+v\nnot bit-identical", st.Session, want)
 	}
-	if !st.ShardAgg.Equal(want) {
-		t.Errorf("single-session shard aggregate %+v, want %+v", st.ShardAgg, want)
+	// The session is alone on its shard, so the shard's /metrics
+	// predictor counters must equal its stats too.
+	body := scrape(t, srv)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"ntpd_predictor_rounds_total", want.Predictions},
+		{"ntpd_predictor_correct_total", want.Correct},
+		{"ntpd_predictor_cold_total", want.Cold},
+		{"ntpd_predictor_secondary_total", want.FromSecondary},
+	} {
+		series := fmt.Sprintf(`%s{shard="%d"}`, c.name, st.Shard)
+		if v := metricValue(t, body, series); v != float64(c.want) {
+			t.Errorf("single-session shard %s = %v, want %d", series, v, c.want)
+		}
 	}
 }
 
@@ -281,37 +294,14 @@ func TestServeDrain(t *testing.T) {
 
 	// Force the draining state while the connection is still open: the
 	// request must come back as a typed ErrDraining, and the reject must
-	// be visible in every stats surface (Stats, /varz, /metrics) — the
-	// counter used to be tracked but the drain path went unasserted.
+	// be visible on /metrics — the counter used to be tracked but the
+	// drain path went unasserted.
 	srv.draining.Store(true)
 	if _, _, err := cl.Open(2); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Open while draining = %v, want ErrDraining", err)
 	}
-	if got := srv.Stats().DrainRejects; got != 1 {
-		t.Errorf("Stats().DrainRejects = %d, want 1", got)
-	}
-	adminGet := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.AdminAddr().String() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		buf, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		return buf
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(adminGet("/varz"), &vars); err != nil {
-		t.Fatalf("/varz JSON: %v", err)
-	}
-	if v, ok := vars["drain_rejects"].(float64); !ok || v != 1 {
-		t.Errorf("/varz drain_rejects = %v, want 1", vars["drain_rejects"])
-	}
-	if body := string(adminGet("/metrics")); !strings.Contains(body, "ntpd_drain_rejects_total 1") {
-		t.Errorf("/metrics missing ntpd_drain_rejects_total 1:\n%s", body)
+	if v := metricValue(t, scrape(t, srv), "ntpd_drain_rejects_total"); v != 1 {
+		t.Errorf("ntpd_drain_rejects_total = %v, want 1", v)
 	}
 	srv.draining.Store(false)
 
@@ -433,7 +423,9 @@ func TestServeMalformedFrameClosesConn(t *testing.T) {
 	}
 }
 
-// TestAdminEndpoints exercises /healthz, /statsz and /varz.
+// TestAdminEndpoints exercises /healthz and /metrics, and pins that the
+// retired JSON endpoints /statsz and /varz are gone: every server
+// counter is read from /metrics.
 func TestAdminEndpoints(t *testing.T) {
 	s := captureTestStream(t)
 	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 2})
@@ -456,6 +448,11 @@ func TestAdminEndpoints(t *testing.T) {
 	if code, body := get("/healthz"); code != 200 || string(body) != "ok\n" {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
+	for _, path := range []string{"/statsz", "/varz"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s = %d, want 404", path, code)
+		}
+	}
 
 	// Run a little traffic so the counters move.
 	cl, err := Dial(srv.Addr().String())
@@ -463,7 +460,8 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Open(1); err != nil {
+	shard, _, err := cl.Open(1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]trace.Trace, 0, 500)
@@ -476,37 +474,22 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The shard publishes its predictor aggregate before answering, so
-	// the update is already visible.
-	code, body := get("/statsz")
-	if code != 200 {
-		t.Fatalf("/statsz = %d", code)
-	}
-	var st ServerStats
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("/statsz JSON: %v\n%s", err, body)
-	}
-	if st.Shards != 2 || st.Sessions != 1 || st.Traces != uint64(len(batch)) {
-		t.Errorf("/statsz = shards %d, sessions %d, traces %d; want 2, 1, %d",
-			st.Shards, st.Sessions, st.Traces, len(batch))
-	}
-	if st.Predictor.Predictions != uint64(len(batch)) {
-		t.Errorf("/statsz predictor predictions = %d, want %d", st.Predictor.Predictions, len(batch))
-	}
-
-	code, body = get("/varz")
-	if code != 200 {
-		t.Fatalf("/varz = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/varz JSON: %v\n%s", err, body)
-	}
-	if v, ok := vars["traces"].(float64); !ok || uint64(v) != uint64(len(batch)) {
-		t.Errorf("/varz traces = %v, want %d", vars["traces"], len(batch))
-	}
-	if _, ok := vars["shard.0.queue_depth"]; !ok {
-		t.Errorf("/varz missing per-shard counters: %v", vars)
+	// The shard flushes its counters before answering, so the update is
+	// already visible.
+	body := scrape(t, srv)
+	l := fmt.Sprintf(`{shard="%d"}`, shard)
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{
+		{"ntpd_shard_sessions" + l, 1},
+		{"ntpd_shard_traces_total" + l, float64(len(batch))},
+		{"ntpd_predictor_rounds_total" + l, float64(len(batch))},
+		{"ntpd_shard_queue_depth" + l, 0},
+	} {
+		if v := metricValue(t, body, c.series); v != c.want {
+			t.Errorf("%s = %v, want %v", c.series, v, c.want)
+		}
 	}
 
 	// Draining flips health.

@@ -24,7 +24,7 @@ type Config struct {
 	Addr string
 
 	// AdminAddr, when non-empty, starts the sidecar admin HTTP listener
-	// (/healthz, /statsz, /varz) on this address.
+	// (/healthz, /metrics, /limitz) on this address.
 	AdminAddr string
 
 	// Shards is the number of predictor shards (default: GOMAXPROCS).
@@ -71,25 +71,6 @@ type Config struct {
 	// so a drain loses nothing even without a checkpoint directory.
 	HandoffAddr string
 
-	// WriteTimeout bounds each response frame write (default 30s,
-	// negative disables). A peer that stops reading would otherwise
-	// block its connection's goroutine forever. Responses are written
-	// outside the shard lock, so such a peer never stalls its shard.
-	WriteTimeout time.Duration
-
-	// IdleTimeout, when positive, closes connections that send no
-	// request for this long. Zero disables (clients legitimately idle
-	// between replay bursts).
-	IdleTimeout time.Duration
-
-	// WriteBufferSize sizes each connection's response write buffer
-	// (default 64 KiB). Responses coalesce in this buffer, which is
-	// flushed whenever no further whole request is already buffered on
-	// the connection — one syscall per burst of pipelined responses
-	// rather than one per frame. A response larger than the buffer is
-	// written through in pieces.
-	WriteBufferSize int
-
 	// Limits configures token-bucket admission control ahead of the
 	// shards: per-client quotas keyed by the connection's OpHello
 	// tag plus an optional global cap. The zero value disables it.
@@ -108,15 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2 * time.Second
 	}
-	switch {
-	case c.WriteTimeout == 0:
-		c.WriteTimeout = 30 * time.Second
-	case c.WriteTimeout < 0:
-		c.WriteTimeout = 0
-	}
-	if c.WriteBufferSize <= 0 {
-		c.WriteBufferSize = 1 << 16
-	}
 	// The session predictor config must not carry a shared injector:
 	// injectors are stateful and not concurrency-safe, so they are
 	// created per session from c.Faults instead.
@@ -124,16 +96,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+const (
+	// writeTimeout bounds each response frame write. A peer that stops
+	// reading would otherwise block its connection's goroutine forever.
+	// Responses are written outside the shard lock, so such a peer never
+	// stalls its shard.
+	writeTimeout = 30 * time.Second
+
+	// writeBufferSize sizes each connection's response write buffer.
+	// Responses coalesce in it, and it is flushed whenever no further
+	// whole request is already buffered on the connection — one syscall
+	// per burst of pipelined responses rather than one per frame. A
+	// response larger than the buffer is written through in pieces.
+	writeBufferSize = 1 << 16
+)
+
 // Server hosts predictor shards behind a TCP listener.
 type Server struct {
-	cfg     Config
-	backend predictor.Backend // resolved primary backend
-	ln      net.Listener
-	shards  []*shard
-	admin   *adminServer
-	reg     *metrics.Registry
-	ckpt    *checkpointer // nil without a checkpoint directory
-	start   time.Time
+	cfg    Config
+	ln     net.Listener
+	shards []*shard
+	admin  *adminServer
+	reg    *metrics.Registry
+	ckpt   *checkpointer // nil without a checkpoint directory
+	start  time.Time
 
 	draining atomic.Bool
 	inflight sync.WaitGroup // requests read before the drain and not yet answered
@@ -215,12 +201,11 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		backend: backend,
-		ln:      ln,
-		conns:   map[net.Conn]struct{}{},
-		reg:     metrics.NewRegistry(),
-		start:   time.Now(),
+		cfg:   cfg,
+		ln:    ln,
+		conns: map[net.Conn]struct{}{},
+		reg:   metrics.NewRegistry(),
+		start: time.Now(),
 	}
 	s.clients = newClientRegistry(s.reg)
 	s.SetLimits(cfg.Limits)
@@ -237,18 +222,12 @@ func NewServer(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sh)
 	}
 	// Warm restart: restore checkpointed sessions before serving, while
-	// the session maps are still private to this goroutine, and publish
-	// them so the admin view shows them before the first request.
+	// the session maps are still private to this goroutine.
 	if cfg.CheckpointDir != "" {
 		if err := s.loadCheckpoints(cfg.CheckpointDir); err != nil {
 			ln.Close()
 			return nil, err
 		}
-	}
-	for _, sh := range s.shards {
-		sh.publishSnapshot()
-	}
-	if cfg.CheckpointDir != "" {
 		s.ckpt = newCheckpointer(s, cfg.CheckpointDir, cfg.CheckpointEvery)
 	}
 	s.registerMetrics()
@@ -322,7 +301,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, s.cfg.WriteBufferSize)
+	bw := bufio.NewWriterSize(conn, writeBufferSize)
 	defer bw.Flush()
 	var (
 		buf []byte
@@ -330,9 +309,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		cl  *clientState // resolved on first dispatch or OpHello
 	)
 	for {
-		if it := s.cfg.IdleTimeout; it > 0 {
-			conn.SetReadDeadline(time.Now().Add(it))
-		}
 		payload, err := readFrame(br, buf)
 		if err != nil {
 			if errors.Is(err, ErrFrame) {
@@ -369,9 +345,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			cl = s.clients.get(req.client)
 			out = encodeResponse(&req, &shardResp{})
 		}
-		if wt := s.cfg.WriteTimeout; wt > 0 {
-			conn.SetWriteDeadline(time.Now().Add(wt))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		err = writeFrame(bw, out)
 		if err == nil && (s.draining.Load() || !frameBuffered(br)) {
 			err = bw.Flush()
@@ -409,7 +383,7 @@ func (s *Server) dispatch(req *request, cl *clientState) []byte {
 		return encodeResponse(req, &shardResp{err: ErrOverloaded})
 	}
 	// Counted before the reply, so a client holding its answer already
-	// sees its rounds in the admin stats.
+	// sees its rounds in /metrics.
 	if cost > 0 {
 		cl.rounds.Add(uint64(cost))
 	}
@@ -457,11 +431,9 @@ func encodeResponse(req *request, resp *shardResp) []byte {
 		}
 	case OpStats:
 		buf = le.AppendUint32(buf, resp.shard)
-		buf = le.AppendUint32(buf, resp.sessions)
 		off := len(buf)
-		buf = slices.Grow(buf, 2*statsBytes)[:off+2*statsBytes]
+		buf = slices.Grow(buf, statsBytes)[:off+statsBytes]
 		putStats(buf[off:], resp.sess)
-		putStats(buf[off+statsBytes:], resp.agg)
 	}
 	req.resp = buf
 	return buf

@@ -63,16 +63,14 @@ type shadowBackend struct {
 
 // shardResp is a shard's answer to one request.
 type shardResp struct {
-	err      error                  // nil, or a typed protocol error
-	shard    uint32                 // OpOpen, OpStats, OpRestore
-	sessions uint32                 // OpStats
-	lastSeq  uint64                 // OpOpen
-	skipped  uint32                 // batch ops: already-applied prefix length
-	preds    []predictor.Prediction // OpPredictBatch: one per applied trace, in the request's buffer
-	applied  uint32                 // batch ops
-	correct  uint32                 // batch ops
-	sess     predictor.Stats        // OpStats: this session's counters
-	agg      predictor.Stats        // OpStats: shard-wide aggregate
+	err     error                  // nil, or a typed protocol error
+	shard   uint32                 // OpOpen, OpStats, OpRestore
+	lastSeq uint64                 // OpOpen
+	skipped uint32                 // batch ops: already-applied prefix length
+	preds   []predictor.Prediction // OpPredictBatch: one per applied trace, in the request's buffer
+	applied uint32                 // batch ops
+	correct uint32                 // batch ops
+	sess    predictor.Stats        // OpStats: this session's counters
 }
 
 // ckptFrame is one session's encoded snapshot bound for the checkpoint
@@ -122,22 +120,14 @@ type shard struct {
 	closed   bool // set by stop: no request runs after it
 	sessions map[uint64]*session
 
+	// nsessions mirrors len(sessions) for ntpd_shard_sessions, which
+	// must not wait on mu. Stored under mu wherever the map grows.
+	nsessions atomic.Int64
+
 	// gens issues snapshot generation tokens. It starts at a random
 	// point, so a token a client holds from another server, or from an
 	// earlier run of this one, does not match.
 	gens uint64
-
-	// agg is the sum of every resident session's primary predictor
-	// stats (shadows are excluded). The ops that change a session's
-	// stats — batch and installSnapshot — apply their delta, so no
-	// request walks the session map.
-	agg predictor.Stats
-
-	// snap mirrors agg and the session count for the admin listener,
-	// which must not wait on mu. Written under mu, before each reply.
-	snapMu   sync.Mutex
-	snapAgg  predictor.Stats
-	snapSess int
 }
 
 func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *faults.Config, shadows []shadowBackend, queueLen int, m *shardMetrics) *shard {
@@ -160,9 +150,9 @@ func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *fau
 // wait for the shard (an overload, counted), or the shard is stopped
 // (shutdown, not backpressure: not counted). Either way the caller
 // replies ErrOverloaded, which is retryable — what a client racing a
-// drain should see. Event counts and the admin snapshot are published
-// before the lock is released, so a client holding its answer already
-// sees its own traces in /metrics and /statsz.
+// drain should see. Event counts are published before the lock is
+// released, so a client holding its answer already sees its own traces
+// in /metrics.
 func (sh *shard) run(req *request, resp *shardResp) bool {
 	if sh.waiting.Add(1) > sh.queueLen {
 		sh.waiting.Add(-1)
@@ -179,7 +169,6 @@ func (sh *shard) run(req *request, resp *shardResp) bool {
 	*resp = sh.process(req)
 	sh.metrics.observe(req.op, time.Since(t0))
 	sh.metrics.flush()
-	sh.publishSnapshot()
 	return true
 }
 
@@ -216,12 +205,7 @@ func (sh *shard) process(req *request) shardResp {
 		if !ok {
 			return shardResp{err: ErrUnknownSession}
 		}
-		return shardResp{
-			shard:    uint32(sh.id),
-			sessions: uint32(len(sh.sessions)),
-			sess:     s.p.Stats(),
-			agg:      sh.agg,
-		}
+		return shardResp{shard: uint32(sh.id), sess: s.p.Stats()}
 	default:
 		return shardResp{err: ErrBadRequest}
 	}
@@ -264,6 +248,7 @@ func (sh *shard) open(id uint64) shardResp {
 		}
 		s = &session{id: id, p: p, shadows: sh.newShadows(), dirty: true}
 		sh.sessions[id] = s
+		sh.nsessions.Store(int64(len(sh.sessions)))
 	}
 	return shardResp{shard: uint32(sh.id), lastSeq: s.lastSeq}
 }
@@ -314,9 +299,7 @@ func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
 		}
 		preds = req.preds[:len(fresh)]
 	}
-	before := s.p.Stats()
 	correct := predictor.PredictBatch(s.p, fresh, preds)
-	sh.agg = sh.agg.Add(s.p.Stats().Sub(before))
 	// Shadow fan-out, batched like the primary: each shadow sees the
 	// same fresh suffix in the same strict alternation. Shadows never
 	// touch the response (their accuracy shows only in the per-backend
@@ -452,10 +435,6 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 	if err != nil {
 		return err
 	}
-	if old, ok := sh.sessions[sess.ID]; ok {
-		sh.agg = sh.agg.Sub(old.p.Stats())
-	}
-	sh.agg = sh.agg.Add(p.Stats())
 	sh.sessions[sess.ID] = &session{
 		id:      sess.ID,
 		p:       p,
@@ -463,6 +442,7 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 		lastSeq: sess.LastSeq,
 		dirty:   true,
 	}
+	sh.nsessions.Store(int64(len(sh.sessions)))
 	return nil
 }
 
@@ -485,24 +465,6 @@ func (sh *shard) checkpoint() []ckptFrame {
 		out = append(out, ckptFrame{id: s.id, frame: b})
 	}
 	return out
-}
-
-// publishSnapshot refreshes the admin-visible copy of the shard's
-// predictor aggregate. Runs under the shard lock (or before the server
-// serves).
-func (sh *shard) publishSnapshot() {
-	sh.snapMu.Lock()
-	sh.snapAgg = sh.agg
-	sh.snapSess = len(sh.sessions)
-	sh.snapMu.Unlock()
-}
-
-// snapshot returns the last published aggregate without touching
-// predictor state.
-func (sh *shard) snapshot() (agg predictor.Stats, sessions int) {
-	sh.snapMu.Lock()
-	defer sh.snapMu.Unlock()
-	return sh.snapAgg, sh.snapSess
 }
 
 // splitmix64 is the session-to-shard hash: cheap, well mixed, and

@@ -10,11 +10,10 @@ import (
 	"pathtrace/internal/snapshot"
 )
 
-// TestShardAggregateMatchesSessions pins the running shard aggregate:
-// after every op that can move a session's stats — open, fresh and
-// partly or fully replayed batches, snapshot, restore over a live
-// session and restore of a new one — OpStats.ShardAgg and the admin
-// view must both equal the sum of the resident sessions' own stats.
+// TestShardAggregateMatchesSessions pins the shard's session count,
+// ntpd_shard_sessions: after an open, a restore over a live session
+// (which must not count it twice) and a restore of a new one, /metrics
+// must show exactly the resident sessions.
 func TestShardAggregateMatchesSessions(t *testing.T) {
 	fcfg := faultsConfigForTest()
 	for _, tc := range []struct {
@@ -26,70 +25,37 @@ func TestShardAggregateMatchesSessions(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			traces := streamTraces(t)
-			srv := newTestServer(t, Config{Shards: 1, Faults: tc.faults})
+			srv := newTestServer(t, Config{Shards: 1, Faults: tc.faults, AdminAddr: "127.0.0.1:0"})
 			cl := dialT(t, srv)
 
-			var ids []uint64
-			check := func(step string) {
+			check := func(step string, want int) {
 				t.Helper()
-				var sum, shardAgg predictor.Stats
-				for _, id := range ids {
-					st, err := cl.Stats(id)
-					if err != nil {
-						t.Fatalf("%s: stats %d: %v", step, id, err)
-					}
-					if int(st.Sessions) != len(ids) {
-						t.Errorf("%s: OpStats sessions = %d, want %d", step, st.Sessions, len(ids))
-					}
-					sum = sum.Add(st.Session)
-					shardAgg = st.ShardAgg
-				}
-				if shardAgg != sum {
-					t.Errorf("%s: OpStats shard aggregate %+v, sessions sum to %+v", step, shardAgg, sum)
-				}
-				if st := srv.Stats(); st.Predictor != sum || st.Sessions != len(ids) {
-					t.Errorf("%s: server stats %d sessions %+v, want %d sessions %+v",
-						step, st.Sessions, st.Predictor, len(ids), sum)
+				if v := metricValue(t, scrape(t, srv), `ntpd_shard_sessions{shard="0"}`); v != float64(want) {
+					t.Errorf("%s: ntpd_shard_sessions = %v, want %d", step, v, want)
 				}
 			}
-			updateSeq := func(step string, id, start uint64, off, n int, wantSkipped uint32) {
-				t.Helper()
-				skipped, applied, _, err := cl.UpdateBatchSeq(id, start, traces[off:off+n])
-				if err != nil {
-					t.Fatalf("%s: %v", step, err)
-				}
-				if skipped != wantSkipped || int(skipped+applied) != n {
-					t.Fatalf("%s: skipped %d applied %d of %d, want %d skipped", step, skipped, applied, n, wantSkipped)
-				}
-				check(step)
-			}
-
+			check("start", 0)
 			for _, id := range []uint64{1, 2, 3} {
 				if _, _, err := cl.Open(id); err != nil {
 					t.Fatal(err)
 				}
-				ids = append(ids, id)
-				check(fmt.Sprintf("open %d", id))
+				check(fmt.Sprintf("open %d", id), int(id))
 			}
-			updateSeq("update 1", 1, 1, 0, 100, 0)
-			if _, _, _, err := cl.PredictBatch(2, traces[:64], nil); err != nil {
+			if _, _, err := cl.Open(1); err != nil {
 				t.Fatal(err)
 			}
-			check("predict batch 2")
-			updateSeq("update 3", 3, 1, 200, 100, 0)
-			updateSeq("overlapping resend 1", 1, 51, 50, 100, 50)
-			updateSeq("full replay 1", 1, 1, 0, 100, 100)
-
+			check("reopen 1", 3)
+			if _, _, _, err := cl.UpdateBatch(1, traces[:100]); err != nil {
+				t.Fatal(err)
+			}
 			frame, err := cl.Snapshot(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("snapshot 1")
-			updateSeq("update 1 past snapshot", 1, 151, 150, 100, 0)
 			if _, err := cl.Restore(1, frame); err != nil {
 				t.Fatal(err)
 			}
-			check("restore over 1")
+			check("restore over 1", 3)
 
 			sess, err := snapshot.Decode(frame)
 			if err != nil {
@@ -103,9 +69,7 @@ func TestShardAggregateMatchesSessions(t *testing.T) {
 			if _, err := cl.Restore(4, frame4); err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, 4)
-			check("restore new 4")
-			updateSeq("update 4", 4, 151, 150, 50, 0)
+			check("restore new 4", 4)
 		})
 	}
 }

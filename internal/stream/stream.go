@@ -234,38 +234,6 @@ func (s *Stream) Replay(ctx context.Context, consumers ...func(*trace.Trace)) (i
 	return s.instrs, uint64(len(s.recs)), nil
 }
 
-// ReplayBatch feeds the stream to fn in contiguous batches of up to
-// batch traces (the final batch may be short), in capture order, and
-// returns the same totals as Replay. The batch buffer is allocated once
-// and reused across fn calls, and its traces alias the stream's shared
-// arrays — fn must copy anything it retains and must not mutate the
-// slice. ctx, when non-nil, is observed between batches. An error from
-// fn aborts the replay and is returned verbatim.
-func (s *Stream) ReplayBatch(ctx context.Context, batch int, fn func([]trace.Trace) error) (instrs, traces uint64, err error) {
-	if batch < 1 {
-		return 0, 0, fmt.Errorf("stream: ReplayBatch size %d < 1", batch)
-	}
-	buf := make([]trace.Trace, batch)
-	for off := 0; off < len(s.recs); off += batch {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, fmt.Errorf("stream: batch replay aborted at %d traces: %w", off, err)
-			}
-		}
-		n := len(s.recs) - off
-		if n > batch {
-			n = batch
-		}
-		for k := 0; k < n; k++ {
-			s.At(off+k, &buf[k])
-		}
-		if err := fn(buf[:n]); err != nil {
-			return 0, 0, err
-		}
-	}
-	return s.instrs, uint64(len(s.recs)), nil
-}
-
 // ReplayParallel feeds the full stream to every consumer, each on its
 // own goroutine with its own scratch trace — the payoff a recorded
 // stream has over a live simulator, which can only fan out one

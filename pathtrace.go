@@ -71,13 +71,6 @@ type (
 	PredictorStats = predictor.Stats
 	// DOLC is the Depth-Older-Last-Current index-generation config.
 	DOLC = history.DOLC
-	// ConfidentPredictor pairs a hybrid with a JRS resetting-counter
-	// confidence estimator.
-	ConfidentPredictor = predictor.Confident
-	// ConfidentConfig sizes the confidence estimator.
-	ConfidentConfig = predictor.ConfidentConfig
-	// ConfStats are confidence-quality counters.
-	ConfStats = predictor.ConfStats
 )
 
 // Trace machinery.
@@ -136,11 +129,6 @@ type (
 type (
 	// FaultConfig is a deterministic fault-injection plan.
 	FaultConfig = faults.Config
-	// FaultInjector draws faults from a plan; give each predictor its
-	// own injector (they are not safe for concurrent use).
-	FaultInjector = faults.Injector
-	// FaultStats counts injected faults per class.
-	FaultStats = faults.Stats
 	// HarnessConfig controls a hardened sweep (deadlines, panic
 	// recovery, keep-going, per-workload cells).
 	HarnessConfig = harness.Config
@@ -171,9 +159,6 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// MetricsContentType is the HTTP Content-Type for rendered metrics.
-const MetricsContentType = metrics.ContentType
-
 // PredictorBackend describes one registered predictor backend: its
 // name (PredictorConfig.Backend), family, constructor and optional
 // save/restore codec (see internal/predictor's registry).
@@ -203,11 +188,6 @@ func PredictBatch(p Predictor, actuals []Trace, preds []Prediction) uint64 {
 	return predictor.PredictBatch(p, actuals, preds)
 }
 
-// UpdateBatch is PredictBatch without materializing predictions.
-func UpdateBatch(p Predictor, actuals []Trace) uint64 {
-	return predictor.UpdateBatch(p, actuals)
-}
-
 // NewUnboundedPredictor builds an unbounded-table predictor (§5.2).
 func NewUnboundedPredictor(cfg UnboundedConfig) (Predictor, error) {
 	return predictor.NewUnbounded(cfg)
@@ -217,12 +197,6 @@ func NewUnboundedPredictor(cfg UnboundedConfig) (Predictor, error) {
 // API (Lookup/CommitUpdate/Advance).
 func NewHybridPredictor(cfg PredictorConfig) (*HybridPredictor, error) {
 	return predictor.NewHybrid(cfg)
-}
-
-// NewConfidentPredictor wraps a hybrid predictor with the JRS
-// resetting-counter confidence estimator.
-func NewConfidentPredictor(cfg ConfidentConfig) (*ConfidentPredictor, error) {
-	return predictor.NewConfident(cfg)
 }
 
 // NewSequentialBaseline builds the paper's idealized sequential
@@ -324,9 +298,6 @@ func CaptureTraceStream(w *Workload, limit uint64) (*TraceStream, error) {
 	return stream.Capture(nil, w, limit, trace.DefaultConfig())
 }
 
-// NewStreamCache returns an empty trace-stream cache.
-func NewStreamCache() *StreamCache { return stream.NewCache() }
-
 // SharedStreamCache returns the process-wide stream cache used by
 // every experiment run that does not supply its own — useful for
 // inspecting footprint (Stats) or dropping recordings (Reset).
@@ -337,9 +308,6 @@ type (
 	// CharzConfig parameterizes a predictability analysis: history
 	// depths, H2P coverage target, reference predictor.
 	CharzConfig = charz.Config
-	// CharzAnalyzer accumulates predictability metrics over one trace
-	// stream; its Consume method is a stream consumer.
-	CharzAnalyzer = charz.Analyzer
 	// CharzReport is the characterization of one stream: entropy,
 	// transition classes, per-depth working sets, H2P trace set. It
 	// renders as text (Text), JSON (encoding/json), or metrics
@@ -348,11 +316,6 @@ type (
 	// CharzDepthStats characterizes one path-history depth.
 	CharzDepthStats = charz.DepthStats
 )
-
-// NewCharzAnalyzer builds a predictability analyzer; the zero config
-// gives the standard characterization (paper depths, 90% H2P coverage,
-// headline hybrid as the reference predictor).
-func NewCharzAnalyzer(cfg CharzConfig) (*CharzAnalyzer, error) { return charz.New(cfg) }
 
 // AnalyzeTraceStream characterizes a captured stream: replay through a
 // fresh analyzer, report stamped with the stream's identity.
@@ -364,18 +327,11 @@ func AnalyzeTraceStream(s *TraceStream, cfg CharzConfig) (*CharzReport, error) {
 // "table:1e-4,history:1e-5,stuck,bits:2".
 func ParseFaultSpec(spec string) (FaultConfig, error) { return faults.ParseSpec(spec) }
 
-// NewFaultInjector builds a deterministic injector for the plan.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faults.New(cfg) }
-
 // RunHarness sweeps experiments as isolated, deadline-bounded cells and
 // returns the full report (partial results plus structured failures).
 func RunHarness(cfg HarnessConfig, exps []Experiment) (*HarnessReport, error) {
 	return harness.Run(cfg, exps)
 }
-
-// RegisterExperiment adds an experiment at runtime (panics on a
-// duplicate id), the hook for extensions and harness tests.
-func RegisterExperiment(e Experiment) { experiments.Register(e) }
 
 // HangWorkload registers (on first call) and returns the deliberately
 // hanging synthetic workload used to exercise harness deadlines.
