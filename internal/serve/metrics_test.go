@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -447,5 +448,124 @@ func TestSnapshotMetrics(t *testing.T) {
 		if got := metricValue(t, body, c.series); got != float64(c.want) {
 			t.Errorf("%s = %v, want %d", c.series, got, c.want)
 		}
+	}
+}
+
+// metricsInventory lists what a registry renders as sorted
+// "family type label-keys" lines, one per family: the shape dashboards,
+// ntpstat and the CI greps depend on, without the values.
+func metricsInventory(t *testing.T, reg *metrics.Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	types := map[string]string{}
+	keys := map[string]map[string]bool{}
+	for _, l := range strings.Split(strings.TrimRight(b.String(), "\n"), "\n") {
+		if f, ok := strings.CutPrefix(l, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(f, " ")
+			types[name], keys[name] = kind, map[string]bool{}
+			continue
+		}
+		if strings.HasPrefix(l, "#") {
+			continue
+		}
+		name, labels, _ := strings.Cut(strings.Fields(l)[0], "{")
+		if _, ok := types[name]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+					name = base
+				}
+			}
+		}
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys[name][k] = true
+			}
+		}
+	}
+	var out []string
+	for name, kind := range types {
+		var ks []string
+		for k := range keys[name] {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		out = append(out, strings.TrimSpace(name+" "+kind+" "+strings.Join(ks, ",")))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestMetricsInventory pins every family a fully configured server
+// renders — checkpointing, two shards, a shadow backend and admission
+// limits, after one client request — with its type and label keys.
+// Values are the other tests' business; this one catches a family
+// that is renamed, retyped, relabelled, dropped or added.
+func TestMetricsInventory(t *testing.T) {
+	srv := newTestServer(t, Config{
+		Shards:        2,
+		Shadows:       []string{"tage"},
+		CheckpointDir: t.TempDir(),
+		Limits:        Limits{PerClientRate: 1e6, GlobalRate: 1e7},
+	})
+	cl := dialT(t, srv)
+	if _, _, err := cl.Open(1); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"ntpd_backend_correct_total counter backend,role,shard",
+		"ntpd_backend_miss_total counter backend,role,shard",
+		"ntpd_backend_rounds_total counter backend,role,shard",
+		"ntpd_bad_frames_total counter",
+		"ntpd_batch_frames_total counter shard",
+		"ntpd_batch_size histogram le,shard",
+		"ntpd_checkpoint_corrupt_total counter",
+		"ntpd_checkpoint_dropped_total counter",
+		"ntpd_checkpoint_restored_sessions gauge",
+		"ntpd_checkpoint_write_errors_total counter",
+		"ntpd_checkpoint_written_total counter",
+		"ntpd_client_bytes_total counter client",
+		"ntpd_client_overload_rejects_total counter client",
+		"ntpd_client_requests_total counter client",
+		"ntpd_client_rounds_total counter client",
+		"ntpd_client_tags gauge",
+		"ntpd_client_throttled_total counter client",
+		"ntpd_connections_accepted_total counter",
+		"ntpd_connections_active gauge",
+		"ntpd_drain_lost_sessions_total counter",
+		"ntpd_drain_rejects_total counter",
+		"ntpd_drain_spilled_sessions_total counter",
+		"ntpd_draining gauge",
+		"ntpd_handoff_failed_total counter",
+		"ntpd_handoff_retry_total counter",
+		"ntpd_handoff_sessions_total counter",
+		"ntpd_predictor_cold_total counter shard",
+		"ntpd_predictor_correct_total counter shard",
+		"ntpd_predictor_miss_total counter shard",
+		"ntpd_predictor_replacements_total counter shard",
+		"ntpd_predictor_rounds_total counter shard",
+		"ntpd_predictor_secondary_total counter shard",
+		"ntpd_requests_total counter",
+		"ntpd_shard_batches_total counter shard",
+		"ntpd_shard_op_seconds histogram le,op,shard",
+		"ntpd_shard_overload_rejects_total counter shard",
+		"ntpd_shard_queue_depth gauge shard",
+		"ntpd_shard_requests_total counter shard",
+		"ntpd_shard_sessions gauge shard",
+		"ntpd_shard_traces_total counter shard",
+		"ntpd_snapshot_bytes_total counter kind,shard",
+		"ntpd_snapshot_delta_ops_total counter shard",
+		"ntpd_snapshot_ops_total counter shard",
+		"ntpd_snapshot_restore_rejects_total counter shard",
+		"ntpd_snapshot_restores_total counter shard",
+		"ntpd_throttled_total counter",
+		"ntpd_update_dups_total counter shard",
+		"ntpd_uptime_seconds gauge",
+	}
+	got := metricsInventory(t, srv.Metrics())
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/metrics inventory:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
