@@ -31,8 +31,8 @@ type benchFile struct {
 }
 
 // runBench measures every requested experiment (one full regeneration
-// per iteration, stream cache warm) plus the raw replay→predict loop,
-// and writes the records as JSON.
+// per iteration, stream cache warm) plus the batched predict loop, and
+// writes the records as JSON.
 func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int {
 	if opt.Limit == 0 {
 		opt.Limit = 200_000 // match bench_test.go's benchLimit
@@ -75,16 +75,14 @@ func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int
 			id, rec.NsPerOp, rec.AllocsPerOp)
 	}
 
-	for _, bench := range []func(uint64) (benchRecord, error){benchPredictLoop, benchPredictBatch} {
-		rec, err := bench(opt.Limit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ntp: bench: %v\n", err)
-			return 1
-		}
-		out.Results = append(out.Results, rec)
-		fmt.Fprintf(os.Stderr, "ntp: bench %-20s %12.0f ns/op %8d allocs/op\n",
-			rec.Name, rec.NsPerOp, rec.AllocsPerOp)
+	rec, err := benchPredictBatch(opt.Limit)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ntp: bench: %v\n", err)
+		return 1
 	}
+	out.Results = append(out.Results, rec)
+	fmt.Fprintf(os.Stderr, "ntp: bench %-20s %12.0f ns/op %8d allocs/op\n",
+		rec.Name, rec.NsPerOp, rec.AllocsPerOp)
 
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -167,65 +165,10 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 	return 0
 }
 
-// benchPredictLoop measures the steady-state replay→predict hot path
-// (sequential baseline + bounded hybrid + unbounded per trace), the
-// same loop BenchmarkHeadline/predict covers in the test suite. It must
-// report zero allocations per operation.
-func benchPredictLoop(limit uint64) (benchRecord, error) {
-	w, ok := pathtrace.WorkloadByName("go")
-	if !ok {
-		return benchRecord{}, fmt.Errorf("workload go missing")
-	}
-	s, err := pathtrace.CaptureTraceStream(w, limit)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	seq, err := pathtrace.NewSequentialBaseline(pathtrace.SequentialConfig{})
-	if err != nil {
-		return benchRecord{}, err
-	}
-	hybrid := pathtrace.MustNewPredictor(pathtrace.PredictorConfig{
-		Depth: 7, IndexBits: 16, Hybrid: true, UseRHS: true,
-	})
-	ub, err := pathtrace.NewUnboundedPredictor(pathtrace.UnboundedConfig{
-		Depth: 7, Hybrid: true, UseRHS: true,
-	})
-	if err != nil {
-		return benchRecord{}, err
-	}
-	step := func(tr *pathtrace.Trace) {
-		seq.ObserveTrace(tr)
-		hybrid.Predict()
-		hybrid.Update(tr)
-		ub.Predict()
-		ub.Update(tr)
-	}
-	if _, _, err := s.Replay(nil, step); err != nil { // warm pass
-		return benchRecord{}, err
-	}
-	n := s.Len()
-	var tr pathtrace.Trace
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.At(i%n, &tr)
-			step(&tr)
-		}
-	})
-	return benchRecord{
-		Name:        "predict-loop",
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}, nil
-}
-
 // benchPredictBatch measures the batched predict+update hot path at the
 // serving layer's default batch size (64). b.N counts traces, so ns/op
-// is per trace — directly comparable with predict-loop's per-trace
-// cost. This is the record the benchdiff gate rides on; it must report
-// zero allocations per operation.
+// is per trace. This is the record the benchdiff gate rides on; it must
+// report zero allocations per operation.
 func benchPredictBatch(limit uint64) (benchRecord, error) {
 	const batch = 64
 	w, ok := pathtrace.WorkloadByName("go")

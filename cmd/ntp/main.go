@@ -81,7 +81,7 @@
 // and the harness_* / ntp_stream_* metric families).
 //
 // -cpuprofile / -memprofile write pprof profiles covering the run.
-// -bench measures every experiment (plus the raw predict loop) with
+// -bench measures every experiment (plus the batched predict loop) with
 // the testing package's benchmark driver and writes a BENCH_<date>.json
 // record of ns/op, allocs/op and B/op for regression tracking.
 // -benchdiff closes the loop: it re-measures the batched predict loop

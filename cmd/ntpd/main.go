@@ -68,7 +68,10 @@
 // client with per-op deadlines, reconnect backoff with jitter, an
 // address failover list (-failover-addrs), and snapshot-per-ack
 // session recovery, which keeps -verify bit-identical across a server
-// kill.
+// kill — including a kill -9 after which the server restarts from
+// checkpoints older than the client's acks: it refuses each session's
+// next batch as a sequence gap, and the client restores its own frame
+// and resends.
 //
 // Load generation:
 //

@@ -76,12 +76,13 @@ func TestBatchOpsBitIdentical(t *testing.T) {
 
 // TestBatchSuffixDedup exercises the per-trace sequence dedup directly:
 // overlapping, fully duplicate, and extending ranges must replay only
-// the unseen suffix, leaving the predictor exactly where a
+// the unseen suffix, and a range starting past the next sequence is
+// refused with ErrSeqGap, leaving the predictor exactly where a
 // single-application run would. Every overlapping frame counts once in
-// DupUpdates.
+// ntpd_update_dups_total.
 func TestBatchSuffixDedup(t *testing.T) {
 	traces := streamTraces(t)
-	if len(traces) < 300 {
+	if len(traces) < 400 {
 		t.Fatalf("test stream too short: %d traces", len(traces))
 	}
 	srv := newTestServer(t, Config{Shards: 1})
@@ -94,7 +95,7 @@ func TestBatchSuffixDedup(t *testing.T) {
 	if _, _, err := cl.Open(session); err != nil {
 		t.Fatal(err)
 	}
-	dups := func() uint64 { return srv.shardFor(session).counters.DupUpdates.Load() }
+	dups := func() uint64 { return srv.shardFor(session).metrics.dupUpdates.Load() }
 
 	// [1,200] fresh.
 	skipped, applied, _, err := cl.UpdateBatchSeq(session, 1, traces[:200])
@@ -119,6 +120,10 @@ func TestBatchSuffixDedup(t *testing.T) {
 	}
 	if got := dups(); got != 2 {
 		t.Errorf("dup frames after the duplicate batch = %d, want 2", got)
+	}
+	// [302,400]: starts past 301, a gap; refused, and nothing may train.
+	if _, _, _, err := cl.UpdateBatchSeq(session, 302, traces[301:400]); !errors.Is(err, ErrSeqGap) {
+		t.Fatalf("gap batch: err %v, want ErrSeqGap", err)
 	}
 
 	ref := predictor.MustNew(headlineConfig())
@@ -174,7 +179,7 @@ func TestDuplicateUpdateAnsweredFromCache(t *testing.T) {
 	if !st2.Equal(st1) {
 		t.Errorf("duplicate update changed predictor stats: %+v -> %+v", st1, st2)
 	}
-	if got := srv.shardFor(session).counters.DupUpdates.Load(); got != 1 {
+	if got := srv.shardFor(session).metrics.dupUpdates.Load(); got != 1 {
 		t.Errorf("dup updates = %d, want 1", got)
 	}
 
@@ -186,7 +191,7 @@ func TestDuplicateUpdateAnsweredFromCache(t *testing.T) {
 	if st3 := stats(); st3.Equal(st2) {
 		t.Error("next range did not advance the predictor")
 	}
-	if got := srv.shardFor(session).counters.DupUpdates.Load(); got != 1 {
+	if got := srv.shardFor(session).metrics.dupUpdates.Load(); got != 1 {
 		t.Errorf("dup updates after a fresh range = %d, want 1", got)
 	}
 }
@@ -338,7 +343,7 @@ func TestRetryClientBatchSurvivesServerKill(t *testing.T) {
 	if !st.Session.Equal(want) {
 		t.Errorf("post-failover stats %+v, want %+v", st.Session, want)
 	}
-	if got := srvB.shardFor(session).counters.Restores.Load(); got == 0 {
+	if got := srvB.shardFor(session).metrics.restores.Load(); got == 0 {
 		t.Error("survivor server saw no restore — failover path not exercised")
 	}
 }
@@ -361,7 +366,7 @@ func TestRetryClientOversizedBatchFailsFast(t *testing.T) {
 	if _, _, err := rc.Open(session); err != nil {
 		t.Fatal(err)
 	}
-	dials := srv.counters.Accepted.Load()
+	dials := srv.metrics.accepted.Load()
 
 	start := time.Now()
 	_, _, _, err = rc.UpdateBatch(session, make([]trace.Trace, MaxBatch+1))
@@ -371,7 +376,7 @@ func TestRetryClientOversizedBatchFailsFast(t *testing.T) {
 	if d := time.Since(start); d > 500*time.Millisecond {
 		t.Errorf("oversized batch took %v to fail: retried instead of failing fast", d)
 	}
-	if got := srv.counters.Accepted.Load(); got != dials {
+	if got := srv.metrics.accepted.Load(); got != dials {
 		t.Errorf("connections accepted %d -> %d: the client redialed", dials, got)
 	}
 

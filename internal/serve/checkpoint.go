@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathtrace/internal/snapshot"
@@ -18,52 +17,35 @@ import (
 // checkpoints, and the drain-time offload that streams every live
 // session to a peer (or spills it to disk) so a SIGTERM loses nothing.
 //
-// Checkpointing is asynchronous and best-effort: the sweep holds a shard
-// lock only to encode (an in-memory walk of its dirty sessions); file
-// IO happens on a dedicated writer goroutine behind a bounded queue, so
-// a slow disk never blocks prediction. The authoritative zero-loss path
+// Checkpointing is periodic and best-effort: the sweep holds a shard
+// lock only to encode (an in-memory walk of its dirty sessions), then
+// writes that shard's frames after releasing it, so a slow disk delays
+// the next sweep, never prediction. The authoritative zero-loss path
 // is the drain offload, which runs after the shards have quiesced and
 // snapshots final state synchronously.
 
-// checkpointer owns the periodic checkpoint machinery: a ticker that
-// asks each shard to encode its dirty sessions, and a writer that
-// persists the frames atomically.
+// checkpointer runs the periodic sweep on its own goroutine.
 type checkpointer struct {
-	s   *Server
-	dir string
-
-	frames   chan ckptFrame
-	tickStop chan struct{}
-	tickWG   sync.WaitGroup
-	writeWG  sync.WaitGroup
-	stopOnce sync.Once
-
-	written   atomic.Uint64 // checkpoint files persisted
-	writeErrs atomic.Uint64 // checkpoint writes that failed
-	dropped   atomic.Uint64 // frames dropped because the writer was behind
+	s    *Server
+	dir  string
+	quit chan struct{}
+	done sync.WaitGroup
 }
 
 func newCheckpointer(s *Server, dir string, every time.Duration) *checkpointer {
-	ck := &checkpointer{
-		s:        s,
-		dir:      dir,
-		frames:   make(chan ckptFrame, 1024),
-		tickStop: make(chan struct{}),
-	}
-	ck.writeWG.Add(1)
-	go ck.writeLoop()
-	ck.tickWG.Add(1)
-	go ck.tickLoop(every)
+	ck := &checkpointer{s: s, dir: dir, quit: make(chan struct{})}
+	ck.done.Add(1)
+	go ck.loop(every)
 	return ck
 }
 
-func (ck *checkpointer) tickLoop(every time.Duration) {
-	defer ck.tickWG.Done()
+func (ck *checkpointer) loop(every time.Duration) {
+	defer ck.done.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-ck.tickStop:
+		case <-ck.quit:
 			return
 		case <-t.C:
 			ck.sweep()
@@ -72,55 +54,26 @@ func (ck *checkpointer) tickLoop(every time.Duration) {
 }
 
 // sweep encodes each shard's dirty sessions under that shard's lock (so
-// session state is read race-free) and hands the frames to the writer.
+// session state is read race-free) and writes the frames once the lock
+// is released.
 func (ck *checkpointer) sweep() {
+	m := &ck.s.metrics
 	for _, sh := range ck.s.shards {
 		for _, f := range sh.checkpoint() {
-			ck.submit(f)
+			if err := writeSnapshotFile(ck.dir, f.id, f.frame); err != nil {
+				m.ckptWriteErrs.Inc()
+			} else {
+				m.ckptWritten.Inc()
+			}
 		}
 	}
 }
 
-// submit offers a frame to the writer without blocking, so a stalled
-// disk never stalls the sweep. A dropped frame is only a stale
-// checkpoint — its session was marked clean, so it is written again
-// after its next update, and the drain offload never goes through this
-// queue.
-func (ck *checkpointer) submit(f ckptFrame) {
-	select {
-	case ck.frames <- f:
-	default:
-		ck.dropped.Add(1)
-	}
-}
-
-func (ck *checkpointer) writeLoop() {
-	defer ck.writeWG.Done()
-	for f := range ck.frames {
-		if err := writeSnapshotFile(ck.dir, f.id, f.frame); err != nil {
-			ck.writeErrs.Add(1)
-		} else {
-			ck.written.Add(1)
-		}
-	}
-}
-
-// stopTicker stops the periodic sweeps and waits out a running one.
-// Called from quiesce, before the shards stop; the writer stays up
-// until close.
-func (ck *checkpointer) stopTicker() {
-	close(ck.tickStop)
-	ck.tickWG.Wait()
-}
-
-// close flushes and stops the writer. Callers must have stopped the
-// ticker first: after close, a submit would panic on the closed
-// channel, and the sweep is the only submitter.
-func (ck *checkpointer) close() {
-	ck.stopOnce.Do(func() {
-		close(ck.frames)
-		ck.writeWG.Wait()
-	})
+// stop ends the periodic sweeps and waits out a running one, writes
+// included. Called once, from quiesce, before the shards stop.
+func (ck *checkpointer) stop() {
+	close(ck.quit)
+	ck.done.Wait()
 }
 
 const snapshotFileExt = ".ntss"
@@ -177,19 +130,19 @@ func (s *Server) loadCheckpoints(dir string) error {
 		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			s.counters.CorruptSnapshots.Add(1)
+			s.metrics.corrupt.Inc()
 			continue
 		}
 		sess, err := snapshot.Decode(b)
 		if err != nil {
-			s.counters.CorruptSnapshots.Add(1)
+			s.metrics.corrupt.Inc()
 			continue
 		}
 		if err := s.shardFor(sess.ID).installSnapshot(sess); err != nil {
-			s.counters.CorruptSnapshots.Add(1)
+			s.metrics.corrupt.Inc()
 			continue
 		}
-		s.counters.RestoredSessions.Add(1)
+		s.metrics.restored.Add(1)
 	}
 	return nil
 }
@@ -200,17 +153,12 @@ func (s *Server) loadCheckpoints(dir string) error {
 // directory. Returns an error naming the sessions that ended up with
 // nowhere to go.
 func (s *Server) offload() error {
-	if s.ckpt != nil {
-		// Flush pending periodic checkpoint writes first so the spill
-		// below cannot race the writer on the same files.
-		s.ckpt.close()
-	}
 	var frames []ckptFrame
 	for _, sh := range s.shards {
 		for _, sess := range sh.sessions {
 			b, err := sh.appendFrame(nil, sess)
 			if err != nil {
-				s.counters.LostSessions.Add(1)
+				s.metrics.lost.Inc()
 				continue
 			}
 			frames = append(frames, ckptFrame{id: sess.id, frame: b})
@@ -222,13 +170,13 @@ func (s *Server) offload() error {
 
 	spill := func(f ckptFrame) {
 		if s.cfg.CheckpointDir == "" {
-			s.counters.LostSessions.Add(1)
+			s.metrics.lost.Inc()
 			return
 		}
 		if err := writeSnapshotFile(s.cfg.CheckpointDir, f.id, f.frame); err != nil {
-			s.counters.LostSessions.Add(1)
+			s.metrics.lost.Inc()
 		} else {
-			s.counters.SpilledSessions.Add(1)
+			s.metrics.spilled.Inc()
 		}
 	}
 
@@ -255,9 +203,9 @@ func (s *Server) offload() error {
 			}()
 			for f := range ch {
 				if s.handoffOne(&cl, f) {
-					s.counters.HandoffSessions.Add(1)
+					s.metrics.handoffSessions.Inc()
 				} else {
-					s.counters.HandoffFailed.Add(1)
+					s.metrics.handoffFailed.Inc()
 					spill(f)
 				}
 			}
@@ -278,7 +226,7 @@ func (s *Server) handoffOne(cl **Client, f ckptFrame) bool {
 	backoff := 50 * time.Millisecond
 	for attempt := 0; attempt < 4; attempt++ {
 		if attempt > 0 {
-			s.counters.HandoffRetries.Add(1)
+			s.metrics.handoffRetries.Inc()
 			time.Sleep(backoff)
 			backoff *= 2
 		}
@@ -314,7 +262,7 @@ func (s *Server) offloadErr() error {
 	if s.cfg.CheckpointDir == "" && s.cfg.HandoffAddr == "" {
 		return nil
 	}
-	if lost := s.counters.LostSessions.Load(); lost > 0 {
+	if lost := s.metrics.lost.Load(); lost > 0 {
 		return fmt.Errorf("serve: %d sessions lost at drain (handoff and spill both failed)", lost)
 	}
 	return nil

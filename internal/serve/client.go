@@ -164,8 +164,10 @@ func (c *Client) Open(session uint64) (shard uint32, lastSeq uint64, err error) 
 // and the client's counter advances to the end of the range only on a
 // successful ack: a resend after a lost ack reuses the range, and the
 // server skips the already-applied prefix and trains only the unseen
-// suffix. Sessions not opened here send sequence 0 (no duplicate
-// detection).
+// suffix. A server that holds the session at an older position than
+// the range's start (it restarted from a stale checkpoint) refuses it
+// with ErrSeqGap and trains nothing. Sessions not opened here send
+// sequence 0 (no duplicate or gap detection).
 func (c *Client) UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	return c.batchAuto(OpUpdateBatch, session, traces, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -110,10 +111,10 @@ func TestSnapshotMovesSessionBetweenServers(t *testing.T) {
 	if !st.Session.Equal(want) {
 		t.Errorf("moved session stats %+v, want %+v", st.Session, want)
 	}
-	if got := srvA.shardFor(session).counters.Snapshots.Load(); got != 1 {
+	if got := srvA.shardFor(session).metrics.snapshots.Load(); got != 1 {
 		t.Errorf("server A snapshot ops = %d, want 1", got)
 	}
-	if got := srvB.shardFor(session).counters.Restores.Load(); got != 1 {
+	if got := srvB.shardFor(session).metrics.restores.Load(); got != 1 {
 		t.Errorf("server B restores = %d, want 1", got)
 	}
 }
@@ -198,7 +199,7 @@ func TestRestoreRejectsWrongBackendFrame(t *testing.T) {
 	if _, err := clH.Restore(1, frame); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("cross-family Restore = %v, want ErrBadSnapshot", err)
 	}
-	if got := hybridSrv.shardFor(1).counters.RestoreRejects.Load(); got != 1 {
+	if got := hybridSrv.shardFor(1).metrics.restoreRejects.Load(); got != 1 {
 		t.Errorf("restore rejects = %d, want 1", got)
 	}
 
@@ -241,12 +242,12 @@ func TestDrainSpillAndWarmRestart(t *testing.T) {
 	if err := srvA.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if got := srvA.counters.LostSessions.Load(); got != 0 {
+	if got := srvA.metrics.lost.Load(); got != 0 {
 		t.Fatalf("drain lost %d sessions", got)
 	}
 
 	srvB := newTestServer(t, Config{Shards: 2, CheckpointDir: dir, AdminAddr: "127.0.0.1:0"})
-	if got := srvB.counters.RestoredSessions.Load(); got != 1 {
+	if got := srvB.metrics.restored.Load(); got != 1 {
 		t.Fatalf("warm restart restored %d sessions, want 1", got)
 	}
 	// /metrics counts the restored session before any request.
@@ -299,7 +300,7 @@ func TestDrainHandsSessionsToPeer(t *testing.T) {
 	if err := srvA.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if got := srvA.counters.HandoffSessions.Load(); got != 1 {
+	if got := srvA.metrics.handoffSessions.Load(); got != 1 {
 		t.Fatalf("handoff sessions = %d, want 1", got)
 	}
 
@@ -358,10 +359,10 @@ func TestCorruptCheckpointsSkippedOnRestart(t *testing.T) {
 	}
 
 	srvB := newTestServer(t, Config{Shards: 1, CheckpointDir: dir})
-	if got := srvB.counters.RestoredSessions.Load(); got != 0 {
+	if got := srvB.metrics.restored.Load(); got != 0 {
 		t.Errorf("restored %d sessions from corrupt dir, want 0", got)
 	}
-	if got := srvB.counters.CorruptSnapshots.Load(); got != 2 {
+	if got := srvB.metrics.corrupt.Load(); got != 2 {
 		t.Errorf("corrupt snapshots = %d, want 2", got)
 	}
 }
@@ -379,11 +380,11 @@ func TestPeriodicCheckpointWritesFiles(t *testing.T) {
 	}
 	feedBatches(t, cl, session, s.Cursor(), 128, 10)
 
-	// The rename makes the file visible just before the writer counts
+	// The rename makes the file visible just before the sweep counts
 	// it, so wait for both.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(snapshotPath(dir, session)); err == nil && srv.ckpt.written.Load() > 0 {
+		if _, err := os.Stat(snapshotPath(dir, session)); err == nil && srv.metrics.ckptWritten.Load() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -392,8 +393,8 @@ func TestPeriodicCheckpointWritesFiles(t *testing.T) {
 			for _, e := range ents {
 				names = append(names, e.Name())
 			}
-			t.Fatalf("no checkpoint for session %d after 5s (writer counted %d files); dir has %v",
-				session, srv.ckpt.written.Load(), names)
+			t.Fatalf("no checkpoint for session %d after 5s (sweep counted %d files); dir has %v",
+				session, srv.metrics.ckptWritten.Load(), names)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -409,5 +410,98 @@ func TestPeriodicCheckpointWritesFiles(t *testing.T) {
 	}
 	if sess.ID != session {
 		t.Errorf("checkpoint holds session %d, want %d", sess.ID, session)
+	}
+}
+
+// TestCrashWithStaleCheckpointRecoversFromClientFrame is a crash with
+// no drain: the restarted server loads a checkpoint taken at sequence
+// 640 while the client has 1,280 acked. The client's next batch starts
+// past the server's last sequence, so the server must refuse the gap
+// rather than train across it. At SnapshotEvery 1 the RetryClient
+// holds a frame covering every acked trace: it restores that frame and
+// resends, and the session ends bit-identical to an uninterrupted
+// replay. At SnapshotEvery 8 its frame is older than the acked
+// position, so the batch fails with ErrSeqGap instead of silently
+// losing acked traces.
+func TestCrashWithStaleCheckpointRecoversFromClientFrame(t *testing.T) {
+	s := captureTestStream(t)
+	want := refStats(t, s)
+	for _, every := range []int{1, 8} {
+		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
+			cfg := Config{Shards: 1, AdminAddr: "127.0.0.1:0", CheckpointDir: t.TempDir(), CheckpointEvery: time.Hour}
+			srvA := newTestServer(t, cfg)
+			rc, err := NewRetryClient(RetryConfig{
+				Addrs:         []string{srvA.Addr().String()},
+				SnapshotEvery: every,
+				Seed:          7,
+				BaseBackoff:   2 * time.Millisecond,
+				MaxBackoff:    50 * time.Millisecond,
+				MaxElapsed:    10 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			const session, batch = 9, 64
+			if _, _, err := rc.Open(session); err != nil {
+				t.Fatal(err)
+			}
+			cur := s.Cursor()
+			feed := func(n int) error {
+				var tr trace.Trace
+				buf := make([]trace.Trace, 0, batch)
+				for sent := 0; n < 0 || sent < n; sent++ {
+					buf = buf[:0]
+					for len(buf) < batch && cur.Next(&tr) {
+						buf = append(buf, tr)
+					}
+					if len(buf) == 0 {
+						break
+					}
+					if _, _, _, err := rc.UpdateBatch(session, buf); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if err := feed(10); err != nil {
+				t.Fatal(err)
+			}
+			// The checkpoint a periodic sweep leaves at sequence 640.
+			frame, err := dialT(t, srvA).Snapshot(session)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeSnapshotFile(cfg.CheckpointDir, session, frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := feed(10); err != nil {
+				t.Fatal(err)
+			}
+			srvA.Close() // a crash: no drain, so the checkpoint stays at 640
+			cfg.Addr = srvA.Addr().String()
+			srvB := newTestServer(t, cfg)
+
+			err = feed(-1)
+			if every > 1 {
+				if !errors.Is(err, ErrSeqGap) {
+					t.Fatalf("feed after the restart: err = %v, want ErrSeqGap", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := rc.Stats(session)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Session.Equal(want) {
+				t.Errorf("after the crash: stats %+v, want %+v", st.Session, want)
+			}
+			if v := metricValue(t, scrape(t, srvB), `ntpd_snapshot_restores_total{shard="0"}`); v != 1 {
+				t.Errorf("restarted server saw %v restores, want 1 (the client's frame over the stale checkpoint)", v)
+			}
+		})
 	}
 }

@@ -108,7 +108,7 @@ func TestRetryClientDeltaFramesMatchFullSnapshots(t *testing.T) {
 				}
 				var deltas uint64
 				for _, sh := range srv.shards {
-					deltas += sh.counters.DeltaSnaps.Load()
+					deltas += sh.metrics.deltaSnaps.Load()
 				}
 				if tc.deltas && deltas < 10 {
 					t.Errorf("%d delta snapshots served, want most of them", deltas)
@@ -144,7 +144,7 @@ func TestSnapshotTokenFallsBackToFullFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deltas := func() uint64 { return srv.shards[0].counters.DeltaSnaps.Load() }
+	deltas := func() uint64 { return srv.shards[0].metrics.deltaSnaps.Load() }
 	var a, b heldFrame
 	refresh := func(h *heldFrame, wantDelta bool) {
 		t.Helper()

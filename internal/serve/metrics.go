@@ -101,10 +101,62 @@ func newBackendRec(reg *metrics.Registry, backend, role, shard string) *backendR
 	}
 }
 
+// serverMetrics are the server-wide counters: connections, requests,
+// rejections, and the crash-safety accounting. They are registered
+// unconditionally, so with no checkpoint directory or handoff peer the
+// crash-safety series still render as explicit zeros and dashboards and
+// smoke greps never miss them.
+type serverMetrics struct {
+	accepted     *metrics.Counter
+	active       *metrics.Gauge
+	requests     *metrics.Counter
+	badFrames    *metrics.Counter
+	drainRejects *metrics.Counter
+	throttled    *metrics.Counter
+
+	// Warm restart (counted during NewServer).
+	restored *metrics.Gauge
+	corrupt  *metrics.Counter
+
+	// Periodic checkpoints.
+	ckptWritten   *metrics.Counter
+	ckptWriteErrs *metrics.Counter
+
+	// Drain offload (counted during Shutdown).
+	handoffSessions *metrics.Counter
+	handoffRetries  *metrics.Counter
+	handoffFailed   *metrics.Counter
+	spilled         *metrics.Counter
+	lost            *metrics.Counter
+}
+
+func newServerMetrics(reg *metrics.Registry) serverMetrics {
+	return serverMetrics{
+		accepted:     reg.Counter("ntpd_connections_accepted_total", "TCP connections accepted.", nil),
+		active:       reg.Gauge("ntpd_connections_active", "TCP connections currently open.", nil),
+		requests:     reg.Counter("ntpd_requests_total", "Frames parsed into requests.", nil),
+		badFrames:    reg.Counter("ntpd_bad_frames_total", "Connections dropped on malformed frames.", nil),
+		drainRejects: reg.Counter("ntpd_drain_rejects_total", "Requests rejected with ErrDraining.", nil),
+		throttled:    reg.Counter("ntpd_throttled_total", "Requests rejected by admission control (ErrThrottled).", nil),
+
+		restored: reg.Gauge("ntpd_checkpoint_restored_sessions", "Sessions restored from checkpoints at startup.", nil),
+		corrupt:  reg.Counter("ntpd_checkpoint_corrupt_total", "Checkpoint files rejected as corrupt or incompatible.", nil),
+
+		ckptWritten:   reg.Counter("ntpd_checkpoint_written_total", "Checkpoint files persisted.", nil),
+		ckptWriteErrs: reg.Counter("ntpd_checkpoint_write_errors_total", "Checkpoint writes that failed.", nil),
+
+		handoffSessions: reg.Counter("ntpd_handoff_sessions_total", "Sessions streamed to the handoff peer at drain.", nil),
+		handoffRetries:  reg.Counter("ntpd_handoff_retry_total", "Handoff attempts that had to be retried.", nil),
+		handoffFailed:   reg.Counter("ntpd_handoff_failed_total", "Sessions the handoff peer never accepted.", nil),
+		spilled:         reg.Counter("ntpd_drain_spilled_sessions_total", "Sessions spilled to the checkpoint dir at drain.", nil),
+		lost:            reg.Counter("ntpd_drain_lost_sessions_total", "Sessions lost at drain (no peer, no dir, or writes failed).", nil),
+	}
+}
+
 // shardMetrics is the per-shard instrumentation bundle: one latency
-// histogram per request op plus the predictor event recorders. Built at
-// server startup; a request only touches pre-registered atomics and the
-// recorders' tallies.
+// histogram per request op, the predictor event recorders, and the
+// shard's load and snapshot counters. Built with the shard; a request
+// only touches pre-registered atomics and the recorders' tallies.
 type shardMetrics struct {
 	opSeconds [OpUpdateBatch + 1]*metrics.Histogram // indexed by op byte
 	rec       predRecorder
@@ -120,6 +172,20 @@ type shardMetrics struct {
 	// Config.Shadows order; the shard wires each into its backend's
 	// session shadow predictors.
 	shadowRec []*backendRec
+
+	requests  *metrics.Counter
+	batches   *metrics.Counter // batches that trained at least one trace
+	traces    *metrics.Counter // traces trained
+	overloads *metrics.Counter
+	sessions  *metrics.Gauge // len(shard.sessions), set under the shard lock
+
+	snapshots      *metrics.Counter // OpSnapshot answers, full or delta
+	deltaSnaps     *metrics.Counter // OpSnapshot answers served as deltas
+	fullSnapBytes  *metrics.Counter
+	deltaSnapBytes *metrics.Counter
+	restores       *metrics.Counter // sessions installed via OpRestore
+	restoreRejects *metrics.Counter
+	dupUpdates     *metrics.Counter // batch frames that replayed applied sequences
 }
 
 // opNames maps request op bytes to their metric label values.
@@ -134,7 +200,35 @@ var opNames = [OpUpdateBatch + 1]string{
 
 func newShardMetrics(reg *metrics.Registry, shardID int, primary string, shadows []string) *shardMetrics {
 	shard := strconv.Itoa(shardID)
-	m := &shardMetrics{}
+	l := metrics.Labels{"shard": shard}
+	const snapBytesHelp = "Snapshot bytes served per shard, by kind (full frame or delta)."
+	m := &shardMetrics{
+		batchSize:   reg.Histogram("ntpd_batch_size", "Traces carried per batch frame.", 1, l),
+		batchFrames: reg.Counter("ntpd_batch_frames_total", "Batch frames (OpPredictBatch/OpUpdateBatch) processed.", l),
+		rec: predRecorder{
+			rounds:    reg.Counter("ntpd_predictor_rounds_total", "Predict/Update rounds served.", l),
+			correct:   reg.Counter("ntpd_predictor_correct_total", "Correct predictions served.", l),
+			misses:    reg.Counter("ntpd_predictor_miss_total", "Mispredictions served (incl. cold).", l),
+			cold:      reg.Counter("ntpd_predictor_cold_total", "Rounds with no valid prediction.", l),
+			secondary: reg.Counter("ntpd_predictor_secondary_total", "Predictions supplied by the hybrid secondary table.", l),
+			replaced:  reg.Counter("ntpd_predictor_replacements_total", "Trained table entries displaced during training.", l),
+			backend:   *newBackendRec(reg, primary, "primary", shard),
+		},
+
+		requests:  reg.Counter("ntpd_shard_requests_total", "Requests processed per shard.", l),
+		batches:   reg.Counter("ntpd_shard_batches_total", "Update batches processed per shard.", l),
+		traces:    reg.Counter("ntpd_shard_traces_total", "Traces applied per shard.", l),
+		overloads: reg.Counter("ntpd_shard_overload_rejects_total", "Requests rejected with ErrOverloaded per shard.", l),
+		sessions:  reg.Gauge("ntpd_shard_sessions", "Sessions owned by the shard.", l),
+
+		snapshots:      reg.Counter("ntpd_snapshot_ops_total", "Session snapshot frames served per shard.", l),
+		deltaSnaps:     reg.Counter("ntpd_snapshot_delta_ops_total", "Session snapshots served as deltas per shard.", l),
+		fullSnapBytes:  reg.Counter("ntpd_snapshot_bytes_total", snapBytesHelp, metrics.Labels{"shard": shard, "kind": "full"}),
+		deltaSnapBytes: reg.Counter("ntpd_snapshot_bytes_total", snapBytesHelp, metrics.Labels{"shard": shard, "kind": "delta"}),
+		restores:       reg.Counter("ntpd_snapshot_restores_total", "Sessions installed via OpRestore per shard.", l),
+		restoreRejects: reg.Counter("ntpd_snapshot_restore_rejects_total", "OpRestore frames rejected per shard.", l),
+		dupUpdates:     reg.Counter("ntpd_update_dups_total", "Batch frames that replayed already-applied sequences per shard.", l),
+	}
 	for op, name := range opNames {
 		if name == "" {
 			continue
@@ -143,34 +237,14 @@ func newShardMetrics(reg *metrics.Registry, shardID int, primary string, shadows
 			"Shard-side request processing latency by op.", 1e-9,
 			metrics.Labels{"shard": shard, "op": name})
 	}
-	m.batchSize = reg.Histogram("ntpd_batch_size",
-		"Traces carried per batch frame.", 1,
-		metrics.Labels{"shard": shard})
-	m.batchFrames = reg.Counter("ntpd_batch_frames_total",
-		"Batch frames (OpPredictBatch/OpUpdateBatch) processed.",
-		metrics.Labels{"shard": shard})
-	l := metrics.Labels{"shard": shard}
-	m.rec = predRecorder{
-		rounds:    reg.Counter("ntpd_predictor_rounds_total", "Predict/Update rounds served.", l),
-		correct:   reg.Counter("ntpd_predictor_correct_total", "Correct predictions served.", l),
-		misses:    reg.Counter("ntpd_predictor_miss_total", "Mispredictions served (incl. cold).", l),
-		cold:      reg.Counter("ntpd_predictor_cold_total", "Rounds with no valid prediction.", l),
-		secondary: reg.Counter("ntpd_predictor_secondary_total", "Predictions supplied by the hybrid secondary table.", l),
-		replaced:  reg.Counter("ntpd_predictor_replacements_total", "Trained table entries displaced during training.", l),
-		backend:   *newBackendRec(reg, primary, "primary", shard),
-	}
 	for _, name := range shadows {
 		m.shadowRec = append(m.shadowRec, newBackendRec(reg, name, "shadow", shard))
 	}
 	return m
 }
 
-// flush publishes every recorder's tallies to the registry. Nil-safe
-// like observe.
+// flush publishes every recorder's tallies to the registry.
 func (m *shardMetrics) flush() {
-	if m == nil {
-		return
-	}
 	m.rec.flush()
 	for _, r := range m.shadowRec {
 		r.flush()
@@ -179,26 +253,19 @@ func (m *shardMetrics) flush() {
 
 // observe records one request's shard-side processing time.
 func (m *shardMetrics) observe(op uint8, d time.Duration) {
-	if m == nil {
-		return
-	}
 	if int(op) < len(m.opSeconds) && m.opSeconds[op] != nil {
 		m.opSeconds[op].ObserveDuration(d)
 	}
 }
 
-// observeBatch records one batch frame's trace count. Nil-safe like
-// observe, for tests that build shards without metrics.
+// observeBatch records one batch frame's trace count.
 func (m *shardMetrics) observeBatch(n int) {
-	if m == nil {
-		return
-	}
 	m.batchFrames.Inc()
 	m.batchSize.Observe(int64(n))
 }
 
-// registerMetrics wires the server's pre-existing atomic counters into
-// the registry as render-time reads, so the data plane is untouched.
+// registerMetrics registers the values computed at render time: they
+// are read from server state rather than counted on the data plane.
 func (s *Server) registerMetrics() {
 	reg := s.reg
 	reg.GaugeFunc("ntpd_uptime_seconds", "Seconds since the server started.", nil,
@@ -210,89 +277,10 @@ func (s *Server) registerMetrics() {
 			}
 			return 0
 		})
-	reg.CounterFunc("ntpd_connections_accepted_total", "TCP connections accepted.", nil,
-		func() uint64 { return s.counters.Accepted.Load() })
-	reg.GaugeFunc("ntpd_connections_active", "TCP connections currently open.", nil,
-		func() float64 { return float64(s.counters.Active.Load()) })
-	reg.CounterFunc("ntpd_requests_total", "Frames parsed into requests.", nil,
-		func() uint64 { return s.counters.Requests.Load() })
-	reg.CounterFunc("ntpd_bad_frames_total", "Connections dropped on malformed frames.", nil,
-		func() uint64 { return s.counters.BadFrames.Load() })
-	reg.CounterFunc("ntpd_drain_rejects_total", "Requests rejected with ErrDraining.", nil,
-		func() uint64 { return s.counters.DrainRejects.Load() })
-	reg.CounterFunc("ntpd_throttled_total", "Requests rejected by admission control (ErrThrottled).", nil,
-		func() uint64 { return s.counters.Throttled.Load() })
 	reg.GaugeFunc("ntpd_client_tags", "Distinct client tags with accounting state.", nil,
 		func() float64 { return float64(s.clients.len()) })
-
-	// Crash-safety counters. Registered unconditionally — even with no
-	// checkpoint directory or handoff peer they render as explicit
-	// zeros, so dashboards and smoke greps never miss them.
-	reg.GaugeFunc("ntpd_checkpoint_restored_sessions", "Sessions restored from checkpoints at startup.", nil,
-		func() float64 { return float64(s.counters.RestoredSessions.Load()) })
-	reg.CounterFunc("ntpd_checkpoint_corrupt_total", "Checkpoint files rejected as corrupt or incompatible.", nil,
-		func() uint64 { return s.counters.CorruptSnapshots.Load() })
-	reg.CounterFunc("ntpd_checkpoint_written_total", "Checkpoint files persisted.", nil,
-		func() uint64 {
-			if s.ckpt == nil {
-				return 0
-			}
-			return s.ckpt.written.Load()
-		})
-	reg.CounterFunc("ntpd_checkpoint_write_errors_total", "Checkpoint writes that failed.", nil,
-		func() uint64 {
-			if s.ckpt == nil {
-				return 0
-			}
-			return s.ckpt.writeErrs.Load()
-		})
-	reg.CounterFunc("ntpd_checkpoint_dropped_total", "Checkpoint frames dropped because the writer was behind.", nil,
-		func() uint64 {
-			if s.ckpt == nil {
-				return 0
-			}
-			return s.ckpt.dropped.Load()
-		})
-	reg.CounterFunc("ntpd_handoff_sessions_total", "Sessions streamed to the handoff peer at drain.", nil,
-		func() uint64 { return s.counters.HandoffSessions.Load() })
-	reg.CounterFunc("ntpd_handoff_retry_total", "Handoff attempts that had to be retried.", nil,
-		func() uint64 { return s.counters.HandoffRetries.Load() })
-	reg.CounterFunc("ntpd_handoff_failed_total", "Sessions the handoff peer never accepted.", nil,
-		func() uint64 { return s.counters.HandoffFailed.Load() })
-	reg.CounterFunc("ntpd_drain_spilled_sessions_total", "Sessions spilled to the checkpoint dir at drain.", nil,
-		func() uint64 { return s.counters.SpilledSessions.Load() })
-	reg.CounterFunc("ntpd_drain_lost_sessions_total", "Sessions lost at drain (no peer, no dir, or writes failed).", nil,
-		func() uint64 { return s.counters.LostSessions.Load() })
-
 	for _, sh := range s.shards {
-		sh := sh
-		l := metrics.Labels{"shard": strconv.Itoa(sh.id)}
-		reg.CounterFunc("ntpd_shard_requests_total", "Requests processed per shard.", l,
-			func() uint64 { return sh.counters.Requests.Load() })
-		reg.CounterFunc("ntpd_shard_batches_total", "Update batches processed per shard.", l,
-			func() uint64 { return sh.counters.Batches.Load() })
-		reg.CounterFunc("ntpd_shard_traces_total", "Traces applied per shard.", l,
-			func() uint64 { return sh.counters.Traces.Load() })
-		reg.CounterFunc("ntpd_shard_overload_rejects_total", "Requests rejected with ErrOverloaded per shard.", l,
-			func() uint64 { return sh.counters.Overloads.Load() })
-		reg.CounterFunc("ntpd_snapshot_ops_total", "Session snapshot frames served per shard.", l,
-			func() uint64 { return sh.counters.Snapshots.Load() })
-		reg.CounterFunc("ntpd_snapshot_delta_ops_total", "Session snapshots served as deltas per shard.", l,
-			func() uint64 { return sh.counters.DeltaSnaps.Load() })
-		const snapBytesHelp = "Snapshot bytes served per shard, by kind (full frame or delta)."
-		reg.CounterFunc("ntpd_snapshot_bytes_total", snapBytesHelp, metrics.Labels{"shard": l["shard"], "kind": "full"},
-			sh.counters.FullSnapBytes.Load)
-		reg.CounterFunc("ntpd_snapshot_bytes_total", snapBytesHelp, metrics.Labels{"shard": l["shard"], "kind": "delta"},
-			sh.counters.DeltaSnapBytes.Load)
-		reg.CounterFunc("ntpd_snapshot_restores_total", "Sessions installed via OpRestore per shard.", l,
-			func() uint64 { return sh.counters.Restores.Load() })
-		reg.CounterFunc("ntpd_snapshot_restore_rejects_total", "OpRestore frames rejected per shard.", l,
-			func() uint64 { return sh.counters.RestoreRejects.Load() })
-		reg.CounterFunc("ntpd_update_dups_total", "Batch frames that replayed already-applied sequences per shard.", l,
-			func() uint64 { return sh.counters.DupUpdates.Load() })
-		reg.GaugeFunc("ntpd_shard_queue_depth", "Requests waiting on the shard.", l,
+		reg.GaugeFunc("ntpd_shard_queue_depth", "Requests waiting on the shard.", metrics.Labels{"shard": strconv.Itoa(sh.id)},
 			func() float64 { return float64(sh.waiting.Load()) })
-		reg.GaugeFunc("ntpd_shard_sessions", "Sessions owned by the shard.", l,
-			func() float64 { return float64(sh.nsessions.Load()) })
 	}
 }

@@ -522,7 +522,6 @@ func TestMetricsInventory(t *testing.T) {
 		"ntpd_batch_frames_total counter shard",
 		"ntpd_batch_size histogram le,shard",
 		"ntpd_checkpoint_corrupt_total counter",
-		"ntpd_checkpoint_dropped_total counter",
 		"ntpd_checkpoint_restored_sessions gauge",
 		"ntpd_checkpoint_write_errors_total counter",
 		"ntpd_checkpoint_written_total counter",

@@ -57,9 +57,14 @@
 // skips the already-applied prefix, reported as skipped, and trains
 // only the unseen suffix, so crash/retry cycles leave the predictor
 // exactly where an uninterrupted run would. correct counts the applied
-// suffix only. startSeq 0 opts out of duplicate detection. OpOpen
-// returns the session's last applied sequence so a reconnecting client
-// can seed its counter.
+// suffix only. A frame that starts past the last applied sequence plus
+// one would train across traces the session never saw — the server
+// restarted from a checkpoint older than the client's acks — so it is
+// refused with StatusSeqGap and trains nothing; the client restores a
+// snapshot covering the sequence before the frame, then resends.
+// startSeq 0 opts out of duplicate and gap detection. OpOpen returns
+// the session's last applied sequence so a reconnecting client can seed
+// its counter.
 //
 // # Session snapshots
 //
@@ -97,7 +102,8 @@
 //	u16 len | u16 calls | u8 numBr | u8 flags (bit0 endsInRet, bit1 endsHalt)
 //
 // Responses carry a status byte; non-OK statuses map to the typed
-// errors ErrOverloaded, ErrDraining, ErrUnknownSession, ErrBadRequest.
+// errors ErrOverloaded, ErrDraining, ErrUnknownSession, ErrBadRequest,
+// ErrBadSnapshot, ErrThrottled and ErrSeqGap.
 // Overload is the backpressure signal: the session's shard already had
 // its bound of requests waiting, and the client is expected to back off
 // and retry.
@@ -162,6 +168,9 @@ const (
 	// exceeded its quota (or the server its global cap). The response
 	// body carries a u32 retry-after hint in milliseconds.
 	StatusThrottled = 0x06
+	// StatusSeqGap reports a batch whose start sequence is past the
+	// session's last applied sequence plus one. Nothing was trained.
+	StatusSeqGap = 0x07
 )
 
 // Typed protocol errors, one per non-OK status.
@@ -187,6 +196,14 @@ var (
 	// retry-after hint; errors carrying a hint are *ThrottledError and
 	// match this sentinel via errors.Is.
 	ErrThrottled = errors.New("serve: client throttled")
+	// ErrSeqGap reports a sequenced batch that starts past the
+	// session's last applied sequence plus one: the server holds an
+	// older state than the client acked (it restarted from a stale
+	// checkpoint). The batch trained nothing. A client recovers by
+	// restoring a frame that covers the sequence before the batch,
+	// then resending; without one the acked traces in between are
+	// gone.
+	ErrSeqGap = errors.New("serve: sequence gap")
 )
 
 // statusErr maps a wire status to its typed error (nil for StatusOK).
@@ -206,6 +223,8 @@ func statusErr(status uint8) error {
 		return ErrBadSnapshot
 	case StatusThrottled:
 		return ErrThrottled
+	case StatusSeqGap:
+		return ErrSeqGap
 	default:
 		return fmt.Errorf("serve: unknown status 0x%02x", status)
 	}
@@ -226,6 +245,8 @@ func statusOf(err error) uint8 {
 		return StatusBadSnapshot
 	case errors.Is(err, ErrThrottled):
 		return StatusThrottled
+	case errors.Is(err, ErrSeqGap):
+		return StatusSeqGap
 	default:
 		return StatusBadRequest
 	}

@@ -276,7 +276,7 @@ func sameRequest(a, b *request) bool {
 }
 
 func TestStatusErrRoundTrip(t *testing.T) {
-	for _, err := range []error{nil, ErrOverloaded, ErrDraining, ErrUnknownSession, ErrBadRequest, ErrBadSnapshot} {
+	for _, err := range []error{nil, ErrOverloaded, ErrDraining, ErrUnknownSession, ErrBadRequest, ErrBadSnapshot, ErrThrottled, ErrSeqGap} {
 		if got := statusErr(statusOf(err)); !errors.Is(got, err) {
 			t.Errorf("statusErr(statusOf(%v)) = %v", err, got)
 		}

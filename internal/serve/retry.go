@@ -48,12 +48,16 @@ type RetryConfig struct {
 
 	// SnapshotEvery takes a session snapshot after every N acked
 	// updates (0 disables). With 1, recovery is exact: a session lost
-	// to a crash is re-established from a snapshot that includes every
-	// acked batch, and the stream continues bit-identically. Larger
-	// values trade recovery fidelity for round trips. Snapshots after
-	// the first are deltas merged into the held frame, so on the paper
-	// backends a snapshot costs O(the batches since the last one) on
-	// both sides, not O(table): N=1 costs O(batch) per ack.
+	// to a crash, or left behind by a restart from a stale checkpoint,
+	// is re-established from a snapshot that includes every acked
+	// batch, and the stream continues bit-identically. With N > 1 (or
+	// 0) the held frame can be older than the acked position; a server
+	// that comes back behind it then fails the next batch with an
+	// error wrapping ErrSeqGap rather than train across the lost
+	// traces. Snapshots after the first are deltas merged into the held
+	// frame, so on the paper backends a snapshot costs O(the batches
+	// since the last one) on both sides, not O(table): N=1 costs
+	// O(batch) per ack.
 	SnapshotEvery int
 
 	// ClientTag names this client to the server for per-client
@@ -96,6 +100,7 @@ func (c RetryConfig) withDefaults() (RetryConfig, error) {
 type rcSession struct {
 	seq       uint64        // last acked trace sequence
 	snap      snapshot.Held // last acked snapshot frame (empty: none yet)
+	snapSeq   uint64        // the last trace sequence snap covers
 	gen       uint64        // the server's generation token for snap, 0 = none
 	sinceSnap int           // acked batches since the last snapshot
 }
@@ -117,10 +122,14 @@ type rcSession struct {
 //	                          BaseBackoff, same conn
 //	ErrUnknownSession         re-establish (Restore the last acked    past MaxElapsed, or the re-establish
 //	                          snapshot, else Open), then rerun        error, classified by this table
+//	ErrSeqGap, when the       the same                                the same
+//	snapshot covers every
+//	acked trace
 //	ErrDraining, ErrFrame,    drop the conn, rotate the address,      the backoff crosses MaxElapsed
 //	transport errors          back off, redial
 //	ErrBadRequest,            fail fast                               at once
-//	ErrBadSnapshot
+//	ErrBadSnapshot,
+//	any other ErrSeqGap
 //
 // Each successful call earns back RetryBudget of a token.
 type RetryClient struct {
@@ -267,7 +276,8 @@ func redial(err error) bool {
 		errors.Is(err, ErrThrottled),
 		errors.Is(err, ErrUnknownSession),
 		errors.Is(err, ErrBadSnapshot),
-		errors.Is(err, ErrBadRequest):
+		errors.Is(err, ErrBadRequest),
+		errors.Is(err, ErrSeqGap):
 		return false
 	}
 	return true
@@ -287,10 +297,14 @@ func (rc *RetryClient) do(session uint64, what string, op func(*Client) error) e
 				rc.earnToken()
 				return nil
 			}
-			if errors.Is(err, ErrUnknownSession) && time.Now().Before(deadline) {
-				// The server lost the session (it restarted empty, or
-				// never had it): re-establish, then rerun op, whose
-				// resend the server dedups against the restored state.
+			// The server lost the session (it restarted empty, or never
+			// had it), or came back behind the acked position (it
+			// restarted from a stale checkpoint) while the held frame
+			// covers that position: re-establish, then rerun op, whose
+			// resend the server dedups against the restored state.
+			lost := errors.Is(err, ErrUnknownSession) ||
+				errors.Is(err, ErrSeqGap) && s.snap.Len() > 0 && s.snapSeq >= s.seq
+			if lost && time.Now().Before(deadline) {
 				if err = rc.establish(c, session, s); err == nil {
 					continue
 				}
@@ -369,7 +383,7 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 		s.seq = max(s.seq, lastSeq)
 		if rc.cfg.SnapshotEvery > 0 && s.snap.Len() == 0 {
 			if gen, serr := c.RefreshSnapshot(session, 0, &s.snap); serr == nil {
-				s.gen, s.sinceSnap = gen, 0
+				s.gen, s.sinceSnap, s.snapSeq = gen, 0, lastSeq
 			}
 		}
 		return nil
@@ -389,7 +403,9 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 // entirely is re-fed the last acked snapshot before the batch is
 // resent. With SnapshotEvery == 1 the acked snapshot always includes
 // every previously acked batch, so the recovered stream is
-// bit-identical to an uninterrupted one.
+// bit-identical to an uninterrupted one. The session's acked position
+// advances only when the call returns, so while it runs s.seq is the
+// sequence before the batch: the position a gap must be recovered to.
 func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	if len(traces) == 0 {
 		return 0, 0, 0, nil
@@ -397,13 +413,19 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 	s := rc.session(session)
 	start := s.seq + 1
 	end := start + uint64(len(traces)) - 1
-	sent := false // batch acked; still snapshotting
-	err = rc.do(session, "update", func(c *Client) (err error) {
+	sent := false // acked on the current connection; still snapshotting
+	acked := false
+	err = rc.do(session, "update", func(c *Client) error {
 		if !sent {
-			if skipped, applied, correct, err = c.UpdateBatchSeq(session, start, traces); err != nil {
+			sk, ap, co, err := c.UpdateBatchSeq(session, start, traces)
+			if err != nil {
 				return err
 			}
-			s.seq = max(s.seq, end)
+			if !acked {
+				// A resend reports what the server answering it still
+				// needed; the caller gets the first ack.
+				skipped, applied, correct, acked = sk, ap, co, true
+			}
 			s.sinceSnap++
 			sent = true
 		}
@@ -413,30 +435,26 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 		// Refresh the frame in place, by a delta when the server still
 		// knows the held generation: a failed snapshot leaves the last
 		// acked frame intact for establish.
-		var gen uint64
-		gen, err = c.RefreshSnapshot(session, s.gen, &s.snap)
+		gen, err := c.RefreshSnapshot(session, s.gen, &s.snap)
 		switch {
 		case err == nil:
-			s.gen, s.sinceSnap = gen, 0
-		case errors.Is(err, ErrUnknownSession):
-			// Lost between ack and snapshot: the loop re-establishes
-			// and this resends the same range — suffix dedup absorbs
-			// whatever the restored state already covers.
+			s.gen, s.sinceSnap, s.snapSeq = gen, 0, end
+		case errors.Is(err, ErrUnknownSession), redial(err):
+			// The session or the connection was lost between ack and
+			// snapshot. The server answering next may hold less than
+			// the ack (a restart from a stale checkpoint) and would
+			// snapshot that, so the same range goes first: suffix dedup
+			// absorbs whatever it already covers, and an unknown
+			// session or a gap restores the held frame.
 			sent = false
 			return err
-		case redial(err):
-			return err // snapshot again on a fresh connection
 		}
-		return nil // acked; a stale snapshot is survivable
+		return nil // acked; the held frame stays at the last snapshot
 	})
 	if err != nil {
-		if !sent {
-			return 0, 0, 0, err
-		}
-		// Acked, but the snapshot never landed: the call still
-		// succeeded, and earns its budget token.
-		rc.earnToken()
+		return 0, 0, 0, err
 	}
+	s.seq = max(s.seq, end)
 	return skipped, applied, correct, nil
 }
 

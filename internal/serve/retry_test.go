@@ -169,7 +169,9 @@ func (ss *scriptServer) log() ([]seenReq, int) {
 // test once with a scripted status: Overloaded and Throttled resend
 // once on the same connection, Draining resends once on a redialed
 // connection, UnknownSession re-establishes (Restore of the last acked
-// snapshot, or Open when there is none) before the resend, and
+// snapshot, or Open when there is none) before the resend, SeqGap
+// re-establishes like UnknownSession when the last acked snapshot
+// covers the acked position and otherwise fails like BadRequest, and
 // BadRequest fails at once without a resend or a redial.
 func TestRetryClientPolicy(t *testing.T) {
 	const session = 5
@@ -207,6 +209,7 @@ func TestRetryClientPolicy(t *testing.T) {
 		{"Draining", StatusDraining},
 		{"UnknownSession", StatusUnknownSession},
 		{"BadRequest", StatusBadRequest},
+		{"SeqGap", StatusSeqGap},
 	}
 	for _, o := range ops {
 		for _, st := range statuses {
@@ -254,9 +257,12 @@ func TestRetryClientPolicy(t *testing.T) {
 				}
 				after := seen[failed+1:]
 
-				if st.status == StatusBadRequest {
-					if !errors.Is(err, ErrBadRequest) {
-						t.Fatalf("err = %v, want ErrBadRequest", err)
+				// A gap is recoverable only from a frame covering the
+				// acked position, which only the restore cases hold.
+				recoverable := st.status == StatusUnknownSession || st.status == StatusSeqGap && o.restore
+				if !recoverable && (st.status == StatusBadRequest || st.status == StatusSeqGap) {
+					if want := statusErr(st.status); !errors.Is(err, want) {
+						t.Fatalf("err = %v, want %v", err, want)
 					}
 					if len(after) != 0 {
 						t.Errorf("%d requests after the rejection, want none: %+v", len(after), after)
@@ -269,7 +275,7 @@ func TestRetryClientPolicy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("err = %v, want success after one resend", err)
 				}
-				if st.status == StatusUnknownSession {
+				if recoverable {
 					want, blob := uint8(OpOpen), []byte(nil)
 					if o.restore {
 						want, blob = OpRestore, lastSnap
@@ -307,20 +313,22 @@ func TestRetryClientPolicy(t *testing.T) {
 // a session's frame in place, yet a snapshot that fails once requested
 // — its response torn mid-body and stalled, the connection dropped
 // mid-body, or ErrUnknownSession — leaves the last acked frame
-// byte-identical. The first two redial and snapshot again; answering
-// that retry ErrUnknownSession makes the client restore from the frame
-// it holds, so the server sees exactly the last acked frame, then the
-// batch resent over its original sequence range, and the stream
-// carries on from there.
+// byte-identical. The first two redial and resend the batch over its
+// original sequence range before snapshotting again (the server now
+// answering may not hold the ack); answering that snapshot
+// ErrUnknownSession makes the client restore from the frame it holds,
+// so the server sees exactly the last acked frame, then the batch
+// resent once more, and the stream carries on from there.
 func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 	const session = 5
 	for _, tc := range []struct {
 		name   string
 		faults []snapFault
+		seqs   []uint64 // batch start sequences the server sees
 	}{
-		{"tear", []snapFault{snapTear, snapUnknown}},
-		{"drop", []snapFault{snapDrop, snapUnknown}},
-		{"unknown", []snapFault{snapUnknown}},
+		{"tear", []snapFault{snapTear, snapUnknown}, []uint64{1, 4, 7, 7, 7, 10}},
+		{"drop", []snapFault{snapDrop, snapUnknown}, []uint64{1, 4, 7, 7, 7, 10}},
+		{"unknown", []snapFault{snapUnknown}, []uint64{1, 4, 7, 7, 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ss := newScriptServer(t, 0, StatusOK)
@@ -378,8 +386,8 @@ func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 			if len(restores) != 1 || !bytes.Equal(restores[0], acked) {
 				t.Fatalf("restored %d frames, want exactly the last acked frame once", len(restores))
 			}
-			if want := []uint64{1, 4, 7, 7, 10}; fmt.Sprint(seqs) != fmt.Sprint(want) {
-				t.Errorf("batch start sequences %v, want %v (the failed batch resent over its range)", seqs, want)
+			if fmt.Sprint(seqs) != fmt.Sprint(tc.seqs) {
+				t.Errorf("batch start sequences %v, want %v (the failed batch resent over its range)", seqs, tc.seqs)
 			}
 			ss.mu.Lock()
 			last := ss.snaps

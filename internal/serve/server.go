@@ -134,32 +134,11 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	connWG sync.WaitGroup
 
-	counters serverCounters
+	metrics serverMetrics
 
 	quiesceOnce sync.Once
 	closeOnce   sync.Once
 	closeErr    error
-}
-
-// serverCounters are the server-wide expvar-style counters.
-type serverCounters struct {
-	Accepted     atomic.Uint64 // connections accepted
-	Active       atomic.Int64  // connections currently open
-	Requests     atomic.Uint64 // frames parsed into requests
-	BadFrames    atomic.Uint64 // connections dropped on malformed frames
-	DrainRejects atomic.Uint64 // requests rejected while draining
-	Throttled    atomic.Uint64 // requests rejected by admission control
-
-	// Warm-restart accounting (set once during NewServer).
-	RestoredSessions atomic.Uint64 // sessions loaded from checkpoints
-	CorruptSnapshots atomic.Uint64 // checkpoint files rejected as invalid
-
-	// Drain offload accounting (set during Shutdown).
-	HandoffSessions atomic.Uint64 // sessions streamed to the handoff peer
-	HandoffRetries  atomic.Uint64 // handoff attempts that had to be retried
-	HandoffFailed   atomic.Uint64 // sessions the peer never accepted
-	SpilledSessions atomic.Uint64 // sessions written to the checkpoint dir at drain
-	LostSessions    atomic.Uint64 // sessions with nowhere to go (no peer, no dir)
 }
 
 // NewServer binds the listener(s), builds the shards and starts the
@@ -207,6 +186,7 @@ func NewServer(cfg Config) (*Server, error) {
 		reg:   metrics.NewRegistry(),
 		start: time.Now(),
 	}
+	s.metrics = newServerMetrics(s.reg)
 	s.clients = newClientRegistry(s.reg)
 	s.SetLimits(cfg.Limits)
 	for i := 0; i < cfg.Shards; i++ {
@@ -272,8 +252,8 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		s.counters.Accepted.Add(1)
-		s.counters.Active.Add(1)
+		s.metrics.accepted.Inc()
+		s.metrics.active.Add(1)
 		s.connMu.Lock()
 		s.conns[conn] = struct{}{}
 		s.connMu.Unlock()
@@ -297,7 +277,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connMu.Lock()
 		delete(s.conns, conn)
 		s.connMu.Unlock()
-		s.counters.Active.Add(-1)
+		s.metrics.active.Add(-1)
 	}()
 
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -312,16 +292,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		payload, err := readFrame(br, buf)
 		if err != nil {
 			if errors.Is(err, ErrFrame) {
-				s.counters.BadFrames.Add(1)
+				s.metrics.badFrames.Inc()
 			}
 			return
 		}
 		buf = payload // keep the grown buffer
 		if err := parseRequest(&req, payload); err != nil {
-			s.counters.BadFrames.Add(1)
+			s.metrics.badFrames.Inc()
 			return // framing no longer trustworthy
 		}
-		s.counters.Requests.Add(1)
+		s.metrics.requests.Inc()
 		// Shutdown waits for the requests read before the drain began,
 		// until their answers are written. Later ones are answered
 		// ErrDraining and not waited for, so no Add races its Wait.
@@ -368,12 +348,12 @@ func (s *Server) dispatch(req *request, cl *clientState) []byte {
 	cl.requests.Inc()
 	cl.bytes.Add(uint64(req.wireBytes))
 	if s.draining.Load() {
-		s.counters.DrainRejects.Add(1)
+		s.metrics.drainRejects.Inc()
 		return encodeResponse(req, &shardResp{err: ErrDraining})
 	}
 	cost := admissionCost(req)
 	if retryAfter, ok := s.admit(cl, cost); !ok {
-		s.counters.Throttled.Add(1)
+		s.metrics.throttled.Inc()
 		cl.throttles.Inc()
 		return encodeResponse(req, &shardResp{err: &ThrottledError{RetryAfter: retryAfter}})
 	}
@@ -469,16 +449,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(err, offErr)
 }
 
-// quiesce stops all request processing: listener, checkpoint ticker,
-// connections, then the shards. After quiesce the shard session maps
-// are safe to read from the caller's goroutine. The checkpoint writer
-// is still running; Close flushes and stops it.
+// quiesce stops all request processing: listener, checkpoint sweeps
+// (waiting out a running one, writes included), connections, then the
+// shards. After quiesce the shard session maps are safe to read from
+// the caller's goroutine, and nothing else writes checkpoint files.
 func (s *Server) quiesce() {
 	s.quiesceOnce.Do(func() {
 		s.draining.Store(true)
 		s.closeErr = s.ln.Close()
 		if s.ckpt != nil {
-			s.ckpt.stopTicker()
+			s.ckpt.stop()
 		}
 		s.connMu.Lock()
 		for conn := range s.conns {
@@ -492,16 +472,13 @@ func (s *Server) quiesce() {
 	})
 }
 
-// Close tears the server down immediately: listener, connections,
-// shards, checkpoint writer, admin listener. Safe to call
-// more than once and after Shutdown. Unlike Shutdown it does not
-// offload sessions (checkpointed state, if any, survives on disk).
+// Close tears the server down immediately: listener, checkpoint
+// sweeps, connections, shards, admin listener. Safe to call more than
+// once and after Shutdown. Unlike Shutdown it does not offload
+// sessions (checkpointed state, if any, survives on disk).
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.quiesce()
-		if s.ckpt != nil {
-			s.ckpt.close() // flush queued checkpoint writes
-		}
 		if s.admin != nil {
 			s.admin.close()
 		}

@@ -73,28 +73,11 @@ type shardResp struct {
 	sess    predictor.Stats        // OpStats: this session's counters
 }
 
-// ckptFrame is one session's encoded snapshot bound for the checkpoint
-// writer.
+// ckptFrame is one session's encoded snapshot bound for a checkpoint
+// file or the handoff peer.
 type ckptFrame struct {
 	id    uint64
 	frame []byte
-}
-
-// shardCounters are the shard's externally visible load counters,
-// updated atomically so the admin listener never touches predictor
-// state.
-type shardCounters struct {
-	Requests       atomic.Uint64
-	Batches        atomic.Uint64
-	Traces         atomic.Uint64
-	Overloads      atomic.Uint64
-	Snapshots      atomic.Uint64 // OpSnapshot answers served, full or delta
-	DeltaSnaps     atomic.Uint64 // OpSnapshot answers served as deltas
-	FullSnapBytes  atomic.Uint64 // bytes of full frames served
-	DeltaSnapBytes atomic.Uint64 // bytes of delta envelopes served
-	Restores       atomic.Uint64 // sessions installed via OpRestore
-	RestoreRejects atomic.Uint64 // OpRestore frames rejected
-	DupUpdates     atomic.Uint64 // batch frames that replayed already-applied sequences
 }
 
 // shard owns a set of sessions and runs their requests one at a time
@@ -110,8 +93,7 @@ type shard struct {
 	shadows  []shadowBackend // shadow-evaluation templates, may be empty
 	queueLen int64           // bound on waiting requests
 	waiting  atomic.Int64    // requests waiting for mu
-	counters shardCounters
-	metrics  *shardMetrics // nil only in tests that build shards directly
+	metrics  *shardMetrics
 
 	// mu serialises the shard. Everything below it, and the sessions'
 	// predictors, are touched only under mu (or before the server serves
@@ -119,10 +101,6 @@ type shard struct {
 	mu       sync.Mutex
 	closed   bool // set by stop: no request runs after it
 	sessions map[uint64]*session
-
-	// nsessions mirrors len(sessions) for ntpd_shard_sessions, which
-	// must not wait on mu. Stored under mu wherever the map grows.
-	nsessions atomic.Int64
 
 	// gens issues snapshot generation tokens. It starts at a random
 	// point, so a token a client holds from another server, or from an
@@ -156,7 +134,7 @@ func newShard(id int, backend predictor.Backend, cfg predictor.Config, fcfg *fau
 func (sh *shard) run(req *request, resp *shardResp) bool {
 	if sh.waiting.Add(1) > sh.queueLen {
 		sh.waiting.Add(-1)
-		sh.counters.Overloads.Add(1)
+		sh.metrics.overloads.Inc()
 		return false
 	}
 	sh.mu.Lock()
@@ -182,7 +160,7 @@ func (sh *shard) stop() {
 
 // process executes one request under the shard lock.
 func (sh *shard) process(req *request) shardResp {
-	sh.counters.Requests.Add(1)
+	sh.metrics.requests.Inc()
 	switch req.op {
 	case OpOpen:
 		return sh.open(req.session)
@@ -217,12 +195,10 @@ func (sh *shard) process(req *request) shardResp {
 // server runs an injection plan).
 func (sh *shard) sessionCfg() predictor.Config {
 	cfg := sh.cfg
-	if sh.metrics != nil {
-		// Every session on the shard reports into the shard's event
-		// counters; the rollup is what operators watch, and the
-		// per-session split stays available via OpStats.
-		cfg.Recorder = &sh.metrics.rec
-	}
+	// Every session on the shard reports into the shard's event
+	// counters; the rollup is what operators watch, and the per-session
+	// split stays available via OpStats.
+	cfg.Recorder = &sh.metrics.rec
 	if sh.fcfg != nil {
 		// Injectors are not concurrency-safe and their draw streams
 		// are stateful; every predictor gets its own, seeded
@@ -248,7 +224,7 @@ func (sh *shard) open(id uint64) shardResp {
 		}
 		s = &session{id: id, p: p, shadows: sh.newShadows(), dirty: true}
 		sh.sessions[id] = s
-		sh.nsessions.Store(int64(len(sh.sessions)))
+		sh.metrics.sessions.Set(int64(len(sh.sessions)))
 	}
 	return shardResp{shard: uint32(sh.id), lastSeq: s.lastSeq}
 }
@@ -281,7 +257,12 @@ func (sh *shard) newShadows() []shadowPred {
 // snapshot older than the last ack) skips its already-applied prefix
 // and trains only the unseen suffix. Nothing trains twice, whatever
 // boundary the retry lands on. correct covers the applied suffix only.
+// A frame starting past lastSeq+1 would train across traces the session
+// never saw; it is refused with ErrSeqGap and trains nothing.
 func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
+	if req.seq > s.lastSeq+1 {
+		return shardResp{err: ErrSeqGap}
+	}
 	n := uint64(len(req.traces))
 	var skip uint64
 	if req.seq != 0 && s.lastSeq >= req.seq {
@@ -289,7 +270,7 @@ func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
 		if skip > n {
 			skip = n
 		}
-		sh.counters.DupUpdates.Add(1)
+		sh.metrics.dupUpdates.Inc()
 	}
 	fresh := req.traces[skip:]
 	var preds []predictor.Prediction
@@ -310,8 +291,8 @@ func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
 	}
 	sh.metrics.observeBatch(len(req.traces))
 	if len(fresh) > 0 {
-		sh.counters.Batches.Add(1)
-		sh.counters.Traces.Add(uint64(len(fresh)))
+		sh.metrics.batches.Inc()
+		sh.metrics.traces.Add(uint64(len(fresh)))
 		s.dirty = true
 	}
 	if req.seq != 0 && n > 0 {
@@ -380,12 +361,12 @@ func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 		}
 	}
 	req.resp = b
-	sh.counters.Snapshots.Add(1)
+	sh.metrics.snapshots.Inc()
 	if delta {
-		sh.counters.DeltaSnaps.Add(1)
-		sh.counters.DeltaSnapBytes.Add(uint64(len(b) - at))
+		sh.metrics.deltaSnaps.Inc()
+		sh.metrics.deltaSnapBytes.Add(uint64(len(b) - at))
 	} else {
-		sh.counters.FullSnapBytes.Add(uint64(len(b) - at))
+		sh.metrics.fullSnapBytes.Add(uint64(len(b) - at))
 	}
 	return shardResp{}
 }
@@ -399,18 +380,18 @@ func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 func (sh *shard) restore(req *request) shardResp {
 	sess, err := snapshot.Decode(req.blob)
 	if err != nil {
-		sh.counters.RestoreRejects.Add(1)
+		sh.metrics.restoreRejects.Inc()
 		return shardResp{err: ErrBadSnapshot}
 	}
 	if sess.ID != req.session {
-		sh.counters.RestoreRejects.Add(1)
+		sh.metrics.restoreRejects.Inc()
 		return shardResp{err: ErrBadSnapshot}
 	}
 	if err := sh.installSnapshot(sess); err != nil {
-		sh.counters.RestoreRejects.Add(1)
+		sh.metrics.restoreRejects.Inc()
 		return shardResp{err: ErrBadSnapshot}
 	}
-	sh.counters.Restores.Add(1)
+	sh.metrics.restores.Inc()
 	return shardResp{shard: uint32(sh.id)}
 }
 
@@ -442,12 +423,12 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 		lastSeq: sess.LastSeq,
 		dirty:   true,
 	}
-	sh.nsessions.Store(int64(len(sh.sessions)))
+	sh.metrics.sessions.Set(int64(len(sh.sessions)))
 	return nil
 }
 
-// checkpoint encodes every dirty session for the checkpoint writer and
-// clears the dirty marks. Sessions that fail to encode stay dirty and
+// checkpoint encodes every dirty session for the checkpoint sweep to
+// write, and clears the dirty marks. Sessions that fail to encode stay dirty and
 // are skipped (nothing consumes a partial frame).
 func (sh *shard) checkpoint() []ckptFrame {
 	sh.mu.Lock()

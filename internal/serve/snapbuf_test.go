@@ -439,8 +439,8 @@ func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 func snapshotWireBytes(srv *Server) uint64 {
 	var n uint64
 	for _, sh := range srv.shards {
-		c := &sh.counters
-		n += c.FullSnapBytes.Load() + c.DeltaSnapBytes.Load() + c.Snapshots.Load()*(4+respHeaderBytes+snapGenBytes)
+		m := sh.metrics
+		n += m.fullSnapBytes.Load() + m.deltaSnapBytes.Load() + m.snapshots.Load()*(4+respHeaderBytes+snapGenBytes)
 	}
 	return n
 }
