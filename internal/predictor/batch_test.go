@@ -113,25 +113,39 @@ func TestBatchBitIdenticalScalar(t *testing.T) {
 // TestBatchBitIdenticalUnderFaults repeats the cross-check with
 // deterministic fault injection live: the injector advances once per
 // round in both regimes, so the fault streams — and therefore the
-// corrupted tables — must line up exactly.
+// corrupted tables — must line up exactly. The basic configs draw no
+// secondary faults and have no tags to corrupt; the stuck-at-zero one
+// also clears every counter it writes.
 func TestBatchBitIdenticalUnderFaults(t *testing.T) {
-	fcfg, err := faults.ParseSpec("table:1e-3,sec:1e-3,history:1e-4,bits:2")
-	if err != nil {
-		t.Fatal(err)
+	configs := []struct {
+		label, spec string
+		cfg         Config
+	}{
+		{"hybrid+faults", "table:1e-3,sec:1e-3,history:1e-4,bits:2",
+			Config{Depth: 5, IndexBits: 12, Hybrid: true, UseRHS: true}},
+		{"basic+faults", "table:1e-2,sec:1e-2,history:1e-3,bits:2",
+			Config{Depth: 5, IndexBits: 12}},
+		{"basic-costreduced+stuckzero", "table:1e-2,history:1e-3,bits:2,stuck",
+			Config{Backend: "basic", Depth: 5, IndexBits: 12, CostReduced: true}},
 	}
-	fcfg.Seed = 42
 	for _, name := range []string{"go", "gcc"} {
 		traces := captureTraces(t, name, 20_000)
-		mk := func() NextTracePredictor {
-			return MustNew(Config{
-				Depth: 5, IndexBits: 12, Hybrid: true, UseRHS: true,
-				Faults: faults.New(fcfg), // fresh injector per predictor
-			})
+		for _, c := range configs {
+			fcfg, err := faults.ParseSpec(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fcfg.Seed = 42
+			mk := func() NextTracePredictor {
+				cfg := c.cfg
+				cfg.Faults = faults.New(fcfg) // fresh injector per predictor
+				return MustNew(cfg)
+			}
+			sp, bp := mk(), mk()
+			sPreds := runScalar(sp, traces)
+			bPreds := runBatched(bp, traces, 17)
+			checkIdentical(t, name+"/"+c.label, sp, bp, sPreds, bPreds)
 		}
-		sp, bp := mk(), mk()
-		sPreds := runScalar(sp, traces)
-		bPreds := runBatched(bp, traces, 17)
-		checkIdentical(t, name+"/hybrid+faults", sp, bp, sPreds, bPreds)
 	}
 }
 

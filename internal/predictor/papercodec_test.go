@@ -104,31 +104,56 @@ func TestSaveRestoreBitIdentical(t *testing.T) {
 // written before the rewrite still restore. A failure here means the
 // format moved: never update a constant to make it pass.
 func TestPaperStateBytesPinned(t *testing.T) {
+	// basicFaults injects table and history faults into a basic table,
+	// which has no tags and no secondary: a fault can flip the alternate
+	// word of an entry that is not yet valid, and a fresh basic entry
+	// keeps that word, so these states pin what a fresh entry inherits.
+	basicFaults := func(stuck bool) *faults.Injector {
+		return faults.New(faults.Config{Seed: 9, Table: 0.05, History: 0.01, Bits: 2, StuckZero: stuck})
+	}
 	cases := []struct {
-		name string
-		cfg  func() Config // fresh per run: injectors are stateful
-		sha  string
+		name     string
+		workload string        // captured workload stream; empty runs randStream(21, 3000)
+		cfg      func() Config // fresh per run: injectors are stateful
+		sha      string
 	}{
-		{"basic", func() Config { return Config{Backend: "basic", Depth: 3, IndexBits: 10} },
+		{"basic", "", func() Config { return Config{Backend: "basic", Depth: 3, IndexBits: 10} },
 			"f1c78c96cd347a76437b7cd4016792547a01b440822aa4c8e390677e5587ede5"},
-		{"hybrid+rhs", func() Config { return Config{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true} },
+		{"hybrid+rhs", "", func() Config { return Config{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true} },
 			"bc40f7abf3ce470744bfe731031b4f0d8f722a034e5101263f3fc1a070bc13a1"},
-		{"hybrid-nofilter", func() Config {
+		{"hybrid-nofilter", "", func() Config {
 			return Config{Backend: "hybrid", Depth: 5, IndexBits: 10, SecondaryFilter: NoFilter()}
 		}, "0b61a483e075fc9a3d8d9bb73a2ae4d158ade85360518b0b395707fd284dfb44"},
-		{"costreduced+rhs", func() Config { return Config{Backend: "costreduced", Depth: 7, IndexBits: 10, UseRHS: true} },
+		{"costreduced+rhs", "", func() Config { return Config{Backend: "costreduced", Depth: 7, IndexBits: 10, UseRHS: true} },
 			"5759fa1211a6f615135354e045ddeaac0f38f1a794f82dc1c2d286d8e531e04d"},
-		{"hybrid+rhs+faults", func() Config {
+		{"hybrid+rhs+faults", "", func() Config {
 			return Config{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true,
 				Faults: faults.New(faults.Config{Seed: 7, Table: 0.02, Secondary: 0.02, History: 0.02, Bits: 2})}
 		}, "4b23687d7d90c6cb9575b7fcf31a5cf2feba5369addb38fd93c8b66020578078"},
+		{"basic+faults/gcc", "gcc", func() Config {
+			return Config{Backend: "basic", Depth: 5, IndexBits: 10, Faults: basicFaults(false)}
+		}, "05d085274368a1485654229f8a3e326d38c7e0e02c5fa7e16259e17aae0aa8c7"},
+		{"basic+faults/go", "go", func() Config {
+			return Config{Backend: "basic", Depth: 5, IndexBits: 10, Faults: basicFaults(false)}
+		}, "6b78d66d6687cc66497a6d08dae198b0dfc8586f5a4b4b8a127b45a8a95bd0b6"},
+		{"basic-costreduced+stuckzero/compress", "compress", func() Config {
+			return Config{Backend: "basic", Depth: 3, IndexBits: 10, CostReduced: true, Faults: basicFaults(true)}
+		}, "3ec31b48ea79da9d4da72808507cffb234e2e6eaa912a751e5459e25a69d9b44"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg()
 			b := mustBackend(t, cfg)
 			p := MustNew(cfg)
-			for _, tc := range randStream(21, 3000) {
+			stream := randStream(21, 3000)
+			if c.workload != "" {
+				captured := captureTraces(t, c.workload, 100_000)
+				stream = stream[:0]
+				for i := range captured {
+					stream = append(stream, &captured[i])
+				}
+			}
+			for _, tc := range stream {
 				p.Predict()
 				p.Update(tc)
 			}
