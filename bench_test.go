@@ -202,28 +202,40 @@ func BenchmarkHybridPredictor(b *testing.B) {
 }
 
 // BenchmarkPredictBatch measures the batched round loop at the batch
-// sizes the serving layer actually sends. b.N counts traces, so ns/op
-// is per trace and directly comparable with BenchmarkHybridPredictor's
-// scalar rounds; the loop must hold 0 allocs/op at every size.
+// sizes the serving layer actually sends, for the hybrid (batchN) and
+// the basic predictor (batchN_basic). b.N counts traces, so ns/op is
+// per trace and directly comparable with BenchmarkHybridPredictor's and
+// BenchmarkBasicPredictor's scalar rounds; the loop must hold 0
+// allocs/op at every size.
 func BenchmarkPredictBatch(b *testing.B) {
 	traces := benchTraces(b)
-	for _, size := range []int{1, 16, 64, 256} {
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			p := pathtrace.MustNewPredictor(pathtrace.PredictorConfig{
-				Depth: 7, IndexBits: 16, Hybrid: true, UseRHS: true,
+	for _, c := range []struct {
+		suffix string
+		cfg    pathtrace.PredictorConfig
+	}{
+		{"", pathtrace.PredictorConfig{Depth: 7, IndexBits: 16, Hybrid: true, UseRHS: true}},
+		{"_basic", pathtrace.PredictorConfig{Depth: 7, IndexBits: 16}},
+	} {
+		for _, size := range []int{1, 16, 64, 256} {
+			b.Run(fmt.Sprintf("batch%d%s", size, c.suffix), func(b *testing.B) {
+				benchPredictBatch(b, traces, c.cfg, size)
 			})
-			preds := make([]pathtrace.Prediction, size)
-			wrap := len(traces) - size
-			if wrap <= 0 {
-				b.Fatalf("trace stream too short for batch %d", size)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += size {
-				off := i % wrap
-				pathtrace.PredictBatch(p, traces[off:off+size], preds)
-			}
-		})
+		}
+	}
+}
+
+func benchPredictBatch(b *testing.B, traces []pathtrace.Trace, cfg pathtrace.PredictorConfig, size int) {
+	p := pathtrace.MustNewPredictor(cfg)
+	preds := make([]pathtrace.Prediction, size)
+	wrap := len(traces) - size
+	if wrap <= 0 {
+		b.Fatalf("trace stream too short for batch %d", size)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += size {
+		off := i % wrap
+		pathtrace.PredictBatch(p, traces[off:off+size], preds)
 	}
 }
 

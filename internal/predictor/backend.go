@@ -186,7 +186,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return newBasic(full)
+			return newHybrid(full)
 		},
 		Append:      paperAppend,
 		Restore:     paperRestore,

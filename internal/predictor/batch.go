@@ -9,9 +9,10 @@ import "pathtrace/internal/trace"
 // rides on — one wire frame, one shard-queue hop and one cache-resident
 // table sweep amortized over the whole batch. Batched execution is
 // bit-identical to N scalar rounds by construction: the native
-// implementations (Hybrid, basic) drive exactly the same lookup/commit
-// primitives the scalar methods wrap, and the generic fallback below
-// literally calls Predict/Update in a loop.
+// implementation (Hybrid, which the basic, hybrid and costreduced
+// backends all build) drives exactly the same lookup/commit primitives
+// the scalar methods wrap, and the generic fallback below literally
+// calls Predict/Update in a loop.
 
 // BatchPredictor is implemented by predictors with a native batched
 // round loop. PredictBatch runs one full round per trace — preds[i]

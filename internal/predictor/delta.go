@@ -75,10 +75,13 @@ type changeSet struct {
 	corr, sec slotSet
 }
 
-// round records the slots a hybrid round wrote: its secondary slot, and
-// its correlated slot unless the secondary filter skipped the write.
+// round records the slots a round wrote: its secondary slot when there
+// is a secondary table, and its correlated slot unless the secondary
+// filter skipped the write.
 func (c *changeSet) round(tok *Token, wroteCorr bool) {
-	c.sec.add(tok.SecIdx)
+	if len(c.sec.bits) != 0 {
+		c.sec.add(tok.SecIdx)
+	}
 	if wroteCorr {
 		c.corr.add(tok.CorrIdx)
 	}
@@ -86,16 +89,16 @@ func (c *changeSet) round(tok *Token, wroteCorr bool) {
 
 // paperMark is the paper backends' Mark hook.
 func paperMark(p NextTracePredictor) error {
-	t, err := paperTablesOf(p)
+	t, err := paperOf(p)
 	if err != nil {
 		return err
 	}
-	if c := *t.chg; c != nil {
+	if c := t.chg; c != nil {
 		c.corr.reset()
 		c.sec.reset()
 		return nil
 	}
-	*t.chg = &changeSet{
+	t.chg = &changeSet{
 		corr: slotSet{bits: make([]uint64, (len(t.corrMeta)+63)/64)},
 		sec:  slotSet{bits: make([]uint64, (len(t.secMeta)+63)/64)},
 	}
@@ -104,11 +107,11 @@ func paperMark(p NextTracePredictor) error {
 
 // paperAppendDelta is the paper backends' AppendDelta hook.
 func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
-	t, err := paperTablesOf(p)
+	t, err := paperOf(p)
 	if err != nil {
 		return b, err
 	}
-	c := *t.chg
+	c := t.chg
 	if c == nil {
 		return b, ErrNoMark
 	}
@@ -119,7 +122,7 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 	slices.Sort(c.corr.list)
 	slices.Sort(c.sec.list)
 	b = grow(b, 2+nMut+4+len(c.corr.list)*paperCorrEntryBytes+4+len(c.sec.list)*paperSecEntryBytes)
-	b = append(b, t.kind, flags)
+	b = append(b, t.kind(), flags)
 	b = t.appendMutable(b, &fs)
 
 	le := binary.LittleEndian
@@ -188,9 +191,6 @@ func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, state, delta []byte) 
 		d.corrEntry(&corr, hybrid)
 	}
 	dSec := d.count("secondary entries", paperSecEntryBytes)
-	if d.err == nil && dSec > 0 && !hybrid {
-		d.fail("basic predictor with secondary entries")
-	}
 	secOff := d.off
 	for i := 0; i < dSec && d.err == nil; i++ {
 		d.secEntry(&sec)

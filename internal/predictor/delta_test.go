@@ -132,8 +132,7 @@ func TestUnmarkedPredictorTracksNothing(t *testing.T) {
 		if _, err := b.Save(p); err != nil {
 			t.Fatal(err)
 		}
-		tb, _ := paperTablesOf(p)
-		if *tb.chg != nil {
+		if p.(*Hybrid).chg != nil {
 			t.Errorf("%s: change tracking on without a mark", name)
 		}
 	}

@@ -10,6 +10,11 @@ import (
 // a smaller secondary table indexed only by the hashed identifier of
 // the most recent trace, with an optional Return History Stack.
 //
+// With Config.Hybrid unset it is the basic correlated predictor of
+// §3.2, which the paper's hybrid extends: one untagged table, so a
+// valid entry always matches, and no secondary table or RHS. Every
+// paper backend (basic, hybrid, costreduced) runs this one kernel.
+//
 // Selection rule: if the secondary entry's 4-bit counter is saturated,
 // the secondary's prediction is used (and, when correct, the correlated
 // table is not updated — the aliasing filter). Otherwise the correlated
@@ -41,14 +46,15 @@ type Hybrid struct {
 	corrVal  []uint64
 	corrAlt  []uint64
 
-	// Secondary table. secMeta packs ctr<<8 | flags.
+	// Secondary table, nil in a basic predictor. secMeta packs
+	// ctr<<8 | flags.
 	secMeta []uint16
 	secVal  []uint64
 
 	stats     Stats
 	tok       Token
 	secFilter bool
-	tagMask   uint32
+	tagMask   uint32 // 0 in a basic predictor: no tags
 	secMask   uint32
 	ctrMaxC   int // ctrMax(CounterBits), hoisted off the round path
 	ctrMaxS   int // ctrMax(SecCounterBits)
@@ -59,7 +65,7 @@ type Hybrid struct {
 	chg *changeSet
 }
 
-// Packed-entry flag bits, shared by both tables (and by basic's table).
+// Packed-entry flag bits, shared by both tables.
 const (
 	entValid    = 1 << 0
 	entAltValid = 1 << 1
@@ -90,20 +96,24 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 		corrMeta:  make([]uint32, 1<<cfg.IndexBits),
 		corrVal:   make([]uint64, 1<<cfg.IndexBits),
 		corrAlt:   make([]uint64, 1<<cfg.IndexBits),
-		secMeta:   make([]uint16, 1<<cfg.SecondaryBits),
-		secVal:    make([]uint64, 1<<cfg.SecondaryBits),
 		secFilter: *cfg.SecondaryFilter,
-		tagMask:   uint32(1)<<cfg.TagBits - 1,
-		secMask:   uint32(1)<<cfg.SecondaryBits - 1,
 		ctrMaxC:   ctrMax(cfg.CounterBits),
 		ctrMaxS:   ctrMax(cfg.SecCounterBits),
 	}
-	if cfg.UseRHS {
-		rhs, err := history.NewReturnStack(cfg.RHSDepth)
-		if err != nil {
-			return nil, err
+	// A basic predictor builds none of the hybrid parts; their geometry
+	// stays in cfg, where the state codec carries it.
+	if cfg.Hybrid {
+		p.secMeta = make([]uint16, 1<<cfg.SecondaryBits)
+		p.secVal = make([]uint64, 1<<cfg.SecondaryBits)
+		p.tagMask = uint32(1)<<cfg.TagBits - 1
+		p.secMask = uint32(1)<<cfg.SecondaryBits - 1
+		if cfg.UseRHS {
+			rhs, err := history.NewReturnStack(cfg.RHSDepth)
+			if err != nil {
+				return nil, err
+			}
+			p.rhs = rhs
 		}
-		p.rhs = rhs
 	}
 	if cfg.Faults != nil {
 		p.hist.SetFaultHook(cfg.Faults)
@@ -114,14 +124,20 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 // injectFaults applies one fault-injection opportunity to each table.
 // Called once per CommitUpdate — before the update logic and before
 // the secondary-filter early return — so the injection streams consume
-// the same draws in every configuration and at every rate. The XOR
+// the same draws in every configuration and at every rate. A basic
+// predictor draws no secondary fault and, having no tags, passes zero
+// tag bits, so no fault lands on a tag. The XOR
 // masks land on the same logical bits as in the array-of-structs
 // layout: value and alternate words directly, tag and counter through
 // their lanes of the packed meta word (the flag bits are never
 // touched, exactly as the struct layout never flipped valid bits).
 func (p *Hybrid) injectFaults() {
 	inj := p.cfg.Faults
-	if f := inj.CorrFault(len(p.corrMeta), p.cfg.valBits(), p.cfg.TagBits, p.cfg.CounterBits); f.Fire {
+	tagBits := 0
+	if p.secMeta != nil {
+		tagBits = p.cfg.TagBits
+	}
+	if f := inj.CorrFault(len(p.corrMeta), p.cfg.valBits(), tagBits, p.cfg.CounterBits); f.Fire {
 		switch f.Slot {
 		case faults.SlotValue:
 			p.corrVal[f.Index] ^= f.Mask
@@ -135,6 +151,9 @@ func (p *Hybrid) injectFaults() {
 		if p.chg != nil {
 			p.chg.corr.add(uint32(f.Index))
 		}
+	}
+	if p.secMeta == nil {
+		return
 	}
 	if f := inj.SecFault(len(p.secMeta), p.cfg.valBits(), p.cfg.SecCounterBits); f.Fire {
 		switch f.Slot {
@@ -173,10 +192,12 @@ func (p *Hybrid) lookupInto(tok *Token) {
 		SecIdx:  h0 & p.secMask,
 		Tag:     uint16(h0 & p.tagMask),
 	}
-	sm := p.secMeta[tok.SecIdx]
-	tok.secValid = sm&entValid != 0
-	tok.secPredVal = p.secVal[tok.SecIdx]
-	tok.secSaturated = tok.secValid && int(sm>>8) == p.ctrMaxS
+	if p.secMeta != nil {
+		sm := p.secMeta[tok.SecIdx]
+		tok.secValid = sm&entValid != 0
+		tok.secPredVal = p.secVal[tok.SecIdx]
+		tok.secSaturated = tok.secValid && int(sm>>8) == p.ctrMaxS
+	}
 
 	cm := p.corrMeta[idx]
 	useSecondary := tok.secSaturated || !(cm&entValid != 0 && uint16(cm>>16) == tok.Tag)
@@ -247,22 +268,24 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 	}
 
 	// Secondary table update.
-	si := tok.SecIdx
-	sm := p.secMeta[si]
-	switch {
-	case sm&entValid == 0:
-		p.secVal[si] = actualVal
-		p.secMeta[si] = entValid
-	case p.secVal[si] == actualVal:
-		p.secMeta[si] = uint16(satInc(uint8(sm>>8), 1, p.ctrMaxS))<<8 | sm&0xff
-	case sm>>8 == 0:
-		p.secVal[si] = actualVal
-		ev |= EvReplaced
-	default:
-		p.secMeta[si] = uint16(satDec(uint8(sm>>8), p.cfg.SecCounterDec))<<8 | sm&0xff
-	}
-	if p.cfg.Faults.StuckZero() {
-		p.secMeta[si] &= 0xff
+	if p.secMeta != nil {
+		si := tok.SecIdx
+		sm := p.secMeta[si]
+		switch {
+		case sm&entValid == 0:
+			p.secVal[si] = actualVal
+			p.secMeta[si] = entValid
+		case p.secVal[si] == actualVal:
+			p.secMeta[si] = uint16(satInc(uint8(sm>>8), 1, p.ctrMaxS))<<8 | sm&0xff
+		case sm>>8 == 0:
+			p.secVal[si] = actualVal
+			ev |= EvReplaced
+		default:
+			p.secMeta[si] = uint16(satDec(uint8(sm>>8), p.cfg.SecCounterDec))<<8 | sm&0xff
+		}
+		if p.cfg.Faults.StuckZero() {
+			p.secMeta[si] &= 0xff
+		}
 	}
 
 	// Correlated table update — filtered when a saturated secondary was
@@ -282,7 +305,13 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 		}
 		p.corrMeta[ci] = uint32(tok.Tag)<<16 | entValid
 		p.corrVal[ci] = actualVal
-		p.corrAlt[ci] = 0 // fresh entry: no alternate yet
+		if p.secMeta != nil {
+			// A fresh tagged entry starts with no alternate. A fresh
+			// basic entry keeps its alternate word, which a fault may
+			// have flipped while the slot was empty: saved basic states
+			// carry that word (see TestPaperStateBytesPinned).
+			p.corrAlt[ci] = 0
+		}
 	case p.corrVal[ci] == actualVal:
 		ctr := satInc(uint8(cm>>8), p.cfg.CounterInc, p.ctrMaxC)
 		p.corrMeta[ci] = cm&^uint32(0xff00) | uint32(ctr)<<8
@@ -374,3 +403,31 @@ func (p *Hybrid) UpdateBatch(actuals []trace.Trace) uint64 {
 
 // Stats implements NextTracePredictor.
 func (p *Hybrid) Stats() Stats { return p.stats }
+
+// valBits is the stored-identifier width: the full trace ID, or its
+// hash when cost-reduced.
+func (cfg *Config) valBits() int {
+	if cfg.CostReduced {
+		return trace.HashBits
+	}
+	return trace.IDBits
+}
+
+// storedVal converts a trace to the value representation the tables
+// store: the full identifier, or its hash when cost-reduced.
+func (cfg *Config) storedVal(tr *trace.Trace) uint64 {
+	if cfg.CostReduced {
+		return uint64(tr.Hash)
+	}
+	return uint64(tr.ID)
+}
+
+// present converts a stored value back into Prediction fields.
+func (cfg *Config) present(p *Prediction, val uint64) {
+	if cfg.CostReduced {
+		p.Hashed = trace.HashedID(val)
+	} else {
+		p.ID = trace.ID(val)
+		p.Hashed = p.ID.Hash()
+	}
+}

@@ -20,6 +20,9 @@ import (
 // later Predict/Update round produces exactly what the original would
 // have produced. That property is what turns a serving drain into a
 // zero-loss session handoff (internal/snapshot + internal/serve).
+// Every paper backend builds a *Hybrid, so the codec reads its fields
+// directly; a basic state (kind 1) carries zero tags and no secondary
+// entries.
 //
 // A state is captured at a round boundary: the token of an outstanding
 // Predict is NOT part of it, so callers must snapshot between Update
@@ -73,48 +76,22 @@ const (
 	paperFlagsKnown = paperFlagUseRHS | paperFlagCostReduced | paperFlagSecondaryFilter | paperFlagHasFaults
 )
 
-// paperTables is the codec's view of a paper predictor. basic's single
-// table stands in as the correlated table; it carries no tags, no
-// secondary table and no RHS.
-type paperTables struct {
-	kind     uint8
-	cfg      *Config
-	stats    *Stats
-	hist     *history.Reg
-	rhs      *history.ReturnStack
-	chg      **changeSet
-	corrMeta []uint32 // tag<<16 | ctr<<8 | flags
-	corrVal  []uint64
-	corrAlt  []uint64
-	secMeta  []uint16 // ctr<<8 | flags
-	secVal   []uint64
+// paperOf returns p as the paper kernel, which every paper backend
+// builds.
+func paperOf(p NextTracePredictor) (*Hybrid, error) {
+	h, ok := p.(*Hybrid)
+	if !ok {
+		return nil, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
+	}
+	return h, nil
 }
 
-func (p *Hybrid) tables() paperTables {
-	return paperTables{
-		kind: paperKindHybrid, cfg: &p.cfg, stats: &p.stats, hist: &p.hist, rhs: p.rhs, chg: &p.chg,
-		corrMeta: p.corrMeta, corrVal: p.corrVal, corrAlt: p.corrAlt,
-		secMeta: p.secMeta, secVal: p.secVal,
+// kind returns the state kind byte of p's variant.
+func (p *Hybrid) kind() uint8 {
+	if p.cfg.Hybrid {
+		return paperKindHybrid
 	}
-}
-
-func (b *basic) tables() paperTables {
-	return paperTables{
-		kind: paperKindBasic, cfg: &b.cfg, stats: &b.stats, hist: &b.hist, chg: &b.chg,
-		corrMeta: b.tabMeta, corrVal: b.tabVal, corrAlt: b.tabAlt,
-	}
-}
-
-// paperTablesOf returns the codec's view of p, which must be a paper
-// predictor.
-func paperTablesOf(p NextTracePredictor) (paperTables, error) {
-	switch v := p.(type) {
-	case *Hybrid:
-		return v.tables(), nil
-	case *basic:
-		return v.tables(), nil
-	}
-	return paperTables{}, fmt.Errorf("%w: %T", ErrNotSnapshottable, p)
+	return paperKindBasic
 }
 
 func countValid[M uint16 | uint32](meta []M) int {
@@ -132,12 +109,12 @@ func countValid[M uint16 | uint32](meta []M) int {
 // between the geometry and the tables. Construction bounds every
 // geometry field to its wire width; the injector's plan is the one
 // input it does not bound.
-func (t *paperTables) mutable() (flags uint8, fs faults.InjectorState, n int, err error) {
-	cfg := t.cfg
+func (p *Hybrid) mutable() (flags uint8, fs faults.InjectorState, n int, err error) {
+	cfg := &p.cfg
 	n = paperStatsBytes + stateRegBytes
-	if t.rhs != nil {
+	if p.rhs != nil {
 		flags |= paperFlagUseRHS
-		n += 4 + t.rhs.Depth()*stateRegBytes
+		n += 4 + p.rhs.Depth()*stateRegBytes
 	}
 	if cfg.Faults != nil {
 		flags |= paperFlagHasFaults
@@ -158,20 +135,20 @@ func (t *paperTables) mutable() (flags uint8, fs faults.InjectorState, n int, er
 
 // appendMutable appends the mutable part: stats, history register,
 // and the RHS and injector state when present.
-func (t *paperTables) appendMutable(b []byte, fs *faults.InjectorState) []byte {
+func (p *Hybrid) appendMutable(b []byte, fs *faults.InjectorState) []byte {
 	le := binary.LittleEndian
-	b = appendStats(b, *t.stats)
-	b = appendStateReg(b, t.hist.State())
+	b = appendStats(b, p.stats)
+	b = appendStateReg(b, p.hist.State())
 
-	if t.rhs != nil {
-		b = le.AppendUint16(b, uint16(t.rhs.Max()))
-		b = le.AppendUint16(b, uint16(t.rhs.Depth()))
-		for i := range t.rhs.Depth() {
-			b = appendStateReg(b, t.rhs.Saved(i))
+	if p.rhs != nil {
+		b = le.AppendUint16(b, uint16(p.rhs.Max()))
+		b = le.AppendUint16(b, uint16(p.rhs.Depth()))
+		for i := range p.rhs.Depth() {
+			b = appendStateReg(b, p.rhs.Saved(i))
 		}
 	}
 
-	if t.cfg.Faults != nil {
+	if p.cfg.Faults != nil {
 		b = le.AppendUint64(b, fs.Config.Seed)
 		b = append(b, uint8(fs.Config.Bits))
 		b = le.AppendUint64(b, fs.Config.Interval)
@@ -201,27 +178,27 @@ func (t *paperTables) appendMutable(b []byte, fs *faults.InjectorState) []byte {
 }
 
 // appendCorr appends correlated entry i, which must be valid.
-func (t *paperTables) appendCorr(b []byte, i int) []byte {
-	m := t.corrMeta[i]
+func (p *Hybrid) appendCorr(b []byte, i int) []byte {
+	m := p.corrMeta[i]
 	b = binary.LittleEndian.AppendUint32(b, uint32(i))
 	b = binary.LittleEndian.AppendUint16(b, uint16(m>>16))
-	b = binary.LittleEndian.AppendUint64(b, t.corrVal[i])
-	b = binary.LittleEndian.AppendUint64(b, t.corrAlt[i])
+	b = binary.LittleEndian.AppendUint64(b, p.corrVal[i])
+	b = binary.LittleEndian.AppendUint64(b, p.corrAlt[i])
 	return append(b, uint8(m>>8), uint8(m&entAltValid)>>1)
 }
 
 // appendSec appends secondary entry i, which must be valid.
-func (t *paperTables) appendSec(b []byte, i int) []byte {
+func (p *Hybrid) appendSec(b []byte, i int) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(i))
-	b = binary.LittleEndian.AppendUint64(b, t.secVal[i])
-	return append(b, uint8(t.secMeta[i]>>8))
+	b = binary.LittleEndian.AppendUint64(b, p.secVal[i])
+	return append(b, uint8(p.secMeta[i]>>8))
 }
 
 // paperAppend is the paper backends' Append hook. It sizes the
 // section before writing, so dst grows at most once and a dst with
 // room to spare is written without allocating.
 func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
-	t, err := paperTablesOf(p)
+	t, err := paperOf(p)
 	if err != nil {
 		return b, err
 	}
@@ -232,9 +209,9 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 	nCorr, nSec := countValid(t.corrMeta), countValid(t.secMeta)
 	b = grow(b, paperHeadBytes+nMut+4+nCorr*paperCorrEntryBytes+4+nSec*paperSecEntryBytes)
 
-	cfg := t.cfg
+	cfg := &t.cfg
 	le := binary.LittleEndian
-	b = append(b, t.kind, flags)
+	b = append(b, t.kind(), flags)
 	b = append(b, uint8(cfg.Depth), uint8(cfg.IndexBits), uint8(cfg.SecondaryBits),
 		uint8(cfg.TagBits), uint8(cfg.CounterBits), uint8(cfg.CounterInc),
 		uint8(cfg.CounterDec), uint8(cfg.SecCounterBits), uint8(cfg.SecCounterDec))
@@ -290,42 +267,28 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 		full.Faults = faults.FromState(m.faults)
 	}
 
-	var p NextTracePredictor
-	var t paperTables
-	if full.Hybrid {
-		h, err := newHybrid(full)
-		if err != nil {
-			return nil, err
-		}
-		h.rhs = m.rhs
-		p, t = h, h.tables()
-	} else {
-		b, err := newBasic(full)
-		if err != nil {
-			return nil, err
-		}
-		p, t = b, b.tables()
+	p, err := newHybrid(full)
+	if err != nil {
+		return nil, err
 	}
-	*t.stats = m.stats
-	*t.hist = m.hist
+	p.rhs = m.rhs
+	p.stats = m.stats
+	p.hist = m.hist
 	if full.Faults != nil {
-		t.hist.SetFaultHook(full.Faults)
+		p.hist.SetFaultHook(full.Faults)
 	}
 
 	corr, sec := paperChecks(kind, flags, &full)
 	n := r.count("correlated entries", paperCorrEntryBytes)
 	for i := 0; i < n && r.err == nil; i++ {
 		if idx, m, val, alt := r.corrEntry(&corr, full.Hybrid); r.err == nil {
-			t.corrMeta[idx], t.corrVal[idx], t.corrAlt[idx] = m, val, alt
+			p.corrMeta[idx], p.corrVal[idx], p.corrAlt[idx] = m, val, alt
 		}
 	}
 	n = r.count("secondary entries", paperSecEntryBytes)
-	if r.err == nil && n > 0 && !full.Hybrid {
-		r.fail("basic predictor with secondary entries")
-	}
 	for i := 0; i < n && r.err == nil; i++ {
 		if idx, m, val := r.secEntry(&sec); r.err == nil {
-			t.secMeta[idx], t.secVal[idx] = m, val
+			p.secMeta[idx], p.secVal[idx] = m, val
 		}
 	}
 

@@ -5,6 +5,11 @@
 // enhancement (§3.4), unbounded-table variants (§5.2), the cost-reduced
 // predictor that stores hashed identifiers (§5.5), and alternate trace
 // prediction (§6).
+//
+// The paper's predictors are one kernel, Hybrid: the basic predictor is
+// Hybrid with Config.Hybrid unset (no entry tags, no secondary table,
+// no RHS), and the cost-reduced predictor is Hybrid storing hashed
+// identifiers. The unbounded variants and TAGE are separate types.
 package predictor
 
 import (

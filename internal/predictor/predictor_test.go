@@ -85,7 +85,7 @@ func TestCounterReplaceOnZero(t *testing.T) {
 	// White-box: correlated counter policy is inc-1/dec-2 with
 	// replacement only at zero. Depth 0, so the table index is a
 	// function of the most recent trace's hash alone.
-	p := MustNew(Config{Depth: 0, IndexBits: 10}).(*basic)
+	p := MustNew(Config{Depth: 0, IndexBits: 10}).(*Hybrid)
 	a, b := tr(0x1004, 0), tr(0x1008, 0)
 
 	// Locate the entry for the path [a].
@@ -105,10 +105,10 @@ func TestCounterReplaceOnZero(t *testing.T) {
 		ctr             uint8
 	}
 	at := func(i uint32) ent {
-		m := p.tabMeta[i]
+		m := p.corrMeta[i]
 		return ent{
 			valid: m&entValid != 0, altValid: m&entAltValid != 0,
-			val: p.tabVal[i], alt: p.tabAlt[i], ctr: uint8(m >> 8),
+			val: p.corrVal[i], alt: p.corrAlt[i], ctr: uint8(m >> 8),
 		}
 	}
 	if e := at(idxA); !e.valid || e.val != uint64(a.ID) || e.ctr != 3 {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -619,4 +621,59 @@ func TestBackoffForBoundaries(t *testing.T) {
 			t.Errorf("backoffFor(%d) = %v, want saturation at MaxBackoff", attempt, got)
 		}
 	}
+}
+
+// FuzzDecodeLimits feeds hostile bodies to DecodeLimits, the parser
+// behind POST /limitz and ntpd -limits-file. It must never panic, and
+// it allocates at most 16 bytes per input byte plus 512 KiB: the JSON
+// decoder buffers the input, growing by doubling, and copies a key or
+// number it parses (an unknown-key error quotes the key), about 13
+// bytes per byte at worst; encoding/json's 10000-level nesting limit
+// caps its parse-state stacks at about 390 KiB whatever the input
+// length. Accepted limits are never negative,
+// and they survive a re-encode and re-decode unchanged, so what GET
+// /limitz serves is a body POST /limitz accepts.
+func FuzzDecodeLimits(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`null`,
+		`{"per_client_rate": 100, "per_client_burst": 50, "global_rate": 1000, "global_burst": 2000}`,
+		`{"per_client_rate": 1e308, "global_burst": 5e-324}`,
+		`{"per_client_rate": -1}`,
+		`{"global_rate": 1e400}`,
+		`{"per_client_rate": "100"}`,
+		`{"bogus": 1}`,
+		`{"global_rate": 10} {"global_rate": -10}`,
+		`[1, 2, 3]`,
+		`{"per_client_rate": ` + strings.Repeat("[", 5000),
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		l, err := DecodeLimits(bytes.NewReader(in))
+		runtime.ReadMemStats(&m1)
+		if n, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(in)+512<<10); n > limit {
+			t.Fatalf("DecodeLimits allocated %d bytes for a %d-byte body", n, len(in))
+		}
+		if err != nil {
+			if l != (Limits{}) {
+				t.Fatalf("rejected body (%v) returned limits %+v", err, l)
+			}
+			return
+		}
+		if l.PerClientRate < 0 || l.PerClientBurst < 0 || l.GlobalRate < 0 || l.GlobalBurst < 0 {
+			t.Fatalf("accepted negative limits %+v", l)
+		}
+		enc, err := json.Marshal(l)
+		if err != nil {
+			t.Fatalf("accepted limits %+v do not re-encode: %v", l, err)
+		}
+		l2, err := DecodeLimits(bytes.NewReader(enc))
+		if err != nil || l2 != l {
+			t.Fatalf("re-decode of %s = %+v, %v; want %+v", enc, l2, err, l)
+		}
+	})
 }

@@ -9,6 +9,20 @@ import (
 	"pathtrace/internal/trace"
 )
 
+// Fixed RetryClient policy.
+const (
+	// retryDialTimeout bounds each connection attempt.
+	retryDialTimeout = 2 * time.Second
+
+	// retryBudget is the fraction of successful ops earned back as
+	// Overloaded-retry tokens: under sustained overload a client retries
+	// at most ~20% extra load instead of amplifying the stampede.
+	// retryMinBudget is the token floor that lets isolated bursts retry
+	// freely.
+	retryBudget    = 0.2
+	retryMinBudget = 16
+)
+
 // RetryConfig shapes a RetryClient: where to connect (a failover list),
 // how long to keep trying, and how aggressively to snapshot for
 // recovery.
@@ -17,9 +31,6 @@ type RetryConfig struct {
 	// the client rotates to the next address. One entry is plain
 	// reconnect-with-backoff.
 	Addrs []string
-
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 
 	// OpTimeout bounds each network round trip (default 10s).
 	OpTimeout time.Duration
@@ -37,14 +48,6 @@ type RetryConfig struct {
 	// with different seeds desynchronize, one client reproduces its
 	// exact retry schedule.
 	Seed uint64
-
-	// RetryBudget is the fraction of successful ops earned back as
-	// Overloaded-retry tokens (default 0.2): under sustained overload a
-	// client retries at most ~20% extra load instead of amplifying the
-	// stampede. MinBudget is the token floor that lets isolated bursts
-	// retry freely (default 16).
-	RetryBudget float64
-	MinBudget   int
 
 	// SnapshotEvery takes a session snapshot after every N acked
 	// updates (0 disables). With 1, recovery is exact: a session lost
@@ -71,9 +74,6 @@ func (c RetryConfig) withDefaults() (RetryConfig, error) {
 	if len(c.Addrs) == 0 {
 		return c, errors.New("serve: retry client needs at least one address")
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 10 * time.Second
 	}
@@ -85,12 +85,6 @@ func (c RetryConfig) withDefaults() (RetryConfig, error) {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = time.Second
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 0.2
-	}
-	if c.MinBudget <= 0 {
-		c.MinBudget = 16
 	}
 	return c, nil
 }
@@ -131,7 +125,7 @@ type rcSession struct {
 //	ErrBadSnapshot,
 //	any other ErrSeqGap
 //
-// Each successful call earns back RetryBudget of a token.
+// Each successful call earns back retryBudget of a token.
 type RetryClient struct {
 	cfg      RetryConfig
 	c        *Client // live connection, nil when down
@@ -151,7 +145,7 @@ func NewRetryClient(cfg RetryConfig) (*RetryClient, error) {
 	return &RetryClient{
 		cfg:      cfg,
 		rngState: cfg.Seed,
-		tokens:   float64(cfg.MinBudget),
+		tokens:   retryMinBudget,
 		sessions: map[uint64]*rcSession{},
 	}, nil
 }
@@ -227,7 +221,7 @@ func (rc *RetryClient) conn() (*Client, error) {
 	var lastErr error
 	for range rc.cfg.Addrs {
 		addr := rc.cfg.Addrs[rc.addrIdx%len(rc.cfg.Addrs)]
-		c, err := DialTimeout(addr, rc.cfg.DialTimeout)
+		c, err := DialTimeout(addr, retryDialTimeout)
 		if err != nil {
 			lastErr = err
 			rc.addrIdx++
@@ -255,7 +249,7 @@ func (rc *RetryClient) dropConn() {
 
 // earnToken/spendToken implement the overload retry budget.
 func (rc *RetryClient) earnToken() {
-	rc.tokens = min(rc.tokens+rc.cfg.RetryBudget, float64(rc.cfg.MinBudget)*8)
+	rc.tokens = min(rc.tokens+retryBudget, retryMinBudget*8)
 }
 
 func (rc *RetryClient) spendToken() bool {
