@@ -2,6 +2,7 @@ package pathtrace_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -148,6 +149,9 @@ var benchTraces = func() func(b *testing.B) []pathtrace.Trace {
 	}
 }()
 
+// BenchmarkSimulator times the interpreter alone. Each iteration runs a
+// fresh CPU for 100K instructions; building it (an 8 MB memory image)
+// happens with the timer stopped, so Minstr/s measures execution only.
 func BenchmarkSimulator(b *testing.B) {
 	w, _ := pathtrace.WorkloadByName("compress")
 	prog := w.Program()
@@ -155,16 +159,61 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ResetTimer()
 	var retired uint64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		cpu, err := pathtrace.NewCPU(prog)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		if err := cpu.Run(100_000, nil); err != nil {
 			b.Fatal(err)
 		}
 		retired += cpu.InstrCount
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// captureLimit is BenchmarkCapture's per-workload instruction budget:
+// the stream length the benchmark workloads and a first -len 2000000
+// sweep capture.
+const captureLimit = 2_000_000
+
+// BenchmarkCapture records each benchmark's captureLimit-instruction
+// trace stream, the set-up cost of every sweep, load generator run and
+// benchmark workload. ns/instr is the cost per simulated instruction.
+// alloc-B/stream-B is the bytes allocated per byte of the finished
+// stream (Stream.SizeBytes): the simulator's memory image, the capture
+// chunks and the final arrays. CI fails it above 3; a recording that
+// regrows its arrays by append costs about 6.
+func BenchmarkCapture(b *testing.B) {
+	for _, name := range []string{"compress", "gcc", "go", "jpeg", "mksim", "xlisp"} {
+		b.Run(name, func(b *testing.B) {
+			w, ok := pathtrace.WorkloadByName(name)
+			if !ok {
+				b.Fatalf("workload %s missing", name)
+			}
+			if _, err := w.ProgramErr(); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var instrs uint64
+			var size int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := pathtrace.CaptureTraceStream(w, captureLimit)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += s.Instrs()
+				size += s.SizeBytes()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(size), "alloc-B/stream-B")
+		})
+	}
 }
 
 func BenchmarkTraceSelection(b *testing.B) {

@@ -5,6 +5,12 @@
 // The simulator is purely functional (no timing): it plays the role of
 // the SimpleScalar functional simulator in the original paper, feeding
 // "a dynamic stream of instructions ... to the prediction simulator".
+//
+// There is one interpreter, (*CPU).exec. It fetches through a pointer
+// into the predecoded text and writes each retirement record in place.
+// RunContext loops on it with one record for the whole run, which is
+// how stream capture drives it; Step wraps it for one instruction at a
+// time. Both see the same records, faults and halts.
 package sim
 
 import (
@@ -143,14 +149,6 @@ func (c *CPU) fault(format string, args ...any) error {
 	return &Fault{PC: c.PC, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (c *CPU) fetch() (isa.Instr, error) {
-	i := int(c.PC-c.prog.TextBase) >> 2
-	if c.PC%4 != 0 || i < 0 || i >= len(c.text) {
-		return isa.Instr{}, c.fault("instruction fetch outside text segment")
-	}
-	return c.text[i], nil
-}
-
 func (c *CPU) loadWord(addr uint32) (uint32, error) {
 	if addr%4 != 0 {
 		return 0, c.fault("unaligned word load at %#x", addr)
@@ -198,18 +196,33 @@ func (c *CPU) setReg(r isa.Reg, v uint32) {
 }
 
 // Step executes one instruction and returns its retirement record.
-// After HALT has retired, further calls return ErrHalted.
+// After HALT has retired, further calls return ErrHalted. Step is a
+// thin wrapper over exec, the interpreter RunContext also runs.
 func (c *CPU) Step() (Retired, error) {
 	if c.halted {
 		return Retired{}, ErrHalted
 	}
-	in, err := c.fetch()
-	if err != nil {
+	var r Retired
+	if err := c.exec(&r); err != nil {
 		return Retired{}, err
 	}
+	return r, nil
+}
+
+// exec is the interpreter: it executes the instruction at PC and
+// writes its retirement record into *r in place, so a run loop moves
+// no record through return values. Callers check halted first. On a
+// fault the CPU halts, the instruction does not retire, and *r is
+// unspecified.
+func (c *CPU) exec(r *Retired) error {
 	pc := c.PC
+	i := uint(pc-c.prog.TextBase) >> 2
+	if pc%4 != 0 || i >= uint(len(c.text)) {
+		return c.fault("instruction fetch outside text segment")
+	}
+	in := &c.text[i]
 	next := pc + 4
-	ret := Retired{PC: pc, Op: in.Op, Ctrl: in.Op.Ctrl()}
+	*r = Retired{PC: pc, Op: in.Op, Ctrl: in.Op.Ctrl()}
 
 	rs := c.Regs[in.Rs]
 	rt := c.Regs[in.Rt]
@@ -276,38 +289,38 @@ func (c *CPU) Step() (Retired, error) {
 		addr := rs + uint32(in.Imm)
 		v, err := c.loadWord(addr)
 		if err != nil {
-			return Retired{}, err
+			return err
 		}
 		c.setReg(in.Rt, v)
-		ret.Mem, ret.MemAddr = MemLoad, addr
+		r.Mem, r.MemAddr = MemLoad, addr
 	case isa.LB:
 		addr := rs + uint32(in.Imm)
 		v, err := c.loadByte(addr)
 		if err != nil {
-			return Retired{}, err
+			return err
 		}
 		c.setReg(in.Rt, uint32(int32(int8(v))))
-		ret.Mem, ret.MemAddr = MemLoad, addr
+		r.Mem, r.MemAddr = MemLoad, addr
 	case isa.LBU:
 		addr := rs + uint32(in.Imm)
 		v, err := c.loadByte(addr)
 		if err != nil {
-			return Retired{}, err
+			return err
 		}
 		c.setReg(in.Rt, uint32(v))
-		ret.Mem, ret.MemAddr = MemLoad, addr
+		r.Mem, r.MemAddr = MemLoad, addr
 	case isa.SW:
 		addr := rs + uint32(in.Imm)
 		if err := c.storeWord(addr, rt); err != nil {
-			return Retired{}, err
+			return err
 		}
-		ret.Mem, ret.MemAddr = MemStore, addr
+		r.Mem, r.MemAddr = MemStore, addr
 	case isa.SB:
 		addr := rs + uint32(in.Imm)
 		if err := c.storeByte(addr, byte(rt)); err != nil {
-			return Retired{}, err
+			return err
 		}
-		ret.Mem, ret.MemAddr = MemStore, addr
+		r.Mem, r.MemAddr = MemStore, addr
 
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 		var taken bool
@@ -325,7 +338,7 @@ func (c *CPU) Step() (Retired, error) {
 		case isa.BGEU:
 			taken = rs >= rt
 		}
-		ret.Taken = taken
+		r.Taken = taken
 		if taken {
 			next = in.BranchTarget(pc)
 		}
@@ -350,13 +363,13 @@ func (c *CPU) Step() (Retired, error) {
 	case isa.NOP:
 		// nothing
 	default:
-		return Retired{}, c.fault("unimplemented opcode %v", in.Op)
+		return c.fault("unimplemented opcode %v", in.Op)
 	}
 
 	c.PC = next
 	c.InstrCount++
-	ret.NextPC = next
-	return ret, nil
+	r.NextPC = next
+	return nil
 }
 
 // Run executes up to limit instructions (0 = no limit), invoking visit
@@ -379,6 +392,7 @@ const watchdogStride = 4096
 // deadline on a runaway (or merely oversized) workload without leaking
 // the goroutine that runs it.
 func (c *CPU) RunContext(ctx context.Context, limit uint64, visit func(Retired)) error {
+	var r Retired
 	check := uint64(0) // instructions until the next watchdog poll
 	for limit == 0 || c.InstrCount < limit {
 		if ctx != nil && check == 0 {
@@ -388,11 +402,10 @@ func (c *CPU) RunContext(ctx context.Context, limit uint64, visit func(Retired))
 			check = watchdogStride
 		}
 		check--
-		r, err := c.Step()
-		if err != nil {
-			if errors.Is(err, ErrHalted) {
-				return nil
-			}
+		if c.halted {
+			return nil // halted before this call
+		}
+		if err := c.exec(&r); err != nil {
 			return err
 		}
 		if visit != nil {

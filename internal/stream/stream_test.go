@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -356,5 +357,31 @@ func TestCacheKeying(t *testing.T) {
 	}
 	if a2 == a {
 		t.Fatal("reset did not drop stored stream")
+	}
+}
+
+// TestSizeBytes: SizeBytes is the arrays' capacity times their element
+// sizes (40-byte records, 12-byte branches, 8-byte memory references).
+// A capture's arrays are exact-length, so it holds no slack; a decoded
+// stream counts whatever slack its arrays grew.
+func TestSizeBytes(t *testing.T) {
+	s := captureForTest(t, "go")
+	if cap(s.recs) != len(s.recs) || cap(s.branches) != len(s.branches) || cap(s.mems) != len(s.mems) {
+		t.Errorf("capture holds slack: recs %d/%d, branches %d/%d, mems %d/%d",
+			len(s.recs), cap(s.recs), len(s.branches), cap(s.branches), len(s.mems), cap(s.mems))
+	}
+	var buf bytes.Buffer
+	if err := s.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Stream{"captured": s, "decoded": d} {
+		want := 40*int64(cap(st.recs)) + 12*int64(cap(st.branches)) + 8*int64(cap(st.mems))
+		if got := st.SizeBytes(); got != want {
+			t.Errorf("%s: SizeBytes = %d, want %d", name, got, want)
+		}
 	}
 }
