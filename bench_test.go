@@ -184,7 +184,7 @@ const captureLimit = 2_000_000
 // alloc-B/stream-B is the bytes allocated per byte of the finished
 // stream (Stream.SizeBytes): the simulator's memory image, the capture
 // chunks and the final arrays. CI fails it above 3; a recording that
-// regrows its arrays by append costs about 6.
+// regrows its arrays by append costs about 5.4.
 func BenchmarkCapture(b *testing.B) {
 	for _, name := range []string{"compress", "gcc", "go", "jpeg", "mksim", "xlisp"} {
 		b.Run(name, func(b *testing.B) {

@@ -36,7 +36,7 @@ func runAll(c *CPU) ([]Retired, error) {
 	return recs, err
 }
 
-// TestStepMatchesRun: Step and RunContext are two drivers of one
+// TestStepMatchesRun: Step and RunContext are two loops over one
 // interpreter, so stepping a program to ErrHalted yields exactly the
 // records, output and instruction count that RunContext's visit
 // callback sees.
@@ -102,7 +102,7 @@ g:      jr  t6
 }
 
 // TestStepMatchesRunOnFault: a faulting instruction returns an equal
-// *Fault from both drivers, retires nothing, and is never visited.
+// *Fault from Step and RunContext, retires nothing, and is never visited.
 func TestStepMatchesRunOnFault(t *testing.T) {
 	cases := map[string]string{
 		"jump outside text":    "main: li t0, 0x500000\nout t0\njr t0",
