@@ -93,8 +93,8 @@ func TestBackendSaveRestoreRoundTrip(t *testing.T) {
 }
 
 // FuzzStateRestore feeds hostile state bytes to the Restore hook of
-// every snapshottable backend; the leading input byte picks the
-// backend. Restore must not panic, must allocate no more than the
+// every snapshottable backend, and of a hybrid at its widest lanes; the
+// leading input byte picks the target. Restore must not panic, must allocate no more than the
 // input and the fixed config warrant, and an accepted state must
 // re-save to a byte-identical fixed point.
 func FuzzStateRestore(f *testing.F) {
@@ -104,7 +104,11 @@ func FuzzStateRestore(f *testing.F) {
 		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true},
 		"tage":        {Backend: "tage", Depth: 7, IndexBits: 10},
 	}
-	var backends []Backend
+	type target struct {
+		b   Backend
+		cfg Config
+	}
+	var targets []target
 	for _, b := range Backends() {
 		if !b.Snapshottable() {
 			continue
@@ -122,9 +126,13 @@ func FuzzStateRestore(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(append([]byte{byte(len(backends))}, state...))
-		backends = append(backends, b)
+		f.Add(append([]byte{byte(len(targets))}, state...))
+		targets = append(targets, target{b, cfg})
 	}
+	// The hybrid at its widest lanes, seeded with entries at every
+	// lane's edge.
+	f.Add(append([]byte{byte(len(targets))}, laneState(f)...))
+	targets = append(targets, target{mustBackend(f, laneConfig), laneConfig})
 	f.Add([]byte{})
 	f.Add([]byte{0})
 
@@ -132,8 +140,8 @@ func FuzzStateRestore(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		b := backends[int(data[0])%len(backends)]
-		cfg := configs[b.Name]
+		tg := targets[int(data[0])%len(targets)]
+		b, cfg := tg.b, tg.cfg
 		p, err := b.Restore(data[1:], cfg)
 		if err != nil {
 			return

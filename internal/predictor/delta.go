@@ -99,8 +99,8 @@ func paperMark(p NextTracePredictor) error {
 		return nil
 	}
 	t.chg = &changeSet{
-		corr: slotSet{bits: make([]uint64, (len(t.corrMeta)+63)/64)},
-		sec:  slotSet{bits: make([]uint64, (len(t.secMeta)+63)/64)},
+		corr: slotSet{bits: make([]uint64, (len(t.corr)+63)/64)},
+		sec:  slotSet{bits: make([]uint64, (len(t.sec)+63)/64)},
 	}
 	return nil
 }
@@ -129,7 +129,7 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 	at, n := len(b), 0
 	b = le.AppendUint32(b, 0)
 	for _, i := range c.corr.list {
-		if t.corrMeta[i]&entValid != 0 {
+		if t.corr[i].w&entValid != 0 {
 			b = t.appendCorr(b, int(i))
 			n++
 		}
@@ -138,7 +138,7 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 	at, n = len(b), 0
 	b = le.AppendUint32(b, 0)
 	for _, i := range c.sec.list {
-		if t.secMeta[i]&entValid != 0 {
+		if t.sec[i]&entValid != 0 {
 			b = t.appendSec(b, int(i))
 			n++
 		}

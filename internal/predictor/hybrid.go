@@ -27,29 +27,23 @@ import (
 //
 // # Table layout
 //
-// The tables are stored struct-of-arrays: per entry, the small fields
-// (tag, counter, valid/alt-valid flags) pack into one 32-bit meta word
-// and the stored identifiers live in flat uint64 slices. A lookup or
-// update round touches corrMeta+corrVal (+corrAlt only when an
-// alternate exists) and secMeta+secVal — at most four cache lines of
-// table data, with no pointer chasing and no padding, versus the 32-byte
-// padded per-entry structs this replaced. The batched round loops
-// (PredictBatch/UpdateBatch) sweep these flat slices directly.
+// Each table entry is packed into machine words (see the ent*
+// constants): a correlated entry is one corrEntry, a 16-byte pair of
+// the packed word w (value, flags, counter and tag) and the alternate
+// identifier; a secondary entry is one packed uint64 of value, valid
+// flag and counter. Four correlated entries share a cache line, so a
+// lookup or update round touches one line per table — two in all —
+// with no pointer chasing and no padding, and a read-modify-write of
+// one word per table. The default serving geometry (2^16 correlated and
+// 2^10 secondary entries) holds 1 MiB + 8 KiB of tables. The batched
+// round loops (PredictBatch/UpdateBatch) sweep these slices directly.
 type Hybrid struct {
 	cfg  Config
 	hist history.Reg
 	rhs  *history.ReturnStack // nil when RHS disabled
 
-	// Correlated table, struct-of-arrays. corrMeta packs
-	// tag<<16 | ctr<<8 | flags (see entValid/entAltValid).
-	corrMeta []uint32
-	corrVal  []uint64
-	corrAlt  []uint64
-
-	// Secondary table, nil in a basic predictor. secMeta packs
-	// ctr<<8 | flags.
-	secMeta []uint16
-	secVal  []uint64
+	corr []corrEntry // correlated table
+	sec  []uint64    // secondary table, nil in a basic predictor
 
 	stats     Stats
 	tok       Token
@@ -65,11 +59,43 @@ type Hybrid struct {
 	chg *changeSet
 }
 
-// Packed-entry flag bits, shared by both tables.
+// corrEntry is one correlated-table entry: the packed word w and the
+// alternate identifier, which only an entry with entAltValid set
+// predicts.
+type corrEntry struct {
+	w, alt uint64
+}
+
+// Packed-entry lanes, shared by both tables' words. The value lane
+// holds a stored identifier (valBits ≤ trace.IDBits wide); counters
+// are at most 8 bits and tags at most 16 (Config.withDefaults), so
+// every lane fits. A secondary word never sets entAltValid or a tag.
+//
+//	bits  0–35  stored value
+//	bit   36    valid
+//	bit   37    alternate valid
+//	bits 40–47  counter
+//	bits 48–63  tag
 const (
-	entValid    = 1 << 0
-	entAltValid = 1 << 1
+	entValMask  = 1<<trace.IDBits - 1
+	entValid    = 1 << trace.IDBits
+	entAltValid = entValid << 1
+	entCtrShift = 40
+	entCtrMask  = 0xff << entCtrShift
+	entTagShift = 48
 )
+
+// The flag bits end below the counter lane, or this constant is
+// negative and does not compile.
+const _ = uint(entCtrShift - (trace.IDBits + 2))
+
+func entCtr(w uint64) uint8  { return uint8(w >> entCtrShift) }
+func entTag(w uint64) uint16 { return uint16(w >> entTagShift) }
+
+// withCtr returns w with its counter lane set to ctr.
+func withCtr(w uint64, ctr uint8) uint64 {
+	return w&^entCtrMask | uint64(ctr)<<entCtrShift
+}
 
 // Token captures everything a Lookup decided, so the matching update
 // can be applied later (possibly much later, under delayed updates).
@@ -93,9 +119,7 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 	p := &Hybrid{
 		cfg:       cfg,
 		hist:      h,
-		corrMeta:  make([]uint32, 1<<cfg.IndexBits),
-		corrVal:   make([]uint64, 1<<cfg.IndexBits),
-		corrAlt:   make([]uint64, 1<<cfg.IndexBits),
+		corr:      make([]corrEntry, 1<<cfg.IndexBits),
 		secFilter: *cfg.SecondaryFilter,
 		ctrMaxC:   ctrMax(cfg.CounterBits),
 		ctrMaxS:   ctrMax(cfg.SecCounterBits),
@@ -103,8 +127,7 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 	// A basic predictor builds none of the hybrid parts; their geometry
 	// stays in cfg, where the state codec carries it.
 	if cfg.Hybrid {
-		p.secMeta = make([]uint16, 1<<cfg.SecondaryBits)
-		p.secVal = make([]uint64, 1<<cfg.SecondaryBits)
+		p.sec = make([]uint64, 1<<cfg.SecondaryBits)
 		p.tagMask = uint32(1)<<cfg.TagBits - 1
 		p.secMask = uint32(1)<<cfg.SecondaryBits - 1
 		if cfg.UseRHS {
@@ -126,45 +149,56 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 // the secondary-filter early return — so the injection streams consume
 // the same draws in every configuration and at every rate. A basic
 // predictor draws no secondary fault and, having no tags, passes zero
-// tag bits, so no fault lands on a tag. The XOR
-// masks land on the same logical bits as in the array-of-structs
-// layout: value and alternate words directly, tag and counter through
-// their lanes of the packed meta word (the flag bits are never
-// touched, exactly as the struct layout never flipped valid bits).
+// tag bits, so no fault lands on a tag.
 func (p *Hybrid) injectFaults() {
 	inj := p.cfg.Faults
 	tagBits := 0
-	if p.secMeta != nil {
+	if p.sec != nil {
 		tagBits = p.cfg.TagBits
 	}
-	if f := inj.CorrFault(len(p.corrMeta), p.cfg.valBits(), tagBits, p.cfg.CounterBits); f.Fire {
-		switch f.Slot {
-		case faults.SlotValue:
-			p.corrVal[f.Index] ^= f.Mask
-		case faults.SlotAlt:
-			p.corrAlt[f.Index] ^= f.Mask
-		case faults.SlotTag:
-			p.corrMeta[f.Index] ^= uint32(uint16(f.Mask)) << 16
-		case faults.SlotCounter:
-			p.corrMeta[f.Index] ^= uint32(uint8(f.Mask)) << 8
-		}
-		if p.chg != nil {
-			p.chg.corr.add(uint32(f.Index))
-		}
+	if f := inj.CorrFault(len(p.corr), p.cfg.valBits(), tagBits, p.cfg.CounterBits); f.Fire {
+		p.corrFault(f)
 	}
-	if p.secMeta == nil {
+	if p.sec == nil {
 		return
 	}
-	if f := inj.SecFault(len(p.secMeta), p.cfg.valBits(), p.cfg.SecCounterBits); f.Fire {
-		switch f.Slot {
-		case faults.SlotValue:
-			p.secVal[f.Index] ^= f.Mask
-		case faults.SlotCounter:
-			p.secMeta[f.Index] ^= uint16(uint8(f.Mask)) << 8
-		}
-		if p.chg != nil {
-			p.chg.sec.add(uint32(f.Index))
-		}
+	if f := inj.SecFault(len(p.sec), p.cfg.valBits(), p.cfg.SecCounterBits); f.Fire {
+		p.secFault(f)
+	}
+}
+
+// corrFault XORs a fault's mask into one lane of a correlated entry:
+// the value lane, the alternate word, or the tag or counter lane. Every
+// mask fits its field's width, so no fault reaches a flag bit or a
+// neighbouring lane.
+func (p *Hybrid) corrFault(f faults.TableFault) {
+	e := &p.corr[f.Index]
+	switch f.Slot {
+	case faults.SlotValue:
+		e.w ^= f.Mask & entValMask
+	case faults.SlotAlt:
+		e.alt ^= f.Mask
+	case faults.SlotTag:
+		e.w ^= uint64(uint16(f.Mask)) << entTagShift
+	case faults.SlotCounter:
+		e.w ^= uint64(uint8(f.Mask)) << entCtrShift
+	}
+	if p.chg != nil {
+		p.chg.corr.add(uint32(f.Index))
+	}
+}
+
+// secFault XORs a fault's mask into the value or counter lane of a
+// secondary entry.
+func (p *Hybrid) secFault(f faults.TableFault) {
+	switch f.Slot {
+	case faults.SlotValue:
+		p.sec[f.Index] ^= f.Mask & entValMask
+	case faults.SlotCounter:
+		p.sec[f.Index] ^= uint64(uint8(f.Mask)) << entCtrShift
+	}
+	if p.chg != nil {
+		p.chg.sec.add(uint32(f.Index))
 	}
 }
 
@@ -192,15 +226,16 @@ func (p *Hybrid) lookupInto(tok *Token) {
 		SecIdx:  h0 & p.secMask,
 		Tag:     uint16(h0 & p.tagMask),
 	}
-	if p.secMeta != nil {
-		sm := p.secMeta[tok.SecIdx]
-		tok.secValid = sm&entValid != 0
-		tok.secPredVal = p.secVal[tok.SecIdx]
-		tok.secSaturated = tok.secValid && int(sm>>8) == p.ctrMaxS
+	if p.sec != nil {
+		sw := p.sec[tok.SecIdx]
+		tok.secValid = sw&entValid != 0
+		tok.secPredVal = sw & entValMask
+		tok.secSaturated = tok.secValid && int(entCtr(sw)) == p.ctrMaxS
 	}
 
-	cm := p.corrMeta[idx]
-	useSecondary := tok.secSaturated || !(cm&entValid != 0 && uint16(cm>>16) == tok.Tag)
+	e := &p.corr[idx]
+	w := e.w
+	useSecondary := tok.secSaturated || !(w&entValid != 0 && entTag(w) == tok.Tag)
 	if useSecondary {
 		if tok.secValid {
 			tok.Pred.Valid = true
@@ -209,13 +244,13 @@ func (p *Hybrid) lookupInto(tok *Token) {
 			tok.predVal = tok.secPredVal
 		}
 	} else {
-		val := p.corrVal[idx]
+		val := w & entValMask
 		tok.Pred.Valid = true
 		p.cfg.present(&tok.Pred, val)
 		tok.predVal = val
-		if cm&entAltValid != 0 {
+		if w&entAltValid != 0 {
 			tok.Pred.AltValid = true
-			tok.altVal = p.corrAlt[idx]
+			tok.altVal = e.alt
 			if !p.cfg.CostReduced {
 				tok.Pred.Alt = trace.ID(tok.altVal)
 			}
@@ -268,24 +303,24 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 	}
 
 	// Secondary table update.
-	if p.secMeta != nil {
-		si := tok.SecIdx
-		sm := p.secMeta[si]
+	if p.sec != nil {
+		sw := &p.sec[tok.SecIdx]
+		w := *sw
 		switch {
-		case sm&entValid == 0:
-			p.secVal[si] = actualVal
-			p.secMeta[si] = entValid
-		case p.secVal[si] == actualVal:
-			p.secMeta[si] = uint16(satInc(uint8(sm>>8), 1, p.ctrMaxS))<<8 | sm&0xff
-		case sm>>8 == 0:
-			p.secVal[si] = actualVal
+		case w&entValid == 0:
+			w = actualVal | entValid
+		case w&entValMask == actualVal:
+			w = withCtr(w, satInc(entCtr(w), 1, p.ctrMaxS))
+		case w&entCtrMask == 0:
+			w = w&^entValMask | actualVal
 			ev |= EvReplaced
 		default:
-			p.secMeta[si] = uint16(satDec(uint8(sm>>8), p.cfg.SecCounterDec))<<8 | sm&0xff
+			w = withCtr(w, satDec(entCtr(w), p.cfg.SecCounterDec))
 		}
 		if p.cfg.Faults.StuckZero() {
-			p.secMeta[si] &= 0xff
+			w &^= entCtrMask
 		}
+		*sw = w
 	}
 
 	// Correlated table update — filtered when a saturated secondary was
@@ -296,38 +331,35 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 		}
 		return false
 	}
-	ci := tok.CorrIdx
-	cm := p.corrMeta[ci]
+	e := &p.corr[tok.CorrIdx]
+	w := e.w
 	switch {
-	case cm&entValid == 0 || uint16(cm>>16) != tok.Tag:
-		if cm&entValid != 0 {
+	case w&entValid == 0 || entTag(w) != tok.Tag:
+		if w&entValid != 0 {
 			ev |= EvReplaced
 		}
-		p.corrMeta[ci] = uint32(tok.Tag)<<16 | entValid
-		p.corrVal[ci] = actualVal
-		if p.secMeta != nil {
+		w = uint64(tok.Tag)<<entTagShift | entValid | actualVal
+		if p.sec != nil {
 			// A fresh tagged entry starts with no alternate. A fresh
 			// basic entry keeps its alternate word, which a fault may
 			// have flipped while the slot was empty: saved basic states
 			// carry that word (see TestPaperStateBytesPinned).
-			p.corrAlt[ci] = 0
+			e.alt = 0
 		}
-	case p.corrVal[ci] == actualVal:
-		ctr := satInc(uint8(cm>>8), p.cfg.CounterInc, p.ctrMaxC)
-		p.corrMeta[ci] = cm&^uint32(0xff00) | uint32(ctr)<<8
-	case uint8(cm>>8) == 0:
-		p.corrAlt[ci] = p.corrVal[ci]
-		p.corrVal[ci] = actualVal
-		p.corrMeta[ci] = cm | entAltValid
+	case w&entValMask == actualVal:
+		w = withCtr(w, satInc(entCtr(w), p.cfg.CounterInc, p.ctrMaxC))
+	case w&entCtrMask == 0:
+		e.alt = w & entValMask
+		w = w&^entValMask | actualVal | entAltValid
 		ev |= EvReplaced
 	default:
-		ctr := satDec(uint8(cm>>8), p.cfg.CounterDec)
-		p.corrMeta[ci] = cm&^uint32(0xff00) | uint32(ctr)<<8 | entAltValid
-		p.corrAlt[ci] = actualVal
+		w = withCtr(w, satDec(entCtr(w), p.cfg.CounterDec)) | entAltValid
+		e.alt = actualVal
 	}
 	if p.cfg.Faults.StuckZero() {
-		p.corrMeta[ci] &^= 0xff00
+		w &^= entCtrMask
 	}
+	e.w = w
 	if p.cfg.Recorder != nil {
 		p.cfg.Recorder.Record(ev)
 	}
@@ -414,12 +446,15 @@ func (cfg *Config) valBits() int {
 }
 
 // storedVal converts a trace to the value representation the tables
-// store: the full identifier, or its hash when cost-reduced.
+// store: the full identifier, or its hash when cost-reduced. An
+// identifier is cut to its trace.IDBits, the width of the value lane,
+// so an out-of-range ID (the wire carries 64 bits) cannot spill into
+// an entry's flags.
 func (cfg *Config) storedVal(tr *trace.Trace) uint64 {
 	if cfg.CostReduced {
 		return uint64(tr.Hash)
 	}
-	return uint64(tr.ID)
+	return uint64(tr.ID) & entValMask
 }
 
 // present converts a stored value back into Prediction fields.

@@ -94,16 +94,6 @@ func (p *Hybrid) kind() uint8 {
 	return paperKindBasic
 }
 
-func countValid[M uint16 | uint32](meta []M) int {
-	n := 0
-	for _, m := range meta {
-		if m&entValid != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // mutable returns the state's flag byte, the fault injector's state
 // (when one is attached) and the size of the mutable part: everything
 // between the geometry and the tables. Construction bounds every
@@ -177,21 +167,40 @@ func (p *Hybrid) appendMutable(b []byte, fs *faults.InjectorState) []byte {
 	return b
 }
 
+// validEntries counts the valid entries of each table.
+func (p *Hybrid) validEntries() (nCorr, nSec int) {
+	for i := range p.corr {
+		if p.corr[i].w&entValid != 0 {
+			nCorr++
+		}
+	}
+	for _, w := range p.sec {
+		if w&entValid != 0 {
+			nSec++
+		}
+	}
+	return nCorr, nSec
+}
+
 // appendCorr appends correlated entry i, which must be valid.
 func (p *Hybrid) appendCorr(b []byte, i int) []byte {
-	m := p.corrMeta[i]
+	e := &p.corr[i]
+	var altValid uint8
+	if e.w&entAltValid != 0 {
+		altValid = 1
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(i))
-	b = binary.LittleEndian.AppendUint16(b, uint16(m>>16))
-	b = binary.LittleEndian.AppendUint64(b, p.corrVal[i])
-	b = binary.LittleEndian.AppendUint64(b, p.corrAlt[i])
-	return append(b, uint8(m>>8), uint8(m&entAltValid)>>1)
+	b = binary.LittleEndian.AppendUint16(b, entTag(e.w))
+	b = binary.LittleEndian.AppendUint64(b, e.w&entValMask)
+	b = binary.LittleEndian.AppendUint64(b, e.alt)
+	return append(b, entCtr(e.w), altValid)
 }
 
 // appendSec appends secondary entry i, which must be valid.
 func (p *Hybrid) appendSec(b []byte, i int) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(i))
-	b = binary.LittleEndian.AppendUint64(b, p.secVal[i])
-	return append(b, uint8(p.secMeta[i]>>8))
+	b = binary.LittleEndian.AppendUint64(b, p.sec[i]&entValMask)
+	return append(b, entCtr(p.sec[i]))
 }
 
 // paperAppend is the paper backends' Append hook. It sizes the
@@ -206,7 +215,7 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
-	nCorr, nSec := countValid(t.corrMeta), countValid(t.secMeta)
+	nCorr, nSec := t.validEntries()
 	b = grow(b, paperHeadBytes+nMut+4+nCorr*paperCorrEntryBytes+4+nSec*paperSecEntryBytes)
 
 	cfg := &t.cfg
@@ -221,14 +230,14 @@ func paperAppend(b []byte, p NextTracePredictor) ([]byte, error) {
 	b = t.appendMutable(b, &fs)
 
 	b = le.AppendUint32(b, uint32(nCorr))
-	for i, m := range t.corrMeta {
-		if m&entValid != 0 {
+	for i := range t.corr {
+		if t.corr[i].w&entValid != 0 {
 			b = t.appendCorr(b, i)
 		}
 	}
 	b = le.AppendUint32(b, uint32(nSec))
-	for i, m := range t.secMeta {
-		if m&entValid != 0 {
+	for i, w := range t.sec {
+		if w&entValid != 0 {
 			b = t.appendSec(b, i)
 		}
 	}
@@ -281,14 +290,14 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 	corr, sec := paperChecks(kind, flags, &full)
 	n := r.count("correlated entries", paperCorrEntryBytes)
 	for i := 0; i < n && r.err == nil; i++ {
-		if idx, m, val, alt := r.corrEntry(&corr, full.Hybrid); r.err == nil {
-			p.corrMeta[idx], p.corrVal[idx], p.corrAlt[idx] = m, val, alt
+		if idx, e := r.corrEntry(&corr, full.Hybrid); r.err == nil {
+			p.corr[idx] = e
 		}
 	}
 	n = r.count("secondary entries", paperSecEntryBytes)
 	for i := 0; i < n && r.err == nil; i++ {
-		if idx, m, val := r.secEntry(&sec); r.err == nil {
-			p.secMeta[idx], p.secVal[idx] = m, val
+		if idx, w := r.secEntry(&sec); r.err == nil {
+			p.sec[idx] = w
 		}
 	}
 
@@ -603,8 +612,9 @@ func (r *stateReader) mutable(flags uint8, depth, rhsDepth int, build bool) (m p
 }
 
 // corrEntry reads one correlated entry, validated by c, and returns its
-// index and its fields in table form. Only hybrid tables keep the tag.
-func (r *stateReader) corrEntry(c *entryCheck, hybrid bool) (idx, m uint32, val, alt uint64) {
+// index and the entry in table form. Only hybrid tables keep the tag.
+// The check bounds the value to its lane, so packing cannot spill.
+func (r *stateReader) corrEntry(c *entryCheck, hybrid bool) (idx uint32, e corrEntry) {
 	idx, tag, val, alt, ctr, ef := r.u32(), r.u16(), r.u64(), r.u64(), r.u8(), r.u8()
 	if r.err == nil && ef > 1 {
 		r.fail("%s entry %d flag byte %d", c.what, idx, ef)
@@ -612,20 +622,21 @@ func (r *stateReader) corrEntry(c *entryCheck, hybrid bool) (idx, m uint32, val,
 	if r.err == nil {
 		r.err = c.check(idx, ctr, val, alt)
 	}
-	m = uint32(ctr)<<8 | entValid | uint32(ef)*entAltValid
+	e = corrEntry{w: withCtr(val|entValid|uint64(ef)*entAltValid, ctr), alt: alt}
 	if hybrid {
-		m |= uint32(tag) << 16
+		e.w |= uint64(tag) << entTagShift
 	}
-	return idx, m, val, alt
+	return idx, e
 }
 
-// secEntry reads one secondary entry, validated by c.
-func (r *stateReader) secEntry(c *entryCheck) (idx uint32, m uint16, val uint64) {
+// secEntry reads one secondary entry, validated by c, and returns its
+// index and packed word.
+func (r *stateReader) secEntry(c *entryCheck) (idx uint32, w uint64) {
 	idx, val, ctr := r.u32(), r.u64(), r.u8()
 	if r.err == nil {
 		r.err = c.check(idx, ctr, val)
 	}
-	return idx, uint16(ctr)<<8 | entValid, val
+	return idx, withCtr(val|entValid, ctr)
 }
 
 // injector reads a fault injector's plan and stream position.

@@ -98,17 +98,17 @@ func TestCounterReplaceOnZero(t *testing.T) {
 		p.Predict()
 		p.Update(a)
 	}
-	// ent reads the SoA table back into one comparable view.
+	// ent reads a packed entry back into one comparable view.
 	type ent struct {
 		valid, altValid bool
 		val, alt        uint64
 		ctr             uint8
 	}
 	at := func(i uint32) ent {
-		m := p.corrMeta[i]
+		e := p.corr[i]
 		return ent{
-			valid: m&entValid != 0, altValid: m&entAltValid != 0,
-			val: p.corrVal[i], alt: p.corrAlt[i], ctr: uint8(m >> 8),
+			valid: e.w&entValid != 0, altValid: e.w&entAltValid != 0,
+			val: e.w & entValMask, alt: e.alt, ctr: entCtr(e.w),
 		}
 	}
 	if e := at(idxA); !e.valid || e.val != uint64(a.ID) || e.ctr != 3 {
@@ -193,12 +193,7 @@ func TestSecondaryFilterSuppressesCorrelatedUpdate(t *testing.T) {
 				p.Update(t)
 			}
 		}
-		n := 0
-		for _, m := range p.corrMeta {
-			if m&entValid != 0 {
-				n++
-			}
-		}
+		n, _ := p.validEntries()
 		return n
 	}
 	withFilter := run(mk(true))

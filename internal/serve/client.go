@@ -45,12 +45,17 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // round-trip latency matters more than packet count
 	}
+	return newClient(conn), nil
+}
+
+// newClient speaks the protocol over conn.
+func newClient(conn net.Conn) *Client {
 	return &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 1<<16),
 		bw:   bufio.NewWriterSize(conn, 1<<16),
 		seqs: map[uint64]uint64{},
-	}, nil
+	}
 }
 
 // Close closes the connection.
@@ -240,6 +245,9 @@ func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace,
 	correct = le.Uint32(resp[8:])
 	if int(skipped)+int(applied) > len(traces) {
 		return 0, 0, 0, fmt.Errorf("%w: batch response covers %d+%d of %d traces", ErrFrame, skipped, applied, len(traces))
+	}
+	if correct > applied {
+		return 0, 0, 0, fmt.Errorf("%w: batch response has %d correct of %d applied", ErrFrame, correct, applied)
 	}
 	want := batchRespBytes
 	if op == OpPredictBatch {

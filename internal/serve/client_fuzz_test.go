@@ -1,0 +1,205 @@
+package serve
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+
+	"pathtrace/internal/predictor"
+	"pathtrace/internal/snapshot"
+	"pathtrace/internal/trace"
+)
+
+// scriptConn is the client end of a scripted server: reads return the
+// script's bytes, then EOF, and writes are discarded. The client only
+// reads and writes its connection (no op timeout is set).
+type scriptConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *scriptConn) Read(b []byte) (int, error)  { return c.r.Read(b) }
+func (c *scriptConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// recordConn tees everything a real server sends into rec.
+type recordConn struct {
+	net.Conn
+	rec bytes.Buffer
+}
+
+func (c *recordConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.rec.Write(b[:n])
+	return n, err
+}
+
+// Client ops the response fuzzer drives; the input's op byte picks one
+// (mod clientOps), and its high bit tags the client, so an OpHello
+// round trip comes first.
+const (
+	fuzzUpdate = iota
+	fuzzPredict
+	fuzzUpdateSeq
+	fuzzRefresh
+	fuzzStats
+	fuzzOpen
+	fuzzSnapshot
+	fuzzRestore
+	clientOps
+)
+
+// clientFuzzSession is the session every fuzzed op names.
+const clientFuzzSession = 7
+
+// clientFuzzRig holds what the fuzzed ops send: a batch of traces and
+// the frame a refreshed Held starts from, with its generation.
+type clientFuzzRig struct {
+	traces []trace.Trace
+	frame  []byte
+	gen    uint64
+}
+
+// run performs one op on c. preds and h receive what PredictBatch and
+// RefreshSnapshot write.
+func (rig *clientFuzzRig) run(c *Client, op uint8, n int, preds []predictor.Prediction, h *snapshot.Held) (skipped, applied, correct uint32, err error) {
+	if op&0x80 != 0 {
+		c.SetClientTag("fuzz")
+	}
+	batch := rig.traces[:n]
+	switch op % clientOps {
+	case fuzzUpdate:
+		return c.UpdateBatch(clientFuzzSession, batch)
+	case fuzzPredict:
+		return c.PredictBatch(clientFuzzSession, batch, preds)
+	case fuzzUpdateSeq:
+		return c.UpdateBatchSeq(clientFuzzSession, 5, batch)
+	case fuzzRefresh:
+		_, err = c.RefreshSnapshot(clientFuzzSession, rig.gen, h)
+	case fuzzStats:
+		_, err = c.Stats(clientFuzzSession)
+	case fuzzOpen:
+		_, _, err = c.Open(clientFuzzSession)
+	case fuzzSnapshot:
+		_, err = c.Snapshot(clientFuzzSession)
+	case fuzzRestore:
+		_, err = c.Restore(clientFuzzSession, rig.frame)
+	}
+	return 0, 0, 0, err
+}
+
+// newClientFuzzRig starts a real server, trains the fuzz session and
+// records one response stream per op as a seed: every op untagged,
+// Stats tagged, and a RefreshSnapshot answered with a delta against
+// the rig's frame.
+func newClientFuzzRig(f *testing.F) *clientFuzzRig {
+	srv, err := NewServer(Config{Addr: "127.0.0.1:0", Shards: 1,
+		Predictor: predictor.Config{Backend: "hybrid", Depth: 3, IndexBits: 10, UseRHS: true}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	rig := &clientFuzzRig{traces: make([]trace.Trace, 64)}
+	for i := range rig.traces {
+		id := trace.MakeID(0x1000+uint32(i%13)*4, uint8(i%5))
+		rig.traces[i] = trace.Trace{ID: id, Hash: id.Hash(), StartPC: id.StartPC()}
+	}
+	dial := func() (*Client, *recordConn) {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			f.Fatal(err)
+		}
+		rc := &recordConn{Conn: conn}
+		c := newClient(rc)
+		f.Cleanup(func() { c.Close() })
+		return c, rc
+	}
+	c, _ := dial()
+	var h snapshot.Held
+	if _, _, err := c.Open(clientFuzzSession); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, _, err := c.UpdateBatch(clientFuzzSession, rig.traces); err != nil {
+		f.Fatal(err)
+	}
+	if rig.gen, err = c.RefreshSnapshot(clientFuzzSession, 0, &h); err != nil {
+		f.Fatal(err)
+	}
+	rig.frame = bytes.Clone(h.Frame())
+	if _, _, _, err := c.UpdateBatch(clientFuzzSession, rig.traces[:16]); err != nil {
+		f.Fatal(err)
+	}
+
+	// The refresh seed goes first: it is the delta against rig.frame
+	// only while the session's tracked generation is still rig.gen.
+	preds := make([]predictor.Prediction, len(rig.traces))
+	for _, op := range []uint8{fuzzRefresh, fuzzUpdate, fuzzPredict, fuzzUpdateSeq, fuzzStats,
+		fuzzStats | 0x80, fuzzOpen, fuzzSnapshot, fuzzRestore} {
+		c, rc := dial()
+		h.Set(rig.frame)
+		if _, _, _, err := rig.run(c, op, 16, preds, &h); err != nil {
+			f.Fatalf("op %d: %v", op, err)
+		}
+		if op == fuzzRefresh && !snapshot.IsDelta(rc.rec.Bytes()[4+respHeaderBytes+snapGenBytes:]) {
+			f.Fatal("refresh seed is not a delta")
+		}
+		f.Add(op, uint8(16), bytes.Clone(rc.rec.Bytes()))
+	}
+	// Hostile shapes: a header that claims MaxFrame and sends nothing, a
+	// batch answer that covers more traces than were sent, and one that
+	// counts more correct than applied.
+	f.Add(uint8(fuzzSnapshot), uint8(0), le.AppendUint32(nil, MaxFrame))
+	over := func(skipped, applied, correct uint32) []byte {
+		b := le.AppendUint32(nil, respHeaderBytes+batchRespBytes)
+		b = append(b, OpUpdateBatch|respBit, 1, 0, 0, 0, StatusOK)
+		b = le.AppendUint32(b, skipped)
+		b = le.AppendUint32(b, applied)
+		return le.AppendUint32(b, correct)
+	}
+	f.Add(uint8(fuzzUpdate), uint8(4), over(2, 3, 0))
+	f.Add(uint8(fuzzUpdate), uint8(4), over(0, 2, 3))
+	return rig
+}
+
+// FuzzClientResponse feeds a scripted server's response stream to one
+// Client call: the batch ops, RefreshSnapshot (full frame or delta),
+// Stats, Open, Snapshot and Restore, optionally after an OpHello. The
+// client must not panic, must allocate at most 8 bytes per response
+// byte plus 256 KiB, and must fail any batch answer that covers more
+// traces than were sent or counts more correct than applied; a failed
+// call leaves the caller's predictions and held frame untouched.
+func FuzzClientResponse(f *testing.F) {
+	rig := newClientFuzzRig(f)
+	f.Fuzz(func(t *testing.T, op uint8, n uint8, resp []byte) {
+		sent := int(n) % (len(rig.traces) + 1)
+		preds := make([]predictor.Prediction, sent)
+		for i := range preds {
+			preds[i].Valid, preds[i].ID = true, trace.ID(i)
+		}
+		var h snapshot.Held
+		h.Set(rig.frame)
+		c := newClient(&scriptConn{r: bytes.NewReader(resp)})
+
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		skipped, applied, correct, err := rig.run(c, op, sent, preds, &h)
+		runtime.ReadMemStats(&m1)
+		if a, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(8*len(resp)+256<<10); a > limit {
+			t.Fatalf("op %d allocated %d bytes for a %d-byte response", op%clientOps, a, len(resp))
+		}
+
+		if err != nil && !bytes.Equal(h.Frame(), rig.frame) {
+			t.Fatalf("failed refresh (%v) changed the held frame", err)
+		}
+		if err == nil && (int(skipped)+int(applied) > sent || correct > applied) {
+			t.Fatalf("accepted answer of %d skipped, %d applied, %d correct for %d traces", skipped, applied, correct, sent)
+		}
+		for i := range preds {
+			written := err == nil && i >= int(skipped) && i < int(skipped+applied)
+			if !written && preds[i] != (predictor.Prediction{Valid: true, ID: trace.ID(i)}) {
+				t.Fatalf("prediction %d overwritten outside the applied range [%d, %d) (err %v)", i, skipped, skipped+applied, err)
+			}
+		}
+	})
+}

@@ -305,7 +305,9 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 // needed) and returns the payload slice. io.EOF is returned unwrapped
 // when the stream ends cleanly between frames. The header is read
 // through r's own buffer, so reading a frame allocates nothing once buf
-// fits.
+// fits. A buf too small for the payload is regrown in step with the
+// bytes that arrive (readGrowing), so a header that declares more than
+// its peer sends costs O(what was sent), not O(MaxFrame).
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
@@ -320,13 +322,35 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrFrame, n, MaxFrame)
 	}
 	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+		buf, err = readGrowing(r, int(n))
+	} else {
+		buf = buf[:n]
+		_, err = io.ReadFull(r, buf)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("%w: short payload: %v", ErrFrame, err)
 	}
 	return buf, nil
+}
+
+// frameChunk is the first allocation of a payload readGrowing reads.
+const frameChunk = 64 << 10
+
+// readGrowing reads an n-byte payload into a new buffer that starts at
+// frameChunk bytes and doubles only once full, up to exactly n. It
+// allocates under 4 bytes per byte read plus frameChunk.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, frameChunk))
+	for {
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil || len(buf) == n {
+			return buf, err
+		}
+		grown := make([]byte, len(buf), min(n, 2*cap(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // putTrace encodes the predictor-relevant fields of tr into buf

@@ -180,10 +180,10 @@ func MustNewPredictor(cfg PredictorConfig) Predictor { return predictor.MustNew(
 
 // PredictBatch runs one full Predict/Update round per trace of actuals
 // against p, bit-identically to the scalar loop: the paper backends
-// run a native struct-of-arrays batch sweep, other backends fall back
-// to scalar rounds. When preds is non-nil (at least len(actuals)
-// long), preds[i] receives the prediction made before actuals[i] was
-// revealed. Returns the batch's correct-prediction count.
+// run a native batch sweep over their packed tables, other backends
+// fall back to scalar rounds. When preds is non-nil (at least
+// len(actuals) long), preds[i] receives the prediction made before
+// actuals[i] was revealed. Returns the batch's correct-prediction count.
 func PredictBatch(p Predictor, actuals []Trace, preds []Prediction) uint64 {
 	return predictor.PredictBatch(p, actuals, preds)
 }
