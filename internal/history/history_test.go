@@ -412,3 +412,37 @@ func TestNewReturnStackValidation(t *testing.T) {
 		t.Error("depth 0 accepted")
 	}
 }
+
+// TestRHSObserveBoundedPushes checks that Observe, which pushes at most
+// max copies of the history per trace, leaves the stack exactly as one
+// push per net call would, for every net call count up to 3*max and
+// from an empty, a part-filled and a full stack.
+func TestRHSObserveBoundedPushes(t *testing.T) {
+	const max = 5
+	for _, filled := range []int{0, 2, max} {
+		for net := 0; net <= 3*max; net++ {
+			got, want := MustNewReturnStack(max), MustNewReturnStack(max)
+			for i := 0; i < filled; i++ {
+				old := MustNewReg(4)
+				old.Push(trace.HashedID(100 + i))
+				got.push(old)
+				want.push(old)
+			}
+			h := MustNewReg(4)
+			h.Push(7)
+			h.Push(8)
+			got.Observe(mkTrace(8, net, false), &h)
+			for i := 0; i < net; i++ {
+				want.push(h)
+			}
+			if len(got.stack) != len(want.stack) {
+				t.Fatalf("filled %d net %d: depth %d, want %d", filled, net, len(got.stack), len(want.stack))
+			}
+			for i := range want.stack {
+				if got.stack[i] != want.stack[i] {
+					t.Fatalf("filled %d net %d: entry %d = %+v, want %+v", filled, net, i, got.stack[i], want.stack[i])
+				}
+			}
+		}
+	}
+}

@@ -64,12 +64,15 @@ func keepEntries(histSize int) int { return SpliceKeep(histSize) }
 //     popped and spliced into the history.
 //
 // Pushing onto a full stack discards the deepest entry (hardware
-// behaviour); popping an empty stack leaves the history unchanged.
+// behaviour); popping an empty stack leaves the history unchanged. So
+// after max pushes the stack holds max copies of the history whatever
+// it held before, and a trace costs at most max pushes however many
+// calls it claims.
 func (s *ReturnStack) Observe(tr *trace.Trace, h *Reg) {
 	net := tr.NetCalls()
 	switch {
 	case net > 0:
-		for i := 0; i < net; i++ {
+		for i := 0; i < min(net, s.max); i++ {
 			s.push(*h)
 		}
 	case tr.EndsInRet && tr.Calls == 0:

@@ -304,7 +304,9 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 }
 
 // advance pushes the actual trace onto the full-ID path history and
-// applies the RHS actions.
+// applies the RHS actions. Like history.ReturnStack, a trace pushes at
+// most RHSDepth snapshots: more would only push out copies of the same
+// history.
 func (u *Unbounded) advance(tr *trace.Trace) {
 	copy(u.ids[1:u.size], u.ids[:u.size-1])
 	u.ids[0] = tr.ID
@@ -317,7 +319,7 @@ func (u *Unbounded) advance(tr *trace.Trace) {
 	net := tr.NetCalls()
 	switch {
 	case net > 0:
-		for i := 0; i < net; i++ {
+		for i := 0; i < min(net, u.cfg.RHSDepth); i++ {
 			if len(u.rhs) >= u.cfg.RHSDepth {
 				copy(u.rhs, u.rhs[1:])
 				u.rhs = u.rhs[:len(u.rhs)-1]

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"pathtrace/internal/predictor"
 	"pathtrace/internal/stream"
 	"pathtrace/internal/trace"
+	"pathtrace/internal/workload"
 )
 
 // streamTraces materialises the shared test stream into a flat slice.
@@ -383,5 +385,135 @@ func TestRetryClientOversizedBatchFailsFast(t *testing.T) {
 	cl := dialT(t, srv)
 	if _, _, _, err := cl.PredictBatch(session, make([]trace.Trace, 2), make([]predictor.Prediction, 1)); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("short preds: err = %v, want ErrBadRequest", err)
+	}
+}
+
+// writeCounter is a connection that counts what the client writes and
+// answers nothing.
+type writeCounter struct {
+	scriptConn
+	n int
+}
+
+func (c *writeCounter) Write(b []byte) (int, error) { c.n += len(b); return len(b), nil }
+
+// TestClientRefusesUnencodableTrace: a trace whose identifier or call
+// count does not fit its wire lane fails the batch with ErrBadRequest
+// before a byte is sent, and the session's sequence counter stays put.
+func TestClientRefusesUnencodableTrace(t *testing.T) {
+	good := trace.Trace{ID: trace.MakeID(0x40, 1)}
+	for name, bad := range map[string]trace.Trace{
+		"id wider than IDBits": {ID: 1 << trace.IDBits},
+		"negative calls":       {ID: good.ID, Calls: -1},
+		"calls past the lane":  {ID: good.ID, Calls: 1 << (64 - wireCallsShift)},
+	} {
+		conn := &writeCounter{scriptConn: scriptConn{r: bytes.NewReader(nil)}}
+		c := newClient(conn)
+		c.seqs[1] = 41
+		batch := []trace.Trace{good, bad, good}
+		if _, _, _, err := c.UpdateBatch(1, batch); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: UpdateBatch err = %v, want ErrBadRequest", name, err)
+		}
+		if _, _, _, err := c.PredictBatch(1, batch, nil); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: PredictBatch err = %v, want ErrBadRequest", name, err)
+		}
+		if _, _, _, err := c.UpdateBatchSeq(1, 5, batch); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: UpdateBatchSeq err = %v, want ErrBadRequest", name, err)
+		}
+		if conn.n != 0 || c.seqs[1] != 41 {
+			t.Errorf("%s: sent %d bytes, sequence counter %d (want 0 bytes, 41)", name, conn.n, c.seqs[1])
+		}
+	}
+}
+
+// maxWireCalls is the largest call count a wire trace carries.
+const maxWireCalls = 1<<(64-wireCallsShift) - 1
+
+// TestServedCallCountCostBounded sends one UpdateBatch of MaxBatch
+// traces, each claiming maxWireCalls calls, to a hybrid+RHS session of
+// the headline geometry. A trace pushes at most the RHS depth (16)
+// copies of the history, so the request must finish within 500 ms; on
+// a 2-vCPU host it takes under 10 ms, and under 100 ms with -race. With
+// one push per claimed call, 65535 calls per trace held the shard lock
+// for ≈8.6 s.
+func TestServedCallCountCostBounded(t *testing.T) {
+	srv := newTestServer(t, Config{Shards: 1})
+	cl := dialT(t, srv)
+	if _, _, err := cl.Open(1); err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]trace.Trace, MaxBatch)
+	for i := range traces {
+		id := trace.MakeID(0x1000+uint32(i%97)*4, uint8(i%3))
+		traces[i] = trace.Trace{ID: id, Hash: id.Hash(), Calls: maxWireCalls}
+	}
+	start := time.Now()
+	_, applied, _, err := cl.UpdateBatch(1, traces)
+	d := time.Since(start)
+	if err != nil || applied != MaxBatch {
+		t.Fatalf("UpdateBatch: applied %d, err %v", applied, err)
+	}
+	if d > 500*time.Millisecond {
+		t.Errorf("a batch of %d traces with %d calls each took %v, over the 500 ms bound", MaxBatch, maxWireCalls, d)
+	}
+	t.Logf("%d traces with %d calls each served in %v", MaxBatch, maxWireCalls, d)
+}
+
+// TestServedMatchesReplayAllWorkloads holds served == in-process replay,
+// every prediction and the final Stats, on each of the six benchmark
+// workloads for the hybrid, basic and cost-reduced backends. The wire
+// carries no hash, so this is also the check that the hash the server
+// derives is the one capture recorded.
+func TestServedMatchesReplayAllWorkloads(t *testing.T) {
+	for _, w := range workload.All() {
+		s, err := stream.Capture(nil, w, 200_000, trace.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := make([]trace.Trace, s.Len())
+		for i := range traces {
+			s.At(i, &traces[i])
+		}
+		for _, backend := range []string{"hybrid", "basic", "costreduced"} {
+			cfg := predictor.Config{Backend: backend, Depth: 7, IndexBits: 16, Hybrid: true, UseRHS: true}
+			b, err := predictor.ResolveBackend(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := b.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]predictor.Prediction, len(traces))
+			for i := range traces {
+				want[i] = ref.Predict()
+				ref.Update(&traces[i])
+			}
+
+			srv := newTestServer(t, Config{Shards: 1, Predictor: cfg})
+			cl := dialT(t, srv)
+			if _, _, err := cl.Open(1); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]predictor.Prediction, len(traces))
+			for off := 0; off < len(traces); off += 256 {
+				end := min(off+256, len(traces))
+				if _, _, _, err := cl.PredictBatch(1, traces[off:end], got[off:end]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: served prediction %d = %+v, in process %+v", w.Name, backend, i, got[i], want[i])
+				}
+			}
+			st, err := cl.Stats(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Session.Equal(ref.Stats()) {
+				t.Errorf("%s/%s: served stats %+v, in process %+v", w.Name, backend, st.Session, ref.Stats())
+			}
+		}
 	}
 }

@@ -217,8 +217,9 @@ func (c *Client) batchAuto(op uint8, session uint64, traces []trace.Trace, preds
 }
 
 // batchSeq encodes and runs one batch op. Must be called with c.mu
-// held. An oversized batch is ErrBadRequest before anything is sent:
-// no retry or reconnect can make it valid.
+// held. An oversized batch, or a trace the wire cannot carry, is
+// ErrBadRequest before anything is sent: no retry or reconnect can make
+// it valid.
 func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace, preds []predictor.Prediction) (skipped, applied, correct uint32, err error) {
 	if len(traces) > MaxBatch {
 		return 0, 0, 0, fmt.Errorf("%w: batch %d exceeds MaxBatch %d", ErrBadRequest, len(traces), MaxBatch)
@@ -231,7 +232,9 @@ func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace,
 	le.PutUint64(body, start)
 	le.PutUint32(body[8:], uint32(len(traces)))
 	for i := range traces {
-		putTrace(body[updateHeaderBytes+i*wireTraceBytes:], &traces[i])
+		if !putTrace(body[updateHeaderBytes+i*wireTraceBytes:], &traces[i]) {
+			return 0, 0, 0, fmt.Errorf("%w: trace %d (id %#x, %d calls) does not fit a wire trace", ErrBadRequest, i, uint64(traces[i].ID), traces[i].Calls)
+		}
 	}
 	resp, err := c.roundTrip(op, session, body)
 	if err != nil {
@@ -283,7 +286,7 @@ func (c *Client) Snapshot(session uint64) ([]byte, error) {
 // this server issued. The server answers with a delta when gen is the
 // last generation it issued for the session, and h merges it in place
 // at a cost of O(the delta); otherwise it answers with a full frame,
-// which replaces h. On any error h is left as it was.
+// which replaces h once it decodes. On any error h is left as it was.
 func (c *Client) RefreshSnapshot(session, gen uint64, h *snapshot.Held) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -298,6 +301,9 @@ func (c *Client) RefreshSnapshot(session, gen uint64, h *snapshot.Held) (uint64,
 	}
 	next, env := le.Uint64(body), body[snapGenBytes:]
 	if !snapshot.IsDelta(env) {
+		if _, err := snapshot.Decode(env); err != nil {
+			return gen, fmt.Errorf("%w: snapshot frame: %v", ErrFrame, err)
+		}
 		h.Set(env)
 		return next, nil
 	}

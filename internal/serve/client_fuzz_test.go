@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -159,7 +160,19 @@ func newClientFuzzRig(f *testing.F) *clientFuzzRig {
 	}
 	f.Add(uint8(fuzzUpdate), uint8(4), over(2, 3, 0))
 	f.Add(uint8(fuzzUpdate), uint8(4), over(0, 2, 3))
+	f.Add(uint8(fuzzRefresh), uint8(0), notAFrame())
 	return rig
+}
+
+// notAFrame is a scripted OpSnapshot answer to a client's first
+// request: OK, generation 9, and a full answer that is not a snapshot
+// frame.
+func notAFrame() []byte {
+	body := "not a frame"
+	b := le.AppendUint32(nil, uint32(respHeaderBytes+snapGenBytes+len(body)))
+	b = append(b, OpSnapshot|respBit, 1, 0, 0, 0, StatusOK)
+	b = le.AppendUint64(b, 9)
+	return append(b, body...)
 }
 
 // FuzzClientResponse feeds a scripted server's response stream to one
@@ -168,7 +181,9 @@ func newClientFuzzRig(f *testing.F) *clientFuzzRig {
 // client must not panic, must allocate at most 8 bytes per response
 // byte plus 256 KiB, and must fail any batch answer that covers more
 // traces than were sent or counts more correct than applied; a failed
-// call leaves the caller's predictions and held frame untouched.
+// call leaves the caller's predictions and held frame untouched, and
+// after a refresh it accepts, the held frame decodes (for a full
+// answer, that is the answer itself).
 func FuzzClientResponse(f *testing.F) {
 	rig := newClientFuzzRig(f)
 	f.Fuzz(func(t *testing.T, op uint8, n uint8, resp []byte) {
@@ -192,6 +207,11 @@ func FuzzClientResponse(f *testing.F) {
 		if err != nil && !bytes.Equal(h.Frame(), rig.frame) {
 			t.Fatalf("failed refresh (%v) changed the held frame", err)
 		}
+		if op%clientOps == fuzzRefresh && err == nil {
+			if _, derr := snapshot.Decode(h.Frame()); derr != nil {
+				t.Fatalf("accepted refresh left a held frame that does not decode: %v", derr)
+			}
+		}
 		if err == nil && (int(skipped)+int(applied) > sent || correct > applied) {
 			t.Fatalf("accepted answer of %d skipped, %d applied, %d correct for %d traces", skipped, applied, correct, sent)
 		}
@@ -202,4 +222,35 @@ func FuzzClientResponse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRefreshSnapshotRejectsCorruptFrame: a full answer that is not a
+// snapshot frame fails RefreshSnapshot with ErrFrame, and the caller
+// keeps its generation and its held frame.
+func TestRefreshSnapshotRejectsCorruptFrame(t *testing.T) {
+	b, ok := predictor.BackendByName("basic")
+	if !ok {
+		t.Fatal("no basic backend")
+	}
+	p, err := b.New(predictor.Config{Backend: "basic", Depth: 3, IndexBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := snapshot.AppendFrame(nil, clientFuzzSession, 3, b.Name, func(dst []byte) ([]byte, error) { return b.Append(dst, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h snapshot.Held
+	h.Set(good)
+	c := newClient(&scriptConn{r: bytes.NewReader(notAFrame())})
+	gen, err := c.RefreshSnapshot(clientFuzzSession, 5, &h)
+	if !errors.Is(err, ErrFrame) {
+		t.Errorf("err = %v, want ErrFrame", err)
+	}
+	if gen != 5 {
+		t.Errorf("generation %d after a refused answer, want 5", gen)
+	}
+	if !bytes.Equal(h.Frame(), good) {
+		t.Error("a refused answer replaced the held frame")
+	}
 }

@@ -41,7 +41,7 @@
 // full Predict/Update round per trace — the paper's immediate-update
 // regime — in a single frame and a single pass through the shard:
 //
-//	OpUpdateBatch  req:  u64 startSeq | u32 count | count * trace (24 bytes each)
+//	OpUpdateBatch  req:  u64 startSeq | u32 count | count * trace (8 bytes each)
 //	               resp: u32 skipped | u32 applied | u32 correct
 //	OpPredictBatch req:  u64 startSeq | u32 count | count * trace
 //	               resp: u32 skipped | u32 applied | u32 correct |
@@ -94,12 +94,20 @@
 // empty body always gets a bare full frame and leaves that tracking
 // alone; so do checkpoints and drain handoffs.
 //
-// A trace on the wire carries exactly the fields the predictor consumes
-// (identifier, hashed identifier, and the call/return metadata the
-// Return History Stack needs), 24 bytes each:
+// A trace on the wire is one little-endian u64 carrying exactly the
+// fields the predictor consumes: the identifier and the call/return
+// metadata the Return History Stack needs:
 //
-//	u64 id | u16 hash | u32 startPC | u32 nextPC |
-//	u16 len | u16 calls | u8 numBr | u8 flags (bit0 endsInRet, bit1 endsHalt)
+//	bits 0-35 id | bit 36 endsInRet | bits 37-63 calls
+//
+// The server derives the hashed identifier from the identifier (the
+// paper's fixed hash, §3.2), so no request can name a hash that
+// disagrees with its trace, and every word decodes to a trace a
+// session can save and restore. The client refuses, before sending, a
+// trace whose identifier exceeds 36 bits or whose call count is outside
+// [0, 2^27). A prediction still carries its hashed identifier: a
+// cost-reduced predictor predicts only the hash, so it cannot be
+// derived from the rest of the prediction.
 //
 // Responses carry a status byte; non-OK statuses map to the typed
 // errors ErrOverloaded, ErrDraining, ErrUnknownSession, ErrBadRequest,
@@ -275,7 +283,7 @@ const (
 	batchRespBytes    = 4 + 4 + 4 // skipped, applied, correct
 	openRespBytes     = 4 + 8     // shard, lastSeq
 	snapGenBytes      = 8         // OpSnapshot generation token
-	wireTraceBytes    = 24
+	wireTraceBytes    = 8
 	statsBytes        = 6 * 8
 )
 
@@ -353,39 +361,35 @@ func readGrowing(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// putTrace encodes the predictor-relevant fields of tr into buf
-// (wireTraceBytes long).
-func putTrace(buf []byte, tr *trace.Trace) {
-	le.PutUint64(buf[0:], uint64(tr.ID))
-	le.PutUint16(buf[8:], uint16(tr.Hash))
-	le.PutUint32(buf[10:], tr.StartPC)
-	le.PutUint32(buf[14:], tr.NextPC)
-	le.PutUint16(buf[18:], uint16(tr.Len))
-	le.PutUint16(buf[20:], uint16(tr.Calls))
-	buf[22] = uint8(tr.NumBr)
-	var flags uint8
+// Lanes of a wire trace above its trace.IDBits identifier bits (the
+// layout is in the package comment).
+const (
+	wireRetBit     = trace.IDBits
+	wireCallsShift = trace.IDBits + 1
+)
+
+// putTrace encodes tr into buf (wireTraceBytes long). It reports false,
+// writing nothing, when tr's identifier or call count does not fit its
+// lane.
+func putTrace(buf []byte, tr *trace.Trace) bool {
+	if tr.ID>>trace.IDBits != 0 || uint64(tr.Calls)>>(64-wireCallsShift) != 0 {
+		return false
+	}
+	w := uint64(tr.ID) | uint64(tr.Calls)<<wireCallsShift
 	if tr.EndsInRet {
-		flags |= 1
+		w |= 1 << wireRetBit
 	}
-	if tr.EndsHalt {
-		flags |= 2
-	}
-	buf[23] = flags
+	le.PutUint64(buf, w)
+	return true
 }
 
-// getTrace decodes one wire trace into dst, setting the wire fields in
-// place. Every other field (Branches, Mems) is left as it was: the
-// predictor does not consume them, and the wire format omits them.
+// getTrace decodes one wire trace into dst. Every word decodes: the
+// hash is derived from the identifier, and the fields the wire omits
+// are zero.
 func getTrace(buf []byte, dst *trace.Trace) {
-	dst.ID = trace.ID(le.Uint64(buf[0:]))
-	dst.Hash = trace.HashedID(le.Uint16(buf[8:]))
-	dst.StartPC = le.Uint32(buf[10:])
-	dst.NextPC = le.Uint32(buf[14:])
-	dst.Len = int(le.Uint16(buf[18:]))
-	dst.Calls = int(le.Uint16(buf[20:]))
-	dst.NumBr = int(buf[22])
-	dst.EndsInRet = buf[23]&1 != 0
-	dst.EndsHalt = buf[23]&2 != 0
+	w := le.Uint64(buf)
+	id := trace.ID(w & (1<<trace.IDBits - 1))
+	*dst = trace.Trace{ID: id, Hash: id.Hash(), Calls: int(w >> wireCallsShift), EndsInRet: w>>wireRetBit&1 != 0}
 }
 
 // putStats encodes predictor stats (6 u64 counters) into buf.

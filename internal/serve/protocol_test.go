@@ -14,23 +14,45 @@ import (
 )
 
 func TestTraceWireRoundTrip(t *testing.T) {
-	in := trace.Trace{
-		ID:        trace.MakeID(0x1234, 0x2b),
-		StartPC:   0x1234,
-		NextPC:    0x5678,
-		Len:       16,
-		NumBr:     5,
-		Calls:     2,
-		EndsInRet: true,
-		EndsHalt:  false,
+	id := trace.MakeID(0x1234, 0x2b)
+	for _, in := range []trace.Trace{
+		{ID: id, Hash: id.Hash(), Calls: 2, EndsInRet: true},
+		{ID: 1<<trace.IDBits - 1, Hash: trace.ID(1<<trace.IDBits - 1).Hash(), Calls: 1<<(64-wireCallsShift) - 1},
+		{},
+	} {
+		var buf [wireTraceBytes]byte
+		if !putTrace(buf[:], &in) {
+			t.Fatalf("putTrace refused %+v", in)
+		}
+		// The wire omits the hash: whatever the sender claims, the
+		// receiver derives it from the identifier.
+		claimed := in
+		claimed.Hash ^= 0x3ff
+		var again [wireTraceBytes]byte
+		putTrace(again[:], &claimed)
+		if again != buf {
+			t.Errorf("%+v: the claimed hash reached the wire", in)
+		}
+		out := trace.Trace{StartPC: 0x5678, Len: 16, NumBr: 5, EndsHalt: true}
+		getTrace(buf[:], &out)
+		if !reflect.DeepEqual(out, in) {
+			t.Errorf("round trip: got %+v, want %+v", out, in)
+		}
 	}
-	in.Hash = in.ID.Hash()
-	var buf [wireTraceBytes]byte
-	putTrace(buf[:], &in)
-	var out trace.Trace
-	getTrace(buf[:], &out)
-	if !reflect.DeepEqual(out, in) {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
+
+	// A trace the wire cannot carry is refused, and nothing is written.
+	for name, tr := range map[string]trace.Trace{
+		"id wider than IDBits": {ID: 1 << trace.IDBits},
+		"negative calls":       {ID: id, Calls: -1},
+		"calls past the lane":  {ID: id, Calls: 1 << (64 - wireCallsShift)},
+	} {
+		buf := [wireTraceBytes]byte{0xaa}
+		if putTrace(buf[:], &tr) {
+			t.Errorf("%s: putTrace accepted %+v", name, tr)
+		}
+		if buf != [wireTraceBytes]byte{0xaa} {
+			t.Errorf("%s: a refused trace wrote %x", name, buf)
+		}
 	}
 }
 

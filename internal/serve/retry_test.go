@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pathtrace/internal/snapshot"
 	"pathtrace/internal/trace"
 )
 
@@ -33,11 +34,17 @@ const (
 	snapUnknown           // answer StatusUnknownSession
 )
 
-// scriptSnap is the n'th snapshot body a scriptServer serves. The
+// scriptSnap is the n'th snapshot body a scriptServer serves: a frame
+// that decodes, around a state section no backend would restore. The
 // lengths cycle, so a client refreshing one buffer in place sees its
 // frame both grow and shrink.
 func scriptSnap(n int) []byte {
-	return append(fmt.Appendf(nil, "snap-%d|", n), bytes.Repeat([]byte{byte(n)}, 4096*(n%3))...)
+	state := append(fmt.Appendf(nil, "snap-%d|", n), bytes.Repeat([]byte{byte(n)}, 4096*(n%3))...)
+	frame, err := snapshot.AppendFrame(nil, 5, 0, "hybrid", func(b []byte) ([]byte, error) { return append(b, state...), nil })
+	if err != nil {
+		panic(err)
+	}
+	return frame
 }
 
 // scriptServer is a fake ntpd that answers every op with StatusOK and

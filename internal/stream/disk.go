@@ -157,7 +157,9 @@ func encodeRecord(buf []byte, r *record) {
 }
 
 // Decode reads a stream in the stream-file format, validating the magic
-// and checksum and the internal consistency of every record's offsets.
+// and checksum, the internal consistency of every record's offsets, and
+// that every record's identifier fits trace.IDBits and hashes to the
+// record's hash.
 func Decode(r io.Reader) (*Stream, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -245,6 +247,12 @@ func Decode(r io.Reader) (*Stream, error) {
 		rec.flags = buf[35]
 		if int(rec.brOff)+int(rec.numCtrl) > nBranches || int(rec.memOff)+int(rec.numMem) > nMems {
 			return nil, fmt.Errorf("%w: record %d offsets out of range", ErrCorrupt, i)
+		}
+		// A trace's hash is a function of its identifier; a stream
+		// that says otherwise would replay differently in process than
+		// served, where the hash is derived.
+		if rec.id>>trace.IDBits != 0 || rec.hash != rec.id.Hash() {
+			return nil, fmt.Errorf("%w: record %d id %#x with hash %#x", ErrCorrupt, i, uint64(rec.id), rec.hash)
 		}
 	}
 	s.branches = make([]trace.Branch, 0, minInt(nBranches, chunkElems))

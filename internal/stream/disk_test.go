@@ -92,6 +92,19 @@ func TestDiskCorruptionRejected(t *testing.T) {
 		out[i] ^= 0x40
 		return out
 	}
+	// An intact file whose record carries a hash its identifier does
+	// not hash to, or an identifier wider than trace.IDBits: replay
+	// would feed the predictor a history no served session sees.
+	withRecord := func(edit func(*record)) []byte {
+		bad := *s
+		bad.recs = append([]record(nil), s.recs...)
+		edit(&bad.recs[len(bad.recs)/2])
+		var buf bytes.Buffer
+		if err := bad.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	cases := map[string][]byte{
 		"bad magic":      flip(good, 0),
 		"v1 magic":       append([]byte("NTPSTRM1"), good[len(diskMagic):]...),
@@ -100,6 +113,8 @@ func TestDiskCorruptionRejected(t *testing.T) {
 		"flipped crc":    flip(good, len(good)-1),
 		"truncated":      good[:len(good)-5],
 		"empty":          nil,
+		"underived hash": withRecord(func(r *record) { r.hash ^= 1 }),
+		"wide id":        withRecord(func(r *record) { r.id |= 1 << trace.IDBits; r.hash = r.id.Hash() }),
 	}
 	for name, data := range cases {
 		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {

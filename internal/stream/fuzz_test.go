@@ -56,12 +56,16 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// A successfully decoded stream must be internally consistent:
-		// every record materialises without slicing out of range, and a
-		// re-encode must decode to the same stream (the format is
-		// canonical).
+		// every record materialises without slicing out of range, with
+		// an identifier that fits its lane and the hash the server
+		// derives from it, and a re-encode must decode to the same
+		// stream (the format is canonical).
 		var tr trace.Trace
 		for i := 0; i < decoded.Len(); i++ {
 			decoded.At(i, &tr)
+			if tr.ID>>trace.IDBits != 0 || tr.Hash != tr.ID.Hash() {
+				t.Fatalf("record %d decoded with id %#x and hash %#x", i, uint64(tr.ID), tr.Hash)
+			}
 		}
 		var re bytes.Buffer
 		if err := decoded.Encode(&re); err != nil {
