@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,12 +14,17 @@ import (
 )
 
 // benchRecord is one benchmarked unit in the BENCH_<date>.json output.
+// The predict-batch record also names the estimator its NsPerOp comes
+// from and the number of windows it was taken over; see
+// benchPredictBatch.
 type benchRecord struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	Windows     int     `json:"windows,omitempty"`
+	Estimator   string  `json:"estimator,omitempty"`
 }
 
 // benchFile is the full JSON document, with enough provenance to make
@@ -101,10 +108,11 @@ func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int
 // runBenchDiff is the CI regression gate: re-measure the headline
 // hot-path benchmark and compare against a committed BENCH_*.json
 // baseline. The gate rides on the predict-batch record — the batched
-// loop the serving layer actually runs — which is stable enough (0
-// allocs, pure CPU) to gate on across machines. The loop runs three
-// times and the best ns/op counts, so one scheduling hiccup cannot fail
-// the gate; any allocation fails it regardless of timing. Exit 1 =
+// loop the serving layer actually runs — which is pure CPU and
+// allocation-free, so it can be gated across runs on one kind of
+// host. Its ns/trace is the fastest tenth of many short windows (see
+// benchPredictBatch), which a loaded host disturbs least; any
+// allocation in the run fails the gate regardless of timing. Exit 1 =
 // regression, exit 2 = unusable baseline (including one without a
 // predict-batch record).
 func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
@@ -136,27 +144,36 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 		}
 	}
 
-	best := benchRecord{NsPerOp: -1}
-	for round := 0; round < 3; round++ {
-		rec, err := benchPredictBatch(limit)
+	// A round within the bound passes. One over it is measured again,
+	// up to three rounds, and the fastest counts: neighbours on a
+	// shared host can slow every window of a round, but a regression
+	// slows all three.
+	var rec benchRecord
+	var delta float64
+	for round := 1; round <= 3; round++ {
+		r, err := benchPredictBatch(limit)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ntp: benchdiff: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "ntp: benchdiff round %d: %12.0f ns/op %8d allocs/op\n",
-			round+1, rec.NsPerOp, rec.AllocsPerOp)
-		if best.NsPerOp < 0 || rec.NsPerOp < best.NsPerOp {
-			best = rec
+		fmt.Fprintf(os.Stderr, "ntp: benchdiff round %d: %.1f ns/op %d allocs/op\n", round, r.NsPerOp, r.AllocsPerOp)
+		if r.AllocsPerOp != 0 {
+			fmt.Printf("FAIL: %s allocates in its timed run (%d allocs/op rounded up, want 0)\n", name, r.AllocsPerOp)
+			return 1
+		}
+		if round == 1 || r.NsPerOp < rec.NsPerOp {
+			rec = r
+		}
+		if delta = 100 * (rec.NsPerOp - old.NsPerOp) / old.NsPerOp; delta <= maxRegressPct {
+			break
 		}
 	}
-
-	delta := 100 * (best.NsPerOp - old.NsPerOp) / old.NsPerOp
-	fmt.Printf("%s: baseline %.0f ns/op (%s), now %.0f ns/op, delta %+.1f%% (limit %.0f%%)\n",
-		name, old.NsPerOp, base.Date, best.NsPerOp, delta, maxRegressPct)
-	if best.AllocsPerOp != 0 {
-		fmt.Printf("FAIL: %s allocates (%d allocs/op, want 0)\n", name, best.AllocsPerOp)
-		return 1
+	if old.Estimator != rec.Estimator {
+		fmt.Fprintf(os.Stderr, "ntp: benchdiff: warning: baseline estimator %q, measuring %q; the two are not comparable\n",
+			old.Estimator, rec.Estimator)
 	}
+	fmt.Printf("%s: baseline %.1f ns/op (%s), now %.1f ns/op (%s), delta %+.1f%% (limit %.0f%%)\n",
+		name, old.NsPerOp, base.Date, rec.NsPerOp, rec.Estimator, delta, maxRegressPct)
 	if delta > maxRegressPct {
 		fmt.Printf("FAIL: %s regressed %.1f%% > %.0f%%\n", name, delta, maxRegressPct)
 		return 1
@@ -165,10 +182,25 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 	return 0
 }
 
+// The predict-batch estimator: the 1st-percentile ns/trace of
+// benchWindows windows of about benchWindow each (the 11th fastest).
+// Every window replays whole passes of one stream, so windows differ
+// only in what else the host ran meanwhile, and that only slows a
+// window: the fastest are the least disturbed. On a shared 2-vCPU host
+// neighbours slowed most windows by 60–70% for seconds at a time;
+// over ten 6 s runs the 10th percentile spread 62–108 ns and the 1st
+// 58–70.
+const (
+	benchWindow    = 2 * time.Millisecond
+	benchWindows   = 1000
+	benchEstimator = "p1-of-2ms-windows"
+)
+
 // benchPredictBatch measures the batched predict+update hot path at the
-// serving layer's default batch size (64). b.N counts traces, so ns/op
-// is per trace. This is the record the benchdiff gate rides on; it must
-// report zero allocations per operation.
+// serving layer's default batch size (64), in ns per trace by the
+// estimator above. AllocsPerOp and BytesPerOp count every window,
+// rounded up per trace, so they are 0 only when the timed run allocated
+// nothing at all. This is the record the benchdiff gate rides on.
 func benchPredictBatch(limit uint64) (benchRecord, error) {
 	const batch = 64
 	w, ok := pathtrace.WorkloadByName("go")
@@ -191,20 +223,58 @@ func benchPredictBatch(limit uint64) (benchRecord, error) {
 		Depth: 7, IndexBits: 16, Hybrid: true, UseRHS: true,
 	})
 	preds := make([]pathtrace.Prediction, batch)
-	pathtrace.PredictBatch(hybrid, traces[:batch], preds) // warm pass
 	wrap := n - batch
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i += batch {
-			off := i % wrap
+	off := 0
+	run := func(batches int) {
+		for range batches {
 			pathtrace.PredictBatch(hybrid, traces[off:off+batch], preds)
+			if off += batch; off >= wrap {
+				off = 0
+			}
 		}
-	})
+	}
+	nsPerTrace := make([]float64, benchWindows)
+	// Collect and return the capture's garbage now, so no sweep or
+	// scavenge left over from it allocates during the timed run.
+	debug.FreeOSMemory()
+
+	per := 1 // batches per window, doubled until a window takes benchWindow
+	for {
+		start := time.Now()
+		run(per)
+		if time.Since(start) >= benchWindow {
+			break
+		}
+		per *= 2
+	}
+	// Some of what the loop's first calls fill in lazily is filled on a
+	// random call: the runtime caches an interface type assertion's
+	// result on about one miss in a thousand. So warm it for ~50
+	// windows before the counted run.
+	run(50 * per)
+
+	// One P while counting: reading the counters stops and restarts the
+	// world, and a restart that wakes an idle P can start a thread,
+	// which allocates inside the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range nsPerTrace {
+		start := time.Now()
+		run(per)
+		nsPerTrace[i] = float64(time.Since(start).Nanoseconds()) / float64(per*batch)
+	}
+	runtime.ReadMemStats(&m1)
+	slices.Sort(nsPerTrace)
+	traced := int64(benchWindows * per * batch)
+	ceilDiv := func(a, b int64) int64 { return (a + b - 1) / b }
 	return benchRecord{
 		Name:        "predict-batch",
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
+		Iterations:  int(traced),
+		NsPerOp:     nsPerTrace[benchWindows/100],
+		AllocsPerOp: ceilDiv(int64(m1.Mallocs-m0.Mallocs), traced),
+		BytesPerOp:  ceilDiv(int64(m1.TotalAlloc-m0.TotalAlloc), traced),
+		Windows:     benchWindows,
+		Estimator:   benchEstimator,
 	}, nil
 }

@@ -32,7 +32,7 @@
 //	ntp -run table2 -memprofile mem.pprof
 //	ntp -bench
 //	ntp -bench -benchout BENCH_custom.json
-//	ntp -benchdiff BENCH_2026-08-08.json
+//	ntp -benchdiff BENCH_2026-10-19.json
 //	ntp -run all -nocache
 //	ntp -run all -streams .streams
 //	ntp -run all -metricsout metrics.prom
@@ -85,10 +85,11 @@
 // the testing package's benchmark driver and writes a BENCH_<date>.json
 // record of ns/op, allocs/op and B/op for regression tracking.
 // -benchdiff closes the loop: it re-measures the batched predict loop
-// (best of three) against the predict-batch record of a committed
-// BENCH_*.json baseline (BENCH_2026-08-08.json in CI) and exits
-// non-zero if ns/op regressed more than -benchmaxregress percent or
-// the hot path allocates — the CI bench-diff gate.
+// (the 1st-percentile ns/trace of many 2 ms windows) against the
+// predict-batch record of a committed BENCH_*.json baseline
+// (BENCH_2026-10-19.json in CI) and exits non-zero if ns/trace
+// regressed more than -benchmaxregress percent or the timed run
+// allocates — the CI bench-diff gate.
 //
 // All experiment output goes to stdout and is bit-for-bit reproducible
 // for a fixed flag set; timing goes to stderr.
@@ -130,7 +131,7 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		bench      = flag.Bool("bench", false, "benchmark the experiments instead of printing exhibits")
 		benchout   = flag.String("benchout", "", "benchmark JSON output path (default BENCH_<date>.json)")
-		benchdiff  = flag.String("benchdiff", "", "re-measure the batched predict loop and fail on regression vs the predict-batch record of this BENCH_*.json baseline (e.g. BENCH_2026-08-08.json)")
+		benchdiff  = flag.String("benchdiff", "", "re-measure the batched predict loop and fail on regression vs the predict-batch record of this BENCH_*.json baseline (e.g. BENCH_2026-10-19.json)")
 		maxRegress = flag.Float64("benchmaxregress", 15, "benchdiff: max tolerated ns/op regression, percent")
 		backend    = flag.String("backend", "", "predictor backend for the proposed-predictor arm (an unknown name lists the registry)")
 		metricsout = flag.String("metricsout", "", "write run metrics (Prometheus text) to this file at exit")

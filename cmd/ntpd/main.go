@@ -25,7 +25,7 @@
 //
 // The server hosts -shards predictor shards; sessions are hashed to
 // shards and every session owns a predictor built from the -depth /
-// -indexbits / -norhs / -backend flags. SIGINT/SIGTERM trigger a
+// -indexbits / -norhs / -backend flags. SIGINT/SIGTERM trigger a 10 s
 // graceful drain: in-flight requests finish, new ones are refused with
 // the draining status, then the process exits 0. The admin listener
 // (when -admin is set) serves /healthz, /limitz and /metrics
@@ -65,13 +65,12 @@
 // it to the -handoff peer (retrying with backoff, spilling to the
 // checkpoint dir on failure) so a planned restart loses nothing.
 // The loadgen's -failover flag exercises the client half: a retrying
-// client with per-op deadlines, reconnect backoff with jitter, an
-// address failover list (-failover-addrs), and snapshot-per-ack
-// session recovery, which keeps -verify bit-identical across a server
-// kill — including a kill -9 after which the server restarts from
-// checkpoints older than the client's acks: it refuses each session's
-// next batch as a sequence gap, and the client restores its own frame
-// and resends.
+// client of -addr with per-op deadlines, reconnect backoff with
+// jitter, and snapshot-per-ack session recovery, which keeps -verify
+// bit-identical across a server kill — including a kill -9 after which
+// the server restarts from checkpoints older than the client's acks: it
+// refuses each session's next batch as a sequence gap, and the client
+// restores its own frame and resends.
 //
 // Load generation:
 //
@@ -123,7 +122,6 @@ func run() int {
 		queue    = flag.Int("queue", 1024, "per-shard bound on requests waiting for the shard; one more is answered overloaded")
 		portfile = flag.String("portfile", "", "write the bound data-plane port to this file once listening")
 		adminPF  = flag.String("adminportfile", "", "write the bound admin port to this file once listening")
-		drainT   = flag.Duration("drain", 10*time.Second, "graceful drain deadline on SIGTERM")
 		ckptDir  = flag.String("checkpoint-dir", "", "persist session snapshots here and warm-restart from them")
 		ckptEach = flag.Duration("checkpoint-every", 2*time.Second, "periodic checkpoint sweep interval")
 		handoff  = flag.String("handoff", "", "peer ntpd address to stream live sessions to at drain")
@@ -152,7 +150,6 @@ func run() int {
 		verify     = flag.Bool("verify", false, "loadgen: require server stats bit-identical to an in-process replay")
 		sessBase   = flag.Uint64("sessionbase", 1, "loadgen: first session id (pick fresh ids when reusing a server)")
 		failover   = flag.Bool("failover", false, "loadgen: retrying client that rides out server restarts (snapshot-per-ack recovery)")
-		failAddrs  = flag.String("failover-addrs", "", "loadgen: comma-separated server list for -failover (default: -addr)")
 		clientTag  = flag.String("client", "", "loadgen: client tag announced to the server (admission-control identity)")
 	)
 	flag.Parse()
@@ -182,8 +179,7 @@ func run() int {
 			addr: *addr, streamPath: *streamPath, workload: *wl, length: *length,
 			conns: *conns, sessions: *sessions, batch: *batch, verify: *verify,
 			sessBase: *sessBase, pcfg: pcfg, fcfg: fcfg,
-			failover: *failover || *failAddrs != "", failAddrs: *failAddrs,
-			clientTag: *clientTag,
+			failover: *failover, clientTag: *clientTag,
 		})
 	}
 	if *clientTag != "" {
@@ -215,7 +211,7 @@ func run() int {
 		Predictor: pcfg, Faults: fcfg, Shadows: shadows,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEach, HandoffAddr: *handoff,
 		Limits: limits,
-	}, *portfile, *adminPF, *drainT, *limitsFile)
+	}, *portfile, *adminPF, *limitsFile)
 }
 
 // loadLimits reads admission limits from a JSON file, decoded and
@@ -233,7 +229,10 @@ func loadLimits(path string) (serve.Limits, error) {
 	return l, nil
 }
 
-func runServe(scfg serve.Config, portfile, adminPF string, drain time.Duration, limitsFile string) int {
+// drainDeadline bounds the graceful drain on SIGINT/SIGTERM.
+const drainDeadline = 10 * time.Second
+
+func runServe(scfg serve.Config, portfile, adminPF string, limitsFile string) int {
 	srv, err := serve.NewServer(scfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ntpd: %v\n", err)
@@ -284,8 +283,8 @@ func runServe(scfg serve.Config, portfile, adminPF string, drain time.Duration, 
 		srv.SetLimits(l)
 		fmt.Fprintf(os.Stderr, "ntpd: SIGHUP: limits reloaded from %s: %+v\n", limitsFile, srv.Limits())
 	}
-	fmt.Fprintf(os.Stderr, "ntpd: %v: draining (deadline %s)\n", got, drain)
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	fmt.Fprintf(os.Stderr, "ntpd: %v: draining (deadline %s)\n", got, drainDeadline)
+	ctx, cancel := context.WithTimeout(context.Background(), drainDeadline)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "ntpd: %v\n", err)
@@ -302,7 +301,6 @@ type loadgenArgs struct {
 	sessBase                   uint64
 	verify                     bool
 	failover                   bool
-	failAddrs                  string
 	clientTag                  string
 	pcfg                       predictor.Config
 	fcfg                       *faults.Config
@@ -349,11 +347,7 @@ func runLoadgen(a loadgenArgs) int {
 	if a.failover {
 		// Snapshot after every acked batch: recovery from a server kill
 		// is then exact, which is what -verify demands.
-		rcfg := serve.RetryConfig{SnapshotEvery: 1, Seed: 1}
-		if a.failAddrs != "" {
-			rcfg.Addrs = strings.Split(a.failAddrs, ",")
-		}
-		lcfg.Failover = &rcfg
+		lcfg.Failover = &serve.RetryConfig{SnapshotEvery: 1, Seed: 1}
 	}
 	rep, err := serve.RunLoadgen(context.Background(), lcfg)
 	if err != nil {

@@ -61,11 +61,14 @@ type Backend struct {
 	// the state section it is relative to and appends to plan the
 	// splices that turn that section into the current state; their
 	// literals alias delta or lits, scratch the caller keeps until it has
-	// applied the plan. It writes nothing else, so a rejected delta
-	// leaves the section untouched.
+	// applied the plan. x is the section's MergeIndex, which the caller
+	// keeps beside the section: MergeDelta builds it on first use and
+	// marks an accepted delta's new entries in it, so the caller must
+	// apply every plan it is given. Beyond that it writes nothing, so a
+	// rejected delta leaves the section and x as they were.
 	Mark        func(p NextTracePredictor) error
 	AppendDelta func(dst []byte, p NextTracePredictor) ([]byte, error)
-	MergeDelta  func(plan []Splice, lits *[MergeLits]byte, state, delta []byte) ([]Splice, error)
+	MergeDelta  func(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state, delta []byte) ([]Splice, error)
 }
 
 // Save returns a predictor's state section in a new slice.

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // This file is the incremental side of the paper state codec. A round
@@ -45,25 +45,31 @@ type Splice struct {
 // literals in: the paper backends' two new table counts.
 const MergeLits = 8
 
-// slotSet is a set of table slots: a bitmap for membership and a list
-// to walk and clear it in O(members).
-type slotSet struct {
-	bits []uint64
-	list []uint32
+// slotSet is a set of table slots, one bit each. It is walked in
+// ascending slot order, so a delta's entries come out sorted.
+type slotSet []uint64
+
+func (s slotSet) add(i uint32) { s[i>>6] |= 1 << (i & 63) }
+
+// len returns the number of slots in s.
+func (s slotSet) len() (n int) {
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
-func (s *slotSet) add(i uint32) {
-	if w, bit := i>>6, uint64(1)<<(i&63); s.bits[w]&bit == 0 {
-		s.bits[w] |= bit
-		s.list = append(s.list, i)
+// take calls f with each slot of s in ascending order and empties s.
+func (s slotSet) take(f func(i int)) {
+	for w, word := range s {
+		if word == 0 {
+			continue
+		}
+		s[w] = 0
+		for ; word != 0; word &= word - 1 {
+			f(w<<6 | bits.TrailingZeros64(word))
+		}
 	}
-}
-
-func (s *slotSet) reset() {
-	for _, i := range s.list {
-		s.bits[i>>6] = 0
-	}
-	s.list = s.list[:0]
 }
 
 // changeSet records the slots a paper predictor wrote since its last
@@ -79,7 +85,7 @@ type changeSet struct {
 // is a secondary table, and its correlated slot unless the secondary
 // filter skipped the write.
 func (c *changeSet) round(tok *Token, wroteCorr bool) {
-	if len(c.sec.bits) != 0 {
+	if len(c.sec) != 0 {
 		c.sec.add(tok.SecIdx)
 	}
 	if wroteCorr {
@@ -94,13 +100,13 @@ func paperMark(p NextTracePredictor) error {
 		return err
 	}
 	if c := t.chg; c != nil {
-		c.corr.reset()
-		c.sec.reset()
+		clear(c.corr)
+		clear(c.sec)
 		return nil
 	}
 	t.chg = &changeSet{
-		corr: slotSet{bits: make([]uint64, (len(t.corr)+63)/64)},
-		sec:  slotSet{bits: make([]uint64, (len(t.sec)+63)/64)},
+		corr: make(slotSet, (len(t.corr)+63)/64),
+		sec:  make(slotSet, (len(t.sec)+63)/64),
 	}
 	return nil
 }
@@ -119,59 +125,119 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
-	slices.Sort(c.corr.list)
-	slices.Sort(c.sec.list)
-	b = grow(b, 2+nMut+4+len(c.corr.list)*paperCorrEntryBytes+4+len(c.sec.list)*paperSecEntryBytes)
+	b = grow(b, 2+nMut+4+c.corr.len()*paperCorrEntryBytes+4+c.sec.len()*paperSecEntryBytes)
 	b = append(b, t.kind(), flags)
 	b = t.appendMutable(b, &fs)
 
 	le := binary.LittleEndian
 	at, n := len(b), 0
 	b = le.AppendUint32(b, 0)
-	for _, i := range c.corr.list {
+	c.corr.take(func(i int) {
 		if t.corr[i].w&entValid != 0 {
-			b = t.appendCorr(b, int(i))
+			b = t.appendCorr(b, i)
 			n++
 		}
-	}
+	})
 	le.PutUint32(b[at:], uint32(n))
 	at, n = len(b), 0
 	b = le.AppendUint32(b, 0)
-	for _, i := range c.sec.list {
+	c.sec.take(func(i int) {
 		if t.sec[i]&entValid != 0 {
-			b = t.appendSec(b, int(i))
+			b = t.appendSec(b, i)
 			n++
 		}
-	}
+	})
 	le.PutUint32(b[at:], uint32(n))
-	c.corr.reset()
-	c.sec.reset()
 	return b, nil
+}
+
+// A MergeIndex is what a holder of a state section keeps beside it so
+// MergeDelta places entries without searching the section: one
+// presence bitmap per table, a bit set for each slot the section holds
+// an entry of. A delta entry's place is its rank, the number of held
+// entries of a smaller index, counted off the bitmap. The zero
+// MergeIndex is unbuilt: MergeDelta builds it from the section on
+// first use, one bit per table slot, and keeps it current with each
+// plan it returns. Reset it whenever the section changes in any other
+// way.
+type MergeIndex struct {
+	corr, sec slotSet
+	built     bool
+}
+
+// Reset marks the index stale, to be rebuilt from the next section it
+// is merged against. It keeps the bitmaps' memory for that rebuild.
+func (x *MergeIndex) Reset() { x.built = false }
+
+// build sizes the bitmaps for tables of corrSize and secSize slots and
+// sets the bits of the held entries, which must ascend strictly and lie
+// in their tables. On failure the index stays unbuilt.
+func (x *MergeIndex) build(r *stateReader, corr []byte, corrSize int, sec []byte, secSize int) {
+	x.corr = presence(x.corr, corr, paperCorrEntryBytes, corrSize, "correlated", r)
+	x.sec = presence(x.sec, sec, paperSecEntryBytes, secSize, "secondary", r)
+	x.built = r.err == nil
+}
+
+// presence returns s, emptied and resized for a table of size slots,
+// holding the slots of the entries in held, entries of the given size
+// that lead with their u32 index. It fails r unless the indices ascend
+// strictly below size.
+func presence(s slotSet, held []byte, entry, size int, what string, r *stateReader) slotSet {
+	words := (size + 63) / 64
+	if cap(s) < words {
+		s = make(slotSet, words)
+	}
+	s = s[:words]
+	clear(s)
+	prev := -1
+	for off := 0; off < len(held) && r.err == nil; off += entry {
+		i := int(binary.LittleEndian.Uint32(held[off:]))
+		if i <= prev || i >= size {
+			r.fail("held %s index %d after %d in a table of %d", what, i, prev, size)
+			break
+		}
+		s.add(uint32(i))
+		prev = i
+	}
+	return s
+}
+
+// addEntries adds the slots of entries, each of the given size and
+// leading with its u32 index, to s.
+func (s slotSet) addEntries(entries []byte, size int) {
+	for off := 0; off < len(entries); off += size {
+		s.add(binary.LittleEndian.Uint32(entries[off:]))
+	}
 }
 
 // paperMergeDelta is the paper backends' MergeDelta hook. It validates
 // the delta as strictly as paperRestore validates a state, against the
 // held section's geometry, and plans the splices that turn the held
 // section into the current state: the mutable part, then per table the
-// new count and one splice per delta entry. Each entry's place is a
-// binary search over the held entries after the previous one's. Lit
-// slices alias delta, except the table counts, which go in lits.
-func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, state, delta []byte) ([]Splice, error) {
+// new count and one splice per delta entry, placed by rank from x. Lit
+// slices alias delta, except the table counts, which go in lits. Only
+// an accepted delta's new entries are marked in x, so a rejected one
+// leaves x as current as the section it leaves untouched.
+func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state, delta []byte) ([]Splice, error) {
 	h := &stateReader{b: state}
 	kind, flags, g := h.paperHead()
-	if h.err == nil && (g.IndexBits > 30 || g.SecondaryBits > 30) {
+	if h.err == nil && (g.IndexBits < 1 || g.IndexBits > maxIndexBits || g.SecondaryBits < 1 || g.SecondaryBits > maxSecondaryBits) {
 		h.fail("held geometry %d/%d index bits", g.IndexBits, g.SecondaryBits)
 	}
 	mutOff := h.off
 	h.mutable(flags, g.Depth, g.RHSDepth, false)
 	corrAt := h.off
 	nCorr := h.count("correlated entries", paperCorrEntryBytes)
-	h.take(nCorr * paperCorrEntryBytes)
+	heldCorr := h.take(nCorr * paperCorrEntryBytes)
 	secAt := h.off
 	nSec := h.count("secondary entries", paperSecEntryBytes)
-	h.take(nSec * paperSecEntryBytes)
+	heldSec := h.take(nSec * paperSecEntryBytes)
 	if h.err == nil && h.off != len(state) {
 		h.fail("%d trailing bytes after held state", len(state)-h.off)
+	}
+	corr, sec := paperChecks(kind, flags, &g)
+	if h.err == nil && !x.built {
+		x.build(h, heldCorr, corr.size, heldSec, sec.size)
 	}
 	if h.err != nil {
 		return plan, fmt.Errorf("held state: %w", h.err)
@@ -183,7 +249,6 @@ func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, state, delta []byte) 
 	}
 	d.mutable(flags, g.Depth, g.RHSDepth, false)
 	mutEnd := d.off
-	corr, sec := paperChecks(kind, flags, &g)
 	hybrid := kind == paperKindHybrid
 	dCorr := d.count("correlated entries", paperCorrEntryBytes)
 	corrOff := d.off
@@ -201,45 +266,62 @@ func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, state, delta []byte) 
 	if d.err != nil {
 		return plan, d.err
 	}
+	deltaCorr := delta[corrOff : corrOff+dCorr*paperCorrEntryBytes]
+	deltaSec := delta[secOff : secOff+dSec*paperSecEntryBytes]
 
 	plan = append(plan, Splice{Off: mutOff, Del: corrAt - mutOff, Lit: delta[2:mutEnd]})
 	plan = append(plan, Splice{Off: corrAt, Del: 4, Lit: lits[:4]})
-	plan, add := planEntries(plan, state[corrAt+4:], corrAt+4, nCorr, delta[corrOff:], dCorr, paperCorrEntryBytes)
-	binary.LittleEndian.PutUint32(lits[:4], uint32(nCorr+add))
+	plan, addCorr, err := planEntries(plan, x.corr, heldCorr, corrAt+4, deltaCorr, paperCorrEntryBytes)
+	if err != nil {
+		return plan, err
+	}
 	plan = append(plan, Splice{Off: secAt, Del: 4, Lit: lits[4:]})
-	plan, add = planEntries(plan, state[secAt+4:], secAt+4, nSec, delta[secOff:], dSec, paperSecEntryBytes)
-	binary.LittleEndian.PutUint32(lits[4:], uint32(nSec+add))
+	plan, addSec, err := planEntries(plan, x.sec, heldSec, secAt+4, deltaSec, paperSecEntryBytes)
+	if err != nil {
+		return plan, err
+	}
+	binary.LittleEndian.PutUint32(lits[:4], uint32(nCorr+addCorr))
+	binary.LittleEndian.PutUint32(lits[4:], uint32(nSec+addSec))
+	x.corr.addEntries(deltaCorr, paperCorrEntryBytes)
+	x.sec.addEntries(deltaSec, paperSecEntryBytes)
 	return plan, nil
 }
 
-// planEntries plans the splices of n delta entries of size bytes into
-// a held table of m entries at offset base of the section: a delta
-// entry replaces the held entry of its index, or goes in before the
-// first held entry of a larger index. Both tables lead each entry with
-// its u32 index. It returns the plan and the number of new entries.
-func planEntries(plan []Splice, held []byte, base, m int, delta []byte, n, size int) ([]Splice, int) {
+// planEntries plans the splices of the delta entries of size bytes
+// into the held table at offset base of the section. Both lead each
+// entry with its u32 index, the delta's ascending. An entry's place is
+// its rank in bm, the held table's presence bitmap: a running popcount
+// over the words below its index, plus the bits below it in its own.
+// A set bit means the entry replaces the held entry at that rank; a
+// clear one, that it goes in there. One read of the held entry at the
+// rank confirms the place: a replaced entry carries the same index, the
+// one an entry goes in front of a larger index. It returns the plan and
+// the number of new entries.
+func planEntries(plan []Splice, bm slotSet, held []byte, base int, delta []byte, size int) ([]Splice, int, error) {
 	le := binary.LittleEndian
-	lo, added := 0, 0
-	for k := 0; k < n; k++ {
-		e := delta[k*size : (k+1)*size]
+	m := len(held) / size
+	w, below, added := 0, 0, 0 // below: the held entries in words before w
+	for off := 0; off < len(delta); off += size {
+		e := delta[off : off+size]
 		idx := le.Uint32(e)
-		i, j := lo, m
-		for i < j {
-			if mid := int(uint(i+j) >> 1); le.Uint32(held[mid*size:]) < idx {
-				i = mid + 1
-			} else {
-				j = mid
-			}
+		for ; w < int(idx>>6); w++ {
+			below += bits.OnesCount64(bm[w])
 		}
-		s := Splice{Off: base + i*size, Lit: e}
-		if i < m && le.Uint32(held[i*size:]) == idx {
+		bit := uint64(1) << (idx & 63)
+		r := below + bits.OnesCount64(bm[w]&(bit-1))
+		s := Splice{Off: base + r*size, Lit: e}
+		if bm[w]&bit != 0 {
+			if r >= m || le.Uint32(held[r*size:]) != idx {
+				return plan, 0, fmt.Errorf("%w: index out of step with the held state at entry %d", ErrBadState, idx)
+			}
 			s.Del = size
-			lo = i + 1
 		} else {
+			if r > m || r < m && le.Uint32(held[r*size:]) <= idx {
+				return plan, 0, fmt.Errorf("%w: index out of step with the held state at entry %d", ErrBadState, idx)
+			}
 			added++
-			lo = i
 		}
 		plan = append(plan, s)
 	}
-	return plan, added
+	return plan, added, nil
 }

@@ -24,6 +24,9 @@ func deltaConfigs() map[string]Config {
 		"basic+faults":  {Backend: "basic", Depth: 3, IndexBits: 8, Faults: faults.New(faults.Config{Seed: 3, Table: 0.05, Bits: 2})},
 		"hybrid+faults": {Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true, Faults: faults.New(faults.Config{Seed: 7, Table: 0.05, Secondary: 0.05, History: 0.02, Bits: 2})},
 		"hybrid+stuck":  {Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true, Faults: faults.New(faults.Config{Seed: 9, StuckZero: true, Table: 0.01})},
+		// Tables smaller than one 64-slot bitmap word.
+		"basic+tiny":  {Backend: "basic", Depth: 2, IndexBits: 1},
+		"hybrid+tiny": {Backend: "hybrid", Depth: 3, IndexBits: 5, SecondaryBits: 2, UseRHS: true},
 	}
 }
 
@@ -93,6 +96,7 @@ func TestDeltaMergeEqualsSave(t *testing.T) {
 			stream := randStream(13, 6000)
 			var plan []Splice
 			var lits [MergeLits]byte
+			var x MergeIndex
 			for step := 0; len(stream) > 0; step++ {
 				n := min(rng.Intn(300), len(stream))
 				driveStep(p, stream[:n], step)
@@ -101,7 +105,7 @@ func TestDeltaMergeEqualsSave(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: AppendDelta: %v", step, err)
 				}
-				if plan, err = b.MergeDelta(plan[:0], &lits, held, delta); err != nil {
+				if plan, err = b.MergeDelta(plan[:0], &lits, &x, held, delta); err != nil {
 					t.Fatalf("step %d: MergeDelta: %v", step, err)
 				}
 				held = applyPlan(held, plan)
@@ -182,11 +186,169 @@ func TestMergeDeltaRejects(t *testing.T) {
 	}
 	for name, mut := range mutations {
 		d := mut(bytes.Clone(delta))
-		if _, err := b.MergeDelta(nil, new([MergeLits]byte), held, d); !errors.Is(err, ErrBadState) {
+		if _, err := b.MergeDelta(nil, new([MergeLits]byte), new(MergeIndex), held, d); !errors.Is(err, ErrBadState) {
 			t.Errorf("%s: MergeDelta = %v, want ErrBadState", name, err)
 		}
 	}
-	if _, err := b.MergeDelta(nil, new([MergeLits]byte), held[:len(held)-1], delta); !errors.Is(err, ErrBadState) {
+	if _, err := b.MergeDelta(nil, new([MergeLits]byte), new(MergeIndex), held[:len(held)-1], delta); !errors.Is(err, ErrBadState) {
 		t.Errorf("truncated held section: MergeDelta = %v, want ErrBadState", err)
+	}
+}
+
+// TestMergeDeltaWordEdges: entries at the edges of the index's bitmap
+// words (0, 63, 64 and the last slot) merge into their places, whether
+// they replace a held entry or go in beside one, over successive deltas
+// against one kept MergeIndex.
+func TestMergeDeltaWordEdges(t *testing.T) {
+	cfg := Config{Backend: "hybrid", Depth: 3, IndexBits: 8, SecondaryBits: 7}
+	b := mustBackend(t, cfg)
+	p := MustNew(cfg).(*Hybrid)
+	// put writes valid entries at the given slots, as rounds would.
+	put := func(corr, sec []uint32, val uint64) {
+		for _, i := range corr {
+			p.corr[i] = corrEntry{w: withCtr(val|entValid, 1)}
+			if p.chg != nil {
+				p.chg.corr.add(i)
+			}
+		}
+		for _, i := range sec {
+			p.sec[i] = withCtr(val|entValid, 1)
+			if p.chg != nil {
+				p.chg.sec.add(i)
+			}
+		}
+	}
+	put([]uint32{1, 63, 65, 200}, []uint32{0, 64}, 7)
+	held, err := b.Save(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Mark(p); err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct{ corr, sec []uint32 }{
+		{[]uint32{0, 63, 64, 255}, []uint32{0, 63, 64, 127}},
+		{[]uint32{0, 1, 62, 65, 254, 255}, []uint32{1, 126, 127}},
+		{nil, nil},
+		{[]uint32{2, 66, 127, 128, 191, 192}, []uint32{62, 65}},
+	}
+	var x MergeIndex
+	var lits [MergeLits]byte
+	for step, st := range steps {
+		put(st.corr, st.sec, uint64(step+2))
+		delta, err := b.AppendDelta(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := b.MergeDelta(nil, &lits, &x, held, delta)
+		if err != nil {
+			t.Fatalf("step %d: MergeDelta: %v", step, err)
+		}
+		held = applyPlan(held, plan)
+		if want, _ := b.Save(p); !bytes.Equal(held, want) {
+			t.Fatalf("step %d: merged section differs from Save", step)
+		}
+	}
+}
+
+// TestMergeDeltaIndexOutOfStep: an index that does not describe the
+// held section (here one kept from another section) fails the merge
+// with ErrBadState at the first entry it misplaces, rather than
+// splicing an entry to a wrong place.
+func TestMergeDeltaIndexOutOfStep(t *testing.T) {
+	cfg := Config{Backend: "hybrid", Depth: 3, IndexBits: 8}
+	b := mustBackend(t, cfg)
+	full, empty := MustNew(cfg).(*Hybrid), MustNew(cfg).(*Hybrid)
+	full.corr[5] = corrEntry{w: withCtr(3|entValid, 1)}
+	fullState, _ := b.Save(full)
+	emptyState, _ := b.Save(empty)
+	b.Mark(empty)
+	empty.corr[5] = corrEntry{w: withCtr(4|entValid, 1)}
+	empty.chg.corr.add(5)
+	delta, err := b.AppendDelta(nil, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var x MergeIndex
+	var lits [MergeLits]byte
+	if _, err := b.MergeDelta(nil, &lits, &x, fullState, delta); err != nil {
+		t.Fatalf("merge into the section the delta does not belong to: %v", err)
+	}
+	// x now marks slot 5 held; emptyState holds no entry there.
+	if _, err := b.MergeDelta(nil, &lits, &x, emptyState, delta); !errors.Is(err, ErrBadState) {
+		t.Fatalf("MergeDelta with a stale index = %v, want ErrBadState", err)
+	}
+	x.Reset()
+	plan, err := b.MergeDelta(nil, &lits, &x, emptyState, delta)
+	if err != nil {
+		t.Fatalf("MergeDelta after Reset: %v", err)
+	}
+	if want, _ := b.Save(empty); !bytes.Equal(applyPlan(emptyState, plan), want) {
+		t.Fatal("merge after Reset differs from Save")
+	}
+}
+
+// TestMergeDeltaRefusesGeometry: a held section claiming tables larger
+// than any Config may build is refused before its index is sized.
+func TestMergeDeltaRefusesGeometry(t *testing.T) {
+	cfg := Config{Backend: "hybrid", Depth: 3, IndexBits: 8}
+	b := mustBackend(t, cfg)
+	p := MustNew(cfg)
+	held, _ := b.Save(p)
+	b.Mark(p)
+	delta, _ := b.AppendDelta(nil, p)
+	for _, c := range []struct {
+		at   int // offset of the geometry byte: kind, flags, depth, index bits, secondary bits
+		bits byte
+	}{{3, 27}, {3, 0}, {4, 21}, {4, 0}} {
+		bad := bytes.Clone(held)
+		bad[c.at] = c.bits
+		var x MergeIndex
+		if _, err := b.MergeDelta(nil, new([MergeLits]byte), &x, bad, delta); !errors.Is(err, ErrBadState) {
+			t.Errorf("byte %d = %d: MergeDelta = %v, want ErrBadState", c.at, c.bits, err)
+		}
+		if x.built || x.corr != nil || x.sec != nil {
+			t.Errorf("byte %d = %d: refused section left an index", c.at, c.bits)
+		}
+	}
+}
+
+// TestMergeDeltaRejectsBadHeld: building the index refuses, with
+// ErrBadState and no panic, a held section whose entries do not ascend
+// strictly within their table, and leaves the index unbuilt.
+func TestMergeDeltaRejectsBadHeld(t *testing.T) {
+	cfg := Config{Backend: "hybrid", Depth: 7, IndexBits: 8, UseRHS: true}
+	b := mustBackend(t, cfg)
+	p := MustNew(cfg)
+	for _, tc := range randStream(5, 300) {
+		p.Predict()
+		p.Update(tc)
+	}
+	held, _ := b.Save(p)
+	b.Mark(p)
+	delta, err := b.AppendDelta(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &stateReader{b: held}
+	_, flags, _ := r.paperHead()
+	r.mutable(flags, cfg.Depth, 16, false)
+	corr := r.off + 4
+	le := binary.LittleEndian
+	for name, mut := range map[string]func(h []byte){
+		"index range":   func(h []byte) { le.PutUint32(h[corr:], 1<<20) },
+		"table end":     func(h []byte) { le.PutUint32(h[corr:], 1<<cfg.IndexBits) },
+		"not ascending": func(h []byte) { copy(h[corr+paperCorrEntryBytes:], h[corr:corr+4]) },
+	} {
+		h := bytes.Clone(held)
+		mut(h)
+		var x MergeIndex
+		if _, err := b.MergeDelta(nil, new([MergeLits]byte), &x, h, delta); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: MergeDelta = %v, want ErrBadState", name, err)
+		}
+		if x.built {
+			t.Errorf("%s: refused section left a built index", name)
+		}
 	}
 }

@@ -195,6 +195,12 @@ type Config struct {
 	Faults *faults.Injector
 }
 
+// The largest table sizes a Config may ask for, in index bits.
+const (
+	maxIndexBits     = 26
+	maxSecondaryBits = 20
+)
+
 // withDefaults materialises unset fields.
 func (c Config) withDefaults() (Config, error) {
 	if c.Depth < 0 || c.Depth > history.MaxSize-1 {
@@ -203,8 +209,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.IndexBits == 0 {
 		c.IndexBits = 16
 	}
-	if c.IndexBits < 1 || c.IndexBits > 26 {
-		return c, fmt.Errorf("predictor: IndexBits %d outside [1, 26]", c.IndexBits)
+	if c.IndexBits < 1 || c.IndexBits > maxIndexBits {
+		return c, fmt.Errorf("predictor: IndexBits %d outside [1, %d]", c.IndexBits, maxIndexBits)
 	}
 	if c.DOLC == (history.DOLC{}) {
 		c.DOLC = history.StandardDOLC(c.IndexBits, c.Depth)
@@ -219,8 +225,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SecondaryBits == 0 {
 		c.SecondaryBits = 10
 	}
-	if c.SecondaryBits < 1 || c.SecondaryBits > 20 {
-		return c, fmt.Errorf("predictor: SecondaryBits %d outside [1, 20]", c.SecondaryBits)
+	if c.SecondaryBits < 1 || c.SecondaryBits > maxSecondaryBits {
+		return c, fmt.Errorf("predictor: SecondaryBits %d outside [1, %d]", c.SecondaryBits, maxSecondaryBits)
 	}
 	if c.RHSDepth == 0 {
 		c.RHSDepth = history.DefaultRHSDepth

@@ -285,8 +285,9 @@ func (c *Client) Snapshot(session uint64) ([]byte, error) {
 // returns the generation h now holds. Pass gen 0 when h holds no frame
 // this server issued. The server answers with a delta when gen is the
 // last generation it issued for the session, and h merges it in place
-// at a cost of O(the delta); otherwise it answers with a full frame,
-// which replaces h once it decodes. On any error h is left as it was.
+// at a cost of O(the delta) plus a popcount walk of h's index, one bit
+// per table slot; otherwise it answers with a full frame, which
+// replaces h once it decodes. On any error h is left as it was.
 func (c *Client) RefreshSnapshot(session, gen uint64, h *snapshot.Held) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -43,11 +43,16 @@ func IsDelta(b []byte) bool { return len(b) >= 4 && [4]byte(b[:4]) == deltaMagic
 // shrinks every few rounds) moves just the bytes in front of the
 // tables. The checksum is recomputed only when the frame is read.
 //
+// Beside the frame it keeps the state's predictor.MergeIndex, so a merge
+// finds each entry's place by rank rather than by search: built by the
+// first Apply after a Set, then kept current by every Apply.
+//
 // The zero Held holds no frame.
 type Held struct {
 	buf    []byte // the frame is buf[off:]
 	off    int
 	sealed bool // the frame's checksum is current
+	idx    predictor.MergeIndex
 	plan   []predictor.Splice
 	lits   [12 + predictor.MergeLits]byte // the plan's own literals: lastSeq, state length, the backend's
 }
@@ -68,6 +73,7 @@ func (h *Held) Set(frame []byte) {
 	h.off = r
 	h.buf = append(h.buf[:r], frame...)
 	h.sealed = true
+	h.idx.Reset()
 }
 
 // Frame returns the held frame, its checksum computed. It aliases the
@@ -86,7 +92,8 @@ func (h *Held) Frame() []byte {
 // backend's MergeDelta must accept its delta section against the held
 // state; otherwise Apply returns an error (ErrTruncated, ErrMagic,
 // ErrVersion, ErrChecksum or ErrCorrupt) and the held frame is left as
-// it was, byte for byte. Apply allocates at most O(frame + delta).
+// it was, byte for byte. Apply allocates at most O(frame + delta), plus
+// the index's one bit per table slot once per frame Set.
 func (h *Held) Apply(delta []byte) error {
 	d, err := openEnvelope(delta, deltaMagic, DeltaVersion, true)
 	if err != nil {
@@ -113,7 +120,7 @@ func (h *Held) Apply(delta []byte) error {
 	plan := append(h.plan[:0],
 		predictor.Splice{Off: offLastSeq, Del: 8, Lit: h.lits[:8]},
 		predictor.Splice{Off: stateAt - 4, Del: 4, Lit: h.lits[8:12]})
-	plan, err = b.MergeDelta(plan, (*[predictor.MergeLits]byte)(h.lits[12:]), held.section, d.section)
+	plan, err = b.MergeDelta(plan, (*[predictor.MergeLits]byte)(h.lits[12:]), &h.idx, held.section, d.section)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pathtrace/internal/predictor"
@@ -163,6 +164,100 @@ func TestApplyRejectsLeaveFrame(t *testing.T) {
 		if !bytes.Equal(h.buf[h.off:], before) || !h.sealed {
 			t.Errorf("%s: a rejected delta changed the held frame", name)
 		}
+	}
+}
+
+// TestHeldAcrossRejectedDeltas: one Held fed good deltas with rejected
+// ones in between still equals the full frame after every step. A
+// rejected delta changes neither the frame nor the index that places
+// the next good delta's entries.
+func TestHeldAcrossRejectedDeltas(t *testing.T) {
+	fx, frame := newDeltaFixture(t, codecConfigs()["hybrid"], 300)
+	var h Held
+	h.Set(frame)
+	rng := rand.New(rand.NewSource(4))
+	for step := 0; step < 30; step++ {
+		fx.run(stream(int64(40+step), 1+rng.Intn(150)))
+		good := fx.delta(t)
+		if step%2 == 1 {
+			before := bytes.Clone(h.buf[h.off:])
+			// Every round writes a secondary entry, so the delta's last
+			// byte is its last secondary entry's counter: it fails only
+			// after all its other entries passed.
+			bad := fixed(good, func(d []byte) { d[len(d)-checksumBytes-1] = 0xFF })
+			if err := h.Apply(bad); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("step %d: bad delta: Apply = %v, want ErrCorrupt", step, err)
+			}
+			if !bytes.Equal(h.buf[h.off:], before) {
+				t.Fatalf("step %d: a rejected delta changed the held frame", step)
+			}
+		}
+		if err := h.Apply(good); err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		if !bytes.Equal(h.Frame(), fx.full(t)) {
+			t.Fatalf("step %d: held frame differs from the full frame", step)
+		}
+	}
+}
+
+// TestHeldSetResetsIndex: a Set after some Applys drops the index built
+// for the old frame, so the new frame's deltas merge exactly.
+func TestHeldSetResetsIndex(t *testing.T) {
+	cfg := codecConfigs()["hybrid"]
+	a, frameA := newDeltaFixture(t, cfg, 600)
+	b, frameB := newDeltaFixture(t, cfg, 40)
+	var h Held
+	h.Set(frameA)
+	for step := 0; step < 3; step++ {
+		a.run(stream(int64(60+step), 100))
+		if err := h.Apply(a.delta(t)); err != nil {
+			t.Fatalf("frame A, step %d: Apply: %v", step, err)
+		}
+	}
+	h.Set(frameB)
+	for step := 0; step < 5; step++ {
+		b.run(stream(int64(70+step), 100))
+		if err := h.Apply(b.delta(t)); err != nil {
+			t.Fatalf("frame B, step %d: Apply: %v", step, err)
+		}
+		if !bytes.Equal(h.Frame(), b.full(t)) {
+			t.Fatalf("frame B, step %d: held frame differs from the full frame", step)
+		}
+	}
+}
+
+// TestApplyRefusesOversizedGeometry: a held frame whose state claims
+// tables larger than any Config builds (here 2^27 correlated slots) is
+// refused with ErrCorrupt before the merge sizes its index, and stays
+// as it was.
+func TestApplyRefusesOversizedGeometry(t *testing.T) {
+	fx, frame := newDeltaFixture(t, codecConfigs()["hybrid"], 200)
+	fx.run(stream(9, 50))
+	delta := fx.delta(t)
+	s, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.State[3] = 27 // kind, flags, depth, then the index bits
+	big, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Held
+	h.Set(big)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err = h.Apply(delta)
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Apply = %v, want ErrCorrupt", err)
+	}
+	if !bytes.Equal(h.Frame(), big) {
+		t.Fatal("a refused delta changed the held frame")
+	}
+	if n := m1.TotalAlloc - m0.TotalAlloc; n > 64<<10 {
+		t.Fatalf("refusing the frame allocated %d bytes", n)
 	}
 }
 

@@ -80,15 +80,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 }
 
 // FuzzSnapshotDelta applies hostile delta envelopes to a valid held
-// frame. Apply must never panic and must allocate no more than
-// O(frame + delta); a rejected delta must leave the held frame
-// unchanged byte for byte, and an accepted one must leave a frame that
-// decodes and restores. When the first input byte is odd the envelope
-// checksum is fixed up first, so mutations reach the envelope fields
-// and the backend's merge instead of stopping at the checksum.
+// frame that one good delta has already been merged into, so they meet
+// the index that merge built and kept. Apply must never panic and must
+// allocate no more than O(frame + delta); a rejected delta must leave
+// the held frame unchanged byte for byte, and an accepted one must
+// leave a frame that decodes and restores. When the first input byte
+// is odd the envelope checksum is fixed up first, so mutations reach
+// the envelope fields and the backend's merge instead of stopping at
+// the checksum.
 func FuzzSnapshotDelta(f *testing.F) {
 	cfg := predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true}
 	fx, frame := newDeltaFixture(f, cfg, 400)
+	fx.run(stream(7, 100))
+	first := fx.delta(f)
 	fx.run(stream(8, 150))
 	delta := fx.delta(f)
 	for _, seed := range [][]byte{delta, faults.FlipBits(delta, 2, 3), faults.Truncate(delta, 2), fx.delta(f), nil} {
@@ -107,7 +111,10 @@ func FuzzSnapshotDelta(f *testing.F) {
 		}
 		var h Held
 		h.Set(frame)
-		before := bytes.Clone(h.buf[h.off:])
+		if err := h.Apply(first); err != nil {
+			t.Fatalf("first delta: %v", err)
+		}
+		before := bytes.Clone(h.Frame())
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		err := h.Apply(d)
