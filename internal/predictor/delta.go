@@ -45,29 +45,46 @@ type Splice struct {
 // literals in: the paper backends' two new table counts.
 const MergeLits = 8
 
-// slotSet is a set of table slots, one bit each. It is walked in
-// ascending slot order, so a delta's entries come out sorted.
-type slotSet []uint64
+// slotSet is a set of table slots, one bit each, with a summary bit
+// per bitmap word that add has touched, so take visits only those words
+// and the summary: O(slots/4096 + set slots), not O(slots/64). It is
+// walked in ascending slot order, so a delta's entries come out sorted.
+type slotSet struct {
+	words []uint64
+	sum   []uint64 // bit w set when words[w] has been added to since it was last taken
+}
 
-func (s slotSet) add(i uint32) { s[i>>6] |= 1 << (i & 63) }
+// newSlotSet returns an empty set of slots [0, n).
+func newSlotSet(n int) slotSet {
+	words := (n + 63) / 64
+	return slotSet{words: make([]uint64, words), sum: make([]uint64, (words+63)/64)}
+}
 
-// len returns the number of slots in s.
-func (s slotSet) len() (n int) {
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
+func (s slotSet) add(i uint32) {
+	s.words[i>>6] |= 1 << (i & 63)
+	s.sum[i>>12] |= 1 << (i >> 6 & 63)
+}
+
+// empty removes every slot from s.
+func (s slotSet) empty() {
+	clear(s.words)
+	clear(s.sum)
 }
 
 // take calls f with each slot of s in ascending order and empties s.
 func (s slotSet) take(f func(i int)) {
-	for w, word := range s {
-		if word == 0 {
+	for sw, summary := range s.sum {
+		if summary == 0 {
 			continue
 		}
-		s[w] = 0
-		for ; word != 0; word &= word - 1 {
-			f(w<<6 | bits.TrailingZeros64(word))
+		s.sum[sw] = 0
+		for ; summary != 0; summary &= summary - 1 {
+			w := sw<<6 | bits.TrailingZeros64(summary)
+			word := s.words[w]
+			s.words[w] = 0
+			for ; word != 0; word &= word - 1 {
+				f(w<<6 | bits.TrailingZeros64(word))
+			}
 		}
 	}
 }
@@ -85,7 +102,7 @@ type changeSet struct {
 // is a secondary table, and its correlated slot unless the secondary
 // filter skipped the write.
 func (c *changeSet) round(tok *Token, wroteCorr bool) {
-	if len(c.sec) != 0 {
+	if len(c.sec.words) != 0 {
 		c.sec.add(tok.SecIdx)
 	}
 	if wroteCorr {
@@ -100,14 +117,11 @@ func paperMark(p NextTracePredictor) error {
 		return err
 	}
 	if c := t.chg; c != nil {
-		clear(c.corr)
-		clear(c.sec)
+		c.corr.empty()
+		c.sec.empty()
 		return nil
 	}
-	t.chg = &changeSet{
-		corr: make(slotSet, (len(t.corr)+63)/64),
-		sec:  make(slotSet, (len(t.sec)+63)/64),
-	}
+	t.chg = &changeSet{corr: newSlotSet(len(t.corr)), sec: newSlotSet(len(t.sec))}
 	return nil
 }
 
@@ -125,7 +139,9 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
-	b = grow(b, 2+nMut+4+c.corr.len()*paperCorrEntryBytes+4+c.sec.len()*paperSecEntryBytes)
+	// The table parts grow b as they go: sizing them first would cost a
+	// second walk of the change sets.
+	b = grow(b, 2+nMut+8)
 	b = append(b, t.kind(), flags)
 	b = t.appendMutable(b, &fs)
 
@@ -161,7 +177,7 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 // plan it returns. Reset it whenever the section changes in any other
 // way.
 type MergeIndex struct {
-	corr, sec slotSet
+	corr, sec rankSet
 	built     bool
 }
 
@@ -173,22 +189,36 @@ func (x *MergeIndex) Reset() { x.built = false }
 // sets the bits of the held entries, which must ascend strictly and lie
 // in their tables. On failure the index stays unbuilt.
 func (x *MergeIndex) build(r *stateReader, corr []byte, corrSize int, sec []byte, secSize int) {
-	x.corr = presence(x.corr, corr, paperCorrEntryBytes, corrSize, "correlated", r)
-	x.sec = presence(x.sec, sec, paperSecEntryBytes, secSize, "secondary", r)
+	x.corr.fill(corr, paperCorrEntryBytes, corrSize, "correlated", r)
+	x.sec.fill(sec, paperSecEntryBytes, secSize, "secondary", r)
 	x.built = r.err == nil
 }
 
-// presence returns s, emptied and resized for a table of size slots,
-// holding the slots of the entries in held, entries of the given size
-// that lead with their u32 index. It fails r unless the indices ascend
-// strictly below size.
-func presence(s slotSet, held []byte, entry, size int, what string, r *stateReader) slotSet {
+// rankBlock is the number of bitmap words a rankSet counts together:
+// 4096 slots.
+const rankBlock = 64
+
+// rankSet is a presence bitmap that counts its set bits per block of
+// rankBlock words, so a rank sums whole blocks, then at most half a
+// block's words: O(slots/4096 + 32) per lookup rather than O(slots/64).
+type rankSet struct {
+	words  []uint64
+	blocks []uint32 // set bits in each block of words
+}
+
+// fill empties s, sizes it for a table of size slots, and sets the
+// slots of the entries in held, entries of the given size that lead
+// with their u32 index. It fails r unless the indices ascend strictly
+// below size.
+func (s *rankSet) fill(held []byte, entry, size int, what string, r *stateReader) {
 	words := (size + 63) / 64
-	if cap(s) < words {
-		s = make(slotSet, words)
+	nb := (words + rankBlock - 1) / rankBlock
+	if cap(s.words) < words {
+		s.words, s.blocks = make([]uint64, words), make([]uint32, nb)
 	}
-	s = s[:words]
-	clear(s)
+	s.words, s.blocks = s.words[:words], s.blocks[:nb]
+	clear(s.words)
+	clear(s.blocks)
 	prev := -1
 	for off := 0; off < len(held) && r.err == nil; off += entry {
 		i := int(binary.LittleEndian.Uint32(held[off:]))
@@ -196,17 +226,21 @@ func presence(s slotSet, held []byte, entry, size int, what string, r *stateRead
 			r.fail("held %s index %d after %d in a table of %d", what, i, prev, size)
 			break
 		}
-		s.add(uint32(i))
+		s.words[i>>6] |= 1 << (i & 63)
+		s.blocks[i>>6/rankBlock]++
 		prev = i
 	}
-	return s
 }
 
 // addEntries adds the slots of entries, each of the given size and
 // leading with its u32 index, to s.
-func (s slotSet) addEntries(entries []byte, size int) {
+func (s *rankSet) addEntries(entries []byte, size int) {
 	for off := 0; off < len(entries); off += size {
-		s.add(binary.LittleEndian.Uint32(entries[off:]))
+		i := binary.LittleEndian.Uint32(entries[off:])
+		if bit := uint64(1) << (i & 63); s.words[i>>6]&bit == 0 {
+			s.words[i>>6] |= bit
+			s.blocks[i>>6/rankBlock]++
+		}
 	}
 }
 
@@ -271,12 +305,12 @@ func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state,
 
 	plan = append(plan, Splice{Off: mutOff, Del: corrAt - mutOff, Lit: delta[2:mutEnd]})
 	plan = append(plan, Splice{Off: corrAt, Del: 4, Lit: lits[:4]})
-	plan, addCorr, err := planEntries(plan, x.corr, heldCorr, corrAt+4, deltaCorr, paperCorrEntryBytes)
+	plan, addCorr, err := planEntries(plan, &x.corr, heldCorr, corrAt+4, deltaCorr, paperCorrEntryBytes)
 	if err != nil {
 		return plan, err
 	}
 	plan = append(plan, Splice{Off: secAt, Del: 4, Lit: lits[4:]})
-	plan, addSec, err := planEntries(plan, x.sec, heldSec, secAt+4, deltaSec, paperSecEntryBytes)
+	plan, addSec, err := planEntries(plan, &x.sec, heldSec, secAt+4, deltaSec, paperSecEntryBytes)
 	if err != nil {
 		return plan, err
 	}
@@ -290,27 +324,44 @@ func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state,
 // planEntries plans the splices of the delta entries of size bytes
 // into the held table at offset base of the section. Both lead each
 // entry with its u32 index, the delta's ascending. An entry's place is
-// its rank in bm, the held table's presence bitmap: a running popcount
-// over the words below its index, plus the bits below it in its own.
-// A set bit means the entry replaces the held entry at that rank; a
-// clear one, that it goes in there. One read of the held entry at the
-// rank confirms the place: a replaced entry carries the same index, the
-// one an entry goes in front of a larger index. It returns the plan and
-// the number of new entries.
-func planEntries(plan []Splice, bm slotSet, held []byte, base int, delta []byte, size int) ([]Splice, int, error) {
+// its rank in bm, the held table's presence bitmap: a running count of
+// the held entries below it, advanced by whole blocks' counts up to the
+// entry's block, then a word at a time within it, up from where the
+// count stands or down from the block's total, whichever is nearer,
+// plus the bits below it in its own word. A set bit means the entry
+// replaces the held entry at that rank; a clear one, that it goes in
+// there. One read of the held entry at the rank confirms the place: a
+// replaced entry carries the same index, the one an entry goes in
+// front of a larger index. It returns the plan and the number of new
+// entries.
+func planEntries(plan []Splice, bm *rankSet, held []byte, base int, delta []byte, size int) ([]Splice, int, error) {
 	le := binary.LittleEndian
 	m := len(held) / size
-	w, below, added := 0, 0, 0 // below: the held entries in words before w
+	blk, w, added := 0, 0, 0 // w: the next word of block blk to count
+	before, in := 0, 0       // the held entries in the blocks before blk, and in blk's words before w
 	for off := 0; off < len(delta); off += size {
 		e := delta[off : off+size]
 		idx := le.Uint32(e)
-		for ; w < int(idx>>6); w++ {
-			below += bits.OnesCount64(bm[w])
+		to := int(idx >> 6)
+		for ; blk < to/rankBlock; blk++ {
+			before += int(bm.blocks[blk])
+			w, in = (blk+1)*rankBlock, 0
+		}
+		if end := min((blk+1)*rankBlock, len(bm.words)); end-to < to-w {
+			// Nearer the block's end: count down from its total.
+			in = int(bm.blocks[blk])
+			for _, word := range bm.words[to:end] {
+				in -= bits.OnesCount64(word)
+			}
+			w = to
+		}
+		for ; w < to; w++ {
+			in += bits.OnesCount64(bm.words[w])
 		}
 		bit := uint64(1) << (idx & 63)
-		r := below + bits.OnesCount64(bm[w]&(bit-1))
+		r := before + in + bits.OnesCount64(bm.words[to]&(bit-1))
 		s := Splice{Off: base + r*size, Lit: e}
-		if bm[w]&bit != 0 {
+		if bm.words[to]&bit != 0 {
 			if r >= m || le.Uint32(held[r*size:]) != idx {
 				return plan, 0, fmt.Errorf("%w: index out of step with the held state at entry %d", ErrBadState, idx)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -308,7 +309,7 @@ func TestMergeDeltaRefusesGeometry(t *testing.T) {
 		if _, err := b.MergeDelta(nil, new([MergeLits]byte), &x, bad, delta); !errors.Is(err, ErrBadState) {
 			t.Errorf("byte %d = %d: MergeDelta = %v, want ErrBadState", c.at, c.bits, err)
 		}
-		if x.built || x.corr != nil || x.sec != nil {
+		if x.built || x.corr.words != nil || x.sec.words != nil {
 			t.Errorf("byte %d = %d: refused section left an index", c.at, c.bits)
 		}
 	}
@@ -350,5 +351,108 @@ func TestMergeDeltaRejectsBadHeld(t *testing.T) {
 		if x.built {
 			t.Errorf("%s: refused section left a built index", name)
 		}
+	}
+}
+
+// TestMergeDeltaBlockEdges: with a table of several 4096-slot rank
+// blocks, entries at the blocks' edges and past empty blocks merge into
+// their places, so a rank that adds whole blocks' counts and then walks
+// words within one lands where a plain popcount would.
+func TestMergeDeltaBlockEdges(t *testing.T) {
+	cfg := Config{Backend: "basic", Depth: 3, IndexBits: 14}
+	b := mustBackend(t, cfg)
+	p := MustNew(cfg).(*Hybrid)
+	put := func(slots []uint32, val uint64) {
+		for _, i := range slots {
+			p.corr[i] = corrEntry{w: withCtr(val|entValid, 1)}
+			if p.chg != nil {
+				p.chg.corr.add(i)
+			}
+		}
+	}
+	put([]uint32{0, 4095, 4097, 12288, 16383}, 7)
+	held, err := b.Save(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Mark(p); err != nil {
+		t.Fatal(err)
+	}
+	var x MergeIndex
+	var lits [MergeLits]byte
+	for step, slots := range [][]uint32{
+		{4095, 4096, 8191, 8192, 16383},
+		{1, 4094, 4097, 12287, 12288, 16382},
+		{2, 63, 64, 4159, 8255, 16320},
+		{100, 5000, 9000, 13000},
+	} {
+		put(slots, uint64(step+2))
+		delta, err := b.AppendDelta(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := b.MergeDelta(nil, &lits, &x, held, delta)
+		if err != nil {
+			t.Fatalf("step %d: MergeDelta: %v", step, err)
+		}
+		held = applyPlan(held, plan)
+		if want, _ := b.Save(p); !bytes.Equal(held, want) {
+			t.Fatalf("step %d: merged section differs from Save", step)
+		}
+	}
+}
+
+// BenchmarkDeltaRound times what one durable ack adds up to on the
+// paper codec: one 256-trace round on a marked hybrid+RHS predictor,
+// its AppendDelta, and the MergeDelta plan against a held section, at
+// three table sizes. The rounds cycle through a 1024-trace pool the
+// predictor learned before the held section was saved, so every delta
+// replaces held entries, the held section and its index stay in step,
+// and the rounds' working set fits in cache at every size: what grows
+// with the table is only the delta's own walk at both ends.
+func BenchmarkDeltaRound(b *testing.B) {
+	for _, bits := range []int{16, 20, 22} {
+		b.Run(fmt.Sprintf("bits%d", bits), func(b *testing.B) {
+			cfg := Config{Backend: "hybrid", Depth: 7, IndexBits: bits, UseRHS: true}
+			be := mustBackend(b, cfg)
+			p := MustNew(cfg)
+			pool := make([]trace.Trace, 1024)
+			for i, tc := range randStream(3, len(pool)) {
+				pool[i] = *tc
+			}
+			const batch = 256
+			next := 0
+			round := func() {
+				PredictBatch(p, pool[next:next+batch], nil)
+				next = (next + batch) % len(pool)
+			}
+			for range 8 * len(pool) / batch {
+				round()
+			}
+			held, err := be.Save(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := be.Mark(p); err != nil {
+				b.Fatal(err)
+			}
+			var (
+				delta []byte
+				plan  []Splice
+				lits  [MergeLits]byte
+				x     MergeIndex
+			)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+				if delta, err = be.AppendDelta(delta[:0], p); err != nil {
+					b.Fatal(err)
+				}
+				if plan, err = be.MergeDelta(plan[:0], &lits, &x, held, delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

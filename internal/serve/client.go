@@ -194,7 +194,40 @@ func (c *Client) PredictBatch(session uint64, traces []trace.Trace, preds []pred
 func (c *Client) UpdateBatchSeq(session, start uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.batchSeq(OpUpdateBatch, session, start, traces, nil)
+	skipped, applied, correct, _, err = c.batchSeq(OpUpdateBatch, session, start, traces, nil, nil)
+	return skipped, applied, correct, err
+}
+
+// UpdateBatchSnapshot is UpdateBatchSeq that also brings h, the
+// session's frame as of snapshot generation gen, up to date with the
+// state the batch leaves, in the same round trip, and returns the
+// generation h then holds. Pass gen 0 when h holds no frame this
+// server issued. The server answers with a delta when gen is the last
+// generation it issued for the session, and h merges it in place at a
+// cost of O(the delta) plus a walk of h's index, one count per 4096
+// table slots; otherwise it answers with a full frame, which replaces
+// h once it decodes. The answer is taken whole or not at all: on any
+// error h is left as it was, though the server may have trained the
+// batch (a resend over the same range trains nothing twice). A server
+// whose backend cannot snapshot refuses the batch with ErrBadRequest,
+// untrained.
+func (c *Client) UpdateBatchSnapshot(session, start uint64, traces []trace.Trace, gen uint64, h *snapshot.Held) (skipped, applied, correct uint32, next uint64, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	skipped, applied, correct, snap, err := c.batchSeq(OpUpdateBatch, session, start, traces, nil, &gen)
+	if err != nil {
+		return 0, 0, 0, gen, err
+	}
+	next, env := le.Uint64(snap), snap[snapGenBytes:]
+	if !snapshot.IsDelta(env) {
+		if _, err := snapshot.Decode(env); err != nil {
+			return 0, 0, 0, gen, fmt.Errorf("%w: snapshot frame: %v", ErrFrame, err)
+		}
+		h.Set(env)
+	} else if err := h.Apply(env); err != nil {
+		return 0, 0, 0, gen, fmt.Errorf("%w: snapshot delta: %v", ErrFrame, err)
+	}
+	return skipped, applied, correct, next, nil
 }
 
 // batchAuto runs one batch op with the session's tracked sequence
@@ -209,22 +242,27 @@ func (c *Client) batchAuto(op uint8, session uint64, traces []trace.Trace, preds
 	if last, ok := c.seqs[session]; ok {
 		start = last + 1
 	}
-	skipped, applied, correct, err = c.batchSeq(op, session, start, traces, preds)
+	skipped, applied, correct, _, err = c.batchSeq(op, session, start, traces, preds, nil)
 	if err == nil && start != 0 {
 		c.seqs[session] = start + uint64(len(traces)) - 1
 	}
 	return skipped, applied, correct, err
 }
 
-// batchSeq encodes and runs one batch op. Must be called with c.mu
+// batchSeq encodes and runs one batch op, tracked when gen is non-nil:
+// the request then names *gen, and snap returns the answer's
+// generation token and snapshot, unchecked. Must be called with c.mu
 // held. An oversized batch, or a trace the wire cannot carry, is
 // ErrBadRequest before anything is sent: no retry or reconnect can make
 // it valid.
-func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace, preds []predictor.Prediction) (skipped, applied, correct uint32, err error) {
+func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace, preds []predictor.Prediction, gen *uint64) (skipped, applied, correct uint32, snap []byte, err error) {
 	if len(traces) > MaxBatch {
-		return 0, 0, 0, fmt.Errorf("%w: batch %d exceeds MaxBatch %d", ErrBadRequest, len(traces), MaxBatch)
+		return 0, 0, 0, nil, fmt.Errorf("%w: batch %d exceeds MaxBatch %d", ErrBadRequest, len(traces), MaxBatch)
 	}
 	need := updateHeaderBytes + len(traces)*wireTraceBytes
+	if gen != nil {
+		need += snapGenBytes
+	}
 	if cap(c.ubuf) < need {
 		c.ubuf = make([]byte, need)
 	}
@@ -233,43 +271,53 @@ func (c *Client) batchSeq(op uint8, session, start uint64, traces []trace.Trace,
 	le.PutUint32(body[8:], uint32(len(traces)))
 	for i := range traces {
 		if !putTrace(body[updateHeaderBytes+i*wireTraceBytes:], &traces[i]) {
-			return 0, 0, 0, fmt.Errorf("%w: trace %d (id %#x, %d calls) does not fit a wire trace", ErrBadRequest, i, uint64(traces[i].ID), traces[i].Calls)
+			return 0, 0, 0, nil, fmt.Errorf("%w: trace %d (id %#x, %d calls) does not fit a wire trace", ErrBadRequest, i, uint64(traces[i].ID), traces[i].Calls)
 		}
+	}
+	if gen != nil {
+		le.PutUint64(body[need-snapGenBytes:], *gen)
 	}
 	resp, err := c.roundTrip(op, session, body)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, nil, err
 	}
 	if len(resp) < batchRespBytes {
-		return 0, 0, 0, fmt.Errorf("%w: batch response %d bytes", ErrFrame, len(resp))
+		return 0, 0, 0, nil, fmt.Errorf("%w: batch response %d bytes", ErrFrame, len(resp))
 	}
 	skipped = le.Uint32(resp)
 	applied = le.Uint32(resp[4:])
 	correct = le.Uint32(resp[8:])
 	if int(skipped)+int(applied) > len(traces) {
-		return 0, 0, 0, fmt.Errorf("%w: batch response covers %d+%d of %d traces", ErrFrame, skipped, applied, len(traces))
+		return 0, 0, 0, nil, fmt.Errorf("%w: batch response covers %d+%d of %d traces", ErrFrame, skipped, applied, len(traces))
 	}
 	if correct > applied {
-		return 0, 0, 0, fmt.Errorf("%w: batch response has %d correct of %d applied", ErrFrame, correct, applied)
+		return 0, 0, 0, nil, fmt.Errorf("%w: batch response has %d correct of %d applied", ErrFrame, correct, applied)
+	}
+	if gen != nil {
+		if len(resp) < batchRespBytes+snapGenBytes {
+			return 0, 0, 0, nil, fmt.Errorf("%w: tracked batch response %d bytes", ErrFrame, len(resp))
+		}
+		return skipped, applied, correct, resp[batchRespBytes:], nil
 	}
 	want := batchRespBytes
 	if op == OpPredictBatch {
 		want += int(applied) * predictionBytes
 	}
 	if len(resp) != want {
-		return 0, 0, 0, fmt.Errorf("%w: batch response %d bytes, want %d", ErrFrame, len(resp), want)
+		return 0, 0, 0, nil, fmt.Errorf("%w: batch response %d bytes, want %d", ErrFrame, len(resp), want)
 	}
 	if op == OpPredictBatch && preds != nil {
 		for i := 0; i < int(applied); i++ {
 			preds[int(skipped)+i] = getPrediction(resp[batchRespBytes+i*predictionBytes:])
 		}
 	}
-	return skipped, applied, correct, nil
+	return skipped, applied, correct, nil, nil
 }
 
 // Snapshot fetches the session's complete state as a checksummed
 // internal/snapshot frame, suitable for Restore on this or another
-// server.
+// server. It leaves a tracking client's generation current: the next
+// UpdateBatchSnapshot naming it still gets a delta.
 func (c *Client) Snapshot(session uint64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -278,40 +326,6 @@ func (c *Client) Snapshot(session uint64) ([]byte, error) {
 		return nil, err
 	}
 	return append([]byte(nil), body...), nil
-}
-
-// RefreshSnapshot brings h, the session's frame as of snapshot
-// generation gen, up to date in one tracked OpSnapshot round trip, and
-// returns the generation h now holds. Pass gen 0 when h holds no frame
-// this server issued. The server answers with a delta when gen is the
-// last generation it issued for the session, and h merges it in place
-// at a cost of O(the delta) plus a popcount walk of h's index, one bit
-// per table slot; otherwise it answers with a full frame, which
-// replaces h once it decodes. On any error h is left as it was.
-func (c *Client) RefreshSnapshot(session, gen uint64, h *snapshot.Held) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var tok [snapGenBytes]byte
-	le.PutUint64(tok[:], gen)
-	body, err := c.roundTrip(OpSnapshot, session, tok[:])
-	if err != nil {
-		return gen, err
-	}
-	if len(body) < snapGenBytes {
-		return gen, fmt.Errorf("%w: snapshot response %d bytes", ErrFrame, len(body))
-	}
-	next, env := le.Uint64(body), body[snapGenBytes:]
-	if !snapshot.IsDelta(env) {
-		if _, err := snapshot.Decode(env); err != nil {
-			return gen, fmt.Errorf("%w: snapshot frame: %v", ErrFrame, err)
-		}
-		h.Set(env)
-		return next, nil
-	}
-	if err := h.Apply(env); err != nil {
-		return gen, fmt.Errorf("%w: snapshot delta: %v", ErrFrame, err)
-	}
-	return next, nil
 }
 
 // Restore installs a snapshot frame as the session's state, replacing

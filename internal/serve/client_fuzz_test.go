@@ -43,7 +43,7 @@ const (
 	fuzzUpdate = iota
 	fuzzPredict
 	fuzzUpdateSeq
-	fuzzRefresh
+	fuzzTracked
 	fuzzStats
 	fuzzOpen
 	fuzzSnapshot
@@ -55,7 +55,7 @@ const (
 const clientFuzzSession = 7
 
 // clientFuzzRig holds what the fuzzed ops send: a batch of traces and
-// the frame a refreshed Held starts from, with its generation.
+// the frame a tracked batch's Held starts from, with its generation.
 type clientFuzzRig struct {
 	traces []trace.Trace
 	frame  []byte
@@ -63,7 +63,7 @@ type clientFuzzRig struct {
 }
 
 // run performs one op on c. preds and h receive what PredictBatch and
-// RefreshSnapshot write.
+// UpdateBatchSnapshot write.
 func (rig *clientFuzzRig) run(c *Client, op uint8, n int, preds []predictor.Prediction, h *snapshot.Held) (skipped, applied, correct uint32, err error) {
 	if op&0x80 != 0 {
 		c.SetClientTag("fuzz")
@@ -76,8 +76,8 @@ func (rig *clientFuzzRig) run(c *Client, op uint8, n int, preds []predictor.Pred
 		return c.PredictBatch(clientFuzzSession, batch, preds)
 	case fuzzUpdateSeq:
 		return c.UpdateBatchSeq(clientFuzzSession, 5, batch)
-	case fuzzRefresh:
-		_, err = c.RefreshSnapshot(clientFuzzSession, rig.gen, h)
+	case fuzzTracked:
+		return trackedAck(c.UpdateBatchSnapshot(clientFuzzSession, 0, batch, rig.gen, h))
 	case fuzzStats:
 		_, err = c.Stats(clientFuzzSession)
 	case fuzzOpen:
@@ -90,10 +90,16 @@ func (rig *clientFuzzRig) run(c *Client, op uint8, n int, preds []predictor.Pred
 	return 0, 0, 0, err
 }
 
+// trackedAck drops UpdateBatchSnapshot's generation from its results.
+func trackedAck(skipped, applied, correct uint32, _ uint64, err error) (uint32, uint32, uint32, error) {
+	return skipped, applied, correct, err
+}
+
 // newClientFuzzRig starts a real server, trains the fuzz session and
 // records one response stream per op as a seed: every op untagged,
-// Stats tagged, and a RefreshSnapshot answered with a delta against
-// the rig's frame.
+// Stats tagged, and a tracked batch twice, answered first with a delta
+// against the rig's frame, then, its generation gone stale, with a full
+// frame.
 func newClientFuzzRig(f *testing.F) *clientFuzzRig {
 	srv, err := NewServer(Config{Addr: "127.0.0.1:0", Shards: 1,
 		Predictor: predictor.Config{Backend: "hybrid", Depth: 3, IndexBits: 10, UseRHS: true}})
@@ -124,7 +130,7 @@ func newClientFuzzRig(f *testing.F) *clientFuzzRig {
 	if _, _, _, err := c.UpdateBatch(clientFuzzSession, rig.traces); err != nil {
 		f.Fatal(err)
 	}
-	if rig.gen, err = c.RefreshSnapshot(clientFuzzSession, 0, &h); err != nil {
+	if _, _, _, rig.gen, err = c.UpdateBatchSnapshot(clientFuzzSession, 0, rig.traces[:8], 0, &h); err != nil {
 		f.Fatal(err)
 	}
 	rig.frame = bytes.Clone(h.Frame())
@@ -132,18 +138,22 @@ func newClientFuzzRig(f *testing.F) *clientFuzzRig {
 		f.Fatal(err)
 	}
 
-	// The refresh seed goes first: it is the delta against rig.frame
-	// only while the session's tracked generation is still rig.gen.
+	// The first tracked seed is the delta against rig.frame only while
+	// the session's tracked generation is still rig.gen; it answers with
+	// a new one, so the second gets a full frame.
 	preds := make([]predictor.Prediction, len(rig.traces))
-	for _, op := range []uint8{fuzzRefresh, fuzzUpdate, fuzzPredict, fuzzUpdateSeq, fuzzStats,
+	for i, op := range []uint8{fuzzTracked, fuzzTracked, fuzzUpdate, fuzzPredict, fuzzUpdateSeq, fuzzStats,
 		fuzzStats | 0x80, fuzzOpen, fuzzSnapshot, fuzzRestore} {
 		c, rc := dial()
 		h.Set(rig.frame)
 		if _, _, _, err := rig.run(c, op, 16, preds, &h); err != nil {
 			f.Fatalf("op %d: %v", op, err)
 		}
-		if op == fuzzRefresh && !snapshot.IsDelta(rc.rec.Bytes()[4+respHeaderBytes+snapGenBytes:]) {
-			f.Fatal("refresh seed is not a delta")
+		if op == fuzzTracked {
+			snap := rc.rec.Bytes()[4+respHeaderBytes+batchRespBytes+snapGenBytes:]
+			if snapshot.IsDelta(snap) != (i == 0) {
+				f.Fatalf("tracked seed %d: delta answer %v, want %v", i, snapshot.IsDelta(snap), i == 0)
+			}
 		}
 		f.Add(op, uint8(16), bytes.Clone(rc.rec.Bytes()))
 	}
@@ -160,30 +170,31 @@ func newClientFuzzRig(f *testing.F) *clientFuzzRig {
 	}
 	f.Add(uint8(fuzzUpdate), uint8(4), over(2, 3, 0))
 	f.Add(uint8(fuzzUpdate), uint8(4), over(0, 2, 3))
-	f.Add(uint8(fuzzRefresh), uint8(0), notAFrame())
+	f.Add(uint8(fuzzTracked), uint8(0), notAFrame())
 	return rig
 }
 
-// notAFrame is a scripted OpSnapshot answer to a client's first
-// request: OK, generation 9, and a full answer that is not a snapshot
-// frame.
+// notAFrame is a scripted answer to a client's first request, a
+// tracked batch of no traces: OK, nothing skipped, applied or correct,
+// generation 9, and a full answer that is not a snapshot frame.
 func notAFrame() []byte {
 	body := "not a frame"
-	b := le.AppendUint32(nil, uint32(respHeaderBytes+snapGenBytes+len(body)))
-	b = append(b, OpSnapshot|respBit, 1, 0, 0, 0, StatusOK)
+	b := le.AppendUint32(nil, uint32(respHeaderBytes+batchRespBytes+snapGenBytes+len(body)))
+	b = append(b, OpUpdateBatch|respBit, 1, 0, 0, 0, StatusOK)
+	b = append(b, make([]byte, batchRespBytes)...)
 	b = le.AppendUint64(b, 9)
 	return append(b, body...)
 }
 
 // FuzzClientResponse feeds a scripted server's response stream to one
-// Client call: the batch ops, RefreshSnapshot (full frame or delta),
-// Stats, Open, Snapshot and Restore, optionally after an OpHello. The
-// client must not panic, must allocate at most 8 bytes per response
-// byte plus 256 KiB, and must fail any batch answer that covers more
-// traces than were sent or counts more correct than applied; a failed
-// call leaves the caller's predictions and held frame untouched, and
-// after a refresh it accepts, the held frame decodes (for a full
-// answer, that is the answer itself).
+// Client call: the batch ops, a tracked batch (its answer carrying a
+// full frame or a delta), Stats, Open, Snapshot and Restore, optionally
+// after an OpHello. The client must not panic, must allocate at most 8
+// bytes per response byte plus 256 KiB, and must fail any batch answer
+// that covers more traces than were sent or counts more correct than
+// applied; a failed call leaves the caller's predictions and held frame
+// untouched, and after a tracked answer it accepts, the held frame
+// decodes (for a full answer, that is the answer's frame itself).
 func FuzzClientResponse(f *testing.F) {
 	rig := newClientFuzzRig(f)
 	f.Fuzz(func(t *testing.T, op uint8, n uint8, resp []byte) {
@@ -205,11 +216,11 @@ func FuzzClientResponse(f *testing.F) {
 		}
 
 		if err != nil && !bytes.Equal(h.Frame(), rig.frame) {
-			t.Fatalf("failed refresh (%v) changed the held frame", err)
+			t.Fatalf("failed tracked batch (%v) changed the held frame", err)
 		}
-		if op%clientOps == fuzzRefresh && err == nil {
+		if op%clientOps == fuzzTracked && err == nil {
 			if _, derr := snapshot.Decode(h.Frame()); derr != nil {
-				t.Fatalf("accepted refresh left a held frame that does not decode: %v", derr)
+				t.Fatalf("accepted tracked batch left a held frame that does not decode: %v", derr)
 			}
 		}
 		if err == nil && (int(skipped)+int(applied) > sent || correct > applied) {
@@ -224,10 +235,11 @@ func FuzzClientResponse(f *testing.F) {
 	})
 }
 
-// TestRefreshSnapshotRejectsCorruptFrame: a full answer that is not a
-// snapshot frame fails RefreshSnapshot with ErrFrame, and the caller
-// keeps its generation and its held frame.
-func TestRefreshSnapshotRejectsCorruptFrame(t *testing.T) {
+// TestUpdateBatchSnapshotRejectsCorruptFrame: a tracked batch answer
+// whose full frame is not a snapshot frame fails UpdateBatchSnapshot
+// with ErrFrame, and the caller keeps its generation and its held
+// frame.
+func TestUpdateBatchSnapshotRejectsCorruptFrame(t *testing.T) {
 	b, ok := predictor.BackendByName("basic")
 	if !ok {
 		t.Fatal("no basic backend")
@@ -243,7 +255,7 @@ func TestRefreshSnapshotRejectsCorruptFrame(t *testing.T) {
 	var h snapshot.Held
 	h.Set(good)
 	c := newClient(&scriptConn{r: bytes.NewReader(notAFrame())})
-	gen, err := c.RefreshSnapshot(clientFuzzSession, 5, &h)
+	_, _, _, gen, err := c.UpdateBatchSnapshot(clientFuzzSession, 0, nil, 5, &h)
 	if !errors.Is(err, ErrFrame) {
 		t.Errorf("err = %v, want ErrFrame", err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -121,12 +122,12 @@ func TestRetryClientDeltaFramesMatchFullSnapshots(t *testing.T) {
 	}
 }
 
-// TestSnapshotTokenFallsBackToFullFrame: a tracked OpSnapshot gets a
-// delta only when it names the session's last answered generation. A
-// stale token (a lost answer, a second client), a zero token, and the
-// first snapshot after a restore all get a full frame; an untracked
-// snapshot in between gets the bare frame and does not disturb the
-// tracked client's next delta.
+// TestSnapshotTokenFallsBackToFullFrame: a tracked batch's answer
+// carries a delta only when the batch names the session's last answered
+// generation. A stale token (a lost answer, a second client), a zero
+// token, and the first tracked batch after a restore all get a full
+// frame; an untracked OpSnapshot in between gets the bare frame and
+// does not disturb the tracked client's next delta.
 func TestSnapshotTokenFallsBackToFullFrame(t *testing.T) {
 	s := captureTestStream(t)
 	srv := newTestServer(t, Config{Shards: 1, Predictor: predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}})
@@ -137,22 +138,21 @@ func TestSnapshotTokenFallsBackToFullFrame(t *testing.T) {
 	}
 	cur := s.Cursor()
 	batch := make([]trace.Trace, 64)
-	update := func() {
-		t.Helper()
-		n := cur.NextBatch(batch)
-		if _, _, _, err := cl.UpdateBatch(session, batch[:n]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var seq uint64
 	deltas := func() uint64 { return srv.shards[0].metrics.deltaSnaps.Load() }
 	var a, b heldFrame
-	refresh := func(h *heldFrame, wantDelta bool) {
+	track := func(h *heldFrame, wantDelta bool) {
 		t.Helper()
+		n := cur.NextBatch(batch)
 		before := deltas()
-		gen, err := cl.RefreshSnapshot(session, h.gen, &h.Held)
+		_, applied, _, gen, err := cl.UpdateBatchSnapshot(session, seq+1, batch[:n], h.gen, &h.Held)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if applied != uint32(n) {
+			t.Fatalf("applied %d of %d", applied, n)
+		}
+		seq += uint64(n)
 		h.gen = gen
 		if got := deltas() > before; got != wantDelta {
 			t.Fatalf("delta answer = %v, want %v", got, wantDelta)
@@ -162,24 +162,52 @@ func TestSnapshotTokenFallsBackToFullFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(h.Frame(), want) {
-			t.Fatal("refreshed frame differs from the full snapshot")
+			t.Fatal("tracked frame differs from the full snapshot")
 		}
 	}
-	update()
-	refresh(&a, false) // first: full
-	update()
-	refresh(&a, true) // token current: delta, across the untracked Snapshot above
-	update()
-	refresh(&b, false) // second client, no token: full
-	update()
-	refresh(&a, false) // a's token went stale
-	update()
-	refresh(&a, true)
+	track(&a, false) // first: full
+	track(&a, true)  // token current: delta, across the untracked Snapshot above
+	track(&b, false) // second client, no token: full
+	track(&a, false) // a's token went stale
+	track(&a, true)
 	if _, err := cl.Restore(session, a.Frame()); err != nil {
 		t.Fatal(err)
 	}
-	update()
-	refresh(&a, false) // restored session has no tracked snapshot
-	update()
-	refresh(&a, true)
+	track(&a, false) // restored session has no tracked snapshot
+	track(&a, true)
+}
+
+// TestTrackedBatchRefusedWithoutSnapshots: a tracked batch on a backend
+// that cannot snapshot is refused with ErrBadRequest before it trains,
+// so the session's stats do not move, while the same batch untracked
+// trains.
+func TestTrackedBatchRefusedWithoutSnapshots(t *testing.T) {
+	cfg := predictor.Config{Backend: "unbounded", Depth: 3}
+	if b, err := predictor.ResolveBackend(cfg); err != nil || b.Snapshottable() {
+		t.Fatalf("backend %q: err %v, snapshottable %v; want a backend without snapshots", cfg.Backend, err, b.Snapshottable())
+	}
+	srv := newTestServer(t, Config{Shards: 1, Predictor: cfg})
+	cl := dialT(t, srv)
+	const session = 3
+	if _, _, err := cl.Open(session); err != nil {
+		t.Fatal(err)
+	}
+	batch := streamTraces(t)[:64]
+	var h snapshot.Held
+	if _, _, _, _, err := cl.UpdateBatchSnapshot(session, 1, batch, 0, &h); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("tracked batch: err = %v, want ErrBadRequest", err)
+	}
+	if h.Len() != 0 {
+		t.Error("a refused batch filled the held frame")
+	}
+	st, err := cl.Stats(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Session != (predictor.Stats{}) {
+		t.Fatalf("stats after a refused tracked batch %+v, want none", st.Session)
+	}
+	if _, applied, _, err := cl.UpdateBatchSeq(session, 1, batch); err != nil || applied != uint32(len(batch)) {
+		t.Fatalf("untracked batch: applied %d, err %v", applied, err)
+	}
 }

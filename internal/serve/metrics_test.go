@@ -390,11 +390,12 @@ func TestMetricsExactAtEveryReply(t *testing.T) {
 	}
 }
 
-// TestSnapshotMetrics: the snapshot families count every OpSnapshot
-// answer, split full frames from deltas, and sum their bytes by kind:
-// one tracked full frame, one untracked full frame of the same state,
-// then one delta, which must be exactly the size of the delta an
-// in-process predictor fed the same traces produces.
+// TestSnapshotMetrics: the snapshot families count every snapshot
+// served, in an OpSnapshot answer or a tracked batch's, split full
+// frames from deltas, and sum their bytes by kind: one tracked full
+// frame, one untracked full frame of the same state, then one delta,
+// which must be exactly the size of the delta an in-process predictor
+// fed the same traces produces.
 func TestSnapshotMetrics(t *testing.T) {
 	traces := streamTraces(t)
 	cfg := headlineConfig()
@@ -408,27 +409,21 @@ func TestSnapshotMetrics(t *testing.T) {
 	ref := predictor.MustNew(cfg)
 	first, second := traces[:300], traces[300:400]
 
-	if _, _, _, err := cl.UpdateBatch(session, first); err != nil {
-		t.Fatal(err)
-	}
-	predictor.UpdateBatch(ref, first)
 	var h snapshot.Held
-	gen, err := cl.RefreshSnapshot(session, 0, &h)
+	_, _, _, gen, err := cl.UpdateBatchSnapshot(session, 1, first, 0, &h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	predictor.UpdateBatch(ref, first)
 	full, err := cl.Snapshot(session)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Mark(ref)
-	if _, _, _, err := cl.UpdateBatch(session, second); err != nil {
+	if _, _, _, _, err := cl.UpdateBatchSnapshot(session, uint64(len(first))+1, second, gen, &h); err != nil {
 		t.Fatal(err)
 	}
 	predictor.UpdateBatch(ref, second)
-	if _, err := cl.RefreshSnapshot(session, gen, &h); err != nil {
-		t.Fatal(err)
-	}
 	delta, err := snapshot.AppendDelta(nil, session, uint64(len(first)+len(second)), b.Name,
 		func(dst []byte) ([]byte, error) { return b.AppendDelta(dst, ref) })
 	if err != nil {

@@ -29,9 +29,8 @@
 //	           resp: u32 shard | session Stats
 //	                 (Stats is 6 * u64: predictions, correct, cold,
 //	                 fromSecondary, altCorrect, altPresent)
-//	OpSnapshot req:  (empty) | u64 gen
-//	           resp: one internal/snapshot frame     (empty request)
-//	                 u64 gen | frame or delta        (gen request)
+//	OpSnapshot req:  (empty)
+//	           resp: one internal/snapshot frame
 //	OpRestore  req:  one internal/snapshot frame
 //	           resp: u32 shard
 //	OpHello    req:  client tag (1..64 printable ASCII bytes)
@@ -42,7 +41,9 @@
 // regime — in a single frame and a single pass through the shard:
 //
 //	OpUpdateBatch  req:  u64 startSeq | u32 count | count * trace (8 bytes each)
+//	                     [| u64 gen]
 //	               resp: u32 skipped | u32 applied | u32 correct
+//	                     [| u64 newGen | frame or delta]
 //	OpPredictBatch req:  u64 startSeq | u32 count | count * trace
 //	               resp: u32 skipped | u32 applied | u32 correct |
 //	                     applied * prediction (19 bytes each; the
@@ -79,20 +80,26 @@
 // adversarial frame can neither install garbage state nor force large
 // allocations.
 //
-// A client that keeps a session's frame current after every ack asks
-// for snapshots incrementally: its OpSnapshot body is the generation
-// token of the frame it holds (0 when it holds none). Every such answer
-// starts with a new token for the client to hold next. When the token
-// names the session's last answered generation and the backend takes
-// deltas, the rest is an internal/snapshot delta envelope: the state's
-// small mutable part plus only the table entries written since, O(the
-// batches between) rather than O(table), which the client merges into
-// its frame (snapshot.Held). Otherwise — the first snapshot, a lost or
-// torn answer, a restore, a second client snapshotting the same
-// session, a backend without delta hooks such as TAGE — the rest is a
-// full frame, and the session starts tracking its writes from it. An
-// empty body always gets a bare full frame and leaves that tracking
-// alone; so do checkpoints and drain handoffs.
+// A client that keeps a session's frame current after every ack gets
+// it in the ack itself: its OpUpdateBatch ends with the generation
+// token of the frame it holds (0 when it holds none), and the answer,
+// written under the same shard lock right after the batch, goes on
+// with a new token for the client to hold next and the session's state
+// after the batch. When the token names the session's last answered
+// generation and the backend takes deltas, that state is an
+// internal/snapshot delta envelope: the state's small mutable part plus
+// only the table entries written since, O(the batches between) rather
+// than O(table), which the client merges into its frame
+// (snapshot.Held). Otherwise — the first tracked ack, a lost or torn
+// answer, a restore, a second client tracking the same session, a
+// backend without delta hooks such as TAGE — it is a full frame, and
+// the session starts tracking its writes from it. A refused batch
+// (a sequence gap, an unknown session, throttled, overloaded) trains
+// nothing and carries no state; a tracked batch on a backend that
+// cannot snapshot is refused with StatusBadRequest before it trains.
+// OpPredictBatch takes no token. OpSnapshot always gets a bare full
+// frame and leaves that tracking alone; so do checkpoints and drain
+// handoffs.
 //
 // A trace on the wire is one little-endian u64 carrying exactly the
 // fields the predictor consumes: the identifier and the call/return
@@ -265,14 +272,14 @@ func statusOf(err error) uint8 {
 const (
 	// MaxBatch bounds the traces in one batch request.
 	MaxBatch = 8192
-	// MaxFrame bounds a frame payload: the largest of a batch of
-	// MaxBatch traces, an OpRestore carrying a full session snapshot,
-	// and a tracked OpSnapshot answer carrying one (a delta is never
-	// larger than the full frame of the same state).
+	// MaxFrame bounds a frame payload: the largest of a tracked batch
+	// of MaxBatch traces, an OpRestore carrying a full session
+	// snapshot, and a tracked batch answer carrying one (a delta is
+	// never larger than the full frame of the same state).
 	MaxFrame = max(
-		reqHeaderBytes+updateHeaderBytes+MaxBatch*wireTraceBytes,
+		reqHeaderBytes+updateHeaderBytes+MaxBatch*wireTraceBytes+snapGenBytes,
 		reqHeaderBytes+snapshot.MaxEncoded,
-		respHeaderBytes+snapGenBytes+snapshot.MaxEncoded,
+		respHeaderBytes+batchRespBytes+snapGenBytes+snapshot.MaxEncoded,
 	)
 )
 
@@ -282,7 +289,7 @@ const (
 	updateHeaderBytes = 8 + 4     // seq, count
 	batchRespBytes    = 4 + 4 + 4 // skipped, applied, correct
 	openRespBytes     = 4 + 8     // shard, lastSeq
-	snapGenBytes      = 8         // OpSnapshot generation token
+	snapGenBytes      = 8         // a tracked batch's generation token
 	wireTraceBytes    = 8
 	statsBytes        = 6 * 8
 )
@@ -468,8 +475,8 @@ type request struct {
 	seq       uint64        // batch ops: exactly-once sequence of traces[0], 0 = none
 	traces    []trace.Trace // batch ops: decoded into the reused buffer
 	blob      []byte        // OpRestore only: the snapshot frame, aliasing the payload
-	tracked   bool          // OpSnapshot only: the client named the generation it holds
-	gen       uint64        // OpSnapshot only: that generation, 0 = none
+	tracked   bool          // OpUpdateBatch only: the client named the generation it holds
+	gen       uint64        // OpUpdateBatch only: that generation, 0 = none
 	client    string        // OpHello only: the client tag (copied)
 	wireBytes int           // payload size on the wire, for per-client byte accounting
 
@@ -496,17 +503,9 @@ func parseRequest(req *request, payload []byte) error {
 	}
 	body := payload[reqHeaderBytes:]
 	switch req.op {
-	case OpOpen, OpStats:
+	case OpOpen, OpStats, OpSnapshot:
 		if len(body) != 0 {
 			return fmt.Errorf("%w: op 0x%02x with %d-byte body", ErrFrame, req.op, len(body))
-		}
-	case OpSnapshot:
-		switch len(body) {
-		case 0:
-		case snapGenBytes:
-			req.tracked, req.gen = true, le.Uint64(body)
-		default:
-			return fmt.Errorf("%w: snapshot body %d bytes", ErrFrame, len(body))
 		}
 	case OpUpdateBatch, OpPredictBatch:
 		if len(body) < updateHeaderBytes {
@@ -517,7 +516,11 @@ func parseRequest(req *request, payload []byte) error {
 		if count > MaxBatch {
 			return fmt.Errorf("%w: batch %d exceeds %d", ErrFrame, count, MaxBatch)
 		}
-		if len(body) != updateHeaderBytes+int(count)*wireTraceBytes {
+		switch n := updateHeaderBytes + int(count)*wireTraceBytes; {
+		case len(body) == n:
+		case len(body) == n+snapGenBytes && req.op == OpUpdateBatch:
+			req.tracked, req.gen = true, le.Uint64(body[n:])
+		default:
 			return fmt.Errorf("%w: batch %d in %d-byte body", ErrFrame, count, len(body))
 		}
 		// The range [startSeq, startSeq+count) must not wrap uint64.

@@ -156,6 +156,10 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 		"update batch too big": okUpdate(MaxBatch+1, 0),
 		"retired op 0x02":      func() []byte { b := make([]byte, reqHeaderBytes); b[0] = 0x02; return b }(),
 		"retired op 0x03":      batchFrame(0x03, 1, 2, 0),
+		// Only OpUpdateBatch takes a generation token.
+		"tracked predict":   batchFrame(OpPredictBatch, 1, 2, snapGenBytes),
+		"tracked snapshot":  func() []byte { b := make([]byte, reqHeaderBytes+snapGenBytes); b[0] = OpSnapshot; return b }(),
+		"update half token": okUpdate(2, snapGenBytes/2),
 	}
 	for name, payload := range cases {
 		var req request
@@ -170,8 +174,33 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 	if err := parseRequest(&req, good); err != nil {
 		t.Fatalf("good update: %v", err)
 	}
-	if req.op != OpUpdateBatch || len(req.traces) != 2 {
+	if req.op != OpUpdateBatch || len(req.traces) != 2 || req.tracked {
 		t.Errorf("good update: parsed %+v", req)
+	}
+}
+
+// TestParseTrackedUpdate: an OpUpdateBatch that ends in a generation
+// token parses as tracked, with its traces and its token, up to a full
+// MaxBatch, and that largest tracked request fits MaxFrame.
+func TestParseTrackedUpdate(t *testing.T) {
+	for _, count := range []uint32{0, 3, MaxBatch} {
+		payload := batchFrame(OpUpdateBatch, 7, count, snapGenBytes)
+		le.PutUint64(payload[len(payload)-snapGenBytes:], 0xfeedface)
+		if len(payload) > MaxFrame {
+			t.Fatalf("tracked batch of %d: %d-byte payload exceeds MaxFrame %d", count, len(payload), MaxFrame)
+		}
+		var req request
+		if err := parseRequest(&req, payload); err != nil {
+			t.Fatalf("tracked batch of %d: %v", count, err)
+		}
+		if !req.tracked || req.gen != 0xfeedface || len(req.traces) != int(count) || req.seq != 7 {
+			t.Errorf("tracked batch of %d: parsed tracked=%v gen=%#x traces=%d seq=%d", count, req.tracked, req.gen, len(req.traces), req.seq)
+		}
+	}
+	// An answer carrying a frame of the largest size the snapshot codec
+	// writes fits too.
+	if n := respHeaderBytes + batchRespBytes + snapGenBytes + snapshot.MaxEncoded; n > MaxFrame {
+		t.Errorf("tracked answer of %d bytes exceeds MaxFrame %d", n, MaxFrame)
 	}
 }
 
@@ -212,6 +241,8 @@ func FuzzParseRequest(f *testing.F) {
 		f.Add(withBody(op, ""))
 	}
 	f.Add(withBody(OpSnapshot, "\x01\x02\x03\x04\x05\x06\x07\x08"))
+	f.Add(batchFrame(OpUpdateBatch, 1, 3, snapGenBytes))
+	f.Add(batchFrame(OpPredictBatch, 1, 3, snapGenBytes))
 	f.Add(withBody(OpRestore, "NTSS\x02 not a real snapshot"))
 	f.Add(withBody(OpHello, "fuzz-client"))
 	f.Add(batchFrame(OpUpdateBatch, 1, 3, 0))
@@ -251,12 +282,8 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		switch req.op {
 		case OpOpen, OpStats, OpSnapshot:
-			if len(req.traces) != 0 || req.blob != nil || req.client != "" || req.seq != 0 {
+			if len(payload) != reqHeaderBytes || len(req.traces) != 0 || req.blob != nil || req.client != "" || req.seq != 0 || req.tracked || req.gen != 0 {
 				t.Fatalf("control op 0x%02x decoded with a body: %+v", req.op, req)
-			}
-			// Of these ops only OpSnapshot takes a body: its generation.
-			if tracked := len(payload) == reqHeaderBytes+snapGenBytes; req.tracked != tracked || !tracked && req.gen != 0 {
-				t.Fatalf("op 0x%02x from a %d-byte payload decoded tracked=%v gen=%d", req.op, len(payload), req.tracked, req.gen)
 			}
 		case OpRestore:
 			if len(req.blob) == 0 || len(req.blob) > snapshot.MaxEncoded || len(req.traces) != 0 {
@@ -271,8 +298,16 @@ func FuzzParseRequest(f *testing.F) {
 			if n > MaxBatch {
 				t.Fatalf("decoded %d traces, above MaxBatch %d", n, MaxBatch)
 			}
-			if reqHeaderBytes+updateHeaderBytes+n*wireTraceBytes != len(payload) {
-				t.Fatalf("decoded %d traces from a %d-byte payload", n, len(payload))
+			// Only an update takes the trailing generation token.
+			token := 0
+			if req.tracked {
+				token = snapGenBytes
+			}
+			if req.tracked && req.op != OpUpdateBatch || !req.tracked && req.gen != 0 {
+				t.Fatalf("op 0x%02x decoded tracked=%v gen=%d", req.op, req.tracked, req.gen)
+			}
+			if reqHeaderBytes+updateHeaderBytes+n*wireTraceBytes+token != len(payload) {
+				t.Fatalf("decoded %d traces (tracked %v) from a %d-byte payload", n, req.tracked, len(payload))
 			}
 			if req.seq != 0 && n > 0 && req.seq+uint64(n)-1 < req.seq {
 				t.Fatalf("accepted wrapping seq range %d+%d", req.seq, n)

@@ -49,18 +49,21 @@ type RetryConfig struct {
 	// exact retry schedule.
 	Seed uint64
 
-	// SnapshotEvery takes a session snapshot after every N acked
-	// updates (0 disables). With 1, recovery is exact: a session lost
-	// to a crash, or left behind by a restart from a stale checkpoint,
-	// is re-established from a snapshot that includes every acked
-	// batch, and the stream continues bit-identically. With N > 1 (or
-	// 0) the held frame can be older than the acked position; a server
-	// that comes back behind it then fails the next batch with an
-	// error wrapping ErrSeqGap rather than train across the lost
+	// SnapshotEvery takes a session snapshot with every N'th acked
+	// update (0 disables): that update is sent tracked, and its ack
+	// carries the session's state after the batch, so a snapshot costs
+	// no round trip of its own. With 1, recovery is exact: a session
+	// lost to a crash, or left behind by a restart from a stale
+	// checkpoint, is re-established from a snapshot that includes every
+	// acked batch, and the stream continues bit-identically. With N > 1
+	// (or 0) the held frame can be older than the acked position; a
+	// server that comes back behind it then fails the next batch with
+	// an error wrapping ErrSeqGap rather than train across the lost
 	// traces. Snapshots after the first are deltas merged into the held
 	// frame, so on the paper backends a snapshot costs O(the batches
 	// since the last one) on both sides, not O(table): N=1 costs
-	// O(batch) per ack.
+	// O(batch) per ack. A server whose backend cannot snapshot refuses
+	// the tracked updates with ErrBadRequest.
 	SnapshotEvery int
 
 	// ClientTag names this client to the server for per-client
@@ -366,7 +369,9 @@ func (rc *RetryClient) session(id uint64) *rcSession {
 // Open creates (or re-attaches to) a session, retrying across
 // reconnects, and seeds the session's recovery state. With snapshots
 // enabled, the freshly opened session is snapshotted immediately so
-// even a crash before the first update recovers exactly.
+// even a crash before the first update recovers exactly. That frame is
+// untracked: the first tracked ack (generation 0) answers with a full
+// frame and starts the server's change record.
 func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err error) {
 	s := rc.session(session)
 	err = rc.do(session, "open", func(c *Client) (err error) {
@@ -376,8 +381,9 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 		}
 		s.seq = max(s.seq, lastSeq)
 		if rc.cfg.SnapshotEvery > 0 && s.snap.Len() == 0 {
-			if gen, serr := c.RefreshSnapshot(session, 0, &s.snap); serr == nil {
-				s.gen, s.sinceSnap, s.snapSeq = gen, 0, lastSeq
+			if frame, serr := c.Snapshot(session); serr == nil {
+				s.snap.Set(frame)
+				s.gen, s.sinceSnap, s.snapSeq = 0, 0, lastSeq
 			}
 		}
 		return nil
@@ -395,11 +401,18 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 // restored replica that had applied only part of the batch, trains
 // exactly the unseen suffix), and a server that lost the session
 // entirely is re-fed the last acked snapshot before the batch is
-// resent. With SnapshotEvery == 1 the acked snapshot always includes
-// every previously acked batch, so the recovered stream is
-// bit-identical to an uninterrupted one. The session's acked position
-// advances only when the call returns, so while it runs s.seq is the
-// sequence before the batch: the position a gap must be recovered to.
+// resent. When the batch is due a snapshot (SnapshotEvery), it goes
+// tracked, and its ack brings the held frame up to date in the same
+// round trip; the ack is taken whole or not at all, so a torn, dropped
+// or unmergeable one is resent like a lost ack, and the generation the
+// resend names no longer matches, which draws a full frame. With
+// SnapshotEvery == 1 the acked snapshot always includes every
+// previously acked batch, so the recovered stream is bit-identical to
+// an uninterrupted one. The session's acked position advances only when
+// the call returns, so while it runs s.seq is the sequence before the
+// batch: the position a gap must be recovered to. The counts returned
+// are those of the ack taken, which after a resend report what the
+// server answering it still needed.
 func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	if len(traces) == 0 {
 		return 0, 0, 0, nil
@@ -407,48 +420,27 @@ func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skippe
 	s := rc.session(session)
 	start := s.seq + 1
 	end := start + uint64(len(traces)) - 1
-	sent := false // acked on the current connection; still snapshotting
-	acked := false
-	err = rc.do(session, "update", func(c *Client) error {
-		if !sent {
-			sk, ap, co, err := c.UpdateBatchSeq(session, start, traces)
-			if err != nil {
-				return err
-			}
-			if !acked {
-				// A resend reports what the server answering it still
-				// needed; the caller gets the first ack.
-				skipped, applied, correct, acked = sk, ap, co, true
-			}
-			s.sinceSnap++
-			sent = true
-		}
-		if rc.cfg.SnapshotEvery <= 0 || s.sinceSnap < rc.cfg.SnapshotEvery {
-			return nil
-		}
-		// Refresh the frame in place, by a delta when the server still
-		// knows the held generation: a failed snapshot leaves the last
-		// acked frame intact for establish.
-		gen, err := c.RefreshSnapshot(session, s.gen, &s.snap)
-		switch {
-		case err == nil:
-			s.gen, s.sinceSnap, s.snapSeq = gen, 0, end
-		case errors.Is(err, ErrUnknownSession), redial(err):
-			// The session or the connection was lost between ack and
-			// snapshot. The server answering next may hold less than
-			// the ack (a restart from a stale checkpoint) and would
-			// snapshot that, so the same range goes first: suffix dedup
-			// absorbs whatever it already covers, and an unknown
-			// session or a gap restores the held frame.
-			sent = false
+	due := rc.cfg.SnapshotEvery > 0 && s.sinceSnap+1 >= rc.cfg.SnapshotEvery
+	err = rc.do(session, "update", func(c *Client) (err error) {
+		if !due {
+			skipped, applied, correct, err = c.UpdateBatchSeq(session, start, traces)
 			return err
 		}
-		return nil // acked; the held frame stays at the last snapshot
+		var gen uint64
+		skipped, applied, correct, gen, err = c.UpdateBatchSnapshot(session, start, traces, s.gen, &s.snap)
+		if err == nil {
+			s.gen, s.snapSeq = gen, end
+		}
+		return err
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	s.seq = max(s.seq, end)
+	s.sinceSnap++
+	if due {
+		s.sinceSnap = 0
+	}
 	return skipped, applied, correct, nil
 }
 

@@ -24,7 +24,8 @@ type seenReq struct {
 	fail bool   // answered with the scripted status
 }
 
-// snapFault is a scripted failure of one OpSnapshot answer.
+// snapFault is a scripted failure of one answer carrying a snapshot: an
+// OpSnapshot answer or a tracked batch's ack.
 type snapFault uint8
 
 const (
@@ -49,9 +50,10 @@ func scriptSnap(n int) []byte {
 
 // scriptServer is a fake ntpd that answers every op with StatusOK and
 // well-formed bodies, except that the first request carrying failOp is
-// answered with failStatus, and the n'th OpSnapshot (counting from 1)
-// fails as snapFaults[n] says. The n'th snapshot served is
-// scriptSnap(n).
+// answered with failStatus, and the n'th request due a snapshot (an
+// OpSnapshot or a tracked batch, counting from 1) fails as
+// snapFaults[n] says. The n'th snapshot served is scriptSnap(n), after
+// generation n in a tracked batch's ack.
 type scriptServer struct {
 	ln         net.Listener
 	failOp     uint8
@@ -119,7 +121,7 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 			status = ss.failStatus
 		}
 		fault := snapOK
-		if req.op == OpSnapshot {
+		if req.op == OpSnapshot || req.tracked {
 			ss.snaps++
 			if fault = ss.snapFaults[ss.snaps]; fault == snapUnknown {
 				status = StatusUnknownSession
@@ -135,14 +137,15 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		case req.op == OpRestore:
 			resp = append(resp, make([]byte, 4)...)
 		case req.op == OpSnapshot:
-			if req.tracked {
-				resp = le.AppendUint64(resp, uint64(ss.snaps))
-			}
 			resp = append(resp, scriptSnap(ss.snaps)...)
 		case req.op == OpUpdateBatch:
 			resp = le.AppendUint32(resp, 0)
 			resp = le.AppendUint32(resp, uint32(len(req.traces)))
 			resp = le.AppendUint32(resp, 0)
+			if req.tracked {
+				resp = le.AppendUint64(resp, uint64(ss.snaps))
+				resp = append(resp, scriptSnap(ss.snaps)...)
+			}
 		case req.op == OpStats:
 			resp = append(resp, make([]byte, 4+statsBytes)...)
 		}
@@ -317,15 +320,14 @@ func TestRetryClientPolicy(t *testing.T) {
 }
 
 // TestRetryClientSnapshotFailureKeepsAckedFrame: RetryClient refreshes
-// a session's frame in place, yet a snapshot that fails once requested
-// — its response torn mid-body and stalled, the connection dropped
-// mid-body, or ErrUnknownSession — leaves the last acked frame
-// byte-identical. The first two redial and resend the batch over its
-// original sequence range before snapshotting again (the server now
-// answering may not hold the ack); answering that snapshot
-// ErrUnknownSession makes the client restore from the frame it holds,
-// so the server sees exactly the last acked frame, then the batch
-// resent once more, and the stream carries on from there.
+// a session's frame in place from each tracked ack, yet an ack that
+// fails — torn mid-body and stalled, the connection dropped mid-body,
+// or ErrUnknownSession — leaves the last acked frame byte-identical.
+// The first two redial and resend the batch over its original sequence
+// range (the server now answering may not hold it); answering that
+// resend ErrUnknownSession makes the client restore from the frame it
+// holds, so the server sees exactly the last acked frame, then the
+// batch resent once more, and the stream carries on from there.
 func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 	const session = 5
 	for _, tc := range []struct {
@@ -339,8 +341,8 @@ func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ss := newScriptServer(t, 0, StatusOK)
-			// Snapshots 1-3 (Open, then two batches) are acked; the
-			// faults hit the third batch's snapshot and its retries.
+			// Snapshots 1-3 (Open, then two tracked batches) are acked;
+			// the faults hit the third batch's ack and its resends.
 			ss.mu.Lock()
 			ss.snapFaults = map[int]snapFault{}
 			for i, f := range tc.faults {

@@ -371,10 +371,11 @@ func (s *Server) dispatch(req *request, cl *clientState) []byte {
 }
 
 // encodeResponse renders a shard response as a wire frame payload in
-// req.resp, growing it as needed, and returns it. A successful
-// OpSnapshot response the shard already wrote there in full.
+// req.resp, growing it as needed, and returns it. A response carrying
+// a snapshot (OpSnapshot, a tracked batch) the shard already wrote
+// there in full.
 func encodeResponse(req *request, resp *shardResp) []byte {
-	if req.op == OpSnapshot && resp.err == nil {
+	if resp.written {
 		return req.resp
 	}
 	buf := appendResponseHeader(req.resp[:0], req.op, req.reqID, statusOf(resp.err))
@@ -399,9 +400,7 @@ func encodeResponse(req *request, resp *shardResp) []byte {
 	case OpRestore:
 		buf = le.AppendUint32(buf, resp.shard)
 	case OpUpdateBatch, OpPredictBatch:
-		buf = le.AppendUint32(buf, resp.skipped)
-		buf = le.AppendUint32(buf, resp.applied)
-		buf = le.AppendUint32(buf, resp.correct)
+		buf = appendBatchCounts(buf, resp)
 		if req.op == OpPredictBatch {
 			off := len(buf)
 			buf = slices.Grow(buf, len(resp.preds)*predictionBytes)[:off+len(resp.preds)*predictionBytes]
@@ -417,6 +416,13 @@ func encodeResponse(req *request, resp *shardResp) []byte {
 	}
 	req.resp = buf
 	return buf
+}
+
+// appendBatchCounts appends a batch answer's counts.
+func appendBatchCounts(buf []byte, resp *shardResp) []byte {
+	buf = le.AppendUint32(buf, resp.skipped)
+	buf = le.AppendUint32(buf, resp.applied)
+	return le.AppendUint32(buf, resp.correct)
 }
 
 // Shutdown drains the server gracefully and offloads its sessions:

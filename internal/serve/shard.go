@@ -39,9 +39,9 @@ type session struct {
 	// dirty marks state changed since the last checkpoint encode.
 	dirty bool
 
-	// snapGen is the generation token of the last tracked snapshot
-	// answered for the session, 0 when none is current. Only then does
-	// the primary record the slots it writes, and only a request naming
+	// snapGen is the generation token of the last tracked batch answered
+	// for the session, 0 when none is current. Only then does the
+	// primary record the slots it writes, and only a tracked batch naming
 	// this token gets a delta.
 	snapGen uint64
 }
@@ -71,6 +71,7 @@ type shardResp struct {
 	applied uint32                 // batch ops
 	correct uint32                 // batch ops
 	sess    predictor.Stats        // OpStats: this session's counters
+	written bool                   // the shard wrote the whole answer into the request's buffer
 }
 
 // ckptFrame is one session's encoded snapshot bound for a checkpoint
@@ -168,6 +169,9 @@ func (sh *shard) process(req *request) shardResp {
 		s, ok := sh.sessions[req.session]
 		if !ok {
 			return shardResp{err: ErrUnknownSession}
+		}
+		if req.tracked {
+			return sh.trackedBatch(s, req)
 		}
 		return sh.batch(s, req, req.op == OpPredictBatch)
 	case OpSnapshot:
@@ -321,27 +325,60 @@ func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
 }
 
 // snapshotSession writes the whole OpSnapshot response — the OK
-// header, then the session's frame or delta — into the connection's
+// header, then the session's full frame — into the connection's
 // response buffer (req.resp), so the state is encoded once, into the
-// bytes that go on the wire. A tracked request (one naming the
-// generation its client holds) gets a fresh generation token first,
-// then a delta when that generation is the session's last answered one,
-// else a full frame that restarts the primary's change record. The
-// backend captures state at a round boundary, which holds by
+// bytes that go on the wire. It leaves the session's tracking alone.
+// The backend captures state at a round boundary, which holds by
 // construction here: the shard runs complete Predict/Update rounds per
 // request.
 func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 	b := appendResponseHeader(req.resp[:0], OpSnapshot, req.reqID, StatusOK)
-	var gen uint64
-	if req.tracked {
-		if sh.gens++; sh.gens == 0 {
-			sh.gens++
-		}
-		gen = sh.gens
-		b = le.AppendUint64(b, gen)
-	}
 	at := len(b)
-	delta := req.tracked && req.gen != 0 && req.gen == s.snapGen
+	b, err := sh.appendFrame(b, s)
+	if err != nil {
+		return shardResp{err: ErrBadRequest}
+	}
+	req.resp = b
+	sh.countSnapshot(false, len(b)-at)
+	return shardResp{written: true}
+}
+
+// trackedBatch runs a tracked OpUpdateBatch: the batch, then, under the
+// same lock, the session's state after it, all written into req.resp as
+// one answer. A backend that cannot snapshot is refused before the
+// batch trains, and so is a batch the session refuses (a sequence gap).
+func (sh *shard) trackedBatch(s *session, req *request) shardResp {
+	if !sh.backend.Snapshottable() {
+		return shardResp{err: ErrBadRequest}
+	}
+	r := sh.batch(s, req, false)
+	if r.err != nil {
+		return r
+	}
+	b := appendBatchCounts(appendResponseHeader(req.resp[:0], OpUpdateBatch, req.reqID, StatusOK), &r)
+	b, err := sh.appendTracked(b, s, req.gen)
+	if err != nil {
+		// The batch trained, but the state does not encode: the backend
+		// writes no frame for this session at all.
+		return shardResp{err: ErrBadRequest}
+	}
+	req.resp = b
+	r.written = true
+	return r
+}
+
+// appendTracked appends a tracked snapshot to b: a fresh generation
+// token, then a delta when held, the generation the client holds, is
+// the session's last answered one, else a full frame that restarts the
+// primary's change record.
+func (sh *shard) appendTracked(b []byte, s *session, held uint64) ([]byte, error) {
+	if sh.gens++; sh.gens == 0 {
+		sh.gens++
+	}
+	gen := sh.gens
+	b = le.AppendUint64(b, gen)
+	at := len(b)
+	delta := held != 0 && held == s.snapGen
 	var err error
 	if delta {
 		b, err = snapshot.AppendDelta(b, s.id, s.lastSeq, sh.backend.Name, func(b []byte) ([]byte, error) {
@@ -351,24 +388,26 @@ func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 	}
 	if !delta {
 		if b, err = sh.appendFrame(b, s); err != nil {
-			return shardResp{err: ErrBadRequest}
+			return b, err
 		}
 	}
-	if req.tracked {
-		s.snapGen = 0
-		if delta || sh.backend.Incremental() && sh.backend.Mark(s.p) == nil {
-			s.snapGen = gen
-		}
+	s.snapGen = 0
+	if delta || sh.backend.Incremental() && sh.backend.Mark(s.p) == nil {
+		s.snapGen = gen
 	}
-	req.resp = b
+	sh.countSnapshot(delta, len(b)-at)
+	return b, nil
+}
+
+// countSnapshot accounts one snapshot of n bytes served.
+func (sh *shard) countSnapshot(delta bool, n int) {
 	sh.metrics.snapshots.Inc()
 	if delta {
 		sh.metrics.deltaSnaps.Inc()
-		sh.metrics.deltaSnapBytes.Add(uint64(len(b) - at))
+		sh.metrics.deltaSnapBytes.Add(uint64(n))
 	} else {
-		sh.metrics.fullSnapBytes.Add(uint64(len(b) - at))
+		sh.metrics.fullSnapBytes.Add(uint64(n))
 	}
-	return shardResp{}
 }
 
 // restore decodes and installs a session snapshot, replacing any

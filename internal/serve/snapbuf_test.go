@@ -15,7 +15,7 @@ import (
 	"pathtrace/internal/trace"
 )
 
-// This file covers the OpSnapshot encode path: the shard writes each
+// This file covers the snapshot encode path: the shard writes each
 // frame once, straight into the connection's reused response buffer.
 // A served frame must equal snapshot.Encode of the in-process state
 // byte for byte, a reused buffer must never be overwritten before its
@@ -197,7 +197,8 @@ func TestPipelinedSnapshotsNeverOverwritten(t *testing.T) {
 }
 
 // faultProxy forwards connections to a real server and fails the n'th
-// OpSnapshot response it carries (counting from 1) as faults[n] says.
+// response carrying a snapshot (an OpSnapshot answer or a tracked
+// batch's ack, counting from 1) as faults[n] says.
 type faultProxy struct {
 	ln     net.Listener
 	mu     sync.Mutex
@@ -245,7 +246,7 @@ func newFaultProxy(t *testing.T, target string, faults map[int]snapFault) *fault
 }
 
 // forward relays response frames from sc to cc, applying the scripted
-// fault to snapshot responses.
+// fault to responses that carry a snapshot.
 func (px *faultProxy) forward(cc, sc net.Conn) {
 	br, bw := bufio.NewReader(sc), bufio.NewWriter(cc)
 	var buf []byte
@@ -256,7 +257,7 @@ func (px *faultProxy) forward(cc, sc net.Conn) {
 		}
 		buf = payload
 		fault := snapOK
-		if payload[0] == OpSnapshot|respBit {
+		if carriesSnapshot(payload) {
 			px.mu.Lock()
 			px.snaps++
 			fault = px.faults[px.snaps]
@@ -266,7 +267,7 @@ func (px *faultProxy) forward(cc, sc net.Conn) {
 		case snapOK:
 			err = writeFrame(bw, payload)
 		case snapUnknown:
-			err = writeFrame(bw, appendResponseHeader(nil, OpSnapshot, le.Uint32(payload[1:]), StatusUnknownSession))
+			err = writeFrame(bw, appendResponseHeader(nil, payload[0]&^respBit, le.Uint32(payload[1:]), StatusUnknownSession))
 		case snapTear, snapDrop:
 			cc.Write(append(le.AppendUint32(nil, uint32(len(payload))), payload[:len(payload)/2]...))
 			if fault == snapTear {
@@ -283,12 +284,25 @@ func (px *faultProxy) forward(cc, sc net.Conn) {
 	}
 }
 
+// carriesSnapshot reports whether a response payload carries a
+// snapshot: an OK OpSnapshot answer, or an OK batch ack longer than its
+// counts (a tracked one).
+func carriesSnapshot(payload []byte) bool {
+	switch {
+	case payload[respHeaderBytes-1] != StatusOK:
+		return false
+	case payload[0] == OpSnapshot|respBit:
+		return true
+	}
+	return payload[0] == OpUpdateBatch|respBit && len(payload) > respHeaderBytes+batchRespBytes
+}
+
 // TestRetryClientSnapshotFaultsResumeBitIdentical: a RetryClient with
 // SnapshotEvery 1 streams through a proxy that tears, drops or answers
-// ErrUnknownSession to every sixth snapshot of a real server. Torn and
-// dropped snapshots redial and snapshot again; ErrUnknownSession
-// restores the last acked frame the client refreshes in place and
-// resends the batch. The session must end bit-identical to an
+// ErrUnknownSession to every sixth snapshot of a real server, most of
+// them tracked acks. A torn or dropped ack redials and resends the
+// batch; ErrUnknownSession restores the last acked frame the client
+// refreshes in place and resends the batch. The session must end bit-identical to an
 // in-process replay, holding the frame of its final state.
 func TestRetryClientSnapshotFaultsResumeBitIdentical(t *testing.T) {
 	s := captureTestStream(t)
@@ -360,14 +374,17 @@ func TestRetryClientSnapshotFaultsResumeBitIdentical(t *testing.T) {
 // BenchmarkRetrySnapshotEvery1 is the durable workload in miniature:
 // a RetryClient with SnapshotEvery 1 drives one warmed IndexBits-16
 // hybrid+RHS session on a loopback server at batch 256, so each op is
-// one UpdateBatch round trip plus one OpSnapshot round trip. B/op and
-// allocs/op count client and server together. With each answer written
-// once into the connection's reused buffer and merged in place on the
-// client, an ack allocates nothing; CI fails the run at any allocs/op
-// or at half a frame of B/op, so a returning per-snapshot copy names
-// itself. After the first snapshot every answer is a delta of the
-// batch's entries: CI fails the run when wire-bytes/op reaches 1/16 of
-// frame-bytes, so a full frame per ack names itself too.
+// one tracked UpdateBatch round trip whose ack carries the snapshot.
+// B/op and allocs/op count client and server together. With each
+// answer written once into the connection's reused buffer and merged in
+// place on the client, an ack allocates nothing; CI fails the run at
+// any allocs/op or at half a frame of B/op, so a returning per-snapshot
+// copy names itself. After the first tracked ack every snapshot is a
+// delta of the batch's entries: CI fails the run when wire-bytes/op
+// reaches 1/16 of frame-bytes, so a full frame per ack names itself
+// too. frames/op counts the request frames the server read per op; CI
+// fails the run unless it is exactly 1, so a snapshot that takes a
+// round trip of its own names itself as well.
 func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 	// Random traces fill the 64K-entry tables in a few passes, so the
 	// frame is full size, about what a long real stream reaches.
@@ -421,8 +438,11 @@ func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	send() // one full-size frame on each side before timing
-	wire0 := snapshotWireBytes(srv)
+	// One full-size frame on each side before timing, then one delta,
+	// which sizes the client's merge plan.
+	send()
+	send()
+	wire0, frames0 := snapshotWireBytes(srv), srv.metrics.requests.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -431,16 +451,19 @@ func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(rc.sessions[session].snap.Len()), "frame-bytes")
 	b.ReportMetric(float64(snapshotWireBytes(srv)-wire0)/float64(b.N), "wire-bytes/op")
+	b.ReportMetric(float64(srv.metrics.requests.Load()-frames0)/float64(b.N), "frames/op")
 }
 
-// snapshotWireBytes is every OpSnapshot response byte srv has written:
-// the frames and deltas, each with its length prefix, response header
-// and, on tracked requests, generation token.
+// snapshotWireBytes is every snapshot byte srv has written: the frames
+// and deltas, each with the generation token a tracked ack carries
+// before it. The ack's length prefix, header and counts belong to the
+// batch, which is answered either way. (An OpSnapshot answer carries no
+// token and is overcounted by one.)
 func snapshotWireBytes(srv *Server) uint64 {
 	var n uint64
 	for _, sh := range srv.shards {
 		m := sh.metrics
-		n += m.fullSnapBytes.Load() + m.deltaSnapBytes.Load() + m.snapshots.Load()*(4+respHeaderBytes+snapGenBytes)
+		n += m.fullSnapBytes.Load() + m.deltaSnapBytes.Load() + m.snapshots.Load()*snapGenBytes
 	}
 	return n
 }
