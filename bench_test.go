@@ -71,8 +71,8 @@ func BenchmarkHeadline(b *testing.B) {
 		hybrid := pathtrace.MustNewPredictor(pathtrace.PredictorConfig{
 			Depth: 7, IndexBits: 16, Hybrid: true, UseRHS: true,
 		})
-		ub, err := pathtrace.NewUnboundedPredictor(pathtrace.UnboundedConfig{
-			Depth: 7, Hybrid: true, UseRHS: true,
+		ub, err := pathtrace.NewPredictor(pathtrace.PredictorConfig{
+			Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -302,8 +302,8 @@ func BenchmarkBasicPredictor(b *testing.B) {
 
 func BenchmarkUnboundedPredictor(b *testing.B) {
 	traces := benchTraces(b)
-	p, err := pathtrace.NewUnboundedPredictor(pathtrace.UnboundedConfig{
-		Depth: 7, Hybrid: true, UseRHS: true,
+	p, err := pathtrace.NewPredictor(pathtrace.PredictorConfig{
+		Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true,
 	})
 	if err != nil {
 		b.Fatal(err)

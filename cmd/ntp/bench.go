@@ -115,7 +115,7 @@ func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int
 // allocation in the run fails the gate regardless of timing. Exit 1 =
 // regression, exit 2 = unusable baseline (including one without a
 // predict-batch record).
-func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
+func runBenchDiff(path string, limit uint64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ntp: benchdiff: %v\n", err)
@@ -164,7 +164,7 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 		if round == 1 || r.NsPerOp < rec.NsPerOp {
 			rec = r
 		}
-		if delta = 100 * (rec.NsPerOp - old.NsPerOp) / old.NsPerOp; delta <= maxRegressPct {
+		if delta = 100 * (rec.NsPerOp - old.NsPerOp) / old.NsPerOp; delta <= benchMaxRegress {
 			break
 		}
 	}
@@ -173,9 +173,9 @@ func runBenchDiff(path string, limit uint64, maxRegressPct float64) int {
 			old.Estimator, rec.Estimator)
 	}
 	fmt.Printf("%s: baseline %.1f ns/op (%s), now %.1f ns/op (%s), delta %+.1f%% (limit %.0f%%)\n",
-		name, old.NsPerOp, base.Date, rec.NsPerOp, rec.Estimator, delta, maxRegressPct)
-	if delta > maxRegressPct {
-		fmt.Printf("FAIL: %s regressed %.1f%% > %.0f%%\n", name, delta, maxRegressPct)
+		name, old.NsPerOp, base.Date, rec.NsPerOp, rec.Estimator, delta, benchMaxRegress)
+	if delta > benchMaxRegress {
+		fmt.Printf("FAIL: %s regressed %.1f%% > %.0f%%\n", name, delta, benchMaxRegress)
 		return 1
 	}
 	fmt.Println("OK")
@@ -194,6 +194,9 @@ const (
 	benchWindow    = 2 * time.Millisecond
 	benchWindows   = 1000
 	benchEstimator = "p1-of-2ms-windows"
+	// benchMaxRegress is the largest ns/trace regression, in percent,
+	// that -benchdiff tolerates.
+	benchMaxRegress = 15.0
 )
 
 // benchPredictBatch measures the batched predict+update hot path at the

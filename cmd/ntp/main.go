@@ -88,8 +88,8 @@
 // (the 1st-percentile ns/trace of many 2 ms windows) against the
 // predict-batch record of a committed BENCH_*.json baseline
 // (BENCH_2026-10-19.json in CI) and exits non-zero if ns/trace
-// regressed more than -benchmaxregress percent or the timed run
-// allocates — the CI bench-diff gate.
+// regressed more than 15% or the timed run allocates — the CI
+// bench-diff gate.
 //
 // All experiment output goes to stdout and is bit-for-bit reproducible
 // for a fixed flag set; timing goes to stderr.
@@ -132,7 +132,6 @@ func run() int {
 		bench      = flag.Bool("bench", false, "benchmark the experiments instead of printing exhibits")
 		benchout   = flag.String("benchout", "", "benchmark JSON output path (default BENCH_<date>.json)")
 		benchdiff  = flag.String("benchdiff", "", "re-measure the batched predict loop and fail on regression vs the predict-batch record of this BENCH_*.json baseline (e.g. BENCH_2026-10-19.json)")
-		maxRegress = flag.Float64("benchmaxregress", 15, "benchdiff: max tolerated ns/op regression, percent")
 		backend    = flag.String("backend", "", "predictor backend for the proposed-predictor arm (an unknown name lists the registry)")
 		metricsout = flag.String("metricsout", "", "write run metrics (Prometheus text) to this file at exit")
 	)
@@ -151,7 +150,7 @@ func run() int {
 	}
 
 	if *benchdiff != "" {
-		return runBenchDiff(*benchdiff, *length, *maxRegress)
+		return runBenchDiff(*benchdiff, *length)
 	}
 
 	if *list || *runIDs == "" && !*bench {

@@ -39,9 +39,8 @@
 //
 // Admission control:
 //
-//	ntpd -client-rate 50000 -client-burst 100000     # per-client quota (traces/s)
-//	ntpd -global-rate 200000                         # server-wide cap
-//	ntpd -limits-file limits.json                    # hot-reloadable limits
+//	echo '{"per_client_rate": 50000, "global_rate": 200000}' > limits.json
+//	ntpd -limits-file limits.json    # per-client quota and server-wide cap (traces/s)
 //
 // Work requests pass through token buckets before they reach a shard:
 // one bucket per client tag (announced by the client's hello frame)
@@ -116,21 +115,16 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:9191", "serve: listen address; loadgen: server address")
-		admin    = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
-		shards   = flag.Int("shards", 0, "predictor shards (default GOMAXPROCS)")
-		queue    = flag.Int("queue", 1024, "per-shard bound on requests waiting for the shard; one more is answered overloaded")
-		portfile = flag.String("portfile", "", "write the bound data-plane port to this file once listening")
-		adminPF  = flag.String("adminportfile", "", "write the bound admin port to this file once listening")
-		ckptDir  = flag.String("checkpoint-dir", "", "persist session snapshots here and warm-restart from them")
-		ckptEach = flag.Duration("checkpoint-every", 2*time.Second, "periodic checkpoint sweep interval")
-		handoff  = flag.String("handoff", "", "peer ntpd address to stream live sessions to at drain")
-
-		clientRate  = flag.Float64("client-rate", 0, "admission: per-client token rate, work units/s (0 = unlimited)")
-		clientBurst = flag.Float64("client-burst", 0, "admission: per-client bucket depth (default one second of -client-rate)")
-		globalRate  = flag.Float64("global-rate", 0, "admission: server-wide token rate (0 = unlimited)")
-		globalBurst = flag.Float64("global-burst", 0, "admission: server-wide bucket depth (default one second of -global-rate)")
-		limitsFile  = flag.String("limits-file", "", "JSON admission limits; overrides the rate flags and reloads on SIGHUP")
+		addr       = flag.String("addr", "127.0.0.1:9191", "serve: listen address; loadgen: server address")
+		admin      = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
+		shards     = flag.Int("shards", 0, "predictor shards (default GOMAXPROCS)")
+		queue      = flag.Int("queue", 1024, "per-shard bound on requests waiting for the shard; one more is answered overloaded")
+		portfile   = flag.String("portfile", "", "write the bound data-plane port to this file once listening")
+		adminPF    = flag.String("adminportfile", "", "write the bound admin port to this file once listening")
+		ckptDir    = flag.String("checkpoint-dir", "", "persist session snapshots here and warm-restart from them")
+		ckptEach   = flag.Duration("checkpoint-every", 2*time.Second, "periodic checkpoint sweep interval")
+		handoff    = flag.String("handoff", "", "peer ntpd address to stream live sessions to at drain")
+		limitsFile = flag.String("limits-file", "", "JSON admission limits (per_client_rate, per_client_burst, global_rate, global_burst; unset = unlimited), reloaded on SIGHUP")
 
 		depth     = flag.Int("depth", 7, "predictor path-history depth")
 		indexBits = flag.Int("indexbits", 16, "correlated table index bits")
@@ -186,10 +180,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "ntpd: -client is a loadgen-mode flag")
 		return 2
 	}
-	limits := serve.Limits{
-		PerClientRate: *clientRate, PerClientBurst: *clientBurst,
-		GlobalRate: *globalRate, GlobalBurst: *globalBurst,
-	}
+	var limits serve.Limits
 	if *limitsFile != "" {
 		l, err := loadLimits(*limitsFile)
 		if err != nil {

@@ -48,8 +48,8 @@ func main() {
 			fmt.Sprintf("path-based, depth %d (2^16)", depth), p.Stats().MissRate())
 	}
 
-	unb, err := pathtrace.NewUnboundedPredictor(pathtrace.UnboundedConfig{
-		Depth: 7, Hybrid: true, UseRHS: true,
+	unb, err := pathtrace.NewPredictor(pathtrace.PredictorConfig{
+		Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -36,13 +36,13 @@ func fig6(opt Options) (*Result, error) {
 		mk  func(depth int) (predictor.NextTracePredictor, error)
 	}{
 		{"correlated", func(d int) (predictor.NextTracePredictor, error) {
-			return predictor.NewUnbounded(predictor.UnboundedConfig{Depth: d})
+			return predictor.New(predictor.Config{Backend: "unbounded", Depth: d})
 		}},
 		{"hybrid", func(d int) (predictor.NextTracePredictor, error) {
-			return predictor.NewUnbounded(predictor.UnboundedConfig{Depth: d, Hybrid: true})
+			return predictor.New(predictor.Config{Backend: "unbounded", Depth: d, Hybrid: true})
 		}},
 		{"hybrid+rhs", func(d int) (predictor.NextTracePredictor, error) {
-			return predictor.NewUnbounded(predictor.UnboundedConfig{Depth: d, Hybrid: true, UseRHS: true})
+			return predictor.New(predictor.Config{Backend: "unbounded", Depth: d, Hybrid: true, UseRHS: true})
 		}},
 	}
 

@@ -34,7 +34,7 @@ func headline(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pu, err := predictor.NewUnbounded(predictor.UnboundedConfig{Depth: maxDepth, Hybrid: true, UseRHS: true})
+		pu, err := predictor.New(predictor.Config{Backend: "unbounded", Depth: maxDepth, Hybrid: true, UseRHS: true})
 		if err != nil {
 			return nil, err
 		}

@@ -248,13 +248,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewUnbounded(UnboundedConfig{
-				Depth: full.Depth, Hybrid: full.Hybrid,
-				UseRHS: full.UseRHS, RHSDepth: full.RHSDepth,
-				CounterBits: full.CounterBits, CounterInc: full.CounterInc,
-				CounterDec: full.CounterDec, SecCounterBits: full.SecCounterBits,
-				SecCounterDec: full.SecCounterDec, SecondaryFilter: full.SecondaryFilter,
-			})
+			return newUnbounded(full)
 		},
 	})
 	RegisterBackend(Backend{

@@ -45,13 +45,11 @@ type Hybrid struct {
 	corr []corrEntry // correlated table
 	sec  []uint64    // secondary table, nil in a basic predictor
 
-	stats     Stats
-	tok       Token
-	secFilter bool
-	tagMask   uint32 // 0 in a basic predictor: no tags
-	secMask   uint32
-	ctrMaxC   int // ctrMax(CounterBits), hoisted off the round path
-	ctrMaxS   int // ctrMax(SecCounterBits)
+	stats   Stats
+	tok     Token
+	r       rules
+	tagMask uint32 // 0 in a basic predictor: no tags
+	secMask uint32
 
 	// chg records the slots written since the last delta mark; nil
 	// until the predictor is first marked (see delta.go). It sits last
@@ -117,12 +115,10 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 		return nil, err
 	}
 	p := &Hybrid{
-		cfg:       cfg,
-		hist:      h,
-		corr:      make([]corrEntry, 1<<cfg.IndexBits),
-		secFilter: *cfg.SecondaryFilter,
-		ctrMaxC:   ctrMax(cfg.CounterBits),
-		ctrMaxS:   ctrMax(cfg.SecCounterBits),
+		cfg:  cfg,
+		hist: h,
+		corr: make([]corrEntry, 1<<cfg.IndexBits),
+		r:    newRules(&cfg),
 	}
 	// A basic predictor builds none of the hybrid parts; their geometry
 	// stays in cfg, where the state codec carries it.
@@ -230,7 +226,7 @@ func (p *Hybrid) lookupInto(tok *Token) {
 		sw := p.sec[tok.SecIdx]
 		tok.secValid = sw&entValid != 0
 		tok.secPredVal = sw & entValMask
-		tok.secSaturated = tok.secValid && int(entCtr(sw)) == p.ctrMaxS
+		tok.secSaturated = tok.secValid && int(entCtr(sw)) == p.r.ctrMaxS
 	}
 
 	e := &p.corr[idx]
@@ -267,57 +263,93 @@ func (p *Hybrid) Lookup() (Prediction, Token) {
 }
 
 // commit trains the tables for a prediction described by tok, given the
-// trace that actually followed. Like lookupInto it is the single
-// training implementation behind Update, CommitUpdate and the batch
-// loops. It does not touch the path history; pair it with Advance. It
-// reports whether it wrote the correlated entry, which the secondary
-// filter may skip; a marked predictor's callers record the round's
-// slots from it (changeSet.round).
+// trace that actually followed: it draws the round's faults, then hands
+// the round's entries to train, the training routine the unbounded
+// predictor runs too. Update and CommitUpdate run it; PredictBatch
+// writes its two steps out. It does not touch the path history; pair it
+// with Advance. It reports whether it wrote the correlated entry, which
+// the secondary filter may skip; a marked predictor's callers record
+// the round's slots from it (changeSet.round).
 func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 	if p.cfg.Faults != nil {
 		p.injectFaults()
 	}
-	actualVal := p.cfg.storedVal(actual)
+	return p.r.train(&p.stats, tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(actual))
+}
 
+// secWord returns the secondary word at i, or nil in a basic predictor.
+func (p *Hybrid) secWord(i uint32) *uint64 {
+	if p.sec == nil {
+		return nil
+	}
+	return &p.sec[i]
+}
+
+// rules is the paper kernel's training policy, hoisted once from a
+// normalised Config off the round path: the counter widths and steps,
+// the secondary filter, stuck-at-zero faults and the event sink.
+type rules struct {
+	ctrMaxC, ctrMaxS int // ctrMax(CounterBits), ctrMax(SecCounterBits)
+	inc, dec, secDec int
+	filter           bool
+	faults           *faults.Injector
+	rec              Recorder
+}
+
+func newRules(cfg *Config) rules {
+	return rules{
+		ctrMaxC: ctrMax(cfg.CounterBits), ctrMaxS: ctrMax(cfg.SecCounterBits),
+		inc: cfg.CounterInc, dec: cfg.CounterDec, secDec: cfg.SecCounterDec,
+		filter: *cfg.SecondaryFilter, faults: cfg.Faults, rec: cfg.Recorder,
+	}
+}
+
+// train scores one round into s and trains its entries: tok is the
+// round's lookup, sw the secondary word it read (nil without a
+// secondary table), e the correlated entry and actual the stored value
+// of the trace that followed. It is the one training routine of the
+// bounded and unbounded predictors, which differ only in where their
+// entries live. It reports whether it wrote e, which the secondary
+// filter may skip.
+func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uint64) (wroteCorr bool) {
 	var ev Event
-	p.stats.Predictions++
-	correct := tok.Pred.Valid && tok.predVal == actualVal
+	s.Predictions++
+	correct := tok.Pred.Valid && tok.predVal == actual
 	if correct {
-		p.stats.Correct++
+		s.Correct++
 		ev |= EvCorrect
 	} else {
 		if !tok.Pred.Valid {
-			p.stats.Cold++
+			s.Cold++
 			ev |= EvCold
 		}
 		if tok.Pred.AltValid {
-			p.stats.AltPresent++
-			if tok.altVal == actualVal {
-				p.stats.AltCorrect++
+			s.AltPresent++
+			if tok.altVal == actual {
+				s.AltCorrect++
 			}
 		}
 	}
 	if tok.Pred.FromSecondary {
-		p.stats.FromSecondary++
+		s.FromSecondary++
 		ev |= EvFromSecondary
 	}
 
 	// Secondary table update.
-	if p.sec != nil {
-		sw := &p.sec[tok.SecIdx]
+	if sw != nil {
 		w := *sw
 		switch {
 		case w&entValid == 0:
-			w = actualVal | entValid
-		case w&entValMask == actualVal:
-			w = withCtr(w, satInc(entCtr(w), 1, p.ctrMaxS))
+			w = actual | entValid
+		case w&entValMask == actual:
+			w = withCtr(w, satInc(entCtr(w), 1, r.ctrMaxS))
 		case w&entCtrMask == 0:
-			w = w&^entValMask | actualVal
+			w = w&^entValMask | actual
 			ev |= EvReplaced
 		default:
-			w = withCtr(w, satDec(entCtr(w), p.cfg.SecCounterDec))
+			w = withCtr(w, satDec(entCtr(w), r.secDec))
 		}
-		if p.cfg.Faults.StuckZero() {
+		if r.faults.StuckZero() {
 			w &^= entCtrMask
 		}
 		*sw = w
@@ -325,43 +357,42 @@ func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
 
 	// Correlated table update — filtered when a saturated secondary was
 	// correct, so single-successor traces do not pollute it.
-	if p.secFilter && tok.secSaturated && tok.secPredVal == actualVal {
-		if p.cfg.Recorder != nil {
-			p.cfg.Recorder.Record(ev)
+	if r.filter && tok.secSaturated && tok.secPredVal == actual {
+		if r.rec != nil {
+			r.rec.Record(ev)
 		}
 		return false
 	}
-	e := &p.corr[tok.CorrIdx]
 	w := e.w
 	switch {
 	case w&entValid == 0 || entTag(w) != tok.Tag:
 		if w&entValid != 0 {
 			ev |= EvReplaced
 		}
-		w = uint64(tok.Tag)<<entTagShift | entValid | actualVal
-		if p.sec != nil {
+		w = uint64(tok.Tag)<<entTagShift | entValid | actual
+		if sw != nil {
 			// A fresh tagged entry starts with no alternate. A fresh
 			// basic entry keeps its alternate word, which a fault may
 			// have flipped while the slot was empty: saved basic states
 			// carry that word (see TestPaperStateBytesPinned).
 			e.alt = 0
 		}
-	case w&entValMask == actualVal:
-		w = withCtr(w, satInc(entCtr(w), p.cfg.CounterInc, p.ctrMaxC))
+	case w&entValMask == actual:
+		w = withCtr(w, satInc(entCtr(w), r.inc, r.ctrMaxC))
 	case w&entCtrMask == 0:
 		e.alt = w & entValMask
-		w = w&^entValMask | actualVal | entAltValid
+		w = w&^entValMask | actual | entAltValid
 		ev |= EvReplaced
 	default:
-		w = withCtr(w, satDec(entCtr(w), p.cfg.CounterDec)) | entAltValid
-		e.alt = actualVal
+		w = withCtr(w, satDec(entCtr(w), r.dec)) | entAltValid
+		e.alt = actual
 	}
-	if p.cfg.Faults.StuckZero() {
+	if r.faults.StuckZero() {
 		w &^= entCtrMask
 	}
 	e.w = w
-	if p.cfg.Recorder != nil {
-		p.cfg.Recorder.Record(ev)
+	if r.rec != nil {
+		r.rec.Record(ev)
 	}
 	return true
 }
@@ -405,10 +436,10 @@ func (p *Hybrid) Update(actual *trace.Trace) {
 // PredictBatch implements BatchPredictor: one full Predict/Update round
 // per trace, with the prediction made before actuals[i] is revealed
 // written to preds[i] (preds may be nil). The loop keeps the round
-// token local and calls the shared lookup/commit primitives directly —
-// no interface dispatch, no Prediction or Token copies per round. The
-// change set is read once per batch, so an unmarked predictor pays one
-// register test per round.
+// token local and calls the shared lookup and training primitives
+// directly — no interface dispatch, no Prediction or Token copies per
+// round. The change set is read once per batch, so an unmarked
+// predictor pays one register test per round.
 func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 {
 	before := p.stats.Correct
 	c := p.chg
@@ -418,7 +449,11 @@ func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 
 		if preds != nil {
 			preds[i] = tok.Pred
 		}
-		wrote := p.commit(&tok, &actuals[i])
+		// commit, written out so that a round makes one training call.
+		if p.cfg.Faults != nil {
+			p.injectFaults()
+		}
+		wrote := p.r.train(&p.stats, &tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(&actuals[i]))
 		if c != nil {
 			c.round(&tok, wrote)
 		}

@@ -183,10 +183,7 @@ func TestSaveRestoreResumesFaultStream(t *testing.T) {
 }
 
 func TestSaveUnboundedNotSnapshottable(t *testing.T) {
-	p, err := NewUnbounded(UnboundedConfig{Depth: 5, Hybrid: true, UseRHS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustUnbounded(t, Config{Depth: 5, Hybrid: true, UseRHS: true})
 	if _, err := paperAppend(nil, p); !errors.Is(err, ErrNotSnapshottable) {
 		t.Fatalf("paperAppend(unbounded) = %v, want ErrNotSnapshottable", err)
 	}

@@ -290,19 +290,21 @@ func TestAlternatePredictionCatchesSecondLikely(t *testing.T) {
 	}
 }
 
-func newUnbounded(t *testing.T, cfg UnboundedConfig) *Unbounded {
+// mustUnbounded builds the unbounded backend from cfg.
+func mustUnbounded(t *testing.T, cfg Config) *Unbounded {
 	t.Helper()
-	u, err := NewUnbounded(cfg)
+	cfg.Backend = "unbounded"
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return u
+	return p.(*Unbounded)
 }
 
 func TestUnboundedNoAliasing(t *testing.T) {
 	// Feed many distinct deterministic contexts; an unbounded hybrid
 	// must reach perfection regardless of how many paths exist.
-	u := newUnbounded(t, UnboundedConfig{Depth: 1, Hybrid: true})
+	u := mustUnbounded(t, Config{Depth: 1, Hybrid: true})
 	var seq []*trace.Trace
 	for i := 0; i < 64; i++ {
 		seq = append(seq, tr(0x1000+uint32(i)*0x10, 0), tr(0x20000+uint32(i)*0x10, 0))
@@ -321,7 +323,7 @@ func TestUnboundedMatchesHybridSemantics(t *testing.T) {
 	// bounded hybrid and unbounded hybrid must agree in steady state.
 	seq := []*trace.Trace{tr(0x1000, 0), tr(0x2000, 1), tr(0x1000, 0), tr(0x3000, 2), tr(0x4000, 3)}
 	b := MustNew(Config{Depth: 2, IndexBits: 16, Hybrid: true})
-	u := newUnbounded(t, UnboundedConfig{Depth: 2, Hybrid: true})
+	u := mustUnbounded(t, Config{Depth: 2, Hybrid: true})
 	sb := drive(b, seq, 40, 10)
 	su := drive(u, seq, 40, 10)
 	if sb.Correct != sb.Predictions || su.Correct != su.Predictions {
@@ -342,8 +344,8 @@ func TestUnboundedRHS(t *testing.T) {
 		seq = append(seq, sub...)
 		seq = append(seq, subRet, tr(s.post, 0))
 	}
-	with := drive(newUnbounded(t, UnboundedConfig{Depth: 7, Hybrid: true, UseRHS: true}), seq, 60, 10)
-	without := drive(newUnbounded(t, UnboundedConfig{Depth: 7, Hybrid: true}), seq, 60, 10)
+	with := drive(mustUnbounded(t, Config{Depth: 7, Hybrid: true, UseRHS: true}), seq, 60, 10)
+	without := drive(mustUnbounded(t, Config{Depth: 7, Hybrid: true}), seq, 60, 10)
 	if with.Correct != with.Predictions {
 		t.Errorf("unbounded with RHS: %d/%d", with.Correct, with.Predictions)
 	}
@@ -408,11 +410,15 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewUnbounded(UnboundedConfig{Depth: 9}); err == nil {
-		t.Error("unbounded depth 9 accepted")
-	}
-	if _, err := NewUnbounded(UnboundedConfig{UseRHS: true}); err == nil {
-		t.Error("unbounded RHS without hybrid accepted")
+	for name, cfg := range map[string]Config{
+		"depth 9":            {Depth: 9},
+		"RHS without hybrid": {UseRHS: true},
+		"9-bit counter":      {Hybrid: true, CounterBits: 9},
+	} {
+		cfg.Backend = "unbounded"
+		if _, err := New(cfg); err == nil {
+			t.Errorf("unbounded %s accepted", name)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -471,7 +477,7 @@ func TestStatsInvariantsRandomStream(t *testing.T) {
 		MustNew(Config{Depth: 2, IndexBits: 12}),
 		MustNew(Config{Depth: 4, IndexBits: 12, Hybrid: true}),
 		MustNew(Config{Depth: 7, IndexBits: 12, Hybrid: true, UseRHS: true}),
-		newUnbounded(t, UnboundedConfig{Depth: 5, Hybrid: true, UseRHS: true}),
+		mustUnbounded(t, Config{Depth: 5, Hybrid: true, UseRHS: true}),
 	}
 	for i := 0; i < 3000; i++ {
 		t0 := tr(0x1000+uint32(rng.Intn(512))*4, uint8(rng.Intn(64)))

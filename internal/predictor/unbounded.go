@@ -9,48 +9,30 @@ import (
 
 // Unbounded is the idealised predictor of §5.2: "each unique sequence
 // of trace identifiers maps to its own table entry, i.e. there is no
-// aliasing". Both tables are ubTables keyed by full 64-bit keys: the
-// correlated table by the pathKey of the exact path of full trace
-// identifiers, the secondary table by mix64 of the most recent full
-// identifier (a bijection, so distinct IDs never share an entry).
-// Counter policies match the bounded predictors.
+// aliasing". It is the paper kernel with other storage: its entries
+// are Hybrid's packed words, trained by the same rules (rules.train),
+// but they live in ubTables keyed by full 64-bit keys: the correlated
+// table by the pathKey of the exact path of full trace identifiers,
+// the secondary table by mix64 of the most recent full identifier (a
+// bijection, so distinct IDs never share an entry). Exact keys need no
+// tags, so every Token it builds has Tag 0.
 type Unbounded struct {
-	cfg    UnboundedConfig
-	size   int // identifiers tracked = depth+1
-	ids    [history.MaxSize]trace.ID
-	n      int
-	rhs    []ubSnap
-	corr   ubTable
-	sec    ubTable
-	stats  Stats
-	tok    ubToken
-	filter bool
+	cfg  Config
+	r    rules
+	size int // identifiers tracked = depth+1
+	ids  [history.MaxSize]trace.ID
+	n    int
+	rhs  []ubSnap
+	corr ubTable
+	sec  ubTable // no slots without Config.Hybrid
+
+	stats Stats
+	// tok carries one round from Predict to Update, with CorrIdx and
+	// SecIdx naming the slots Predict found for the keys key and secKey,
+	// so Update writes without probing again.
+	tok         Token
+	key, secKey uint64
 }
-
-// UnboundedConfig selects the unbounded variant.
-type UnboundedConfig struct {
-	Depth    int  // history depth 0..7
-	Hybrid   bool // enable the secondary predictor
-	UseRHS   bool // enable the Return History Stack (requires Hybrid)
-	RHSDepth int  // default history.DefaultRHSDepth
-
-	// Counter policies; zero values take the paper defaults (2-bit
-	// inc-1/dec-2 correlated, 4-bit dec-4 secondary, filter on).
-	CounterBits     int
-	CounterInc      int
-	CounterDec      int
-	SecCounterBits  int
-	SecCounterDec   int
-	SecondaryFilter *bool
-}
-
-// pathKey identifies a unique sequence of full trace identifiers. The
-// tracked IDs (up to 8 x 36 bits) are mixed into 64 bits with a
-// splitmix-style finaliser; with well under 2^32 distinct paths per run
-// the collision probability is negligible, so the table behaves as the
-// paper's "each unique sequence maps to its own entry" ideal while
-// keeping the table key one word.
-type pathKey uint64
 
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -61,35 +43,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-type ubEntry struct {
-	val      trace.ID
-	alt      trace.ID
-	ctr      uint8
-	altValid bool
-}
-
 type ubSnap struct {
 	ids [history.MaxSize]trace.ID
 	n   int
 }
 
-// ubToken carries one round from Predict to Update: the keys and the
-// slots Predict found for them, so Update writes without probing again.
-type ubToken struct {
-	key          pathKey
-	secKey       uint64
-	corrSlot     int
-	secSlot      int
-	pred         Prediction
-	predVal      trace.ID
-	altVal       trace.ID
-	secPredVal   trace.ID
-	secSaturated bool
-}
-
 // ubTable is an open-addressed, linear-probing hash table from 64-bit
 // keys to entries. Keys are compared in full, so it holds exactly what
-// a map[uint64]ubEntry would; they must arrive well mixed, because
+// a map[uint64]corrEntry would; they must arrive well mixed, because
 // their low bits pick the home slot. A lookup is split into find and
 // set so that one round probes each table once: the slot find returns
 // stays valid until set writes it, since the table grows only after
@@ -99,10 +60,12 @@ type ubTable struct {
 	n     int      // used slots
 }
 
+// ubSlot holds a key and its entry in Hybrid's packed layout (a
+// secondary entry is the word e.w, with e.alt zero). The slot is in
+// use when the entry's valid bit is set.
 type ubSlot struct {
-	key   uint64
-	entry ubEntry
-	used  bool
+	key uint64
+	e   corrEntry
 }
 
 // ubInitSlots is a new table's size; it doubles whenever an insert
@@ -116,21 +79,22 @@ func newUBTable() ubTable { return ubTable{slots: make([]ubSlot, ubInitSlots)} }
 func (t *ubTable) find(key uint64) int {
 	mask := uint64(len(t.slots) - 1)
 	for i := key & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; !s.used || s.key == key {
+		if s := &t.slots[i]; s.e.w&entValid == 0 || s.key == key {
 			return int(i)
 		}
 	}
 }
 
-// set stores e under key in slot i, which must be find(key) with no
-// set since.
-func (t *ubTable) set(i int, key uint64, e ubEntry) {
+// set stores e, which must have its valid bit set, under key in slot
+// i, which must be find(key) with no set since.
+func (t *ubTable) set(i int, key uint64, e corrEntry) {
 	s := &t.slots[i]
-	s.entry = e
-	if s.used {
+	used := s.e.w&entValid != 0
+	s.e = e
+	if used {
 		return
 	}
-	s.key, s.used = key, true
+	s.key = key
 	if t.n++; 2*t.n > len(t.slots) {
 		t.grow()
 	}
@@ -140,166 +104,97 @@ func (t *ubTable) grow() {
 	old := t.slots
 	t.slots = make([]ubSlot, 2*len(old))
 	for _, s := range old {
-		if s.used {
+		if s.e.w&entValid != 0 {
 			t.slots[t.find(s.key)] = s
 		}
 	}
 }
 
-// NewUnbounded builds an unbounded-table predictor.
-func NewUnbounded(cfg UnboundedConfig) (*Unbounded, error) {
-	if cfg.Depth < 0 || cfg.Depth > history.MaxSize-1 {
-		return nil, fmt.Errorf("predictor: depth %d outside [0, %d]", cfg.Depth, history.MaxSize-1)
-	}
+// newUnbounded builds the unbounded backend from a normalised Config.
+// Fault injection and hashed storage are not modelled on unbounded
+// tables, so it clears both.
+func newUnbounded(cfg Config) (*Unbounded, error) {
 	if cfg.UseRHS && !cfg.Hybrid {
 		return nil, fmt.Errorf("predictor: RHS requires the hybrid predictor")
 	}
-	if cfg.RHSDepth == 0 {
-		cfg.RHSDepth = history.DefaultRHSDepth
-	}
-	if cfg.CounterBits == 0 {
-		cfg.CounterBits = 2
-	}
-	if cfg.CounterInc == 0 {
-		cfg.CounterInc = 1
-	}
-	if cfg.CounterDec == 0 {
-		cfg.CounterDec = 2
-	}
-	if cfg.SecCounterBits == 0 {
-		cfg.SecCounterBits = 4
-	}
-	if cfg.SecCounterDec == 0 {
-		cfg.SecCounterDec = 15
-	}
-	if cfg.SecondaryFilter == nil {
-		cfg.SecondaryFilter = boolPtr(true)
-	}
-	u := &Unbounded{
-		cfg:    cfg,
-		size:   cfg.Depth + 1,
-		corr:   newUBTable(),
-		filter: *cfg.SecondaryFilter,
-	}
+	cfg.Faults, cfg.CostReduced = nil, false
+	u := &Unbounded{cfg: cfg, r: newRules(&cfg), size: cfg.Depth + 1, corr: newUBTable()}
 	if cfg.Hybrid {
 		u.sec = newUBTable()
 	}
 	return u, nil
 }
 
-func (u *Unbounded) key() pathKey {
+// pathKey identifies the current sequence of full trace identifiers.
+// The tracked IDs (up to 8 x 36 bits) are mixed into 64 bits with a
+// splitmix-style finaliser; with well under 2^32 distinct paths per run
+// the collision probability is negligible, so the table behaves as the
+// paper's "each unique sequence maps to its own entry" ideal while
+// keeping the table key one word.
+func (u *Unbounded) pathKey() uint64 {
 	var k uint64
 	for i := 0; i < u.size; i++ {
 		k = mix64(k ^ uint64(u.ids[i]))
 	}
-	return pathKey(k)
+	return k
 }
 
-// Predict implements NextTracePredictor. It probes each table once and
-// records the slots in the token; under the Predict/Update protocol the
-// tables cannot change in between, so Update reads and writes those
-// slots directly.
+// Predict implements NextTracePredictor: Hybrid's selection rule over
+// the slots of the round's exact keys. It probes each table once and
+// records the slots in the token; under the Predict/Update protocol
+// the tables cannot change in between, so Update reads and writes
+// those slots directly.
 func (u *Unbounded) Predict() Prediction {
 	tok := &u.tok
-	*tok = ubToken{key: u.key()}
-	tok.corrSlot = u.corr.find(uint64(tok.key))
-	cs := &u.corr.slots[tok.corrSlot]
-	ce, corrOK := cs.entry, cs.used
-
-	var se ubEntry
-	var secOK bool
-	if u.cfg.Hybrid {
-		tok.secKey = mix64(uint64(u.ids[0]))
-		tok.secSlot = u.sec.find(tok.secKey)
-		ss := &u.sec.slots[tok.secSlot]
-		se, secOK = ss.entry, ss.used
-		tok.secPredVal = se.val
-		tok.secSaturated = secOK && int(se.ctr) == ctrMax(u.cfg.SecCounterBits)
+	u.key = u.pathKey()
+	*tok = Token{CorrIdx: uint32(u.corr.find(u.key))}
+	if u.sec.slots != nil {
+		u.secKey = mix64(uint64(u.ids[0]))
+		tok.SecIdx = uint32(u.sec.find(u.secKey))
+		sw := u.sec.slots[tok.SecIdx].e.w
+		tok.secValid = sw&entValid != 0
+		tok.secPredVal = sw & entValMask
+		tok.secSaturated = tok.secValid && int(entCtr(sw)) == u.r.ctrMaxS
 	}
-
-	var pred Prediction
+	e := &u.corr.slots[tok.CorrIdx].e
 	switch {
-	case u.cfg.Hybrid && (tok.secSaturated || !corrOK):
-		if secOK {
-			pred = Prediction{ID: se.val, Valid: true, FromSecondary: true, Hashed: se.val.Hash()}
-			tok.predVal = se.val
+	case tok.secSaturated || e.w&entValid == 0:
+		if tok.secValid {
+			tok.predVal = tok.secPredVal
+			tok.Pred = Prediction{Valid: true, FromSecondary: true}
 		}
-	case corrOK:
-		pred = Prediction{ID: ce.val, Valid: true, Hashed: ce.val.Hash()}
-		tok.predVal = ce.val
-		if ce.altValid {
-			pred.Alt = ce.alt
-			pred.AltValid = true
-			tok.altVal = ce.alt
+	default:
+		tok.predVal = e.w & entValMask
+		tok.Pred = Prediction{Valid: true}
+		if e.w&entAltValid != 0 {
+			tok.altVal = e.alt
+			tok.Pred.Alt, tok.Pred.AltValid = trace.ID(e.alt), true
 		}
 	}
-	tok.pred = pred
-	return pred
+	if tok.Pred.Valid {
+		tok.Pred.ID = trace.ID(tok.predVal)
+		tok.Pred.Hashed = tok.Pred.ID.Hash()
+	}
+	return tok.Pred
 }
 
-// Update implements NextTracePredictor.
+// Update implements NextTracePredictor: it trains copies of the
+// round's entries by the kernel's rules and stores them back.
 func (u *Unbounded) Update(actual *trace.Trace) {
 	tok := &u.tok
-	actualVal := actual.ID
-
-	u.stats.Predictions++
-	if tok.pred.Valid && tok.predVal == actualVal {
-		u.stats.Correct++
-	} else {
-		if !tok.pred.Valid {
-			u.stats.Cold++
-		}
-		if tok.pred.AltValid {
-			u.stats.AltPresent++
-			if tok.altVal == actualVal {
-				u.stats.AltCorrect++
-			}
-		}
+	ce := u.corr.slots[tok.CorrIdx].e
+	var se corrEntry
+	var sw *uint64
+	if u.sec.slots != nil {
+		se = u.sec.slots[tok.SecIdx].e
+		sw = &se.w
 	}
-	if tok.pred.FromSecondary {
-		u.stats.FromSecondary++
+	if u.r.train(&u.stats, tok, sw, &ce, u.cfg.storedVal(actual)) {
+		u.corr.set(int(tok.CorrIdx), u.key, ce)
 	}
-
-	// Secondary update, through the slot Predict found.
-	if u.cfg.Hybrid {
-		ss := &u.sec.slots[tok.secSlot]
-		se, ok := ss.entry, ss.used
-		secMax := ctrMax(u.cfg.SecCounterBits)
-		switch {
-		case !ok:
-			se = ubEntry{val: actualVal}
-		case se.val == actualVal:
-			se.ctr = satInc(se.ctr, 1, secMax)
-		case se.ctr == 0:
-			se.val = actualVal
-		default:
-			se.ctr = satDec(se.ctr, u.cfg.SecCounterDec)
-		}
-		u.sec.set(tok.secSlot, tok.secKey, se)
+	if sw != nil {
+		u.sec.set(int(tok.SecIdx), u.secKey, se)
 	}
-
-	// Correlated update, with the saturated-secondary filter.
-	if !(u.cfg.Hybrid && u.filter && tok.secSaturated && tok.secPredVal == actualVal) {
-		cs := &u.corr.slots[tok.corrSlot]
-		ce, ok := cs.entry, cs.used
-		max := ctrMax(u.cfg.CounterBits)
-		switch {
-		case !ok:
-			ce = ubEntry{val: actualVal}
-		case ce.val == actualVal:
-			ce.ctr = satInc(ce.ctr, u.cfg.CounterInc, max)
-		case ce.ctr == 0:
-			ce.alt = ce.val
-			ce.altValid = true
-			ce.val = actualVal
-		default:
-			ce.ctr = satDec(ce.ctr, u.cfg.CounterDec)
-			ce.alt = actualVal
-			ce.altValid = true
-		}
-		u.corr.set(tok.corrSlot, uint64(tok.key), ce)
-	}
-
 	u.advance(actual)
 }
 

@@ -3,6 +3,7 @@ package predictor
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pathtrace/internal/trace"
 )
@@ -11,8 +12,12 @@ import (
 // seeded mix of lookups and stores, enough to grow the table from 64
 // slots to 16384. Half the keys share their low 32 bits with another
 // key, so they land on the same home slot at every size and must be
-// told apart by the full-key compare.
+// told apart by the full-key compare. A slot is a key plus one packed
+// correlated entry, 24 bytes.
 func TestUBTableMatchesMap(t *testing.T) {
+	if got := unsafe.Sizeof(ubSlot{}); got != 24 {
+		t.Fatalf("ubSlot is %d bytes, want 24", got)
+	}
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]uint64, 6000)
 	for i := range keys {
@@ -22,7 +27,7 @@ func TestUBTableMatchesMap(t *testing.T) {
 		}
 	}
 	tab := newUBTable()
-	ref := make(map[uint64]ubEntry)
+	ref := make(map[uint64]corrEntry)
 	for op := 0; op < 60000; op++ {
 		// Draw from a growing prefix of keys so both hits and fresh
 		// inserts stay common throughout.
@@ -30,14 +35,11 @@ func TestUBTableMatchesMap(t *testing.T) {
 		i := tab.find(key)
 		s := tab.slots[i]
 		want, ok := ref[key]
-		if s.used != ok || ok && (s.key != key || s.entry != want) {
+		if used := s.e.w&entValid != 0; used != ok || ok && (s.key != key || s.e != want) {
 			t.Fatalf("op %d: find(%#x) = slot %+v, map has %+v (present %v)", op, key, s, want, ok)
 		}
 		if rng.Intn(3) > 0 {
-			e := ubEntry{
-				val: trace.ID(rng.Uint64()), alt: trace.ID(rng.Uint64()),
-				ctr: uint8(rng.Intn(16)), altValid: rng.Intn(2) == 0,
-			}
+			e := corrEntry{w: rng.Uint64() | entValid, alt: rng.Uint64()}
 			tab.set(i, key, e)
 			ref[key] = e
 		}
@@ -50,12 +52,12 @@ func TestUBTableMatchesMap(t *testing.T) {
 	}
 	used := 0
 	for _, s := range tab.slots {
-		if !s.used {
+		if s.e.w&entValid == 0 {
 			continue
 		}
 		used++
-		if want, ok := ref[s.key]; !ok || s.entry != want {
-			t.Errorf("slot for %#x holds %+v, map has %+v (present %v)", s.key, s.entry, want, ok)
+		if want, ok := ref[s.key]; !ok || s.e != want {
+			t.Errorf("slot for %#x holds %+v, map has %+v (present %v)", s.key, s.e, want, ok)
 		}
 	}
 	if used != len(ref) {
@@ -69,7 +71,7 @@ func TestUBTableMatchesMap(t *testing.T) {
 // recorded with map-backed tables; any change to the unbounded tables
 // that moves one of them moves a Figure 6 number.
 func TestUnboundedFig6Pinned(t *testing.T) {
-	variants := []UnboundedConfig{{}, {Hybrid: true}, {Hybrid: true, UseRHS: true}}
+	variants := []Config{{}, {Hybrid: true}, {Hybrid: true, UseRHS: true}}
 	want := []struct {
 		workload string
 		variant  int // index into variants
@@ -135,7 +137,7 @@ func TestUnboundedFig6Pinned(t *testing.T) {
 		}
 		cfg := variants[w.variant]
 		cfg.Depth = w.depth
-		u := newUnbounded(t, cfg)
+		u := mustUnbounded(t, cfg)
 		runScalar(u, trs)
 		if got := u.Stats(); got != w.stats || u.TableEntries() != w.entries {
 			t.Errorf("%s %+v: stats %+v, %d entries; want %+v, %d entries",
@@ -153,10 +155,7 @@ func TestUnboundedRHSBoundedPushes(t *testing.T) {
 	const depth = 5
 	for _, filled := range []int{0, 2, depth} {
 		for net := 0; net <= 3*depth; net++ {
-			u, err := NewUnbounded(UnboundedConfig{Depth: 3, Hybrid: true, UseRHS: true, RHSDepth: depth})
-			if err != nil {
-				t.Fatal(err)
-			}
+			u := mustUnbounded(t, Config{Depth: 3, Hybrid: true, UseRHS: true, RHSDepth: depth})
 			for i := 0; i < filled; i++ {
 				u.advance(&trace.Trace{ID: trace.ID(100 + i), Calls: 1})
 			}

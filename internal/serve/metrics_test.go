@@ -180,7 +180,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // measure, they never touch the serving path.
 func TestShadowEvalMetrics(t *testing.T) {
 	s := captureTestStream(t)
-	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1, Shadows: []string{"tage"}})
+	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1, Shadows: []string{"tage", "unbounded"}})
 
 	// In-process reference of the primary: shadows must not perturb it.
 	ref := predictor.MustNew(headlineConfig())
@@ -189,6 +189,8 @@ func TestShadowEvalMetrics(t *testing.T) {
 	shadowCfg := headlineConfig()
 	shadowCfg.Backend = "tage"
 	shadowRef := predictor.MustNew(shadowCfg)
+	shadowCfg.Backend = "unbounded"
+	unboundedRef := predictor.MustNew(shadowCfg)
 
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -218,6 +220,8 @@ func TestShadowEvalMetrics(t *testing.T) {
 			ref.Update(&batch[j])
 			shadowRef.Predict()
 			shadowRef.Update(&batch[j])
+			unboundedRef.Predict()
+			unboundedRef.Update(&batch[j])
 		}
 		rounds += len(batch)
 	}
@@ -250,6 +254,15 @@ func TestShadowEvalMetrics(t *testing.T) {
 	// The shadow's counters are the real TAGE accuracy on this stream.
 	if uint64(sc) != shadowRef.Stats().Correct {
 		t.Errorf("shadow correct = %v, in-process tage says %d", sc, shadowRef.Stats().Correct)
+	}
+	// The unbounded shadow trains by the kernel's routine, which
+	// reports each round to the shard's recorder like the bounded one.
+	ub := `ntpd_backend_rounds_total{backend="unbounded",role="shadow",shard="0"}`
+	if v := metricValue(t, body, ub); v != float64(rounds) {
+		t.Errorf("%s = %v, want %d", ub, v, rounds)
+	}
+	if v := metricValue(t, body, `ntpd_backend_correct_total{backend="unbounded",role="shadow",shard="0"}`); uint64(v) != unboundedRef.Stats().Correct {
+		t.Errorf("unbounded shadow correct = %v, in-process unbounded says %d", v, unboundedRef.Stats().Correct)
 	}
 }
 

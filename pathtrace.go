@@ -9,7 +9,8 @@
 //   - predictors: the correlated path-based predictor, the hybrid
 //     predictor with its secondary table and update filter, the Return
 //     History Stack, alternate trace prediction, cost-reduced tables,
-//     and unbounded-table idealisations;
+//     and unbounded-table idealisations (PredictorConfig.Backend
+//     "unbounded");
 //   - the substrate the evaluation needs: a MIPS-like ISA (PT32), an
 //     assembler, a functional simulator, a trace selector, conventional
 //     branch predictors (GSHARE/GAg/bimodal, BTB, RAS, indirect target
@@ -58,10 +59,10 @@ type (
 	// Predictor is any next-trace predictor variant (basic correlated,
 	// hybrid, unbounded) under the immediate-update protocol.
 	Predictor = predictor.NextTracePredictor
-	// PredictorConfig selects and sizes a bounded predictor.
+	// PredictorConfig selects and sizes a predictor variant: Backend
+	// names it ("unbounded" is the §5.2 unbounded-table idealisation,
+	// which ignores the table sizes).
 	PredictorConfig = predictor.Config
-	// UnboundedConfig selects an unbounded-table idealisation.
-	UnboundedConfig = predictor.UnboundedConfig
 	// HybridPredictor exposes the lower-level speculative API used by
 	// the execution engine.
 	HybridPredictor = predictor.Hybrid
@@ -186,11 +187,6 @@ func MustNewPredictor(cfg PredictorConfig) Predictor { return predictor.MustNew(
 // actuals[i] was revealed. Returns the batch's correct-prediction count.
 func PredictBatch(p Predictor, actuals []Trace, preds []Prediction) uint64 {
 	return predictor.PredictBatch(p, actuals, preds)
-}
-
-// NewUnboundedPredictor builds an unbounded-table predictor (§5.2).
-func NewUnboundedPredictor(cfg UnboundedConfig) (Predictor, error) {
-	return predictor.NewUnbounded(cfg)
 }
 
 // NewHybridPredictor builds a hybrid with the speculative lower-level
