@@ -55,14 +55,15 @@
 // Crash safety:
 //
 //	ntpd -addr ... -checkpoint-dir /var/lib/ntpd   # periodic snapshots + warm restart
-//	ntpd -addr ... -handoff peer:9191              # drain streams sessions to the peer
 //
 // With -checkpoint-dir, every session is periodically snapshotted
-// (versioned, checksummed frames; atomic rename) and a restarting
-// server reloads them before accepting traffic. On SIGTERM the drain
-// additionally snapshots every live session's final state and streams
-// it to the -handoff peer (retrying with backoff, spilling to the
-// checkpoint dir on failure) so a planned restart loses nothing.
+// (versioned, checksummed frames; atomic rename), one session per hold
+// of its shard's lock, and a restarting server reloads them before
+// accepting traffic. On SIGTERM the drain additionally spills every
+// live session's final state to the directory, so a planned restart
+// loses nothing; a failed spill makes the exit status 1. Without
+// -checkpoint-dir the drain discards the sessions, counts them in
+// ntpd_drain_lost_sessions_total, and exits 0.
 // The loadgen's -failover flag exercises the client half: a retrying
 // client of -addr with per-op deadlines, reconnect backoff with
 // jitter, and snapshot-per-ack session recovery, which keeps -verify
@@ -123,7 +124,6 @@ func run() int {
 		adminPF    = flag.String("adminportfile", "", "write the bound admin port to this file once listening")
 		ckptDir    = flag.String("checkpoint-dir", "", "persist session snapshots here and warm-restart from them")
 		ckptEach   = flag.Duration("checkpoint-every", 2*time.Second, "periodic checkpoint sweep interval")
-		handoff    = flag.String("handoff", "", "peer ntpd address to stream live sessions to at drain")
 		limitsFile = flag.String("limits-file", "", "JSON admission limits (per_client_rate, per_client_burst, global_rate, global_burst; unset = unlimited), reloaded on SIGHUP")
 
 		depth     = flag.Int("depth", 7, "predictor path-history depth")
@@ -200,7 +200,7 @@ func run() int {
 	return runServe(serve.Config{
 		Addr: *addr, AdminAddr: *admin, Shards: *shards, QueueLen: *queue,
 		Predictor: pcfg, Faults: fcfg, Shadows: shadows,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEach, HandoffAddr: *handoff,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEach,
 		Limits: limits,
 	}, *portfile, *adminPF, *limitsFile)
 }

@@ -18,8 +18,9 @@ import (
 // the section and paperRestore installs them straight into freshly
 // built tables. A restored session resumes bit-identically: every
 // later Predict/Update round produces exactly what the original would
-// have produced. That property is what turns a serving drain into a
-// zero-loss session handoff (internal/snapshot + internal/serve).
+// have produced. That property is what makes a serving drain's spill
+// to disk, and a client's restore of its own frame, lose nothing
+// (internal/snapshot + internal/serve).
 // Every paper backend builds a *Hybrid, so the codec reads its fields
 // directly; a basic state (kind 1) carries zero tags and no secondary
 // entries.

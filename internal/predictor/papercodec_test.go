@@ -100,7 +100,7 @@ func TestSaveRestoreBitIdentical(t *testing.T) {
 // its state section must match the constant. The constants were
 // computed with the previous encoder, which serialized an intermediate
 // copy of the tables; the direct encoder that replaced it must write
-// the same bytes, so checkpoints, drain handoffs and restore frames
+// the same bytes, so checkpoints, drain spills and restore frames
 // written before the rewrite still restore. A failure here means the
 // format moved: never update a constant to make it pass.
 func TestPaperStateBytesPinned(t *testing.T) {

@@ -14,15 +14,16 @@ import (
 
 // This file is the crash-safety half of the server: periodic per-shard
 // checkpointing of session snapshots to disk, warm restart from those
-// checkpoints, and the drain-time offload that streams every live
-// session to a peer (or spills it to disk) so a SIGTERM loses nothing.
+// checkpoints, and the drain-time spill of every live session to the
+// same directory, so a SIGTERM loses nothing.
 //
-// Checkpointing is periodic and best-effort: the sweep holds a shard
-// lock only to encode (an in-memory walk of its dirty sessions), then
-// writes that shard's frames after releasing it, so a slow disk delays
-// the next sweep, never prediction. The authoritative zero-loss path
-// is the drain offload, which runs after the shards have quiesced and
-// snapshots final state synchronously.
+// The sweep and the drain share one routine, saveSession: it encodes
+// one session into a reused buffer under the shard lock, then writes
+// the frame after releasing it. No lock is held across more than one
+// session's encode, and no write is made under a lock, so a slow disk
+// delays the next sweep, never prediction. The authoritative zero-loss
+// path is the drain, which runs after the shards have quiesced and
+// saves final state synchronously.
 
 // checkpointer runs the periodic sweep on its own goroutine.
 type checkpointer struct {
@@ -30,6 +31,11 @@ type checkpointer struct {
 	dir  string
 	quit chan struct{}
 	done sync.WaitGroup
+
+	// Reused by every sweep: one shard's dirty session IDs, and the
+	// frame being written.
+	ids []uint64
+	buf []byte
 }
 
 func newCheckpointer(s *Server, dir string, every time.Duration) *checkpointer {
@@ -53,14 +59,16 @@ func (ck *checkpointer) loop(every time.Duration) {
 	}
 }
 
-// sweep encodes each shard's dirty sessions under that shard's lock (so
-// session state is read race-free) and writes the frames once the lock
-// is released.
+// sweep saves each shard's dirty sessions one at a time. A session
+// that fails to encode or write stays dirty, so the next sweep tries it
+// again.
 func (ck *checkpointer) sweep() {
 	m := &ck.s.metrics
 	for _, sh := range ck.s.shards {
-		for _, f := range sh.checkpoint() {
-			if err := writeSnapshotFile(ck.dir, f.id, f.frame); err != nil {
+		ck.ids = sh.dirtyIDs(ck.ids[:0])
+		for _, id := range ck.ids {
+			var err error
+			if ck.buf, err = sh.saveSession(ck.dir, id, ck.buf); err != nil {
 				m.ckptWriteErrs.Inc()
 			} else {
 				m.ckptWritten.Inc()
@@ -147,123 +155,31 @@ func (s *Server) loadCheckpoints(dir string) error {
 	return nil
 }
 
-// offload snapshots every live session after quiesce and gets each one
-// somewhere safe: streamed to the handoff peer when configured (with
-// retries, falling back to disk), else spilled to the checkpoint
-// directory. Returns an error naming the sessions that ended up with
-// nowhere to go.
+// offload saves every live session to the checkpoint directory after
+// quiesce, one frame at a time, counting each spilled or lost. Without
+// a directory every session is lost by design, and nothing is encoded.
+// Returns an error naming the lost sessions only when a directory is
+// set: discarding sessions at drain is otherwise the configured
+// behavior, which the counter records.
 func (s *Server) offload() error {
-	var frames []ckptFrame
+	dir := s.cfg.CheckpointDir
+	var buf []byte
 	for _, sh := range s.shards {
-		for _, sess := range sh.sessions {
-			b, err := sh.appendFrame(nil, sess)
-			if err != nil {
-				s.metrics.lost.Inc()
-				continue
-			}
-			frames = append(frames, ckptFrame{id: sess.id, frame: b})
-		}
-	}
-	if len(frames) == 0 {
-		return s.offloadErr()
-	}
-
-	spill := func(f ckptFrame) {
-		if s.cfg.CheckpointDir == "" {
-			s.metrics.lost.Inc()
-			return
-		}
-		if err := writeSnapshotFile(s.cfg.CheckpointDir, f.id, f.frame); err != nil {
-			s.metrics.lost.Inc()
-		} else {
-			s.metrics.spilled.Inc()
-		}
-	}
-
-	if s.cfg.HandoffAddr == "" {
-		for _, f := range frames {
-			spill(f)
-		}
-		return s.offloadErr()
-	}
-
-	// Stream to the peer with bounded concurrency; each worker keeps one
-	// connection and re-dials on failure.
-	ch := make(chan ckptFrame)
-	var wg sync.WaitGroup
-	for i := 0; i < min(4, len(frames)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cl *Client
-			defer func() {
-				if cl != nil {
-					cl.Close()
-				}
-			}()
-			for f := range ch {
-				if s.handoffOne(&cl, f) {
-					s.metrics.handoffSessions.Inc()
-				} else {
-					s.metrics.handoffFailed.Inc()
-					spill(f)
-				}
-			}
-		}()
-	}
-	for _, f := range frames {
-		ch <- f
-	}
-	close(ch)
-	wg.Wait()
-	return s.offloadErr()
-}
-
-// handoffOne delivers one session snapshot to the handoff peer,
-// retrying transient failures with doubling backoff. *cl caches the
-// worker's connection across sessions.
-func (s *Server) handoffOne(cl **Client, f ckptFrame) bool {
-	backoff := 50 * time.Millisecond
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			s.metrics.handoffRetries.Inc()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		if *cl == nil {
-			c, err := DialTimeout(s.cfg.HandoffAddr, 2*time.Second)
-			if err != nil {
-				continue
-			}
-			c.SetOpTimeout(5 * time.Second)
-			*cl = c
-		}
-		if _, err := (*cl).Restore(f.id, f.frame); err != nil {
-			if errors.Is(err, ErrBadSnapshot) {
-				// The peer understood the frame and refused it (geometry
-				// mismatch); retrying the same bytes cannot succeed.
-				return false
-			}
-			(*cl).Close()
-			*cl = nil
+		if dir == "" {
+			s.metrics.lost.Add(uint64(len(sh.sessions)))
 			continue
 		}
-		return true
+		for id := range sh.sessions {
+			var err error
+			if buf, err = sh.saveSession(dir, id, buf); err != nil {
+				s.metrics.lost.Inc()
+			} else {
+				s.metrics.spilled.Inc()
+			}
+		}
 	}
-	return false
-}
-
-// offloadErr reports drain losses as an error only when the operator
-// asked for zero loss (a checkpoint dir or handoff peer is configured)
-// and sessions still ended up with nowhere to go. With neither
-// configured, discarding sessions at drain is the configured behavior:
-// the counter records it, Shutdown succeeds.
-func (s *Server) offloadErr() error {
-	if s.cfg.CheckpointDir == "" && s.cfg.HandoffAddr == "" {
-		return nil
-	}
-	if lost := s.metrics.lost.Load(); lost > 0 {
-		return fmt.Errorf("serve: %d sessions lost at drain (handoff and spill both failed)", lost)
+	if lost := s.metrics.lost.Load(); dir != "" && lost > 0 {
+		return fmt.Errorf("serve: %d sessions lost at drain (spill failed)", lost)
 	}
 	return nil
 }

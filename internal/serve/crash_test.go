@@ -19,8 +19,7 @@ import (
 
 // This file covers the crash-safety cycle end to end: snapshot a live
 // session over the wire, move it between servers, drain to disk and
-// warm-restart from it, hand sessions to a peer at drain, and reject
-// corrupted checkpoints — in every case requiring the surviving
+// warm-restart from it, and reject corrupted checkpoints — in every case requiring the surviving
 // predictor state to be bit-identical to an uninterrupted run. (Batch
 // dedup and the retrying client's server-kill cycle live in
 // batch_test.go.)
@@ -52,18 +51,16 @@ func feedBatches(t *testing.T, cl *Client, session uint64, cur *stream.Cursor, b
 	return sent
 }
 
-// refStats is the uninterrupted in-process replay every crash cycle
-// must reproduce exactly.
+// refStats is the uninterrupted in-process replay of s under the
+// headline configuration, which every served run must reproduce
+// exactly.
 func refStats(t *testing.T, s *stream.Stream) predictor.Stats {
 	t.Helper()
-	p := predictor.MustNew(headlineConfig())
-	if _, _, err := s.Replay(nil, func(tr *trace.Trace) {
-		p.Predict()
-		p.Update(tr)
-	}); err != nil {
+	st, err := referenceStats(s, headlineConfig(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Stats()
+	return st
 }
 
 func dialT(t *testing.T, srv *Server) *Client {
@@ -273,53 +270,6 @@ func TestDrainSpillAndWarmRestart(t *testing.T) {
 	}
 	if !st.Session.Equal(want) {
 		t.Errorf("restarted session stats %+v, want %+v", st.Session, want)
-	}
-}
-
-// TestDrainHandsSessionsToPeer: draining a server with a handoff peer
-// streams the session (state and sequence position) to the peer, where
-// the stream finishes bit-identically.
-func TestDrainHandsSessionsToPeer(t *testing.T) {
-	s := captureTestStream(t)
-	want := refStats(t, s)
-	srvB := newTestServer(t, Config{Shards: 2})
-	srvA := newTestServer(t, Config{Shards: 2, HandoffAddr: srvB.Addr().String()})
-
-	const session, batch = 5, 128
-	clA := dialT(t, srvA)
-	if _, _, err := clA.Open(session); err != nil {
-		t.Fatal(err)
-	}
-	cur := s.Cursor()
-	half := int(s.Len()) / batch / 2
-	sent := feedBatches(t, clA, session, cur, batch, half)
-	clA.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srvA.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if got := srvA.metrics.handoffSessions.Load(); got != 1 {
-		t.Fatalf("handoff sessions = %d, want 1", got)
-	}
-
-	clB := dialT(t, srvB)
-	_, lastSeq, err := clB.Open(session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(sent * batch); lastSeq != want {
-		t.Errorf("handed-off session lastSeq = %d, want %d", lastSeq, want)
-	}
-	feedBatches(t, clB, session, cur, batch, -1)
-
-	st, err := clB.Stats(session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Session.Equal(want) {
-		t.Errorf("handed-off session stats %+v, want %+v", st.Session, want)
 	}
 }
 

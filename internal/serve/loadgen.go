@@ -341,7 +341,7 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 	rep.Max = time.Duration(rtt.Max())
 
 	if cfg.Verify {
-		want, err := referenceStats(cfg)
+		want, err := referenceStats(cfg.Stream, cfg.Predictor, cfg.Faults)
 		if err != nil {
 			return rep, err
 		}
@@ -362,20 +362,20 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 	return rep, nil
 }
 
-// referenceStats replays the stream once in process under the same
-// predictor (and fault) configuration and returns the exact stats a
-// served session must reproduce.
-func referenceStats(cfg LoadgenConfig) (predictor.Stats, error) {
-	pcfg := cfg.Predictor
+// referenceStats replays s once in process under the predictor
+// configuration pcfg, with its own injector built from fc when fc is
+// non-nil (pcfg's own Faults is ignored, as a server ignores it), and
+// returns the exact stats a served session must reproduce.
+func referenceStats(s *stream.Stream, pcfg predictor.Config, fc *faults.Config) (predictor.Stats, error) {
 	pcfg.Faults = nil
-	if cfg.Faults != nil {
-		pcfg.Faults = faults.New(*cfg.Faults)
+	if fc != nil {
+		pcfg.Faults = faults.New(*fc)
 	}
 	p, err := predictor.New(pcfg)
 	if err != nil {
 		return predictor.Stats{}, err
 	}
-	if _, _, err := cfg.Stream.Replay(nil, func(tr *trace.Trace) {
+	if _, _, err := s.Replay(nil, func(tr *trace.Trace) {
 		p.Predict()
 		p.Update(tr)
 	}); err != nil {

@@ -103,9 +103,9 @@ func newBackendRec(reg *metrics.Registry, backend, role, shard string) *backendR
 
 // serverMetrics are the server-wide counters: connections, requests,
 // rejections, and the crash-safety accounting. They are registered
-// unconditionally, so with no checkpoint directory or handoff peer the
-// crash-safety series still render as explicit zeros and dashboards and
-// smoke greps never miss them.
+// unconditionally, so with no checkpoint directory the crash-safety
+// series still render as explicit zeros and dashboards and smoke greps
+// never miss them.
 type serverMetrics struct {
 	accepted     *metrics.Counter
 	active       *metrics.Gauge
@@ -123,11 +123,8 @@ type serverMetrics struct {
 	ckptWriteErrs *metrics.Counter
 
 	// Drain offload (counted during Shutdown).
-	handoffSessions *metrics.Counter
-	handoffRetries  *metrics.Counter
-	handoffFailed   *metrics.Counter
-	spilled         *metrics.Counter
-	lost            *metrics.Counter
+	spilled *metrics.Counter
+	lost    *metrics.Counter
 }
 
 func newServerMetrics(reg *metrics.Registry) serverMetrics {
@@ -143,13 +140,10 @@ func newServerMetrics(reg *metrics.Registry) serverMetrics {
 		corrupt:  reg.Counter("ntpd_checkpoint_corrupt_total", "Checkpoint files rejected as corrupt or incompatible.", nil),
 
 		ckptWritten:   reg.Counter("ntpd_checkpoint_written_total", "Checkpoint files persisted.", nil),
-		ckptWriteErrs: reg.Counter("ntpd_checkpoint_write_errors_total", "Checkpoint writes that failed.", nil),
+		ckptWriteErrs: reg.Counter("ntpd_checkpoint_write_errors_total", "Checkpoints that failed to encode or write; the session is retried next sweep.", nil),
 
-		handoffSessions: reg.Counter("ntpd_handoff_sessions_total", "Sessions streamed to the handoff peer at drain.", nil),
-		handoffRetries:  reg.Counter("ntpd_handoff_retry_total", "Handoff attempts that had to be retried.", nil),
-		handoffFailed:   reg.Counter("ntpd_handoff_failed_total", "Sessions the handoff peer never accepted.", nil),
-		spilled:         reg.Counter("ntpd_drain_spilled_sessions_total", "Sessions spilled to the checkpoint dir at drain.", nil),
-		lost:            reg.Counter("ntpd_drain_lost_sessions_total", "Sessions lost at drain (no peer, no dir, or writes failed).", nil),
+		spilled: reg.Counter("ntpd_drain_spilled_sessions_total", "Sessions spilled to the checkpoint dir at drain.", nil),
+		lost:    reg.Counter("ntpd_drain_lost_sessions_total", "Sessions lost at drain (no checkpoint dir, or the spill failed).", nil),
 	}
 }
 

@@ -545,9 +545,6 @@ func TestMetricsInventory(t *testing.T) {
 		"ntpd_drain_rejects_total counter",
 		"ntpd_drain_spilled_sessions_total counter",
 		"ntpd_draining gauge",
-		"ntpd_handoff_failed_total counter",
-		"ntpd_handoff_retry_total counter",
-		"ntpd_handoff_sessions_total counter",
 		"ntpd_predictor_cold_total counter shard",
 		"ntpd_predictor_correct_total counter shard",
 		"ntpd_predictor_miss_total counter shard",

@@ -73,7 +73,7 @@
 // checksummed internal/snapshot frame; OpRestore installs such a frame
 // as a (new or replacement) session. Together they are the crash-safety
 // primitives: clients re-establish lost sessions from their last acked
-// snapshot, and a draining server streams its sessions to a peer.
+// snapshot on whatever server they reach.
 // Restore validates the frame end to end — checksum, structure, and
 // that the saved geometry matches the server's configured predictor —
 // and rejects anything else with StatusBadSnapshot, so a corrupt or
@@ -99,7 +99,7 @@
 // cannot snapshot is refused with StatusBadRequest before it trains.
 // OpPredictBatch takes no token. OpSnapshot always gets a bare full
 // frame and leaves that tracking alone; so do checkpoints and drain
-// handoffs.
+// spills.
 //
 // A trace on the wire is one little-endian u64 carrying exactly the
 // fields the predictor consumes: the identifier and the call/return

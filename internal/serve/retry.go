@@ -349,8 +349,8 @@ func (rc *RetryClient) establish(c *Client, session uint64, s *rcSession) error 
 	}
 	_, lastSeq, err := c.Open(session)
 	if err == nil && lastSeq > s.seq {
-		// The server already knew the session (it survived, or a peer
-		// received it in a drain handoff) and is ahead of a fresh
+		// The server already knew the session (it survived, or
+		// restored it from a checkpoint) and is ahead of a fresh
 		// counter; adopt its position.
 		s.seq = lastSeq
 	}

@@ -75,15 +75,7 @@ func TestServeBitIdenticalStats(t *testing.T) {
 	s := captureTestStream(t)
 	srv := newTestServer(t, Config{Shards: 3, AdminAddr: "127.0.0.1:0"})
 
-	// In-process reference.
-	ref := predictor.MustNew(headlineConfig())
-	if _, _, err := s.Replay(nil, func(tr *trace.Trace) {
-		ref.Predict()
-		ref.Update(tr)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Stats()
+	want := refStats(t, s)
 	if want.Predictions == 0 {
 		t.Fatal("reference replay made no predictions")
 	}
@@ -281,7 +273,8 @@ func (a *atomic64) load() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v 
 // returns cleanly.
 func TestServeDrain(t *testing.T) {
 	// The checkpoint dir gives the drain offload somewhere to spill the
-	// open session; without one, Shutdown reports the session as lost.
+	// open session. Without one, the session is counted lost, but
+	// Shutdown does not report an error (TestDrainLossAccounting).
 	srv := newTestServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0", CheckpointDir: t.TempDir()})
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -328,14 +321,7 @@ func TestServeSessionSurvivesReconnect(t *testing.T) {
 	s := captureTestStream(t)
 	srv := newTestServer(t, Config{})
 
-	ref := predictor.MustNew(headlineConfig())
-	if _, _, err := s.Replay(nil, func(tr *trace.Trace) {
-		ref.Predict()
-		ref.Update(tr)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Stats()
+	want := refStats(t, s)
 
 	const session = 5
 	half := s.Len() / 2

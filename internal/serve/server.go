@@ -60,16 +60,12 @@ type Config struct {
 	// every session is periodically snapshotted to
 	// <dir>/<sessionID>.ntss (atomic rename, fsync'd), sessions found
 	// there are restored on startup (warm restart), and a drain spills
-	// sessions it cannot hand off to this directory.
+	// every live session to this directory. Without it, a drain
+	// discards its sessions.
 	CheckpointDir string
 
 	// CheckpointEvery is the periodic checkpoint interval (default 2s).
 	CheckpointEvery time.Duration
-
-	// HandoffAddr, when non-empty, is a peer ntpd address: Shutdown
-	// streams every live session there via OpRestore before returning,
-	// so a drain loses nothing even without a checkpoint directory.
-	HandoffAddr string
 
 	// Limits configures token-bucket admission control ahead of the
 	// shards: per-client quotas keyed by the connection's OpHello
@@ -428,12 +424,13 @@ func appendBatchCounts(buf []byte, resp *shardResp) []byte {
 // Shutdown drains the server gracefully and offloads its sessions:
 // stop accepting connections, reject new requests with ErrDraining,
 // let every request already read finish and its answer be written,
-// quiesce the shards, then
-// snapshot every live session and stream it to the handoff peer (or
-// spill it to the checkpoint directory). ctx bounds the in-flight
-// drain; on expiry the remaining work is abandoned, but the offload
-// still runs — session state is exactly what makes a drain worth
-// waiting for.
+// quiesce the shards, then spill every live session to the checkpoint
+// directory, one frame at a time. ctx bounds the in-flight drain; on
+// expiry the remaining work is abandoned, but the spill still runs —
+// session state is exactly what makes a drain worth waiting for.
+// Shutdown reports lost sessions as an error only when a checkpoint
+// directory is set and a spill failed; without one, the sessions are
+// discarded by design and counted in ntpd_drain_lost_sessions_total.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.ln.Close()

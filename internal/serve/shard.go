@@ -36,7 +36,8 @@ type session struct {
 	// applied.
 	lastSeq uint64
 
-	// dirty marks state changed since the last checkpoint encode.
+	// dirty marks state not yet on disk: set by training and restore,
+	// cleared by a checkpoint's encode, and set again if its write fails.
 	dirty bool
 
 	// snapGen is the generation token of the last tracked batch answered
@@ -72,13 +73,6 @@ type shardResp struct {
 	correct uint32                 // batch ops
 	sess    predictor.Stats        // OpStats: this session's counters
 	written bool                   // the shard wrote the whole answer into the request's buffer
-}
-
-// ckptFrame is one session's encoded snapshot bound for a checkpoint
-// file or the handoff peer.
-type ckptFrame struct {
-	id    uint64
-	frame []byte
 }
 
 // shard owns a set of sessions and runs their requests one at a time
@@ -317,7 +311,7 @@ func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
 // straight into dst. Shadows are deliberately not captured — they are
 // measurements, not state the client can lose. A backend without codec
 // hooks fails in snapshot.AppendFrame before any state is written. Runs
-// under the shard lock (or after the shard is stopped, during drain).
+// under the shard lock.
 func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
 	return snapshot.AppendFrame(dst, s.id, s.lastSeq, sh.backend.Name, func(b []byte) ([]byte, error) {
 		return sh.backend.Append(b, s.p)
@@ -412,10 +406,10 @@ func (sh *shard) countSnapshot(delta bool, n int) {
 
 // restore decodes and installs a session snapshot, replacing any
 // existing session of the same ID (the frame is authoritative: it is
-// the client's — or the draining peer's — last known-good state). The
-// frame's saved geometry must match this server's predictor
-// configuration; installSnapshot enforces that, so a hostile frame
-// cannot size tables beyond what the server already runs.
+// the client's last known-good state). The frame's saved geometry must
+// match this server's predictor configuration; installSnapshot
+// enforces that, so a hostile frame cannot size tables beyond what the
+// server already runs.
 func (sh *shard) restore(req *request) shardResp {
 	sess, err := snapshot.Decode(req.blob)
 	if err != nil {
@@ -466,25 +460,43 @@ func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 	return nil
 }
 
-// checkpoint encodes every dirty session for the checkpoint sweep to
-// write, and clears the dirty marks. Sessions that fail to encode stay dirty and
-// are skipped (nothing consumes a partial frame).
-func (sh *shard) checkpoint() []ckptFrame {
+// dirtyIDs appends the IDs of the shard's dirty sessions to dst.
+func (sh *shard) dirtyIDs(dst []uint64) []uint64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var out []ckptFrame
-	for _, s := range sh.sessions {
-		if !s.dirty {
-			continue
+	for id, s := range sh.sessions {
+		if s.dirty {
+			dst = append(dst, id)
 		}
-		b, err := sh.appendFrame(nil, s)
-		if err != nil {
-			continue
-		}
-		s.dirty = false
-		out = append(out, ckptFrame{id: s.id, frame: b})
 	}
-	return out
+	return dst
+}
+
+// saveSession writes session id's frame to dir, encoding it into buf,
+// which it returns for reuse. The encode runs under the shard lock,
+// held for this one session, and clears the dirty mark; the write runs
+// after the lock is released, and a failed one sets the mark again, so
+// the next sweep retries it. A session that does not encode stays
+// dirty.
+func (sh *shard) saveSession(dir string, id uint64, buf []byte) ([]byte, error) {
+	sh.mu.Lock()
+	s := sh.sessions[id]
+	frame, err := sh.appendFrame(buf[:0], s)
+	if err == nil {
+		s.dirty = false
+		buf = frame
+	}
+	sh.mu.Unlock()
+	if err != nil {
+		return buf, err
+	}
+	if err := writeSnapshotFile(dir, id, frame); err != nil {
+		sh.mu.Lock()
+		s.dirty = true
+		sh.mu.Unlock()
+		return buf, err
+	}
+	return buf, nil
 }
 
 // splitmix64 is the session-to-shard hash: cheap, well mixed, and

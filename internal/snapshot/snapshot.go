@@ -27,8 +27,9 @@
 // Decoders reject versions they do not know (ErrVersion) rather than
 // guessing; any layout change — even an additive one — bumps the
 // version, because frames are consumed across process generations
-// (checkpoints on disk, drain handoffs between releases) where silent
-// misinterpretation would corrupt a session rather than just crash it.
+// (checkpoints and drain spills on disk, read by the next release)
+// where silent misinterpretation would corrupt a session rather than
+// just crash it.
 //
 // Decode is strict: a frame must carry the exact payload its counts
 // imply — no trailing garbage, no truncated sections — and every
