@@ -110,11 +110,11 @@ func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int
 // baseline. The gate rides on the predict-batch record — the batched
 // loop the serving layer actually runs — which is pure CPU and
 // allocation-free, so it can be gated across runs on one kind of
-// host. Its ns/trace is the fastest tenth of many short windows (see
-// benchPredictBatch), which a loaded host disturbs least; any
-// allocation in the run fails the gate regardless of timing. Exit 1 =
-// regression, exit 2 = unusable baseline (including one without a
-// predict-batch record).
+// host. Its ns/trace is the 1st percentile of benchWindows (1000)
+// windows of about 2 ms each (see benchPredictBatch), which a loaded
+// host disturbs least; any allocation in the run fails the gate
+// regardless of timing. Exit 1 = regression, exit 2 = unusable
+// baseline (including one without a predict-batch record).
 func runBenchDiff(path string, limit uint64) int {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -64,9 +64,11 @@
 // loses nothing; a failed spill makes the exit status 1. Without
 // -checkpoint-dir the drain discards the sessions, counts them in
 // ntpd_drain_lost_sessions_total, and exits 0.
-// The loadgen's -failover flag exercises the client half: a retrying
-// client of -addr with per-op deadlines, reconnect backoff with
-// jitter, and snapshot-per-ack session recovery, which keeps -verify
+// The loadgen exercises the client half: every connection is a
+// retrying client of -addr, with per-op deadlines, reconnect backoff
+// with jitter, and budgeted overload and throttle retries. -failover
+// adds snapshot-per-ack session recovery: each session takes its full
+// frame at open and a delta with every ack, which keeps -verify
 // bit-identical across a server kill — including a kill -9 after which
 // the server restarts from checkpoints older than the client's acks: it
 // refuses each session's next batch as a sequence gap, and the client
@@ -143,7 +145,7 @@ func run() int {
 		batch      = flag.Int("batch", 256, "loadgen: traces per update request")
 		verify     = flag.Bool("verify", false, "loadgen: require server stats bit-identical to an in-process replay")
 		sessBase   = flag.Uint64("sessionbase", 1, "loadgen: first session id (pick fresh ids when reusing a server)")
-		failover   = flag.Bool("failover", false, "loadgen: retrying client that rides out server restarts (snapshot-per-ack recovery)")
+		failover   = flag.Bool("failover", false, "loadgen: snapshot-per-ack session recovery, which rides out server restarts")
 		clientTag  = flag.String("client", "", "loadgen: client tag announced to the server (admission-control identity)")
 	)
 	flag.Parse()
@@ -334,11 +336,7 @@ func runLoadgen(a loadgenArgs) int {
 		Conns: a.conns, Sessions: a.sessions, Batch: a.batch,
 		Verify: a.verify, Predictor: a.pcfg, Faults: a.fcfg,
 		SessionBase: a.sessBase, ClientTag: a.clientTag,
-	}
-	if a.failover {
-		// Snapshot after every acked batch: recovery from a server kill
-		// is then exact, which is what -verify demands.
-		lcfg.Failover = &serve.RetryConfig{SnapshotEvery: 1, Seed: 1}
+		Failover: a.failover,
 	}
 	rep, err := serve.RunLoadgen(context.Background(), lcfg)
 	if err != nil {

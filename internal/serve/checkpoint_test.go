@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pathtrace/internal/predictor"
 	"pathtrace/internal/snapshot"
 	"pathtrace/internal/trace"
 )
@@ -206,4 +207,25 @@ func TestDrainLossAccounting(t *testing.T) {
 			t.Errorf("spilled session's checkpoint: %v", err)
 		}
 	})
+}
+
+// TestCheckpointDirNeedsSnapshottableBackend: checkpoints hold the
+// primary backend's state, so NewServer refuses a checkpoint dir for a
+// primary that cannot snapshot, naming the backend, and writes nothing
+// there. Shadows are never checkpointed, so one that cannot snapshot
+// is allowed beside a dir.
+func TestCheckpointDirNeedsSnapshottableBackend(t *testing.T) {
+	dir := t.TempDir()
+	_, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: dir,
+		Predictor: predictor.Config{Backend: "unbounded", Depth: 3}})
+	if err == nil || !strings.Contains(err.Error(), `"unbounded"`) {
+		t.Fatalf("NewServer with an unbounded primary and a checkpoint dir: err = %v, want one naming the backend", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("refused server left %d entries in the checkpoint dir", len(ents))
+	}
+	srv := newTestServer(t, Config{Shards: 1, CheckpointDir: dir, Shadows: []string{"unbounded"}})
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown with an unbounded shadow: %v", err)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"pathtrace/internal/snapshot"
 	"pathtrace/internal/stream"
 	"pathtrace/internal/trace"
+	"pathtrace/internal/workload"
 )
 
 // This file covers the crash-safety cycle end to end: snapshot a live
@@ -370,13 +371,12 @@ func TestPeriodicCheckpointWritesFiles(t *testing.T) {
 // rather than train across it. At SnapshotEvery 1 the RetryClient
 // holds a frame covering every acked trace: it restores that frame and
 // resends, and the session ends bit-identical to an uninterrupted
-// replay. At SnapshotEvery 8 its frame is older than the acked
-// position, so the batch fails with ErrSeqGap instead of silently
-// losing acked traces.
+// replay. At SnapshotEvery 0 it holds no frame, so the batch fails
+// with ErrSeqGap instead of silently losing acked traces.
 func TestCrashWithStaleCheckpointRecoversFromClientFrame(t *testing.T) {
 	s := captureTestStream(t)
 	want := refStats(t, s)
-	for _, every := range []int{1, 8} {
+	for _, every := range []int{1, 0} {
 		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
 			cfg := Config{Shards: 1, AdminAddr: "127.0.0.1:0", CheckpointDir: t.TempDir(), CheckpointEvery: time.Hour}
 			srvA := newTestServer(t, cfg)
@@ -433,7 +433,7 @@ func TestCrashWithStaleCheckpointRecoversFromClientFrame(t *testing.T) {
 			srvB := newTestServer(t, cfg)
 
 			err = feed(-1)
-			if every > 1 {
+			if every == 0 {
 				if !errors.Is(err, ErrSeqGap) {
 					t.Fatalf("feed after the restart: err = %v, want ErrSeqGap", err)
 				}
@@ -453,5 +453,93 @@ func TestCrashWithStaleCheckpointRecoversFromClientFrame(t *testing.T) {
 				t.Errorf("restarted server saw %v restores, want 1 (the client's frame over the stale checkpoint)", v)
 			}
 		})
+	}
+}
+
+// TestLoadgenFailoverSurvivesCrash is the crash cycle of CI's SIGKILL
+// leg, in process: a failover loadgen runs against a server with a
+// checkpoint dir; once every session has a checkpoint on disk and has
+// acked batches past it, the server dies with no drain, and a second
+// server comes up on the same address and dir, behind every session.
+// The run must still verify bit-identical, and the second server must
+// have restored the checkpoints and then the client's own frames over
+// them. The checkpoint is one sweep the test runs itself, so the kill
+// is certain to land after traffic the checkpoint does not hold.
+func TestLoadgenFailoverSurvivesCrash(t *testing.T) {
+	w, ok := workload.ByName("compress")
+	if !ok {
+		t.Fatal("unknown workload compress")
+	}
+	// ~39K traces per session: far more than the kill waits for.
+	s, err := stream.Capture(nil, w, 500_000, trace.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, CheckpointDir: dir, CheckpointEvery: time.Hour}
+	srvA := newTestServer(t, cfg)
+	const sessions, batch = 4, 64
+	type result struct {
+		rep *LoadgenReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := RunLoadgen(context.Background(), LoadgenConfig{
+			Addr: srvA.Addr().String(), Stream: s,
+			Conns: 2, Sessions: sessions, Batch: batch,
+			Verify: true, Predictor: headlineConfig(), Failover: true,
+		})
+		done <- result{rep, err}
+	}()
+	trained := func() (n uint64) {
+		for _, sh := range srvA.shards {
+			n += sh.metrics.traces.Load()
+		}
+		return n
+	}
+	// waitTrained waits until srvA has trained n traces in all.
+	waitTrained := func(n uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); trained() < n; time.Sleep(time.Millisecond) {
+			select {
+			case r := <-done:
+				t.Fatalf("the run ended before the kill: %v", r.err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("server trained %d traces in 10s, want %d", trained(), n)
+			}
+		}
+	}
+	// Two rounds on each connection: every session has trained.
+	waitTrained(4 * sessions * batch)
+	srvA.ckpt.sweep()
+	for id := uint64(1); id <= sessions; id++ {
+		if _, err := os.Stat(snapshotPath(dir, id)); err != nil {
+			t.Fatalf("session %d has no checkpoint after the sweep: %v", id, err)
+		}
+	}
+	// Two more rounds: each session has acked a batch the checkpoint
+	// does not hold.
+	waitTrained(trained() + 2*sessions*batch)
+	srvA.Close() // a crash: no drain, so the checkpoints stay behind
+
+	cfg.Addr = srvA.Addr().String()
+	cfg.AdminAddr = "127.0.0.1:0"
+	srvB := newTestServer(t, cfg)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("loadgen across the crash: %v", r.err)
+	}
+	if !r.rep.Verified {
+		t.Error("loadgen report not verified")
+	}
+	body := scrape(t, srvB)
+	if v := metricValue(t, body, "ntpd_checkpoint_restored_sessions"); v != sessions {
+		t.Errorf("restarted server restored %v sessions from checkpoints, want %d", v, sessions)
+	}
+	if v := metricSum(t, body, "ntpd_snapshot_restores_total"); v == 0 {
+		t.Error("restarted server saw no restore of a client frame: the gap path did not run")
 	}
 }

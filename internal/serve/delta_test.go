@@ -210,4 +210,61 @@ func TestTrackedBatchRefusedWithoutSnapshots(t *testing.T) {
 	if _, applied, _, err := cl.UpdateBatchSeq(session, 1, batch); err != nil || applied != uint32(len(batch)) {
 		t.Fatalf("untracked batch: applied %d, err %v", applied, err)
 	}
+	// A RetryClient that must hold a frame of the session cannot, so
+	// its Open fails rather than run without recovery.
+	rc, err := NewRetryClient(RetryConfig{Addrs: []string{srv.Addr().String()}, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, _, err := rc.Open(session); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("RetryClient.Open at SnapshotEvery 1: err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestWarmOpenShipsOneFullFrame: a RetryClient at SnapshotEvery 1 that
+// opens a session another client trained takes the session's one full
+// frame with Open, so its first ack is already a delta, and the frame
+// it then holds is the session's full snapshot byte for byte.
+func TestWarmOpenShipsOneFullFrame(t *testing.T) {
+	traces := streamTraces(t)
+	srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1})
+	cl := dialT(t, srv)
+	const session = 6
+	if _, _, err := cl.Open(session); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := cl.UpdateBatch(session, traces[:512]); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := NewRetryClient(RetryConfig{Addrs: []string{srv.Addr().String()}, SnapshotEvery: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, lastSeq, err := rc.Open(session); err != nil || lastSeq != 512 {
+		t.Fatalf("Open: lastSeq %d, err %v; want 512", lastSeq, err)
+	}
+	if _, applied, _, err := rc.UpdateBatch(session, traces[512:576]); err != nil || applied != 64 {
+		t.Fatalf("UpdateBatch: applied %d, err %v; want 64", applied, err)
+	}
+	body := scrape(t, srv)
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{
+		{`ntpd_snapshot_ops_total{shard="0"}`, 2},
+		{`ntpd_snapshot_delta_ops_total{shard="0"}`, 1},
+	} {
+		if got := metricValue(t, body, c.series); got != c.want {
+			t.Errorf("%s = %v, want %v", c.series, got, c.want)
+		}
+	}
+	want, err := cl.Snapshot(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rc.sessions[session].snap.Frame(), want) {
+		t.Error("held frame differs from the session's full snapshot")
+	}
 }

@@ -45,12 +45,13 @@ type LoadgenConfig struct {
 	// export loadgen latency alongside its own series.
 	Metrics *metrics.Registry
 
-	// Failover, when non-nil, replaces each plain connection with a
-	// RetryClient built from this config: the run then rides out server
-	// restarts, reconnecting with backoff and re-establishing sessions
-	// from acked snapshots. An empty Addrs defaults to [Addr]; the
-	// jitter seed is varied per connection so workers desynchronize.
-	Failover *RetryConfig
+	// Every connection is a RetryClient of Addr, seeded by its index so
+	// workers' backoff desynchronizes: it rides out overload, throttling
+	// and redials. Failover also has it hold a frame of each session,
+	// kept current by every ack (RetryConfig.SnapshotEvery 1), so the
+	// run rides out a server that restarts empty or behind the acked
+	// position and still verifies.
+	Failover bool
 
 	// ClientTag names this run to the server for per-client accounting
 	// and admission control (announced on every connection). Running two
@@ -97,9 +98,7 @@ type LoadgenReport struct {
 	Batch              int
 	Skipped            uint64        // traces deduped server-side (failover replays)
 	Traces             uint64        // traces delivered (all sessions)
-	Requests           uint64        // UpdateBatch round trips
-	Retries            uint64        // overload retries
-	Throttled          uint64        // admission-control rejections ridden out
+	Requests           uint64        // UpdateBatch calls
 	Correct            uint64        // server-reported correct predictions
 	Duration           time.Duration // wall clock for the replay phase
 	TracesPerSec       float64
@@ -111,16 +110,13 @@ type LoadgenReport struct {
 func (r *LoadgenReport) String() string {
 	s := fmt.Sprintf(
 		"loadgen: %d traces in %.2fs over %d sessions / %d conns (update_batch)\n"+
-			"  throughput: %.0f traces/sec at batch %d (%.0f req/sec, %d overload retries)\n"+
+			"  throughput: %.0f traces/sec at batch %d (%.0f req/sec)\n"+
 			"  latency:    p50 %s  p90 %s  p99 %s  max %s\n"+
 			"  accuracy:   %.2f%% of server predictions correct",
 		r.Traces, r.Duration.Seconds(), r.Sessions, r.Conns,
-		r.TracesPerSec, r.Batch, float64(r.Requests)/r.Duration.Seconds(), r.Retries,
+		r.TracesPerSec, r.Batch, float64(r.Requests)/r.Duration.Seconds(),
 		r.P50, r.P90, r.P99, r.Max,
 		100*float64(r.Correct)/float64(max64(r.Traces, 1)))
-	if r.Throttled > 0 {
-		s += fmt.Sprintf("\n  throttled:  %d admission rejections (slept the retry-after hint)", r.Throttled)
-	}
 	if r.Skipped > 0 {
 		s += fmt.Sprintf("\n  dedup:      %d replayed traces skipped server-side", r.Skipped)
 	}
@@ -135,15 +131,6 @@ func max64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// lgConn is what a loadgen worker needs from its connection; satisfied
-// by both Client and RetryClient.
-type lgConn interface {
-	Open(session uint64) (shard uint32, lastSeq uint64, err error)
-	UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error)
-	Stats(session uint64) (SessionStats, error)
-	Close() error
 }
 
 // lgSession is one session's replay state on a connection worker.
@@ -167,35 +154,22 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 	}
 
 	// Partition sessions across connections.
-	clients := make([]lgConn, cfg.Conns)
+	snapEvery := 0
+	if cfg.Failover {
+		snapEvery = 1
+	}
+	clients := make([]*RetryClient, cfg.Conns)
 	for i := range clients {
-		var c lgConn
-		var err error
-		if cfg.Failover != nil {
-			rcfg := *cfg.Failover
-			if len(rcfg.Addrs) == 0 {
-				rcfg.Addrs = []string{cfg.Addr}
-			}
-			rcfg.Seed += uint64(i)
-			if rcfg.ClientTag == "" {
-				rcfg.ClientTag = cfg.ClientTag
-			}
-			c, err = NewRetryClient(rcfg)
-		} else {
-			var pc *Client
-			pc, err = Dial(cfg.Addr)
-			if err == nil && cfg.ClientTag != "" {
-				pc.SetClientTag(cfg.ClientTag)
-			}
-			c = pc
-		}
-		if err != nil {
-			closeAll(clients[:i])
+		if clients[i], err = NewRetryClient(RetryConfig{
+			Addrs:         []string{cfg.Addr},
+			Seed:          uint64(i + 1),
+			ClientTag:     cfg.ClientTag,
+			SnapshotEvery: snapEvery,
+		}); err != nil {
 			return nil, err
 		}
-		clients[i] = c
+		defer clients[i].Close()
 	}
-	defer closeAll(clients)
 
 	perConn := make([][]*lgSession, cfg.Conns)
 	for i := 0; i < cfg.Sessions; i++ {
@@ -220,14 +194,12 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 			"UpdateBatch round-trip latency as seen by the load generator.", 1e-9, nil)
 	}
 	var (
-		mu        sync.Mutex
-		traces    uint64
-		requests  uint64
-		retries   uint64
-		throttled uint64
-		correct   uint64
-		skipped   uint64
-		firstErr  error
+		mu       sync.Mutex
+		traces   uint64
+		requests uint64
+		correct  uint64
+		skipped  uint64
+		firstErr error
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -245,9 +217,9 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 			continue
 		}
 		wg.Add(1)
-		go func(cl lgConn, sessions []*lgSession) {
+		go func(cl *RetryClient, sessions []*lgSession) {
 			defer wg.Done()
-			var nTraces, nReq, nRetry, nThrottled, nCorrect, nSkipped uint64
+			var nTraces, nReq, nCorrect, nSkipped uint64
 			live := sessions
 			for len(live) > 0 {
 				if ctx != nil && ctx.Err() != nil {
@@ -269,21 +241,6 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 					}
 					t0 := time.Now()
 					skip, applied, corr, err := cl.UpdateBatch(s.id, s.batch)
-					for errors.Is(err, ErrOverloaded) || errors.Is(err, ErrThrottled) {
-						// Both rejections happen before the predictor is
-						// touched, so resending the same batch preserves
-						// exact stream order. Overload (shard at its bound)
-						// backs off a fixed beat; throttled (admission
-						// control) sleeps the server's retry-after hint.
-						nRetry++
-						if errors.Is(err, ErrThrottled) {
-							nThrottled++
-							time.Sleep(throttleDelay(err, time.Millisecond))
-						} else {
-							time.Sleep(200 * time.Microsecond)
-						}
-						skip, applied, corr, err = cl.UpdateBatch(s.id, s.batch)
-					}
 					rtt.ObserveDuration(time.Since(t0))
 					nReq++
 					if err != nil {
@@ -306,8 +263,6 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 			mu.Lock()
 			traces += nTraces
 			requests += nReq
-			retries += nRetry
-			throttled += nThrottled
 			correct += nCorrect
 			skipped += nSkipped
 			mu.Unlock()
@@ -320,16 +275,14 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenReport, error) 
 	}
 
 	rep := &LoadgenReport{
-		Sessions:  cfg.Sessions,
-		Conns:     cfg.Conns,
-		Batch:     cfg.Batch,
-		Traces:    traces,
-		Requests:  requests,
-		Retries:   retries,
-		Throttled: throttled,
-		Correct:   correct,
-		Skipped:   skipped,
-		Duration:  elapsed,
+		Sessions: cfg.Sessions,
+		Conns:    cfg.Conns,
+		Batch:    cfg.Batch,
+		Traces:   traces,
+		Requests: requests,
+		Correct:  correct,
+		Skipped:  skipped,
+		Duration: elapsed,
 	}
 	if elapsed > 0 {
 		rep.TracesPerSec = float64(traces) / elapsed.Seconds()
@@ -382,12 +335,4 @@ func referenceStats(s *stream.Stream, pcfg predictor.Config, fc *faults.Config) 
 		return predictor.Stats{}, err
 	}
 	return p.Stats(), nil
-}
-
-func closeAll(clients []lgConn) {
-	for _, c := range clients {
-		if c != nil {
-			c.Close()
-		}
-	}
 }

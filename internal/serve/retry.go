@@ -49,21 +49,21 @@ type RetryConfig struct {
 	// exact retry schedule.
 	Seed uint64
 
-	// SnapshotEvery takes a session snapshot with every N'th acked
-	// update (0 disables): that update is sent tracked, and its ack
-	// carries the session's state after the batch, so a snapshot costs
-	// no round trip of its own. With 1, recovery is exact: a session
-	// lost to a crash, or left behind by a restart from a stale
-	// checkpoint, is re-established from a snapshot that includes every
-	// acked batch, and the stream continues bit-identically. With N > 1
-	// (or 0) the held frame can be older than the acked position; a
-	// server that comes back behind it then fails the next batch with
-	// an error wrapping ErrSeqGap rather than train across the lost
-	// traces. Snapshots after the first are deltas merged into the held
-	// frame, so on the paper backends a snapshot costs O(the batches
-	// since the last one) on both sides, not O(table): N=1 costs
-	// O(batch) per ack. A server whose backend cannot snapshot refuses
-	// the tracked updates with ErrBadRequest.
+	// SnapshotEvery is 1 to hold a snapshot of every session, 0 for
+	// none; NewRetryClient refuses any other value. At 1, Open and every
+	// update are sent tracked, and each ack carries the session's state
+	// after the request, so a snapshot costs no round trip of its own.
+	// Recovery is then exact: a session lost to a crash, or left behind
+	// by a restart from a stale checkpoint, is re-established from a
+	// snapshot that includes every acked batch, and the stream
+	// continues bit-identically. Open's answer is the one full frame;
+	// every later ack is a delta merged into the held frame, so on the
+	// paper backends an ack costs O(batch) on both sides, not O(table).
+	// At 0 a server that lost a session still gets it re-opened, but
+	// one that comes back behind the acked position fails the next
+	// batch with an error wrapping ErrSeqGap rather than train across
+	// the lost traces. A server whose backend cannot snapshot refuses
+	// the tracked requests with ErrBadRequest.
 	SnapshotEvery int
 
 	// ClientTag names this client to the server for per-client
@@ -76,6 +76,9 @@ type RetryConfig struct {
 func (c RetryConfig) withDefaults() (RetryConfig, error) {
 	if len(c.Addrs) == 0 {
 		return c, errors.New("serve: retry client needs at least one address")
+	}
+	if c.SnapshotEvery != 0 && c.SnapshotEvery != 1 {
+		return c, fmt.Errorf("serve: retry client SnapshotEvery %d, want 0 or 1", c.SnapshotEvery)
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 10 * time.Second
@@ -93,13 +96,12 @@ func (c RetryConfig) withDefaults() (RetryConfig, error) {
 }
 
 // rcSession is the client-side recovery state for one session: the
-// sequence stream position and the last acked snapshot.
+// sequence stream position and the last acked snapshot, which at
+// SnapshotEvery 1 covers every acked trace.
 type rcSession struct {
-	seq       uint64        // last acked trace sequence
-	snap      snapshot.Held // last acked snapshot frame (empty: none yet)
-	snapSeq   uint64        // the last trace sequence snap covers
-	gen       uint64        // the server's generation token for snap, 0 = none
-	sinceSnap int           // acked batches since the last snapshot
+	seq  uint64        // last acked trace sequence
+	snap snapshot.Held // last acked snapshot frame (empty: none yet)
+	gen  uint64        // the server's generation token for snap, 0 = none
 }
 
 // RetryClient wraps the wire client with the crash-safety behaviours a
@@ -119,9 +121,8 @@ type rcSession struct {
 //	                          BaseBackoff, same conn
 //	ErrUnknownSession         re-establish (Restore the last acked    past MaxElapsed, or the re-establish
 //	                          snapshot, else Open), then rerun        error, classified by this table
-//	ErrSeqGap, when the       the same                                the same
-//	snapshot covers every
-//	acked trace
+//	ErrSeqGap, when a         the same                                the same
+//	snapshot is held
 //	ErrDraining, ErrFrame,    drop the conn, rotate the address,      the backoff crosses MaxElapsed
 //	transport errors          back off, redial
 //	ErrBadRequest,            fail fast                               at once
@@ -296,11 +297,11 @@ func (rc *RetryClient) do(session uint64, what string, op func(*Client) error) e
 			}
 			// The server lost the session (it restarted empty, or never
 			// had it), or came back behind the acked position (it
-			// restarted from a stale checkpoint) while the held frame
-			// covers that position: re-establish, then rerun op, whose
-			// resend the server dedups against the restored state.
+			// restarted from a stale checkpoint) while a frame is held,
+			// which covers that position: re-establish, then rerun op,
+			// whose resend the server dedups against the restored state.
 			lost := errors.Is(err, ErrUnknownSession) ||
-				errors.Is(err, ErrSeqGap) && s.snap.Len() > 0 && s.snapSeq >= s.seq
+				errors.Is(err, ErrSeqGap) && s.snap.Len() > 0
 			if lost && time.Now().Before(deadline) {
 				if err = rc.establish(c, session, s); err == nil {
 					continue
@@ -367,11 +368,12 @@ func (rc *RetryClient) session(id uint64) *rcSession {
 }
 
 // Open creates (or re-attaches to) a session, retrying across
-// reconnects, and seeds the session's recovery state. With snapshots
-// enabled, the freshly opened session is snapshotted immediately so
-// even a crash before the first update recovers exactly. That frame is
-// untracked: the first tracked ack (generation 0) answers with a full
-// frame and starts the server's change record.
+// reconnects, and seeds the session's recovery state. At SnapshotEvery
+// 1, a session with no held frame takes one at once, so even a crash
+// before the first update recovers exactly: Open sends a tracked
+// update of no traces, whose ack carries the session's full frame and
+// starts the server's change record, so the first real ack is already
+// a delta. A failure of that update fails Open.
 func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err error) {
 	s := rc.session(session)
 	err = rc.do(session, "open", func(c *Client) (err error) {
@@ -380,13 +382,10 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 			return err
 		}
 		s.seq = max(s.seq, lastSeq)
-		if rc.cfg.SnapshotEvery > 0 && s.snap.Len() == 0 {
-			if frame, serr := c.Snapshot(session); serr == nil {
-				s.snap.Set(frame)
-				s.gen, s.sinceSnap, s.snapSeq = 0, 0, lastSeq
-			}
+		if rc.cfg.SnapshotEvery == 1 && s.snap.Len() == 0 {
+			_, _, _, s.gen, err = c.UpdateBatchSnapshot(session, 0, nil, 0, &s.snap)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return 0, 0, err
@@ -401,46 +400,36 @@ func (rc *RetryClient) Open(session uint64) (shard uint32, lastSeq uint64, err e
 // restored replica that had applied only part of the batch, trains
 // exactly the unseen suffix), and a server that lost the session
 // entirely is re-fed the last acked snapshot before the batch is
-// resent. When the batch is due a snapshot (SnapshotEvery), it goes
-// tracked, and its ack brings the held frame up to date in the same
-// round trip; the ack is taken whole or not at all, so a torn, dropped
-// or unmergeable one is resent like a lost ack, and the generation the
-// resend names no longer matches, which draws a full frame. With
-// SnapshotEvery == 1 the acked snapshot always includes every
-// previously acked batch, so the recovered stream is bit-identical to
-// an uninterrupted one. The session's acked position advances only when
-// the call returns, so while it runs s.seq is the sequence before the
-// batch: the position a gap must be recovered to. The counts returned
-// are those of the ack taken, which after a resend report what the
-// server answering it still needed.
+// resent. At SnapshotEvery 1 the batch goes tracked, and its ack
+// brings the held frame up to date in the same round trip; the ack is
+// taken whole or not at all, so a torn, dropped or unmergeable one is
+// resent like a lost ack, and the generation the resend names no
+// longer matches, which draws a full frame. The held snapshot then
+// always includes every acked batch, so the recovered stream is
+// bit-identical to an uninterrupted one. The session's acked position
+// advances only when the call returns, so while it runs s.seq is the
+// sequence before the batch: the position a gap must be recovered to.
+// The counts returned are those of the ack taken, which after a resend
+// report what the server answering it still needed.
 func (rc *RetryClient) UpdateBatch(session uint64, traces []trace.Trace) (skipped, applied, correct uint32, err error) {
 	if len(traces) == 0 {
 		return 0, 0, 0, nil
 	}
 	s := rc.session(session)
 	start := s.seq + 1
-	end := start + uint64(len(traces)) - 1
-	due := rc.cfg.SnapshotEvery > 0 && s.sinceSnap+1 >= rc.cfg.SnapshotEvery
 	err = rc.do(session, "update", func(c *Client) (err error) {
-		if !due {
+		if rc.cfg.SnapshotEvery == 0 {
 			skipped, applied, correct, err = c.UpdateBatchSeq(session, start, traces)
 			return err
 		}
-		var gen uint64
-		skipped, applied, correct, gen, err = c.UpdateBatchSnapshot(session, start, traces, s.gen, &s.snap)
-		if err == nil {
-			s.gen, s.snapSeq = gen, end
-		}
+		// On error the generation comes back as sent.
+		skipped, applied, correct, s.gen, err = c.UpdateBatchSnapshot(session, start, traces, s.gen, &s.snap)
 		return err
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	s.seq = max(s.seq, end)
-	s.sinceSnap++
-	if due {
-		s.sinceSnap = 0
-	}
+	s.seq = max(s.seq, start+uint64(len(traces))-1)
 	return skipped, applied, correct, nil
 }
 

@@ -17,11 +17,12 @@ import (
 
 // seenReq is one request a scriptServer answered.
 type seenReq struct {
-	op   uint8
-	conn int    // 1-based accept order of the connection it arrived on
-	blob []byte // OpRestore: the snapshot frame
-	seq  uint64 // OpUpdateBatch: the start sequence
-	fail bool   // answered with the scripted status
+	op      uint8
+	conn    int    // 1-based accept order of the connection it arrived on
+	blob    []byte // OpRestore: the snapshot frame
+	seq     uint64 // OpUpdateBatch: the start sequence
+	tracked bool   // OpUpdateBatch: answered with a snapshot
+	fail    bool   // answered with the scripted status
 }
 
 // snapFault is a scripted failure of one answer carrying a snapshot: an
@@ -49,17 +50,17 @@ func scriptSnap(n int) []byte {
 }
 
 // scriptServer is a fake ntpd that answers every op with StatusOK and
-// well-formed bodies, except that the first request carrying failOp is
-// answered with failStatus, and the n'th request due a snapshot (an
-// OpSnapshot or a tracked batch, counting from 1) fails as
-// snapFaults[n] says. The n'th snapshot served is scriptSnap(n), after
-// generation n in a tracked batch's ack.
+// well-formed bodies, except that the first request carrying the op
+// failNext named is answered with its status, and the n'th request due
+// a snapshot (an OpSnapshot or a tracked batch, counting from 1) fails
+// as snapFaults[n] says. The n'th snapshot served is scriptSnap(n),
+// after generation n in a tracked batch's ack.
 type scriptServer struct {
-	ln         net.Listener
-	failOp     uint8
-	failStatus uint8
+	ln net.Listener
 
 	mu         sync.Mutex
+	failOp     uint8
+	failStatus uint8
 	snapFaults map[int]snapFault
 	fired      bool
 	conns      int
@@ -67,13 +68,13 @@ type scriptServer struct {
 	seen       []seenReq
 }
 
-func newScriptServer(t *testing.T, failOp, failStatus uint8) *scriptServer {
+func newScriptServer(t *testing.T) *scriptServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := &scriptServer{ln: ln, failOp: failOp, failStatus: failStatus}
+	ss := &scriptServer{ln: ln}
 	var wg sync.WaitGroup
 	t.Cleanup(func() { ln.Close(); wg.Wait() })
 	wg.Add(1)
@@ -149,7 +150,7 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 		case req.op == OpStats:
 			resp = append(resp, make([]byte, 4+statsBytes)...)
 		}
-		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: bytes.Clone(req.blob), seq: req.seq, fail: fail})
+		ss.seen = append(ss.seen, seenReq{op: req.op, conn: id, blob: bytes.Clone(req.blob), seq: req.seq, tracked: req.tracked, fail: fail})
 		ss.mu.Unlock()
 		if fault == snapTear || fault == snapDrop {
 			bw.Write(le.AppendUint32(nil, uint32(len(resp))))
@@ -166,6 +167,14 @@ func (ss *scriptServer) serve(conn net.Conn, id int) {
 	}
 }
 
+// failNext scripts status as the answer to the next request carrying
+// op.
+func (ss *scriptServer) failNext(op, status uint8) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.failOp, ss.failStatus = op, status
+}
+
 // log returns the requests answered so far and the connections
 // accepted.
 func (ss *scriptServer) log() ([]seenReq, int) {
@@ -180,9 +189,11 @@ func (ss *scriptServer) log() ([]seenReq, int) {
 // once on the same connection, Draining resends once on a redialed
 // connection, UnknownSession re-establishes (Restore of the last acked
 // snapshot, or Open when there is none) before the resend, SeqGap
-// re-establishes like UnknownSession when the last acked snapshot
-// covers the acked position and otherwise fails like BadRequest, and
-// BadRequest fails at once without a resend or a redial.
+// re-establishes like UnknownSession when a snapshot is held and
+// otherwise fails like BadRequest, and BadRequest fails at once without
+// a resend or a redial. The status is scripted only after prep, so in
+// the restore cases the tracked update of no traces that Open sends
+// for the session's first frame is answered cleanly.
 func TestRetryClientPolicy(t *testing.T) {
 	const session = 5
 	ops := []struct {
@@ -224,7 +235,7 @@ func TestRetryClientPolicy(t *testing.T) {
 	for _, o := range ops {
 		for _, st := range statuses {
 			t.Run(o.name+"/"+st.name, func(t *testing.T) {
-				ss := newScriptServer(t, o.op, st.status)
+				ss := newScriptServer(t)
 				snapEvery := 0
 				if o.restore {
 					snapEvery = 1
@@ -248,11 +259,12 @@ func TestRetryClientPolicy(t *testing.T) {
 				var lastSnap []byte
 				snaps := 0
 				for _, r := range prepped {
-					if r.op == OpSnapshot {
+					if r.op == OpSnapshot || r.tracked {
 						snaps++
 						lastSnap = scriptSnap(snaps)
 					}
 				}
+				ss.failNext(o.op, st.status)
 				err = o.call(rc)
 				seen, conns := ss.log()
 
@@ -267,8 +279,8 @@ func TestRetryClientPolicy(t *testing.T) {
 				}
 				after := seen[failed+1:]
 
-				// A gap is recoverable only from a frame covering the
-				// acked position, which only the restore cases hold.
+				// A gap is recoverable only from a held frame, which
+				// only the restore cases hold.
 				recoverable := st.status == StatusUnknownSession || st.status == StatusSeqGap && o.restore
 				if !recoverable && (st.status == StatusBadRequest || st.status == StatusSeqGap) {
 					if want := statusErr(st.status); !errors.Is(err, want) {
@@ -319,6 +331,18 @@ func TestRetryClientPolicy(t *testing.T) {
 	}
 }
 
+// TestRetryClientSnapshotEveryZeroOrOne: a RetryClient holds a frame
+// of every session or of none, so NewRetryClient refuses any other
+// SnapshotEvery.
+func TestRetryClientSnapshotEveryZeroOrOne(t *testing.T) {
+	for _, every := range []int{-1, 0, 1, 2, 8} {
+		_, err := NewRetryClient(RetryConfig{Addrs: []string{"127.0.0.1:1"}, SnapshotEvery: every})
+		if ok := every == 0 || every == 1; (err == nil) != ok {
+			t.Errorf("SnapshotEvery %d: err = %v, want accepted %v", every, err, ok)
+		}
+	}
+}
+
 // TestRetryClientSnapshotFailureKeepsAckedFrame: RetryClient refreshes
 // a session's frame in place from each tracked ack, yet an ack that
 // fails — torn mid-body and stalled, the connection dropped mid-body,
@@ -335,14 +359,15 @@ func TestRetryClientSnapshotFailureKeepsAckedFrame(t *testing.T) {
 		faults []snapFault
 		seqs   []uint64 // batch start sequences the server sees
 	}{
-		{"tear", []snapFault{snapTear, snapUnknown}, []uint64{1, 4, 7, 7, 7, 10}},
-		{"drop", []snapFault{snapDrop, snapUnknown}, []uint64{1, 4, 7, 7, 7, 10}},
-		{"unknown", []snapFault{snapUnknown}, []uint64{1, 4, 7, 7, 10}},
+		{"tear", []snapFault{snapTear, snapUnknown}, []uint64{0, 1, 4, 7, 7, 7, 10}},
+		{"drop", []snapFault{snapDrop, snapUnknown}, []uint64{0, 1, 4, 7, 7, 7, 10}},
+		{"unknown", []snapFault{snapUnknown}, []uint64{0, 1, 4, 7, 7, 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ss := newScriptServer(t, 0, StatusOK)
-			// Snapshots 1-3 (Open, then two tracked batches) are acked;
-			// the faults hit the third batch's ack and its resends.
+			ss := newScriptServer(t)
+			// Snapshots 1-3 (Open's tracked batch of no traces, at
+			// sequence 0, then two tracked batches) are acked; the faults
+			// hit the third batch's ack and its resends.
 			ss.mu.Lock()
 			ss.snapFaults = map[int]snapFault{}
 			for i, f := range tc.faults {

@@ -61,7 +61,8 @@ type Config struct {
 	// <dir>/<sessionID>.ntss (atomic rename, fsync'd), sessions found
 	// there are restored on startup (warm restart), and a drain spills
 	// every live session to this directory. Without it, a drain
-	// discards its sessions.
+	// discards its sessions. NewServer refuses a dir when the primary
+	// backend cannot snapshot; shadows are never checkpointed.
 	CheckpointDir string
 
 	// CheckpointEvery is the periodic checkpoint interval (default 2s).
@@ -151,6 +152,11 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if _, err := backend.New(cfg.Predictor); err != nil {
 		return nil, fmt.Errorf("serve: backend %q: %w", backend.Name, err)
+	}
+	// Checkpoints hold the primary's state only, so a primary that
+	// cannot snapshot would fail every sweep and every drain spill.
+	if cfg.CheckpointDir != "" && !backend.Snapshottable() {
+		return nil, fmt.Errorf("serve: backend %q cannot snapshot, so it cannot checkpoint to %s", backend.Name, cfg.CheckpointDir)
 	}
 	shadowCfgs := make([]shadowBackend, 0, len(cfg.Shadows))
 	for _, name := range cfg.Shadows {

@@ -411,7 +411,7 @@ func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 	}
 
 	// Warm through a plain client; RetryClient.Open then adopts the
-	// session's sequence and takes its first snapshot.
+	// session's sequence and takes its full frame, tracked.
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
 		b.Fatal(err)
@@ -438,8 +438,8 @@ func BenchmarkRetrySnapshotEvery1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// One full-size frame on each side before timing, then one delta,
-	// which sizes the client's merge plan.
+	// Open took the one full-size frame on each side. Two deltas before
+	// timing: the first sizes the client's merge plan.
 	send()
 	send()
 	wire0, frames0 := snapshotWireBytes(srv), srv.metrics.requests.Load()
