@@ -170,7 +170,7 @@ func (e *Engine) drainRetirements(now uint64) {
 	for e.count > 0 && e.window[e.head].retire <= now {
 		f := &e.window[e.head]
 		e.occupancy -= f.len
-		e.pred.CommitUpdate(f.tok, &f.tr)
+		e.pred.CommitUpdate(&f.tok, &f.tr)
 		e.res.Traces++
 		e.res.Instrs += uint64(f.tr.Len)
 		*f = inflight{} // drop references until the slot is reused

@@ -8,18 +8,33 @@ import (
 	"pathtrace/internal/trace"
 )
 
+// fullBase offsets the full identifiers the two-width tests push. It is
+// above 2^16, so a full-identifier lane that silently truncated to a
+// hashed identifier's width would fail them.
+const fullBase = 1 << 20
+
+// TestRegPushAndAt runs over both register widths: hashed identifiers
+// (the bounded predictors) and full ones (the unbounded predictor).
 func TestRegPushAndAt(t *testing.T) {
-	r := MustNewReg(4)
+	t.Run("hashed", func(t *testing.T) { testRegPushAndAt[trace.HashedID](t, 0) })
+	t.Run("full", func(t *testing.T) { testRegPushAndAt[trace.ID](t, fullBase) })
+}
+
+func testRegPushAndAt[T Ident](t *testing.T, base T) {
+	r, err := NewPath[T](4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Len() != 0 {
 		t.Errorf("fresh Len = %d", r.Len())
 	}
 	for i := 1; i <= 6; i++ {
-		r.Push(trace.HashedID(i))
+		r.Push(base + T(i))
 	}
 	// Most recent four: 6,5,4,3.
-	for i, want := range []trace.HashedID{6, 5, 4, 3} {
-		if got := r.At(i); got != want {
-			t.Errorf("At(%d) = %d, want %d", i, got, want)
+	for i, want := range []T{6, 5, 4, 3} {
+		if got := r.At(i); got != base+want {
+			t.Errorf("At(%d) = %d, want %d", i, got, base+want)
 		}
 	}
 	if r.Len() != 4 {
@@ -300,35 +315,48 @@ func mkTrace(hash trace.HashedID, calls int, endsRet bool) *trace.Trace {
 	return &trace.Trace{Hash: hash, Calls: calls, EndsInRet: endsRet}
 }
 
+// TestRHSPushPopSplice runs over both stack widths, like
+// TestRegPushAndAt.
 func TestRHSPushPopSplice(t *testing.T) {
-	rhs := MustNewReturnStack(16)
-	h := MustNewReg(4) // size<=5 -> keep 1
+	t.Run("hashed", func(t *testing.T) { testRHSPushPopSplice[trace.HashedID](t, 0) })
+	t.Run("full", func(t *testing.T) { testRHSPushPopSplice[trace.ID](t, fullBase) })
+}
+
+func testRHSPushPopSplice[T Ident](t *testing.T, base T) {
+	rhs, err := NewStack[T](16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewPath[T](4) // size<=5 -> keep 1
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Build pre-call history A B C D (D most recent).
-	for _, v := range []trace.HashedID{1, 2, 3, 4} {
-		h.Push(v)
+	for _, v := range []T{1, 2, 3, 4} {
+		h.Push(base + v)
 	}
 	// Trace with one call: push snapshot (history already includes it).
-	h.Push(10)
+	h.Push(base + 10)
 	rhs.Observe(mkTrace(10, 1, false), &h)
 	if rhs.Depth() != 1 {
 		t.Fatalf("stack depth = %d, want 1", rhs.Depth())
 	}
 	// Subroutine body overwrites history.
-	for _, v := range []trace.HashedID{20, 21, 22, 23} {
-		h.Push(v)
+	for _, v := range []T{20, 21, 22, 23} {
+		h.Push(base + v)
 	}
 	// Returning trace (no calls): pop and splice.
-	h.Push(30)
+	h.Push(base + 30)
 	rhs.Observe(mkTrace(30, 0, true), &h)
 	if rhs.Depth() != 0 {
 		t.Fatalf("stack depth = %d, want 0", rhs.Depth())
 	}
 	// Keep 1 most recent (30); older positions from snapshot [10,4,3].
-	want := []trace.HashedID{30, 10, 4, 3}
+	want := []T{30, 10, 4, 3}
 	for i, w := range want {
-		if got := h.At(i); got != w {
-			t.Errorf("After splice At(%d) = %d, want %d", i, got, w)
+		if got := h.At(i); got != base+w {
+			t.Errorf("After splice At(%d) = %d, want %d", i, got, base+w)
 		}
 	}
 }
@@ -416,21 +444,27 @@ func TestNewReturnStackValidation(t *testing.T) {
 // TestRHSObserveBoundedPushes checks that Observe, which pushes at most
 // max copies of the history per trace, leaves the stack exactly as one
 // push per net call would, for every net call count up to 3*max and
-// from an empty, a part-filled and a full stack.
+// from an empty, a part-filled and a full stack, at both widths.
 func TestRHSObserveBoundedPushes(t *testing.T) {
+	t.Run("hashed", func(t *testing.T) { testRHSObserveBoundedPushes[trace.HashedID](t, 0) })
+	t.Run("full", func(t *testing.T) { testRHSObserveBoundedPushes[trace.ID](t, fullBase) })
+}
+
+func testRHSObserveBoundedPushes[T Ident](t *testing.T, base T) {
 	const max = 5
 	for _, filled := range []int{0, 2, max} {
 		for net := 0; net <= 3*max; net++ {
-			got, want := MustNewReturnStack(max), MustNewReturnStack(max)
+			got, _ := NewStack[T](max)
+			want, _ := NewStack[T](max)
 			for i := 0; i < filled; i++ {
-				old := MustNewReg(4)
-				old.Push(trace.HashedID(100 + i))
+				old, _ := NewPath[T](4)
+				old.Push(base + T(100+i))
 				got.push(old)
 				want.push(old)
 			}
-			h := MustNewReg(4)
-			h.Push(7)
-			h.Push(8)
+			h, _ := NewPath[T](4)
+			h.Push(base + 7)
+			h.Push(base + 8)
 			got.Observe(mkTrace(8, net, false), &h)
 			for i := 0; i < net; i++ {
 				want.push(h)

@@ -1,7 +1,11 @@
 // Package history implements the path-history machinery of the
-// path-based next trace predictor: the history register of hashed trace
-// identifiers, the DOLC index-generation mechanism, and the Return
-// History Stack (§3.2 and §3.4 of the paper).
+// path-based next trace predictor: the path history register, the DOLC
+// index-generation mechanism, and the Return History Stack (§3.2 and
+// §3.4 of the paper). The register and the stack hold hashed trace
+// identifiers (Reg and ReturnStack, which the bounded predictors index
+// their tables by) or full ones (the unbounded predictor of §5.2, which
+// keys exact paths by them); one implementation, generic over the
+// identifier, serves both.
 package history
 
 import (
@@ -10,45 +14,60 @@ import (
 	"pathtrace/internal/trace"
 )
 
-// MaxSize is the largest number of hashed trace identifiers a history
-// register can track: the paper studies history depths 0 through 7,
-// i.e. up to 8 identifiers.
+// MaxSize is the largest number of identifiers a history register can
+// track: the paper studies history depths 0 through 7, i.e. up to 8
+// identifiers.
 const MaxSize = 8
 
-// Reg is the path history register: a shift register of hashed trace
+// Ident is the identifier a path history holds: a hashed trace
+// identifier or a full one.
+type Ident interface {
+	trace.HashedID | trace.ID
+}
+
+// Path is the path history register: a shift register of trace
 // identifiers. Index 0 is the most recent trace ("current" in DOLC
 // terms), index 1 the one before ("last"), and so on.
 //
-// Reg is a value type; copying it is a checkpoint. The predictor
+// Path is a value type; copying it is a checkpoint. The predictor
 // updates it speculatively with each prediction and restores a saved
 // copy when a misprediction is discovered.
-type Reg struct {
-	ids  [MaxSize]trace.HashedID
+type Path[T Ident] struct {
+	ids  [MaxSize]T
 	size int // identifiers tracked (depth+1)
 	n    int // identifiers pushed so far, capped at size
 
 	// hook, when set, runs after every Push. It exists for fault
 	// injection (package faults corrupts identifiers through it) and is
 	// carried along by checkpoints, so restored histories stay under
-	// the same injection plan. It is an interface (not a func) so Reg
+	// the same injection plan. It is an interface (not a func) so Path
 	// stays comparable; implementations must be pointer-backed.
-	hook PushHook
+	hook Hook[T]
 }
 
-// PushHook observes — and may corrupt — a register after each Push.
+// Reg is the register of hashed identifiers.
+type Reg = Path[trace.HashedID]
+
+// Hook observes — and may corrupt — a register after each Push.
 // Implementations must not call Push re-entrantly.
-type PushHook interface {
-	OnPush(*Reg)
+type Hook[T Ident] interface {
+	OnPush(*Path[T])
 }
 
-// NewReg returns a history register tracking size identifiers
+// PushHook is the hook of a hashed register.
+type PushHook = Hook[trace.HashedID]
+
+// NewPath returns a history register tracking size identifiers
 // (the predictor's history depth + 1).
-func NewReg(size int) (Reg, error) {
+func NewPath[T Ident](size int) (Path[T], error) {
 	if size < 1 || size > MaxSize {
-		return Reg{}, fmt.Errorf("history: size %d outside [1, %d]", size, MaxSize)
+		return Path[T]{}, fmt.Errorf("history: size %d outside [1, %d]", size, MaxSize)
 	}
-	return Reg{size: size}, nil
+	return Path[T]{size: size}, nil
 }
+
+// NewReg is NewPath for hashed identifiers.
+func NewReg(size int) (Reg, error) { return NewPath[trace.HashedID](size) }
 
 // MustNewReg is NewReg for statically known sizes; it panics on error.
 func MustNewReg(size int) Reg {
@@ -60,7 +79,7 @@ func MustNewReg(size int) Reg {
 }
 
 // Push shifts a new most-recent identifier into the register.
-func (r *Reg) Push(h trace.HashedID) {
+func (r *Path[T]) Push(h T) {
 	copy(r.ids[1:r.size], r.ids[:r.size-1])
 	r.ids[0] = h
 	if r.n < r.size {
@@ -73,21 +92,21 @@ func (r *Reg) Push(h trace.HashedID) {
 
 // SetFaultHook installs a hook invoked after every Push (nil removes
 // it). Used by fault injection.
-func (r *Reg) SetFaultHook(h PushHook) { r.hook = h }
+func (r *Path[T]) SetFaultHook(h Hook[T]) { r.hook = h }
 
-// CorruptAt XORs mask into the i-th most recent identifier. It is the
-// mutation primitive for fault injection; out-of-range positions are
-// ignored.
-func (r *Reg) CorruptAt(i int, mask trace.HashedID) {
+// CorruptAt XORs mask, cut to a hashed identifier's width, into the
+// i-th most recent identifier. It is the mutation primitive for fault
+// injection; out-of-range positions are ignored.
+func (r *Path[T]) CorruptAt(i int, mask trace.HashedID) {
 	if i < 0 || i >= r.size {
 		return
 	}
-	r.ids[i] ^= mask & (1<<trace.HashBits - 1)
+	r.ids[i] ^= T(mask & (1<<trace.HashBits - 1))
 }
 
 // At returns the i-th most recent identifier (0 = current). Positions
 // not yet filled (cold start) read as zero, matching hardware reset.
-func (r *Reg) At(i int) trace.HashedID {
+func (r *Path[T]) At(i int) T {
 	if i < 0 || i >= r.size {
 		return 0
 	}
@@ -95,24 +114,28 @@ func (r *Reg) At(i int) trace.HashedID {
 }
 
 // Size returns the number of identifiers tracked.
-func (r *Reg) Size() int { return r.size }
+func (r *Path[T]) Size() int { return r.size }
 
 // Len returns the number of identifiers pushed so far (saturating at
 // Size); it distinguishes a cold register from one holding real zeros.
-func (r *Reg) Len() int { return r.n }
+func (r *Path[T]) Len() int { return r.n }
 
-// RegState is the exported, serializable state of a history register:
+// PathState is the exported, serializable state of a history register:
 // everything Push/At observe, without the fault hook (hooks are process
 // state and must be re-installed by whoever restores the register).
-type RegState struct {
-	IDs  [MaxSize]trace.HashedID
+type PathState[T Ident] struct {
+	IDs  [MaxSize]T
 	Size int
 	N    int
 }
 
+// RegState is the state of a hashed register, which session snapshots
+// carry.
+type RegState = PathState[trace.HashedID]
+
 // State captures the register for serialization (session snapshots).
-func (r *Reg) State() RegState {
-	return RegState{IDs: r.ids, Size: r.size, N: r.n}
+func (r *Path[T]) State() PathState[T] {
+	return PathState[T]{IDs: r.ids, Size: r.size, N: r.n}
 }
 
 // RegFromState rebuilds a register from a serialized state, validating

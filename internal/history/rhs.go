@@ -13,23 +13,29 @@ import (
 // that description for our workloads and is configurable.
 const DefaultRHSDepth = 16
 
-// ReturnStack is the Return History Stack (RHS) of §3.4. It saves path
+// Stack is the Return History Stack (RHS) of §3.4. It saves path
 // history across procedure calls so that, after a subroutine returns,
 // the history again reflects the control flow *before* the call —
 // splicing in the most recent one or two traces from inside the
 // subroutine.
-type ReturnStack struct {
-	stack []Reg
+type Stack[T Ident] struct {
+	stack []Path[T]
 	max   int
 }
 
-// NewReturnStack returns an RHS holding at most max history snapshots.
-func NewReturnStack(max int) (*ReturnStack, error) {
+// ReturnStack is the stack of hashed-identifier histories.
+type ReturnStack = Stack[trace.HashedID]
+
+// NewStack returns an RHS holding at most max history snapshots.
+func NewStack[T Ident](max int) (*Stack[T], error) {
 	if max < 1 {
 		return nil, fmt.Errorf("history: return stack depth %d < 1", max)
 	}
-	return &ReturnStack{stack: make([]Reg, 0, max), max: max}, nil
+	return &Stack[T]{stack: make([]Path[T], 0, max), max: max}, nil
 }
+
+// NewReturnStack is NewStack for hashed identifiers.
+func NewReturnStack(max int) (*ReturnStack, error) { return NewStack[trace.HashedID](max) }
 
 // MustNewReturnStack is NewReturnStack for static configurations.
 func MustNewReturnStack(max int) *ReturnStack {
@@ -40,23 +46,19 @@ func MustNewReturnStack(max int) *ReturnStack {
 	return s
 }
 
-// SpliceKeep implements the paper's splice rule: "when there are five
+// keepEntries implements the paper's splice rule: "when there are five
 // or fewer entries in the history, only the most recent hashed
 // identifier is kept; when there are more than five entries the two
-// most recent hashed identifiers are kept." It is exported so the
-// unbounded predictor's full-identifier history can apply the same rule.
-func SpliceKeep(histSize int) int {
+// most recent hashed identifiers are kept."
+func keepEntries(histSize int) int {
 	if histSize <= 5 {
 		return 1
 	}
 	return 2
 }
 
-// keepEntries is the internal alias.
-func keepEntries(histSize int) int { return SpliceKeep(histSize) }
-
 // Observe applies the RHS actions for a completed trace, after the
-// history register has been updated with the trace's hashed ID:
+// history register has been updated with the trace's identifier:
 //
 //   - if the trace contains calls (net of a terminal return), a copy of
 //     the current history is pushed per call;
@@ -68,7 +70,7 @@ func keepEntries(histSize int) int { return SpliceKeep(histSize) }
 // after max pushes the stack holds max copies of the history whatever
 // it held before, and a trace costs at most max pushes however many
 // calls it claims.
-func (s *ReturnStack) Observe(tr *trace.Trace, h *Reg) {
+func (s *Stack[T]) Observe(tr *trace.Trace, h *Path[T]) {
 	net := tr.NetCalls()
 	switch {
 	case net > 0:
@@ -83,22 +85,23 @@ func (s *ReturnStack) Observe(tr *trace.Trace, h *Reg) {
 }
 
 // Depth returns the number of histories currently saved.
-func (s *ReturnStack) Depth() int { return len(s.stack) }
+func (s *Stack[T]) Depth() int { return len(s.stack) }
 
 // StackState is the exported, serializable state of a Return History
-// Stack: its capacity and the saved registers, deepest first.
+// Stack of hashed identifiers: its capacity and the saved registers,
+// deepest first.
 type StackState struct {
 	Max  int
 	Regs []RegState
 }
 
 // Max returns the stack's capacity.
-func (s *ReturnStack) Max() int { return s.max }
+func (s *Stack[T]) Max() int { return s.max }
 
 // Saved returns the i'th saved register, deepest first (0 <= i <
 // Depth()). Serialization walks the stack with it, so encoding a
 // session snapshot copies no register slice.
-func (s *ReturnStack) Saved(i int) RegState { return s.stack[i].State() }
+func (s *Stack[T]) Saved(i int) PathState[T] { return s.stack[i].State() }
 
 // StackFromState rebuilds a Return History Stack from a serialized
 // state, validating capacity and every saved register.
@@ -120,7 +123,7 @@ func StackFromState(st StackState) (*ReturnStack, error) {
 	return s, nil
 }
 
-func (s *ReturnStack) push(h Reg) {
+func (s *Stack[T]) push(h Path[T]) {
 	if len(s.stack) >= s.max {
 		// Discard the deepest (oldest) snapshot.
 		copy(s.stack, s.stack[1:])
@@ -130,9 +133,9 @@ func (s *ReturnStack) push(h Reg) {
 	s.stack = append(s.stack, h)
 }
 
-func (s *ReturnStack) pop() (Reg, bool) {
+func (s *Stack[T]) pop() (Path[T], bool) {
 	if len(s.stack) == 0 {
-		return Reg{}, false
+		return Path[T]{}, false
 	}
 	top := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
@@ -142,7 +145,7 @@ func (s *ReturnStack) pop() (Reg, bool) {
 // splice keeps the most recent keepEntries(size) identifiers of h (the
 // tail of the subroutine) and fills the older positions from the
 // pre-call history snapshot.
-func splice(h *Reg, saved *Reg) {
+func splice[T Ident](h, saved *Path[T]) {
 	keep := keepEntries(h.size)
 	if keep > h.size {
 		keep = h.size

@@ -10,16 +10,15 @@ import "pathtrace/internal/trace"
 // table sweep amortized over the whole batch. Batched execution is
 // bit-identical to N scalar rounds by construction: the native
 // implementation (Hybrid, which the basic, hybrid and costreduced
-// backends all build) drives exactly the same lookup/commit primitives
-// the scalar methods wrap, and the generic fallback below literally
-// calls Predict/Update in a loop.
+// backends all build) drives exactly the same lookup and training
+// primitives the scalar methods wrap, and the generic fallback below
+// literally calls Predict/Update in a loop.
 
 // BatchPredictor is implemented by predictors with a native batched
 // round loop. PredictBatch runs one full round per trace — preds[i]
 // (when preds is non-nil) receives the prediction made before
 // actuals[i] was revealed — and returns how many of those predictions
-// were correct by the predictor's own accounting. UpdateBatch is
-// PredictBatch without materializing the predictions.
+// were correct by the predictor's own accounting.
 //
 // Backends without a native loop (tage, the unbounded study variants)
 // are driven through the package-level PredictBatch/UpdateBatch
@@ -27,7 +26,6 @@ import "pathtrace/internal/trace"
 type BatchPredictor interface {
 	NextTracePredictor
 	PredictBatch(actuals []trace.Trace, preds []Prediction) (correct uint64)
-	UpdateBatch(actuals []trace.Trace) (correct uint64)
 }
 
 // PredictBatch runs one full Predict/Update round per trace of actuals
@@ -52,17 +50,7 @@ func PredictBatch(p NextTracePredictor, actuals []trace.Trace, preds []Predictio
 	return p.Stats().Correct - before
 }
 
-// UpdateBatch runs one full Predict/Update round per trace of actuals
-// against p and returns the batch's correct-prediction count, using the
-// native batch loop when available.
+// UpdateBatch is PredictBatch with the predictions discarded.
 func UpdateBatch(p NextTracePredictor, actuals []trace.Trace) uint64 {
-	if bp, ok := p.(BatchPredictor); ok {
-		return bp.UpdateBatch(actuals)
-	}
-	before := p.Stats().Correct
-	for i := range actuals {
-		p.Predict()
-		p.Update(&actuals[i])
-	}
-	return p.Stats().Correct - before
+	return PredictBatch(p, actuals, nil)
 }

@@ -113,7 +113,7 @@ func (c *Confident) Predict() (Prediction, bool) {
 // Update reveals the actual trace, trains the predictor, and maintains
 // the resetting counter.
 func (c *Confident) Update(actual *trace.Trace) {
-	tok := c.tok
+	tok := &c.tok
 	correct := tok.Pred.Valid && tok.predVal == c.hybrid.cfg.storedVal(actual)
 	confident := tok.Pred.Valid && c.ctrs[tok.CorrIdx] >= c.threshold
 	if confident {

@@ -59,7 +59,7 @@ func driveStep(p NextTracePredictor, traces []*trace.Trace, step int) {
 	case step%3 == 2 && isHybrid:
 		for _, tc := range traces {
 			_, tok := h.Lookup()
-			h.CommitUpdate(tok, tc)
+			h.CommitUpdate(&tok, tc)
 			h.Advance(tc)
 		}
 	default:

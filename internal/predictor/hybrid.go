@@ -36,7 +36,7 @@ import (
 // with no pointer chasing and no padding, and a read-modify-write of
 // one word per table. The default serving geometry (2^16 correlated and
 // 2^10 secondary entries) holds 1 MiB + 8 KiB of tables. The batched
-// round loops (PredictBatch/UpdateBatch) sweep these slices directly.
+// round loop (PredictBatch) sweeps these slices directly.
 type Hybrid struct {
 	cfg  Config
 	hist history.Reg
@@ -211,8 +211,10 @@ func NewHybrid(cfg Config) (*Hybrid, error) {
 
 // lookupInto computes the prediction for the next trace from the
 // current path history into tok, without changing any state. It is the
-// single lookup implementation: Predict, Lookup and the batch loops all
-// run it, so the scalar and batched paths cannot diverge. Taking the
+// single lookup implementation: Predict, Lookup and the batch loop all
+// run it, so the scalar and batched paths cannot diverge. It reads the
+// round's entries and leaves the selection to rules.choose, which the
+// unbounded predictor runs over its own entries. Taking the
 // token by pointer keeps the (large) Token off the copy path.
 func (p *Hybrid) lookupInto(tok *Token) {
 	idx := p.cfg.DOLC.IndexOf(&p.hist)
@@ -222,34 +224,41 @@ func (p *Hybrid) lookupInto(tok *Token) {
 		SecIdx:  h0 & p.secMask,
 		Tag:     uint16(h0 & p.tagMask),
 	}
-	if p.sec != nil {
-		sw := p.sec[tok.SecIdx]
-		tok.secValid = sw&entValid != 0
-		tok.secPredVal = sw & entValMask
-		tok.secSaturated = tok.secValid && int(entCtr(sw)) == p.r.ctrMaxS
-	}
+	p.r.choose(tok, p.secWord(tok.SecIdx), &p.corr[idx], &p.cfg)
+}
 
-	e := &p.corr[idx]
+// choose completes a round's lookup in tok, whose indices and tag are
+// set, from the entries the round read: sw the secondary word (nil
+// without a secondary table) and e the correlated entry. It is the
+// selection rule of §3.3 for the bounded and unbounded predictors
+// alike: a saturated secondary counter wins; otherwise the correlated
+// entry when it is valid and its tag matches, else the secondary.
+func (r *rules) choose(tok *Token, sw *uint64, e *corrEntry, cfg *Config) {
+	if sw != nil {
+		w := *sw
+		tok.secValid = w&entValid != 0
+		tok.secPredVal = w & entValMask
+		tok.secSaturated = tok.secValid && int(entCtr(w)) == r.ctrMaxS
+	}
 	w := e.w
-	useSecondary := tok.secSaturated || !(w&entValid != 0 && entTag(w) == tok.Tag)
-	if useSecondary {
+	if tok.secSaturated || !(w&entValid != 0 && entTag(w) == tok.Tag) {
 		if tok.secValid {
 			tok.Pred.Valid = true
 			tok.Pred.FromSecondary = true
-			p.cfg.present(&tok.Pred, tok.secPredVal)
+			cfg.present(&tok.Pred, tok.secPredVal)
 			tok.predVal = tok.secPredVal
 		}
-	} else {
-		val := w & entValMask
-		tok.Pred.Valid = true
-		p.cfg.present(&tok.Pred, val)
-		tok.predVal = val
-		if w&entAltValid != 0 {
-			tok.Pred.AltValid = true
-			tok.altVal = e.alt
-			if !p.cfg.CostReduced {
-				tok.Pred.Alt = trace.ID(tok.altVal)
-			}
+		return
+	}
+	val := w & entValMask
+	tok.Pred.Valid = true
+	cfg.present(&tok.Pred, val)
+	tok.predVal = val
+	if w&entAltValid != 0 {
+		tok.Pred.AltValid = true
+		tok.altVal = e.alt
+		if !cfg.CostReduced {
+			tok.Pred.Alt = trace.ID(tok.altVal)
 		}
 	}
 }
@@ -260,21 +269,6 @@ func (p *Hybrid) Lookup() (Prediction, Token) {
 	var tok Token
 	p.lookupInto(&tok)
 	return tok.Pred, tok
-}
-
-// commit trains the tables for a prediction described by tok, given the
-// trace that actually followed: it draws the round's faults, then hands
-// the round's entries to train, the training routine the unbounded
-// predictor runs too. Update and CommitUpdate run it; PredictBatch
-// writes its two steps out. It does not touch the path history; pair it
-// with Advance. It reports whether it wrote the correlated entry, which
-// the secondary filter may skip; a marked predictor's callers record
-// the round's slots from it (changeSet.round).
-func (p *Hybrid) commit(tok *Token, actual *trace.Trace) (wroteCorr bool) {
-	if p.cfg.Faults != nil {
-		p.injectFaults()
-	}
-	return p.r.train(&p.stats, tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(actual))
 }
 
 // secWord returns the secondary word at i, or nil in a basic predictor.
@@ -398,12 +392,18 @@ func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uin
 }
 
 // CommitUpdate trains the tables for a prediction described by tok,
-// given the trace that actually followed. It does not touch the path
-// history; pair it with Advance.
-func (p *Hybrid) CommitUpdate(tok Token, actual *trace.Trace) {
-	wrote := p.commit(&tok, actual)
+// given the trace that actually followed: it draws the round's faults,
+// hands the round's entries to rules.train and, in a marked predictor,
+// records the slots written (changeSet.round). It is the scalar round's
+// one training step; PredictBatch writes the same steps out. It does
+// not touch the path history; pair it with Advance.
+func (p *Hybrid) CommitUpdate(tok *Token, actual *trace.Trace) {
+	if p.cfg.Faults != nil {
+		p.injectFaults()
+	}
+	wrote := p.r.train(&p.stats, tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(actual))
 	if c := p.chg; c != nil {
-		c.round(&tok, wrote)
+		c.round(tok, wrote)
 	}
 }
 
@@ -426,10 +426,7 @@ func (p *Hybrid) Predict() Prediction {
 
 // Update implements NextTracePredictor.
 func (p *Hybrid) Update(actual *trace.Trace) {
-	wrote := p.commit(&p.tok, actual)
-	if c := p.chg; c != nil {
-		c.round(&p.tok, wrote)
-	}
+	p.CommitUpdate(&p.tok, actual)
 	p.Advance(actual)
 }
 
@@ -449,7 +446,8 @@ func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 
 		if preds != nil {
 			preds[i] = tok.Pred
 		}
-		// commit, written out so that a round makes one training call.
+		// CommitUpdate, written out so that a round makes one call to
+		// train.
 		if p.cfg.Faults != nil {
 			p.injectFaults()
 		}
@@ -460,12 +458,6 @@ func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 
 		p.Advance(&actuals[i])
 	}
 	return p.stats.Correct - before
-}
-
-// UpdateBatch implements BatchPredictor: PredictBatch with the
-// predictions discarded.
-func (p *Hybrid) UpdateBatch(actuals []trace.Trace) uint64 {
-	return p.PredictBatch(actuals, nil)
 }
 
 // Stats implements NextTracePredictor.

@@ -9,9 +9,9 @@
 // The paper's predictors are one kernel, Hybrid: the basic predictor is
 // Hybrid with Config.Hybrid unset (no entry tags, no secondary table,
 // no RHS), and the cost-reduced predictor is Hybrid storing hashed
-// identifiers. The unbounded variants (Unbounded) train the same packed
-// entries by the same routine, in exact-match tables; TAGE is a
-// separate design.
+// identifiers. The unbounded variants (Unbounded) select and train the
+// same packed entries by the same routines, over the same path history
+// and RHS code, in exact-match tables; TAGE is a separate design.
 package predictor
 
 import (

@@ -9,20 +9,21 @@ import (
 
 // Unbounded is the idealised predictor of §5.2: "each unique sequence
 // of trace identifiers maps to its own table entry, i.e. there is no
-// aliasing". It is the paper kernel with other storage: its entries
-// are Hybrid's packed words, trained by the same rules (rules.train),
-// but they live in ubTables keyed by full 64-bit keys: the correlated
-// table by the pathKey of the exact path of full trace identifiers,
-// the secondary table by mix64 of the most recent full identifier (a
-// bijection, so distinct IDs never share an entry). Exact keys need no
-// tags, so every Token it builds has Tag 0.
+// aliasing". It is the paper kernel with other storage and nothing
+// else: its path history and Return History Stack are the history
+// package's register and stack over full trace identifiers, it selects
+// by rules.choose and trains by rules.train over Hybrid's packed
+// entries, and those entries live in ubTables keyed by full 64-bit
+// keys: the correlated table by the pathKey of the exact path of full
+// trace identifiers, the secondary table by mix64 of the most recent
+// full identifier (a bijection, so distinct IDs never share an entry).
+// Exact keys need no tags, so every Token it builds has Tag 0, and it
+// stores full identifiers, never hashed ones.
 type Unbounded struct {
 	cfg  Config
 	r    rules
-	size int // identifiers tracked = depth+1
-	ids  [history.MaxSize]trace.ID
-	n    int
-	rhs  []ubSnap
+	hist history.Path[trace.ID]
+	rhs  *history.Stack[trace.ID] // nil when RHS disabled
 	corr ubTable
 	sec  ubTable // no slots without Config.Hybrid
 
@@ -41,11 +42,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-type ubSnap struct {
-	ids [history.MaxSize]trace.ID
-	n   int
 }
 
 // ubTable is an open-addressed, linear-probing hash table from 64-bit
@@ -118,9 +114,18 @@ func newUnbounded(cfg Config) (*Unbounded, error) {
 		return nil, fmt.Errorf("predictor: RHS requires the hybrid predictor")
 	}
 	cfg.Faults, cfg.CostReduced = nil, false
-	u := &Unbounded{cfg: cfg, r: newRules(&cfg), size: cfg.Depth + 1, corr: newUBTable()}
+	hist, err := history.NewPath[trace.ID](cfg.Depth + 1)
+	if err != nil {
+		return nil, err
+	}
+	u := &Unbounded{cfg: cfg, r: newRules(&cfg), hist: hist, corr: newUBTable()}
 	if cfg.Hybrid {
 		u.sec = newUBTable()
+	}
+	if cfg.UseRHS {
+		if u.rhs, err = history.NewStack[trace.ID](cfg.RHSDepth); err != nil {
+			return nil, err
+		}
 	}
 	return u, nil
 }
@@ -133,53 +138,34 @@ func newUnbounded(cfg Config) (*Unbounded, error) {
 // keeping the table key one word.
 func (u *Unbounded) pathKey() uint64 {
 	var k uint64
-	for i := 0; i < u.size; i++ {
-		k = mix64(k ^ uint64(u.ids[i]))
+	for i := 0; i < u.hist.Size(); i++ {
+		k = mix64(k ^ uint64(u.hist.At(i)))
 	}
 	return k
 }
 
-// Predict implements NextTracePredictor: Hybrid's selection rule over
-// the slots of the round's exact keys. It probes each table once and
-// records the slots in the token; under the Predict/Update protocol
+// Predict implements NextTracePredictor: the kernel's selection rule
+// over the slots of the round's exact keys. It probes each table once
+// and records the slots in the token; under the Predict/Update protocol
 // the tables cannot change in between, so Update reads and writes
 // those slots directly.
 func (u *Unbounded) Predict() Prediction {
 	tok := &u.tok
 	u.key = u.pathKey()
 	*tok = Token{CorrIdx: uint32(u.corr.find(u.key))}
+	var sw *uint64
 	if u.sec.slots != nil {
-		u.secKey = mix64(uint64(u.ids[0]))
+		u.secKey = mix64(uint64(u.hist.At(0)))
 		tok.SecIdx = uint32(u.sec.find(u.secKey))
-		sw := u.sec.slots[tok.SecIdx].e.w
-		tok.secValid = sw&entValid != 0
-		tok.secPredVal = sw & entValMask
-		tok.secSaturated = tok.secValid && int(entCtr(sw)) == u.r.ctrMaxS
+		sw = &u.sec.slots[tok.SecIdx].e.w
 	}
-	e := &u.corr.slots[tok.CorrIdx].e
-	switch {
-	case tok.secSaturated || e.w&entValid == 0:
-		if tok.secValid {
-			tok.predVal = tok.secPredVal
-			tok.Pred = Prediction{Valid: true, FromSecondary: true}
-		}
-	default:
-		tok.predVal = e.w & entValMask
-		tok.Pred = Prediction{Valid: true}
-		if e.w&entAltValid != 0 {
-			tok.altVal = e.alt
-			tok.Pred.Alt, tok.Pred.AltValid = trace.ID(e.alt), true
-		}
-	}
-	if tok.Pred.Valid {
-		tok.Pred.ID = trace.ID(tok.predVal)
-		tok.Pred.Hashed = tok.Pred.ID.Hash()
-	}
+	u.r.choose(tok, sw, &u.corr.slots[tok.CorrIdx].e, &u.cfg)
 	return tok.Pred
 }
 
 // Update implements NextTracePredictor: it trains copies of the
-// round's entries by the kernel's rules and stores them back.
+// round's entries by the kernel's rules, stores them back, and advances
+// the path history as Hybrid.Advance does, with the full identifier.
 func (u *Unbounded) Update(actual *trace.Trace) {
 	tok := &u.tok
 	ce := u.corr.slots[tok.CorrIdx].e
@@ -195,50 +181,9 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 	if sw != nil {
 		u.sec.set(int(tok.SecIdx), u.secKey, se)
 	}
-	u.advance(actual)
-}
-
-// advance pushes the actual trace onto the full-ID path history and
-// applies the RHS actions. Like history.ReturnStack, a trace pushes at
-// most RHSDepth snapshots: more would only push out copies of the same
-// history.
-func (u *Unbounded) advance(tr *trace.Trace) {
-	copy(u.ids[1:u.size], u.ids[:u.size-1])
-	u.ids[0] = tr.ID
-	if u.n < u.size {
-		u.n++
-	}
-	if !u.cfg.UseRHS {
-		return
-	}
-	net := tr.NetCalls()
-	switch {
-	case net > 0:
-		for i := 0; i < min(net, u.cfg.RHSDepth); i++ {
-			if len(u.rhs) >= u.cfg.RHSDepth {
-				copy(u.rhs, u.rhs[1:])
-				u.rhs = u.rhs[:len(u.rhs)-1]
-			}
-			u.rhs = append(u.rhs, ubSnap{ids: u.ids, n: u.n})
-		}
-	case tr.EndsInRet && tr.Calls == 0:
-		if len(u.rhs) == 0 {
-			return
-		}
-		top := u.rhs[len(u.rhs)-1]
-		u.rhs = u.rhs[:len(u.rhs)-1]
-		keep := history.SpliceKeep(u.size)
-		if keep > u.size {
-			keep = u.size
-		}
-		for i := keep; i < u.size; i++ {
-			u.ids[i] = top.ids[i-keep]
-		}
-		if n := keep + top.n; n < u.size {
-			u.n = n
-		} else {
-			u.n = u.size
-		}
+	u.hist.Push(actual.ID)
+	if u.rhs != nil {
+		u.rhs.Observe(actual, &u.hist)
 	}
 }
 

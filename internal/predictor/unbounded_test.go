@@ -145,40 +145,3 @@ func TestUnboundedFig6Pinned(t *testing.T) {
 		}
 	}
 }
-
-// TestUnboundedRHSBoundedPushes checks that advance, which pushes at
-// most RHSDepth snapshots per trace, leaves the full-identifier return
-// stack exactly as one push per net call would, for every net call
-// count up to 3*RHSDepth and from an empty, a part-filled and a full
-// stack.
-func TestUnboundedRHSBoundedPushes(t *testing.T) {
-	const depth = 5
-	for _, filled := range []int{0, 2, depth} {
-		for net := 0; net <= 3*depth; net++ {
-			u := mustUnbounded(t, Config{Depth: 3, Hybrid: true, UseRHS: true, RHSDepth: depth})
-			for i := 0; i < filled; i++ {
-				u.advance(&trace.Trace{ID: trace.ID(100 + i), Calls: 1})
-			}
-			ref := *u
-			ref.rhs = append([]ubSnap(nil), u.rhs...)
-
-			u.advance(&trace.Trace{ID: 8, Calls: net})
-			ref.advance(&trace.Trace{ID: 8}) // the history shift alone
-			for i := 0; i < net; i++ {
-				if len(ref.rhs) >= depth {
-					copy(ref.rhs, ref.rhs[1:])
-					ref.rhs = ref.rhs[:len(ref.rhs)-1]
-				}
-				ref.rhs = append(ref.rhs, ubSnap{ids: ref.ids, n: ref.n})
-			}
-			if u.ids != ref.ids || u.n != ref.n || len(u.rhs) != len(ref.rhs) {
-				t.Fatalf("filled %d net %d: depth %d, want %d", filled, net, len(u.rhs), len(ref.rhs))
-			}
-			for i := range ref.rhs {
-				if u.rhs[i] != ref.rhs[i] {
-					t.Fatalf("filled %d net %d: entry %d = %+v, want %+v", filled, net, i, u.rhs[i], ref.rhs[i])
-				}
-			}
-		}
-	}
-}
