@@ -74,8 +74,12 @@ func (d DOLC) String() string {
 }
 
 // IndexOf computes the prediction-table index for the given history
-// register. Bits are collected most-recent-first (current in the least
-// significant positions), then XOR-folded down to the index width.
+// register from scratch. Bits are collected most-recent-first (current
+// in the least significant positions), then XOR-folded down to the
+// index width. The predictors do not call it per round: a register
+// keeps the fold rolled (see Fold), and Fold.Index equals IndexOf after
+// every push, splice, corruption and restore. IndexOf is the
+// definition the fold tests check that against.
 //
 // Folding sends collected bit p to index bit p mod Index, so the
 // collection is never materialised: each field is XORed into one

@@ -1,11 +1,12 @@
 // Package history implements the path-history machinery of the
 // path-based next trace predictor: the path history register, the DOLC
-// index-generation mechanism, and the Return History Stack (§3.2 and
-// §3.4 of the paper). The register and the stack hold hashed trace
-// identifiers (Reg and ReturnStack, which the bounded predictors index
-// their tables by) or full ones (the unbounded predictor of §5.2, which
-// keys exact paths by them); one implementation, generic over the
-// identifier, serves both.
+// index-generation mechanism, which the register keeps rolled (Fold),
+// and the Return History Stack (§3.2 and §3.4 of the paper). The
+// register and the stack hold hashed trace identifiers (Reg and
+// ReturnStack, which the bounded predictors index their tables by) or
+// full ones (the unbounded predictor of §5.2, which keys exact paths
+// by them); one implementation, generic over the identifier, serves
+// both.
 package history
 
 import (
@@ -36,6 +37,11 @@ type Path[T Ident] struct {
 	ids  [MaxSize]T
 	size int // identifiers tracked (depth+1)
 	n    int // identifiers pushed so far, capped at size
+
+	// fold is the rolling fold fs describes, kept by Push, CorruptAt
+	// and splices; fs is nil when the register keeps none (see SetFold).
+	fold uint64
+	fs   *Fold
 
 	// hook, when set, runs after every Push. It exists for fault
 	// injection (package faults corrupts identifiers through it) and is
@@ -78,8 +84,17 @@ func MustNewReg(size int) Reg {
 	return r
 }
 
-// Push shifts a new most-recent identifier into the register.
+// Push shifts a new most-recent identifier into the register and rolls
+// its fold.
 func (r *Path[T]) Push(h T) {
+	if f := r.fs; f != nil {
+		in := uint64(h)
+		if f.from > 0 {
+			in = uint64(r.ids[f.from-1])
+		}
+		out := f.rot(f.term(uint64(r.ids[r.size-1])), f.outRot)
+		r.fold = f.rot(r.fold^out, f.step) ^ f.term(in)
+	}
 	copy(r.ids[1:r.size], r.ids[:r.size-1])
 	r.ids[0] = h
 	if r.n < r.size {
@@ -96,12 +111,53 @@ func (r *Path[T]) SetFaultHook(h Hook[T]) { r.hook = h }
 
 // CorruptAt XORs mask, cut to a hashed identifier's width, into the
 // i-th most recent identifier. It is the mutation primitive for fault
-// injection; out-of-range positions are ignored.
+// injection; out-of-range positions are ignored. A DOLC fold is linear
+// in each identifier, so the fold takes the mask's term at i's
+// rotation; a key fold is recomputed.
 func (r *Path[T]) CorruptAt(i int, mask trace.HashedID) {
 	if i < 0 || i >= r.size {
 		return
 	}
-	r.ids[i] ^= T(mask & (1<<trace.HashBits - 1))
+	m := T(mask & (1<<trace.HashBits - 1))
+	r.ids[i] ^= m
+	switch f := r.fs; {
+	case f == nil || i < f.from:
+	case f.mix:
+		r.refold()
+	default:
+		r.fold ^= f.rot(f.term(uint64(m)), f.rotAt(i))
+	}
+}
+
+// SetFold makes the register keep f from now on and computes f over
+// the identifiers it holds; nil drops the fold. A register with no
+// position for f to fold (a DOLC of depth below 2) keeps none, and
+// its fold reads zero. f must outlive the register and its copies.
+func (r *Path[T]) SetFold(f *Fold) {
+	if f != nil && f.from >= r.size {
+		f = nil
+	}
+	r.fs = f
+	r.refold()
+}
+
+// Folded returns the register's fold: a key fold's path key, or a DOLC
+// fold's rolled positions (Fold.Index adds the rest).
+func (r *Path[T]) Folded() uint64 { return r.fold }
+
+// refold recomputes the fold from scratch, the way Push and CorruptAt
+// maintain it. Splices call it, since they rewrite the older positions
+// wholesale.
+func (r *Path[T]) refold() {
+	r.fold = 0
+	f := r.fs
+	if f == nil {
+		return
+	}
+	// Horner's rule over the rotations, oldest position first.
+	for i := r.size - 1; i >= f.from; i-- {
+		r.fold = f.rot(r.fold, f.step) ^ f.term(uint64(r.ids[i]))
+	}
 }
 
 // At returns the i-th most recent identifier (0 = current). Positions
@@ -122,7 +178,8 @@ func (r *Path[T]) Len() int { return r.n }
 
 // PathState is the exported, serializable state of a history register:
 // everything Push/At observe, without the fault hook (hooks are process
-// state and must be re-installed by whoever restores the register).
+// state and must be re-installed by whoever restores the register) or
+// the fold (derived state, which SetFold recomputes).
 type PathState[T Ident] struct {
 	IDs  [MaxSize]T
 	Size int
@@ -140,7 +197,7 @@ func (r *Path[T]) State() PathState[T] {
 
 // RegFromState rebuilds a register from a serialized state, validating
 // the same invariants NewReg enforces plus the fill count. The restored
-// register carries no fault hook.
+// register carries no fault hook and keeps no fold until SetFold.
 func RegFromState(st RegState) (Reg, error) {
 	if st.Size < 1 || st.Size > MaxSize {
 		return Reg{}, fmt.Errorf("history: restored size %d outside [1, %d]", st.Size, MaxSize)

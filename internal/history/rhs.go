@@ -71,6 +71,13 @@ func keepEntries(histSize int) int {
 // it held before, and a trace costs at most max pushes however many
 // calls it claims.
 func (s *Stack[T]) Observe(tr *trace.Trace, h *Path[T]) {
+	// Most traces neither call nor return; this test inlines.
+	if tr.Calls != 0 || tr.EndsInRet {
+		s.observe(tr, h)
+	}
+}
+
+func (s *Stack[T]) observe(tr *trace.Trace, h *Path[T]) {
 	net := tr.NetCalls()
 	switch {
 	case net > 0:
@@ -143,8 +150,8 @@ func (s *Stack[T]) pop() (Path[T], bool) {
 }
 
 // splice keeps the most recent keepEntries(size) identifiers of h (the
-// tail of the subroutine) and fills the older positions from the
-// pre-call history snapshot.
+// tail of the subroutine), fills the older positions from the pre-call
+// history snapshot and recomputes h's fold over the result.
 func splice[T Ident](h, saved *Path[T]) {
 	keep := keepEntries(h.size)
 	if keep > h.size {
@@ -160,4 +167,5 @@ func splice[T Ident](h, saved *Path[T]) {
 		n = h.size
 	}
 	h.n = n
+	h.refold()
 }

@@ -41,6 +41,7 @@ type Hybrid struct {
 	cfg  Config
 	hist history.Reg
 	rhs  *history.ReturnStack // nil when RHS disabled
+	fold history.Fold         // cfg.DOLC compiled; hist keeps it rolled
 
 	corr []corrEntry // correlated table
 	sec  []uint64    // secondary table, nil in a basic predictor
@@ -81,6 +82,7 @@ const (
 	entCtrShift = 40
 	entCtrMask  = 0xff << entCtrShift
 	entTagShift = 48
+	entTagMask  = 0xffff << entTagShift
 )
 
 // The flag bits end below the counter lane, or this constant is
@@ -104,8 +106,6 @@ type Token struct {
 	Pred         Prediction
 	predVal      uint64
 	altVal       uint64
-	secPredVal   uint64
-	secValid     bool
 	secSaturated bool
 }
 
@@ -134,6 +134,8 @@ func newHybrid(cfg Config) (*Hybrid, error) {
 			p.rhs = rhs
 		}
 	}
+	p.fold = cfg.DOLC.Fold()
+	p.hist.SetFold(&p.fold)
 	if cfg.Faults != nil {
 		p.hist.SetFaultHook(cfg.Faults)
 	}
@@ -213,54 +215,48 @@ func NewHybrid(cfg Config) (*Hybrid, error) {
 // current path history into tok, without changing any state. It is the
 // single lookup implementation: Predict, Lookup and the batch loop all
 // run it, so the scalar and batched paths cannot diverge. It reads the
-// round's entries and leaves the selection to rules.choose, which the
-// unbounded predictor runs over its own entries. Taking the
-// token by pointer keeps the (large) Token off the copy path.
+// DOLC index from the register's fold and the round's entries, and
+// selects by rules.choose, which the unbounded predictor runs over its
+// own entries; choose inlines, so a lookup is one call. It leaves
+// tok.Pred's identifiers to Config.presentTok, which a round that
+// returns no prediction skips. Taking the token by pointer keeps the
+// (large) Token off the copy path.
 func (p *Hybrid) lookupInto(tok *Token) {
-	idx := p.cfg.DOLC.IndexOf(&p.hist)
+	idx := p.fold.Index(&p.hist)
 	h0 := uint32(p.hist.At(0))
 	*tok = Token{
 		CorrIdx: idx,
 		SecIdx:  h0 & p.secMask,
 		Tag:     uint16(h0 & p.tagMask),
 	}
-	p.r.choose(tok, p.secWord(tok.SecIdx), &p.corr[idx], &p.cfg)
+	var sw uint64
+	if p.sec != nil {
+		sw = p.sec[tok.SecIdx]
+	}
+	p.r.choose(tok, sw, &p.corr[idx])
 }
 
 // choose completes a round's lookup in tok, whose indices and tag are
-// set, from the entries the round read: sw the secondary word (nil
+// set, from the entries the round read: sw the secondary word (0
 // without a secondary table) and e the correlated entry. It is the
 // selection rule of §3.3 for the bounded and unbounded predictors
 // alike: a saturated secondary counter wins; otherwise the correlated
-// entry when it is valid and its tag matches, else the secondary.
-func (r *rules) choose(tok *Token, sw *uint64, e *corrEntry, cfg *Config) {
-	if sw != nil {
-		w := *sw
-		tok.secValid = w&entValid != 0
-		tok.secPredVal = w & entValMask
-		tok.secSaturated = tok.secValid && int(entCtr(w)) == r.ctrMaxS
-	}
+// entry when it is valid and its tag matches, else the secondary. A
+// secondary word has no alternate or tag, so the chosen word alone
+// sets tok.Pred's flags and the stored values training reads, and
+// Config.presentTok derives the identifiers from them. A stored value
+// the flags mark unused may be left set.
+func (r *rules) choose(tok *Token, sw uint64, e *corrEntry) {
 	w := e.w
-	if tok.secSaturated || !(w&entValid != 0 && entTag(w) == tok.Tag) {
-		if tok.secValid {
-			tok.Pred.Valid = true
-			tok.Pred.FromSecondary = true
-			cfg.present(&tok.Pred, tok.secPredVal)
-			tok.predVal = tok.secPredVal
-		}
-		return
+	tok.secSaturated = sw&(entValid|entCtrMask) == r.secSatWord
+	if tok.secSaturated || w&(entValid|entTagMask) != entValid|uint64(tok.Tag)<<entTagShift {
+		w = sw
+		tok.Pred.FromSecondary = sw&entValid != 0
 	}
-	val := w & entValMask
-	tok.Pred.Valid = true
-	cfg.present(&tok.Pred, val)
-	tok.predVal = val
-	if w&entAltValid != 0 {
-		tok.Pred.AltValid = true
-		tok.altVal = e.alt
-		if !cfg.CostReduced {
-			tok.Pred.Alt = trace.ID(tok.altVal)
-		}
-	}
+	tok.Pred.Valid = w&entValid != 0
+	tok.Pred.AltValid = w&entAltValid != 0
+	tok.predVal = w & entValMask
+	tok.altVal = e.alt
 }
 
 // Lookup computes the prediction for the next trace from the current
@@ -268,6 +264,7 @@ func (r *rules) choose(tok *Token, sw *uint64, e *corrEntry, cfg *Config) {
 func (p *Hybrid) Lookup() (Prediction, Token) {
 	var tok Token
 	p.lookupInto(&tok)
+	p.cfg.presentTok(&tok)
 	return tok.Pred, tok
 }
 
@@ -283,7 +280,8 @@ func (p *Hybrid) secWord(i uint32) *uint64 {
 // normalised Config off the round path: the counter widths and steps,
 // the secondary filter, stuck-at-zero faults and the event sink.
 type rules struct {
-	ctrMaxC, ctrMaxS int // ctrMax(CounterBits), ctrMax(SecCounterBits)
+	ctrMaxC, ctrMaxS int    // ctrMax(CounterBits), ctrMax(SecCounterBits)
+	secSatWord       uint64 // a valid secondary word's flag and counter lanes at ctrMaxS
 	inc, dec, secDec int
 	filter           bool
 	faults           *faults.Injector
@@ -295,6 +293,7 @@ func newRules(cfg *Config) rules {
 		ctrMaxC: ctrMax(cfg.CounterBits), ctrMaxS: ctrMax(cfg.SecCounterBits),
 		inc: cfg.CounterInc, dec: cfg.CounterDec, secDec: cfg.SecCounterDec,
 		filter: *cfg.SecondaryFilter, faults: cfg.Faults, rec: cfg.Recorder,
+		secSatWord: entValid | uint64(ctrMax(cfg.SecCounterBits))<<entCtrShift,
 	}
 }
 
@@ -351,7 +350,7 @@ func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uin
 
 	// Correlated table update — filtered when a saturated secondary was
 	// correct, so single-successor traces do not pollute it.
-	if r.filter && tok.secSaturated && tok.secPredVal == actual {
+	if r.filter && tok.secSaturated && tok.predVal == actual {
 		if r.rec != nil {
 			r.rec.Record(ev)
 		}
@@ -421,6 +420,7 @@ func (p *Hybrid) Advance(tr *trace.Trace) {
 // It is a thin wrapper over the same lookup the batch path runs.
 func (p *Hybrid) Predict() Prediction {
 	p.lookupInto(&p.tok)
+	p.cfg.presentTok(&p.tok)
 	return p.tok.Pred
 }
 
@@ -444,6 +444,7 @@ func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 
 	for i := range actuals {
 		p.lookupInto(&tok)
 		if preds != nil {
+			p.cfg.presentTok(&tok)
 			preds[i] = tok.Pred
 		}
 		// CommitUpdate, written out so that a round makes one call to
@@ -482,6 +483,19 @@ func (cfg *Config) storedVal(tr *trace.Trace) uint64 {
 		return uint64(tr.Hash)
 	}
 	return uint64(tr.ID) & entValMask
+}
+
+// presentTok fills tok.Pred's identifiers from the values rules.choose
+// picked. A cost-reduced predictor stores hashes only, so it presents
+// no alternate identifier.
+func (cfg *Config) presentTok(tok *Token) {
+	if !tok.Pred.Valid {
+		return
+	}
+	cfg.present(&tok.Pred, tok.predVal)
+	if tok.Pred.AltValid && !cfg.CostReduced {
+		tok.Pred.Alt = trace.ID(tok.altVal)
+	}
 }
 
 // present converts a stored value back into Prediction fields.

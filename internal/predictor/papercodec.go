@@ -284,6 +284,7 @@ func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
 	p.rhs = m.rhs
 	p.stats = m.stats
 	p.hist = m.hist
+	p.hist.SetFold(&p.fold)
 	if full.Faults != nil {
 		p.hist.SetFaultHook(full.Faults)
 	}

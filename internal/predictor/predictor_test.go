@@ -156,8 +156,8 @@ func TestHybridTagSelectsSecondary(t *testing.T) {
 		t.Errorf("predicted %v, want %v", pred.ID, a.ID)
 	}
 	// The secondary must know B's successor too.
-	if !tok.secValid || tok.secPredVal != uint64(a.ID) {
-		t.Errorf("secondary: valid=%v val=%#x", tok.secValid, tok.secPredVal)
+	if w := p.sec[tok.SecIdx]; w&entValid == 0 || w&entValMask != uint64(a.ID) {
+		t.Errorf("secondary: word %#x", w)
 	}
 }
 

@@ -140,7 +140,7 @@ func newTage(cfg Config) (*tage, error) {
 func (t *tage) pathHash(tbl, n int) uint64 {
 	h := 0x9e3779b97f4a7c15 * uint64(tbl+1)
 	for i := 0; i < n; i++ {
-		h = mix64(h ^ uint64(t.hist.At(i)) ^ uint64(i)<<trace.HashBits)
+		h = history.Mix64(h ^ uint64(t.hist.At(i)) ^ uint64(i)<<trace.HashBits)
 	}
 	return h
 }

@@ -14,9 +14,13 @@ import (
 // package's register and stack over full trace identifiers, it selects
 // by rules.choose and trains by rules.train over Hybrid's packed
 // entries, and those entries live in ubTables keyed by full 64-bit
-// keys: the correlated table by the pathKey of the exact path of full
-// trace identifiers, the secondary table by mix64 of the most recent
-// full identifier (a bijection, so distinct IDs never share an entry).
+// keys: the correlated table by the exact path of full trace
+// identifiers, which the register keeps rolled as a history.KeyFold
+// (64 bits, so with well under 2^32 distinct paths per run a collision
+// is negligible and the table behaves as the paper's "each unique
+// sequence maps to its own entry"), the secondary table by Mix64 of
+// the most recent full identifier (a bijection, so distinct IDs never
+// share an entry).
 // Exact keys need no tags, so every Token it builds has Tag 0, and it
 // stores full identifiers, never hashed ones.
 type Unbounded struct {
@@ -24,6 +28,7 @@ type Unbounded struct {
 	r    rules
 	hist history.Path[trace.ID]
 	rhs  *history.Stack[trace.ID] // nil when RHS disabled
+	fold history.Fold             // the path key hist keeps rolled
 	corr ubTable
 	sec  ubTable // no slots without Config.Hybrid
 
@@ -33,15 +38,6 @@ type Unbounded struct {
 	// so Update writes without probing again.
 	tok         Token
 	key, secKey uint64
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // ubTable is an open-addressed, linear-probing hash table from 64-bit
@@ -118,7 +114,8 @@ func newUnbounded(cfg Config) (*Unbounded, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &Unbounded{cfg: cfg, r: newRules(&cfg), hist: hist, corr: newUBTable()}
+	u := &Unbounded{cfg: cfg, r: newRules(&cfg), hist: hist, fold: history.KeyFold(hist.Size()), corr: newUBTable()}
+	u.hist.SetFold(&u.fold)
 	if cfg.Hybrid {
 		u.sec = newUBTable()
 	}
@@ -130,20 +127,6 @@ func newUnbounded(cfg Config) (*Unbounded, error) {
 	return u, nil
 }
 
-// pathKey identifies the current sequence of full trace identifiers.
-// The tracked IDs (up to 8 x 36 bits) are mixed into 64 bits with a
-// splitmix-style finaliser; with well under 2^32 distinct paths per run
-// the collision probability is negligible, so the table behaves as the
-// paper's "each unique sequence maps to its own entry" ideal while
-// keeping the table key one word.
-func (u *Unbounded) pathKey() uint64 {
-	var k uint64
-	for i := 0; i < u.hist.Size(); i++ {
-		k = mix64(k ^ uint64(u.hist.At(i)))
-	}
-	return k
-}
-
 // Predict implements NextTracePredictor: the kernel's selection rule
 // over the slots of the round's exact keys. It probes each table once
 // and records the slots in the token; under the Predict/Update protocol
@@ -151,15 +134,16 @@ func (u *Unbounded) pathKey() uint64 {
 // those slots directly.
 func (u *Unbounded) Predict() Prediction {
 	tok := &u.tok
-	u.key = u.pathKey()
+	u.key = u.hist.Folded()
 	*tok = Token{CorrIdx: uint32(u.corr.find(u.key))}
-	var sw *uint64
+	var sw uint64
 	if u.sec.slots != nil {
-		u.secKey = mix64(uint64(u.hist.At(0)))
+		u.secKey = history.Mix64(uint64(u.hist.At(0)))
 		tok.SecIdx = uint32(u.sec.find(u.secKey))
-		sw = &u.sec.slots[tok.SecIdx].e.w
+		sw = u.sec.slots[tok.SecIdx].e.w
 	}
-	u.r.choose(tok, sw, &u.corr.slots[tok.CorrIdx].e, &u.cfg)
+	u.r.choose(tok, sw, &u.corr.slots[tok.CorrIdx].e)
+	u.cfg.presentTok(tok)
 	return tok.Pred
 }
 

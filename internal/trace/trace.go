@@ -89,14 +89,15 @@ type HashedID uint16
 // bits; the two least significant bits of the (word) starting PC are the
 // next two; the upper bits are the next PC bits exclusive-ored with the
 // remaining branch outcomes (zero beyond the last branch).
+//
+// In the ID's bits: outcomes 0–1 stay in place, word-PC bits 0–7 (ID
+// bits 6–13) move down to hash bits 2–9, and outcomes 2–5 move up two
+// to XOR into hash bits 4–7. The three masked terms are the whole
+// hash, which keeps it cheap enough to inline where a prediction is
+// presented.
 func (id ID) Hash() HashedID {
-	pcw := uint32(id >> idBranchBits) // word address of start PC
-	outs := uint32(id) & 0x3f
-	h := outs & 3
-	h |= (pcw & 3) << 2
-	upper := (pcw >> 2 & 0x3f) ^ (outs >> 2)
-	h |= upper << 4
-	return HashedID(h & (1<<HashBits - 1))
+	x := uint32(id)
+	return HashedID(x&3 | x>>(idBranchBits-2)&0x3fc ^ x<<2&0xf0)
 }
 
 // Branch records one control-flow instruction inside a trace, as needed

@@ -62,6 +62,19 @@ func TestHashLayout(t *testing.T) {
 	}
 }
 
+// TestHashMatchesFields checks Hash against its definition field by
+// field, for every value of the 14 ID bits the hash reads.
+func TestHashMatchesFields(t *testing.T) {
+	for x := uint32(0); x < 1<<14; x++ {
+		pcw, outs := x>>idBranchBits, x&0x3f
+		want := outs&3 | (pcw&3)<<2 | ((pcw>>2&0x3f)^(outs>>2))<<4
+		// Bits above the 14 do not reach the hash.
+		if got := uint32((ID(x) | 0xabc<<14).Hash()); got != want {
+			t.Fatalf("Hash(%#x) = %#x, want %#x", x, got, want)
+		}
+	}
+}
+
 func TestHashRangeQuick(t *testing.T) {
 	f := func(pc uint32, outs uint8) bool {
 		h := MakeID(pc&^3, outs&0x3f).Hash()
