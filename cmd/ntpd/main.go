@@ -63,12 +63,16 @@
 // live session's final state to the directory, so a planned restart
 // loses nothing; a failed spill makes the exit status 1. Without
 // -checkpoint-dir the drain discards the sessions, counts them in
-// ntpd_drain_lost_sessions_total, and exits 0.
+// ntpd_drain_lost_sessions_total, and exits 0. Every -backend
+// checkpoints, unbounded included; an unbounded session whose frame
+// outgrows the 8 MiB frame limit fails its checkpoint (and, under
+// -failover, its acks) like any state that does not encode.
 // The loadgen exercises the client half: every connection is a
 // retrying client of -addr, with per-op deadlines, reconnect backoff
 // with jitter, and budgeted overload and throttle retries. -failover
 // adds snapshot-per-ack session recovery: each session takes its full
-// frame at open and a delta with every ack, which keeps -verify
+// frame at open and a delta with every ack (a full frame again after
+// an unbounded table grows), which keeps -verify
 // bit-identical across a server kill — including a kill -9 after which
 // the server restarts from checkpoints older than the client's acks: it
 // refuses each session's next batch as a sequence gap, and the client

@@ -21,7 +21,7 @@ const (
 	opReturn            // Observe of a return: pop and splice
 	opCorrupt           // 1 byte position (-1..8), 2 bytes mask
 	opCheckpoint        // 1 byte: even saves value copies, odd restores them
-	opState             // State → RegFromState, stack through StackFromState
+	opState             // State → PathFromState, stack through StackFromState
 	foldOps
 )
 
@@ -110,13 +110,13 @@ func runFoldScript(d DOLC, rhsMax int, ops []byte) error {
 				r, u = saved.r, saved.u
 			}
 		case opState:
-			r2, err := RegFromState(r.State())
+			r2, err := PathFromState(r.State())
 			if err != nil {
 				return fmt.Errorf("step %d: %v", step, err)
 			}
 			r2.SetFold(&f)
 			r = r2
-			st := StackState{Max: rs.Max()}
+			st := StackState[trace.HashedID]{Max: rs.Max()}
 			for i := 0; i < rs.Depth(); i++ {
 				st.Regs = append(st.Regs, rs.Saved(i))
 			}

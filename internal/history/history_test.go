@@ -97,6 +97,40 @@ func TestRegRestoreInverseQuick(t *testing.T) {
 	}
 }
 
+// TestPathFromStateOneEncoding: a register state has one encoding.
+// Identifiers past the register's size are never read, so a state
+// carrying one is refused, hashed or full; a hashed identifier wider
+// than trace.HashBits is refused too, and a valid state round-trips.
+func TestPathFromStateOneEncoding(t *testing.T) {
+	r := MustNewReg(3)
+	for i := 1; i <= 5; i++ {
+		r.Push(trace.HashedID(i))
+	}
+	st := r.State()
+	if got, err := PathFromState(st); err != nil || got.State() != st {
+		t.Fatalf("valid state: %+v, %v", got.State(), err)
+	}
+	past := st
+	past.IDs[3] = 1
+	if _, err := PathFromState(past); err == nil {
+		t.Error("hashed state with an id past its size accepted")
+	}
+	wide := st
+	wide.IDs[0] = 1 << trace.HashBits
+	if _, err := PathFromState(wide); err == nil {
+		t.Error("hashed state with a too-wide id accepted")
+	}
+	full := PathState[trace.ID]{Size: 2, N: 2}
+	full.IDs[0] = 1 << 40
+	if _, err := PathFromState(full); err != nil {
+		t.Errorf("full state with a wide id: %v", err)
+	}
+	full.IDs[MaxSize-1] = 7
+	if _, err := PathFromState(full); err == nil {
+		t.Error("full state with an id past its size accepted")
+	}
+}
+
 func TestDOLCValidate(t *testing.T) {
 	good := DOLC{Depth: 3, Older: 4, Last: 6, Current: 6, Index: 16}
 	if err := good.Validate(); err != nil {

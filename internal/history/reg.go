@@ -186,29 +186,32 @@ type PathState[T Ident] struct {
 	N    int
 }
 
-// RegState is the state of a hashed register, which session snapshots
-// carry.
-type RegState = PathState[trace.HashedID]
-
 // State captures the register for serialization (session snapshots).
 func (r *Path[T]) State() PathState[T] {
 	return PathState[T]{IDs: r.ids, Size: r.size, N: r.n}
 }
 
-// RegFromState rebuilds a register from a serialized state, validating
-// the same invariants NewReg enforces plus the fill count. The restored
-// register carries no fault hook and keeps no fold until SetFold.
-func RegFromState(st RegState) (Reg, error) {
+// PathFromState rebuilds a register from a serialized state,
+// validating the same invariants NewPath enforces plus the fill count,
+// and that no identifier sits past the register's size: a state has
+// one encoding. A hashed identifier must also fit trace.HashBits. The
+// restored register carries no fault hook and keeps no fold until
+// SetFold.
+func PathFromState[T Ident](st PathState[T]) (Path[T], error) {
 	if st.Size < 1 || st.Size > MaxSize {
-		return Reg{}, fmt.Errorf("history: restored size %d outside [1, %d]", st.Size, MaxSize)
+		return Path[T]{}, fmt.Errorf("history: restored size %d outside [1, %d]", st.Size, MaxSize)
 	}
 	if st.N < 0 || st.N > st.Size {
-		return Reg{}, fmt.Errorf("history: restored fill %d outside [0, %d]", st.N, st.Size)
+		return Path[T]{}, fmt.Errorf("history: restored fill %d outside [0, %d]", st.N, st.Size)
 	}
+	_, hashed := any(st.IDs[0]).(trace.HashedID)
 	for i, id := range st.IDs {
-		if id >= 1<<trace.HashBits {
-			return Reg{}, fmt.Errorf("history: restored id[%d] = %#x exceeds %d bits", i, id, trace.HashBits)
+		switch {
+		case i >= st.Size && id != 0:
+			return Path[T]{}, fmt.Errorf("history: restored id[%d] = %#x past size %d", i, id, st.Size)
+		case hashed && uint64(id) >= 1<<trace.HashBits:
+			return Path[T]{}, fmt.Errorf("history: restored id[%d] = %#x exceeds %d bits", i, id, trace.HashBits)
 		}
 	}
-	return Reg{ids: st.IDs, size: st.Size, n: st.N}, nil
+	return Path[T]{ids: st.IDs, size: st.Size, n: st.N}, nil
 }

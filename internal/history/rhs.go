@@ -95,11 +95,10 @@ func (s *Stack[T]) observe(tr *trace.Trace, h *Path[T]) {
 func (s *Stack[T]) Depth() int { return len(s.stack) }
 
 // StackState is the exported, serializable state of a Return History
-// Stack of hashed identifiers: its capacity and the saved registers,
-// deepest first.
-type StackState struct {
+// Stack: its capacity and the saved registers, deepest first.
+type StackState[T Ident] struct {
 	Max  int
-	Regs []RegState
+	Regs []PathState[T]
 }
 
 // Max returns the stack's capacity.
@@ -112,16 +111,16 @@ func (s *Stack[T]) Saved(i int) PathState[T] { return s.stack[i].State() }
 
 // StackFromState rebuilds a Return History Stack from a serialized
 // state, validating capacity and every saved register.
-func StackFromState(st StackState) (*ReturnStack, error) {
+func StackFromState[T Ident](st StackState[T]) (*Stack[T], error) {
 	if st.Max < 1 {
 		return nil, fmt.Errorf("history: restored return stack depth %d < 1", st.Max)
 	}
 	if len(st.Regs) > st.Max {
 		return nil, fmt.Errorf("history: restored return stack holds %d > max %d entries", len(st.Regs), st.Max)
 	}
-	s := &ReturnStack{stack: make([]Reg, len(st.Regs), st.Max), max: st.Max}
+	s := &Stack[T]{stack: make([]Path[T], len(st.Regs), st.Max), max: st.Max}
 	for i, rs := range st.Regs {
-		r, err := RegFromState(rs)
+		r, err := PathFromState(rs)
 		if err != nil {
 			return nil, err
 		}

@@ -12,12 +12,16 @@ import (
 // idealisation, and modern contenders like TAGE — registers itself as a
 // named Backend, and everything above this package (serving, snapshots,
 // experiments, the CLIs) selects variants by name instead of switching
-// on concrete types. New backends plug in without touching the serving
-// or snapshot layers: a descriptor supplies construction plus optional
-// save/restore codec hooks, and snapshot frames carry the backend name
-// so a session restores through the same codec that saved it.
+// on concrete types. Every backend carries the state codec (codec.go),
+// so every one saves, restores and ships deltas alike, and snapshot
+// frames carry the backend name so a session restores through the
+// backend that saved it.
 
-// Backend describes one registered predictor variant.
+// Backend describes one registered predictor variant. Its methods are
+// the state codec: Append/Save and Restore carry a predictor's whole
+// state section, and Mark, AppendDelta and MergeDelta (delta.go) keep a
+// holder of a section current from the entries written since it was
+// taken, instead of the whole state again.
 type Backend struct {
 	// Name is the registry key ("hybrid", "tage", ...), the value of
 	// Config.Backend, ntpd's -backend/-shadow flags, and the backend tag
@@ -39,46 +43,16 @@ type Backend struct {
 	// and reject configurations they cannot honour.
 	New func(cfg Config) (NextTracePredictor, error)
 
-	// Append serializes a predictor's complete state as this backend's
-	// state section, appended to dst, and Restore rebuilds a predictor
-	// from one. Append returns the extended slice; on error, dst is
-	// returned as passed. Both nil marks the backend not snapshottable
-	// (the unbounded idealisation); serving rejects snapshot ops for it
-	// but serves it fine otherwise.
-	Append  func(dst []byte, p NextTracePredictor) ([]byte, error)
-	Restore func(state []byte, cfg Config) (NextTracePredictor, error)
-
-	// The delta hooks let a holder of a state section keep it current
-	// from the entries written since it was taken, instead of the whole
-	// state again. All three or none, and only beside Append/Restore;
-	// nil marks a backend whose holders always refetch the full state.
-	//
-	// Mark records that p's complete state was just shipped: from now
-	// on p records the slots it writes. AppendDelta appends the delta
-	// from the last mark to now, then marks p again; it fails with
-	// ErrNoMark when p was never marked, and on any error returns dst as
-	// passed and keeps the record. MergeDelta validates a delta against
-	// the state section it is relative to and appends to plan the
-	// splices that turn that section into the current state; their
-	// literals alias delta or lits, scratch the caller keeps until it has
-	// applied the plan. x is the section's MergeIndex, which the caller
-	// keeps beside the section: MergeDelta builds it on first use and
-	// marks an accepted delta's new entries in it, so the caller must
-	// apply every plan it is given. Beyond that it writes nothing, so a
-	// rejected delta leaves the section and x as they were.
-	Mark        func(p NextTracePredictor) error
-	AppendDelta func(dst []byte, p NextTracePredictor) ([]byte, error)
-	MergeDelta  func(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state, delta []byte) ([]Splice, error)
+	// head reads the head a state of this backend starts with and
+	// returns what it says of the rest, checked on its own terms (its
+	// tables are ones a Config may build), not against any config. It
+	// is the backend's entry to the state codec, which every backend
+	// carries (codec.go).
+	head func(state []byte) (layout, error)
 }
 
-// Save returns a predictor's state section in a new slice.
-func (b Backend) Save(p NextTracePredictor) ([]byte, error) { return b.Append(nil, p) }
-
-// Typed errors of the Append/Restore hooks.
+// Typed errors of the state codec.
 var (
-	// ErrNotSnapshottable reports a predictor variant without full-state
-	// save support (the unbounded study variants).
-	ErrNotSnapshottable = errors.New("predictor: variant not snapshottable")
 	// ErrStateMismatch reports a saved state whose geometry differs from
 	// the restoring configuration — restoring it would silently change
 	// what the session predicts, so it is refused.
@@ -88,30 +62,18 @@ var (
 	ErrBadState = errors.New("predictor: invalid saved state")
 )
 
-// Snapshottable reports whether the backend carries save/restore codec
-// hooks.
-func (b Backend) Snapshottable() bool { return b.Append != nil && b.Restore != nil }
-
-// Incremental reports whether the backend carries the delta hooks.
-func (b Backend) Incremental() bool { return b.AppendDelta != nil }
-
 var (
 	backendMu  sync.RWMutex
 	backendMap = map[string]Backend{}
 )
 
 // RegisterBackend adds a backend to the registry. It panics on a
-// duplicate or malformed descriptor — registration is an init-time
-// programming act, not a runtime input.
+// duplicate or malformed descriptor, one without a state codec
+// included — registration is an init-time programming act, not a
+// runtime input.
 func RegisterBackend(b Backend) {
-	if b.Name == "" || b.Family == "" || b.New == nil {
+	if b.Name == "" || b.Family == "" || b.New == nil || b.head == nil {
 		panic(fmt.Sprintf("predictor: malformed backend descriptor %+v", b))
-	}
-	if (b.Append == nil) != (b.Restore == nil) {
-		panic(fmt.Sprintf("predictor: backend %q has only one of Append/Restore", b.Name))
-	}
-	if d := (b.Mark != nil); d != (b.AppendDelta != nil) || d != (b.MergeDelta != nil) || d && !b.Snapshottable() {
-		panic(fmt.Sprintf("predictor: backend %q needs all three delta hooks and Append/Restore, or no delta hooks", b.Name))
 	}
 	backendMu.Lock()
 	defer backendMu.Unlock()
@@ -191,11 +153,7 @@ func init() {
 			}
 			return newHybrid(full)
 		},
-		Append:      paperAppend,
-		Restore:     paperRestore,
-		Mark:        paperMark,
-		AppendDelta: paperAppendDelta,
-		MergeDelta:  paperMergeDelta,
+		head: paperHeadLayout,
 	})
 	RegisterBackend(Backend{
 		Name:   "hybrid",
@@ -209,11 +167,7 @@ func init() {
 			}
 			return newHybrid(full)
 		},
-		Append:      paperAppend,
-		Restore:     paperRestore,
-		Mark:        paperMark,
-		AppendDelta: paperAppendDelta,
-		MergeDelta:  paperMergeDelta,
+		head: paperHeadLayout,
 	})
 	RegisterBackend(Backend{
 		Name:   "costreduced",
@@ -228,21 +182,12 @@ func init() {
 			}
 			return newHybrid(full)
 		},
-		Append: paperAppend,
-		Restore: func(state []byte, cfg Config) (NextTracePredictor, error) {
-			// Normalise exactly like New, so a config that builds this
-			// backend also restores it.
-			cfg.CostReduced = true
-			return paperRestore(state, cfg)
-		},
-		Mark:        paperMark,
-		AppendDelta: paperAppendDelta,
-		MergeDelta:  paperMergeDelta,
+		head: paperHeadLayout,
 	})
 	RegisterBackend(Backend{
 		Name:   "unbounded",
 		Family: "unbounded",
-		Desc:   "unbounded-table idealisation (§5.2); not snapshottable",
+		Desc:   "unbounded-table idealisation (§5.2)",
 		New: func(cfg Config) (NextTracePredictor, error) {
 			full, err := cfg.withDefaults()
 			if err != nil {
@@ -250,6 +195,7 @@ func init() {
 			}
 			return newUnbounded(full)
 		},
+		head: ubHeadLayout,
 	})
 	RegisterBackend(Backend{
 		Name:   "tage",
@@ -262,7 +208,6 @@ func init() {
 			}
 			return newTage(full)
 		},
-		Append:  tageAppend,
-		Restore: tageRestore,
+		head: tageHeadLayout,
 	})
 }

@@ -21,14 +21,19 @@ func TestBackendRegistryContents(t *testing.T) {
 			t.Errorf("backend %q descriptor malformed: %+v", name, b)
 		}
 	}
-	if b, _ := BackendByName("unbounded"); b.Snapshottable() {
-		t.Error("unbounded backend claims to be snapshottable")
-	}
-	for _, name := range []string{"basic", "hybrid", "costreduced", "tage"} {
-		if b, _ := BackendByName(name); !b.Snapshottable() {
-			t.Errorf("backend %q should be snapshottable", name)
+}
+
+// TestRegisterBackendNeedsCodec: a backend without the state codec is
+// a malformed descriptor, and registering it panics.
+func TestRegisterBackendNeedsCodec(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RegisterBackend accepted a backend without a codec")
 		}
-	}
+	}()
+	b, _ := BackendByName("hybrid")
+	b.Name, b.head = "hybrid-without-codec", nil
+	RegisterBackend(b)
 }
 
 func TestBackendLegacyResolution(t *testing.T) {
@@ -66,7 +71,7 @@ func TestBackendLegacyResolution(t *testing.T) {
 	}
 }
 
-// TestBackendSaveRestoreRoundTrip drives every snapshottable backend,
+// TestBackendSaveRestoreRoundTrip drives every registered backend,
 // saves it through its registry hooks, restores, and checks the resumed
 // predictor is bit-identical — the per-backend contract the serving
 // layer's snapshots rely on.
@@ -79,6 +84,7 @@ func TestBackendSaveRestoreRoundTrip(t *testing.T) {
 		{"hybrid", Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}},
 		{"costreduced", Config{Backend: "costreduced", Depth: 7, IndexBits: 12}},
 		{"tage", Config{Backend: "tage", Depth: 7, IndexBits: 12}},
+		{"unbounded", Config{Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true}},
 	}
 	covered := map[string]bool{}
 	for _, c := range configs {
@@ -86,23 +92,24 @@ func TestBackendSaveRestoreRoundTrip(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { checkSaveRestore(t, c.cfg, c.cfg) })
 	}
 	for _, b := range Backends() {
-		if b.Snapshottable() && !covered[b.Name] {
+		if !covered[b.Name] {
 			t.Errorf("no round-trip config for newly registered backend %q — add one", b.Name)
 		}
 	}
 }
 
-// FuzzStateRestore feeds hostile state bytes to the Restore hook of
-// every snapshottable backend, and of a hybrid at its widest lanes; the
-// leading input byte picks the target. Restore must not panic, must allocate no more than the
-// input and the fixed config warrant, and an accepted state must
-// re-save to a byte-identical fixed point.
+// FuzzStateRestore feeds hostile state bytes to Restore of every
+// registered backend, and of a hybrid at its widest lanes; the leading
+// input byte picks the target. Restore must not panic, must allocate
+// no more than the input and the fixed config warrant, and an accepted
+// state must re-save to a byte-identical fixed point.
 func FuzzStateRestore(f *testing.F) {
 	configs := map[string]Config{ // small geometries keep each restore cheap
 		"basic":       {Backend: "basic", Depth: 3, IndexBits: 10},
 		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 10, UseRHS: true},
 		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true},
 		"tage":        {Backend: "tage", Depth: 7, IndexBits: 10},
+		"unbounded":   {Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true},
 	}
 	type target struct {
 		b   Backend
@@ -110,12 +117,9 @@ func FuzzStateRestore(f *testing.F) {
 	}
 	var targets []target
 	for _, b := range Backends() {
-		if !b.Snapshottable() {
-			continue
-		}
 		cfg, ok := configs[b.Name]
 		if !ok {
-			f.Fatalf("no fuzz config for snapshottable backend %q — add one", b.Name)
+			f.Fatalf("no fuzz config for backend %q — add one", b.Name)
 		}
 		p := MustNew(cfg)
 		for _, tc := range randStream(11, 500) {
@@ -133,6 +137,9 @@ func FuzzStateRestore(f *testing.F) {
 	// lane's edge.
 	f.Add(append([]byte{byte(len(targets))}, laneState(f)...))
 	targets = append(targets, target{mustBackend(f, laneConfig), laneConfig})
+	// A hybrid state with an identifier past its register's size,
+	// which no register holds: refused.
+	f.Add(append([]byte{byte(len(targets) - 1)}, pastSizeState(f)...))
 	f.Add([]byte{})
 	f.Add([]byte{0})
 
@@ -164,8 +171,7 @@ func FuzzStateRestore(f *testing.F) {
 	})
 }
 
-// TestAppendIntoSizedBufferAllocatesNothing: every snapshottable
-// backend writes its state section straight into a dst with room to
+// TestAppendIntoSizedBufferAllocatesNothing: every backend writes its state section straight into a dst with room to
 // spare — RHS registers included — so a snapshot refreshed in a reused
 // buffer costs no allocation. The appended bytes equal Save's, and the
 // dst prefix is left alone.
@@ -175,14 +181,12 @@ func TestAppendIntoSizedBufferAllocatesNothing(t *testing.T) {
 		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true},
 		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 10, UseRHS: true},
 		"tage":        {Backend: "tage", Depth: 7, IndexBits: 10},
+		"unbounded":   {Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true},
 	}
 	for _, b := range Backends() {
-		if !b.Snapshottable() {
-			continue
-		}
 		cfg, ok := configs[b.Name]
 		if !ok {
-			t.Errorf("no config for snapshottable backend %q — add one", b.Name)
+			t.Errorf("no config for backend %q — add one", b.Name)
 			continue
 		}
 		t.Run(b.Name, func(t *testing.T) {

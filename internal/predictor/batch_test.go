@@ -68,8 +68,8 @@ func checkIdentical(t *testing.T, label string, sp, bp NextTracePredictor, sPred
 	if sp.Stats() != bp.Stats() {
 		t.Fatalf("%s: stats diverged:\nscalar %+v\nbatch  %+v", label, sp.Stats(), bp.Stats())
 	}
-	sSt, sErr := paperAppend(nil, sp)
-	bSt, bErr := paperAppend(nil, bp)
+	sSt, sErr := Backend{}.Append(nil, sp)
+	bSt, bErr := Backend{}.Append(nil, bp)
 	if (sErr == nil) != (bErr == nil) {
 		t.Fatalf("%s: Save support diverged: scalar err %v, batch err %v", label, sErr, bErr)
 	}

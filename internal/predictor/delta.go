@@ -1,34 +1,39 @@
 package predictor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 )
 
-// This file is the incremental side of the paper state codec. A round
-// of the paper's predictors writes at most one correlated and one
-// secondary entry, so a holder of a recent state section (a client
-// that snapshots after every acked batch) needs only the entries
-// written since then, not the whole table. Once a predictor is marked,
-// it records which slots it writes; paperAppendDelta ships the state's
-// mutable part plus those entries, and paperMergeDelta turns the held
-// section into the current one.
+// This file is the incremental side of the state codec (codec.go),
+// one for every backend. A round writes a few table entries (two in a
+// paper predictor, up to five in TAGE), so a holder of a recent state
+// section (a client that snapshots after every acked batch) needs only
+// the entries written since then, not the whole table. Once a
+// predictor is marked, it records which slots it writes; AppendDelta
+// ships the state's mutable part plus those entries, and MergeDelta
+// turns the held section into the current one.
 //
-// Delta layout (little-endian):
+// A delta has the state's shape (little-endian):
 //
-//	kind    u8   (must equal the held state's)
-//	flags   u8   (must equal the held state's)
-//	stats, hist, [RHS], [faults]   exactly as in the full layout
-//	corr    u32 count, count 24-byte entries (changed and valid, ascending)
-//	sec     u32 count, count 13-byte entries
+//	key      the head's first layout.key bytes (must equal the held
+//	         state's: the paper backends' kind and flags, the whole head
+//	         of the others)
+//	mutable  exactly as in the full state
+//	tables   per table: u32 count, count records (changed and valid,
+//	         ascending)
 //
 // Valid entries never turn invalid (neither rounds nor fault injection
 // touch the valid bit), so a changed entry either replaces the held
 // entry of the same index or is new and goes in at its sorted place.
 // A changed slot that is still invalid (a fault that hit an empty
-// slot) is left out, exactly as the full layout leaves it out.
+// slot) is left out, exactly as the full state leaves it out. A
+// change that moves entries between slots (an unbounded table's grow)
+// drops the mark instead, so the next AppendDelta fails with ErrNoMark
+// and the holder takes a full state.
 
 // ErrNoMark reports a delta asked of a predictor that was never marked.
 var ErrNoMark = errors.New("predictor: no delta mark")
@@ -42,8 +47,8 @@ type Splice struct {
 }
 
 // MergeLits is the size of the scratch a MergeDelta plan may keep
-// literals in: the paper backends' two new table counts.
-const MergeLits = 8
+// literals in: the new table counts, four bytes each.
+const MergeLits = 4 * maxTables
 
 // slotSet is a set of table slots, one bit each, with a summary bit
 // per bitmap word that add has touched, so take visits only those words
@@ -89,81 +94,72 @@ func (s slotSet) take(f func(i int)) {
 	}
 }
 
-// changeSet records the slots a paper predictor wrote since its last
-// mark. A predictor allocates one when first marked; until then its
-// batches pay one nil check each. Rounds are recorded by commit's
-// callers (the batch loops and the scalar Update paths), fault hits by
-// injectFaults.
-type changeSet struct {
-	corr, sec slotSet
-}
+// changeSet records the slots a predictor wrote since its last mark,
+// one slotSet per table of its layout. A predictor allocates one when
+// first marked; until then its rounds pay one nil check each.
+type changeSet [maxTables]slotSet
 
-// round records the slots a round wrote: its secondary slot when there
-// is a secondary table, and its correlated slot unless the secondary
-// filter skipped the write.
-func (c *changeSet) round(tok *Token, wroteCorr bool) {
-	if len(c.sec.words) != 0 {
-		c.sec.add(tok.SecIdx)
-	}
-	if wroteCorr {
-		c.corr.add(tok.CorrIdx)
+// add records slot i of table t when c is a mark's record (non-nil).
+func (c *changeSet) add(t int, i uint32) {
+	if c != nil {
+		c[t].add(i)
 	}
 }
 
-// paperMark is the paper backends' Mark hook.
-func paperMark(p NextTracePredictor) error {
-	t, err := paperOf(p)
+// Mark records that p's complete state was just shipped: from now on
+// p records the slots it writes, and AppendDelta ships them.
+func (Backend) Mark(p NextTracePredictor) error {
+	s, err := sectionsOf(p)
 	if err != nil {
 		return err
 	}
-	if c := t.chg; c != nil {
-		c.corr.empty()
-		c.sec.empty()
+	c := s.changes()
+	if *c != nil {
+		for t := range *c {
+			(*c)[t].empty()
+		}
 		return nil
 	}
-	t.chg = &changeSet{corr: newSlotSet(len(t.corr)), sec: newSlotSet(len(t.sec))}
+	l := s.layout()
+	*c = new(changeSet)
+	for t := range l.n {
+		(*c)[t] = newSlotSet(l.tables[t].slots)
+	}
 	return nil
 }
 
-// paperAppendDelta is the paper backends' AppendDelta hook.
-func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
-	t, err := paperOf(p)
+// AppendDelta appends the delta from p's last mark to now, then marks
+// p again. It fails with ErrNoMark when p holds no mark, and on any
+// error returns dst as passed and keeps the record.
+func (Backend) AppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
+	s, err := sectionsOf(p)
 	if err != nil {
 		return b, err
 	}
-	c := t.chg
+	c := *s.changes()
 	if c == nil {
 		return b, ErrNoMark
 	}
-	flags, fs, nMut, err := t.mutable()
-	if err != nil {
-		return b, err
-	}
-	// The table parts grow b as they go: sizing them first would cost a
+	l := s.layout()
+	// The tables grow b as they go: sizing them first would cost a
 	// second walk of the change sets.
-	b = grow(b, 2+nMut+8)
-	b = append(b, t.kind(), flags)
-	b = t.appendMutable(b, &fs)
-
+	dst, start := b, len(b)
+	if b, err = s.appendMutable(s.appendHead(b)[:start+l.key]); err != nil {
+		return dst, err
+	}
 	le := binary.LittleEndian
-	at, n := len(b), 0
-	b = le.AppendUint32(b, 0)
-	c.corr.take(func(i int) {
-		if t.corr[i].w&entValid != 0 {
-			b = t.appendCorr(b, i)
-			n++
-		}
-	})
-	le.PutUint32(b[at:], uint32(n))
-	at, n = len(b), 0
-	b = le.AppendUint32(b, 0)
-	c.sec.take(func(i int) {
-		if t.sec[i]&entValid != 0 {
-			b = t.appendSec(b, i)
-			n++
-		}
-	})
-	le.PutUint32(b[at:], uint32(n))
+	for t := range l.n {
+		tb := &l.tables[t]
+		at, n := len(b), 0
+		b = le.AppendUint32(b, 0)
+		c[t].take(func(i int) {
+			if e := s.entry(t, i); e.e.w&entValid != 0 {
+				b = tb.appendRecord(b, i, &e)
+				n++
+			}
+		})
+		le.PutUint32(b[at:], uint32(n))
+	}
 	return b, nil
 }
 
@@ -177,22 +173,13 @@ func paperAppendDelta(b []byte, p NextTracePredictor) ([]byte, error) {
 // plan it returns. Reset it whenever the section changes in any other
 // way.
 type MergeIndex struct {
-	corr, sec rankSet
-	built     bool
+	t     [maxTables]rankSet
+	built bool
 }
 
 // Reset marks the index stale, to be rebuilt from the next section it
 // is merged against. It keeps the bitmaps' memory for that rebuild.
 func (x *MergeIndex) Reset() { x.built = false }
-
-// build sizes the bitmaps for tables of corrSize and secSize slots and
-// sets the bits of the held entries, which must ascend strictly and lie
-// in their tables. On failure the index stays unbuilt.
-func (x *MergeIndex) build(r *stateReader, corr []byte, corrSize int, sec []byte, secSize int) {
-	x.corr.fill(corr, paperCorrEntryBytes, corrSize, "correlated", r)
-	x.sec.fill(sec, paperSecEntryBytes, secSize, "secondary", r)
-	x.built = r.err == nil
-}
 
 // rankBlock is the number of bitmap words a rankSet counts together:
 // 4096 slots.
@@ -206,12 +193,11 @@ type rankSet struct {
 	blocks []uint32 // set bits in each block of words
 }
 
-// fill empties s, sizes it for a table of size slots, and sets the
-// slots of the entries in held, entries of the given size that lead
-// with their u32 index. It fails r unless the indices ascend strictly
-// below size.
-func (s *rankSet) fill(held []byte, entry, size int, what string, r *stateReader) {
-	words := (size + 63) / 64
+// fill empties s, sizes it for table t, and sets the slots of the
+// records in held. It fails r unless the indices ascend strictly below
+// the table's size.
+func (s *rankSet) fill(held []byte, t *table, r *stateReader) {
+	words := (t.slots + 63) / 64
 	nb := (words + rankBlock - 1) / rankBlock
 	if cap(s.words) < words {
 		s.words, s.blocks = make([]uint64, words), make([]uint32, nb)
@@ -220,10 +206,10 @@ func (s *rankSet) fill(held []byte, entry, size int, what string, r *stateReader
 	clear(s.words)
 	clear(s.blocks)
 	prev := -1
-	for off := 0; off < len(held) && r.err == nil; off += entry {
+	for off, size := 0, t.size; off < len(held) && r.err == nil; off += size {
 		i := int(binary.LittleEndian.Uint32(held[off:]))
-		if i <= prev || i >= size {
-			r.fail("held %s index %d after %d in a table of %d", what, i, prev, size)
+		if i <= prev || i >= t.slots {
+			r.fail("held index %d after %d in a table of %d", i, prev, t.slots)
 			break
 		}
 		s.words[i>>6] |= 1 << (i & 63)
@@ -244,55 +230,59 @@ func (s *rankSet) addEntries(entries []byte, size int) {
 	}
 }
 
-// paperMergeDelta is the paper backends' MergeDelta hook. It validates
-// the delta as strictly as paperRestore validates a state, against the
-// held section's geometry, and plans the splices that turn the held
-// section into the current state: the mutable part, then per table the
-// new count and one splice per delta entry, placed by rank from x. Lit
-// slices alias delta, except the table counts, which go in lits. Only
-// an accepted delta's new entries are marked in x, so a rejected one
-// leaves x as current as the section it leaves untouched.
-func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state, delta []byte) ([]Splice, error) {
-	h := &stateReader{b: state}
-	kind, flags, g := h.paperHead()
-	if h.err == nil && (g.IndexBits < 1 || g.IndexBits > maxIndexBits || g.SecondaryBits < 1 || g.SecondaryBits > maxSecondaryBits) {
-		h.fail("held geometry %d/%d index bits", g.IndexBits, g.SecondaryBits)
+// MergeDelta validates a delta against the state section it is
+// relative to, as strictly as Restore validates a state and against
+// the held section's layout, and appends to plan the splices that turn
+// that section into the current state: the mutable part, then per
+// table the new count and one splice per delta entry, placed by rank
+// from x. Lit slices alias delta, except the table counts, which go in
+// lits, scratch the caller keeps until it has applied the plan. x is
+// the section's MergeIndex, which the caller keeps beside the section:
+// MergeDelta builds it on first use and marks an accepted delta's new
+// entries in it, so the caller must apply every plan it is given.
+// Beyond that it writes nothing, so a rejected delta leaves the section
+// and x as they were.
+func (b Backend) MergeDelta(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state, delta []byte) ([]Splice, error) {
+	l, err := b.head(state)
+	if err != nil {
+		return plan, fmt.Errorf("held state: %w", err)
 	}
+	h := &stateReader{b: state, off: l.head}
 	mutOff := h.off
-	h.mutable(flags, g.Depth, g.RHSDepth, false)
-	corrAt := h.off
-	nCorr := h.count("correlated entries", paperCorrEntryBytes)
-	heldCorr := h.take(nCorr * paperCorrEntryBytes)
-	secAt := h.off
-	nSec := h.count("secondary entries", paperSecEntryBytes)
-	heldSec := h.take(nSec * paperSecEntryBytes)
+	h.skipMutable(&l)
+	var at [maxTables]int            // each table's count in state
+	var held, ents [maxTables][]byte // each table's records in state and in delta
+	for t := range l.n {
+		size := l.tables[t].size
+		at[t] = h.off
+		held[t] = h.take(h.count(size) * size)
+	}
 	if h.err == nil && h.off != len(state) {
 		h.fail("%d trailing bytes after held state", len(state)-h.off)
 	}
-	corr, sec := paperChecks(kind, flags, &g)
 	if h.err == nil && !x.built {
-		x.build(h, heldCorr, corr.size, heldSec, sec.size)
+		for t := range l.n {
+			x.t[t].fill(held[t], &l.tables[t], h)
+		}
+		x.built = h.err == nil
 	}
 	if h.err != nil {
 		return plan, fmt.Errorf("held state: %w", h.err)
 	}
 
 	d := &stateReader{b: delta}
-	if dk, df := d.u8(), d.u8(); d.err == nil && (dk != kind || df != flags) {
-		d.fail("delta kind/flags %d/%#x for held %d/%#x", dk, df, kind, flags)
+	if key := d.take(l.key); d.err == nil && !bytes.Equal(key, state[:l.key]) {
+		d.fail("delta head %x for held %x", key, state[:l.key])
 	}
-	d.mutable(flags, g.Depth, g.RHSDepth, false)
+	d.skipMutable(&l)
 	mutEnd := d.off
-	hybrid := kind == paperKindHybrid
-	dCorr := d.count("correlated entries", paperCorrEntryBytes)
-	corrOff := d.off
-	for i := 0; i < dCorr && d.err == nil; i++ {
-		d.corrEntry(&corr, hybrid)
-	}
-	dSec := d.count("secondary entries", paperSecEntryBytes)
-	secOff := d.off
-	for i := 0; i < dSec && d.err == nil; i++ {
-		d.secEntry(&sec)
+	for t := range l.n {
+		tb := &l.tables[t]
+		n, off, prev := d.count(tb.size), d.off, -1
+		for i := 0; i < n && d.err == nil; i++ {
+			d.record(tb, &prev)
+		}
+		ents[t] = delta[off:d.off]
 	}
 	if d.err == nil && d.off != len(delta) {
 		d.fail("%d trailing bytes after delta", len(delta)-d.off)
@@ -300,24 +290,24 @@ func paperMergeDelta(plan []Splice, lits *[MergeLits]byte, x *MergeIndex, state,
 	if d.err != nil {
 		return plan, d.err
 	}
-	deltaCorr := delta[corrOff : corrOff+dCorr*paperCorrEntryBytes]
-	deltaSec := delta[secOff : secOff+dSec*paperSecEntryBytes]
 
-	plan = append(plan, Splice{Off: mutOff, Del: corrAt - mutOff, Lit: delta[2:mutEnd]})
-	plan = append(plan, Splice{Off: corrAt, Del: 4, Lit: lits[:4]})
-	plan, addCorr, err := planEntries(plan, &x.corr, heldCorr, corrAt+4, deltaCorr, paperCorrEntryBytes)
-	if err != nil {
-		return plan, err
+	plan = append(plan, Splice{Off: mutOff, Del: at[0] - mutOff, Lit: delta[l.key:mutEnd]})
+	for t := range l.n {
+		tb, lit := &l.tables[t], lits[4*t:4*t+4]
+		plan = append(plan, Splice{Off: at[t], Del: 4, Lit: lit})
+		var added int
+		if plan, added, err = planEntries(plan, &x.t[t], held[t], at[t]+4, ents[t], tb.size); err != nil {
+			return plan, err
+		}
+		n := len(held[t])/tb.size + added
+		if n < tb.min || n > tb.max {
+			return plan, fmt.Errorf("%w: table %d would hold %d entries, outside [%d, %d]", ErrBadState, t, n, tb.min, tb.max)
+		}
+		binary.LittleEndian.PutUint32(lit, uint32(n))
 	}
-	plan = append(plan, Splice{Off: secAt, Del: 4, Lit: lits[4:]})
-	plan, addSec, err := planEntries(plan, &x.sec, heldSec, secAt+4, deltaSec, paperSecEntryBytes)
-	if err != nil {
-		return plan, err
+	for t := range l.n {
+		x.t[t].addEntries(ents[t], l.tables[t].size)
 	}
-	binary.LittleEndian.PutUint32(lits[:4], uint32(nCorr+addCorr))
-	binary.LittleEndian.PutUint32(lits[4:], uint32(nSec+addSec))
-	x.corr.addEntries(deltaCorr, paperCorrEntryBytes)
-	x.sec.addEntries(deltaSec, paperSecEntryBytes)
 	return plan, nil
 }
 

@@ -12,10 +12,11 @@ import (
 	"pathtrace/internal/trace"
 )
 
-// deltaConfigs are the paper configurations the delta tests walk: every
-// paper backend, with and without an RHS, and with a fault injector
-// whose faults land on both tables. Small tables make entries get
-// replaced as well as added. Fresh per call: injectors are stateful.
+// deltaConfigs are the configurations the delta tests walk: every
+// backend, the paper ones with and without an RHS and with a fault
+// injector whose faults land on both tables. Small tables make entries
+// get replaced as well as added. Fresh per call: injectors are
+// stateful.
 func deltaConfigs() map[string]Config {
 	return map[string]Config{
 		"basic":         {Backend: "basic", Depth: 3, IndexBits: 8},
@@ -28,6 +29,10 @@ func deltaConfigs() map[string]Config {
 		// Tables smaller than one 64-slot bitmap word.
 		"basic+tiny":  {Backend: "basic", Depth: 2, IndexBits: 1},
 		"hybrid+tiny": {Backend: "hybrid", Depth: 3, IndexBits: 5, SecondaryBits: 2, UseRHS: true},
+		"tage":        {Backend: "tage", Depth: 7, IndexBits: 8, SecondaryBits: 6},
+		// Tables that grow, which drops the mark.
+		"unbounded":        {Backend: "unbounded", Depth: 3},
+		"unbounded-hybrid": {Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true},
 	}
 }
 
@@ -74,53 +79,89 @@ func driveStep(p NextTracePredictor, traces []*trace.Trace, step int) {
 // delta equals the full state saved at the same point, after every
 // step, from a cold table (deltas add entries) to a full one (deltas
 // replace them), including steps with no rounds at all, whichever
-// training path (driveStep) the rounds take.
+// training path (driveStep) the rounds take, on a random stream and on
+// one the predictors learn (loopStream).
 func TestDeltaMergeEqualsSave(t *testing.T) {
 	for name, cfg := range deltaConfigs() {
 		t.Run(name, func(t *testing.T) {
-			b := mustBackend(t, cfg)
-			if !b.Incremental() {
-				t.Fatalf("backend %q has no delta hooks", b.Name)
-			}
-			p := MustNew(cfg)
-			if _, err := b.AppendDelta(nil, p); !errors.Is(err, ErrNoMark) {
-				t.Fatalf("AppendDelta before Mark = %v, want ErrNoMark", err)
-			}
-			held, err := b.Save(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Mark(p); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			stream := randStream(13, 6000)
-			var plan []Splice
-			var lits [MergeLits]byte
-			var x MergeIndex
-			for step := 0; len(stream) > 0; step++ {
-				n := min(rng.Intn(300), len(stream))
-				driveStep(p, stream[:n], step)
-				stream = stream[n:]
-				delta, err := b.AppendDelta(nil, p)
-				if err != nil {
-					t.Fatalf("step %d: AppendDelta: %v", step, err)
-				}
-				if plan, err = b.MergeDelta(plan[:0], &lits, &x, held, delta); err != nil {
-					t.Fatalf("step %d: MergeDelta: %v", step, err)
-				}
-				held = applyPlan(held, plan)
-				want, err := b.Save(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(held, want) {
-					t.Fatalf("step %d (%d rounds, %d-byte delta): merged section (%d bytes) differs from Save (%d bytes)",
-						step, n, len(delta), len(held), len(want))
-				}
+			for _, kind := range []string{"random", "loop"} {
+				t.Run(kind, func(t *testing.T) {
+					b := mustBackend(t, cfg)
+					p := MustNew(cfg)
+					if _, err := b.AppendDelta(nil, p); !errors.Is(err, ErrNoMark) {
+						t.Fatalf("AppendDelta before Mark = %v, want ErrNoMark", err)
+					}
+					held, err := b.Save(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := b.Mark(p); err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(1))
+					stream := randStream(13, 6000)
+					if kind == "loop" {
+						stream = loopStream(13, 6000)
+					}
+					var plan []Splice
+					var lits [MergeLits]byte
+					var x MergeIndex
+					for step := 0; len(stream) > 0; step++ {
+						n := min(rng.Intn(300), len(stream))
+						driveStep(p, stream[:n], step)
+						stream = stream[n:]
+						delta, err := b.AppendDelta(nil, p)
+						if u, ok := p.(*Unbounded); ok && errors.Is(err, ErrNoMark) {
+							// A grow dropped the mark: the holder takes the
+							// whole state again.
+							if len(u.corr.slots) == ubInitSlots && len(u.sec.slots) <= ubInitSlots {
+								t.Fatalf("step %d: mark dropped without a grow", step)
+							}
+							if held, err = b.Save(p); err == nil {
+								err = b.Mark(p)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							x.Reset()
+							continue
+						}
+						if err != nil {
+							t.Fatalf("step %d: AppendDelta: %v", step, err)
+						}
+						if plan, err = b.MergeDelta(plan[:0], &lits, &x, held, delta); err != nil {
+							t.Fatalf("step %d: MergeDelta: %v", step, err)
+						}
+						held = applyPlan(held, plan)
+						want, err := b.Save(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(held, want) {
+							t.Fatalf("step %d (%d rounds, %d-byte delta): merged section (%d bytes) differs from Save (%d bytes)",
+								step, n, len(delta), len(held), len(want))
+						}
+					}
+				})
 			}
 		})
 	}
+}
+
+// loopStream loops a random pattern of 61 traces with one trace in
+// eight replaced at random, so the predictors learn it and still miss:
+// TAGE's useful counters rise, and on a miss where every longer table's
+// entry is still useful they all decay.
+func loopStream(seed int64, n int) []*trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	pattern, noise := randStream(seed, 61), randStream(seed+1, n)
+	out := make([]*trace.Trace, n)
+	for i := range out {
+		if out[i] = pattern[i%len(pattern)]; rng.Intn(8) == 0 {
+			out[i] = noise[i]
+		}
+	}
+	return out
 }
 
 // TestUnmarkedPredictorTracksNothing: a predictor that is saved but
@@ -137,7 +178,7 @@ func TestUnmarkedPredictorTracksNothing(t *testing.T) {
 		if _, err := b.Save(p); err != nil {
 			t.Fatal(err)
 		}
-		if p.(*Hybrid).chg != nil {
+		if *p.(sectioned).changes() != nil {
 			t.Errorf("%s: change tracking on without a mark", name)
 		}
 	}
@@ -165,8 +206,9 @@ func TestMergeDeltaRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Locate the delta's first correlated entry.
+	l, _ := paperHeadLayout(held)
 	r := &stateReader{b: delta, off: 2}
-	r.mutable(delta[1], cfg.Depth, 16, false)
+	r.skipMutable(&l)
 	corr := r.off + 4
 	if binary.LittleEndian.Uint32(delta[r.off:]) < 2 {
 		t.Fatal("delta has fewer than two correlated entries")
@@ -179,7 +221,7 @@ func TestMergeDeltaRejects(t *testing.T) {
 		"not ascending":  func(d []byte) []byte { copy(d[corr+paperCorrEntryBytes:], d[corr:corr+4]); return d },
 		"counter":        func(d []byte) []byte { d[corr+22] = 0xFF; return d },
 		"entry flag":     func(d []byte) []byte { d[corr+23] = 2; return d },
-		"history fill":   func(d []byte) []byte { d[2+paperStatsBytes+1] = 99; return d },
+		"history fill":   func(d []byte) []byte { d[2+statsBytes+1] = 99; return d },
 		"truncated":      func(d []byte) []byte { return d[:len(d)-1] },
 		"trailing byte":  func(d []byte) []byte { return append(d, 0) },
 		"empty":          func(d []byte) []byte { return nil },
@@ -209,13 +251,13 @@ func TestMergeDeltaWordEdges(t *testing.T) {
 		for _, i := range corr {
 			p.corr[i] = corrEntry{w: withCtr(val|entValid, 1)}
 			if p.chg != nil {
-				p.chg.corr.add(i)
+				p.chg[0].add(i)
 			}
 		}
 		for _, i := range sec {
 			p.sec[i] = withCtr(val|entValid, 1)
 			if p.chg != nil {
-				p.chg.sec.add(i)
+				p.chg[1].add(i)
 			}
 		}
 	}
@@ -265,7 +307,7 @@ func TestMergeDeltaIndexOutOfStep(t *testing.T) {
 	emptyState, _ := b.Save(empty)
 	b.Mark(empty)
 	empty.corr[5] = corrEntry{w: withCtr(4|entValid, 1)}
-	empty.chg.corr.add(5)
+	empty.chg[0].add(5)
 	delta, err := b.AppendDelta(nil, empty)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +351,7 @@ func TestMergeDeltaRefusesGeometry(t *testing.T) {
 		if _, err := b.MergeDelta(nil, new([MergeLits]byte), &x, bad, delta); !errors.Is(err, ErrBadState) {
 			t.Errorf("byte %d = %d: MergeDelta = %v, want ErrBadState", c.at, c.bits, err)
 		}
-		if x.built || x.corr.words != nil || x.sec.words != nil {
+		if x.built || x.t[0].words != nil || x.t[1].words != nil {
 			t.Errorf("byte %d = %d: refused section left an index", c.at, c.bits)
 		}
 	}
@@ -332,9 +374,9 @@ func TestMergeDeltaRejectsBadHeld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &stateReader{b: held}
-	_, flags, _ := r.paperHead()
-	r.mutable(flags, cfg.Depth, 16, false)
+	l, _ := paperHeadLayout(held)
+	r := &stateReader{b: held, off: l.head}
+	r.skipMutable(&l)
 	corr := r.off + 4
 	le := binary.LittleEndian
 	for name, mut := range map[string]func(h []byte){
@@ -366,7 +408,7 @@ func TestMergeDeltaBlockEdges(t *testing.T) {
 		for _, i := range slots {
 			p.corr[i] = corrEntry{w: withCtr(val|entValid, 1)}
 			if p.chg != nil {
-				p.chg.corr.add(i)
+				p.chg[0].add(i)
 			}
 		}
 	}

@@ -181,9 +181,7 @@ func (p *Hybrid) corrFault(f faults.TableFault) {
 	case faults.SlotCounter:
 		e.w ^= uint64(uint8(f.Mask)) << entCtrShift
 	}
-	if p.chg != nil {
-		p.chg.corr.add(uint32(f.Index))
-	}
+	p.chg.add(0, uint32(f.Index))
 }
 
 // secFault XORs a fault's mask into the value or counter lane of a
@@ -195,9 +193,7 @@ func (p *Hybrid) secFault(f faults.TableFault) {
 	case faults.SlotCounter:
 		p.sec[f.Index] ^= uint64(uint8(f.Mask)) << entCtrShift
 	}
-	if p.chg != nil {
-		p.chg.sec.add(uint32(f.Index))
-	}
+	p.chg.add(1, uint32(f.Index))
 }
 
 // NewHybrid builds a hybrid predictor directly, for callers that need
@@ -403,6 +399,18 @@ func (p *Hybrid) CommitUpdate(tok *Token, actual *trace.Trace) {
 	wrote := p.r.train(&p.stats, tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(actual))
 	if c := p.chg; c != nil {
 		c.round(tok, wrote)
+	}
+}
+
+// round records the slots a round wrote in a marked paper predictor's
+// change set: its secondary slot when there is a secondary table, and
+// its correlated slot unless the secondary filter skipped the write.
+func (c *changeSet) round(tok *Token, wroteCorr bool) {
+	if len(c[1].words) != 0 {
+		c[1].add(tok.SecIdx)
+	}
+	if wroteCorr {
+		c[0].add(tok.CorrIdx)
 	}
 }
 

@@ -129,14 +129,31 @@ type entryFields struct {
 }
 
 func corrFields(p *Hybrid, i int) entryFields {
-	b := p.appendCorr(nil, i)[4:]
+	l, e := p.layout(), p.entry(0, i)
+	b := l.tables[0].appendRecord(nil, i, &e)[4:]
 	le := binary.LittleEndian
 	return entryFields{tag: le.Uint16(b), val: le.Uint64(b[2:]), alt: le.Uint64(b[10:]), ctr: b[18], flag: b[19]}
 }
 
 func secFields(p *Hybrid, i int) entryFields {
-	b := p.appendSec(nil, i)[4:]
+	l, e := p.layout(), p.entry(1, i)
+	b := l.tables[1].appendRecord(nil, i, &e)[4:]
 	return entryFields{val: binary.LittleEndian.Uint64(b), ctr: b[8]}
+}
+
+// validEntries counts the valid entries of each table.
+func (p *Hybrid) validEntries() (nCorr, nSec int) {
+	for i := range p.corr {
+		if p.corr[i].w&entValid != 0 {
+			nCorr++
+		}
+	}
+	for _, w := range p.sec {
+		if w&entValid != 0 {
+			nSec++
+		}
+	}
+	return nCorr, nSec
 }
 
 // TestFaultLanes injects one fault per slot into a lane-boundary state

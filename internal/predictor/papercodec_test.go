@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pathtrace/internal/faults"
+	"pathtrace/internal/history"
 	"pathtrace/internal/trace"
 )
 
@@ -182,10 +183,41 @@ func TestSaveRestoreResumesFaultStream(t *testing.T) {
 	checkSaveRestore(t, buildCfg, restoreCfg)
 }
 
-func TestSaveUnboundedNotSnapshottable(t *testing.T) {
-	p := mustUnbounded(t, Config{Depth: 5, Hybrid: true, UseRHS: true})
-	if _, err := paperAppend(nil, p); !errors.Is(err, ErrNotSnapshottable) {
-		t.Fatalf("paperAppend(unbounded) = %v, want ErrNotSnapshottable", err)
+// paperRestore restores a paper state under cfg through the backend
+// its kind byte names.
+func paperRestore(state []byte, cfg Config) (NextTracePredictor, error) {
+	name := "hybrid"
+	if len(state) > 0 && state[0] == paperKindBasic {
+		name = "basic"
+	}
+	b, _ := BackendByName(name)
+	return b.Restore(state, cfg)
+}
+
+// Record and part sizes of the paper layout (papercodec.go).
+const (
+	paperCorrEntryBytes = 24
+	paperSecEntryBytes  = 13
+	stateRegBytes       = 2 + 2*history.MaxSize
+	statsBytes          = 6 * 8
+	faultsBytes         = 8 + 1 + 8 + 4*8 + 1 + 8 + 8 + 4*8 + 5*8
+)
+
+// pastSizeState is a laneConfig state whose history register carries
+// an identifier past its size: no register holds one, so no state
+// does.
+func pastSizeState(t testing.TB) []byte {
+	st, err := mustBackend(t, laneConfig).Save(MustNew(laneConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st[paperHeadBytes+statsBytes+2+2*(laneConfig.Depth+2)] = 1
+	return st
+}
+
+func TestRestoreRejectsIDPastRegisterSize(t *testing.T) {
+	if _, err := mustBackend(t, laneConfig).Restore(pastSizeState(t), laneConfig); !errors.Is(err, ErrBadState) {
+		t.Fatalf("Restore = %v, want ErrBadState", err)
 	}
 }
 
@@ -204,24 +236,24 @@ func warmState(t *testing.T, cfg Config) []byte {
 	return state
 }
 
-// paperLayout locates the sections of an encoded paper state, so tests
+// paperOffsets locates the sections of an encoded paper state, so tests
 // can patch fields in place.
-type paperLayout struct {
+type paperOffsets struct {
 	hist, rhs, corr, sec int // section offsets
 	nCorr, nSec          int
 }
 
-func layoutOf(t *testing.T, st []byte) paperLayout {
+func layoutOf(t *testing.T, st []byte) paperOffsets {
 	t.Helper()
 	le := binary.LittleEndian
-	l := paperLayout{hist: paperHeadBytes + paperStatsBytes}
+	l := paperOffsets{hist: paperHeadBytes + statsBytes}
 	l.rhs = l.hist + stateRegBytes
 	off := l.rhs
 	if st[1]&paperFlagUseRHS != 0 {
 		off += 4 + int(le.Uint16(st[off+2:]))*stateRegBytes
 	}
 	if st[1]&paperFlagHasFaults != 0 {
-		off += paperFaultsBytes
+		off += faultsBytes
 	}
 	l.corr, l.nCorr = off, int(le.Uint32(st[off:]))
 	l.sec = l.corr + 4 + l.nCorr*paperCorrEntryBytes
@@ -232,8 +264,8 @@ func layoutOf(t *testing.T, st []byte) paperLayout {
 	return l
 }
 
-func (l paperLayout) corrEntry(i int) int { return l.corr + 4 + i*paperCorrEntryBytes }
-func (l paperLayout) secEntry(i int) int  { return l.sec + 4 + i*paperSecEntryBytes }
+func (l paperOffsets) corrEntry(i int) int { return l.corr + 4 + i*paperCorrEntryBytes }
+func (l paperOffsets) secEntry(i int) int  { return l.sec + 4 + i*paperSecEntryBytes }
 
 func TestRestoreGeometryMismatch(t *testing.T) {
 	cfg := Config{Depth: 7, IndexBits: 12, Hybrid: true, UseRHS: true}
@@ -255,55 +287,66 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	cfg := Config{Depth: 4, IndexBits: 10, Hybrid: true, UseRHS: true}
 	le := binary.LittleEndian
-	mutations := map[string]func(st []byte, l paperLayout) []byte{
-		"corr index out of range": func(st []byte, l paperLayout) []byte {
+	mutations := map[string]func(st []byte, l paperOffsets) []byte{
+		"corr index out of range": func(st []byte, l paperOffsets) []byte {
 			le.PutUint32(st[l.corrEntry(0):], 1<<30)
 			return st
 		},
-		"corr indices not ascending": func(st []byte, l paperLayout) []byte {
+		"corr indices not ascending": func(st []byte, l paperOffsets) []byte {
 			copy(st[l.corrEntry(1):l.corrEntry(1)+4], st[l.corrEntry(0):])
 			return st
 		},
-		"corr counter overflow": func(st []byte, l paperLayout) []byte {
+		"corr counter overflow": func(st []byte, l paperOffsets) []byte {
 			st[l.corrEntry(0)+22] = 0xFF
 			return st
 		},
-		"corr value overflow": func(st []byte, l paperLayout) []byte {
+		"corr value overflow": func(st []byte, l paperOffsets) []byte {
 			le.PutUint64(st[l.corrEntry(0)+6:], 1<<63)
 			return st
 		},
-		"corr flag byte": func(st []byte, l paperLayout) []byte {
+		"corr flag byte": func(st []byte, l paperOffsets) []byte {
 			st[l.corrEntry(0)+23] = 2
 			return st
 		},
-		"sec index out of range": func(st []byte, l paperLayout) []byte {
+		"sec index out of range": func(st []byte, l paperOffsets) []byte {
 			le.PutUint32(st[l.secEntry(0):], 1<<30)
 			return st
 		},
-		"sec counter overflow": func(st []byte, l paperLayout) []byte {
+		"sec counter overflow": func(st []byte, l paperOffsets) []byte {
 			st[l.secEntry(0)+12] = 0xFF
 			return st
 		},
-		"history size": func(st []byte, l paperLayout) []byte {
+		"history size": func(st []byte, l paperOffsets) []byte {
 			st[l.hist] = 0
 			return st
 		},
-		"history fill": func(st []byte, l paperLayout) []byte {
+		"history fill": func(st []byte, l paperOffsets) []byte {
 			st[l.hist+1] = 99
 			return st
 		},
+		"history id past size": func(st []byte, l paperOffsets) []byte {
+			st[l.hist+2+2*(cfg.Depth+1)] = 1
+			return st
+		},
+		"rhs id past size": func(st []byte, l paperOffsets) []byte {
+			if le.Uint16(st[l.rhs+2:]) == 0 {
+				t.Fatal("warm state has an empty RHS")
+			}
+			st[l.rhs+4+2+2*(cfg.Depth+1)] = 1
+			return st
+		},
 		// The flag still promises an RHS, but the section is gone.
-		"missing RHS": func(st []byte, l paperLayout) []byte { return st[:l.rhs] },
-		"rhs bad capacity": func(st []byte, l paperLayout) []byte {
+		"missing RHS": func(st []byte, l paperOffsets) []byte { return st[:l.rhs] },
+		"rhs bad capacity": func(st []byte, l paperOffsets) []byte {
 			le.PutUint16(st[l.rhs:], 0)
 			return st
 		},
-		"unknown flag bit": func(st []byte, l paperLayout) []byte {
+		"unknown flag bit": func(st []byte, l paperOffsets) []byte {
 			st[1] |= 1 << 7
 			return st
 		},
-		"truncated":     func(st []byte, l paperLayout) []byte { return st[:len(st)-1] },
-		"trailing byte": func(st []byte, l paperLayout) []byte { return append(st, 0) },
+		"truncated":     func(st []byte, l paperOffsets) []byte { return st[:len(st)-1] },
+		"trailing byte": func(st []byte, l paperOffsets) []byte { return append(st, 0) },
 	}
 	for name, mut := range mutations {
 		st := warmState(t, cfg)

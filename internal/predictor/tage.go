@@ -46,6 +46,7 @@ type tage struct {
 
 	stats Stats
 	tok   tageTok
+	chg   *changeSet // slots written since the last delta mark: base, then the tagged tables
 }
 
 // maxTageTables bounds the tagged-table bank; the geometric series
@@ -202,7 +203,8 @@ func (t *tage) Predict() Prediction {
 // Update implements NextTracePredictor.
 func (t *tage) Update(actual *trace.Trace) {
 	tok := &t.tok
-	actualVal := uint64(actual.ID)
+	actualVal := uint64(actual.ID) & entValMask
+	c := t.chg
 
 	var ev Event
 	t.stats.Predictions++
@@ -230,6 +232,7 @@ func (t *tage) Update(actual *trace.Trace) {
 	// Base table trains every round, like the hybrid's secondary table
 	// and under the same counter policy.
 	be := &t.base[tok.baseIdx]
+	c.add(0, tok.baseIdx)
 	secMax := ctrMax(t.cfg.SecCounterBits)
 	switch {
 	case !be.valid:
@@ -250,6 +253,7 @@ func (t *tage) Update(actual *trace.Trace) {
 	// measures where the long history actually earned its keep.
 	if p := tok.provider; p >= 0 {
 		e := &t.tables[p][tok.idx[p]]
+		c.add(1+p, tok.idx[p])
 		provCorrect := e.val == actualVal
 		if tok.altKnown && tok.altVal != e.val {
 			if provCorrect {
@@ -283,6 +287,7 @@ func (t *tage) Update(actual *trace.Trace) {
 					ev |= EvReplaced
 				}
 				*e = tageEntry{val: actualVal, tag: tok.tag[i], valid: true}
+				c.add(1+i, tok.idx[i])
 				allocated = true
 				break
 			}
@@ -291,6 +296,7 @@ func (t *tage) Update(actual *trace.Trace) {
 			for i := tok.provider + 1; i < t.nTables; i++ {
 				e := &t.tables[i][tok.idx[i]]
 				e.u = satDec(e.u, 1)
+				c.add(1+i, tok.idx[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pathtrace/internal/history"
 	"pathtrace/internal/trace"
@@ -38,6 +39,9 @@ type Unbounded struct {
 	// so Update writes without probing again.
 	tok         Token
 	key, secKey uint64
+	// chg records the slots written since the last delta mark; a grow,
+	// which moves every key of a table, drops it.
+	chg *changeSet
 }
 
 // ubTable is an open-addressed, linear-probing hash table from 64-bit
@@ -62,7 +66,10 @@ type ubSlot struct {
 
 // ubInitSlots is a new table's size; it doubles whenever an insert
 // leaves it more than half full.
-const ubInitSlots = 64
+const (
+	ubInitBits  = 6
+	ubInitSlots = 1 << ubInitBits
+)
 
 func newUBTable() ubTable { return ubTable{slots: make([]ubSlot, ubInitSlots)} }
 
@@ -159,11 +166,17 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 		se = u.sec.slots[tok.SecIdx].e
 		sw = &se.w
 	}
+	c, slots := u.chg, len(u.corr.slots)+len(u.sec.slots)
 	if u.r.train(&u.stats, tok, sw, &ce, u.cfg.storedVal(actual)) {
+		c.add(0, tok.CorrIdx)
 		u.corr.set(int(tok.CorrIdx), u.key, ce)
 	}
 	if sw != nil {
+		c.add(1, tok.SecIdx)
 		u.sec.set(int(tok.SecIdx), u.secKey, se)
+	}
+	if c != nil && len(u.corr.slots)+len(u.sec.slots) != slots {
+		u.chg = nil // a grow moved every key of a table
 	}
 	u.hist.Push(actual.ID)
 	if u.rhs != nil {
@@ -177,3 +190,116 @@ func (u *Unbounded) Stats() Stats { return u.stats }
 // TableEntries reports the number of distinct paths learned, a measure
 // of each benchmark's working set (used to explain aliasing pressure).
 func (u *Unbounded) TableEntries() int { return u.corr.n }
+
+// The unbounded backend's part of the state codec (codec.go). Its head
+// is the paper head of its config (papercodec.go), geometry it does not
+// use included, then the log2 slot counts of the correlated and the
+// secondary table (u8 each; 0 without a secondary). Registers hold u64
+// identifiers. A record is a paper record without the tag, after the
+// slot's u64 key; records keep their slots, so a restored table probes
+// exactly as the saved one did. A table of 2^k slots holds more than
+// 2^(k-2) keys and at most 2^(k-1), since an insert that passes half
+// full doubles it; the first, of ubInitSlots, holds up to half. A delta
+// repeats the whole head; a grow drops the mark, so no delta spans one.
+
+// ubMaxBits is the largest table a head may claim, in log2 slots.
+const ubMaxBits = 40
+
+// ubLayout turns a paper head's layout into an unbounded state's whose
+// tables have 2^corrBits and 2^secBits slots (secBits 0: no secondary).
+func ubLayout(l layout, corrBits, secBits int) layout {
+	l.head, l.key, l.full = paperHeadBytes+2, paperHeadBytes+2, true
+	for t, k := range [2]int{corrBits, secBits} {
+		tb := l.tables[t].with(fKey, 8, 64)
+		tb.size, tb.width[fTag] = tb.size-int(tb.width[fTag]), 0
+		if k != 0 { // else no table, as the paper layout of a basic head has
+			tb.slots, tb.max = 1<<k, 1<<(k-1)
+		}
+		if k > ubInitBits {
+			tb.min = 1<<(k-2) + 1
+		}
+		l.tables[t] = tb
+	}
+	return l
+}
+
+// ubHeadLayout reads an unbounded head. A table it claims must be one
+// the rest of the input can fill to its least count, which bounds what
+// a restore allocates by the input's size.
+func ubHeadLayout(state []byte) (layout, error) {
+	l, err := paperHeadLayout(state)
+	r := &stateReader{b: state, off: paperHeadBytes, err: err}
+	corrBits, secBits := int(r.uint(1)), int(r.uint(1))
+	l = ubLayout(l, corrBits, secBits)
+	c, sec := &l.tables[0], &l.tables[1]
+	switch {
+	case r.err != nil:
+	case corrBits < ubInitBits || corrBits > ubMaxBits || (state[0] == paperKindHybrid) != (secBits != 0) ||
+		secBits != 0 && (secBits < ubInitBits || secBits > ubMaxBits):
+		r.fail("table sizes 2^%d/2^%d for kind %d", corrBits, secBits, state[0])
+	case c.min*c.size+sec.min*sec.size > len(state)-r.off:
+		r.fail("tables of 2^%d/2^%d slots in %d bytes", corrBits, secBits, len(state)-r.off)
+	default:
+		return l, nil
+	}
+	return layout{}, r.err
+}
+
+// restore checks the saved head, but for its table sizes, against u's
+// own, and sizes u's tables as saved.
+func (u *Unbounded) restore(r *stateReader, head []byte, l *layout) error {
+	if err := sameHead(head[:paperHeadBytes], appendPaperHead(nil, &u.cfg, u.rhs != nil)); err != nil {
+		return err
+	}
+	u.corr = ubTable{slots: make([]ubSlot, l.tables[0].slots)}
+	if u.sec.slots != nil {
+		u.sec = ubTable{slots: make([]ubSlot, l.tables[1].slots)}
+	}
+	m := readMutable[trace.ID](r, l, true)
+	u.stats, u.hist, u.rhs = m.stats, m.hist, m.rhs
+	u.hist.SetFold(&u.fold)
+	return nil
+}
+
+// sizes returns u's tables' sizes in log2 slots, 0 for no table.
+func (u *Unbounded) sizes() (corrBits, secBits int) {
+	if u.sec.slots != nil {
+		secBits = bits.TrailingZeros(uint(len(u.sec.slots)))
+	}
+	return bits.TrailingZeros(uint(len(u.corr.slots))), secBits
+}
+
+func (u *Unbounded) layout() layout {
+	kind, flags := paperKind(&u.cfg, u.rhs != nil)
+	corrBits, secBits := u.sizes()
+	return ubLayout(paperLayout(kind, flags, &u.cfg), corrBits, secBits)
+}
+
+func (u *Unbounded) appendHead(b []byte) []byte {
+	corrBits, secBits := u.sizes()
+	return append(appendPaperHead(b, &u.cfg, u.rhs != nil), uint8(corrBits), uint8(secBits))
+}
+
+func (u *Unbounded) appendMutable(b []byte) ([]byte, error) {
+	return appendLive(b, u.stats, &u.hist, u.rhs), nil
+}
+
+// table returns the correlated (t 0) or secondary (t 1) table.
+func (u *Unbounded) table(t int) *ubTable { return [...]*ubTable{&u.corr, &u.sec}[t] }
+
+func (u *Unbounded) next(t, i int) int {
+	slots := u.table(t).slots
+	for ; i < len(slots) && slots[i].e.w&entValid == 0; i++ {
+	}
+	return i
+}
+
+func (u *Unbounded) entry(t, i int) entry { return u.table(t).slots[i] }
+
+func (u *Unbounded) setEntry(t, i int, e entry) {
+	tb := u.table(t)
+	tb.slots[i] = e
+	tb.n++
+}
+
+func (u *Unbounded) changes() **changeSet { return &u.chg }

@@ -209,23 +209,55 @@ func TestDrainLossAccounting(t *testing.T) {
 	})
 }
 
-// TestCheckpointDirNeedsSnapshottableBackend: checkpoints hold the
-// primary backend's state, so NewServer refuses a checkpoint dir for a
-// primary that cannot snapshot, naming the backend, and writes nothing
-// there. Shadows are never checkpointed, so one that cannot snapshot
-// is allowed beside a dir.
-func TestCheckpointDirNeedsSnapshottableBackend(t *testing.T) {
+// TestUnboundedCheckpointWarmRestart: an unbounded primary checkpoints
+// like any other. A periodic sweep writes its session, the drain spills
+// it, a server restarted on the same dir restores it warm, and the
+// session continues bit-identically to an uninterrupted in-process
+// replay, across its tables' grows on both sides of the restart.
+func TestUnboundedCheckpointWarmRestart(t *testing.T) {
+	s := captureTestStream(t)
+	pcfg := predictor.Config{Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true}
+	want, err := referenceStats(s, pcfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	_, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: dir,
-		Predictor: predictor.Config{Backend: "unbounded", Depth: 3}})
-	if err == nil || !strings.Contains(err.Error(), `"unbounded"`) {
-		t.Fatalf("NewServer with an unbounded primary and a checkpoint dir: err = %v, want one naming the backend", err)
+	const session, batch = 5, 128
+	cfg := Config{Shards: 2, CheckpointDir: dir, CheckpointEvery: 20 * time.Millisecond, Predictor: pcfg}
+	srvA := newTestServer(t, cfg)
+	clA := dialT(t, srvA)
+	if _, _, err := clA.Open(session); err != nil {
+		t.Fatal(err)
 	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Errorf("refused server left %d entries in the checkpoint dir", len(ents))
+	cur := s.Cursor()
+	sent := feedBatches(t, clA, session, cur, batch, int(s.Len())/batch/2)
+	deadline := time.Now().Add(5 * time.Second)
+	for srvA.metrics.ckptWritten.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
-	srv := newTestServer(t, Config{Shards: 1, CheckpointDir: dir, Shadows: []string{"unbounded"}})
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Errorf("Shutdown with an unbounded shadow: %v", err)
+	if srvA.metrics.ckptWritten.Load() == 0 {
+		t.Fatal("no periodic checkpoint of the unbounded session")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srvA.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	srvB := newTestServer(t, cfg)
+	if got := srvB.metrics.restored.Load(); got != 1 {
+		t.Fatalf("warm restart restored %d sessions, want 1", got)
+	}
+	clB := dialT(t, srvB)
+	if _, lastSeq, err := clB.Open(session); err != nil || lastSeq != uint64(sent*batch) {
+		t.Fatalf("Open after restart: lastSeq %d, err %v; want %d", lastSeq, err, sent*batch)
+	}
+	feedBatches(t, clB, session, cur, batch, -1)
+	st, err := clB.Stats(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Session.Equal(want) {
+		t.Errorf("restarted session stats %+v, want %+v", st.Session, want)
 	}
 }

@@ -208,9 +208,8 @@ func (c *Client) UpdateBatchSeq(session, start uint64, traces []trace.Trace) (sk
 // table slots; otherwise it answers with a full frame, which replaces
 // h once it decodes. The answer is taken whole or not at all: on any
 // error h is left as it was, though the server may have trained the
-// batch (a resend over the same range trains nothing twice). A server
-// whose backend cannot snapshot refuses the batch with ErrBadRequest,
-// untrained.
+// batch (a resend over the same range trains nothing twice). A session
+// whose state does not encode answers ErrBadRequest, the batch trained.
 func (c *Client) UpdateBatchSnapshot(session, start uint64, traces []trace.Trace, gen uint64, h *snapshot.Held) (skipped, applied, correct uint32, next uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -118,18 +118,15 @@ func TestSnapshotMovesSessionBetweenServers(t *testing.T) {
 }
 
 // TestSnapshotRoundTripAllBackends drives the wire-level
-// Save → Snapshot → Restore cycle for every snapshottable backend in
-// the registry: half the stream on server A, snapshot, restore onto a
-// server with a different shard count, the other half on B, and the
+// Save → Snapshot → Restore cycle for every backend in the registry:
+// half the stream on server A, snapshot, restore onto a server with a
+// different shard count, the other half on B, and the
 // final stats must be bit-identical to an uninterrupted in-process
 // replay under the same backend. A newly registered backend fails the
 // test until it gets a config entry here.
 func TestSnapshotRoundTripAllBackends(t *testing.T) {
 	s := captureTestStream(t)
 	for _, b := range predictor.Backends() {
-		if !b.Snapshottable() {
-			continue
-		}
 		cfg, ok := snapshotConfigs[b.Name]
 		if !ok {
 			t.Errorf("no round-trip config for newly registered backend %q — add one", b.Name)

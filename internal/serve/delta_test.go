@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -25,24 +24,23 @@ type heldFrame struct {
 // frame the client holds, merged from deltas and checksummed on read,
 // must be byte-identical to a full Client.Snapshot of the same session
 // taken straight from the server, and the session must end
-// bit-identical to an in-process replay. Every paper backend answers
-// with deltas; TAGE has no delta hooks and must fall back to full
-// frames and recover just as exactly.
+// bit-identical to an in-process replay. Every backend answers with
+// deltas; an unbounded session's grows answer full frames between them.
 func TestRetryClientDeltaFramesMatchFullSnapshots(t *testing.T) {
 	s := captureTestStream(t)
 	faultPlan := &faults.Config{Seed: 5, Table: 0.02, Secondary: 0.02, History: 0.01, Bits: 2}
 	cases := []struct {
-		name   string
-		pcfg   predictor.Config
-		fcfg   *faults.Config
-		deltas bool
+		name string
+		pcfg predictor.Config
+		fcfg *faults.Config
 	}{
-		{"hybrid", predictor.Config{Backend: "hybrid", Depth: 5, IndexBits: 12}, nil, true},
-		{"hybrid+rhs", predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}, nil, true},
-		{"costreduced", predictor.Config{Backend: "costreduced", Depth: 7, IndexBits: 12, UseRHS: true}, nil, true},
-		{"basic", predictor.Config{Backend: "basic", Depth: 5, IndexBits: 12}, nil, true},
-		{"hybrid+faults", predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}, faultPlan, true},
-		{"tage", predictor.Config{Backend: "tage", Depth: 7, IndexBits: 12}, nil, false},
+		{"hybrid", predictor.Config{Backend: "hybrid", Depth: 5, IndexBits: 12}, nil},
+		{"hybrid+rhs", predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}, nil},
+		{"costreduced", predictor.Config{Backend: "costreduced", Depth: 7, IndexBits: 12, UseRHS: true}, nil},
+		{"basic", predictor.Config{Backend: "basic", Depth: 5, IndexBits: 12}, nil},
+		{"hybrid+faults", predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true}, faultPlan},
+		{"tage", predictor.Config{Backend: "tage", Depth: 7, IndexBits: 12}, nil},
+		{"unbounded", predictor.Config{Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true}, nil},
 	}
 	for _, tc := range cases {
 		for _, f := range []struct {
@@ -111,11 +109,8 @@ func TestRetryClientDeltaFramesMatchFullSnapshots(t *testing.T) {
 				for _, sh := range srv.shards {
 					deltas += sh.metrics.deltaSnaps.Load()
 				}
-				if tc.deltas && deltas < 10 {
+				if deltas < 10 {
 					t.Errorf("%d delta snapshots served, want most of them", deltas)
-				}
-				if !tc.deltas && deltas != 0 {
-					t.Errorf("%d delta snapshots served for a backend without delta hooks", deltas)
 				}
 			})
 		}
@@ -177,49 +172,124 @@ func TestSnapshotTokenFallsBackToFullFrame(t *testing.T) {
 	track(&a, true)
 }
 
-// TestTrackedBatchRefusedWithoutSnapshots: a tracked batch on a backend
-// that cannot snapshot is refused with ErrBadRequest before it trains,
-// so the session's stats do not move, while the same batch untracked
-// trains.
-func TestTrackedBatchRefusedWithoutSnapshots(t *testing.T) {
-	cfg := predictor.Config{Backend: "unbounded", Depth: 3}
-	if b, err := predictor.ResolveBackend(cfg); err != nil || b.Snapshottable() {
-		t.Fatalf("backend %q: err %v, snapshottable %v; want a backend without snapshots", cfg.Backend, err, b.Snapshottable())
-	}
+// TestUnboundedGrowShipsFullFrame: an unbounded table's grow moves
+// every key it holds, so the tracked ack after a grow is a full frame,
+// and the ack after that is a delta again. Every frame the client holds
+// is the session's full snapshot byte for byte.
+func TestUnboundedGrowShipsFullFrame(t *testing.T) {
+	traces := streamTraces(t)
+	cfg := predictor.Config{Backend: "unbounded", Depth: 7} // one table, whose size follows TableEntries
 	srv := newTestServer(t, Config{Shards: 1, Predictor: cfg})
 	cl := dialT(t, srv)
-	const session = 3
+	const session = 8
 	if _, _, err := cl.Open(session); err != nil {
 		t.Fatal(err)
 	}
-	batch := streamTraces(t)[:64]
-	var h snapshot.Held
-	if _, _, _, _, err := cl.UpdateBatchSnapshot(session, 1, batch, 0, &h); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("tracked batch: err = %v, want ErrBadRequest", err)
+	ref := predictor.MustNew(cfg).(*predictor.Unbounded)
+	deltas := func() uint64 { return srv.shards[0].metrics.deltaSnaps.Load() }
+	var h heldFrame
+	var seq uint64
+	grows := 0
+	for i := 0; i+16 <= len(traces) && grows < 3; i += 16 {
+		before, entries := deltas(), ref.TableEntries()
+		batch := traces[i : i+16]
+		predictor.UpdateBatch(ref, batch)
+		grew := ubSlots(entries) != ubSlots(ref.TableEntries())
+		_, _, _, gen, err := cl.UpdateBatchSnapshot(session, seq+1, batch, h.gen, &h.Held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq += uint64(len(batch))
+		first := h.gen == 0
+		h.gen = gen
+		if got, want := deltas() > before, !first && !grew; got != want {
+			t.Fatalf("batch at %d (entries %d → %d): delta answer = %v, want %v", i, entries, ref.TableEntries(), got, want)
+		}
+		if grew {
+			grows++
+		}
+		want, err := cl.Snapshot(session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(h.Frame(), want) {
+			t.Fatalf("batch at %d: held frame differs from the full snapshot", i)
+		}
 	}
-	if h.Len() != 0 {
-		t.Error("a refused batch filled the held frame")
+	if grows < 3 {
+		t.Fatalf("%d grows in the stream, want 3", grows)
 	}
-	st, err := cl.Stats(session)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestTrackedAcksAreDeltasEveryBackend: whatever the backend, a
+// RetryClient at SnapshotEvery 1 takes one full frame with Open and a
+// delta with every ack after it, as TestWarmOpenShipsOneFullFrame
+// counts them for the default backend. The unbounded session's window
+// holds no grow, which the reference replay confirms.
+func TestTrackedAcksAreDeltasEveryBackend(t *testing.T) {
+	traces := streamTraces(t)
+	for _, pcfg := range []predictor.Config{
+		{Backend: "tage", Depth: 7, IndexBits: 12},
+		{Backend: "unbounded", Depth: 7},
+	} {
+		t.Run(pcfg.Backend, func(t *testing.T) {
+			srv := newTestServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 1, Predictor: pcfg})
+			cl := dialT(t, srv)
+			const session, warm, acks, batch = 6, 512, 4, 16
+			if _, _, err := cl.Open(session); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := cl.UpdateBatch(session, traces[:warm]); err != nil {
+				t.Fatal(err)
+			}
+			if u, ok := predictor.MustNew(pcfg).(*predictor.Unbounded); ok {
+				predictor.UpdateBatch(u, traces[:warm])
+				n := u.TableEntries()
+				predictor.UpdateBatch(u, traces[warm:warm+acks*batch])
+				if ubSlots(n) != ubSlots(u.TableEntries()) {
+					t.Fatalf("the window grows the table (%d → %d keys)", n, u.TableEntries())
+				}
+			}
+			rc, err := NewRetryClient(RetryConfig{Addrs: []string{srv.Addr().String()}, SnapshotEvery: 1, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			if _, _, err := rc.Open(session); err != nil {
+				t.Fatal(err)
+			}
+			for i := range acks {
+				at := warm + i*batch
+				if _, _, _, err := rc.UpdateBatch(session, traces[at:at+batch]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			body := scrape(t, srv)
+			if got := metricValue(t, body, `ntpd_snapshot_ops_total{shard="0"}`); got != 1+acks {
+				t.Errorf("snapshot ops = %v, want %d", got, 1+acks)
+			}
+			if got := metricValue(t, body, `ntpd_snapshot_delta_ops_total{shard="0"}`); got != acks {
+				t.Errorf("delta snapshot ops = %v, want %d", got, acks)
+			}
+			want, err := cl.Snapshot(session)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rc.sessions[session].snap.Frame(), want) {
+				t.Error("held frame differs from the session's full snapshot")
+			}
+		})
 	}
-	if st.Session != (predictor.Stats{}) {
-		t.Fatalf("stats after a refused tracked batch %+v, want none", st.Session)
+}
+
+// ubSlots is the size of an unbounded table holding n keys: it starts
+// at 64 slots and doubles whenever an insert passes half full.
+func ubSlots(n int) int {
+	s := 64
+	for 2*n > s {
+		s *= 2
 	}
-	if _, applied, _, err := cl.UpdateBatchSeq(session, 1, batch); err != nil || applied != uint32(len(batch)) {
-		t.Fatalf("untracked batch: applied %d, err %v", applied, err)
-	}
-	// A RetryClient that must hold a frame of the session cannot, so
-	// its Open fails rather than run without recovery.
-	rc, err := NewRetryClient(RetryConfig{Addrs: []string{srv.Addr().String()}, SnapshotEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if _, _, err := rc.Open(session); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("RetryClient.Open at SnapshotEvery 1: err = %v, want ErrBadRequest", err)
-	}
+	return s
 }
 
 // TestWarmOpenShipsOneFullFrame: a RetryClient at SnapshotEvery 1 that

@@ -86,17 +86,17 @@
 // written under the same shard lock right after the batch, goes on
 // with a new token for the client to hold next and the session's state
 // after the batch. When the token names the session's last answered
-// generation and the backend takes deltas, that state is an
-// internal/snapshot delta envelope: the state's small mutable part plus
-// only the table entries written since, O(the batches between) rather
-// than O(table), which the client merges into its frame
-// (snapshot.Held). Otherwise — the first tracked ack, a lost or torn
-// answer, a restore, a second client tracking the same session, a
-// backend without delta hooks such as TAGE — it is a full frame, and
-// the session starts tracking its writes from it. A refused batch
-// (a sequence gap, an unknown session, throttled, overloaded) trains
-// nothing and carries no state; a tracked batch on a backend that
-// cannot snapshot is refused with StatusBadRequest before it trains.
+// generation, that state is an internal/snapshot delta envelope: the
+// state's small mutable part plus only the table entries written
+// since, O(the batches between) rather than O(table), which the client
+// merges into its frame (snapshot.Held). Otherwise — the first tracked
+// ack, a lost or torn answer, a restore, a second client tracking the
+// same session, an unbounded table that grew since — it is a full
+// frame, and the session starts tracking its writes from it. A refused
+// batch (a sequence gap, an unknown session, throttled, overloaded)
+// trains nothing and carries no state; a batch whose state does not
+// encode (an unbounded session past snapshot.MaxEncoded) trains and is
+// answered StatusBadRequest.
 // OpPredictBatch takes no token. OpSnapshot always gets a bare full
 // frame and leaves that tracking alone; so do checkpoints and drain
 // spills.

@@ -39,7 +39,7 @@ func batchPayload(op uint8, seq uint64, traces []trace.Trace) []byte {
 // input is a connection's byte stream, length-prefixed frames as on the
 // wire; every frame parseRequest accepts as a batch op runs through
 // shard.process against one session, whatever session it names, on
-// every snapshottable backend, with and without a fault plan. Then the
+// every registered backend, with and without a fault plan. Then the
 // session's snapshot must restore, and the restored session must save
 // byte for byte the same frame.
 func FuzzServedSessionRestorable(f *testing.F) {
@@ -48,6 +48,7 @@ func FuzzServedSessionRestorable(f *testing.F) {
 		"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 8, SecondaryBits: 6, UseRHS: true},
 		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 8, SecondaryBits: 6, UseRHS: true},
 		"tage":        {Backend: "tage", Depth: 7, IndexBits: 8},
+		"unbounded":   {Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true},
 	}
 	fcfg := faultsConfigForTest()
 	type target struct {
@@ -57,12 +58,9 @@ func FuzzServedSessionRestorable(f *testing.F) {
 	}
 	var targets []target
 	for _, b := range predictor.Backends() {
-		if !b.Snapshottable() {
-			continue
-		}
 		cfg, ok := configs[b.Name]
 		if !ok {
-			f.Fatalf("no fuzz config for snapshottable backend %q — add one", b.Name)
+			f.Fatalf("no fuzz config for backend %q — add one", b.Name)
 		}
 		targets = append(targets, target{b, cfg, nil}, target{b, cfg, &fcfg})
 	}

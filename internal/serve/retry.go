@@ -57,13 +57,13 @@ type RetryConfig struct {
 	// by a restart from a stale checkpoint, is re-established from a
 	// snapshot that includes every acked batch, and the stream
 	// continues bit-identically. Open's answer is the one full frame;
-	// every later ack is a delta merged into the held frame, so on the
-	// paper backends an ack costs O(batch) on both sides, not O(table).
-	// At 0 a server that lost a session still gets it re-opened, but
-	// one that comes back behind the acked position fails the next
-	// batch with an error wrapping ErrSeqGap rather than train across
-	// the lost traces. A server whose backend cannot snapshot refuses
-	// the tracked requests with ErrBadRequest.
+	// every later ack is a delta merged into the held frame, so an ack
+	// costs O(batch) on both sides, not O(table) (but for the ack after
+	// an unbounded table's grow, which is a full frame again). At 0 a
+	// server that lost a session still gets it re-opened, but one that
+	// comes back behind the acked position fails the next batch with an
+	// error wrapping ErrSeqGap rather than train across the lost
+	// traces.
 	SnapshotEvery int
 
 	// ClientTag names this client to the server for per-client

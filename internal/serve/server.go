@@ -61,8 +61,10 @@ type Config struct {
 	// <dir>/<sessionID>.ntss (atomic rename, fsync'd), sessions found
 	// there are restored on startup (warm restart), and a drain spills
 	// every live session to this directory. Without it, a drain
-	// discards its sessions. NewServer refuses a dir when the primary
-	// backend cannot snapshot; shadows are never checkpointed.
+	// discards its sessions. Checkpoints hold the primary's state;
+	// shadows are never checkpointed. A session whose frame does not
+	// encode (an unbounded one past snapshot.MaxEncoded) stays dirty,
+	// and a drain counts it lost.
 	CheckpointDir string
 
 	// CheckpointEvery is the periodic checkpoint interval (default 2s).
@@ -152,11 +154,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if _, err := backend.New(cfg.Predictor); err != nil {
 		return nil, fmt.Errorf("serve: backend %q: %w", backend.Name, err)
-	}
-	// Checkpoints hold the primary's state only, so a primary that
-	// cannot snapshot would fail every sweep and every drain spill.
-	if cfg.CheckpointDir != "" && !backend.Snapshottable() {
-		return nil, fmt.Errorf("serve: backend %q cannot snapshot, so it cannot checkpoint to %s", backend.Name, cfg.CheckpointDir)
 	}
 	shadowCfgs := make([]shadowBackend, 0, len(cfg.Shadows))
 	for _, name := range cfg.Shadows {

@@ -309,9 +309,9 @@ func (sh *shard) batch(s *session, req *request, wantPreds bool) shardResp {
 // appendFrame appends one session's snapshot frame to dst: the primary
 // backend's state section stamped with the backend name, written once,
 // straight into dst. Shadows are deliberately not captured — they are
-// measurements, not state the client can lose. A backend without codec
-// hooks fails in snapshot.AppendFrame before any state is written. Runs
-// under the shard lock.
+// measurements, not state the client can lose. A state that does not
+// encode (an unbounded session's frame past snapshot.MaxEncoded) fails
+// with dst as passed. Runs under the shard lock.
 func (sh *shard) appendFrame(dst []byte, s *session) ([]byte, error) {
 	return snapshot.AppendFrame(dst, s.id, s.lastSeq, sh.backend.Name, func(b []byte) ([]byte, error) {
 		return sh.backend.Append(b, s.p)
@@ -339,12 +339,9 @@ func (sh *shard) snapshotSession(s *session, req *request) shardResp {
 
 // trackedBatch runs a tracked OpUpdateBatch: the batch, then, under the
 // same lock, the session's state after it, all written into req.resp as
-// one answer. A backend that cannot snapshot is refused before the
-// batch trains, and so is a batch the session refuses (a sequence gap).
+// one answer. A batch the session refuses (a sequence gap) trains
+// nothing and carries no state.
 func (sh *shard) trackedBatch(s *session, req *request) shardResp {
-	if !sh.backend.Snapshottable() {
-		return shardResp{err: ErrBadRequest}
-	}
 	r := sh.batch(s, req, false)
 	if r.err != nil {
 		return r
@@ -363,8 +360,9 @@ func (sh *shard) trackedBatch(s *session, req *request) shardResp {
 
 // appendTracked appends a tracked snapshot to b: a fresh generation
 // token, then a delta when held, the generation the client holds, is
-// the session's last answered one, else a full frame that restarts the
-// primary's change record.
+// the session's last answered one and the primary still holds its mark
+// (an unbounded table's grow drops it), else a full frame that restarts
+// the primary's change record.
 func (sh *shard) appendTracked(b []byte, s *session, held uint64) ([]byte, error) {
 	if sh.gens++; sh.gens == 0 {
 		sh.gens++
@@ -386,7 +384,7 @@ func (sh *shard) appendTracked(b []byte, s *session, held uint64) ([]byte, error
 		}
 	}
 	s.snapGen = 0
-	if delta || sh.backend.Incremental() && sh.backend.Mark(s.p) == nil {
+	if delta || sh.backend.Mark(s.p) == nil {
 		s.snapGen = gen
 	}
 	sh.countSnapshot(delta, len(b)-at)
@@ -438,8 +436,8 @@ func (sh *shard) restore(req *request) shardResp {
 // restart).
 func (sh *shard) installSnapshot(sess *snapshot.Session) error {
 	b, ok := predictor.BackendByName(sess.Backend)
-	if !ok || !b.Snapshottable() {
-		return fmt.Errorf("serve: snapshot backend %q not restorable", sess.Backend)
+	if !ok {
+		return fmt.Errorf("serve: snapshot backend %q not registered", sess.Backend)
 	}
 	if b.Family != sh.backend.Family {
 		return fmt.Errorf("serve: snapshot backend %q (family %q) incompatible with server backend %q (family %q)",

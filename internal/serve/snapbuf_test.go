@@ -22,13 +22,13 @@ import (
 // frame is sent, and a snapshot-per-ack client must allocate well
 // under one frame per batch.
 
-// snapshotConfigs maps each snapshottable backend to a small serving
-// config.
+// snapshotConfigs maps each backend to a small serving config.
 var snapshotConfigs = map[string]predictor.Config{
 	"basic":       {Backend: "basic", Depth: 5, IndexBits: 12},
 	"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true},
 	"costreduced": {Backend: "costreduced", Depth: 7, IndexBits: 12, UseRHS: true},
 	"tage":        {Backend: "tage", Depth: 7, IndexBits: 12},
+	"unbounded":   {Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true},
 }
 
 // refFrame is the frame snapshot.Encode makes of an in-process
@@ -46,19 +46,16 @@ func refFrame(t testing.TB, b predictor.Backend, id, lastSeq uint64, p predictor
 	return frame
 }
 
-// TestServedSnapshotEqualsEncode: for every snapshottable backend, the
+// TestServedSnapshotEqualsEncode: for every backend, the
 // frame a live server returns for OpSnapshot — fresh, then after each
 // batch — is byte for byte the frame snapshot.Encode makes of an
 // in-process predictor fed the same traces.
 func TestServedSnapshotEqualsEncode(t *testing.T) {
 	s := captureTestStream(t)
 	for _, b := range predictor.Backends() {
-		if !b.Snapshottable() {
-			continue
-		}
 		cfg, ok := snapshotConfigs[b.Name]
 		if !ok {
-			t.Errorf("no config for snapshottable backend %q — add one", b.Name)
+			t.Errorf("no config for backend %q — add one", b.Name)
 			continue
 		}
 		t.Run(b.Name, func(t *testing.T) {

@@ -110,8 +110,8 @@ func (h *Held) Apply(delta []byte) error {
 		return fmt.Errorf("%w: delta backend %q, frame holds %q", ErrCorrupt, d.tag, held.tag)
 	}
 	b, ok := predictor.BackendByName(string(d.tag))
-	if !ok || !b.Incremental() {
-		return fmt.Errorf("%w: backend %q takes no deltas", ErrCorrupt, d.tag)
+	if !ok {
+		return fmt.Errorf("%w: backend %q is not registered", ErrCorrupt, d.tag)
 	}
 
 	// Two header splices (the cursor and the state length), then the

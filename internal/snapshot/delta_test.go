@@ -63,29 +63,95 @@ func (fx *deltaFixture) delta(t testing.TB) []byte {
 
 // TestHeldTracksFullFrame: a Held frame fed one delta after every step
 // equals, checksum included, the full frame of the same state — for
-// every incremental backend, from a cold table to a warm one.
+// every backend, from a cold table to a warm one. Where a grow drops
+// the mark (unbounded), the holder takes a full frame, as a served
+// client does, and deltas resume after it.
 func TestHeldTracksFullFrame(t *testing.T) {
 	for name, cfg := range codecConfigs() {
-		b, _ := predictor.ResolveBackend(cfg)
-		if !b.Incremental() {
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			fx, frame := newDeltaFixture(t, cfg, 0)
 			var h Held
 			h.Set(frame)
 			rng := rand.New(rand.NewSource(2))
+			merged := 0
 			for step := 0; step < 40; step++ {
 				fx.run(stream(int64(10+step), rng.Intn(200)))
-				if err := h.Apply(fx.delta(t)); err != nil {
+				d, err := AppendDelta(nil, fx.id, fx.lastSeq, fx.b.Name, func(b []byte) ([]byte, error) { return fx.b.AppendDelta(b, fx.p) })
+				if errors.Is(err, predictor.ErrNoMark) {
+					h.Set(fx.full(t))
+					if err := fx.b.Mark(fx.p); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.Apply(d); err != nil {
 					t.Fatalf("step %d: Apply: %v", step, err)
 				}
+				merged++
 				if !bytes.Equal(h.Frame(), fx.full(t)) {
 					t.Fatalf("step %d: held frame differs from the full frame", step)
 				}
 			}
+			if merged < 30 {
+				t.Errorf("%d of 40 steps merged a delta", merged)
+			}
 		})
 	}
+}
+
+// TestApplyRefusesOtherTableSizes: an unbounded delta repeats its
+// state's whole head, table sizes included, so one that claims sizes
+// other than the held frame's is refused, and the frame stays as it
+// was byte for byte.
+func TestApplyRefusesOtherTableSizes(t *testing.T) {
+	fx, frame := newUnboundedFixture(t)
+	fx.run(stream(7, 100))
+	good := fx.delta(t)
+	for tbl := range 2 { // the correlated and secondary tables
+		bad := resized(good, tbl)
+		var h Held
+		h.Set(frame)
+		if err := h.Apply(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("table %d: Apply = %v, want ErrCorrupt", tbl, err)
+		}
+		if !bytes.Equal(h.Frame(), frame) {
+			t.Errorf("table %d: a refused delta changed the held frame", tbl)
+		}
+	}
+	var h Held
+	h.Set(frame)
+	if err := h.Apply(good); err != nil {
+		t.Fatalf("the unaltered delta: %v", err)
+	}
+}
+
+// newUnboundedFixture is a delta fixture of an unbounded predictor
+// that keys every path by its last trace alone, warmed on the traces of
+// streams 7 and 8, which the delta tests replay: its tables already
+// hold every key those meet, so they do not grow and the mark holds.
+func newUnboundedFixture(t testing.TB) (*deltaFixture, []byte) {
+	fx, _ := newDeltaFixture(t, unboundedDeltaConfig, 0)
+	fx.run(stream(7, 100))
+	fx.run(stream(8, 150))
+	frame := fx.full(t)
+	if err := fx.b.Mark(fx.p); err != nil {
+		t.Fatal(err)
+	}
+	return fx, frame
+}
+
+var unboundedDeltaConfig = predictor.Config{Backend: "unbounded", Depth: 0, Hybrid: true, UseRHS: true}
+
+// resized returns a copy of an unbounded delta envelope whose head
+// claims table tbl at twice its size, checksum fixed. The table sizes
+// follow the 18-byte paper head (kind, flags, nine geometry bytes, u16
+// RHS depth, five DOLC bytes).
+func resized(delta []byte, tbl int) []byte {
+	section := headerBytes + sessionHeaderBytes + 1 + len("unbounded") + 4
+	return fixed(delta, func(d []byte) { d[section+18+tbl]++ })
 }
 
 // TestSpliceMatchesReference: the in-place splice equals building the

@@ -13,7 +13,7 @@ import (
 // FuzzSnapshotDecode drives the decoder with arbitrary bytes: it must
 // never panic, never allocate unboundedly, and anything it accepts must
 // re-encode to a frame that decodes to the same session (the decoder
-// and encoder agree on the format). Seeds cover every snapshottable
+// and encoder agree on the format). Seeds cover every registered
 // backend, plus a frame with non-zero reserved header bytes.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(nil))
@@ -84,34 +84,57 @@ func FuzzSnapshotDecode(f *testing.F) {
 // the index that merge built and kept. Apply must never panic and must
 // allocate no more than O(frame + delta); a rejected delta must leave
 // the held frame unchanged byte for byte, and an accepted one must
-// leave a frame that decodes and restores. When the first input byte
-// is odd the envelope checksum is fixed up first, so mutations reach
-// the envelope fields and the backend's merge instead of stopping at
-// the checksum.
+// leave a frame that decodes and restores. The first input byte's
+// upper bits pick the held frame's backend (hybrid, tage, unbounded);
+// when it is odd the envelope checksum is fixed up first, so mutations
+// reach the envelope fields and the backend's merge instead of
+// stopping at the checksum.
 func FuzzSnapshotDelta(f *testing.F) {
-	cfg := predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true}
-	fx, frame := newDeltaFixture(f, cfg, 400)
-	fx.run(stream(7, 100))
-	first := fx.delta(f)
-	fx.run(stream(8, 150))
-	delta := fx.delta(f)
-	for _, seed := range [][]byte{delta, faults.FlipBits(delta, 2, 3), faults.Truncate(delta, 2), fx.delta(f), nil} {
-		f.Add(append([]byte{0}, seed...))
-		f.Add(append([]byte{1}, seed...))
+	type target struct {
+		cfg          predictor.Config
+		frame, first []byte
+	}
+	var targets []target
+	for i, cfg := range []predictor.Config{
+		{Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true},
+		{Backend: "tage", Depth: 7, IndexBits: 10},
+		unboundedDeltaConfig,
+	} {
+		fx, frame := newDeltaFixture(f, cfg, 400)
+		if cfg.Backend == "unbounded" {
+			fx, frame = newUnboundedFixture(f)
+		}
+		fx.run(stream(7, 100))
+		first := fx.delta(f)
+		targets = append(targets, target{cfg, frame, first})
+		fx.run(stream(8, 150))
+		delta := fx.delta(f)
+		seeds := [][]byte{delta}
+		if i == 0 {
+			seeds = append(seeds, faults.FlipBits(delta, 2, 3), faults.Truncate(delta, 2), fx.delta(f), nil)
+		}
+		if cfg.Backend == "unbounded" {
+			seeds = append(seeds, resized(delta, 0), resized(delta, 1))
+		}
+		for _, seed := range seeds {
+			f.Add(append([]byte{byte(2 * i)}, seed...))
+			f.Add(append([]byte{byte(2*i + 1)}, seed...))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return
 		}
+		tg := targets[int(in[0]>>1)%len(targets)]
 		d := in[1:]
 		if in[0]&1 != 0 && len(d) >= checksumBytes {
 			d = bytes.Clone(d)
 			fixCRC(d)
 		}
 		var h Held
-		h.Set(frame)
-		if err := h.Apply(first); err != nil {
+		h.Set(tg.frame)
+		if err := h.Apply(tg.first); err != nil {
 			t.Fatalf("first delta: %v", err)
 		}
 		before := bytes.Clone(h.Frame())
@@ -119,8 +142,8 @@ func FuzzSnapshotDelta(f *testing.F) {
 		runtime.ReadMemStats(&m0)
 		err := h.Apply(d)
 		runtime.ReadMemStats(&m1)
-		if n, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(4*(len(frame)+len(d))+64<<10); n > limit {
-			t.Fatalf("Apply allocated %d bytes for a %d-byte frame and a %d-byte delta", n, len(frame), len(d))
+		if n, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(4*(len(tg.frame)+len(d))+64<<10); n > limit {
+			t.Fatalf("Apply allocated %d bytes for a %d-byte frame and a %d-byte delta", n, len(tg.frame), len(d))
 		}
 		if err != nil {
 			if !bytes.Equal(h.buf[h.off:], before) || !h.sealed {
@@ -133,7 +156,7 @@ func FuzzSnapshotDelta(f *testing.F) {
 			t.Fatalf("accepted delta left an undecodable frame: %v", err)
 		}
 		b, _ := predictor.BackendByName(s.Backend)
-		if _, err := b.Restore(s.State, cfg); err != nil {
+		if _, err := b.Restore(s.State, tg.cfg); err != nil {
 			t.Fatalf("accepted delta left an unrestorable state: %v", err)
 		}
 	})

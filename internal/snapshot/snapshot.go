@@ -13,7 +13,7 @@
 //
 // The version-2 payload is backend-tagged: the session header is
 // followed by the predictor backend's registered name and an opaque
-// per-backend state section whose layout the backend's own codec
+// per-backend state section whose layout the backend's codec
 // (predictor.Backend.Append/Restore) defines. The snapshot package owns
 // the envelope — framing, checksum, session bookkeeping, backend tag —
 // and backends own their state bytes, so a new predictor backend needs
@@ -131,8 +131,8 @@ func Encode(s *Session) ([]byte, error) {
 // applies Encode's checks, and on any error returns dst with nothing
 // appended.
 func AppendFrame(dst []byte, id, lastSeq uint64, backend string, state func([]byte) ([]byte, error)) ([]byte, error) {
-	if b, ok := predictor.BackendByName(backend); !ok || !b.Snapshottable() {
-		return dst, fmt.Errorf("snapshot: session %#x: backend %q is not a registered snapshottable backend", id, backend)
+	if _, ok := predictor.BackendByName(backend); !ok {
+		return dst, fmt.Errorf("snapshot: session %#x: backend %q is not registered", id, backend)
 	}
 	return appendEnvelope(dst, magic, Version, id, lastSeq, backend, state)
 }
@@ -181,8 +181,8 @@ func Decode(b []byte) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{ID: env.id, LastSeq: env.lastSeq, Backend: string(env.tag)}
-	if b, ok := predictor.BackendByName(s.Backend); !ok || !b.Snapshottable() {
-		return nil, fmt.Errorf("%w: backend tag %q is not a registered snapshottable backend", ErrCorrupt, s.Backend)
+	if _, ok := predictor.BackendByName(s.Backend); !ok {
+		return nil, fmt.Errorf("%w: backend tag %q is not registered", ErrCorrupt, s.Backend)
 	}
 	s.State = append([]byte(nil), env.section...)
 	return s, nil

@@ -29,7 +29,7 @@ func stream(seed int64, n int) []*trace.Trace {
 	return out
 }
 
-// codecConfigs maps each snapshottable backend to a round-trip config
+// codecConfigs maps each registered backend to a round-trip config
 // (keyed by backend name; "faulty" exercises the paper codec's fault
 // block through the hybrid backend).
 func codecConfigs() map[string]predictor.Config {
@@ -38,6 +38,7 @@ func codecConfigs() map[string]predictor.Config {
 		"hybrid":      {Backend: "hybrid", Depth: 7, IndexBits: 12, UseRHS: true},
 		"costreduced": {Backend: "costreduced", Depth: 5, IndexBits: 10, UseRHS: true},
 		"tage":        {Backend: "tage", Depth: 7, IndexBits: 10},
+		"unbounded":   {Backend: "unbounded", Depth: 7, Hybrid: true, UseRHS: true},
 		"faulty": {Backend: "hybrid", Depth: 7, IndexBits: 10, UseRHS: true,
 			Faults: faults.New(faults.Config{Seed: 9, Table: 0.02, History: 0.02, Bits: 2})},
 	}
@@ -73,16 +74,13 @@ func warmSession(t *testing.T, cfg predictor.Config, rounds int) (*Session, pred
 }
 
 // TestEncodeDecodeRoundTripAllBackends runs the full
-// Save → Snapshot → Restore round trip for every snapshottable backend
+// Save → Snapshot → Restore round trip for every registered backend
 // in the registry: the frame must decode to an identical session, and
 // the restored predictor must resume bit-identically with the
 // original. New backends fail the test until they get a config entry.
 func TestEncodeDecodeRoundTripAllBackends(t *testing.T) {
 	configs := codecConfigs()
 	for _, b := range predictor.Backends() {
-		if !b.Snapshottable() {
-			continue
-		}
 		cfg, ok := configs[b.Name]
 		if !ok {
 			t.Errorf("no codec config for newly registered backend %q — add one", b.Name)
@@ -273,11 +271,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 	}
 }
 
-// A frame tagged with a registered but non-snapshottable backend is as
-// unrestorable as an unknown one; both Encode and Decode refuse it.
-func TestRejectsNonSnapshottableBackendTag(t *testing.T) {
-	if _, err := Encode(&Session{ID: 1, Backend: "unbounded", State: []byte{1}}); err == nil {
-		t.Error("Encode accepted a non-snapshottable backend")
+// A frame tagged with an unregistered backend is unrestorable: both
+// Encode and Decode refuse it.
+func TestRejectsUnregisteredBackendTag(t *testing.T) {
+	if _, err := Encode(&Session{ID: 1, Backend: "nope", State: []byte{1}}); err == nil {
+		t.Error("Encode accepted an unregistered backend")
 	}
 	// Hand-build the frame Encode refused to make.
 	b := append([]byte(nil), 'N', 'T', 'S', 'S', Version)
@@ -286,8 +284,8 @@ func TestRejectsNonSnapshottableBackendTag(t *testing.T) {
 	b = le.AppendUint64(b, 0)
 	b = le.AppendUint32(b, 0)
 	b = le.AppendUint32(b, 0)
-	b = append(b, uint8(len("unbounded")))
-	b = append(b, "unbounded"...)
+	b = append(b, uint8(len("nope")))
+	b = append(b, "nope"...)
 	b = le.AppendUint32(b, 1)
 	b = append(b, 0xAA)
 	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
@@ -330,7 +328,7 @@ func TestEncodeRejectsInvalidSessions(t *testing.T) {
 
 // TestAppendFrameMatchesEncodeAfterPrefix: AppendFrame writes the same
 // bytes as Encode, after a caller's prefix it leaves untouched, for
-// every snapshottable backend — the serving layer appends frames after
+// every backend — the serving layer appends frames after
 // a response header.
 func TestAppendFrameMatchesEncodeAfterPrefix(t *testing.T) {
 	for name, cfg := range codecConfigs() {
@@ -379,7 +377,6 @@ func TestAppendFrameErrorsLeaveDst(t *testing.T) {
 		{"empty tag", "", state(1)},
 		{"long tag", string(bytes.Repeat([]byte{'x'}, 256)), state(1)},
 		{"unregistered backend", "nope", state(1)},
-		{"not snapshottable", "unbounded", state(1)},
 		{"empty state", "hybrid", state(0)},
 		{"state error", "hybrid", func(b []byte) ([]byte, error) {
 			return append(b, 1, 2, 3), predictor.ErrBadState
