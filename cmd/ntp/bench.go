@@ -25,6 +25,8 @@ type benchRecord struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Windows     int     `json:"windows,omitempty"`
 	Estimator   string  `json:"estimator,omitempty"`
+
+	mallocs uint64 // heap allocations in the timed run, unrounded; not recorded
 }
 
 // benchFile is the full JSON document, with enough provenance to make
@@ -112,8 +114,8 @@ func runBench(ids []string, opt pathtrace.ExperimentOptions, outPath string) int
 // allocation-free, so it can be gated across runs on one kind of
 // host. Its ns/trace is the 1st percentile of benchWindows (1000)
 // windows of about 2 ms each (see benchPredictBatch), which a loaded
-// host disturbs least; any allocation in the run fails the gate
-// regardless of timing. Exit 1 = regression, exit 2 = unusable
+// host disturbs least; an allocation in every round's timed run fails
+// the gate regardless of timing (diffRounds). Exit 1 = regression, exit 2 = unusable
 // baseline (including one without a predict-batch record).
 func runBenchDiff(path string, limit uint64) int {
 	data, err := os.ReadFile(path)
@@ -144,29 +146,14 @@ func runBenchDiff(path string, limit uint64) int {
 		}
 	}
 
-	// A round within the bound passes. One over it is measured again,
-	// up to three rounds, and the fastest counts: neighbours on a
-	// shared host can slow every window of a round, but a regression
-	// slows all three.
-	var rec benchRecord
-	var delta float64
-	for round := 1; round <= 3; round++ {
-		r, err := benchPredictBatch(limit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ntp: benchdiff: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "ntp: benchdiff round %d: %.1f ns/op %d allocs/op\n", round, r.NsPerOp, r.AllocsPerOp)
-		if r.AllocsPerOp != 0 {
-			fmt.Printf("FAIL: %s allocates in its timed run (%d allocs/op rounded up, want 0)\n", name, r.AllocsPerOp)
-			return 1
-		}
-		if round == 1 || r.NsPerOp < rec.NsPerOp {
-			rec = r
-		}
-		if delta = 100 * (rec.NsPerOp - old.NsPerOp) / old.NsPerOp; delta <= benchMaxRegress {
-			break
-		}
+	rec, delta, allocated, err := diffRounds(old.NsPerOp, func() (benchRecord, error) { return benchPredictBatch(limit) })
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ntp: benchdiff: %v\n", err)
+		return 2
+	}
+	if allocated {
+		fmt.Printf("FAIL: %s allocates in its timed run in every round (want 0 allocs)\n", name)
+		return 1
 	}
 	if old.Estimator != rec.Estimator {
 		fmt.Fprintf(os.Stderr, "ntp: benchdiff: warning: baseline estimator %q, measuring %q; the two are not comparable\n",
@@ -180,6 +167,34 @@ func runBenchDiff(path string, limit uint64) int {
 	}
 	fmt.Println("OK")
 	return 0
+}
+
+// diffRounds measures rounds of the gated benchmark, at most
+// benchRounds, until one allocated nothing and the fastest so far is
+// within benchMaxRegress of base ns/op, printing each round's time and
+// heap allocations. A slow round is measured again, and the fastest
+// counts: neighbours on a shared host can slow every window of a round,
+// but a regression slows all of them. An allocating round is measured
+// again too, since the runtime may allocate once in a timed run on its
+// own, but a loop that allocates does so in every round: allocated
+// reports that every round did.
+func diffRounds(base float64, measure func() (benchRecord, error)) (rec benchRecord, delta float64, allocated bool, err error) {
+	allocated = true
+	for round := 1; round <= benchRounds; round++ {
+		r, err := measure()
+		if err != nil {
+			return rec, 0, false, err
+		}
+		fmt.Fprintf(os.Stderr, "ntp: benchdiff round %d: %.1f ns/op, %d heap allocations\n", round, r.NsPerOp, r.mallocs)
+		allocated = allocated && r.mallocs != 0
+		if round == 1 || r.NsPerOp < rec.NsPerOp {
+			rec = r
+		}
+		if delta = 100 * (rec.NsPerOp - base) / base; delta <= benchMaxRegress && !allocated {
+			break
+		}
+	}
+	return rec, delta, allocated, nil
 }
 
 // The predict-batch estimator: the 1st-percentile ns/trace of
@@ -197,6 +212,8 @@ const (
 	// benchMaxRegress is the largest ns/trace regression, in percent,
 	// that -benchdiff tolerates.
 	benchMaxRegress = 15.0
+	// benchRounds is the most rounds -benchdiff measures.
+	benchRounds = 3
 )
 
 // benchPredictBatch measures the batched predict+update hot path at the
@@ -252,9 +269,13 @@ func benchPredictBatch(limit uint64) (benchRecord, error) {
 	}
 	// Some of what the loop's first calls fill in lazily is filled on a
 	// random call: the runtime caches an interface type assertion's
-	// result on about one miss in a thousand. So warm it for ~50
-	// windows before the counted run.
-	run(50 * per)
+	// result on one miss in 1024, and building the cache allocates
+	// (runtime.buildTypeAssertCache, from PredictBatch's assertion).
+	// So warm it for ~50 windows, and at least 2^14 batches, before the
+	// counted run: on a loaded host a window holds few batches, and ~50
+	// windows alone could end before the cache was built, which then
+	// allocated inside the count.
+	run(max(50*per, 1<<14))
 
 	// One P while counting: reading the counters stops and restarts the
 	// world, and a restart that wakes an idle P can start a thread,
@@ -279,5 +300,6 @@ func benchPredictBatch(limit uint64) (benchRecord, error) {
 		BytesPerOp:  ceilDiv(int64(m1.TotalAlloc-m0.TotalAlloc), traced),
 		Windows:     benchWindows,
 		Estimator:   benchEstimator,
+		mallocs:     m1.Mallocs - m0.Mallocs,
 	}, nil
 }

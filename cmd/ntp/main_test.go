@@ -224,3 +224,40 @@ func TestHangWorkloadAcceptedByValidation(t *testing.T) {
 		t.Errorf("stderr missing the experiment error:\n%s", stderr)
 	}
 }
+
+// diffRounds' verdict on scripted rounds: a slow round or one that
+// allocates is measured again, up to three rounds; the fastest round's
+// time is gated, and allocation fails only when every round allocated.
+func TestDiffRoundsVerdict(t *testing.T) {
+	const base = 100.0
+	fast, slow := benchRecord{NsPerOp: 101}, benchRecord{NsPerOp: 130}
+	alloc := func(r benchRecord) benchRecord { r.mallocs = 1; return r }
+	for _, c := range []struct {
+		name      string
+		rounds    []benchRecord
+		measured  int
+		allocated bool
+		pass      bool
+	}{
+		{"fast", []benchRecord{fast}, 1, false, true},
+		{"slow then fast", []benchRecord{slow, fast}, 2, false, true},
+		{"always slow", []benchRecord{slow, slow, slow}, 3, false, false},
+		{"one stray allocation", []benchRecord{alloc(fast), fast}, 2, false, true},
+		{"allocates, then slow", []benchRecord{alloc(fast), slow}, 2, false, true},
+		{"allocates every round", []benchRecord{alloc(fast), alloc(fast), alloc(fast)}, 3, true, false},
+	} {
+		measured := 0
+		rec, delta, allocated, err := diffRounds(base, func() (benchRecord, error) {
+			measured++
+			return c.rounds[measured-1], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := !allocated && delta <= benchMaxRegress
+		if measured != c.measured || allocated != c.allocated || pass != c.pass {
+			t.Errorf("%s: measured %d rounds, allocated %v, pass %v (fastest %.0f ns); want %d, %v, %v",
+				c.name, measured, allocated, pass, rec.NsPerOp, c.measured, c.allocated, c.pass)
+		}
+	}
+}

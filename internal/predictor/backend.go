@@ -20,7 +20,7 @@ import (
 // Backend describes one registered predictor variant. Its methods are
 // the state codec: Append/Save and Restore carry a predictor's whole
 // state section, and Mark, AppendDelta and MergeDelta (delta.go) keep a
-// holder of a section current from the entries written since it was
+// holder of a section current from the entries changed since it was
 // taken, instead of the whole state again.
 type Backend struct {
 	// Name is the registry key ("hybrid", "tage", ...), the value of

@@ -76,17 +76,49 @@ type table struct {
 	size     int // record bytes
 	width    [nFields]uint8
 	limit    [nFields]uint64
+	// over holds, per word of a record (recordWord), the bits no field
+	// within its limit sets, so a record checks with one AND a word.
+	over [maxRecordWords]uint64
 }
+
+// maxRecordWords is the most words a record spans: the largest, an
+// unbounded correlated record, is 30 bytes. Every record is at least
+// 8 bytes, since every table carries a u64 value.
+const maxRecordWords = 4
 
 // newTable returns a table of n slots, any number of them filled, whose
 // records carry no field yet.
 func newTable(n int) table { return table{slots: n, max: n, size: 4} }
 
-// with returns t with its records carrying field f, w bytes wide, of
-// at most bits bits.
+// with returns t with its records carrying field f, w bytes wide (0:
+// not carried), of at most bits bits. Every limit is 2^bits-1, so the
+// bits above it are a mask.
 func (t table) with(f int, w uint8, bits int) table {
-	t.width[f], t.limit[f], t.size = w, 1<<bits-1, t.size+int(w)
+	t.width[f], t.limit[f] = w, 1<<bits-1
+	var over [8*maxRecordWords + 8]byte // the record's bytes, then room for the last field's spill
+	t.size = 4
+	for f, w := range t.width {
+		binary.LittleEndian.PutUint64(over[t.size:], ^t.limit[f])
+		t.size += int(w)
+	}
+	for k := range t.over {
+		t.over[k] = binary.LittleEndian.Uint64(over[t.recordWord(k):])
+	}
 	return t
+}
+
+// recordWord is the offset of a record's word k: 8k, but for the last,
+// which ends where the record does.
+func (t *table) recordWord(k int) int { return max(min(8*k, t.size-8), 0) }
+
+// fits reports whether every field of rec, one record of t, is within
+// its limit.
+func (t *table) fits(rec []byte) bool {
+	var over uint64
+	for k := range (t.size + 7) / 8 {
+		over |= binary.LittleEndian.Uint64(rec[t.recordWord(k):]) & t.over[k]
+	}
+	return over == 0
 }
 
 func (t *table) appendRecord(b []byte, i int, e *entry) []byte {
@@ -147,7 +179,7 @@ type sectioned interface {
 	// holds none.
 	setEntry(t, i int, e entry)
 	// changes is where the predictor keeps its delta mark: the slots
-	// written since, nil when it holds none (delta.go).
+	// changed since, nil when it holds none (delta.go).
 	changes() **changeSet
 }
 

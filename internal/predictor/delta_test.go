@@ -38,8 +38,10 @@ func deltaConfigs() map[string]Config {
 
 // applyPlan is the reference splice applier: it builds the spliced
 // section in a new slice.
-func applyPlan(state []byte, plan []Splice) []byte {
-	var out []byte
+func applyPlan(state []byte, plan []Splice) []byte { return appendPlan(nil, state, plan) }
+
+// appendPlan appends the spliced section to out.
+func appendPlan(out, state []byte, plan []Splice) []byte {
 	prev := 0
 	for _, s := range plan {
 		out = append(out, state[prev:s.Off]...)
@@ -51,7 +53,7 @@ func applyPlan(state []byte, plan []Splice) []byte {
 
 // driveStep runs rounds on p through one of the three training paths by
 // step: the scalar Predict/Update, the batch loop, and (on a hybrid)
-// Lookup/CommitUpdate/Advance. Each records the slots it writes.
+// Lookup/CommitUpdate/Advance. Each records the slots it changes.
 func driveStep(p NextTracePredictor, traces []*trace.Trace, step int) {
 	h, isHybrid := p.(*Hybrid)
 	switch {
@@ -146,6 +148,109 @@ func TestDeltaMergeEqualsSave(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeltaShipsOnlyChangedEntries: a delta carries exactly the entries
+// whose bytes differ from the held section's: none that its rounds left
+// as they were, and every one they changed. Each delta follows one
+// round, so no entry can change and change back between two deltas;
+// the rounds rotate through the three training paths (driveStep), on a
+// random stream and on one the predictors learn, for every backend.
+func TestDeltaShipsOnlyChangedEntries(t *testing.T) {
+	for name, cfg := range deltaConfigs() {
+		t.Run(name, func(t *testing.T) {
+			for _, kind := range []string{"random", "loop"} {
+				t.Run(kind, func(t *testing.T) {
+					b := mustBackend(t, cfg)
+					p := MustNew(cfg)
+					held, err := b.Save(p)
+					if err == nil {
+						err = b.Mark(p)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					stream := randStream(17, 2000)
+					if kind == "loop" {
+						// Long enough for TAGE's useful counters to
+						// rise and decay.
+						stream = loopStream(17, 6000)
+					}
+					shipped := 0
+					for step, tc := range stream {
+						driveStep(p, []*trace.Trace{tc}, step)
+						delta, err := b.AppendDelta(nil, p)
+						now, serr := b.Save(p)
+						if serr != nil {
+							t.Fatal(serr)
+						}
+						if _, ok := p.(*Unbounded); ok && errors.Is(err, ErrNoMark) {
+							held = now // a grow dropped the mark
+							if err := b.Mark(p); err != nil {
+								t.Fatal(err)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("step %d: AppendDelta: %v", step, err)
+						}
+						l, err := b.head(held)
+						if err != nil {
+							t.Fatal(err)
+						}
+						was, is, got := sectionRecords(t, &l, held, l.head), sectionRecords(t, &l, now, l.head), sectionRecords(t, &l, delta, l.key)
+						for tb := range l.n {
+							want := changedRecords(was[tb], is[tb], l.tables[tb].size)
+							if !bytes.Equal(got[tb], want) {
+								t.Fatalf("step %d, table %d: delta ships %d bytes of records, %d bytes differ from the held section",
+									step, tb, len(got[tb]), len(want))
+							}
+							shipped += len(got[tb]) / l.tables[tb].size
+						}
+						held = now
+					}
+					if shipped == 0 {
+						t.Fatal("no delta shipped an entry")
+					}
+					t.Logf("%d entries shipped over %d rounds", shipped, len(stream))
+				})
+			}
+		})
+	}
+}
+
+// sectionRecords returns the records of each table of a state section
+// or delta of layout l whose mutable part starts at off.
+func sectionRecords(t *testing.T, l *layout, b []byte, off int) (recs [maxTables][]byte) {
+	t.Helper()
+	r := &stateReader{b: b, off: off}
+	r.skipMutable(l)
+	for tb := range l.n {
+		size := l.tables[tb].size
+		recs[tb] = r.take(r.count(size) * size)
+	}
+	if r.err != nil || r.off != len(b) {
+		t.Fatalf("section of %d bytes: %v at offset %d", len(b), r.err, r.off)
+	}
+	return recs
+}
+
+// changedRecords returns the records of is, a table's records, that
+// were not in was, the same table's records earlier: the entries of
+// slots was held with other bytes or not at all.
+func changedRecords(was, is []byte, size int) []byte {
+	var out []byte
+	for len(is) > 0 {
+		i := binary.LittleEndian.Uint32(is)
+		for len(was) > 0 && binary.LittleEndian.Uint32(was) < i {
+			was = was[size:]
+		}
+		if len(was) == 0 || !bytes.Equal(was[:size], is[:size]) {
+			out = append(out, is[:size]...)
+		}
+		is = is[size:]
+	}
+	return out
 }
 
 // loopStream loops a random pattern of 61 traces with one trace in
@@ -251,13 +356,13 @@ func TestMergeDeltaWordEdges(t *testing.T) {
 		for _, i := range corr {
 			p.corr[i] = corrEntry{w: withCtr(val|entValid, 1)}
 			if p.chg != nil {
-				p.chg[0].add(i)
+				p.chg.t[0].add(i)
 			}
 		}
 		for _, i := range sec {
 			p.sec[i] = withCtr(val|entValid, 1)
 			if p.chg != nil {
-				p.chg[1].add(i)
+				p.chg.t[1].add(i)
 			}
 		}
 	}
@@ -307,7 +412,7 @@ func TestMergeDeltaIndexOutOfStep(t *testing.T) {
 	emptyState, _ := b.Save(empty)
 	b.Mark(empty)
 	empty.corr[5] = corrEntry{w: withCtr(4|entValid, 1)}
-	empty.chg[0].add(5)
+	empty.chg.t[0].add(5)
 	delta, err := b.AppendDelta(nil, empty)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +513,7 @@ func TestMergeDeltaBlockEdges(t *testing.T) {
 		for _, i := range slots {
 			p.corr[i] = corrEntry{w: withCtr(val|entValid, 1)}
 			if p.chg != nil {
-				p.chg[0].add(i)
+				p.chg.t[0].add(i)
 			}
 		}
 	}
@@ -447,11 +552,12 @@ func TestMergeDeltaBlockEdges(t *testing.T) {
 // BenchmarkDeltaRound times what one durable ack adds up to on the
 // paper codec: one 256-trace round on a marked hybrid+RHS predictor,
 // its AppendDelta, and the MergeDelta plan against a held section, at
-// three table sizes. The rounds cycle through a 1024-trace pool the
-// predictor learned before the held section was saved, so every delta
-// replaces held entries, the held section and its index stay in step,
-// and the rounds' working set fits in cache at every size: what grows
-// with the table is only the delta's own walk at both ends.
+// three table sizes, the plan applied to the held section by the
+// reference applier into a second buffer. The rounds cycle through a
+// 1024-trace pool the predictor learned before the held section was
+// saved, so every delta replaces held entries and the rounds' working
+// set fits in cache at every size: what grows with the table is only
+// the delta's own walk at both ends.
 func BenchmarkDeltaRound(b *testing.B) {
 	for _, bits := range []int{16, 20, 22} {
 		b.Run(fmt.Sprintf("bits%d", bits), func(b *testing.B) {
@@ -481,6 +587,7 @@ func BenchmarkDeltaRound(b *testing.B) {
 			var (
 				delta []byte
 				plan  []Splice
+				spare []byte
 				lits  [MergeLits]byte
 				x     MergeIndex
 			)
@@ -494,6 +601,7 @@ func BenchmarkDeltaRound(b *testing.B) {
 				if plan, err = be.MergeDelta(plan[:0], &lits, &x, held, delta); err != nil {
 					b.Fatal(err)
 				}
+				held, spare = appendPlan(spare[:0], held, plan), held
 			}
 		})
 	}

@@ -52,7 +52,7 @@ type Hybrid struct {
 	tagMask uint32 // 0 in a basic predictor: no tags
 	secMask uint32
 
-	// chg records the slots written since the last delta mark; nil
+	// chg records the slots changed since the last delta mark; nil
 	// until the predictor is first marked (see delta.go). It sits last
 	// so the round path's fields keep their offsets.
 	chg *changeSet
@@ -171,6 +171,7 @@ func (p *Hybrid) injectFaults() {
 // neighbouring lane.
 func (p *Hybrid) corrFault(f faults.TableFault) {
 	e := &p.corr[f.Index]
+	old := *e
 	switch f.Slot {
 	case faults.SlotValue:
 		e.w ^= f.Mask & entValMask
@@ -181,19 +182,24 @@ func (p *Hybrid) corrFault(f faults.TableFault) {
 	case faults.SlotCounter:
 		e.w ^= uint64(uint8(f.Mask)) << entCtrShift
 	}
-	p.chg.add(0, uint32(f.Index))
+	if *e != old {
+		p.chg.add(0, uint32(f.Index))
+	}
 }
 
 // secFault XORs a fault's mask into the value or counter lane of a
 // secondary entry.
 func (p *Hybrid) secFault(f faults.TableFault) {
+	old := p.sec[f.Index]
 	switch f.Slot {
 	case faults.SlotValue:
 		p.sec[f.Index] ^= f.Mask & entValMask
 	case faults.SlotCounter:
 		p.sec[f.Index] ^= uint64(uint8(f.Mask)) << entCtrShift
 	}
-	p.chg.add(1, uint32(f.Index))
+	if p.sec[f.Index] != old {
+		p.chg.add(1, uint32(f.Index))
+	}
 }
 
 // NewHybrid builds a hybrid predictor directly, for callers that need
@@ -298,9 +304,9 @@ func newRules(cfg *Config) rules {
 // secondary table), e the correlated entry and actual the stored value
 // of the trace that followed. It is the one training routine of the
 // bounded and unbounded predictors, which differ only in where their
-// entries live. It reports whether it wrote e, which the secondary
-// filter may skip.
-func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uint64) (wroteCorr bool) {
+// entries live. A marked predictor trains through changeSet.train,
+// which records the entries whose bytes train changed.
+func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uint64) {
 	var ev Event
 	s.Predictions++
 	correct := tok.Pred.Valid && tok.predVal == actual
@@ -350,7 +356,7 @@ func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uin
 		if r.rec != nil {
 			r.rec.Record(ev)
 		}
-		return false
+		return
 	}
 	w := e.w
 	switch {
@@ -383,34 +389,43 @@ func (r *rules) train(s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uin
 	if r.rec != nil {
 		r.rec.Record(ev)
 	}
-	return true
 }
 
 // CommitUpdate trains the tables for a prediction described by tok,
-// given the trace that actually followed: it draws the round's faults,
-// hands the round's entries to rules.train and, in a marked predictor,
-// records the slots written (changeSet.round). It is the scalar round's
+// given the trace that actually followed: it draws the round's faults
+// and hands the round's entries to rules.train, through changeSet.train
+// in a marked predictor. It is the scalar round's
 // one training step; PredictBatch writes the same steps out. It does
 // not touch the path history; pair it with Advance.
 func (p *Hybrid) CommitUpdate(tok *Token, actual *trace.Trace) {
 	if p.cfg.Faults != nil {
 		p.injectFaults()
 	}
-	wrote := p.r.train(&p.stats, tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(actual))
+	sw, e, val := p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(actual)
 	if c := p.chg; c != nil {
-		c.round(tok, wrote)
+		c.train(&p.r, &p.stats, tok, sw, e, val)
+	} else {
+		p.r.train(&p.stats, tok, sw, e, val)
 	}
 }
 
-// round records the slots a round wrote in a marked paper predictor's
-// change set: its secondary slot when there is a secondary table, and
-// its correlated slot unless the secondary filter skipped the write.
-func (c *changeSet) round(tok *Token, wroteCorr bool) {
-	if len(c[1].words) != 0 {
-		c[1].add(tok.SecIdx)
+// train runs r.train on a marked paper predictor's round, then records
+// the slots whose bytes it changed: the secondary word, and the
+// correlated word or its alternate, which the secondary filter may
+// leave unwritten. Comparing here rather than in r.train keeps the
+// comparisons off an unmarked predictor's rounds.
+func (c *changeSet) train(r *rules, s *Stats, tok *Token, sw *uint64, e *corrEntry, actual uint64) {
+	var sec uint64
+	if sw != nil {
+		sec = *sw
 	}
-	if wroteCorr {
-		c[0].add(tok.CorrIdx)
+	corr := *e
+	r.train(s, tok, sw, e, actual)
+	if sw != nil && *sw != sec {
+		c.t[1].add(tok.SecIdx)
+	}
+	if *e != corr {
+		c.t[0].add(tok.CorrIdx)
 	}
 }
 
@@ -460,9 +475,11 @@ func (p *Hybrid) PredictBatch(actuals []trace.Trace, preds []Prediction) uint64 
 		if p.cfg.Faults != nil {
 			p.injectFaults()
 		}
-		wrote := p.r.train(&p.stats, &tok, p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(&actuals[i]))
+		sw, e, actual := p.secWord(tok.SecIdx), &p.corr[tok.CorrIdx], p.cfg.storedVal(&actuals[i])
 		if c != nil {
-			c.round(&tok, wrote)
+			c.train(&p.r, &p.stats, &tok, sw, e, actual)
+		} else {
+			p.r.train(&p.stats, &tok, sw, e, actual)
 		}
 		p.Advance(&actuals[i])
 	}

@@ -46,7 +46,7 @@ type tage struct {
 
 	stats Stats
 	tok   tageTok
-	chg   *changeSet // slots written since the last delta mark: base, then the tagged tables
+	chg   *changeSet // slots changed since the last delta mark: base, then the tagged tables
 }
 
 // maxTageTables bounds the tagged-table bank; the geometric series
@@ -232,7 +232,7 @@ func (t *tage) Update(actual *trace.Trace) {
 	// Base table trains every round, like the hybrid's secondary table
 	// and under the same counter policy.
 	be := &t.base[tok.baseIdx]
-	c.add(0, tok.baseIdx)
+	oldBase := *be
 	secMax := ctrMax(t.cfg.SecCounterBits)
 	switch {
 	case !be.valid:
@@ -247,13 +247,16 @@ func (t *tage) Update(actual *trace.Trace) {
 	default:
 		be.ctr = satDec(be.ctr, t.cfg.SecCounterDec)
 	}
+	if *be != oldBase {
+		c.add(0, tok.baseIdx)
+	}
 
 	// Provider training plus useful-counter bookkeeping: the u counter
 	// only moves when the provider and the alternate disagree, so it
 	// measures where the long history actually earned its keep.
 	if p := tok.provider; p >= 0 {
 		e := &t.tables[p][tok.idx[p]]
-		c.add(1+p, tok.idx[p])
+		old := *e
 		provCorrect := e.val == actualVal
 		if tok.altKnown && tok.altVal != e.val {
 			if provCorrect {
@@ -273,6 +276,9 @@ func (t *tage) Update(actual *trace.Trace) {
 		default:
 			e.ctr = satDec(e.ctr, t.cfg.CounterDec)
 		}
+		if *e != old {
+			c.add(1+p, tok.idx[p])
+		}
 	}
 
 	// Allocate on a misprediction: the first longer table with a spent
@@ -286,17 +292,20 @@ func (t *tage) Update(actual *trace.Trace) {
 				if e.valid {
 					ev |= EvReplaced
 				}
-				*e = tageEntry{val: actualVal, tag: tok.tag[i], valid: true}
-				c.add(1+i, tok.idx[i])
+				if fresh := (tageEntry{val: actualVal, tag: tok.tag[i], valid: true}); *e != fresh {
+					*e = fresh
+					c.add(1+i, tok.idx[i])
+				}
 				allocated = true
 				break
 			}
 		}
 		if !allocated {
 			for i := tok.provider + 1; i < t.nTables; i++ {
-				e := &t.tables[i][tok.idx[i]]
-				e.u = satDec(e.u, 1)
-				c.add(1+i, tok.idx[i])
+				if e := &t.tables[i][tok.idx[i]]; e.u != 0 {
+					e.u--
+					c.add(1+i, tok.idx[i])
+				}
 			}
 		}
 	}

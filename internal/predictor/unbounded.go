@@ -39,7 +39,7 @@ type Unbounded struct {
 	// so Update writes without probing again.
 	tok         Token
 	key, secKey uint64
-	// chg records the slots written since the last delta mark; a grow,
+	// chg records the slots changed since the last delta mark; a grow,
 	// which moves every key of a table, drops it.
 	chg *changeSet
 }
@@ -167,11 +167,15 @@ func (u *Unbounded) Update(actual *trace.Trace) {
 		sw = &se.w
 	}
 	c, slots := u.chg, len(u.corr.slots)+len(u.sec.slots)
-	if u.r.train(&u.stats, tok, sw, &ce, u.cfg.storedVal(actual)) {
+	// train leaves every entry it writes valid, so an entry it left as
+	// it was is stored already: only changed entries are stored and
+	// recorded.
+	u.r.train(&u.stats, tok, sw, &ce, u.cfg.storedVal(actual))
+	if ce != u.corr.slots[tok.CorrIdx].e {
 		c.add(0, tok.CorrIdx)
 		u.corr.set(int(tok.CorrIdx), u.key, ce)
 	}
-	if sw != nil {
+	if sw != nil && se != u.sec.slots[tok.SecIdx].e {
 		c.add(1, tok.SecIdx)
 		u.sec.set(int(tok.SecIdx), u.secKey, se)
 	}
@@ -210,8 +214,7 @@ const ubMaxBits = 40
 func ubLayout(l layout, corrBits, secBits int) layout {
 	l.head, l.key, l.full = paperHeadBytes+2, paperHeadBytes+2, true
 	for t, k := range [2]int{corrBits, secBits} {
-		tb := l.tables[t].with(fKey, 8, 64)
-		tb.size, tb.width[fTag] = tb.size-int(tb.width[fTag]), 0
+		tb := l.tables[t].with(fKey, 8, 64).with(fTag, 0, 0)
 		if k != 0 { // else no table, as the paper layout of a basic head has
 			tb.slots, tb.max = 1<<k, 1<<(k-1)
 		}

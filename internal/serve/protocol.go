@@ -87,7 +87,7 @@
 // with a new token for the client to hold next and the session's state
 // after the batch. When the token names the session's last answered
 // generation, that state is an internal/snapshot delta envelope: the
-// state's small mutable part plus only the table entries written
+// state's small mutable part plus only the table entries changed
 // since, O(the batches between) rather than O(table), which the client
 // merges into its frame (snapshot.Held). Otherwise — the first tracked
 // ack, a lost or torn answer, a restore, a second client tracking the

@@ -42,7 +42,7 @@ type session struct {
 
 	// snapGen is the generation token of the last tracked batch answered
 	// for the session, 0 when none is current. Only then does the
-	// primary record the slots it writes, and only a tracked batch naming
+	// primary record the slots it changes, and only a tracked batch naming
 	// this token gets a delta.
 	snapGen uint64
 }

@@ -38,14 +38,15 @@ func IsDelta(b []byte) bool { return len(b) >= 4 && [4]byte(b[:4]) == deltaMagic
 
 // Held is a session frame kept current by merging deltas into it. The
 // frame sits at the end of its buffer with free room in front, and a
-// merge keeps its end in place: a delta that only replaces table
-// entries and resizes the state's small leading part (the RHS grows or
-// shrinks every few rounds) moves just the bytes in front of the
-// tables. The checksum is recomputed only when the frame is read.
+// merge keeps its end in place: an entry that replaces a held one is
+// written over it, and a delta that adds none and resizes only the
+// state's small leading part (the RHS grows or shrinks every few
+// rounds) moves just the bytes in front of the tables. The checksum is
+// recomputed only when the frame is read.
 //
 // Beside the frame it keeps the state's predictor.MergeIndex, so a merge
-// finds each entry's place by rank rather than by search: built by the
-// first Apply after a Set, then kept current by every Apply.
+// neither parses the held state nor searches it: built by the first
+// Apply after a Set, then kept current by every Apply.
 //
 // The zero Held holds no frame.
 type Held struct {
@@ -54,7 +55,7 @@ type Held struct {
 	sealed bool // the frame's checksum is current
 	idx    predictor.MergeIndex
 	plan   []predictor.Splice
-	lits   [12 + predictor.MergeLits]byte // the plan's own literals: lastSeq, state length, the backend's
+	lits   [predictor.MergeLits]byte // the plan's own literals
 }
 
 // Len is the held frame's length, 0 when none is held.
@@ -114,25 +115,23 @@ func (h *Held) Apply(delta []byte) error {
 		return fmt.Errorf("%w: backend %q is not registered", ErrCorrupt, d.tag)
 	}
 
-	// Two header splices (the cursor and the state length), then the
-	// backend's, moved from state to frame offsets.
-	stateAt := len(f) - checksumBytes - len(held.section)
-	plan := append(h.plan[:0],
-		predictor.Splice{Off: offLastSeq, Del: 8, Lit: h.lits[:8]},
-		predictor.Splice{Off: stateAt - 4, Del: 4, Lit: h.lits[8:12]})
-	plan, err = b.MergeDelta(plan, (*[predictor.MergeLits]byte)(h.lits[12:]), &h.idx, held.section, d.section)
+	// The backend writes replaced entries in place and plans the rest;
+	// the header's cursor and state length are written in place too,
+	// then the plan, moved from state to frame offsets, is spliced.
+	plan, err := b.MergeDelta(h.plan[:0], &h.lits, &h.idx, held.section, d.section)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	stateAt := len(f) - checksumBytes - len(held.section)
 	stateLen := len(held.section)
-	for i := range plan[2:] {
-		s := &plan[2+i]
+	for i := range plan {
+		s := &plan[i]
 		s.Off += stateAt
 		stateLen += len(s.Lit) - s.Del
 	}
 	le := binary.LittleEndian
-	le.PutUint64(h.lits[:8], d.lastSeq)
-	le.PutUint32(h.lits[8:12], uint32(stateLen))
+	le.PutUint64(f[offLastSeq:], d.lastSeq)
+	le.PutUint32(f[stateAt-4:], uint32(stateLen))
 	h.splice(plan)
 	h.plan = plan[:0]
 	h.sealed = false

@@ -2,13 +2,18 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
+	"pathtrace/internal/history"
 	"pathtrace/internal/predictor"
+	tstream "pathtrace/internal/stream"
 	"pathtrace/internal/trace"
+	"pathtrace/internal/workload"
 )
 
 // deltaFixture is a predictor with a full frame taken and a mark set:
@@ -357,4 +362,129 @@ func TestSpliceKeepsEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heldApplyFixture is BenchmarkHeldApply's input, built once: a full
+// frame and the deltas a server ships after it, one per batch.
+var heldApplyFixture struct {
+	once    sync.Once
+	frame   []byte
+	deltas  [][]byte
+	records float64 // entries per delta, deltas[1:] averaged
+	err     error
+}
+
+// heldApplyBatch is the durable workload's batch size.
+const heldApplyBatch = 256
+
+// buildHeldApplyFixture runs the go benchmark's 2M-instruction stream
+// twice through the headline predictor (hybrid+RHS, 2^16 correlated
+// entries) in batches, takes the full frame and marks it, then runs
+// the stream a third time, taking the delta of every batch.
+func buildHeldApplyFixture() {
+	fx := &heldApplyFixture
+	w, ok := workload.ByName("go")
+	if !ok {
+		fx.err = errors.New("workload go missing")
+		return
+	}
+	s, err := tstream.Capture(nil, w, 2_000_000, trace.DefaultConfig())
+	if err != nil {
+		fx.err = err
+		return
+	}
+	traces := make([]trace.Trace, s.Len())
+	for i := range traces {
+		s.At(i, &traces[i])
+	}
+	cfg := predictor.Config{Backend: "hybrid", Depth: 7, IndexBits: 16, UseRHS: true}
+	b, err := predictor.ResolveBackend(cfg)
+	if err != nil {
+		fx.err = err
+		return
+	}
+	p := predictor.MustNew(cfg)
+	pass := func(f func(lastSeq uint64) error) error {
+		for off := 0; off+heldApplyBatch <= len(traces); off += heldApplyBatch {
+			predictor.PredictBatch(p, traces[off:off+heldApplyBatch], nil)
+			if err := f(uint64(off + heldApplyBatch)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	none := func(uint64) error { return nil }
+	if err := errors.Join(pass(none), pass(none)); err != nil {
+		fx.err = err
+		return
+	}
+	fx.frame, err = AppendFrame(nil, 1, 0, b.Name, func(dst []byte) ([]byte, error) { return b.Append(dst, p) })
+	if err == nil {
+		err = b.Mark(p)
+	}
+	if err == nil {
+		err = pass(func(lastSeq uint64) error {
+			d, err := AppendDelta(nil, 1, lastSeq, b.Name, func(dst []byte) ([]byte, error) { return b.AppendDelta(dst, p) })
+			fx.deltas = append(fx.deltas, d)
+			return err
+		})
+	}
+	if err != nil {
+		fx.err = err
+		return
+	}
+	for _, d := range fx.deltas[1:] {
+		fx.records += float64(hybridDeltaRecords(d))
+	}
+	fx.records /= float64(len(fx.deltas) - 1)
+}
+
+// hybridDeltaRecords counts the entries of a hybrid+RHS delta envelope
+// (papercodec.go): after the section's length word, two key bytes, the
+// mutable part (six u64 stats, the register, the RHS's capacity, count
+// and registers, each register two bytes and history.MaxSize u16 ids),
+// then the correlated table's count and 24-byte records and the
+// secondary table's count.
+func hybridDeltaRecords(d []byte) int {
+	le := binary.LittleEndian
+	const reg = 2 + 2*history.MaxSize
+	off := headerBytes + sessionHeaderBytes + 1 + len("hybrid") + 4 + 2 + 6*8 + reg
+	off += 4 + reg*int(le.Uint16(d[off+2:]))
+	corr := int(le.Uint32(d[off:]))
+	return corr + int(le.Uint32(d[off+4+24*corr:]))
+}
+
+// BenchmarkHeldApply times the client's half of a durable ack: one
+// Held.Apply of the delta a server ships after a 256-trace batch, on
+// the headline predictor learning the go benchmark (see
+// buildHeldApplyFixture), the deltas applied in the order they were
+// taken. The first delta after the base frame, which also builds the
+// frame's index, is applied untimed, and so is every return to the base
+// frame once the deltas run out. It reports ns/trace and the entries a
+// delta carries (records/ack).
+func BenchmarkHeldApply(b *testing.B) {
+	fx := &heldApplyFixture
+	fx.once.Do(buildHeldApplyFixture)
+	if fx.err != nil {
+		b.Fatal(fx.err)
+	}
+	var h Held
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		k := 1 + i%(len(fx.deltas)-1)
+		if k == 1 {
+			b.StopTimer()
+			h.Set(fx.frame)
+			if err := h.Apply(fx.deltas[0]); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := h.Apply(fx.deltas[k]); err != nil {
+			b.Fatalf("delta %d: %v", k, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*heldApplyBatch), "ns/trace")
+	b.ReportMetric(fx.records, "records/ack")
 }
